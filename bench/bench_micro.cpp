@@ -443,8 +443,9 @@ BENCHMARK(BM_SchedWheelPushPop);
 
 /// Shared decay schedule for the non-member boundary pair: the current
 /// best outsider keeps sinking, so every query must re-find the maximum
-/// over the n-k outsiders — the pre-PR4 tracker paid an O(n) scan per
-/// decay, the lazy heap pays amortized pops.
+/// over the n-k outsiders — a plain O(n) scan per decay here, against the
+/// tracker's 64-ary max index, which recomputes only the entries the
+/// decayed node led (one per level) and scans the top level.
 void BM_NonmemberRescanScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kK = 8;
@@ -497,6 +498,32 @@ void BM_NonmemberRescanLazy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NonmemberRescanLazy)->Arg(1024)->Arg(65536);
+
+/// The bulk-update path of a random-walk step: every one of n = 4096 ids
+/// moves by at most 8, then the answer is queried. Nearly all updates hit
+/// non-members, so this pins the per-update cost of the non-member index
+/// plus one decay repair whenever the boundary outsider sank.
+void BM_TrackerWalkStep(benchmark::State& state) {
+  constexpr std::size_t kN = 4096;
+  GroundTruthTracker tracker(kN, 8);
+  std::vector<Value> values(kN);
+  Rng rng(23);
+  for (NodeId i = 0; i < kN; ++i) {
+    values[i] = rng.uniform_int(0, 1'000'000);
+    tracker.set_value(i, values[i]);
+  }
+  benchmark::DoNotOptimize(tracker.topk_set());
+  for (auto _ : state) {
+    for (NodeId i = 0; i < kN; ++i) {
+      values[i] += rng.uniform_int(-8, 8);
+      tracker.set_value(i, values[i]);
+    }
+    benchmark::DoNotOptimize(tracker.topk_set());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kN));
+}
+BENCHMARK(BM_TrackerWalkStep);
 
 void BM_EarliestPending(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

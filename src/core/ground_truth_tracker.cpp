@@ -1,7 +1,9 @@
 #include "core/ground_truth_tracker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace topkmon {
 
@@ -16,6 +18,13 @@ GroundTruthTracker::GroundTruthTracker(std::size_t n, std::size_t k)
   sorted_set_.reserve(k);
   ordered_topk_.reserve(k);
   rank_scratch_.resize(n);
+  // Index levels: blocks of 64 ids, then 64 entries per parent, until the
+  // top level has at most 64 entries.
+  for (std::size_t width = (n + 63) / 64;; width = (width + 63) / 64) {
+    nm_index_.emplace_back(width);
+    nm_dirty_.emplace_back((width + 63) / 64, 0);
+    if (width <= 64) break;
+  }
 }
 
 void GroundTruthTracker::set_value(NodeId id, Value v) {
@@ -38,9 +47,7 @@ void GroundTruthTracker::set_value(NodeId id, Value v) {
     return;
   }
   if (k_ == values_.size()) return;  // no non-members to track
-  // Keep the lazy heap's invariant — every non-member's *current* value
-  // is on the heap — so a later decay repair is pops, not an O(n) scan.
-  nm_heap_push(v, id);
+  nm_index_update(id, v);
   if (id == nonmember_max_id_) {
     if (v > old) {
       nonmember_max_val_ = v;  // best outsider got better: still best
@@ -67,52 +74,71 @@ void GroundTruthTracker::rescan_member_min() {
   member_dirty_ = false;
 }
 
-namespace {
-
-/// Max-heap comparator under the canonical order: `a` sorts below `b`
-/// when `b` ranks before it, so the heap top is the best-ranked snapshot.
-struct RanksAfter {
-  bool operator()(const auto& a, const auto& b) const noexcept {
-    return b.value != a.value ? b.value > a.value : b.id < a.id;
+void GroundTruthTracker::nm_index_update(NodeId id, Value v) {
+  std::size_t slot = id;
+  for (std::size_t level = 0; level < nm_index_.size(); ++level) {
+    slot /= 64;
+    IndexEntry& entry = nm_index_[level][slot];
+    if (ranks_before(v, id, entry.value, entry.id)) {
+      entry = IndexEntry{v, id};  // new best below: the parent may change
+      continue;
+    }
+    // The entry still ranks first. If it is this node's (now stale)
+    // value it may overstate the best below, so the next repair
+    // recomputes it; either way nothing above changes.
+    if (entry.id == id) nm_dirty_[level][slot / 64] |= 1ULL << (slot % 64);
+    return;
   }
-};
-
-}  // namespace
-
-void GroundTruthTracker::nm_heap_push(Value v, NodeId id) {
-  // Compact once stale snapshots outnumber live non-members 2:1; the
-  // O(n) rebuild amortizes against the >= n pushes since the last one,
-  // and afterwards the vector's capacity is retained (no steady-state
-  // allocations).
-  if (nm_heap_.size() >= 3 * (values_.size() - k_) + 64) nm_heap_rebuild();
-  nm_heap_.push_back(HeapEntry{v, id});
-  std::push_heap(nm_heap_.begin(), nm_heap_.end(), RanksAfter{});
 }
 
-void GroundTruthTracker::nm_heap_rebuild() {
-  nm_heap_.clear();
-  const auto n = static_cast<NodeId>(values_.size());
-  for (NodeId id = 0; id < n; ++id) {
-    if (!member_[id]) nm_heap_.push_back(HeapEntry{values_[id], id});
+GroundTruthTracker::IndexEntry GroundTruthTracker::nm_index_best_below(
+    std::size_t level, std::size_t slot) const {
+  IndexEntry best{kMinusInf, kNoNode};
+  const std::size_t begin = slot * 64;
+  if (level == 0) {
+    const std::size_t end = std::min(begin + 64, values_.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto id = static_cast<NodeId>(i);
+      if (!member_[i] && ranks_before(values_[i], id, best.value, best.id)) {
+        best = IndexEntry{values_[i], id};
+      }
+    }
+    return best;
   }
-  std::make_heap(nm_heap_.begin(), nm_heap_.end(), RanksAfter{});
+  const auto& below = nm_index_[level - 1];
+  const std::size_t end = std::min(begin + 64, below.size());
+  for (std::size_t i = begin; i < end; ++i) {
+    if (ranks_before(below[i].value, below[i].id, best.value, best.id)) {
+      best = below[i];
+    }
+  }
+  return best;
 }
 
 void GroundTruthTracker::repair_nonmember_max() {
   ++boundary_rescans_;
-  // Membership is fixed between full rebuilds and every non-member's
-  // current value is on the heap, so popping snapshots that are stale
-  // (value changed since the push) or shadowed (node joined the top-k —
-  // only via a rebuild that also rebuilt the heap, but kept for safety)
-  // leaves the true non-member maximum on top.
-  while (!nm_heap_.empty()) {
-    const HeapEntry& top = nm_heap_.front();
-    if (!member_[top.id] && values_[top.id] == top.value) break;
-    std::pop_heap(nm_heap_.begin(), nm_heap_.end(), RanksAfter{});
-    nm_heap_.pop_back();
+  // Membership is fixed between full rebuilds, so recomputing the dirty
+  // entries bottom-up — each one dirties its parent — leaves every entry
+  // exact, and the best of the top level is the true non-member maximum.
+  // A dirty word's 64 entries share one parent.
+  const std::size_t levels = nm_index_.size();
+  for (std::size_t level = 0; level < levels; ++level) {
+    auto& dirty = nm_dirty_[level];
+    for (std::size_t w = 0; w < dirty.size(); ++w) {
+      if (dirty[w] == 0) continue;
+      if (level + 1 < levels) {
+        nm_dirty_[level + 1][w / 64] |= 1ULL << (w % 64);
+      }
+      for (auto bits = std::exchange(dirty[w], 0); bits != 0;
+           bits &= bits - 1) {
+        const std::size_t slot = w * 64 + std::countr_zero(bits);
+        nm_index_[level][slot] = nm_index_best_below(level, slot);
+      }
+    }
   }
-  nonmember_max_val_ = nm_heap_.front().value;
-  nonmember_max_id_ = nm_heap_.front().id;
+  const IndexEntry top = nm_index_best_below(levels, 0);
+  nonmember_max_val_ = top.value;
+  nonmember_max_id_ = top.id;
   nonmember_dirty_ = false;
 }
 
@@ -146,10 +172,14 @@ void GroundTruthTracker::full_rebuild() {
   if (k_ < n) {
     nonmember_max_id_ = rank_scratch_[k_];
     nonmember_max_val_ = values_[nonmember_max_id_];
-    // Membership changed: reseed the lazy heap so every (possibly new)
-    // non-member has its current value on it. O(n), dominated by the
-    // partial sort above.
-    nm_heap_rebuild();
+    // Membership changed: recompute the index over the new non-members,
+    // bottom-up. O(n), dominated by the partial sort above.
+    for (std::size_t level = 0; level < nm_index_.size(); ++level) {
+      for (std::size_t slot = 0; slot < nm_index_[level].size(); ++slot) {
+        nm_index_[level][slot] = nm_index_best_below(level, slot);
+      }
+      std::fill(nm_dirty_[level].begin(), nm_dirty_[level].end(), 0);
+    }
   }
   built_ = true;
   member_dirty_ = false;
@@ -161,8 +191,8 @@ void GroundTruthTracker::ensure_current() {
     full_rebuild();
     return;
   }
-  if (k_ == values_.size()) return;  // the set can never change
   if (member_dirty_) rescan_member_min();
+  if (k_ == values_.size()) return;  // the set can never change
   if (nonmember_dirty_) repair_nonmember_max();
   // Boundary intact <=> every member still ranks before every non-member
   // <=> the worst member ranks before the best non-member. (The ranking

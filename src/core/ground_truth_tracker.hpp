@@ -19,17 +19,21 @@
 // true_topk_set / true_topk_ordered at every query — the equivalence the
 // unit tests enforce over randomized trajectories of every stream family.
 //
-// Cost model: set_value() is O(1) for members and O(log n) for
-// non-members (their updates also push a snapshot onto a lazy max-heap).
-// A query first repairs the extrema — O(k) when a member update stalled
-// the member minimum, amortized O(log n) when the boundary non-member
-// decayed (the lazy heap pops stale snapshots until its top is current;
+// Cost model: set_value() is O(1) for members and typically O(1) for
+// non-members, which also update a lazy 64-ary max index over the
+// non-members (level 0 keeps the best non-member of each block of 64
+// ids, every higher level the best of 64 entries below, up to a top of
+// at most 64 entries). An update climbs only while it beats the entry
+// above, so the worst case is O(log_64 n); when an entry's own argmax
+// decays it is marked dirty instead of recomputed. A query first repairs
+// the extrema — O(k) when a member update stalled the member minimum,
+// O(64 * dirty entries + 64) when the boundary non-member decayed (the
+// dirty entries are recomputed bottom-up and the top level scanned;
 // boundary_rescans counts these repair events) — and only when the
 // boundary was actually crossed performs a full O(n log k) rebuild
-// (full_rebuilds). The heap is compacted back to one entry per
-// non-member when stale snapshots outnumber live ones 2:1, so its size
-// stays O(n) and, at steady state, no query or update allocates: all
-// scratch is owned by the tracker and reused.
+// (full_rebuilds), which rebuilds the index in O(n). The index is sized
+// once at construction, so at steady state no query or update
+// allocates: all scratch is owned by the tracker and reused.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +53,8 @@ class GroundTruthTracker {
   std::size_t size() const noexcept { return values_.size(); }
   std::size_t k() const noexcept { return k_; }
 
-  /// Updates node `id`'s value. O(1); the membership consequence is
-  /// settled lazily at the next query.
+  /// Updates node `id`'s value. O(1) typical, O(log_64 n) worst case;
+  /// the membership consequence is settled lazily at the next query.
   void set_value(NodeId id, Value v);
 
   /// Current value of node `id`.
@@ -94,8 +98,8 @@ class GroundTruthTracker {
   std::uint64_t full_rebuilds() const noexcept { return full_rebuilds_; }
 
   /// Boundary repairs performed because the boundary non-member's value
-  /// decayed (no membership change) — amortized O(log n) lazy-heap pops
-  /// each, where the pre-PR4 implementation paid an O(n) rescan.
+  /// decayed (no membership change) — each recomputes the index's dirty
+  /// entries and scans its top level instead of rescanning all n values.
   std::uint64_t boundary_rescans() const noexcept { return boundary_rescans_; }
 
  private:
@@ -111,19 +115,21 @@ class GroundTruthTracker {
   void repair_nonmember_max();
   void full_rebuild();
 
-  /// One lazy-heap snapshot: node `id` had value `value` when pushed.
-  /// Valid iff the value is still current and the node is a non-member.
-  struct HeapEntry {
+  /// One index entry: the best-ranked non-member below it, or the empty
+  /// sentinel (kMinusInf, kNoNode), which ranks after every real node.
+  struct IndexEntry {
     Value value;
     NodeId id;
   };
+  static constexpr NodeId kNoNode = ~NodeId{0};
 
-  /// Pushes a snapshot for a non-member update (compacts when stale
-  /// entries dominate).
-  void nm_heap_push(Value v, NodeId id);
+  /// Climbs the index from `id`'s block after a non-member update.
+  void nm_index_update(NodeId id, Value v);
 
-  /// Rebuilds the heap to exactly one live snapshot per non-member.
-  void nm_heap_rebuild();
+  /// Best of the up to 64 ids (level 0) or entries of `level` - 1 under
+  /// entry `slot` of `level`; level == nm_index_.size() (slot 0) scans
+  /// the top level.
+  IndexEntry nm_index_best_below(std::size_t level, std::size_t slot) const;
 
   std::size_t k_;
   std::vector<Value> values_;
@@ -147,10 +153,12 @@ class GroundTruthTracker {
   std::vector<NodeId> ordered_topk_;
   std::vector<char> cand_member_;       ///< is_valid() candidate flags
 
-  /// Lazy max-heap of non-member value snapshots under the canonical
-  /// order; between full rebuilds each non-member always has its current
-  /// value on the heap, so the first non-stale top is nonmember_max.
-  std::vector<HeapEntry> nm_heap_;
+  /// Lazy 64-ary max index over non-members, level 0 first. Every entry
+  /// ranks at or before every non-member below it; an entry that is not
+  /// exactly the best of them is dirty itself or has a dirty descendant,
+  /// so repairing the dirty entries bottom-up makes the whole index exact.
+  std::vector<std::vector<IndexEntry>> nm_index_;
+  std::vector<std::vector<std::uint64_t>> nm_dirty_;  ///< bit per entry
 };
 
 }  // namespace topkmon

@@ -10,9 +10,11 @@
 // Under the default instant network this path is byte-identical to the
 // legacy run_monitor() pipeline (native role implementations are
 // coin-flip-compatible with their lock-step counterparts; everything else
-// bridges through the LockstepAdapter). Non-instant networks require a
-// native monitor ("topk_filter", "naive", "naive_chg") — the runner
-// rejects adapter-backed monitors there with a clear error.
+// bridges through the LockstepAdapter). Non-instant networks, fault plans
+// and workers > 1 require a monitor with a native role port — exactly the
+// specs exp::native_monitor_names() lists, every monitor but "recompute"
+// — and the runner rejects adapter-backed monitors there with a clear
+// error.
 #pragma once
 
 #include <functional>
@@ -92,10 +94,14 @@ struct Scenario {
   /// (default) runs fault-free and byte-identical to a scenario without
   /// the field; anything else schedules crash / recover / join / leave /
   /// dynamic-k events — plus the adversarial degradations lag / stale /
-  /// mute / heal — against the run. Requires a native monitor
-  /// ("topk_filter", "naive", "naive_chg"); composes with any network
-  /// policy and with workers > 1 (schedules derive from the run seed like
-  /// link randomness, so results stay byte-reproducible). With join
+  /// mute / heal — against the run. Requires a monitor listed by
+  /// exp::native_monitor_names(); composes with any network policy and
+  /// with workers > 1 (schedules derive from the run seed like link
+  /// randomness, so results stay byte-reproducible). Only "topk_filter",
+  /// "approx", "naive" and "naive_chg" accept the `?suspect` parameter
+  /// that convicts a degraded node; the other ports reject it and carry a
+  /// degradation until its heal. "ordered" and "multi_k" re-sync a
+  /// recovered or joining node with a full reset. With join
   /// events the cluster/streams/ground truth are provisioned at the
   /// plan's total_nodes(); RunResult::recovery_ticks then reports the
   /// re-convergence window of every event (for a degradation: the error

@@ -4,6 +4,8 @@
 // validate through it without changing a single experiment byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/ground_truth.hpp"
@@ -48,7 +50,9 @@ void expect_equivalent(GroundTruthTracker& tracker,
   const auto cand = perturbed_candidate(expected_set, values.size(), rng);
   ASSERT_EQ(tracker.is_valid(cand), is_valid_topk(values, cand)) << context;
   const std::vector<NodeId> dup(k, expected_set.front());
-  if (k > 1) ASSERT_FALSE(tracker.is_valid(dup)) << context;
+  if (k > 1) {
+    ASSERT_FALSE(tracker.is_valid(dup)) << context;
+  }
   const std::vector<NodeId> bad = {static_cast<NodeId>(values.size())};
   ASSERT_FALSE(tracker.is_valid(bad)) << context;
 
@@ -159,10 +163,10 @@ TEST(GroundTruthTracker, KEqualsNIsAlwaysValid) {
   }
 }
 
-TEST(GroundTruthTracker, LazyHeapSurvivesBoundaryDecayStorm) {
-  // Adversarial workload for the non-member lazy heap: the best outsider
-  // decays over and over, so every query repairs the boundary (the old
-  // implementation paid O(n) per repair; the heap pays amortized pops).
+TEST(GroundTruthTracker, NonmemberIndexSurvivesBoundaryDecayStorm) {
+  // Adversarial workload for the non-member max index: the best outsider
+  // decays over and over, so every query repairs the boundary from the
+  // index's dirty entries.
   // Equivalence to the batch helpers must hold throughout, and the
   // rescan counter must actually count the repairs.
   constexpr std::size_t kN = 48;
@@ -184,7 +188,7 @@ TEST(GroundTruthTracker, LazyHeapSurvivesBoundaryDecayStorm) {
     tracker.set_value(boundary, values[boundary]);
     ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK)) << round;
     // Occasionally revive a random node so full rebuilds interleave with
-    // the decay-only repairs (heap reseeding path).
+    // the decay-only repairs (index rebuild path).
     if (round % 97 == 0) {
       const auto id = static_cast<NodeId>(rng.uniform_below(kN));
       values[id] = rng.uniform_int(5'000, 20'000);
@@ -194,6 +198,141 @@ TEST(GroundTruthTracker, LazyHeapSurvivesBoundaryDecayStorm) {
   }
   EXPECT_GT(tracker.boundary_rescans(), 100u);
   EXPECT_GT(tracker.full_rebuilds(), 0u);
+}
+
+// -- index shapes ------------------------------------------------------------
+//
+// The non-member max index has one level per factor of 64 in n: n <= 64
+// is a single block, 65 splits into two, 4097 needs a second level and
+// 300000 a third. Each shape is driven through walk, iid and tie-heavy
+// trajectories that also write kMinusInf (the crash/leave path) and is
+// compared against the batch helpers after every step.
+
+enum class Trajectory { kWalk, kIid, kTies };
+
+/// One step of `traj` over `values`. Walks move every node by at most 8;
+/// iid redraws a random eighth of the nodes; ties redraws a random half
+/// from {0..3}. All three knock ~1% of the nodes down to kMinusInf and
+/// revive them with a fresh value later.
+void advance(Trajectory traj, std::vector<Value>& values, Rng& rng) {
+  const std::size_t n = values.size();
+  const auto fresh = [&] {
+    return traj == Trajectory::kTies
+               ? rng.uniform_int(0, 3)
+               : rng.uniform_int(0, 10 * static_cast<Value>(n));
+  };
+  const auto touch = [&](std::size_t i) {
+    if (values[i] == kMinusInf) {
+      values[i] = fresh();
+    } else if (rng.uniform_below(100) == 0) {
+      values[i] = kMinusInf;
+    } else if (traj == Trajectory::kWalk) {
+      values[i] += rng.uniform_int(-8, 8);
+    } else {
+      values[i] = fresh();
+    }
+  };
+  if (traj == Trajectory::kWalk) {
+    for (std::size_t i = 0; i < n; ++i) touch(i);
+    return;
+  }
+  const std::size_t touched = traj == Trajectory::kIid ? n / 8 + 1 : n / 2 + 1;
+  for (std::size_t j = 0; j < touched; ++j) {
+    touch(static_cast<std::size_t>(rng.uniform_below(n)));
+  }
+}
+
+class TrackerIndexShapes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TrackerIndexShapes, MatchesBatchHelpersAtEveryStep) {
+  const std::size_t n = GetParam();
+  // Enough steps for the small shapes to decay, climb and rebuild many
+  // times; a handful for the large ones, whose batch checks are O(n).
+  const std::size_t steps = std::clamp<std::size_t>(400'000 / n, 3, 200);
+  std::vector<std::size_t> ks = {1, n / 2, n - 1, n};
+  ks.erase(std::remove(ks.begin(), ks.end(), std::size_t{0}), ks.end());
+  ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+  std::uint64_t rescans = 0;
+  for (const Trajectory traj :
+       {Trajectory::kWalk, Trajectory::kIid, Trajectory::kTies}) {
+    for (const std::size_t k : ks) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                   " trajectory=" + std::to_string(static_cast<int>(traj)));
+      Rng rng(n * 31 + k);
+      std::vector<Value> values(n);
+      const Value hi =
+          traj == Trajectory::kTies ? 3 : 10 * static_cast<Value>(n);
+      for (auto& v : values) v = rng.uniform_int(0, hi);
+      GroundTruthTracker tracker(n, k);
+      for (std::size_t t = 0; t < steps; ++t) {
+        advance(traj, values, rng);
+        for (NodeId id = 0; id < n; ++id) tracker.set_value(id, values[id]);
+        const Value nm_max = k < n ? nth_value(values, k + 1) : kMinusInf;
+        ASSERT_EQ(tracker.topk_set(), true_topk_set(values, k)) << t;
+        ASSERT_EQ(tracker.member_min_value(), nth_value(values, k)) << t;
+        ASSERT_EQ(tracker.nonmember_max_value(), nm_max) << t;
+      }
+      rescans += tracker.boundary_rescans();
+    }
+  }
+  // The decay repair, not only full rebuilds, kept the index exact.
+  if (n > 1) {
+    EXPECT_GT(rescans, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GroundTruthTracker, TrackerIndexShapes,
+    ::testing::Values<std::size_t>(1, 63, 64, 65, 4095, 4097, 70'000, 300'000),
+    [](const auto& info) { return "n" + std::to_string(info.param); });
+
+TEST(GroundTruthTracker, IndexCountsEveryBoundaryDecayRepair) {
+  // A boundary-decay chain across a two-level index: each round sinks the
+  // current best non-member below everyone, which must cost exactly one
+  // boundary repair and no full rebuild. The values are a permutation of
+  // 0..n-1 scattered over the ids, so successive boundary nodes sit in
+  // different blocks.
+  constexpr std::size_t kN = 70'000;
+  constexpr std::size_t kK = 8;
+  std::vector<Value> values(kN);
+  GroundTruthTracker tracker(kN, kK);
+  for (std::size_t i = 0; i < kN; ++i) {
+    values[i] = static_cast<Value>(i * 7919 % kN);
+    tracker.set_value(static_cast<NodeId>(i), values[i]);
+  }
+  ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK));
+  const auto rebuilds = tracker.full_rebuilds();
+  const auto rescans = tracker.boundary_rescans();
+  Value floor_value = -1;
+  constexpr std::uint64_t kRounds = 300;
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    const NodeId boundary = true_topk_ordered(values, kK + 1).back();
+    values[boundary] = floor_value--;
+    tracker.set_value(boundary, values[boundary]);
+    ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK)) << round;
+    ASSERT_EQ(tracker.nonmember_max_value(), nth_value(values, kK + 1))
+        << round;
+    ASSERT_EQ(tracker.boundary_rescans(), rescans + round);
+  }
+  EXPECT_EQ(tracker.full_rebuilds(), rebuilds);
+}
+
+TEST(GroundTruthTracker, MinusInfOutsiderRanksBeforeEmptySentinel) {
+  // Crashed or departed nodes are written as kMinusInf. When the boundary
+  // non-member sinks to kMinusInf as well, the repair must find a real
+  // node (ties broken by id), not the empty-block sentinel; otherwise the
+  // tied boundary would force a needless full rebuild.
+  GroundTruthTracker tracker(4, 2);
+  const std::vector<Value> start = {5, 4, 3, kMinusInf};
+  for (NodeId id = 0; id < 4; ++id) tracker.set_value(id, start[id]);
+  ASSERT_EQ(tracker.topk_set(), (std::vector<NodeId>{0, 1}));
+  const auto rebuilds = tracker.full_rebuilds();
+  tracker.set_value(1, kMinusInf);  // the worst member crashes
+  tracker.set_value(2, kMinusInf);  // and so does the best outsider
+  ASSERT_EQ(tracker.topk_set(), (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(tracker.nonmember_max_value(), kMinusInf);
+  EXPECT_EQ(tracker.boundary_rescans(), 1u);
+  EXPECT_EQ(tracker.full_rebuilds(), rebuilds);
 }
 
 TEST(GroundTruthTracker, RejectsBadK) {
