@@ -262,32 +262,22 @@ void BM_ValidationIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidationIncremental)->Arg(256)->Arg(4096);
 
-void BM_StreamScalar(benchmark::State& state) {
+/// One whole-set step of n random walks: a single typed-bank call whose
+/// loop inlines every node's next() (state.range: n).
+void BM_StreamSetAdvanceAll(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
-  auto streams = make_stream_set(spec, 64, 13);
-  std::vector<Value> out(64);
+  auto streams = make_stream_set(spec, n, 13);
+  std::vector<Value> out(n);
   for (auto _ : state) {
-    streams.advance_all(out);  // no plan armed: one next() per value
+    streams.advance_all(out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_StreamScalar);
-
-void BM_StreamBatch(benchmark::State& state) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  auto streams = make_stream_set(spec, 64, 13);
-  streams.plan_steps(~std::uint64_t{0} >> 1);  // effectively unbounded
-  std::vector<Value> out(64);
-  for (auto _ : state) {
-    streams.advance_all(out);  // devirtualized 64-value refills
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_StreamBatch);
+BENCHMARK(BM_StreamSetAdvanceAll)->Arg(64)->Arg(4096);
 
 // -- PR4 pairs: activity-driven loop, timing wheel, lazy non-member heap --
 

@@ -85,10 +85,6 @@ RunResult run_monitor(MonitorBase& monitor, StreamSet& streams,
   GroundTruthTracker truth(cfg.n, cfg.k);
   const bool track = cfg.validation != RunConfig::Validation::kOff;
 
-  // Per-node generation is batched: the streams may prefetch up to the
-  // whole run ahead of the observation clock (values are unchanged; only
-  // virtual-dispatch overhead amortizes away).
-  streams.plan_steps(cfg.steps + 1);
   std::vector<Value> observed(cfg.n);
 
   const auto observe = [&](TimeStep t) {

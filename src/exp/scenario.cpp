@@ -148,14 +148,14 @@ RunResult run_scenario(const Scenario& sc) {
   //  * quiet-capable stream sets (the sparse wrapper family) advance
   //    through the activity interface — untouched nodes cost one counter
   //    decrement, nothing is materialized;
-  //  * everything else uses the batched lookahead plus a flat
-  //    previous-value compare (contiguous, so the scan streams through
-  //    two arrays instead of striding the NodeRuntime structs).
+  //  * everything else generates the whole step in one stream-bank call
+  //    plus a flat previous-value compare (contiguous, so the scan
+  //    streams through two arrays instead of striding the NodeRuntime
+  //    structs).
   // Either way, per-node work beyond the change test happens only for
   // nodes whose value moved — identical values land in identical
   // cluster/tracker/trace state, byte-equivalent to a dense write loop.
   const bool quiet_streams = streams.quiet_capable();
-  if (!quiet_streams) streams.plan_steps(sc.steps + 1);
   std::vector<Value> values(N, 0);  // mirrors the (all-zero) cluster
   std::vector<Value> incoming(N);
   std::vector<NodeId> changed;
@@ -425,7 +425,6 @@ RunResult run_sharded_scenario(const Scenario& sc) {
   // the shard clusters nor the ground truth — a dark node's moves are
   // invisible until recovery syncs its latest value back in.
   const bool quiet_streams = streams.quiet_capable();
-  if (!quiet_streams) streams.plan_steps(sc.steps + 1);
   std::vector<Value> values(N, 0);
   std::vector<Value> incoming(N);
   std::vector<NodeId> changed;

@@ -54,12 +54,7 @@ Value CrossingPairsStream::next() {
   return id_ % 2 == 0 ? center + tri : center - tri;
 }
 
-void RotatingMaxStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
-
-void CrossingPairsStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<RotatingMaxStream>;
+template class TypedBank<CrossingPairsStream>;
 
 }  // namespace topkmon

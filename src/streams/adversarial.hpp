@@ -29,7 +29,6 @@ class RotatingMaxStream final : public Stream {
   RotatingMaxStream(RotatingMaxParams params, NodeId id);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   RotatingMaxParams p_;
@@ -52,12 +51,14 @@ class CrossingPairsStream final : public Stream {
   CrossingPairsStream(CrossingPairsParams params, NodeId id);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   CrossingPairsParams p_;
   NodeId id_;
   std::uint64_t t_ = 0;
 };
+
+extern template class TypedBank<RotatingMaxStream>;
+extern template class TypedBank<CrossingPairsStream>;
 
 }  // namespace topkmon

@@ -8,10 +8,12 @@ namespace topkmon {
 BurstyStream::BurstyStream(BurstyParams params, Rng rng)
     : p_(params),
       rng_(rng),
-      current_(std::clamp(params.start, params.lo, params.hi)) {
+      current_(params.start) {
   if (p_.lo > p_.hi || p_.calm_step < 0 || p_.burst_step < 0) {
     throw std::invalid_argument("BurstyStream: invalid parameters");
   }
+  // Clamp only after the check: std::clamp requires lo <= hi.
+  current_ = std::clamp(current_, p_.lo, p_.hi);
 }
 
 Value BurstyStream::next() {
@@ -26,8 +28,6 @@ Value BurstyStream::next() {
   return current_;
 }
 
-void BurstyStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<BurstyStream>;
 
 }  // namespace topkmon

@@ -23,7 +23,6 @@ class BurstyStream final : public Stream {
   BurstyStream(BurstyParams params, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
   bool in_burst() const noexcept { return bursting_; }
 
@@ -33,5 +32,7 @@ class BurstyStream final : public Stream {
   Value current_;
   bool bursting_ = false;
 };
+
+extern template class TypedBank<BurstyStream>;
 
 }  // namespace topkmon

@@ -43,8 +43,15 @@ StreamFamily family_from_name(std::string_view name) {
 
 namespace {
 
-std::unique_ptr<Stream> make_one(const StreamSpec& spec, NodeId id,
-                                 std::size_t n, const Rng& root) {
+constexpr auto box = [](auto s) -> std::unique_ptr<Stream> {
+  return std::make_unique<decltype(s)>(std::move(s));
+};
+
+/// Builds node `id`'s concrete stream and hands it to `f` by value, so
+/// callers can either box it or store it in a typed bank.
+template <typename F>
+auto with_stream(const StreamSpec& spec, NodeId id, std::size_t n,
+                 const Rng& root, F&& f) {
   const Rng rng = root.derive(0x57AEull + id);
   const double frac =
       static_cast<double>(id + 1) / static_cast<double>(n + 1);
@@ -53,45 +60,44 @@ std::unique_ptr<Stream> make_one(const StreamSpec& spec, NodeId id,
       RandomWalkParams p = spec.walk;
       p.start = p.lo + static_cast<Value>(
                            static_cast<double>(p.hi - p.lo) * frac);
-      return std::make_unique<RandomWalkStream>(p, rng);
+      return f(RandomWalkStream(p, rng));
     }
     case StreamFamily::kIidUniform:
-      return std::make_unique<IidUniformStream>(spec.iid_lo, spec.iid_hi, rng);
+      return f(IidUniformStream(spec.iid_lo, spec.iid_hi, rng));
     case StreamFamily::kIidGaussian:
-      return std::make_unique<IidGaussianStream>(
-          spec.gauss_mean, spec.gauss_sigma, spec.iid_lo, spec.iid_hi, rng);
+      return f(IidGaussianStream(spec.gauss_mean, spec.gauss_sigma,
+                                 spec.iid_lo, spec.iid_hi, rng));
     case StreamFamily::kZipf:
-      return std::make_unique<ZipfStream>(spec.zipf_ranks, spec.zipf_s,
-                                          spec.zipf_peak, rng);
+      return f(ZipfStream(spec.zipf_ranks, spec.zipf_s, spec.zipf_peak, rng));
     case StreamFamily::kPareto:
-      return std::make_unique<ParetoStream>(spec.pareto_xm, spec.pareto_alpha,
-                                            spec.pareto_cap, rng);
+      return f(ParetoStream(spec.pareto_xm, spec.pareto_alpha,
+                            spec.pareto_cap, rng));
     case StreamFamily::kSinusoidal: {
       SinusoidalParams p = spec.sinus;
       p.phase = p.period * static_cast<double>(id) / static_cast<double>(n);
-      return std::make_unique<SinusoidalStream>(p, rng);
+      return f(SinusoidalStream(p, rng));
     }
     case StreamFamily::kBursty: {
       BurstyParams p = spec.bursty;
       p.start = p.lo + static_cast<Value>(
                            static_cast<double>(p.hi - p.lo) * frac);
-      return std::make_unique<BurstyStream>(p, rng);
+      return f(BurstyStream(p, rng));
     }
     case StreamFamily::kRotatingMax: {
       RotatingMaxParams p = spec.rotating;
       p.n = n;
-      return std::make_unique<RotatingMaxStream>(p, id);
+      return f(RotatingMaxStream(p, id));
     }
     case StreamFamily::kCrossingPairs: {
       CrossingPairsParams p = spec.crossing;
       p.n = n;
-      return std::make_unique<CrossingPairsStream>(p, id);
+      return f(CrossingPairsStream(p, id));
     }
     case StreamFamily::kSensor: {
       SensorParams p = spec.sensor;
       p.phase = p.diurnal_period * static_cast<double>(id) /
                 static_cast<double>(n);
-      return std::make_unique<SensorStream>(p, rng);
+      return f(SensorStream(p, rng));
     }
     case StreamFamily::kSparse: {
       if (spec.sparse_inner == StreamFamily::kSparse) {
@@ -100,13 +106,12 @@ std::unique_ptr<Stream> make_one(const StreamSpec& spec, NodeId id,
       }
       StreamSpec inner_spec = spec;
       inner_spec.family = spec.sparse_inner;
-      auto inner = make_one(inner_spec, id, n, root);
+      auto inner = with_stream(inner_spec, id, n, root, box);
       // Activity phases are striped id % period: every window of `period`
       // consecutive ids covers all phases once, so exactly
       // floor/ceil(rate * n) nodes draw fresh values on any given step.
       const std::uint64_t period = SparseStream::period_for(spec.sparse.rate);
-      return std::make_unique<SparseStream>(std::move(inner),
-                                            spec.sparse.rate, id % period);
+      return f(SparseStream(std::move(inner), spec.sparse.rate, id % period));
     }
   }
   throw std::invalid_argument("make_stream_set: unknown family");
@@ -147,20 +152,32 @@ StreamSpec parse_stream_spec(std::string_view text, StreamSpec base) {
   return base;
 }
 
+std::unique_ptr<Stream> make_stream(const StreamSpec& spec, NodeId id,
+                                    std::size_t n, std::uint64_t seed) {
+  if (id >= n) throw std::invalid_argument("make_stream: id >= n");
+  return with_stream(spec, id, n, Rng(seed), box);
+}
+
 StreamSet make_stream_set(const StreamSpec& spec, std::size_t n,
                           std::uint64_t seed) {
   if (n == 0) throw std::invalid_argument("make_stream_set: n == 0");
   const Rng root(seed);
-  std::vector<std::unique_ptr<Stream>> streams;
-  streams.reserve(n);
+  // Every id yields the same concrete type, so the first one picks the
+  // bank and the rest append to it.
+  std::unique_ptr<StreamBank> bank;
   for (NodeId id = 0; id < n; ++id) {
-    auto s = make_one(spec, id, n, root);
-    if (spec.enforce_distinct) {
-      s = std::make_unique<DistinctStream>(std::move(s), id, n);
-    }
-    streams.push_back(std::move(s));
+    with_stream(spec, id, n, root, [&](auto s) {
+      using S = decltype(s);
+      if (!bank) {
+        std::vector<S> streams;
+        streams.reserve(n);
+        bank = std::make_unique<TypedBank<S>>(std::move(streams),
+                                              spec.enforce_distinct);
+      }
+      static_cast<TypedBank<S>&>(*bank).push_back(std::move(s));
+    });
   }
-  return StreamSet(std::move(streams));
+  return StreamSet(std::move(bank));
 }
 
 }  // namespace topkmon

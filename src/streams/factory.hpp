@@ -4,6 +4,7 @@
 // per-stream RNGs from a single seed for reproducibility.
 #pragma once
 
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -94,9 +95,16 @@ struct StreamSpec {
 };
 
 /// Builds the n per-node streams described by `spec`, deterministically
-/// from `seed`.
+/// from `seed`, in a typed bank of the family's concrete stream type.
 StreamSet make_stream_set(const StreamSpec& spec, std::size_t n,
                           std::uint64_t seed);
+
+/// Node `id`'s bare stream of that set (no distinctness transform): it
+/// yields the raw values that make_stream_set(spec, n, seed) maps through
+/// distinct_value when spec.enforce_distinct. Throws
+/// std::invalid_argument unless id < n.
+std::unique_ptr<Stream> make_stream(const StreamSpec& spec, NodeId id,
+                                    std::size_t n, std::uint64_t seed);
 
 /// Parses a workload spec string into `base`: a bare family name
 /// ("random_walk"), or a parameterized one in the monitor-registry style

@@ -27,12 +27,7 @@ Value IidGaussianStream::next() {
   return std::clamp(v, lo_, hi_);
 }
 
-void IidUniformStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
-
-void IidGaussianStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<IidUniformStream>;
+template class TypedBank<IidGaussianStream>;
 
 }  // namespace topkmon

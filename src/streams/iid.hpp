@@ -13,7 +13,6 @@ class IidUniformStream final : public Stream {
   IidUniformStream(Value lo, Value hi, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   Value lo_;
@@ -27,7 +26,6 @@ class IidGaussianStream final : public Stream {
   IidGaussianStream(double mean, double sigma, Value lo, Value hi, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   double mean_;
@@ -36,5 +34,8 @@ class IidGaussianStream final : public Stream {
   Value hi_;
   Rng rng_;
 };
+
+extern template class TypedBank<IidUniformStream>;
+extern template class TypedBank<IidGaussianStream>;
 
 }  // namespace topkmon

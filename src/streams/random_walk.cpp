@@ -8,16 +8,20 @@ namespace topkmon {
 RandomWalkStream::RandomWalkStream(RandomWalkParams params, Rng rng)
     : p_(params),
       rng_(rng),
-      current_(std::clamp(params.start, params.lo, params.hi)) {
+      current_(params.start) {
   if (p_.lo > p_.hi || p_.max_step < 0) {
     throw std::invalid_argument("RandomWalkStream: invalid bounds");
   }
+  // Clamp only after the check: std::clamp requires lo <= hi.
+  current_ = std::clamp(current_, p_.lo, p_.hi);
 }
 
 Value RandomWalkStream::next() {
   current_ += rng_.uniform_int(-p_.max_step, p_.max_step);
-  // Reflect into [lo, hi]; a single reflection suffices because the step is
-  // clamped to the interval width below.
+  // Reflect once into [lo, hi]. A step wider than the interval can
+  // overshoot the reflection; the std::min/std::max after each
+  // reflection clamp that case to the far bound, so the value always
+  // stays in range.
   const Value width = p_.hi - p_.lo;
   if (width == 0) {
     current_ = p_.lo;
@@ -32,8 +36,6 @@ Value RandomWalkStream::next() {
   return current_;
 }
 
-void RandomWalkStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<RandomWalkStream>;
 
 }  // namespace topkmon

@@ -21,12 +21,13 @@ class RandomWalkStream final : public Stream {
   RandomWalkStream(RandomWalkParams params, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   RandomWalkParams p_;
   Rng rng_;
   Value current_;
 };
+
+extern template class TypedBank<RandomWalkStream>;
 
 }  // namespace topkmon

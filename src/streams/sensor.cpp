@@ -37,8 +37,6 @@ Value SensorStream::next() {
   return std::clamp(rounded, p_.lo, p_.hi);
 }
 
-void SensorStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<SensorStream>;
 
 }  // namespace topkmon

@@ -25,7 +25,6 @@ class SensorStream final : public Stream {
   SensorStream(SensorParams params, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   SensorParams p_;
@@ -34,5 +33,7 @@ class SensorStream final : public Stream {
   std::uint64_t t_ = 0;
   std::uint32_t spike_left_ = 0;
 };
+
+extern template class TypedBank<SensorStream>;
 
 }  // namespace topkmon

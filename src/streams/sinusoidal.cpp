@@ -22,8 +22,6 @@ Value SinusoidalStream::next() {
   return static_cast<Value>(std::llround(v));
 }
 
-void SinusoidalStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<SinusoidalStream>;
 
 }  // namespace topkmon

@@ -21,12 +21,13 @@ class SinusoidalStream final : public Stream {
   SinusoidalStream(SinusoidalParams params, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   SinusoidalParams p_;
   Rng rng_;
   std::uint64_t t_ = 0;
 };
+
+extern template class TypedBank<SinusoidalStream>;
 
 }  // namespace topkmon

@@ -38,16 +38,6 @@ Value SparseStream::next() {
   return current_;
 }
 
-void SparseStream::next_batch(std::span<Value> out) {
-  std::size_t i = 0;
-  while (i < out.size()) {
-    if (until_ == 0) draw();
-    const auto run = static_cast<std::size_t>(
-        std::min<std::uint64_t>(until_, out.size() - i));
-    std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(i), run, current_);
-    until_ -= run;
-    i += run;
-  }
-}
+template class TypedBank<SparseStream>;
 
 }  // namespace topkmon

@@ -36,17 +36,6 @@ class SparseStream final : public Stream {
 
   Value next() override;
 
-  /// Run-length fill: between draws the value is constant, so a batch is
-  /// a handful of std::fill_n spans plus at most ceil(size/period) inner
-  /// draws — O(size) stores with no per-value dispatch or arithmetic.
-  void next_batch(std::span<Value> out) override;
-
-  /// The wrapper consumes at most one inner value per outer advance, so
-  /// the inner bound is a safe (conservative) outer bound.
-  std::uint64_t prefetch_limit() const override {
-    return inner_->prefetch_limit();
-  }
-
   /// Quiet-run certification: between draws the value is constant by
   /// construction, so the remaining countdown can be consumed in O(1).
   bool supports_quiet_runs() const override { return true; }
@@ -70,5 +59,7 @@ class SparseStream final : public Stream {
   bool first_ = true;
   Value current_ = 0;
 };
+
+extern template class TypedBank<SparseStream>;
 
 }  // namespace topkmon

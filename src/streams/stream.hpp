@@ -6,13 +6,13 @@
 // global time (adversarial rotations, sinusoids) may keep an internal step
 // counter and stay synchronized across nodes.
 //
-// Batched generation: `next_batch(out)` fills `out` with the next
-// out.size() values of the sequence — identical values to out.size()
-// repeated next() calls, just cheaper. Families override it with a
-// devirtualized inner loop (one virtual dispatch per batch instead of per
-// value); the base-class default falls back to per-call next(). Streams
-// are independent per node (each owns its RNG), so generating a node's
-// values ahead of the observation clock is observationally equivalent.
+// Step-major banks: a StreamSet keeps its n streams in one StreamBank and
+// generates a whole step with one virtual call. The factory families use
+// TypedBank<S>, which stores the concrete `final` streams by value in one
+// contiguous vector and calls the qualified s.S::next() — bound statically
+// and inlined where each family's .cpp instantiates the bank. Nothing is
+// generated ahead of demand: every value is drawn at the advance that
+// returns it, so a finite strict trace throws at exactly that advance.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -34,21 +35,6 @@ class Stream {
 
   /// Advances the stream by one observation and returns the new value.
   virtual Value next() = 0;
-
-  /// Advances by out.size() observations, writing them in order.
-  /// Equivalent to (but typically much faster than) repeated next().
-  virtual void next_batch(std::span<Value> out) {
-    for (Value& v : out) v = next();
-  }
-
-  /// How many values may safely be generated ahead of demand. Infinite
-  /// generators (the default) allow any lookahead; a finite strict
-  /// stream (TraceEnd::kThrow) returns its remaining length so a
-  /// prefetching caller never triggers the end-of-trace throw earlier
-  /// than per-call next() would.
-  virtual std::uint64_t prefetch_limit() const {
-    return ~std::uint64_t{0};
-  }
 
   /// True when the stream can certify quiet runs (advance_quiet below):
   /// the activity-gated wrapper family. Lets StreamSet::advance_all_active
@@ -67,42 +53,20 @@ class Stream {
   }
 };
 
-namespace detail {
-
-/// Shared devirtualized batch loop: instantiated inside each family's
-/// .cpp (next to its next() definition), so the qualified per-value call
-/// is bound statically AND inlined — one dispatch per batch, not per
-/// value.
-template <typename ConcreteStream>
-void generate_batch(ConcreteStream& s, std::span<Value> out) {
-  for (Value& v : out) v = s.ConcreteStream::next();
-}
-
-}  // namespace detail
-
 /// Order-preserving distinctness transform (the paper assumes pairwise
 /// distinct values): v' = v*n + (n-1-id). Raw-value order is preserved;
 /// raw ties are broken toward smaller node ids; Δ scales by n.
+inline Value distinct_value(Value v, NodeId id, Value n) noexcept {
+  return v * n + (n - 1 - static_cast<Value>(id));
+}
+
+/// A single stream under the distinctness transform, for hand-built sets.
 class DistinctStream final : public Stream {
  public:
   DistinctStream(std::unique_ptr<Stream> inner, NodeId id, std::size_t n)
       : inner_(std::move(inner)), id_(id), n_(static_cast<Value>(n)) {}
 
-  Value next() override {
-    return inner_->next() * n_ + (n_ - 1 - static_cast<Value>(id_));
-  }
-
-  /// The transform folds into the inner stream's batch pass: one inner
-  /// next_batch + an in-place affine sweep, no per-value dispatch.
-  void next_batch(std::span<Value> out) override {
-    inner_->next_batch(out);
-    const Value off = n_ - 1 - static_cast<Value>(id_);
-    for (Value& v : out) v = v * n_ + off;
-  }
-
-  std::uint64_t prefetch_limit() const override {
-    return inner_->prefetch_limit();
-  }
+  Value next() override { return distinct_value(inner_->next(), id_, n_); }
 
   /// The affine map is stateless and injective, so inner quiet runs are
   /// outer quiet runs.
@@ -119,56 +83,126 @@ class DistinctStream final : public Stream {
   Value n_;
 };
 
-/// A collection of n per-node streams (one per node id).
+/// The n per-node streams of a StreamSet (index = node id). Ids are not
+/// checked here; StreamSet checks them.
+class StreamBank {
+ public:
+  virtual ~StreamBank() = default;
+
+  virtual std::size_t size() const noexcept = 0;
+
+  /// Node `id`'s stream, for quiet-run queries.
+  virtual Stream& stream(NodeId id) noexcept = 0;
+
+  /// Advances node `id` once and returns its observation.
+  virtual Value advance(NodeId id) = 0;
+
+  /// Advances every node once: out[id] receives node id's observation.
+  /// Requires out.size() == size().
+  virtual void advance_all(std::span<Value> out) = 0;
+};
+
+/// Bank over a contiguous vector of `Elem`: either a concrete `final`
+/// stream type held by value, or std::unique_ptr<Stream> (one virtual
+/// call per value) for sets built from arbitrary streams. With
+/// `distinct`, every observation passes through distinct_value with
+/// n = size().
 ///
-/// By default every advance calls straight into the stream (exactly the
-/// legacy behavior). After plan_steps(T) the set may prefetch up to
-/// kLookahead future values per node through next_batch, amortizing the
-/// virtual dispatch. The prefetch never generates beyond the planned T
-/// advances per node nor past a stream's prefetch_limit(), so finite
-/// replay streams keep their exact end-of-trace semantics (including
-/// the step at which TraceEnd::kThrow throws).
+/// A concrete stream type declares `extern template class TypedBank<S>;`
+/// in its header and instantiates the bank in its .cpp, next to the
+/// definition of next(), so advance_all's qualified call inlines there.
+template <typename Elem>
+class TypedBank final : public StreamBank {
+ public:
+  TypedBank(std::vector<Elem> streams, bool distinct)
+      : streams_(std::move(streams)), distinct_(distinct) {}
+
+  /// Appends node size()'s stream (construction only).
+  void push_back(Elem stream) { streams_.push_back(std::move(stream)); }
+
+  std::size_t size() const noexcept override { return streams_.size(); }
+  Stream& stream(NodeId id) noexcept override { return deref(streams_[id]); }
+  Value advance(NodeId id) override;
+  void advance_all(std::span<Value> out) override;
+
+ private:
+  static constexpr bool kByValue = std::is_base_of_v<Stream, Elem>;
+
+  static Stream& deref(Elem& e) noexcept {
+    if constexpr (kByValue) {
+      return e;
+    } else {
+      return *e;
+    }
+  }
+
+  /// Statically bound for by-value streams, virtual through a pointer.
+  static Value next_of(Elem& e) {
+    if constexpr (kByValue) {
+      return e.Elem::next();
+    } else {
+      return e->next();
+    }
+  }
+
+  std::vector<Elem> streams_;
+  bool distinct_;
+};
+
+template <typename Elem>
+Value TypedBank<Elem>::advance(NodeId id) {
+  const Value v = next_of(streams_[id]);
+  return distinct_ ? distinct_value(v, id, static_cast<Value>(size())) : v;
+}
+
+template <typename Elem>
+void TypedBank<Elem>::advance_all(std::span<Value> out) {
+  // One loop (one call site, so the compiler inlines next() once); the
+  // distinct branch is loop-invariant and always predicted.
+  const std::size_t n = streams_.size();
+  const auto vn = static_cast<Value>(n);
+  for (NodeId id = 0; id < n; ++id) {
+    const Value v = next_of(streams_[id]);
+    out[id] = distinct_ ? distinct_value(v, id, vn) : v;
+  }
+}
+
+/// A collection of n per-node streams (one per node id). Every advance
+/// draws straight from the streams; nothing is generated ahead.
 class StreamSet {
  public:
   /// Takes ownership of one stream per node id (index = id).
   explicit StreamSet(std::vector<std::unique_ptr<Stream>> streams)
-      : streams_(std::move(streams)),
-        buffered_(streams_.size(), 0),
-        cursor_(streams_.size(), 0),
-        budget_(streams_.size(), 0) {}
+      : bank_(std::make_unique<TypedBank<std::unique_ptr<Stream>>>(
+            std::move(streams), false)) {}
+
+  /// Takes ownership of a ready-made bank (the factory's typed banks).
+  explicit StreamSet(std::unique_ptr<StreamBank> bank)
+      : bank_(std::move(bank)) {}
 
   /// Number of per-node streams.
-  std::size_t size() const noexcept { return streams_.size(); }
+  std::size_t size() const noexcept { return bank_->size(); }
 
-  /// Declares that each node will be advanced at most `total` more times,
-  /// enabling batched prefetch up to that horizon. Values are identical
-  /// with or without a plan; only the generation cost changes. Safe to
-  /// call once per run (repeated calls re-arm the budget).
-  void plan_steps(std::uint64_t total) {
-    for (auto& b : budget_) b = total;
-    if (lookahead_buf_.empty()) {
-      lookahead_buf_.resize(streams_.size() * kLookahead);
-    }
-  }
+  /// No-op, kept so existing callers compile: every value is generated
+  /// at the advance that returns it, so there is no horizon to plan.
+  void plan_steps(std::uint64_t /*total*/) {}
 
   /// Advances node `id`'s stream and returns the new observation.
   /// Throws std::out_of_range for a bad id, std::logic_error after
   /// advance_all_active took over the set.
   Value advance(NodeId id) {
     if (active_mode_) throw_mixed_mode();
-    if (cursor_.at(id) == buffered_[id]) refill(id);
-    return lookahead_buf_.empty()
-               ? single_[id]
-               : lookahead_buf_[id * kLookahead + cursor_[id]++];
+    if (id >= size()) throw std::out_of_range("StreamSet::advance: bad id");
+    return bank_->advance(id);
   }
 
   /// True when every stream certifies quiet runs (see Stream::
   /// supports_quiet_runs) — the precondition of advance_all_active.
   bool quiet_capable() const {
-    for (const auto& s : streams_) {
-      if (!s->supports_quiet_runs()) return false;
+    for (NodeId id = 0; id < size(); ++id) {
+      if (!bank_->stream(id).supports_quiet_runs()) return false;
     }
-    return !streams_.empty();
+    return size() != 0;
   }
 
   /// Activity-driven advance: `values` must hold every node's previous
@@ -178,20 +212,20 @@ class StreamSet {
   /// step, in no particular order. Nodes inside a certified quiet run are
   /// not visited at all — a calendar ring keyed by next-activity step
   /// makes a step cost O(active), independent of n. Requires
-  /// quiet_capable(); the per-id/batched interfaces are disabled
-  /// afterwards (the lookahead machinery would double-generate).
+  /// quiet_capable() and values.size() == size() (else
+  /// std::invalid_argument). advance()/advance_all() throw afterwards:
+  /// the calendar has already consumed the quiet runs it scheduled.
   void advance_all_active(std::span<Value> values,
                           std::vector<NodeId>& changed) {
+    check_span(values.size());
     changed.clear();
     if (!active_mode_) {
       active_mode_ = true;
       calendar_.assign(kCalendarSlots, {});
-      due_step_.assign(streams_.size(), 0);
+      due_step_.assign(size(), 0);
       // Every node is due at step 0 (the initial draw).
-      calendar_[0].reserve(streams_.size());
-      for (NodeId id = 0; id < streams_.size(); ++id) {
-        calendar_[0].push_back(id);
-      }
+      calendar_[0].reserve(size());
+      for (NodeId id = 0; id < size(); ++id) calendar_[0].push_back(id);
     }
     calendar_scratch_.clear();
     calendar_scratch_.swap(calendar_[active_step_ % kCalendarSlots]);
@@ -201,68 +235,37 @@ class StreamSet {
         reschedule(id, due_step_[id]);
         continue;
       }
-      Stream& s = *streams_[id];
-      const Value v = s.next();
+      const Value v = bank_->advance(id);
       if (v != values[id]) {
         values[id] = v;
         changed.push_back(id);
       }
-      reschedule(id, active_step_ + 1 + s.advance_quiet(~std::uint64_t{0}));
+      reschedule(id, active_step_ + 1 +
+                         bank_->stream(id).advance_quiet(~std::uint64_t{0}));
     }
     ++active_step_;
   }
 
   /// Advances every stream once: out[id] receives node id's observation.
-  /// Requires out.size() == size(). Identical values to per-id advance();
-  /// the loop body skips advance()'s bounds check (ids are generated) —
-  /// at large n this is the simulation's per-step floor, so every ns
-  /// counts.
+  /// Identical values to per-id advance(), in one bank call. Throws
+  /// std::invalid_argument unless out.size() == size().
   void advance_all(std::span<Value> out) {
     if (active_mode_) throw_mixed_mode();
-    const bool planned = !lookahead_buf_.empty();
-    for (NodeId id = 0; id < streams_.size(); ++id) {
-      if (cursor_[id] == buffered_[id]) refill(id);
-      out[id] = planned ? lookahead_buf_[id * kLookahead + cursor_[id]++]
-                        : single_[id];
-    }
+    check_span(out.size());
+    bank_->advance_all(out);
   }
 
  private:
-  /// Values prefetched per node once a plan is armed. One cache line's
-  /// worth of look-ahead already reduces virtual dispatch 64-fold; deeper
-  /// buffers only add memory.
-  static constexpr std::size_t kLookahead = 64;
-
-  void refill(NodeId id) {
-    Stream& s = *streams_.at(id);
-    if (lookahead_buf_.empty()) {
-      // No plan armed: generate exactly one value (legacy path).
-      if (single_.empty()) single_.resize(streams_.size());
-      single_[id] = s.next();
-      buffered_[id] = 0;  // stays "empty": every advance regenerates
-      cursor_[id] = 0;
-      return;
+  void check_span(std::size_t got) const {
+    if (got != size()) {
+      throw std::invalid_argument("StreamSet: span size != number of streams");
     }
-    std::uint64_t chunk = budget_[id] == 0
-                              ? 1
-                              : std::min<std::uint64_t>(kLookahead,
-                                                        budget_[id]);
-    // Never generate past a finite strict stream's end: once exhausted,
-    // fall back to one-at-a-time so the end-of-trace throw surfaces at
-    // exactly the advance where per-call next() would throw.
-    const std::uint64_t limit = s.prefetch_limit();
-    if (chunk > limit) chunk = limit > 0 ? limit : 1;
-    budget_[id] -= std::min(budget_[id], chunk);
-    s.next_batch(std::span<Value>(
-        lookahead_buf_.data() + id * kLookahead, chunk));
-    buffered_[id] = static_cast<std::uint32_t>(chunk);
-    cursor_[id] = 0;
   }
 
   [[noreturn]] static void throw_mixed_mode() {
     throw std::logic_error(
         "StreamSet: advance()/advance_all() cannot follow "
-        "advance_all_active() (the lookahead would double-generate)");
+        "advance_all_active() (the calendar has consumed quiet runs)");
   }
 
   /// Calendar ring size: quiet runs shorter than this take one hop;
@@ -276,12 +279,7 @@ class StreamSet {
     calendar_[(active_step_ + hop) % kCalendarSlots].push_back(id);
   }
 
-  std::vector<std::unique_ptr<Stream>> streams_;
-  std::vector<Value> lookahead_buf_;       ///< empty until plan_steps()
-  std::vector<Value> single_;              ///< unplanned fallback slots
-  std::vector<std::uint32_t> buffered_;    ///< valid prefix per node
-  std::vector<std::uint32_t> cursor_;      ///< next unread index per node
-  std::vector<std::uint64_t> budget_;      ///< planned advances left
+  std::unique_ptr<StreamBank> bank_;
 
   // Activity-driven mode (advance_all_active) state.
   std::vector<std::vector<NodeId>> calendar_;  ///< ring of due-node lists

@@ -37,8 +37,4 @@ StreamSet TraceMatrix::to_stream_set(TraceEnd end_behavior) const {
   return StreamSet(std::move(streams));
 }
 
-void TraceStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
-
 }  // namespace topkmon

@@ -3,7 +3,6 @@
 // hand-crafted traces through this generator.
 #pragma once
 
-#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -24,15 +23,6 @@ class TraceStream final : public Stream {
               TraceEnd end_behavior = TraceEnd::kHoldLast);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
-
-  /// Strict traces bound prefetch to the values actually left, so a
-  /// batching caller throws at exactly the same advance as per-call
-  /// next(); hold-last / cycling traces are effectively infinite.
-  std::uint64_t prefetch_limit() const override {
-    if (end_ != TraceEnd::kThrow) return ~std::uint64_t{0};
-    return values_.size() - std::min(pos_, values_.size());
-  }
 
   std::size_t length() const noexcept { return values_.size(); }
 

@@ -52,12 +52,7 @@ Value ParetoStream::next() {
   return static_cast<Value>(draw);
 }
 
-void ZipfStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
-
-void ParetoStream::next_batch(std::span<Value> out) {
-  detail::generate_batch(*this, out);
-}
+template class TypedBank<ZipfStream>;
+template class TypedBank<ParetoStream>;
 
 }  // namespace topkmon

@@ -37,7 +37,6 @@ class ZipfStream final : public Stream {
   ZipfStream(std::size_t num_ranks, double s, Value peak, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   ZipfSampler sampler_;
@@ -53,7 +52,6 @@ class ParetoStream final : public Stream {
   ParetoStream(Value xm, double alpha, Value cap, Rng rng);
 
   Value next() override;
-  void next_batch(std::span<Value> out) override;
 
  private:
   Value xm_;
@@ -61,5 +59,8 @@ class ParetoStream final : public Stream {
   Value cap_;
   Rng rng_;
 };
+
+extern template class TypedBank<ZipfStream>;
+extern template class TypedBank<ParetoStream>;
 
 }  // namespace topkmon

@@ -11,12 +11,6 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
@@ -25,44 +19,8 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::next_double() noexcept {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<std::int64_t>(next_u64());
-  }
-  return lo + static_cast<std::int64_t>(uniform_below(span));
-}
-
-std::uint64_t Rng::uniform_below(std::uint64_t n) noexcept {
-  // Lemire's multiply-shift rejection method: unbiased and branch-light.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * n;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < n) {
-    const std::uint64_t t = (0 - n) % n;
-    while (l < t) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * n;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 bool Rng::bernoulli(double p) noexcept {
@@ -101,10 +59,10 @@ Rng Rng::derive(std::uint64_t stream_id) const noexcept {
   // Mix the child id with fresh words drawn from a copy of our state; the
   // parent instance is left untouched so derivation is repeatable.
   std::uint64_t mix =
-      s_[0] ^ rotl(s_[2], 13) ^ (stream_id * 0x9E3779B97F4A7C15ull);
+      s_[0] ^ detail::rotl(s_[2], 13) ^ (stream_id * 0x9E3779B97F4A7C15ull);
   std::uint64_t sm = mix;
   (void)splitmix64(sm);
-  return Rng(splitmix64(sm) ^ rotl(stream_id, 31));
+  return Rng(splitmix64(sm) ^ detail::rotl(stream_id, 31));
 }
 
 }  // namespace topkmon

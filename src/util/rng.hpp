@@ -19,23 +19,61 @@ namespace topkmon {
 /// SplitMix64 step; used for seeding and for cheap stream derivation.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+namespace detail {
+constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+  return (x << k) | (x >> (64 - k));
+}
+}  // namespace detail
+
 /// xoshiro256** PRNG with convenience distributions used by the library.
 class Rng {
  public:
   /// Seeds the four 64-bit words of state from `seed` via SplitMix64.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) noexcept;
 
-  /// Next raw 64-bit output.
-  std::uint64_t next_u64() noexcept;
+  /// Next raw 64-bit output. The three hot draws (this one,
+  /// uniform_int and uniform_below) are inline so stream generators can
+  /// fold them into their per-step loops.
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = detail::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = detail::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double next_double() noexcept;
 
   /// Uniform integer in the inclusive range [lo, hi]. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    if (span == 0) {  // full 64-bit range
+      return static_cast<std::int64_t>(next_u64());
+    }
+    return lo + static_cast<std::int64_t>(uniform_below(span));
+  }
 
   /// Uniform integer in [0, n) for n >= 1, via Lemire's unbiased method.
-  std::uint64_t uniform_below(std::uint64_t n) noexcept;
+  std::uint64_t uniform_below(std::uint64_t n) noexcept {
+    // Lemire's multiply-shift rejection method: unbiased and branch-light.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * n;
+    auto l = static_cast<std::uint64_t>(m);
+    if (l < n) {
+      const std::uint64_t t = (0 - n) % n;
+      while (l < t) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * n;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;

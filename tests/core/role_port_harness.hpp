@@ -186,7 +186,6 @@ inline void expect_twin_lockstep_parity(const std::string& spec,
   Cluster lock_cluster(s.n, seed);
   auto monitor = exp::make_monitor(spec, s.k);
   auto lock_streams = make_stream_set(stream, s.n, seed);
-  lock_streams.plan_steps(steps + 1);
 
   // Native role side.
   Cluster role_cluster(s.n, seed);
@@ -194,7 +193,6 @@ inline void expect_twin_lockstep_parity(const std::string& spec,
   ASSERT_TRUE(pair.native) << spec << " did not resolve to a native port";
   SimDriver driver(role_cluster, *pair.coordinator, pair.nodes, pair.native);
   auto role_streams = make_stream_set(stream, s.n, seed);
-  role_streams.plan_steps(steps + 1);
 
   const auto* ordered_lockstep =
       dynamic_cast<const OrderedTopkMonitor*>(monitor.get());

@@ -1,9 +1,12 @@
-// Batched generation must be a pure optimization: next_batch() and the
-// StreamSet lookahead (plan_steps + advance_all) produce exactly the
-// per-call next() sequences for every family, including the DistinctStream
-// fold and finite replay traces.
+// The step-major stream bank must be a pure layout choice: a StreamSet's
+// advance_all and per-id advance produce exactly the values of the bare
+// per-node streams (make_stream), mapped through distinct_value when the
+// spec asks for distinctness — for every family, at any n, in any mix of
+// whole-set and per-id calls. Finite replay traces keep their exact
+// end-of-trace behavior, and the span/id contracts are enforced.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "streams/factory.hpp"
@@ -23,20 +26,44 @@ StreamSpec spec_for(StreamFamily family, bool distinct) {
   return spec;
 }
 
+/// The reference: node id's bare stream plus the distinctness transform.
+class Reference {
+ public:
+  Reference(const StreamSpec& spec, std::size_t n, std::uint64_t seed)
+      : distinct_(spec.enforce_distinct), n_(static_cast<Value>(n)) {
+    for (NodeId id = 0; id < n; ++id) {
+      streams_.push_back(make_stream(spec, id, n, seed));
+    }
+  }
+
+  Value next(NodeId id) {
+    const Value v = streams_[id]->next();
+    return distinct_ ? distinct_value(v, id, n_) : v;
+  }
+
+ private:
+  std::vector<std::unique_ptr<Stream>> streams_;
+  bool distinct_;
+  Value n_;
+};
+
 TEST(BatchEquivalence, AdvanceAllMatchesScalarAdvancePerFamily) {
   for (const StreamFamily family : all_families()) {
     for (const bool distinct : {false, true}) {
-      auto scalar = make_stream_set(spec_for(family, distinct), kN, kSeed);
-      auto batched = make_stream_set(spec_for(family, distinct), kN, kSeed);
-      batched.plan_steps(kSteps);
-
-      std::vector<Value> got(kN);
-      for (std::size_t t = 0; t < kSteps; ++t) {
-        batched.advance_all(got);
-        for (NodeId id = 0; id < kN; ++id) {
-          ASSERT_EQ(got[id], scalar.advance(id))
-              << family_name(family) << " distinct=" << distinct
-              << " t=" << t << " node=" << id;
+      for (const std::size_t n : {std::size_t{1}, kN, std::size_t{65}}) {
+        const StreamSpec spec = spec_for(family, distinct);
+        Reference ref(spec, n, kSeed);
+        auto set = make_stream_set(spec, n, kSeed);
+        std::vector<Value> got(n);
+        for (std::size_t t = 0; t < kSteps; ++t) {
+          const bool per_id = t % 3 == 0;
+          if (!per_id) set.advance_all(got);
+          for (NodeId id = 0; id < n; ++id) {
+            const Value v = per_id ? set.advance(id) : got[id];
+            ASSERT_EQ(v, ref.next(id))
+                << family_name(family) << " distinct=" << distinct
+                << " n=" << n << " t=" << t << " node=" << id;
+          }
         }
       }
     }
@@ -44,32 +71,35 @@ TEST(BatchEquivalence, AdvanceAllMatchesScalarAdvancePerFamily) {
 }
 
 TEST(BatchEquivalence, MixedAdvanceAndAdvanceAllStayConsistent) {
-  auto scalar = make_stream_set(spec_for(StreamFamily::kRandomWalk, true),
-                                kN, kSeed);
-  auto mixed = make_stream_set(spec_for(StreamFamily::kRandomWalk, true),
-                               kN, kSeed);
-  mixed.plan_steps(2 * kSteps);
+  // Nodes are independent: per-id advances in reverse id order, between
+  // whole-set steps, still track the reference stream by stream.
+  const StreamSpec spec = spec_for(StreamFamily::kRandomWalk, true);
+  Reference ref(spec, kN, kSeed);
+  auto mixed = make_stream_set(spec, kN, kSeed);
   std::vector<Value> got(kN);
   for (std::size_t t = 0; t < kSteps; ++t) {
     if (t % 3 == 0) {
-      for (NodeId id = 0; id < kN; ++id) {
-        ASSERT_EQ(mixed.advance(id), scalar.advance(id)) << "t=" << t;
-      }
+      std::vector<Value> want(kN);
+      for (NodeId id = kN; id-- > 0;) got[id] = mixed.advance(id);
+      for (NodeId id = 0; id < kN; ++id) want[id] = ref.next(id);
+      ASSERT_EQ(got, want) << "t=" << t;
     } else {
       mixed.advance_all(got);
       for (NodeId id = 0; id < kN; ++id) {
-        ASSERT_EQ(got[id], scalar.advance(id)) << "t=" << t;
+        ASSERT_EQ(got[id], ref.next(id)) << "t=" << t;
       }
     }
   }
 }
 
 TEST(BatchEquivalence, AdvancingPastThePlanStillWorks) {
+  // plan_steps is a documented no-op: a "plan" shorter than the run
+  // changes nothing.
   auto scalar = make_stream_set(spec_for(StreamFamily::kZipf, false), kN,
                                 kSeed);
   auto planned = make_stream_set(spec_for(StreamFamily::kZipf, false), kN,
                                  kSeed);
-  planned.plan_steps(10);  // deliberately shorter than the run
+  planned.plan_steps(10);
   std::vector<Value> got(kN);
   for (std::size_t t = 0; t < 50; ++t) {
     planned.advance_all(got);
@@ -79,65 +109,52 @@ TEST(BatchEquivalence, AdvancingPastThePlanStillWorks) {
   }
 }
 
-TEST(BatchEquivalence, NextBatchMatchesNextOnBareStreams) {
-  // Direct Stream-level check (no StreamSet): batch sizes that straddle
-  // internal chunk boundaries.
-  for (const StreamFamily family : all_families()) {
-    auto a = make_stream_set(spec_for(family, false), 1, kSeed);
-    StreamSpec spec = spec_for(family, false);
-    auto b_set = make_stream_set(spec, 1, kSeed);
-    b_set.plan_steps(kSteps);
-    for (std::size_t t = 0; t < kSteps; ++t) {
-      ASSERT_EQ(b_set.advance(0), a.advance(0))
-          << family_name(family) << " t=" << t;
-    }
-  }
-}
-
 TEST(BatchEquivalence, TraceStreamBatchHonorsEndBehavior) {
   const std::vector<Value> vals = {5, 6, 7};
-
-  {
-    TraceStream hold(vals, TraceEnd::kHoldLast);
-    std::vector<Value> out(7);
-    hold.next_batch(out);
-    EXPECT_EQ(out, (std::vector<Value>{5, 6, 7, 7, 7, 7, 7}));
-  }
-  {
-    TraceStream cycle(vals, TraceEnd::kCycle);
-    std::vector<Value> out(7);
-    cycle.next_batch(out);
-    EXPECT_EQ(out, (std::vector<Value>{5, 6, 7, 5, 6, 7, 5}));
-  }
-  {
-    TraceStream strict(vals, TraceEnd::kThrow);
-    std::vector<Value> ok(3);
-    strict.next_batch(ok);
-    EXPECT_EQ(ok, vals);
-    std::vector<Value> over(1);
-    EXPECT_THROW(strict.next_batch(over), std::out_of_range);
-  }
+  const auto replay = [&](TraceEnd end, std::size_t steps) {
+    std::vector<std::unique_ptr<Stream>> one;
+    one.push_back(std::make_unique<TraceStream>(vals, end));
+    StreamSet set(std::move(one));
+    std::vector<Value> out;
+    std::vector<Value> step(1);
+    for (std::size_t t = 0; t < steps; ++t) {
+      set.advance_all(step);
+      out.push_back(step[0]);
+    }
+    return out;
+  };
+  EXPECT_EQ(replay(TraceEnd::kHoldLast, 7),
+            (std::vector<Value>{5, 6, 7, 7, 7, 7, 7}));
+  EXPECT_EQ(replay(TraceEnd::kCycle, 7),
+            (std::vector<Value>{5, 6, 7, 5, 6, 7, 5}));
+  EXPECT_EQ(replay(TraceEnd::kThrow, 3), vals);
+  EXPECT_THROW(replay(TraceEnd::kThrow, 4), std::out_of_range);
 }
 
 TEST(BatchEquivalence, PlanLongerThanStrictTraceThrowsAtTheExactStep) {
-  // A kThrow trace shorter than the plan must behave exactly like the
-  // scalar path: all recorded values are delivered, and the throw
-  // surfaces at the first advance past the end — never earlier because
-  // of prefetching (prefetch_limit caps the lookahead).
+  // A strict trace delivers every recorded value and throws at the first
+  // advance past its end — whole-set or per-id — never earlier, because
+  // nothing is generated ahead of demand.
   TraceMatrix trace(2, 5);
   Value v = 0;
   for (std::size_t t = 0; t < 5; ++t) {
     for (NodeId i = 0; i < 2; ++i) trace.at(t, i) = ++v;
   }
-  auto planned = trace.to_stream_set(TraceEnd::kThrow);
-  planned.plan_steps(100);  // way past the trace end
+  auto set = trace.to_stream_set(TraceEnd::kThrow);
+  auto per_id = trace.to_stream_set(TraceEnd::kThrow);
+  set.plan_steps(100);  // no-op: a horizon past the end changes nothing
   std::vector<Value> got(2);
   for (std::size_t t = 0; t < 5; ++t) {
-    planned.advance_all(got);
+    set.advance_all(got);
     EXPECT_EQ(got[0], static_cast<Value>(2 * t + 1)) << "t=" << t;
     EXPECT_EQ(got[1], static_cast<Value>(2 * t + 2)) << "t=" << t;
+    EXPECT_EQ(per_id.advance(0), got[0]) << "t=" << t;
   }
-  EXPECT_THROW(planned.advance(0), std::out_of_range);
+  EXPECT_THROW(set.advance_all(got), std::out_of_range);
+  EXPECT_THROW(per_id.advance(0), std::out_of_range);
+  // The throw is per stream: node 1 of the per-id set, never advanced,
+  // still replays from its first value.
+  EXPECT_EQ(per_id.advance(1), 2);
 }
 
 TEST(BatchEquivalence, PlannedTraceMatrixReplayIsExact) {
@@ -148,7 +165,7 @@ TEST(BatchEquivalence, PlannedTraceMatrixReplayIsExact) {
   }
   auto scalar = trace.to_stream_set(TraceEnd::kThrow);
   auto planned = trace.to_stream_set(TraceEnd::kThrow);
-  planned.plan_steps(20);  // exactly the trace length: no overrun, no throw
+  planned.plan_steps(20);
   std::vector<Value> got(3);
   for (std::size_t t = 0; t < 20; ++t) {
     planned.advance_all(got);
@@ -156,6 +173,50 @@ TEST(BatchEquivalence, PlannedTraceMatrixReplayIsExact) {
       ASSERT_EQ(got[i], scalar.advance(i)) << "t=" << t;
     }
   }
+}
+
+TEST(BatchEquivalence, SizeMismatchAndBadIdThrow) {
+  auto set = make_stream_set(spec_for(StreamFamily::kRandomWalk, true), kN,
+                             kSeed);
+  std::vector<Value> short_span(kN - 1);
+  std::vector<Value> long_span(kN + 1);
+  EXPECT_THROW(set.advance_all(short_span), std::invalid_argument);
+  EXPECT_THROW(set.advance_all(long_span), std::invalid_argument);
+  EXPECT_THROW(set.advance(static_cast<NodeId>(kN)), std::out_of_range);
+  EXPECT_THROW(make_stream(StreamSpec{}, static_cast<NodeId>(kN), kN, kSeed),
+               std::invalid_argument);
+
+  // The rejected calls consumed nothing: the set still matches a fresh one.
+  auto fresh = make_stream_set(spec_for(StreamFamily::kRandomWalk, true), kN,
+                               kSeed);
+  std::vector<Value> got(kN);
+  std::vector<Value> want(kN);
+  set.advance_all(got);
+  fresh.advance_all(want);
+  EXPECT_EQ(got, want);
+
+  StreamSpec sparse;
+  sparse.family = StreamFamily::kSparse;
+  auto active = make_stream_set(sparse, kN, kSeed);
+  std::vector<NodeId> changed;
+  EXPECT_THROW(active.advance_all_active(short_span, changed),
+               std::invalid_argument);
+}
+
+TEST(BatchEquivalence, CalendarExclusivityStillFires) {
+  // The calendar consumes quiet runs ahead of the clock, so once it has
+  // taken over a set, per-id and whole-set advances are refused.
+  StreamSpec spec;
+  spec.family = StreamFamily::kSparse;
+  spec.sparse.rate = 0.25;
+  auto set = make_stream_set(spec, kN, kSeed);
+  std::vector<Value> values(kN, 0);
+  std::vector<NodeId> changed;
+  set.advance_all_active(values, changed);
+  EXPECT_EQ(changed.size(), kN);  // the initial draw changes every node
+  EXPECT_THROW(set.advance(0), std::logic_error);
+  EXPECT_THROW(set.advance_all(values), std::logic_error);
+  set.advance_all_active(values, changed);  // the calendar keeps working
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
+
+#include "streams/factory.hpp"
 
 namespace topkmon {
 namespace {
@@ -29,6 +32,30 @@ TEST(RandomWalk, StaysWithinBounds) {
     const Value v = s.next();
     EXPECT_GE(v, 0);
     EXPECT_LE(v, 100);
+  }
+}
+
+TEST(RandomWalk, StepWiderThanIntervalStaysInBounds) {
+  // max_step > hi - lo: one reflection can overshoot the far bound, and
+  // the clamps after each reflection must keep every value in range —
+  // identically on the whole-set bank path and the per-id path.
+  StreamSpec spec;
+  spec.family = StreamFamily::kRandomWalk;
+  spec.enforce_distinct = false;
+  spec.walk.lo = 0;
+  spec.walk.hi = 3;
+  spec.walk.max_step = 10;
+  constexpr std::size_t kN = 4;
+  auto bank = make_stream_set(spec, kN, 11);
+  auto per_id = make_stream_set(spec, kN, 11);
+  std::vector<Value> out(kN);
+  for (int i = 0; i < 10'000; ++i) {
+    bank.advance_all(out);
+    for (NodeId id = 0; id < kN; ++id) {
+      ASSERT_GE(out[id], 0) << "step " << i;
+      ASSERT_LE(out[id], 3) << "step " << i;
+      ASSERT_EQ(out[id], per_id.advance(id)) << "step " << i;
+    }
   }
 }
 

@@ -116,7 +116,6 @@ TEST(SparseStream, ActiveAdvanceMatchesBatchedAdvance) {
   auto batched = make_stream_set(spec, kN, 31);
   auto active = make_stream_set(spec, kN, 31);
   ASSERT_TRUE(active.quiet_capable());
-  batched.plan_steps(kSteps);
 
   std::vector<Value> want(kN);
   std::vector<Value> got(kN, 0);
