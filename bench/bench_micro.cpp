@@ -377,6 +377,38 @@ BENCHMARK(BM_ParallelTickStep)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
+/// The driver's observe phase when every node moves but none leaves its
+/// filter (state.range: n): each step moves all n FilterNode values by 8,
+/// alternating up and down, at least 500 away from the boundary, so no
+/// on_observe has anything to do — the quiet-range pass settles every id
+/// without a node callback.
+void BM_DriverObserveInFilter(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Cluster cluster(n, 7);
+  std::vector<NodeId> changed(n);
+  for (NodeId id = 0; id < n; ++id) {
+    cluster.set_value(id, 1000 * static_cast<Value>(id));
+    changed[id] = id;
+  }
+  auto pair = exp::make_role_pair(cluster, "topk_filter?nobeacon", 8);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
+  cluster.stats().begin_step(0);
+  driver.initialize();
+  TimeStep t = 0;
+  for (auto _ : state) {
+    ++t;
+    const Value delta = t % 2 == 1 ? 8 : -8;
+    cluster.stats().begin_step(t);
+    for (const NodeId id : changed) {
+      cluster.set_value(id, cluster.value(id) + delta);
+    }
+    driver.step(t, changed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DriverObserveInFilter)->Arg(4096)->Arg(65536);
+
 /// Pre-PR4 scheduled transport shape: a binary heap per recipient
 /// (push_heap/pop_heap by (due, seq)), here collapsed to one queue — the
 /// per-message cost the timing wheel replaces.

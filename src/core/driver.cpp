@@ -26,6 +26,10 @@ void NodeCtx::signal(std::int64_t code) {
 
 void NodeCtx::arm_timer() { driver_.arm_node(id_); }
 
+void NodeCtx::set_quiet_range(Value lo, Value hi) {
+  driver_.set_quiet_range(id_, QuietRange{lo, hi});
+}
+
 void NodeCtx::set_needs_observe(bool needs) {
   driver_.set_needs_observe(id_, needs);
 }
@@ -45,8 +49,7 @@ SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
       coord_(coordinator),
       nodes_(nodes),
       auto_deliver_(auto_deliver),
-      coord_ctx_(*this, cluster),
-      scan_scratch_(cluster.size()) {
+      coord_ctx_(*this, cluster) {
   if (nodes_.size() != cluster_.size()) {
     throw std::invalid_argument("SimDriver: node algo count != cluster size");
   }
@@ -60,13 +63,16 @@ SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
     shards_.resize(workers);
     pool_ = std::make_unique<WorkerPool>(workers - 1);
   }
-  // The armed / needs-observe scalars live in the cluster's shared
-  // NodeRuntime; reset them in case this driver replaces an earlier one
-  // over the same cluster. Every node starts in the needs-observe set: an
-  // algorithm must opt out (NodeCtx::set_needs_observe(false)) to certify
-  // that its on_observe is a no-op on an unchanged value.
-  cluster_.runtime().armed.clear_all();
-  cluster_.runtime().needs_observe.set_all();
+  // The armed / needs-observe / quiet-range scalars live in the cluster's
+  // shared NodeRuntime; reset them in case this driver replaces an
+  // earlier one over the same cluster. Every range starts empty (every
+  // needs-observe bit set): an algorithm must declare a quiet range
+  // (NodeCtx::set_quiet_range / set_needs_observe(false)) to certify that
+  // its on_observe is a no-op for values inside it.
+  NodeRuntime& rt = cluster_.runtime();
+  rt.armed.clear_all();
+  rt.needs_observe.set_all();
+  std::fill(rt.quiet.begin(), rt.quiet.end(), QuietRange{});
 }
 
 bool SimDriver::anything_scheduled() const noexcept {
@@ -225,9 +231,10 @@ void SimDriver::apply_node_up(NodeId id, bool first_time) {
     rt.armed.set(id);
     ++armed_nodes_;
   }
-  // Back into the unconditional-observe set: whatever invariant let the
-  // node skip observes may have rotted during the outage; its algorithm
-  // re-certifies (set_needs_observe(false)) once re-synced.
+  // Back to the empty quiet range: whatever invariant let the node skip
+  // observes may have rotted during the outage; its algorithm re-declares
+  // a range once re-synced.
+  rt.quiet[id] = QuietRange{};
   rt.needs_observe.set(id);
   NodeCtx ctx(*this, cluster_, id);
   if (first_time) nodes_[id]->on_init(ctx, cluster_.value(id));
@@ -537,7 +544,7 @@ void SimDriver::step(TimeStep t) {
   // Dense observe: stream the flat NodeRuntime value array (8-byte
   // stride). Parallelized over the same word-aligned ranges as the tick
   // scan: on_observe can only send (staged), signal (staged), arm its
-  // own timer or write its own needs-observe bit (shard-owned words).
+  // own timer or declare its own quiet range (shard-owned words).
   // Down nodes are skipped: their observations are lost for the outage.
   const std::span<const Value> values = cluster_.values();
   const NodeRuntime& rt = cluster_.runtime();
@@ -565,45 +572,57 @@ void SimDriver::step(TimeStep t) {
 }
 
 void SimDriver::step(TimeStep t, std::span<const NodeId> changed) {
+  // Range pass: serial, before any node callback. A changed id whose bit
+  // is clear gets it set iff its new value left its quiet range; a set
+  // bit already forces the observe. Runs under the dense loop too, so
+  // the bits stay exact whichever loop observes.
+  NodeRuntime& rt = cluster_.runtime();
+  for (const NodeId id : changed) {
+    if (id >= rt.size()) {
+      throw std::out_of_range("SimDriver::step: changed id " +
+                              std::to_string(id) + " >= node count " +
+                              std::to_string(rt.size()));
+    }
+    if (!rt.needs_observe.test(id) && !rt.quiet[id].contains(rt.values[id])) {
+      rt.needs_observe.set(id);
+    }
+  }
   if (dense_) {
     step(t);
     return;
   }
   signals_.clear();
   cur_step_ = t;
-  // Observe set = changed nodes ∪ needs-observe nodes, ascending id. For
-  // a skipped node the value is unchanged AND its algorithm certified
-  // that on_observe is then a no-op, so the outcome (messages, signals,
-  // coin flips, counters) is identical to the dense loop's. Down nodes
-  // are masked out: their observations are lost for the outage.
-  scan_scratch_.copy_from(cluster_.runtime().needs_observe);
-  for (const NodeId id : changed) scan_scratch_.set(id);
-  if (cluster_.net().down_nodes() != 0) {
-    scan_scratch_.mask_with(cluster_.runtime().alive);
-  }
-  const std::span<const Value> values = cluster_.values();
-  if (!shards_.empty()) {
-    // The scratch union is immutable during the scan (needs-observe
-    // writes go to the live bitset, not the snapshot), so sharding its
-    // words is race-free even beyond the word-ownership argument.
-    run_sharded([&](WorkerShard&, std::size_t lo, std::size_t hi) {
-      const auto words = scan_scratch_.words();
-      for (std::size_t w = lo; w < hi; ++w) {
-        std::uint64_t bits = words[w];
-        while (bits != 0) {
-          const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-          bits &= bits - 1;
-          const auto id = static_cast<NodeId>(w * 64 + bit);
-          NodeCtx ctx(*this, cluster_, id);
-          nodes_[id]->on_observe(ctx, values[id], t);
-        }
+  // Observe set = needs-observe ∩ alive, ascending id. A skipped node's
+  // value lies inside the range its algorithm certified on_observe to be
+  // a no-op for, so the outcome (messages, signals, coin flips, counters)
+  // is identical to the dense loop's. Down nodes are masked out: their
+  // observations are lost for the outage. Each word is snapshotted before
+  // its bits are visited; on_observe may rewrite only its own node's bit.
+  const bool any_down = cluster_.net().down_nodes() != 0;
+  const auto observe_words = [&](std::size_t lo, std::size_t hi) {
+    const auto need = rt.needs_observe.words();
+    const auto alive = rt.alive.words();
+    for (std::size_t w = lo; w < hi; ++w) {
+      std::uint64_t bits = need[w];
+      if (any_down) bits &= alive[w];
+      while (bits != 0) {
+        const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const auto id = static_cast<NodeId>(w * 64 + bit);
+        NodeCtx ctx(*this, cluster_, id);
+        nodes_[id]->on_observe(ctx, rt.values[id], t);
       }
+    }
+  };
+  if (!shards_.empty()) {
+    // Shards read and write only their own bit words (and their own ids'
+    // range entries), so scanning the live bitset is race-free.
+    run_sharded([&](WorkerShard&, std::size_t lo, std::size_t hi) {
+      observe_words(lo, hi);
     });
   } else {
-    for_each_set_bit(scan_scratch_.words(), [&](NodeId id) {
-      NodeCtx ctx(*this, cluster_, id);
-      nodes_[id]->on_observe(ctx, values[id], t);
-    });
+    observe_words(0, rt.needs_observe.words().size());
   }
   coord_.on_step_begin(coord_ctx_, t);
   settle(/*respect_budget=*/true);

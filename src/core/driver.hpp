@@ -34,11 +34,17 @@
 // delivery commits with an O(1) ack — same messages, same order as a
 // drain, none of the per-node buffer traffic.
 //
-// Observation sparsity follows the same contract: step(t, changed) runs
-// on_observe only for nodes whose value changed this step plus nodes that
-// requested unconditional observation via NodeCtx::set_needs_observe —
-// the flag every algorithm whose on_observe is not a no-op on an
-// unchanged value must keep set (it starts set; see roles.hpp).
+// Observation sparsity follows the same contract, through per-node quiet
+// ranges: a node declares (NodeCtx::set_quiet_range) a value interval
+// inside which its on_observe is a no-op — a filter node declares its
+// filter. step(t, changed) first runs a serial range pass over the
+// changed ids, setting the needs-observe bit of every id whose new value
+// left its range, then runs on_observe for exactly the needs-observe ∩
+// alive set. Only a new declaration clears a bit, so a clear bit always
+// means "value inside the quiet range". NodeCtx::set_needs_observe is
+// shorthand over the same mechanism: true declares the empty range
+// (observe every step), false the point range [v, v] (no-op on an
+// unchanged value). Every range starts empty (see roles.hpp).
 //
 // Timer semantics: arming from a node's on_message/on_control fires in
 // the same tick's node timer slot; arming from within on_timer fires next
@@ -55,8 +61,8 @@
 // the staged effects in shard order — i.e. ascending node id order, the
 // exact serial order — so message seq stamps, the scheduled-delivery
 // hash, signal order, stats and taps are all byte-identical to
-// workers == 1. The coordinator phase, observe callbacks' surrounding
-// step logic, and everything else stay serial. Requires auto_deliver
+// workers == 1. The coordinator phase, the observe step's range pass,
+// and everything else stay serial. Requires auto_deliver
 // (native role algorithms — one independent object per node);
 // LockstepAdapter deployments share one monitor object across node
 // callbacks and are rejected. Full design: docs/architecture.md,
@@ -116,8 +122,11 @@ class SimDriver {
   /// One observation step with activity information: `changed` lists the
   /// nodes whose value differs from the previous step (any order — the
   /// observe scan re-sorts by id via its bitset). on_observe runs only
-  /// for those nodes plus the needs-observe set — identical outcomes,
-  /// O(active) cost. Ignored (dense observe) under set_dense_loop(true).
+  /// for the nodes whose value lies outside their quiet range — identical
+  /// outcomes, O(changed + observed) cost. Under set_dense_loop(true) the
+  /// ranges are still maintained but every live node is observed. Throws
+  /// std::out_of_range, before any node callback runs, if an id in
+  /// `changed` is >= the cluster size.
   void step(TimeStep t, std::span<const NodeId> changed);
 
   /// Drains scheduled deliveries and timers to quiescence without running
@@ -166,9 +175,9 @@ class SimDriver {
   }
 
   // -- context plumbing (used by NodeCtx / CoordCtx) ------------------------
-  // Per-node scalars (armed, needs-observe) live in the cluster's shared
-  // structure-of-arrays NodeRuntime, next to the network's due-mail bits
-  // the tick scan unions them with. The node-side entry points
+  // Per-node scalars (armed, needs-observe, quiet range) live in the
+  // cluster's shared structure-of-arrays NodeRuntime, next to the
+  // network's due-mail bits the tick scan unions them with. The node-side entry points
   // (raise_signal, node_send, arm_node) are parallel-phase aware: on a
   // worker shard they stage into the shard's private buffers (via the
   // thread-local stage pointer) for the ordered replay at the tick
@@ -222,11 +231,19 @@ class SimDriver {
   /// Arms the coordinator's timer for the next coordinator timer phase.
   /// Owner thread only.
   void arm_coordinator() noexcept { coord_armed_ = true; }
-  /// Adds/removes node id from the unconditional-observe set. Parallel-
-  /// phase safe for the id's owning shard (bit write in a shard-owned
-  /// word; no counter).
+  /// Declares node id's quiet range and sets its needs-observe bit iff
+  /// the current value lies outside it. Parallel-phase safe for the id's
+  /// owning shard (its own range entry, a bit in a shard-owned word).
+  void set_quiet_range(NodeId id, QuietRange q) {
+    NodeRuntime& rt = cluster_.runtime();
+    rt.quiet[id] = q;
+    rt.needs_observe.assign(id, !q.contains(rt.values[id]));
+  }
+  /// Shorthand over set_quiet_range: the empty range (needs) or the
+  /// point range at the current value (!needs).
   void set_needs_observe(NodeId id, bool needs) {
-    cluster_.runtime().needs_observe.assign(id, needs);
+    const Value v = cluster_.runtime().values[id];
+    set_quiet_range(id, needs ? QuietRange{} : QuietRange{v, v});
   }
 
  private:
@@ -300,7 +317,6 @@ class SimDriver {
   std::vector<Control> pending_controls_;
   std::vector<Control> delivering_controls_;  // double-buffer for phase 1
   std::vector<Message> mail_scratch_;         // reused across drains/ticks
-  IdBitset scan_scratch_;       // per-tick/step union scratch
   std::size_t armed_nodes_ = 0;
   bool coord_armed_ = false;
 

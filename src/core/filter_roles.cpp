@@ -33,21 +33,22 @@ constexpr std::uint8_t kStaleStrikes = 2;
 // ---------------------------------------------------------------------------
 
 void FilterNode::on_init(NodeCtx& ctx, Value) {
-  // The initial filter is [-inf, +inf]: every value is contained, so an
-  // unchanged value can never need an observe until a boundary arrives.
-  ctx.set_needs_observe(false);
+  // The initial filter is [-inf, +inf]: every value is contained, so no
+  // value needs an observe until a boundary arrives.
+  ctx.set_quiet_range(filter_.lo, filter_.hi);
 }
 
 void FilterNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
   // Algorithm 1, lines 2-9 (node side): check the filter locally; a
   // violation is free knowledge in the model, raised as a control signal.
-  // Needs-observe contract: while the value violates the filter the node
-  // re-raises its signal every step (the coordinator counts every one,
-  // and under message loss a re-raise is what restarts an aborted
-  // repair), so it must stay in the observe set even when the value is
-  // unchanged; a contained value makes on_observe a no-op.
+  // Quiet-range contract: a contained value makes on_observe a no-op, so
+  // the filter is the node's quiet range. While the value violates the
+  // filter the node re-raises its signal every step (the coordinator
+  // counts every one, and under message loss a re-raise is what restarts
+  // an aborted repair), so it stays observed even when the value is
+  // unchanged.
   if (filter_.contains(v)) {
-    ctx.set_needs_observe(false);
+    ctx.set_quiet_range(filter_.lo, filter_.hi);
     return;
   }
   ctx.set_needs_observe(true);
@@ -85,10 +86,11 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
       // Node-side effect of the boundary broadcast: rebuild the filter
       // from (M, own membership belief). Ends any selection phase. The
       // new boundary may exclude the current value — the next step's
-      // observe must then run (and signal) even if the value is static.
+      // observe must then run (and signal) even if the value is static,
+      // which declaring the filter as the quiet range guarantees.
       selecting_ = false;
       filter_ = boundary_filter(m.a, member_);
-      ctx.set_needs_observe(!filter_.contains(ctx.value()));
+      ctx.set_quiet_range(filter_.lo, filter_.hi);
       break;
     }
     case MsgKind::kProbe: {
@@ -114,12 +116,11 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
       selecting_ = false;
       in_session_ = false;
       active_ = false;
+      ctx.set_quiet_range(filter_.lo, filter_.hi);
       if (filter_.contains(ctx.value())) {
         pending_ = Pending::kNone;
-        ctx.set_needs_observe(false);
       } else {
         pending_ = member_ ? Pending::kTop : Pending::kBot;
-        ctx.set_needs_observe(true);
       }
       break;
     }
@@ -220,8 +221,8 @@ void FilterNode::on_recover(NodeCtx& ctx) {
   has_beacon_ = false;
   beacon_holder_ = kNoHolder;
   // The surviving filter may predate boundaries renegotiated during the
-  // outage: stay in the observe set until the re-sync handshake
-  // re-anchors it (kFilterAssign re-certifies via its contains check).
+  // outage: stay observed until an observe or the re-sync handshake's
+  // kFilterAssign declares the filter again.
   ctx.set_needs_observe(true);
 }
 

@@ -21,10 +21,12 @@ namespace topkmon {
 
 /// Placeholder node algorithm: the wrapped MonitorBase already simulates
 /// the node side internally, so per-node observes are no-ops and the node
-/// opts out of the sparse driver's observe set entirely.
+/// declares every value quiet.
 class LockstepNode final : public NodeAlgo {
  public:
-  void on_init(NodeCtx& ctx, Value) override { ctx.set_needs_observe(false); }
+  void on_init(NodeCtx& ctx, Value) override {
+    ctx.set_quiet_range(kMinusInf, kPlusInf);
+  }
 };
 
 class LockstepAdapter final : public CoordinatorAlgo {

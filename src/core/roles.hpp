@@ -61,9 +61,10 @@ class SimDriver;
 /// only this node's own state (value, rng — one owner per id) or routes
 /// through the driver's parallel-phase-aware plumbing (send/signal are
 /// staged per shard and replayed in serial order at the tick barrier;
-/// arm_timer/set_needs_observe write bits in words owned by the calling
-/// shard). A NodeAlgo that keeps all its state per-instance — the native
-/// implementations do — therefore needs no synchronization of its own.
+/// arm_timer/set_quiet_range/set_needs_observe write this node's range
+/// entry and bits in words owned by the calling shard). A NodeAlgo that
+/// keeps all its state per-instance — the native implementations do —
+/// therefore needs no synchronization of its own.
 class NodeCtx {
  public:
   /// Transient view (driver, cluster, id): constructed at the call
@@ -95,16 +96,23 @@ class NodeCtx {
   /// current tick's timer phase; within on_timer itself, for the next tick.
   void arm_timer();
 
-  /// Declares whether this node must receive on_observe even when its
-  /// value did not change since the previous step. Every node starts in
-  /// the needs-observe set (the safe default: the driver then observes it
-  /// every step, exactly like the dense loop). An algorithm whose
-  /// on_observe is a no-op on an unchanged value — no message, no signal,
-  /// no coin flip, no state change — may clear the flag and re-set it
-  /// whenever that stops holding (e.g. a filter node while its value
-  /// violates the filter must keep re-signalling each step). Getting this
-  /// wrong silently diverges from the dense loop; the sparse/dense
-  /// equivalence tests pin the contract for the in-tree algorithms.
+  /// Declares this node's quiet range: certifies that on_observe is a
+  /// no-op — no message, no signal, no coin flip, no state change — for
+  /// every value v with lo <= v <= hi, until the next declaration. The
+  /// sparse driver then skips on_observe while the value stays inside
+  /// the range, and observes the node every step from the first one its
+  /// value leaves it until the node declares again. Every range starts
+  /// empty (lo > hi: observed every step, exactly like the dense loop),
+  /// and a recovery resets it to empty. A filter node declares its
+  /// filter; a value outside it is then observed (and re-signalled) each
+  /// step. Getting this wrong silently diverges from the dense loop; the
+  /// sparse/dense equivalence tests pin the contract for the in-tree
+  /// algorithms.
+  void set_quiet_range(Value lo, Value hi);
+
+  /// Shorthand over set_quiet_range: `true` declares the empty range
+  /// (observe every step), `false` the point range [v, v] at the current
+  /// value v (on_observe is a no-op on an unchanged value).
   void set_needs_observe(bool needs);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -357,6 +358,13 @@ void ShardedDeployment::initialize() {
 void ShardedDeployment::step(TimeStep t, std::span<const NodeId> changed) {
   for (auto& v : changed_by_shard_) v.clear();
   for (NodeId g : changed) {
+    // shard_of routes any id past the last base to the last shard, so an
+    // out-of-range id must be caught here, before any shard steps.
+    if (g >= spec_.n) {
+      throw std::out_of_range("ShardedDeployment::step: changed id " +
+                              std::to_string(g) + " >= node count " +
+                              std::to_string(spec_.n));
+    }
     const std::size_t s = shard_of(g);
     changed_by_shard_[s].push_back(g - ranges_[s].base);
   }

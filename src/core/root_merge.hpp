@@ -226,6 +226,7 @@ class ShardedDeployment {
   void initialize();
 
   /// One observation step; `changed` holds global ids (any order).
+  /// Throws std::out_of_range, before any shard steps, if an id is >= n.
   void step(TimeStep t, std::span<const NodeId> changed);
 
   /// Dynamic reconfiguration to a new global top-k size (1 <= k <= n),

@@ -19,7 +19,7 @@ constexpr std::int64_t kIdsPerControl = 128;
 
 void SlackNode::on_init(NodeCtx& ctx, Value) {
   // [-inf, +inf] until the first boundary arrives: nothing to watch.
-  ctx.set_needs_observe(false);
+  ctx.set_quiet_range(filter_.lo, filter_.hi);
 }
 
 void SlackNode::rebuild_filter(NodeCtx& ctx) {
@@ -28,12 +28,13 @@ void SlackNode::rebuild_filter(NodeCtx& ctx) {
   } else {
     filter_ = member_ ? Filter{bound_, kPlusInf} : Filter{kMinusInf, bound_};
   }
-  ctx.set_needs_observe(!filter_.contains(ctx.value()));
+  // The filter is on the raw value, so it is the node's quiet range.
+  ctx.set_quiet_range(filter_.lo, filter_.hi);
 }
 
 void SlackNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
   if (filter_.contains(v)) {
-    ctx.set_needs_observe(false);
+    ctx.set_quiet_range(filter_.lo, filter_.hi);
     return;
   }
   // B&O-style: the violator reports its fresh value directly (one charged

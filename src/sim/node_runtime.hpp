@@ -3,13 +3,14 @@
 // One NodeRuntime is shared by the three components that touch per-node
 // state on the hot path: the Cluster owns it, the Network maintains the
 // due-mail bits, and the SimDriver maintains the armed / needs-observe
-// bits and streams through the value array in its observe scan. Keeping
-// each field in its own flat array — instead of one struct per node —
-// means every scan touches only the bytes it actually uses: the per-tick
-// word-wise scans read two bit arrays (16 bytes per 64 nodes), the
-// per-step observe scan streams an 8-byte-stride value array, and the
-// cold RNG state (most of a cache line per node) is only paged in when a
-// protocol execution actually flips coins.
+// bits and the quiet ranges and streams through the value array in its
+// observe scan. Keeping each field in its own flat array — instead of
+// one struct per node — means every scan touches only the bytes it
+// actually uses: the per-tick word-wise scans read two bit arrays (16
+// bytes per 64 nodes), the per-step range pass reads one 16-byte range
+// per changed node, the per-step observe scan streams an 8-byte-stride
+// value array, and the cold RNG state (most of a cache line per node) is
+// only paged in when a protocol execution actually flips coins.
 //
 // Fields are parallel arrays indexed by NodeId and grouped by access
 // pattern; all arrays have the same logical length size().
@@ -32,6 +33,17 @@
 
 namespace topkmon {
 
+/// A closed value interval [lo, hi] inside which a node's on_observe is
+/// certified to be a no-op (see NodeCtx::set_quiet_range). The default
+/// is empty (lo > hi): no value is quiet, the node is observed every
+/// step.
+struct QuietRange {
+  Value lo = kPlusInf;
+  Value hi = kMinusInf;
+
+  constexpr bool contains(Value v) const noexcept { return lo <= v && v <= hi; }
+};
+
 /// Per-node machine state as parallel flat arrays ("which node needs
 /// attention" bits, observed values, protocol scratch, RNGs).
 struct NodeRuntime {
@@ -46,6 +58,7 @@ struct NodeRuntime {
         armed(n),
         alive(n),
         needs_observe(n),
+        quiet(n),
         values(n, 0),
         active(n),
         rngs(n) {
@@ -72,10 +85,15 @@ struct NodeRuntime {
   IdBitset alive;
 
   // -- per-step hot group: the observe scan ---------------------------------
-  /// Bit id set iff node id must receive on_observe even when its value is
-  /// unchanged (see NodeCtx::set_needs_observe). Maintained by the
-  /// SimDriver on behalf of the node algorithms.
+  /// Bit id set iff node id must receive on_observe this step. Maintained
+  /// by the SimDriver: a quiet-range declaration sets it iff the current
+  /// value lies outside the range, the step's range pass sets it when a
+  /// changed value leaves the range, and only a new declaration clears
+  /// it — so a clear bit always means "value inside quiet[id]".
   IdBitset needs_observe;
+  /// quiet[id] is node id's declared quiet range (16 bytes per node; read
+  /// by the range pass for changed ids whose bit is clear).
+  std::vector<QuietRange> quiet;
   /// values[id] is node id's current stream observation (8-byte stride —
   /// the dense observe scan streams this array instead of gathering
   /// through per-node structs).

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -65,11 +64,6 @@ class IdBitset {
 
   std::span<const std::uint64_t> words() const noexcept { return words_; }
 
-  /// Copies another bitset of the same size (capacity retained).
-  void copy_from(const IdBitset& other) noexcept {
-    words_.assign(other.words_.begin(), other.words_.end());
-  }
-
   /// Word-wise intersection with another bitset of the same size (e.g.
   /// masking a due/armed scan down to the alive nodes).
   void mask_with(const IdBitset& other) noexcept {
@@ -82,22 +76,5 @@ class IdBitset {
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-/// Calls `fn(NodeId)` for every id whose bit is set in `words`, in
-/// ascending id order. Each word is snapshotted before its bits are
-/// visited, so `fn` may freely mutate the underlying set for ids at or
-/// before the current one (e.g. clear-on-drain, re-arm-self) without
-/// perturbing the iteration.
-template <typename Fn>
-inline void for_each_set_bit(std::span<const std::uint64_t> words, Fn&& fn) {
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-      bits &= bits - 1;
-      fn(static_cast<NodeId>(w * 64 + bit));
-    }
-  }
-}
 
 }  // namespace topkmon

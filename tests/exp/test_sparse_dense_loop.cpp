@@ -1,10 +1,11 @@
-// The PR4 bit-compatibility contract: the activity-driven sparse event
-// loop (sparse per-tick scan + needs-observe-gated on_observe + changed-
-// node detection) must be indistinguishable from the legacy dense loop —
-// same messages by direction and kind, same monitor counters (which see
-// every re-raised violation signal), same per-step answers, same error
-// pattern — for every monitor on every network policy it can run on,
-// across both quiet-capable (sparse wrapper) and arbitrary workloads.
+// The bit-compatibility contract: the activity-driven sparse event loop
+// (sparse per-tick scan + quiet-range-gated on_observe + changed-node
+// detection) must be indistinguishable from the legacy dense loop — same
+// messages by direction and kind, same monitor counters (which see every
+// re-raised violation signal), same per-step answers, same error pattern
+// — for every monitor on every network policy it can run on, across both
+// quiet-capable (sparse wrapper) and arbitrary workloads, under fault
+// plans and in sharded deployments.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,17 +26,19 @@ struct LoopTrace {
 };
 
 LoopTrace run_loop(const std::string& monitor, const std::string& family,
-                   const std::string& network, bool dense) {
+                   const std::string& network, const std::string& faults,
+                   Value max_step, bool dense) {
   Scenario sc;
   sc.monitor = monitor;
   sc.with_stream_family(family);
-  sc.stream.walk.max_step = 5'000;
+  sc.stream.walk.max_step = max_step;
   sc.with_network(network);
   sc.n = 24;
   sc.k = 5;
   sc.steps = 120;
   sc.seed = 77;
   sc.dense_loop = dense;
+  sc.faults = faults;
   // Lossy / budgeted networks legitimately diverge from the ground truth;
   // the invariant under test is that both loops diverge identically.
   sc.validation = RunConfig::Validation::kWeak;
@@ -50,10 +53,14 @@ LoopTrace run_loop(const std::string& monitor, const std::string& family,
 }
 
 void expect_equivalent(const std::string& monitor, const std::string& family,
-                       const std::string& network) {
-  SCOPED_TRACE(monitor + " / " + family + " / " + network);
-  const LoopTrace sparse = run_loop(monitor, family, network, false);
-  const LoopTrace dense = run_loop(monitor, family, network, true);
+                       const std::string& network,
+                       const std::string& faults = "none",
+                       Value max_step = 5'000) {
+  SCOPED_TRACE(monitor + " / " + family + " / " + network + " / " + faults);
+  const LoopTrace sparse =
+      run_loop(monitor, family, network, faults, max_step, false);
+  const LoopTrace dense =
+      run_loop(monitor, family, network, faults, max_step, true);
 
   // Messages: totals, directions, and every kind (beacons, announces,
   // filter updates, probes ... — a missed coin flip or skipped signal
@@ -80,6 +87,13 @@ void expect_equivalent(const std::string& monitor, const std::string& family,
             dense.result.monitor.filter_resets);
   EXPECT_EQ(sparse.result.monitor.full_rebuilds,
             dense.result.monitor.full_rebuilds);
+  EXPECT_EQ(sparse.result.monitor.resyncs, dense.result.monitor.resyncs);
+  EXPECT_EQ(sparse.result.monitor.suspicions, dense.result.monitor.suspicions);
+  EXPECT_EQ(sparse.result.monitor.quarantines,
+            dense.result.monitor.quarantines);
+  EXPECT_EQ(sparse.result.monitor.stale_detections,
+            dense.result.monitor.stale_detections);
+  EXPECT_EQ(sparse.result.root_comm.total(), dense.result.root_comm.total());
 
   // Validation outcome and the answer itself, step by step.
   EXPECT_EQ(sparse.result.error_steps, dense.result.error_steps);
@@ -119,6 +133,51 @@ TEST(SparseDenseLoop, NativeMonitorsOnScheduledNetworks) {
         expect_equivalent(monitor, family, network);
       }
     }
+  }
+}
+
+// Fault plans change which nodes may skip an observe: a crash masks the
+// node out, a recovery or join resets its quiet range to empty, and a
+// degraded node keeps observing while its reports are held, frozen or
+// discarded.
+TEST(SparseDenseLoop, NativeMonitorsUnderChurn) {
+  for (const char* monitor :
+       {"topk_filter", "approx?eps=1000", "slack", "ordered", "dominance",
+        "multi_k?ks=2+5", "naive", "naive_chg"}) {
+    for (const char* plan :
+         {"churn?crash=3@20,recover=3@50,join=+4@60,leave=10@80,"
+          "crash=17@90,recover=17@110",
+          "churn?every=30,down=2,count=3,outage=15"}) {
+      for (const std::string& family : workloads()) {
+        expect_equivalent(monitor, family, "instant", plan);
+      }
+    }
+  }
+}
+
+TEST(SparseDenseLoop, FilterUnderDegradationsWithSuspect) {
+  // Volatile walks: the degraded nodes keep crossing the boundary, so
+  // suspicions, quarantines and stale convictions all fire.
+  for (const char* network : {"instant", "delay=1,jitter=1"}) {
+    for (const std::string& family : workloads()) {
+      expect_equivalent("topk_filter?suspect", family, network,
+                        "churn?lag=2@20:30,stale=5@30,mute=7@40,heal=2@70,"
+                        "heal=5@80,heal=7@90",
+                        500'000);
+    }
+  }
+}
+
+TEST(SparseDenseLoop, ShardedDeployments) {
+  for (const char* monitor :
+       {"topk_filter?shards=4", "naive?shards=4", "naive_chg?shards=4"}) {
+    for (const char* plan :
+         {"none", "churn?crash=3@20,recover=3@50,crash=14@60,recover=14@90"}) {
+      for (const std::string& family : workloads()) {
+        expect_equivalent(monitor, family, "instant", plan);
+      }
+    }
+    expect_equivalent(monitor, workloads()[0], "delay=1,drop=0.05");
   }
 }
 
