@@ -521,31 +521,75 @@ void BM_NonmemberRescanLazy(benchmark::State& state) {
 }
 BENCHMARK(BM_NonmemberRescanLazy)->Arg(1024)->Arg(65536);
 
-/// The bulk-update path of a random-walk step: every one of n = 4096 ids
-/// moves by at most 8, then the answer is queried. Nearly all updates hit
-/// non-members, so this pins the per-update cost of the non-member index
-/// plus one decay repair whenever the boundary outsider sank.
-void BM_TrackerWalkStep(benchmark::State& state) {
-  constexpr std::size_t kN = 4096;
-  GroundTruthTracker tracker(kN, 8);
-  std::vector<Value> values(kN);
+/// One ground-truth step: `moved` ids (all n in id order, or random
+/// draws) move by at most 8, the tracker takes them per id (`bulk` =
+/// false) or as one set_values batch, and the answer is queried. The
+/// moves are drawn up front and replayed, so the timed loop holds
+/// tracker work and the value writes only.
+void run_tracker_step(benchmark::State& state, std::size_t n,
+                      std::size_t moved, bool bulk) {
+  constexpr std::size_t kBankSteps = 64;
+  GroundTruthTracker tracker(n, 8);
+  std::vector<Value> values(n);
   Rng rng(23);
-  for (NodeId i = 0; i < kN; ++i) {
+  for (NodeId i = 0; i < n; ++i) {
     values[i] = rng.uniform_int(0, 1'000'000);
     tracker.set_value(i, values[i]);
   }
+  std::vector<std::vector<NodeId>> ids(kBankSteps);
+  std::vector<std::vector<Value>> deltas(kBankSteps);
+  for (std::size_t s = 0; s < kBankSteps; ++s) {
+    for (std::size_t j = 0; j < moved; ++j) {
+      ids[s].push_back(moved == n ? static_cast<NodeId>(j)
+                                  : static_cast<NodeId>(rng.uniform_below(n)));
+      deltas[s].push_back(rng.uniform_int(-8, 8));
+    }
+  }
   benchmark::DoNotOptimize(tracker.topk_set());
+  std::size_t s = 0;
   for (auto _ : state) {
-    for (NodeId i = 0; i < kN; ++i) {
-      values[i] += rng.uniform_int(-8, 8);
-      tracker.set_value(i, values[i]);
+    const auto& step_ids = ids[s];
+    for (std::size_t j = 0; j < moved; ++j) {
+      values[step_ids[j]] += deltas[s][j];
+    }
+    if (bulk) {
+      tracker.set_values(step_ids, values);
+    } else {
+      for (const NodeId id : step_ids) tracker.set_value(id, values[id]);
     }
     benchmark::DoNotOptimize(tracker.topk_set());
+    s = (s + 1) % kBankSteps;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kN));
+                          static_cast<std::int64_t>(moved));
+}
+
+/// A dense random-walk step, n = 4096: every id moves, per-id updates.
+/// Nearly all hit non-members, so this pins the per-update cost of the
+/// non-member index climbs plus one decay repair whenever the boundary
+/// outsider sank.
+void BM_TrackerWalkStep(benchmark::State& state) {
+  run_tracker_step(state, 4096, 4096, /*bulk=*/false);
 }
 BENCHMARK(BM_TrackerWalkStep);
+
+/// The same step as one set_values batch: the one-sweep schedule.
+void BM_TrackerWalkStepBulk(benchmark::State& state) {
+  run_tracker_step(state, 4096, 4096, /*bulk=*/true);
+}
+BENCHMARK(BM_TrackerWalkStepBulk);
+
+/// A sparse step, n = 16384 with 1% of the ids moving: per-id updates
+/// versus a batch below the n / 8 cut-over, which must cost the same.
+void BM_TrackerSparseStep(benchmark::State& state) {
+  run_tracker_step(state, 16384, 164, /*bulk=*/false);
+}
+BENCHMARK(BM_TrackerSparseStep);
+
+void BM_TrackerSparseStepBulk(benchmark::State& state) {
+  run_tracker_step(state, 16384, 164, /*bulk=*/true);
+}
+BENCHMARK(BM_TrackerSparseStepBulk);
 
 void BM_EarliestPending(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

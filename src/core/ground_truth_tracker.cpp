@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -27,23 +28,22 @@ GroundTruthTracker::GroundTruthTracker(std::size_t n, std::size_t k)
   }
 }
 
+namespace {
+
+/// A batch of at least n / kDenseBatchDivisor ids takes the one-sweep
+/// schedule: below it, the per-id climbs touch less memory than an O(n)
+/// index recompute.
+constexpr std::size_t kDenseBatchDivisor = 8;
+
+}  // namespace
+
 void GroundTruthTracker::set_value(NodeId id, Value v) {
   const Value old = values_[id];
   values_[id] = v;
   if (!built_ || v == old) return;
 
   if (member_[id]) {
-    if (id == member_min_id_) {
-      if (v < old) {
-        // The worst member got worse: still the worst, new key.
-        member_min_val_ = v;
-      } else {
-        member_dirty_ = true;  // may no longer be the minimum
-      }
-    } else if (ranks_before(member_min_val_, member_min_id_, v, id)) {
-      member_min_val_ = v;  // this member now ranks behind the old minimum
-      member_min_id_ = id;
-    }
+    note_member_update(id, old, v);
     return;
   }
   if (k_ == values_.size()) return;  // no non-members to track
@@ -57,6 +57,41 @@ void GroundTruthTracker::set_value(NodeId id, Value v) {
   } else if (ranks_before(v, id, nonmember_max_val_, nonmember_max_id_)) {
     nonmember_max_val_ = v;  // this outsider now ranks ahead of the old max
     nonmember_max_id_ = id;
+  }
+}
+
+void GroundTruthTracker::set_values(std::span<const NodeId> ids,
+                                    std::span<const Value> values) {
+  const std::size_t n = values_.size();
+  if (!built_ || k_ == n || ids.size() < n / kDenseBatchDivisor) {
+    for (const NodeId id : ids) set_value(id, values[id]);
+    return;
+  }
+  for (const NodeId id : ids) {
+    const Value v = values[id];
+    if (member_[id] && v != values_[id]) note_member_update(id, values_[id], v);
+    values_[id] = v;
+  }
+  // Outside the dirty flag nonmember_max_val_ is the boundary outsider's
+  // exact value, so a lower value now means it decayed — the event a
+  // per-id schedule would repair (and count) at the next query.
+  if (nonmember_dirty_ || values_[nonmember_max_id_] < nonmember_max_val_) {
+    ++boundary_rescans_;
+  }
+  rebuild_index();
+}
+
+void GroundTruthTracker::note_member_update(NodeId id, Value old, Value v) {
+  if (id == member_min_id_) {
+    if (v < old) {
+      // The worst member got worse: still the worst, new key.
+      member_min_val_ = v;
+    } else {
+      member_dirty_ = true;  // may no longer be the minimum
+    }
+  } else if (ranks_before(member_min_val_, member_min_id_, v, id)) {
+    member_min_val_ = v;  // this member now ranks behind the old minimum
+    member_min_id_ = id;
   }
 }
 
@@ -91,21 +126,54 @@ void GroundTruthTracker::nm_index_update(NodeId id, Value v) {
   }
 }
 
-GroundTruthTracker::IndexEntry GroundTruthTracker::nm_index_best_below(
-    std::size_t level, std::size_t slot) const {
+GroundTruthTracker::IndexEntry GroundTruthTracker::nm_block_best(
+    std::size_t slot) const {
+  const std::size_t begin = slot * 64;
+  if (begin + 64 > values_.size()) return nm_block_best_scan(slot);
+  const Value* v = values_.data() + begin;
+  const char* member = member_.data() + begin;
+  // Eight lanes of eight consecutive ids: independent max chains, with
+  // members masked to kMinusInf.
+  Value lane[8];
+  for (Value& m : lane) m = kMinusInf;
+  for (std::size_t j = 0; j < 8; ++j) {
+    for (std::size_t l = 0; l < 8; ++l) {
+      const std::size_t i = l * 8 + j;
+      lane[l] = std::max(lane[l], member[i] != 0 ? kMinusInf : v[i]);
+    }
+  }
+  const Value best = *std::max_element(std::begin(lane), std::end(lane));
+  // A kMinusInf maximum may be held by a member (masked) or by nobody;
+  // the plain scan settles it.
+  if (best == kMinusInf) return nm_block_best_scan(slot);
+  // The first non-member holding the maximum — the smallest id — sits in
+  // the first lane that reaches it.
+  const Value* first = std::find(std::begin(lane), std::end(lane), best);
+  std::size_t i = 8 * static_cast<std::size_t>(first - std::begin(lane));
+  while (member[i] != 0 || v[i] != best) ++i;
+  return IndexEntry{best, static_cast<NodeId>(begin + i)};
+}
+
+GroundTruthTracker::IndexEntry GroundTruthTracker::nm_block_best_scan(
+    std::size_t slot) const {
   IndexEntry best{kMinusInf, kNoNode};
   const std::size_t begin = slot * 64;
-  if (level == 0) {
-    const std::size_t end = std::min(begin + 64, values_.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto id = static_cast<NodeId>(i);
-      if (!member_[i] && ranks_before(values_[i], id, best.value, best.id)) {
-        best = IndexEntry{values_[i], id};
-      }
+  const std::size_t end = std::min(begin + 64, values_.size());
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto id = static_cast<NodeId>(i);
+    if (!member_[i] && ranks_before(values_[i], id, best.value, best.id)) {
+      best = IndexEntry{values_[i], id};
     }
-    return best;
   }
+  return best;
+}
+
+GroundTruthTracker::IndexEntry GroundTruthTracker::nm_index_best_below(
+    std::size_t level, std::size_t slot) const {
+  if (level == 0) return nm_block_best(slot);
+  IndexEntry best{kMinusInf, kNoNode};
   const auto& below = nm_index_[level - 1];
+  const std::size_t begin = slot * 64;
   const std::size_t end = std::min(begin + 64, below.size());
   for (std::size_t i = begin; i < end; ++i) {
     if (ranks_before(below[i].value, below[i].id, best.value, best.id)) {
@@ -148,12 +216,11 @@ void GroundTruthTracker::full_rebuild() {
   for (std::size_t i = 0; i < n; ++i) {
     rank_scratch_[i] = static_cast<NodeId>(i);
   }
-  // Sort one past the boundary so position k (when it exists) is the
-  // best-ranked non-member — the tracked nonmember_max_.
-  const std::size_t sorted_prefix = std::min(k_ + 1, n);
+  // Rank the k members; position k - 1 is the worst of them. The best
+  // non-member is read off the rebuilt index below.
   std::partial_sort(
       rank_scratch_.begin(),
-      rank_scratch_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix),
+      rank_scratch_.begin() + static_cast<std::ptrdiff_t>(k_),
       rank_scratch_.end(), [&](NodeId a, NodeId b) {
         return ranks_before(values_[a], a, values_[b], b);
       });
@@ -169,21 +236,32 @@ void GroundTruthTracker::full_rebuild() {
 
   member_min_id_ = rank_scratch_[k_ - 1];
   member_min_val_ = values_[member_min_id_];
-  if (k_ < n) {
-    nonmember_max_id_ = rank_scratch_[k_];
-    nonmember_max_val_ = values_[nonmember_max_id_];
-    // Membership changed: recompute the index over the new non-members,
-    // bottom-up. O(n), dominated by the partial sort above.
-    for (std::size_t level = 0; level < nm_index_.size(); ++level) {
-      for (std::size_t slot = 0; slot < nm_index_[level].size(); ++slot) {
-        nm_index_[level][slot] = nm_index_best_below(level, slot);
-      }
-      std::fill(nm_dirty_[level].begin(), nm_dirty_[level].end(), 0);
-    }
-  }
+  // Membership changed: recompute the index over the new non-members.
+  // O(n), dominated by the partial sort above.
+  if (k_ < n) rebuild_index();
   built_ = true;
   member_dirty_ = false;
+}
+
+void GroundTruthTracker::rebuild_index() {
+  for (std::size_t level = 0; level < nm_index_.size(); ++level) {
+    for (std::size_t slot = 0; slot < nm_index_[level].size(); ++slot) {
+      nm_index_[level][slot] = nm_index_best_below(level, slot);
+    }
+    std::fill(nm_dirty_[level].begin(), nm_dirty_[level].end(), 0);
+  }
+  const IndexEntry top = nm_index_best_below(nm_index_.size(), 0);
+  nonmember_max_val_ = top.value;
+  nonmember_max_id_ = top.id;
   nonmember_dirty_ = false;
+}
+
+std::size_t GroundTruthTracker::dirty_index_entries() const noexcept {
+  std::size_t dirty = 0;
+  for (const auto& words : nm_dirty_) {
+    for (const std::uint64_t w : words) dirty += std::popcount(w);
+  }
+  return dirty;
 }
 
 void GroundTruthTracker::ensure_current() {
@@ -235,6 +313,13 @@ bool GroundTruthTracker::is_valid(std::span<const NodeId> answer) {
       std::equal(answer.begin(), answer.end(), sorted_set_.begin())) {
     return true;
   }
+  // Size: at most k ids, and no fewer than the true top-k's live members
+  // (kMinusInf marks down or unjoined nodes, which may be left out).
+  if (answer.size() > k_) return false;
+  const auto live_members = static_cast<std::size_t>(
+      std::count_if(sorted_set_.begin(), sorted_set_.end(),
+                    [&](NodeId id) { return values_[id] != kMinusInf; }));
+  if (answer.size() < live_members) return false;
   // General path, mirroring is_valid_topk: reject bad/duplicate ids, then
   // compare the candidate's boundary extrema by value only (any
   // tie-break accepted). cand_member_ is tracker-owned and wiped after

@@ -19,21 +19,34 @@
 // true_topk_set / true_topk_ordered at every query — the equivalence the
 // unit tests enforce over randomized trajectories of every stream family.
 //
-// Cost model: set_value() is O(1) for members and typically O(1) for
-// non-members, which also update a lazy 64-ary max index over the
-// non-members (level 0 keeps the best non-member of each block of 64
-// ids, every higher level the best of 64 entries below, up to a top of
-// at most 64 entries). An update climbs only while it beats the entry
-// above, so the worst case is O(log_64 n); when an entry's own argmax
-// decays it is marked dirty instead of recomputed. A query first repairs
-// the extrema — O(k) when a member update stalled the member minimum,
-// O(64 * dirty entries + 64) when the boundary non-member decayed (the
-// dirty entries are recomputed bottom-up and the top level scanned;
-// boundary_rescans counts these repair events) — and only when the
-// boundary was actually crossed performs a full O(n log k) rebuild
-// (full_rebuilds), which rebuilds the index in O(n). The index is sized
-// once at construction, so at steady state no query or update
-// allocates: all scratch is owned by the tracker and reused.
+// Cost model: updates take one of two schedules.
+//
+//  * Per id — set_value(), and set_values() on a sparse batch. O(1) for
+//    members and typically O(1) for non-members, which also update a
+//    lazy 64-ary max index over the non-members (level 0 keeps the best
+//    non-member of each block of 64 ids, every higher level the best of
+//    64 entries below, up to a top of at most 64 entries). An update
+//    climbs only while it beats the entry above, so the worst case is
+//    O(log_64 n); when an entry's own argmax decays it is marked dirty
+//    instead of recomputed.
+//  * One sweep — set_values() on a dense batch (at least n / 8 ids once
+//    the tracker is built, k < n). The values are written and members
+//    keep their O(1) bookkeeping, then the whole index is recomputed
+//    bottom-up in O(n) branch-free block sweeps and the best non-member
+//    read off the top. On a step that moves most ids this is several
+//    times cheaper than n climbs, and it leaves the index exact.
+//
+// A query first repairs the extrema — O(k) when a member update stalled
+// the member minimum, O(64 * dirty entries + 64) when the boundary
+// non-member decayed (the dirty entries are recomputed bottom-up and the
+// top level scanned) — and only when the boundary was actually crossed
+// performs a full O(n log k) rebuild (full_rebuilds), which rebuilds the
+// index in O(n). boundary_rescans counts the events "the boundary
+// non-member decayed": a per-id schedule pays for each with a repair at
+// the next query, a dense batch counts it when the batch moved the
+// previous boundary outsider down and its sweep absorbs the repair. The
+// index is sized once at construction, so at steady state no query or
+// update allocates: all scratch is owned by the tracker and reused.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +70,15 @@ class GroundTruthTracker {
   /// the membership consequence is settled lazily at the next query.
   void set_value(NodeId id, Value v);
 
+  /// Bulk update: sets node `ids[i]` to `values[ids[i]]` for every i, so
+  /// `values` is indexed by id (typically the whole step's value vector)
+  /// and `ids` lists the nodes to write, repeats allowed. A batch of
+  /// fewer than n / 8 ids (or any batch before the first query, or at
+  /// k == n) applies set_value per id; a denser one writes the values
+  /// and recomputes the non-member index in one O(n) sweep. Either way
+  /// every later query answers exactly as after the per-id calls.
+  void set_values(std::span<const NodeId> ids, std::span<const Value> values);
+
   /// Current value of node `id`.
   Value value(NodeId id) const { return values_[id]; }
 
@@ -71,9 +93,12 @@ class GroundTruthTracker {
   /// Strict validation: `answer` equals the canonical sorted top-k set.
   bool matches_strict(std::span<const NodeId> answer);
 
-  /// Weak validation, element-identical to is_valid_topk(values, answer):
-  /// true iff `answer` has no bad/duplicate ids and every member's value
-  /// >= every non-member's value (any tie-break accepted).
+  /// Weak validation: true iff `answer` has no bad/duplicate ids, every
+  /// member's value >= every non-member's value (any tie-break accepted;
+  /// is_valid_topk(values, answer) is this part) and its size is right:
+  /// at most k, and at least the number of true top-k members whose value
+  /// is not kMinusInf — down or unjoined nodes may be left out, live ones
+  /// may not.
   bool is_valid(std::span<const NodeId> answer);
 
   /// Value of the worst-ranked member (repairs lazily first). The sharded
@@ -102,6 +127,11 @@ class GroundTruthTracker {
   /// entries and scans its top level instead of rescanning all n values.
   std::uint64_t boundary_rescans() const noexcept { return boundary_rescans_; }
 
+  /// Non-member index entries marked for recomputation by the next
+  /// boundary repair. Zero after a full rebuild, a boundary repair or a
+  /// dense set_values() batch, all of which leave the index exact.
+  std::size_t dirty_index_entries() const noexcept;
+
  private:
   /// Canonical ranking: a before b <=> larger value, ties to smaller id.
   static bool ranks_before(Value va, NodeId a, Value vb, NodeId b) noexcept {
@@ -114,6 +144,12 @@ class GroundTruthTracker {
   void rescan_member_min();
   void repair_nonmember_max();
   void full_rebuild();
+  /// Recomputes every index entry bottom-up from the current membership
+  /// and values, clears all dirt, and reads the non-member maximum off
+  /// the top. O(n). Requires k < n.
+  void rebuild_index();
+  /// Member-side bookkeeping of a member's update from `old` to `v`.
+  void note_member_update(NodeId id, Value old, Value v);
 
   /// One index entry: the best-ranked non-member below it, or the empty
   /// sentinel (kMinusInf, kNoNode), which ranks after every real node.
@@ -125,6 +161,15 @@ class GroundTruthTracker {
 
   /// Climbs the index from `id`'s block after a non-member update.
   void nm_index_update(NodeId id, Value v);
+
+  /// Best non-member of the level-0 block `slot`: for a full block, the
+  /// branch-free max of its values with members masked to kMinusInf,
+  /// then the first non-member holding it (ties go to the smaller id).
+  /// A kMinusInf maximum and the short last block take
+  /// nm_block_best_scan, which ranks a kMinusInf outsider before the
+  /// empty sentinel.
+  IndexEntry nm_block_best(std::size_t slot) const;
+  IndexEntry nm_block_best_scan(std::size_t slot) const;
 
   /// Best of the up to 64 ids (level 0) or entries of `level` - 1 under
   /// entry `slot` of `level`; level == nm_index_.size() (slot 0) scans

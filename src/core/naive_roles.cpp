@@ -34,6 +34,8 @@ void NaiveCoordinator::on_init(CoordCtx& ctx) {
     throw std::invalid_argument("NaiveCoordinator: k > n");
   }
   known_values_.assign(ctx.n(), 0);
+  reported_.clear();
+  reported_.reserve(ctx.n());
   if (suspect_) {
     suspects_.clear();
     quarantined_.assign(ctx.n(), 0);
@@ -101,7 +103,8 @@ void NaiveCoordinator::on_message(CoordCtx&, const Message& m) {
   if (m.kind != MsgKind::kValueReport) return;
   if (suspect_) note_report(m.from);
   known_values_[m.from] = m.a;
-  truth_->set_value(m.from, m.a);
+  if (reported_.size() == known_values_.size()) flush_reports();
+  reported_.push_back(m.from);
   // Any report from a node with a pending re-sync completes it: the
   // replica entry is current again.
   if (!resync_.empty()) {
@@ -160,6 +163,7 @@ void NaiveCoordinator::on_node_down(CoordCtx&, NodeId id) {
     std::erase_if(suspects_, [id](const Suspect& s) { return s.id == id; });
     quarantined_[id] = 0;
   }
+  flush_reports();
   known_values_[id] = kMinusInf;
   truth_->set_value(id, kMinusInf);
   refresh_answer();
@@ -209,6 +213,7 @@ void NaiveCoordinator::quarantine_node(NodeId id) {
   // The replica entry is the coordinator's only belief about the node;
   // distrusting it means dropping the node out of the answer until it
   // demonstrably answers again.
+  flush_reports();
   known_values_[id] = kMinusInf;
   truth_->set_value(id, kMinusInf);
   refresh_answer();
@@ -220,7 +225,13 @@ void NaiveCoordinator::note_report(NodeId id) {
   std::erase_if(suspects_, [id](const Suspect& s) { return s.id == id; });
 }
 
+void NaiveCoordinator::flush_reports() {
+  truth_->set_values(reported_, known_values_);
+  reported_.clear();
+}
+
 void NaiveCoordinator::refresh_answer() {
+  flush_reports();
   if (k_ == 0) {
     topk_ids_.clear();
     return;
@@ -233,7 +244,9 @@ void NaiveCoordinator::rekey(std::size_t k) {
     throw std::invalid_argument("NaiveCoordinator::rekey: k > n");
   }
   k_ = k;
-  // The tracker's k is fixed at construction; rebuild it from the replica.
+  // The tracker's k is fixed at construction; rebuild it from the whole
+  // replica, pending reports included.
+  reported_.clear();
   truth_.emplace(known_values_.size(), std::max<std::size_t>(k_, 1));
   for (NodeId id = 0; id < known_values_.size(); ++id) {
     truth_->set_value(id, known_values_[id]);
@@ -242,12 +255,14 @@ void NaiveCoordinator::rekey(std::size_t k) {
 }
 
 Value NaiveCoordinator::weakest_member_value() {
+  flush_reports();
   return k_ == 0 ? kPlusInf : truth_->member_min_value();
 }
 
 Value NaiveCoordinator::strongest_outsider_value() {
   // At quota 0 the k' = 1 shadow tracker's single member IS the strongest
   // outsider (the shard maximum).
+  flush_reports();
   if (k_ == 0) return truth_->member_min_value();
   return truth_->nonmember_max_value();
 }

@@ -134,6 +134,9 @@ class NaiveCoordinator final : public CoordinatorAlgo {
 
  private:
   void refresh_answer();
+  /// Applies the replica entries named in reported_ to truth_ in one
+  /// set_values batch. Runs before every read or direct write of truth_.
+  void flush_reports();
   // -- suspicion machinery (active only with suspect_) ----------------------
   void send_probe(CoordCtx& ctx, NodeId id);
   void suspect_node(CoordCtx& ctx, NodeId id);
@@ -175,6 +178,9 @@ class NaiveCoordinator final : public CoordinatorAlgo {
   TimeStep cur_step_ = 0;
 
   std::vector<Value> known_values_;  ///< coordinator's replica
+  /// Ids whose replica entry was reported since the last flush_reports
+  /// (repeats allowed; capacity n, flushed early when full).
+  std::vector<NodeId> reported_;
   std::vector<NodeId> topk_ids_;
   /// Incremental top-k over the replica: O(received reports) per step
   /// instead of a fresh partial sort (identical answers by construction).

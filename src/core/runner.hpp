@@ -26,7 +26,10 @@ struct RunConfig {
 
   /// Validation mode: `kStrict` requires set equality with the ground
   /// truth (assumes pairwise-distinct values); `kWeak` accepts any valid
-  /// top-k under ties; `kOff` skips validation (pure benchmarking).
+  /// top-k under ties — at most k ids, every member's value >= every
+  /// non-member's, and no live true-top-k member missing (only nodes at
+  /// kMinusInf, i.e. down or unjoined, may be left out); `kOff` skips
+  /// validation (pure benchmarking).
   enum class Validation { kStrict, kWeak, kOff };
   Validation validation = Validation::kStrict;
 

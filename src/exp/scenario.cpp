@@ -151,10 +151,12 @@ RunResult run_scenario(const Scenario& sc) {
   //  * everything else generates the whole step in one stream-bank call
   //    plus a flat previous-value compare (contiguous, so the scan
   //    streams through two arrays instead of striding the NodeRuntime
-  //    structs).
+  //    structs), after which the ground truth takes the whole changed
+  //    list in one set_values batch (one index sweep on a dense step).
   // Either way, per-node work beyond the change test happens only for
   // nodes whose value moved — identical values land in identical
-  // cluster/tracker/trace state, byte-equivalent to a dense write loop.
+  // cluster/trace state and ground-truth answers, byte-equivalent to a
+  // dense write loop.
   const bool quiet_streams = streams.quiet_capable();
   std::vector<Value> values(N, 0);  // mirrors the (all-zero) cluster
   std::vector<Value> incoming(N);
@@ -181,9 +183,9 @@ RunResult run_scenario(const Scenario& sc) {
         if (v != values[id] && !down[id]) {
           changed.push_back(id);
           cluster.set_value(id, v);
-          if (track) truth->set_value(id, v);
         }
       }
+      if (track) truth->set_values(changed, incoming);
       values.swap(incoming);
     }
     if (result.trace.has_value()) {
@@ -446,9 +448,9 @@ RunResult run_sharded_scenario(const Scenario& sc) {
         if (v != values[id] && !down[id]) {
           changed.push_back(id);
           dep.set_value(id, v);
-          if (track) truth->set_value(id, v);
         }
       }
+      if (track) truth->set_values(changed, incoming);
       values.swap(incoming);
     }
     if (result.trace.has_value()) {

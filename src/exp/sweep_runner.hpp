@@ -29,8 +29,8 @@
 
 namespace topkmon::exp {
 
-/// Executes one TrialSpec synchronously: builds the monitor (registry) and
-/// stream set, then drives run_monitor. Thread-safe (no shared state).
+/// Executes one TrialSpec synchronously: builds its Scenario and runs it
+/// through run_scenario. Thread-safe (no shared state).
 RunResult run_trial(const TrialSpec& spec);
 
 class SweepRunner {

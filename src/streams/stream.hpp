@@ -183,8 +183,9 @@ class StreamSet {
   /// Number of per-node streams.
   std::size_t size() const noexcept { return bank_->size(); }
 
-  /// No-op, kept so existing callers compile: every value is generated
-  /// at the advance that returns it, so there is no horizon to plan.
+  /// No-op, kept only for perfbench's traced re-drive, which still calls
+  /// it: every value is generated at the advance that returns it, so
+  /// there is no horizon to plan.
   void plan_steps(std::uint64_t /*total*/) {}
 
   /// Advances node `id`'s stream and returns the new observation.

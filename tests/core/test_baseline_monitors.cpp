@@ -1,9 +1,12 @@
 // Tests for the naive, recompute and slack baseline monitors.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "core/driver.hpp"
 #include "core/naive_monitor.hpp"
+#include "core/naive_roles.hpp"
 #include "core/recompute_monitor.hpp"
 #include "core/runner.hpp"
 #include "core/slack_monitor.hpp"
@@ -33,6 +36,42 @@ StreamSet walk_streams(std::size_t n, std::uint64_t seed, Value step = 2'000) {
 
 TEST(NaiveMonitor, RejectsBadK) {
   EXPECT_THROW(NaiveMonitor(0), std::invalid_argument);
+}
+
+TEST(NaiveCoordinator, ReadsSeeReportsDeliveredEarlierInTheStep) {
+  // The coordinator batches reports into its tracker; every read must
+  // apply the pending batch first, also mid-step, before on_step_end.
+  constexpr std::size_t kN = 16;
+  Cluster cluster(kN, 3);
+  for (NodeId id = 0; id < kN; ++id) cluster.set_value(id, 100 + id);
+  NaiveCoordinator coord(4, /*send_on_change_only=*/false);
+  std::vector<std::unique_ptr<NodeAlgo>> nodes;
+  for (std::size_t i = 0; i < kN; ++i) {
+    nodes.push_back(std::make_unique<NaiveNode>(false));
+  }
+  SimDriver driver(cluster, coord, nodes, /*auto_deliver=*/true);
+  driver.initialize();
+  EXPECT_EQ(coord.topk(), (std::vector<NodeId>{12, 13, 14, 15}));
+  EXPECT_EQ(coord.weakest_member_value(), 112);
+  EXPECT_EQ(coord.strongest_outsider_value(), 111);
+
+  CoordCtx ctx(driver, cluster);
+  Message report;
+  report.kind = MsgKind::kValueReport;
+  for (NodeId id = 0; id < kN; ++id) {  // a dense batch: every node
+    report.from = id;
+    report.a = 1'000 - static_cast<Value>(id);
+    coord.on_message(ctx, report);
+  }
+  EXPECT_EQ(coord.weakest_member_value(), 997);
+  EXPECT_EQ(coord.strongest_outsider_value(), 996);
+  report.from = 9;  // a sparse batch: one node
+  report.a = 5'000;
+  coord.on_message(ctx, report);
+  EXPECT_EQ(coord.strongest_outsider_value(), 997);
+  EXPECT_EQ(coord.weakest_member_value(), 998);
+  coord.on_step_end(ctx, 1);
+  EXPECT_EQ(coord.topk(), (std::vector<NodeId>{0, 1, 2, 9}));
 }
 
 TEST(NaiveMonitor, AlwaysCorrectOnWalks) {

@@ -206,15 +206,22 @@ TEST(GroundTruthTracker, NonmemberIndexSurvivesBoundaryDecayStorm) {
 // is a single block, 65 splits into two, 4097 needs a second level and
 // 300000 a third. Each shape is driven through walk, iid and tie-heavy
 // trajectories that also write kMinusInf (the crash/leave path) and is
-// compared against the batch helpers after every step.
+// compared against the batch helpers after every step. Every shape runs
+// under both update schedules — per-id set_value and one set_values
+// batch per step — at batch densities of 100%, 20% and 1%, so the bulk
+// path takes its one-sweep schedule (>= n / 8 ids) and its per-id one.
 
 enum class Trajectory { kWalk, kIid, kTies };
+enum class Schedule { kPerId, kBulk };
 
-/// One step of `traj` over `values`. Walks move every node by at most 8;
-/// iid redraws a random eighth of the nodes; ties redraws a random half
-/// from {0..3}. All three knock ~1% of the nodes down to kMinusInf and
-/// revive them with a fresh value later.
-void advance(Trajectory traj, std::vector<Value>& values, Rng& rng) {
+/// One step of `traj` over `values` touching about `percent`% of the
+/// nodes: all of them in id order at 100%, otherwise n * percent / 100 + 1
+/// random draws (repeats possible). The touched ids, repeats included,
+/// are written to `touched`. Walks move a node by at most 8, iid redraws
+/// it, ties redraws it from {0..3}. All three knock ~1% of the touched
+/// nodes down to kMinusInf and revive them with a fresh value later.
+void advance(Trajectory traj, std::size_t percent, std::vector<Value>& values,
+             std::vector<NodeId>& touched, Rng& rng) {
   const std::size_t n = values.size();
   const auto fresh = [&] {
     return traj == Trajectory::kTies
@@ -222,6 +229,7 @@ void advance(Trajectory traj, std::vector<Value>& values, Rng& rng) {
                : rng.uniform_int(0, 10 * static_cast<Value>(n));
   };
   const auto touch = [&](std::size_t i) {
+    touched.push_back(static_cast<NodeId>(i));
     if (values[i] == kMinusInf) {
       values[i] = fresh();
     } else if (rng.uniform_below(100) == 0) {
@@ -232,20 +240,19 @@ void advance(Trajectory traj, std::vector<Value>& values, Rng& rng) {
       values[i] = fresh();
     }
   };
-  if (traj == Trajectory::kWalk) {
+  touched.clear();
+  if (percent == 100) {
     for (std::size_t i = 0; i < n; ++i) touch(i);
     return;
   }
-  const std::size_t touched = traj == Trajectory::kIid ? n / 8 + 1 : n / 2 + 1;
-  for (std::size_t j = 0; j < touched; ++j) {
+  for (std::size_t j = 0; j < n * percent / 100 + 1; ++j) {
     touch(static_cast<std::size_t>(rng.uniform_below(n)));
   }
 }
 
-class TrackerIndexShapes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(TrackerIndexShapes, MatchesBatchHelpersAtEveryStep) {
-  const std::size_t n = GetParam();
+/// Drives every trajectory, k and density of shape `n` through
+/// `schedule`, comparing with the batch helpers after every step.
+void expect_shape_exact(std::size_t n, Schedule schedule) {
   // Enough steps for the small shapes to decay, climb and rebuild many
   // times; a handful for the large ones, whose batch checks are O(n).
   const std::size_t steps = std::clamp<std::size_t>(400'000 / n, 3, 200);
@@ -253,32 +260,55 @@ TEST_P(TrackerIndexShapes, MatchesBatchHelpersAtEveryStep) {
   ks.erase(std::remove(ks.begin(), ks.end(), std::size_t{0}), ks.end());
   ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
   std::uint64_t rescans = 0;
+  std::vector<NodeId> touched;
   for (const Trajectory traj :
        {Trajectory::kWalk, Trajectory::kIid, Trajectory::kTies}) {
-    for (const std::size_t k : ks) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
-                   " trajectory=" + std::to_string(static_cast<int>(traj)));
-      Rng rng(n * 31 + k);
-      std::vector<Value> values(n);
-      const Value hi =
-          traj == Trajectory::kTies ? 3 : 10 * static_cast<Value>(n);
-      for (auto& v : values) v = rng.uniform_int(0, hi);
-      GroundTruthTracker tracker(n, k);
-      for (std::size_t t = 0; t < steps; ++t) {
-        advance(traj, values, rng);
+    for (const std::size_t percent : {100, 20, 1}) {
+      for (const std::size_t k : ks) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                     " trajectory=" + std::to_string(static_cast<int>(traj)) +
+                     " percent=" + std::to_string(percent));
+        Rng rng(n * 31 + k + percent);
+        std::vector<Value> values(n);
+        const Value hi =
+            traj == Trajectory::kTies ? 3 : 10 * static_cast<Value>(n);
+        for (auto& v : values) v = rng.uniform_int(0, hi);
+        GroundTruthTracker tracker(n, k);
         for (NodeId id = 0; id < n; ++id) tracker.set_value(id, values[id]);
-        const Value nm_max = k < n ? nth_value(values, k + 1) : kMinusInf;
-        ASSERT_EQ(tracker.topk_set(), true_topk_set(values, k)) << t;
-        ASSERT_EQ(tracker.member_min_value(), nth_value(values, k)) << t;
-        ASSERT_EQ(tracker.nonmember_max_value(), nm_max) << t;
+        for (std::size_t t = 0; t < steps; ++t) {
+          advance(traj, percent, values, touched, rng);
+          if (schedule == Schedule::kBulk) {
+            tracker.set_values(touched, values);
+            // A one-sweep batch recomputes the whole index.
+            if (t > 0 && k < n && touched.size() >= n / 8) {
+              ASSERT_EQ(tracker.dirty_index_entries(), 0u) << t;
+            }
+          } else {
+            for (const NodeId id : touched) tracker.set_value(id, values[id]);
+          }
+          const Value nm_max = k < n ? nth_value(values, k + 1) : kMinusInf;
+          ASSERT_EQ(tracker.topk_set(), true_topk_set(values, k)) << t;
+          ASSERT_EQ(tracker.member_min_value(), nth_value(values, k)) << t;
+          ASSERT_EQ(tracker.nonmember_max_value(), nm_max) << t;
+        }
+        rescans += tracker.boundary_rescans();
       }
-      rescans += tracker.boundary_rescans();
     }
   }
   // The decay repair, not only full rebuilds, kept the index exact.
   if (n > 1) {
     EXPECT_GT(rescans, 0u);
   }
+}
+
+class TrackerIndexShapes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TrackerIndexShapes, MatchesBatchHelpersAtEveryStep) {
+  expect_shape_exact(GetParam(), Schedule::kPerId);
+}
+
+TEST_P(TrackerIndexShapes, BulkBatchesMatchBatchHelpersAtEveryStep) {
+  expect_shape_exact(GetParam(), Schedule::kBulk);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -333,6 +363,151 @@ TEST(GroundTruthTracker, MinusInfOutsiderRanksBeforeEmptySentinel) {
   EXPECT_EQ(tracker.nonmember_max_value(), kMinusInf);
   EXPECT_EQ(tracker.boundary_rescans(), 1u);
   EXPECT_EQ(tracker.full_rebuilds(), rebuilds);
+}
+
+TEST(GroundTruthTracker, DenseBatchCountsBoundaryDecayOnly) {
+  // A one-sweep batch absorbs the boundary repair; boundary_rescans
+  // still counts the event "the boundary outsider decayed", and only it.
+  constexpr std::size_t kN = 256;
+  constexpr std::size_t kK = 4;
+  std::vector<Value> values(kN);
+  std::vector<NodeId> all(kN);
+  GroundTruthTracker tracker(kN, kK);
+  for (NodeId id = 0; id < kN; ++id) {
+    values[id] = static_cast<Value>(id * 37 % kN) * 10;
+    all[id] = id;
+  }
+  tracker.set_values(all, values);
+  ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK));
+  const auto rebuilds = tracker.full_rebuilds();
+
+  // Every id rises by 1: the boundary outsider gains, nothing decayed.
+  for (auto& v : values) v += 1;
+  tracker.set_values(all, values);
+  ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK));
+  EXPECT_EQ(tracker.boundary_rescans(), 0u);
+
+  // The boundary outsider sinks to the bottom while the rest rise.
+  const NodeId boundary = true_topk_ordered(values, kK + 1).back();
+  for (auto& v : values) v += 1;
+  values[boundary] = -1;
+  tracker.set_values(all, values);
+  EXPECT_EQ(tracker.dirty_index_entries(), 0u);
+  ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK));
+  EXPECT_EQ(tracker.nonmember_max_value(), nth_value(values, kK + 1));
+  EXPECT_EQ(tracker.boundary_rescans(), 1u);
+  EXPECT_EQ(tracker.full_rebuilds(), rebuilds);
+}
+
+TEST(GroundTruthTracker, DenseBatchClearsDirtLeftBySparseBatches) {
+  // Sparse batches climb per id and leave decayed entries dirty for the
+  // next boundary repair; a dense batch after them must leave the whole
+  // two-level index exact, with no dirt for a later repair to misread.
+  constexpr std::size_t kN = 4097;
+  constexpr std::size_t kK = 8;
+  Rng rng(17);
+  std::vector<Value> values(kN);
+  std::vector<NodeId> all(kN);
+  for (NodeId id = 0; id < kN; ++id) {
+    values[id] = rng.uniform_int(0, 100'000);
+    all[id] = id;
+  }
+  GroundTruthTracker tracker(kN, kK);
+  tracker.set_values(all, values);
+  ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK));
+  std::vector<NodeId> batch;
+  std::size_t dirt_seen = 0;
+  for (int round = 0; round < 60; ++round) {
+    // A sparse batch that sinks random nodes: block argmaxes decay.
+    batch.clear();
+    for (int j = 0; j < 100; ++j) {
+      const auto id = static_cast<NodeId>(rng.uniform_below(kN));
+      values[id] -= rng.uniform_int(0, 50'000);
+      batch.push_back(id);
+    }
+    tracker.set_values(batch, values);
+    dirt_seen += tracker.dirty_index_entries();
+    ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK)) << round;
+    // A dense walk step over every id.
+    for (auto& v : values) v += rng.uniform_int(-8, 8);
+    tracker.set_values(all, values);
+    ASSERT_EQ(tracker.dirty_index_entries(), 0u) << round;
+    ASSERT_EQ(tracker.topk_set(), true_topk_set(values, kK)) << round;
+    ASSERT_EQ(tracker.nonmember_max_value(), nth_value(values, kK + 1))
+        << round;
+  }
+  EXPECT_GT(dirt_seen, 0u);  // the sparse batches did leave dirt behind
+}
+
+TEST(GroundTruthTracker, SparseBatchMatchesPerIdUpdates) {
+  // Below n / 8 ids a batch is a loop of set_value calls: same answers,
+  // same counters, and the index keeps its lazily repaired dirt.
+  constexpr std::size_t kN = 4096;
+  constexpr std::size_t kK = 8;
+  Rng rng(5);
+  std::vector<Value> values(kN);
+  for (auto& v : values) v = rng.uniform_int(0, 1'000'000);
+  GroundTruthTracker per_id(kN, kK);
+  GroundTruthTracker bulk(kN, kK);
+  for (NodeId id = 0; id < kN; ++id) {
+    per_id.set_value(id, values[id]);
+    bulk.set_value(id, values[id]);
+  }
+  std::vector<NodeId> batch;
+  for (int step = 0; step < 200; ++step) {
+    batch.clear();
+    for (int j = 0; j < 40; ++j) {
+      const auto id = static_cast<NodeId>(rng.uniform_below(kN));
+      values[id] = rng.uniform_int(0, 1'000'000);
+      batch.push_back(id);
+    }
+    for (const NodeId id : batch) per_id.set_value(id, values[id]);
+    bulk.set_values(batch, values);
+    ASSERT_EQ(bulk.topk_set(), per_id.topk_set()) << step;
+    ASSERT_EQ(bulk.dirty_index_entries(), per_id.dirty_index_entries());
+  }
+  EXPECT_EQ(bulk.boundary_rescans(), per_id.boundary_rescans());
+  EXPECT_EQ(bulk.full_rebuilds(), per_id.full_rebuilds());
+}
+
+// -- weak validation: answer size ---------------------------------------------
+
+TEST(GroundTruthTracker, WeakCheckRejectsShortAnswer) {
+  // A subset of the true top-k passes the value comparison (every member
+  // beats every outsider) but leaves live members out.
+  GroundTruthTracker tracker(6, 3);
+  const std::vector<Value> values = {60, 50, 40, 30, 20, 10};
+  for (NodeId id = 0; id < 6; ++id) tracker.set_value(id, values[id]);
+  EXPECT_TRUE(tracker.is_valid(std::vector<NodeId>{0, 1, 2}));
+  EXPECT_FALSE(tracker.is_valid(std::vector<NodeId>{0, 1}));
+  EXPECT_FALSE(tracker.is_valid(std::vector<NodeId>{0}));
+  EXPECT_FALSE(tracker.is_valid(std::vector<NodeId>{}));
+}
+
+TEST(GroundTruthTracker, WeakCheckAcceptsAnswerOmittingOnlyMinusInfMembers) {
+  // Only two nodes are live: the true top-3 holds a kMinusInf (down)
+  // node, which an answer may leave out — but not a live member.
+  GroundTruthTracker tracker(4, 3);
+  const std::vector<Value> values = {kMinusInf, 7, kMinusInf, 9};
+  for (NodeId id = 0; id < 4; ++id) tracker.set_value(id, values[id]);
+  EXPECT_TRUE(tracker.is_valid(std::vector<NodeId>{1, 3}));
+  EXPECT_TRUE(tracker.is_valid(std::vector<NodeId>{1, 2, 3}));
+  EXPECT_FALSE(tracker.is_valid(std::vector<NodeId>{3}));
+
+  // With every node down, the empty answer is the only live one.
+  GroundTruthTracker dark(3, 2);
+  for (NodeId id = 0; id < 3; ++id) dark.set_value(id, kMinusInf);
+  EXPECT_TRUE(dark.is_valid(std::vector<NodeId>{}));
+}
+
+TEST(GroundTruthTracker, WeakCheckRejectsOversizeAnswer) {
+  // Under ties every id holds the top value; k + 1 of them still is not a
+  // top-k answer.
+  GroundTruthTracker tracker(5, 2);
+  for (NodeId id = 0; id < 5; ++id) tracker.set_value(id, 4);
+  EXPECT_TRUE(tracker.is_valid(std::vector<NodeId>{1, 3}));
+  EXPECT_FALSE(tracker.is_valid(std::vector<NodeId>{1, 3, 4}));
+  EXPECT_FALSE(tracker.is_valid(std::vector<NodeId>{0, 1, 2, 3, 4}));
 }
 
 TEST(GroundTruthTracker, RejectsBadK) {

@@ -359,6 +359,25 @@ TEST(FaultInjection, EveryNativeMonitorSurvivesMixedChurnOnInstant) {
   }
 }
 
+TEST(FaultInjection, NaiveBatchedReportsStayExactUnderChurnAndDynamicK) {
+  // The naive coordinator queues each step's reports and applies them to
+  // its tracker in one batch before every answer, extremum read and
+  // crash / quarantine / rekey write. On instant delivery that batching
+  // must be invisible: the answer is exact at every step of a plan that
+  // crashes, recovers, joins, leaves and changes k, monolithic and
+  // sharded (whose root reads the shard extrema).
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    for (const char* mon : {"naive", "naive_chg"}) {
+      SCOPED_TRACE(std::string(mon) + " shards=" + std::to_string(shards));
+      Scenario sc = churn_scenario(mon, "instant", kMixedPlan);
+      sc.shards = shards;
+      sc.stream.walk.max_step = 2'000'000;  // the boundary moves every step
+      const RunResult r = run_scenario(sc);
+      EXPECT_EQ(r.error_steps, 0u);
+    }
+  }
+}
+
 TEST(FaultInjection, ErrorAccountingIsConsistent) {
   const RunResult r = run_scenario(
       churn_scenario("topk_filter?nobeacon", "drop=0.1", kMixedPlan));
