@@ -262,8 +262,9 @@ void BM_ValidationIncremental(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidationIncremental)->Arg(256)->Arg(4096);
 
-/// One whole-set step of n random walks: a single typed-bank call whose
-/// loop inlines every node's next() (state.range: n).
+/// One whole-set step of n random walks: a single call into the column
+/// bank's vector kernel, the best one the host runs (state.range: n;
+/// 1000 leaves a vector tail).
 void BM_StreamSetAdvanceAll(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   StreamSpec spec;
@@ -273,11 +274,44 @@ void BM_StreamSetAdvanceAll(benchmark::State& state) {
   for (auto _ : state) {
     streams.advance_all(out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_StreamSetAdvanceAll)->Arg(64)->Arg(4096);
+BENCHMARK(BM_StreamSetAdvanceAll)
+    ->Arg(64)
+    ->Arg(1000)
+    ->Arg(4096)
+    ->Arg(16384);
+
+/// The same whole-set step of 4096 walks through one kernel variant
+/// (registered below as BM_WalkKernel/<variant> for each variant the host
+/// CPU supports), so one binary shows the vectorization gain per ISA.
+void BM_WalkKernel(benchmark::State& state, WalkKernel kernel) {
+  constexpr std::size_t kN = 4096;
+  StreamSpec spec;
+  spec.family = StreamFamily::kRandomWalk;
+  auto bank = make_walk_bank(spec, kN, 13);
+  bank->set_kernel(kernel);
+  std::vector<Value> out(kN);
+  for (auto _ : state) {
+    bank->advance_all(out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kN));
+}
+
+[[maybe_unused]] const bool kWalkKernelsRegistered = [] {
+  for (const WalkKernel kernel : RandomWalkBank::host_kernels()) {
+    const std::string name =
+        "BM_WalkKernel/" + std::string(kernel_name(kernel));
+    benchmark::RegisterBenchmark(name.c_str(), BM_WalkKernel, kernel);
+  }
+  return true;
+}();
 
 // -- PR4 pairs: activity-driven loop, timing wheel, lazy non-member heap --
 

@@ -47,19 +47,30 @@ constexpr auto box = [](auto s) -> std::unique_ptr<Stream> {
   return std::make_unique<decltype(s)>(std::move(s));
 };
 
+/// Node `id`'s start, spread evenly across [lo, hi] over n nodes. The
+/// width and offset are unsigned, so ranges wider than INT64_MAX are
+/// exact.
+Value spread_start(Value lo, Value hi, NodeId id, std::size_t n) {
+  const double frac =
+      static_cast<double>(id + 1) / static_cast<double>(n + 1);
+  const auto ulo = static_cast<std::uint64_t>(lo);
+  const auto width = static_cast<double>(static_cast<std::uint64_t>(hi) - ulo);
+  return static_cast<Value>(ulo + static_cast<std::uint64_t>(width * frac));
+}
+
+/// Node `id`'s generator.
+Rng node_rng(const Rng& root, NodeId id) { return root.derive(0x57AEull + id); }
+
 /// Builds node `id`'s concrete stream and hands it to `f` by value, so
 /// callers can either box it or store it in a typed bank.
 template <typename F>
 auto with_stream(const StreamSpec& spec, NodeId id, std::size_t n,
                  const Rng& root, F&& f) {
-  const Rng rng = root.derive(0x57AEull + id);
-  const double frac =
-      static_cast<double>(id + 1) / static_cast<double>(n + 1);
+  const Rng rng = node_rng(root, id);
   switch (spec.family) {
     case StreamFamily::kRandomWalk: {
       RandomWalkParams p = spec.walk;
-      p.start = p.lo + static_cast<Value>(
-                           static_cast<double>(p.hi - p.lo) * frac);
+      p.start = spread_start(p.lo, p.hi, id, n);
       return f(RandomWalkStream(p, rng));
     }
     case StreamFamily::kIidUniform:
@@ -79,8 +90,7 @@ auto with_stream(const StreamSpec& spec, NodeId id, std::size_t n,
     }
     case StreamFamily::kBursty: {
       BurstyParams p = spec.bursty;
-      p.start = p.lo + static_cast<Value>(
-                           static_cast<double>(p.hi - p.lo) * frac);
+      p.start = spread_start(p.lo, p.hi, id, n);
       return f(BurstyStream(p, rng));
     }
     case StreamFamily::kRotatingMax: {
@@ -158,9 +168,29 @@ std::unique_ptr<Stream> make_stream(const StreamSpec& spec, NodeId id,
   return with_stream(spec, id, n, Rng(seed), box);
 }
 
+std::unique_ptr<RandomWalkBank> make_walk_bank(const StreamSpec& spec,
+                                               std::size_t n,
+                                               std::uint64_t seed) {
+  auto bank =
+      std::make_unique<RandomWalkBank>(spec.walk, n, spec.enforce_distinct);
+  const Rng root(seed);
+  for (NodeId id = 0; id < n; ++id) {
+    bank->set_walk(id, spread_start(spec.walk.lo, spec.walk.hi, id, n),
+                   node_rng(root, id).state());
+  }
+  return bank;
+}
+
 StreamSet make_stream_set(const StreamSpec& spec, std::size_t n,
                           std::uint64_t seed) {
   if (n == 0) throw std::invalid_argument("make_stream_set: n == 0");
+  if (spec.family == StreamFamily::kRandomWalk) {
+    return StreamSet(make_walk_bank(spec, n, seed));
+  }
+  if (spec.family == StreamFamily::kSparse &&
+      spec.sparse_inner == StreamFamily::kRandomWalk) {
+    validate_walk_params(spec.walk, spec.enforce_distinct ? n : 0);
+  }
   const Rng root(seed);
   // Every id yields the same concrete type, so the first one picks the
   // bank and the rest append to it.

@@ -95,9 +95,20 @@ struct StreamSpec {
 };
 
 /// Builds the n per-node streams described by `spec`, deterministically
-/// from `seed`, in a typed bank of the family's concrete stream type.
+/// from `seed`: random walks in a RandomWalkBank (make_walk_bank), every
+/// other family in a typed bank of its concrete stream type. Throws
+/// std::invalid_argument for n == 0 or invalid parameters; with
+/// enforce_distinct, walk bounds (also a sparse wrapper's inner walks)
+/// whose distinct values overflow are invalid.
 StreamSet make_stream_set(const StreamSpec& spec, std::size_t n,
                           std::uint64_t seed);
+
+/// The column bank of make_stream_set(spec, n, seed) for spec.walk
+/// (whatever spec.family says): node id's walk starts and draws exactly
+/// as make_stream(spec, id, n, seed) with family kRandomWalk.
+std::unique_ptr<RandomWalkBank> make_walk_bank(const StreamSpec& spec,
+                                               std::size_t n,
+                                               std::uint64_t seed);
 
 /// Node `id`'s bare stream of that set (no distinctness transform): it
 /// yields the raw values that make_stream_set(spec, n, seed) maps through

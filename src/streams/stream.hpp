@@ -7,12 +7,14 @@
 // counter and stay synchronized across nodes.
 //
 // Step-major banks: a StreamSet keeps its n streams in one StreamBank and
-// generates a whole step with one virtual call. The factory families use
+// generates a whole step with one virtual call. Most factory families use
 // TypedBank<S>, which stores the concrete `final` streams by value in one
 // contiguous vector and calls the qualified s.S::next() — bound statically
-// and inlined where each family's .cpp instantiates the bank. Nothing is
-// generated ahead of demand: every value is drawn at the advance that
-// returns it, so a finite strict trace throws at exactly that advance.
+// and inlined where each family's .cpp instantiates the bank. Random
+// walks use a column bank instead (RandomWalkBank, streams/random_walk.hpp).
+// Nothing is generated ahead of demand: every value is drawn at the
+// advance that returns it, so a finite strict trace throws at exactly
+// that advance.
 #pragma once
 
 #include <algorithm>
@@ -91,8 +93,17 @@ class StreamBank {
 
   virtual std::size_t size() const noexcept = 0;
 
-  /// Node `id`'s stream, for quiet-run queries.
-  virtual Stream& stream(NodeId id) noexcept = 0;
+  /// True when every node's stream certifies quiet runs (see
+  /// Stream::supports_quiet_runs). Banks without change tracking keep
+  /// the default.
+  virtual bool quiet_capable() const { return false; }
+
+  /// Stream::advance_quiet of node `id`'s stream.
+  virtual std::uint64_t advance_quiet(NodeId id, std::uint64_t max_steps) {
+    (void)id;
+    (void)max_steps;
+    return 0;
+  }
 
   /// Advances node `id` once and returns its observation.
   virtual Value advance(NodeId id) = 0;
@@ -121,14 +132,22 @@ class TypedBank final : public StreamBank {
   void push_back(Elem stream) { streams_.push_back(std::move(stream)); }
 
   std::size_t size() const noexcept override { return streams_.size(); }
-  Stream& stream(NodeId id) noexcept override { return deref(streams_[id]); }
+  bool quiet_capable() const override {
+    return std::all_of(streams_.begin(), streams_.end(), [](const Elem& e) {
+      return deref(e).supports_quiet_runs();
+    });
+  }
+  std::uint64_t advance_quiet(NodeId id, std::uint64_t max_steps) override {
+    return deref(streams_[id]).advance_quiet(max_steps);
+  }
   Value advance(NodeId id) override;
   void advance_all(std::span<Value> out) override;
 
  private:
   static constexpr bool kByValue = std::is_base_of_v<Stream, Elem>;
 
-  static Stream& deref(Elem& e) noexcept {
+  template <typename E>
+  static auto& deref(E& e) noexcept {
     if constexpr (kByValue) {
       return e;
     } else {
@@ -199,12 +218,7 @@ class StreamSet {
 
   /// True when every stream certifies quiet runs (see Stream::
   /// supports_quiet_runs) — the precondition of advance_all_active.
-  bool quiet_capable() const {
-    for (NodeId id = 0; id < size(); ++id) {
-      if (!bank_->stream(id).supports_quiet_runs()) return false;
-    }
-    return size() != 0;
-  }
+  bool quiet_capable() const { return size() != 0 && bank_->quiet_capable(); }
 
   /// Activity-driven advance: `values` must hold every node's previous
   /// observation on entry (all zeros before the first call, matching a
@@ -242,7 +256,7 @@ class StreamSet {
         changed.push_back(id);
       }
       reschedule(id, active_step_ + 1 +
-                         bank_->stream(id).advance_quiet(~std::uint64_t{0}));
+                         bank_->advance_quiet(id, ~std::uint64_t{0}));
     }
     ++active_step_;
   }

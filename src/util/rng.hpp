@@ -23,6 +23,42 @@ namespace detail {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
+
+/// One xoshiro256** step on the state words s0..s3, in place; returns
+/// the output. Rng::next_u64 and the random-walk column bank (whose
+/// state lives in per-word columns) share this one copy.
+inline std::uint64_t xoshiro_next(std::uint64_t& s0, std::uint64_t& s1,
+                                  std::uint64_t& s2,
+                                  std::uint64_t& s3) noexcept {
+  const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
+  return result;
+}
+
+/// Uniform integer in [0, n) for n >= 1 from the 64-bit draws of
+/// `next`, by Lemire's multiply-shift rejection method: a draw x is
+/// rejected while the low word of x*n is below (2^64 - n) mod n.
+template <typename Next>
+inline std::uint64_t lemire_below(std::uint64_t n, Next&& next) noexcept {
+  std::uint64_t x = next();
+  __uint128_t m = static_cast<__uint128_t>(x) * n;
+  auto l = static_cast<std::uint64_t>(m);
+  if (l < n) {
+    const std::uint64_t t = (0 - n) % n;
+    while (l < t) {
+      x = next();
+      m = static_cast<__uint128_t>(x) * n;
+      l = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
 }  // namespace detail
 
 /// xoshiro256** PRNG with convenience distributions used by the library.
@@ -35,44 +71,27 @@ class Rng {
   /// uniform_int and uniform_below) are inline so stream generators can
   /// fold them into their per-step loops.
   std::uint64_t next_u64() noexcept {
-    const std::uint64_t result = detail::rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = detail::rotl(s_[3], 45);
-    return result;
+    return detail::xoshiro_next(s_[0], s_[1], s_[2], s_[3]);
   }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double next_double() noexcept;
 
   /// Uniform integer in the inclusive range [lo, hi]. Requires lo <= hi.
+  /// Width and offset are formed in unsigned arithmetic, so ranges wider
+  /// than INT64_MAX are exact too.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    const auto ulo = static_cast<std::uint64_t>(lo);
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) - ulo + 1;
     if (span == 0) {  // full 64-bit range
       return static_cast<std::int64_t>(next_u64());
     }
-    return lo + static_cast<std::int64_t>(uniform_below(span));
+    return static_cast<std::int64_t>(ulo + uniform_below(span));
   }
 
   /// Uniform integer in [0, n) for n >= 1, via Lemire's unbiased method.
   std::uint64_t uniform_below(std::uint64_t n) noexcept {
-    // Lemire's multiply-shift rejection method: unbiased and branch-light.
-    std::uint64_t x = next_u64();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto l = static_cast<std::uint64_t>(m);
-    if (l < n) {
-      const std::uint64_t t = (0 - n) % n;
-      while (l < t) {
-        x = next_u64();
-        m = static_cast<__uint128_t>(x) * n;
-        l = static_cast<std::uint64_t>(m);
-      }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
+    return detail::lemire_below(n, [this] { return next_u64(); });
   }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
@@ -86,6 +105,17 @@ class Rng {
 
   /// Standard normal via Box-Muller (cached second variate).
   double next_gaussian() noexcept;
+
+  /// The four xoshiro256** state words (column banks seed from them).
+  const std::array<std::uint64_t, 4>& state() const noexcept { return s_; }
+
+  /// A generator resuming from raw state words `s` (not all zero), with
+  /// an empty Gaussian cache.
+  static Rng from_state(const std::array<std::uint64_t, 4>& s) noexcept {
+    Rng rng;
+    rng.s_ = s;
+    return rng;
+  }
 
   /// Derives an independent child generator; `stream_id` selects the child.
   /// Children with different ids are statistically independent.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "streams/factory.hpp"
@@ -19,6 +21,101 @@ TEST(RandomWalk, RejectsInvalidParams) {
   RandomWalkParams neg;
   neg.max_step = -1;
   EXPECT_THROW(RandomWalkStream(neg, Rng(1)), std::invalid_argument);
+}
+
+constexpr Value kMax = std::numeric_limits<Value>::max();
+constexpr Value kMin = std::numeric_limits<Value>::min();
+
+RandomWalkParams walk(Value max_step, Value lo, Value hi) {
+  RandomWalkParams p;
+  p.start = lo;
+  p.max_step = max_step;
+  p.lo = lo;
+  p.hi = hi;
+  return p;
+}
+
+/// Runs the walk both as a stream and through make_stream_set's column
+/// bank, checking bounds and agreement at every step.
+void walk_both_ways(const RandomWalkParams& p, bool distinct = false) {
+  StreamSpec spec;
+  spec.family = StreamFamily::kRandomWalk;
+  spec.enforce_distinct = distinct;
+  spec.walk = p;
+  constexpr std::size_t kN = 8;
+  auto set = make_stream_set(spec, kN, 3);
+  std::vector<std::unique_ptr<Stream>> ref;
+  for (NodeId id = 0; id < kN; ++id) {
+    ref.push_back(make_stream(spec, id, kN, 3));
+  }
+  std::vector<Value> out(kN);
+  for (int t = 0; t < 500; ++t) {
+    set.advance_all(out);
+    for (NodeId id = 0; id < kN; ++id) {
+      const Value v = ref[id]->next();
+      ASSERT_GE(v, p.lo) << "t=" << t;
+      ASSERT_LE(v, p.hi) << "t=" << t;
+      ASSERT_EQ(out[id], distinct ? distinct_value(v, id, kN) : v)
+          << "t=" << t << " node=" << id;
+    }
+  }
+}
+
+TEST(RandomWalk, RejectsStepWidthThatOverflows) {
+  // 2 * max_step + 1 must be representable.
+  EXPECT_THROW(RandomWalkStream(walk((kMax - 1) / 2 + 1, 0, 0), Rng(1)),
+               std::invalid_argument);
+  EXPECT_THROW(RandomWalkStream(walk(kMax, 0, 0), Rng(1)),
+               std::invalid_argument);
+}
+
+TEST(RandomWalk, RejectsExcursionsOutsideTheValueRange) {
+  EXPECT_THROW(RandomWalkStream(walk(6, kMax - 100, kMax - 5), Rng(1)),
+               std::invalid_argument);
+  EXPECT_THROW(RandomWalkStream(walk(6, kMin + 5, kMin + 100), Rng(1)),
+               std::invalid_argument);
+  EXPECT_THROW(RandomWalkBank(walk(6, kMin + 5, kMin + 100), 4, false),
+               std::invalid_argument);
+}
+
+TEST(RandomWalk, FactoryRejectsDistinctValuesThatOverflow) {
+  StreamSpec spec;
+  spec.family = StreamFamily::kRandomWalk;
+  spec.walk = walk(8, 0, kMax / 4);  // hi * 8 overflows
+  EXPECT_THROW(make_stream_set(spec, 8, 1), std::invalid_argument);
+  spec.walk = walk(8, kMin / 4, 0);  // lo * 8 overflows
+  EXPECT_THROW(make_stream_set(spec, 8, 1), std::invalid_argument);
+  spec.walk = walk(8, 0, (kMax - 7) / 8 + 1);  // hi * 8 + 7 overflows
+  EXPECT_THROW(make_stream_set(spec, 8, 1), std::invalid_argument);
+  // The sparse wrapper's inner walks pass through the same transform.
+  spec.family = StreamFamily::kSparse;
+  spec.sparse_inner = StreamFamily::kRandomWalk;
+  EXPECT_THROW(make_stream_set(spec, 8, 1), std::invalid_argument);
+  // Without distinctness the same bounds are fine.
+  spec.enforce_distinct = false;
+  EXPECT_NO_THROW(make_stream_set(spec, 8, 1));
+  spec.family = StreamFamily::kRandomWalk;
+  EXPECT_NO_THROW(make_stream_set(spec, 8, 1));
+}
+
+TEST(RandomWalk, AcceptsWideRangeWithNegativeLo) {
+  // hi - lo exceeds INT64_MAX: no width may be computed in int64.
+  walk_both_ways(walk(1000, -(Value{1} << 62) - 5, (Value{1} << 62) + 5));
+}
+
+TEST(RandomWalk, AcceptsExcursionsReachingTheValueLimits) {
+  walk_both_ways(walk(7, kMax - 107, kMax - 7));
+  walk_both_ways(walk(7, kMin + 7, kMin + 107));
+}
+
+TEST(RandomWalk, AcceptsTheLargestStep) {
+  // 2 * max_step + 1 == INT64_MAX; every step overshoots and clamps.
+  walk_both_ways(walk((kMax - 1) / 2, -1, 1));
+}
+
+TEST(RandomWalk, AcceptsDistinctValuesReachingTheValueLimits) {
+  // With n = 8: hi * 8 + 7 == INT64_MAX and lo * 8 == INT64_MIN.
+  walk_both_ways(walk(8, kMin / 8, (kMax - 7) / 8), true);
 }
 
 TEST(RandomWalk, StaysWithinBounds) {

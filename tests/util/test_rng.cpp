@@ -85,6 +85,23 @@ TEST(Rng, UniformIntCoversRange) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
+TEST(Rng, UniformIntRangesWiderThanInt64Max) {
+  // hi - lo = 2^63 overflows int64; the draw is still lo + uniform_below
+  // of the exact width.
+  constexpr std::int64_t kLo = -(std::int64_t{1} << 62);
+  constexpr std::int64_t kHi = std::int64_t{1} << 62;
+  constexpr std::uint64_t kSpan = (std::uint64_t{1} << 63) + 1;
+  Rng rng(31);
+  Rng ref = rng;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::int64_t v = rng.uniform_int(kLo, kHi);
+    EXPECT_GE(v, kLo);
+    EXPECT_LE(v, kHi);
+    EXPECT_EQ(static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(kLo),
+              ref.uniform_below(kSpan));
+  }
+}
+
 TEST(Rng, UniformIntApproximatelyUniform) {
   Rng rng(23);
   std::array<int, 8> counts{};
