@@ -106,9 +106,6 @@ TOPKMON_SUITE(e16, "scale sweep: steps/sec vs n x activity (sparse vs dense "
             scenario("topk_filter?nobeacon", stream, c.n, kK, steps, seed);
         sc.network = parse_network_spec(c.network);
         sc.dense_loop = c.dense;
-        // Honors --workers: the fingerprint is workers-invariant by the
-        // parallel-tick determinism contract (CI diffs it at 1 vs 8).
-        sc.workers = ctx.opts().workers;
         if (sc.network.is_instant()) {
           sc.validation = RunConfig::Validation::kStrict;
         } else {

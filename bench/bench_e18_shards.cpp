@@ -21,10 +21,10 @@
 //
 // Outputs:
 //   * ctx.emit("e18_shards"): deterministic fingerprint (per-tier message
-//     counts, error steps per case) — byte-identical across --jobs and
-//     --workers, diffed by CI.
+//     counts, error steps per case) — byte-identical across --jobs,
+//     diffed by CI.
 //   * BENCH_shards_<label>.json: wall-clock record (steps/sec per case),
-//     next to e16/e17's BENCH files in the perf trajectory.
+//     next to e16's BENCH files in the perf trajectory.
 #include <fstream>
 #include <string>
 #include <vector>
@@ -93,13 +93,12 @@ TOPKMON_SUITE(e18_shards,
         stream.family = StreamFamily::kSparse;
         stream.sparse.rate = 0.01;
         stream.sparse_inner = StreamFamily::kRandomWalk;
-        // e16/e17's drift regime: wide range (values stay pairwise
+        // e16's drift regime: wide range (values stay pairwise
         // distinct in practice), gentle steps, 1% activity.
         stream.walk.hi = 100'000'000;
         stream.walk.max_step = 64;
         Scenario sc = scenario(c.monitor, stream, c.n, kK, steps, seed);
         sc.shards = c.shards;
-        sc.workers = ctx.opts().workers;
         // Sharded exactness is an invariant, not an assumption: record
         // any divergence as error steps (part of the fingerprint, so a
         // regression shows up as a diff AND a nonzero column).
@@ -143,7 +142,7 @@ TOPKMON_SUITE(e18_shards,
 
   // Timing summary: steady-state steps/s per shard count (console + BENCH
   // file; machine-dependent, not diffed). Initialization excluded as in
-  // e16/e17.
+  // e16.
   const auto steady_sps = [](const RunResult& r) {
     const double seconds = r.wall_seconds - r.init_seconds;
     return seconds > 0.0 && r.steps_executed > 1

@@ -24,8 +24,8 @@
 // Outputs:
 //   * ctx.emit("e19_churn"): deterministic fingerprint (error steps, tail
 //     errors, recovery ticks, re-sync counters, messages) — byte-identical
-//     across --jobs and --workers, diffed by CI.
-//   * BENCH_churn_<label>.json: wall-clock record, next to e16/e17/e18's
+//     across --jobs, diffed by CI.
+//   * BENCH_churn_<label>.json: wall-clock record, next to e16/e18's
 //     BENCH files in the perf trajectory.
 #include <fstream>
 #include <stdexcept>
@@ -137,7 +137,6 @@ TOPKMON_SUITE(e19_churn,
         Scenario sc = scenario(c.monitor, stream, kN, kK, steps, seed);
         sc.with_network(c.network);
         sc.faults = c.plan;
-        sc.workers = ctx.opts().workers;
         // Divergence during recovery is the measured quantity, never an
         // abort; strict set equality keeps the error accounting sharp
         // (wide value range => ties are practically absent).

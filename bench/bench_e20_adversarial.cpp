@@ -27,7 +27,7 @@
 // Outputs:
 //   * ctx.emit("e20_adversarial"): deterministic fingerprint
 //     (suspicions, quarantines, stale detections, replays, error tails)
-//     — byte-identical across --jobs and --workers, diffed by CI.
+//     — byte-identical across --jobs, diffed by CI.
 //   * BENCH_adversarial_<label>.json: wall-clock record, next to the
 //     e16..e19 BENCH files in the perf trajectory.
 #include <fstream>
@@ -150,7 +150,6 @@ TOPKMON_SUITE(e20_adversarial,
         sc.with_network(c.network);
         sc.faults = c.plan;
         sc.shards = c.shards;
-        sc.workers = ctx.opts().workers;
         sc.validation = RunConfig::Validation::kStrict;
         sc.throw_on_error = false;
         RunResult r = run_scenario(sc);

@@ -33,23 +33,6 @@ void BM_BernoulliPow2(benchmark::State& state) {
 }
 BENCHMARK(BM_BernoulliPow2);
 
-void BM_NetworkBroadcastDrain(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  CommStats stats;
-  Network net(n, &stats);
-  Message m;
-  m.kind = MsgKind::kRoundBeacon;
-  for (auto _ : state) {
-    net.coord_broadcast(m);
-    for (NodeId i = 0; i < n; ++i) {
-      benchmark::DoNotOptimize(net.drain_node(i));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NetworkBroadcastDrain)->Arg(64)->Arg(1024);
-
 // Before/after pair for the bulk instant-broadcast fan-out: one
 // broadcast delivered to n clean nodes through n individual buffer
 // drains (the pre-bulk driver path) versus reading each node's log
@@ -174,32 +157,9 @@ void BM_StreamAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamAdvance);
 
-// ---------------------------------------------------------------------------
-// Hot-path before/after pairs: the "legacy" variants reproduce the
-// pre-optimization code shape (fresh vectors, full recompute, scalar
-// dispatch) against the same public API, so a single binary measures the
-// win of each hot-path change.
-// ---------------------------------------------------------------------------
-
-void BM_DrainLegacy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  CommStats stats;
-  Network net(n, &stats);
-  Message m;
-  m.kind = MsgKind::kValueReport;
-  for (auto _ : state) {
-    for (NodeId i = 0; i < n; ++i) net.node_send(i, m);
-    benchmark::DoNotOptimize(net.drain_coordinator());  // fresh vector
-    net.coord_broadcast(m);
-    for (NodeId i = 0; i < n; ++i) {
-      benchmark::DoNotOptimize(net.drain_node(i));  // fresh vectors
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n));
-}
-BENCHMARK(BM_DrainLegacy)->Arg(64)->Arg(1024);
-
+/// Steady-state drain traffic through the caller-owned scratch buffers:
+/// n upstream reports drained by the coordinator, then one broadcast
+/// drained by every node.
 void BM_DrainReuse(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   CommStats stats;
@@ -313,7 +273,7 @@ void BM_WalkKernel(benchmark::State& state, WalkKernel kernel) {
   return true;
 }();
 
-// -- PR4 pairs: activity-driven loop, timing wheel, lazy non-member heap --
+// -- event loop, scheduled transport, non-member boundary --
 
 /// One full simulation step (observe + event loop) of the native filter
 /// monitor under a sparse workload, through either the activity-driven
@@ -363,54 +323,6 @@ BENCHMARK(BM_SimulationStep)
     ->Args({65536, 100, 0})
     ->Args({65536, 100, 1});
 
-// -- PR6 pair: serial vs sharded tick loop --
-
-/// Same step loop as BM_SimulationStep's sparse path, but through the
-/// worker-sharded driver (state.range: n, activity %, workers; workers=1
-/// is the serial half of the pair). Speedup needs real cores — on a
-/// 1-core host the W > 1 rows price the staging + barrier overhead.
-void BM_ParallelTickStep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const double activity = static_cast<double>(state.range(1)) / 100.0;
-  const auto workers = static_cast<std::size_t>(state.range(2));
-  StreamSpec spec;
-  spec.family = StreamFamily::kSparse;
-  spec.sparse.rate = activity;
-  spec.sparse_inner = StreamFamily::kRandomWalk;
-  spec.walk.hi = 100'000'000;
-  spec.walk.max_step = 64;
-  auto streams = make_stream_set(spec, n, 7);
-  Cluster cluster(n, 7);
-  auto pair = exp::make_role_pair(cluster, "topk_filter?nobeacon", 8);
-  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native,
-                   workers);
-  std::vector<Value> values(n, 0);
-  std::vector<NodeId> changed;
-  const auto observe = [&] {
-    streams.advance_all_active(values, changed);
-    for (const NodeId id : changed) cluster.set_value(id, values[id]);
-  };
-  cluster.stats().begin_step(0);
-  observe();
-  driver.initialize();
-  TimeStep t = 0;
-  for (auto _ : state) {
-    ++t;
-    cluster.stats().begin_step(t);
-    observe();
-    driver.step(t, changed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelTickStep)
-    ->Args({65536, 1, 1})
-    ->Args({65536, 1, 4})
-    ->Args({65536, 100, 1})
-    ->Args({65536, 100, 4})
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 /// The driver's observe phase when every node moves but none leaves its
 /// filter (state.range: n): each step moves all n FilterNode values by 8,
 /// alternating up and down, at least 500 away from the boundary, so no
@@ -443,41 +355,9 @@ void BM_DriverObserveInFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_DriverObserveInFilter)->Arg(4096)->Arg(65536);
 
-/// Pre-PR4 scheduled transport shape: a binary heap per recipient
-/// (push_heap/pop_heap by (due, seq)), here collapsed to one queue — the
-/// per-message cost the timing wheel replaces.
-void BM_SchedHeapPushPop(benchmark::State& state) {
-  struct Entry {
-    SimTime due;
-    std::uint64_t seq;
-    Message msg;
-  };
-  const auto cmp = [](const Entry& a, const Entry& b) noexcept {
-    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
-  };
-  std::vector<Entry> heap;
-  Rng rng(3);
-  std::uint64_t seq = 0;
-  SimTime now = 0;
-  Message m;
-  for (auto _ : state) {
-    ++now;
-    for (int i = 0; i < 8; ++i) {
-      heap.push_back(
-          Entry{now + 1 + rng.uniform_below(12), ++seq, m});
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
-    while (!heap.empty() && heap.front().due <= now) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      benchmark::DoNotOptimize(heap.back().msg);
-      heap.pop_back();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
-}
-BENCHMARK(BM_SchedHeapPushPop);
-
-/// The timing-wheel transport on the same send/advance/drain cadence.
+/// The scheduled (timing-wheel) transport: each tick sends 8 upstream
+/// reports with delay 1 + jitter up to 12, advances the clock and drains
+/// the coordinator.
 void BM_SchedWheelPushPop(benchmark::State& state) {
   CommStats stats;
   NetworkSpec spec;
@@ -497,40 +377,10 @@ void BM_SchedWheelPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedWheelPushPop);
 
-/// Shared decay schedule for the non-member boundary pair: the current
-/// best outsider keeps sinking, so every query must re-find the maximum
-/// over the n-k outsiders — a plain O(n) scan per decay here, against the
-/// tracker's 64-ary max index, which recomputes only the entries the
-/// decayed node led (one per level) and scans the top level.
-void BM_NonmemberRescanScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kK = 8;
-  std::vector<Value> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = static_cast<Value>(2 * n - i);
-  }
-  std::size_t victim = kK;
-  for (auto _ : state) {
-    values[victim] = 0;  // the boundary outsider decays
-    Value best = kMinusInf;
-    std::size_t best_id = kK;
-    for (std::size_t i = kK; i < n; ++i) {  // O(n) rescan
-      if (values[i] > best) {
-        best = values[i];
-        best_id = i;
-      }
-    }
-    benchmark::DoNotOptimize(best_id);
-    if (++victim + 1 >= n) {  // nearly everyone decayed: restart
-      for (std::size_t i = 0; i < n; ++i) {
-        values[i] = static_cast<Value>(2 * n - i);
-      }
-      victim = kK;
-    }
-  }
-}
-BENCHMARK(BM_NonmemberRescanScan)->Arg(1024)->Arg(65536);
-
+/// The tracker's non-member boundary under decay: the current best
+/// outsider keeps sinking, so every query must re-find the maximum over
+/// the n-k outsiders — the tracker's 64-ary max index recomputes only the
+/// entries the decayed node led (one per level) and scans the top level.
 void BM_NonmemberRescanLazy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kK = 8;

@@ -40,10 +40,6 @@ struct PerfCase {
   std::size_t n;
   std::size_t k;
   RunConfig::Validation validation;
-  /// 0: honor --workers; else pin this case to that tick-scan worker
-  /// count regardless of the flag (keeps the fingerprint flag-invariant
-  /// while tracking the parallel driver's wall clock in the trajectory).
-  std::size_t workers = 0;
   /// Fault-plan spec ("none" = fault-free). The faulted case tracks the
   /// recovery-window trajectory: its max_recovery_ticks lands in the
   /// BENCH json and is gated by --compare like error_steps.
@@ -276,19 +272,11 @@ TOPKMON_SUITE(perf, "hot-path wall-clock suite (emits BENCH_*.json)") {
       // exists for.
       {"instant_bcast_burst", "topk_filter", StreamFamily::kRandomWalk,
        "instant", 4096, 8, RunConfig::Validation::kOff},
-      // Parallel tick driver, pinned at W = 4 (not from --workers, so the
-      // fingerprint stays flag-invariant): tracks the sharded loop's wall
-      // clock and — the real contract — that per-thread staging reuses
-      // its buffers, keeping allocs/step constant like the serial path.
-      {"instant_parallel_w4", "topk_filter", StreamFamily::kRandomWalk,
-       "instant", 4096, 8, RunConfig::Validation::kOff, 4},
-      {"sched_parallel_w4", "naive", StreamFamily::kRandomWalk,
-       "delay=2,jitter=4,ticks=8", 256, 8, RunConfig::Validation::kWeak, 4},
       // Faulted hot path: crash/recover/join churn on the filter monitor.
       // Tracks the fault machinery's wall-clock cost next to the clean
       // rows and feeds max_recovery_ticks into the --compare gate.
       {"instant_churn_strict", "topk_filter", StreamFamily::kRandomWalk,
-       "instant", 256, 16, RunConfig::Validation::kStrict, 0,
+       "instant", 256, 16, RunConfig::Validation::kStrict,
        churn_plan.c_str()},
   };
 
@@ -305,11 +293,6 @@ TOPKMON_SUITE(perf, "hot-path wall-clock suite (emits BENCH_*.json)") {
         sc.validation = c.validation;
         sc.faults = c.faults;
         sc.throw_on_error = false;  // lossy networks may diverge; record it
-        // Honors --workers (all perf monitors are native); the fingerprint
-        // is workers-invariant — CI diffs it at 1 vs 8. Note allocs/step
-        // shifts with workers > 1 (staging buffers, pool threads), which
-        // is why the CI --compare gate always runs at --workers 1.
-        sc.workers = c.workers != 0 ? c.workers : ctx.opts().workers;
         PerfOutcome o;
         const std::uint64_t allocs_before = thread_alloc_count();
         o.run = run_scenario(sc);

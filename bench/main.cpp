@@ -39,10 +39,10 @@ void print_usage(std::ostream& out) {
          "\n"
          "options:\n"
          "  --jobs N       worker threads across trials (default 1;\n"
-         "                 0 = all cores)\n"
-         "  --workers N    SimDriver tick-scan threads inside each\n"
-         "                 simulation (default 1; 0 = all cores); output\n"
-         "                 is byte-identical for every value\n"
+         "                 0 = all cores; at most "
+      << SweepRunner::kMaxJobs
+      << "); output is\n"
+         "                 byte-identical for every value\n"
          "  --trials N     override each suite's default trial count\n"
          "  --steps N      override each suite's default step count\n"
          "  --seed N       base seed (default 1)\n"
@@ -117,8 +117,11 @@ int main(int argc, char** argv) {
         return 0;
       } else if (flag == "--jobs") {
         opts.jobs = static_cast<std::size_t>(parse_u64(next()));
-      } else if (flag == "--workers") {
-        opts.workers = static_cast<std::size_t>(parse_u64(next()));
+        if (opts.jobs > SweepRunner::kMaxJobs) {
+          throw std::invalid_argument(
+              "at most " + std::to_string(SweepRunner::kMaxJobs) +
+              " jobs are supported");
+        }
       } else if (flag == "--trials") {
         opts.trials = parse_u64(next());
       } else if (flag == "--steps") {

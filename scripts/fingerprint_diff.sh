@@ -18,7 +18,7 @@ if [[ $# -ne 1 ]]; then
 fi
 BASE_REF="$1"
 ROOT=$(git rev-parse --show-toplevel)
-SUITES=e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e12,e13,e14,e15,e16,e17,e18_shards,e19_churn,e20_adversarial,perf
+SUITES=e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e12,e13,e14,e15,e16,e18_shards,e19_churn,e20_adversarial,perf
 
 WORK=$(mktemp -d)
 cleanup() {

@@ -16,8 +16,6 @@ constexpr std::uint64_t kMaxTicksPerSettle = 1'000'000;
 
 }  // namespace
 
-thread_local SimDriver::WorkerShard* SimDriver::t_stage_ = nullptr;
-
 void NodeCtx::send(Message m) { driver_.node_send(id_, m); }
 
 void NodeCtx::signal(std::int64_t code) {
@@ -50,18 +48,12 @@ SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
       nodes_(nodes),
       auto_deliver_(auto_deliver),
       coord_ctx_(*this, cluster) {
+  if (workers != 1) {
+    throw std::invalid_argument("SimDriver: workers must be 1, got " +
+                                std::to_string(workers));
+  }
   if (nodes_.size() != cluster_.size()) {
     throw std::invalid_argument("SimDriver: node algo count != cluster size");
-  }
-  if (workers > 1) {
-    if (!auto_deliver_) {
-      throw std::invalid_argument(
-          "SimDriver: workers > 1 requires native role algorithms "
-          "(a LockstepAdapter monitor is one shared object; its node "
-          "callbacks cannot run concurrently)");
-    }
-    shards_.resize(workers);
-    pool_ = std::make_unique<WorkerPool>(workers - 1);
   }
   // The armed / needs-observe / quiet-range scalars live in the cluster's
   // shared NodeRuntime; reset them in case this driver replaces an
@@ -111,7 +103,7 @@ void SimDriver::set_fault_plan(const FaultPlan* plan, std::size_t cursor) {
   }
 }
 
-void SimDriver::dispatch_node_send(NodeId from, Message m) {
+void SimDriver::node_send(NodeId from, Message m) {
   if (degrade_.empty()) {  // no degradation events in the plan
     cluster_.net().node_send(from, m);
     return;
@@ -165,8 +157,8 @@ bool SimDriver::fault_due() const noexcept {
 }
 
 void SimDriver::apply_due_faults() {
-  // Serial, owner thread, tick head: the alive set changes only here, so
-  // it is stable for the whole tick scan even under workers > 1.
+  // Tick head: the alive set changes only here, so it is stable for the
+  // whole tick scan.
   while (fault_due()) {
     const FaultEvent& ev = faults_->events()[fault_cursor_++];
     switch (ev.kind) {
@@ -242,7 +234,7 @@ void SimDriver::apply_node_up(NodeId id, bool first_time) {
   coord_.on_node_up(coord_ctx_, id);
 }
 
-void SimDriver::service_node(NodeId id, WorkerShard* stage) {
+void SimDriver::service_node(NodeId id) {
   // Phase 1 for one node: due charged mail first, then the tick's control
   // broadcasts, then the armed timer. Messages precede controls because a
   // control queued in the same coordinator phase as a broadcast (e.g.
@@ -265,26 +257,14 @@ void SimDriver::service_node(NodeId id, WorkerShard* stage) {
       // no merge, O(1) ack. The span stays valid across the callbacks:
       // a node algorithm can only send upstream (coordinator inbox),
       // signal, or arm its own timer — nothing grows or compacts the
-      // log until the next dirty-node drain or the post-scan compaction
-      // (and during a parallel phase sends are staged, so the log is
-      // strictly read-only until the barrier).
+      // log until the next dirty-node drain or the post-scan compaction.
       for (const Message& m : net.unread_broadcasts(id)) {
         algo.on_message(ctx, m);
       }
-      if (stage != nullptr) {
-        net.ack_broadcasts_staged(id, stage->drain);
-      } else {
-        net.ack_broadcasts(id);
-      }
+      net.ack_broadcasts(id);
     } else {
-      std::vector<Message>& mail =
-          stage != nullptr ? stage->mail : mail_scratch_;
-      if (stage != nullptr) {
-        net.drain_node_staged(id, mail, stage->drain);
-      } else {
-        net.drain_node(id, mail);
-      }
-      for (const Message& m : mail) {
+      net.drain_node(id, mail_scratch_);
+      for (const Message& m : mail_scratch_) {
         algo.on_message(ctx, m);
       }
     }
@@ -295,11 +275,7 @@ void SimDriver::service_node(NodeId id, WorkerShard* stage) {
   IdBitset& armed = cluster_.runtime().armed;
   if (armed.test(id)) {
     armed.clear(id);
-    if (stage != nullptr) {
-      --stage->armed_delta;
-    } else {
-      --armed_nodes_;
-    }
+    --armed_nodes_;
     algo.on_timer(ctx);
   }
 }
@@ -319,100 +295,9 @@ void SimDriver::service_coordinator() {
   }
 }
 
-void SimDriver::merge_shards() {
-  // The tick barrier's ordered merge. Pass 1 — commit the accounting
-  // every shard already changed node-local state for (drained unicast
-  // buffers, advanced cursors, cleared bits): these must land even if a
-  // shard threw, or the network's pending counter and slab free list go
-  // permanently out of sync with its per-node structures.
-  Network& net = cluster_.net();
-  for (WorkerShard& shard : shards_) {
-    net.commit_drain_stage(shard.drain);
-    armed_nodes_ = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(armed_nodes_) + shard.armed_delta);
-    shard.armed_delta = 0;
-  }
-  // Deterministic error propagation: the lowest shard's exception is the
-  // one the serial loop would have hit first. Staged sends/signals are
-  // dropped (the serial loop would never have produced them).
-  for (WorkerShard& shard : shards_) {
-    if (shard.error != nullptr) {
-      const std::exception_ptr err = shard.error;
-      for (WorkerShard& s : shards_) {
-        s.error = nullptr;
-        s.sends.clear();
-        s.signals.clear();
-      }
-      std::rethrow_exception(err);
-    }
-  }
-  // Pass 2 — replay staged effects in shard order. Shards cover ascending
-  // id ranges and staged in visit order within each shard, so the replay
-  // order IS the serial loop's order: signals land in the same sequence
-  // the coordinator would have seen, and node_send re-stamps each message
-  // with the same seq it would have had — hence the same inbox order,
-  // the same per-(message, link) schedule hash, the same stats and taps.
-  for (WorkerShard& shard : shards_) {
-    signals_.insert(signals_.end(), shard.signals.begin(),
-                    shard.signals.end());
-    shard.signals.clear();
-    for (const Message& m : shard.sends) {
-      dispatch_node_send(m.from, m);
-    }
-    shard.sends.clear();
-  }
-}
-
-template <typename Body>
-void SimDriver::run_sharded(Body&& body) {
-  // Word-aligned static partition: shard s owns bit words
-  // [s*per, (s+1)*per) — whole words, so every bit mutation a shard makes
-  // for its own nodes (due-mail clear on drain, armed clear/set,
-  // needs-observe writes) stays in words no other shard touches, and the
-  // plain uint64 stores need no atomics. Word ranges may be empty when
-  // W > words(n); those shards simply stage nothing.
-  const std::size_t nwords = (cluster_.size() + 63) / 64;
-  const std::size_t per = (nwords + shards_.size() - 1) / shards_.size();
-  // Single-reference capture: the std::function WorkerPool::run builds
-  // from this lambda must fit its small-buffer slot — a wider capture
-  // list heap-allocates on every tick, breaking the zero-allocation
-  // steady state the perf suite pins.
-  struct Frame {
-    SimDriver* self;
-    Body* body;
-    std::size_t nwords;
-    std::size_t per;
-  } frame{this, &body, nwords, per};
-  pool_->run(shards_.size(), [&frame](std::size_t s) {
-    WorkerShard& shard = frame.self->shards_[s];
-    const std::size_t lo = std::min(s * frame.per, frame.nwords);
-    const std::size_t hi = std::min(lo + frame.per, frame.nwords);
-    t_stage_ = &shard;
-    try {
-      (*frame.body)(shard, lo, hi);
-    } catch (...) {
-      shard.error = std::current_exception();
-    }
-    t_stage_ = nullptr;
-  });
-  // pool_->run returning is the barrier: every shard's writes
-  // happen-before this point (WorkerPool's completion handshake).
-  merge_shards();
-}
-
 void SimDriver::run_tick_dense() {
-  if (!shards_.empty()) {
-    run_sharded([&](WorkerShard& shard, std::size_t lo, std::size_t hi) {
-      const NodeId end = static_cast<NodeId>(
-          std::min(cluster_.size(), hi * 64));
-      for (NodeId id = static_cast<NodeId>(lo * 64); id < end; ++id) {
-        service_node(id, &shard);
-      }
-    });
-  } else {
-    for (NodeId id = 0; id < cluster_.size(); ++id) {
-      service_node(id, nullptr);
-    }
+  for (NodeId id = 0; id < cluster_.size(); ++id) {
+    service_node(id);
   }
   // Bulk acks defer log compaction so in-place suffixes stay stable for
   // the rest of the scan; settle the deferred work once per tick.
@@ -446,34 +331,17 @@ void SimDriver::run_tick() {
   // Per-word union of the two NodeRuntime bitsets, visited in ascending
   // id order. Callbacks can only mutate bits of the node being serviced
   // (drain/ack clears its mail bit, on_timer may re-arm itself), so the
-  // per-word snapshot taken by the scan stays exact — per shard exactly
-  // as in the serial loop, since shards own whole words.
+  // per-word snapshot taken by the scan stays exact.
   const NodeRuntime& rt = cluster_.runtime();
-  if (!shards_.empty()) {
-    run_sharded([&](WorkerShard& shard, std::size_t lo, std::size_t hi) {
-      const auto mail = rt.due_mail.words();
-      const auto armed = rt.armed.words();
-      for (std::size_t w = lo; w < hi; ++w) {
-        std::uint64_t bits = armed[w];
-        if (auto_deliver_) bits |= mail[w];
-        while (bits != 0) {
-          const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-          bits &= bits - 1;
-          service_node(static_cast<NodeId>(w * 64 + bit), &shard);
-        }
-      }
-    });
-  } else {
-    const auto mail = rt.due_mail.words();
-    const auto armed = rt.armed.words();
-    for (std::size_t w = 0; w < armed.size(); ++w) {
-      std::uint64_t bits = armed[w];
-      if (auto_deliver_) bits |= mail[w];
-      while (bits != 0) {
-        const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        service_node(static_cast<NodeId>(w * 64 + bit), nullptr);
-      }
+  const auto mail = rt.due_mail.words();
+  const auto armed = rt.armed.words();
+  for (std::size_t w = 0; w < armed.size(); ++w) {
+    std::uint64_t bits = armed[w];
+    if (auto_deliver_) bits |= mail[w];
+    while (bits != 0) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+      bits &= bits - 1;
+      service_node(static_cast<NodeId>(w * 64 + bit));
     }
   }
   if (auto_deliver_) net.compact_broadcast_log();
@@ -542,29 +410,15 @@ void SimDriver::step(TimeStep t) {
   signals_.clear();
   cur_step_ = t;
   // Dense observe: stream the flat NodeRuntime value array (8-byte
-  // stride). Parallelized over the same word-aligned ranges as the tick
-  // scan: on_observe can only send (staged), signal (staged), arm its
-  // own timer or declare its own quiet range (shard-owned words).
-  // Down nodes are skipped: their observations are lost for the outage.
+  // stride). Down nodes are skipped: their observations are lost for the
+  // outage.
   const std::span<const Value> values = cluster_.values();
   const NodeRuntime& rt = cluster_.runtime();
   const bool any_down = cluster_.net().down_nodes() != 0;
-  if (!shards_.empty()) {
-    run_sharded([&](WorkerShard&, std::size_t lo, std::size_t hi) {
-      const NodeId end = static_cast<NodeId>(
-          std::min(cluster_.size(), hi * 64));
-      for (NodeId id = static_cast<NodeId>(lo * 64); id < end; ++id) {
-        if (any_down && !rt.alive.test(id)) continue;
-        NodeCtx ctx(*this, cluster_, id);
-        nodes_[id]->on_observe(ctx, values[id], t);
-      }
-    });
-  } else {
-    for (NodeId id = 0; id < cluster_.size(); ++id) {
-      if (any_down && !rt.alive.test(id)) continue;
-      NodeCtx ctx(*this, cluster_, id);
-      nodes_[id]->on_observe(ctx, values[id], t);
-    }
+  for (NodeId id = 0; id < cluster_.size(); ++id) {
+    if (any_down && !rt.alive.test(id)) continue;
+    NodeCtx ctx(*this, cluster_, id);
+    nodes_[id]->on_observe(ctx, values[id], t);
   }
   coord_.on_step_begin(coord_ctx_, t);
   settle(/*respect_budget=*/true);
@@ -600,29 +454,18 @@ void SimDriver::step(TimeStep t, std::span<const NodeId> changed) {
   // observations are lost for the outage. Each word is snapshotted before
   // its bits are visited; on_observe may rewrite only its own node's bit.
   const bool any_down = cluster_.net().down_nodes() != 0;
-  const auto observe_words = [&](std::size_t lo, std::size_t hi) {
-    const auto need = rt.needs_observe.words();
-    const auto alive = rt.alive.words();
-    for (std::size_t w = lo; w < hi; ++w) {
-      std::uint64_t bits = need[w];
-      if (any_down) bits &= alive[w];
-      while (bits != 0) {
-        const auto bit = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const auto id = static_cast<NodeId>(w * 64 + bit);
-        NodeCtx ctx(*this, cluster_, id);
-        nodes_[id]->on_observe(ctx, rt.values[id], t);
-      }
+  const auto need = rt.needs_observe.words();
+  const auto alive = rt.alive.words();
+  for (std::size_t w = 0; w < need.size(); ++w) {
+    std::uint64_t bits = need[w];
+    if (any_down) bits &= alive[w];
+    while (bits != 0) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+      bits &= bits - 1;
+      const auto id = static_cast<NodeId>(w * 64 + bit);
+      NodeCtx ctx(*this, cluster_, id);
+      nodes_[id]->on_observe(ctx, rt.values[id], t);
     }
-  };
-  if (!shards_.empty()) {
-    // Shards read and write only their own bit words (and their own ids'
-    // range entries), so scanning the live bitset is race-free.
-    run_sharded([&](WorkerShard&, std::size_t lo, std::size_t hi) {
-      observe_words(lo, hi);
-    });
-  } else {
-    observe_words(0, rt.needs_observe.words().size());
   }
   coord_.on_step_begin(coord_ctx_, t);
   settle(/*respect_budget=*/true);

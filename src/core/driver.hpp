@@ -51,28 +51,13 @@
 // tick (ditto for the coordinator in phases 2-3). This is what lets a
 // protocol session convene in one tick and run its round 0 in the next.
 //
-// Parallel tick loop (workers > 1): phase 1 — the node scan — is the only
-// parallel region. The NodeRuntime bit words are partitioned into W
-// contiguous ranges (whole 64-bit words, so every bit a shard mutates
-// lives in a word it owns); a persistent WorkerPool runs the scan of each
-// range concurrently, with every shared-state side effect a node callback
-// can cause (ctx.send, ctx.signal, drain accounting) staged into that
-// shard's private buffers. At the tick barrier the main thread replays
-// the staged effects in shard order — i.e. ascending node id order, the
-// exact serial order — so message seq stamps, the scheduled-delivery
-// hash, signal order, stats and taps are all byte-identical to
-// workers == 1. The coordinator phase, the observe step's range pass,
-// and everything else stay serial. Requires auto_deliver
-// (native role algorithms — one independent object per node);
-// LockstepAdapter deployments share one monitor object across node
-// callbacks and are rejected. Full design: docs/architecture.md,
-// "Parallel tick loop".
-//
-// Threading contract: every public method below is owner-thread only —
-// the driver is externally single-threaded; parallelism is an internal
-// implementation detail of the tick scan. NodeCtx methods are callable
-// from worker shards only because they route through the staged plumbing
-// marked below.
+// Threading contract: the driver is single-threaded. Every public method
+// and every NodeCtx / CoordCtx callback runs on the thread that calls
+// initialize(), step() or pump(); node and coordinator side effects
+// (sends, signals, timer arms, quiet-range declarations) apply directly,
+// in the order the callbacks raise them. Run independent simulations on
+// separate threads (one driver each) for parallelism — SweepRunner's
+// trial-level --jobs does exactly that.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +69,6 @@
 #include "sim/cluster.hpp"
 #include "sim/fault_plan.hpp"
 #include "util/bitset.hpp"
-#include "util/worker_pool.hpp"
 
 namespace topkmon {
 
@@ -99,12 +83,9 @@ class SimDriver {
   /// algorithms (the driver drains the network each tick), false for
   /// LockstepAdapter-backed ones (the wrapped monitor drains the network
   /// itself inside on_step_begin, so the driver must not consume mail).
-  /// `workers` is the tick-scan parallelism: 1 runs the serial loop
-  /// (no pool, no staging — the pre-existing code path), W > 1 shards
-  /// the scan across W threads with byte-identical output. Throws
-  /// std::invalid_argument for workers > 1 without auto_deliver (a
-  /// lock-step monitor is one shared object; its node callbacks cannot
-  /// run concurrently).
+  /// `workers` must be 1 (throws std::invalid_argument otherwise, 0
+  /// included); the parameter is kept only because perfbench, the
+  /// repository's fixed benchmark instrument, passes it.
   SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
             std::span<const std::unique_ptr<NodeAlgo>> nodes,
             bool auto_deliver, std::size_t workers = 1);
@@ -134,7 +115,6 @@ class SimDriver {
   /// step). The sharded runtime (core/root_merge.hpp) uses it to flush
   /// coordinator traffic injected between steps — re-anchoring broadcasts
   /// and renegotiation sessions; a no-op when nothing is pending.
-  /// Threading: owner thread only, like step().
   void pump();
 
   /// Forces the legacy dense per-tick scan and dense observe loop
@@ -144,14 +124,13 @@ class SimDriver {
   /// Attaches a fault-injection schedule (sim/fault_plan.hpp). `plan`
   /// must outlive the driver (nullptr detaches). Events fire at the
   /// first delivery tick of their scheduled step, before any mail or
-  /// timer is serviced — serially, on the owner thread, so the alive
-  /// set is stable within a tick even under workers > 1. Call before
-  /// initialize(): nodes the plan introduces later via join events must
-  /// be marked down (Network::set_node_down) before initialization so
-  /// their on_init is deferred to the join. With no plan attached the
-  /// event loop is byte-identical to a build without fault support.
-  /// Throws std::invalid_argument if the plan's node provisioning does
-  /// not match the cluster size.
+  /// timer is serviced, so the alive set is stable within a tick. Call
+  /// before initialize(): nodes the plan introduces later via join
+  /// events must be marked down (Network::set_node_down) before
+  /// initialization so their on_init is deferred to the join. With no
+  /// plan attached the event loop is byte-identical to a build without
+  /// fault support. Throws std::invalid_argument if the plan's node
+  /// provisioning does not match the cluster size.
   void set_fault_plan(const FaultPlan* plan);
 
   /// Like set_fault_plan(plan), but resumes the schedule at event index
@@ -169,71 +148,36 @@ class SimDriver {
   /// Ticks consumed so far (diagnostics; grows monotonically).
   SimTime now() const noexcept { return cluster_.net().now(); }
 
-  /// Tick-scan parallelism this driver was built with (>= 1).
-  std::size_t workers() const noexcept {
-    return shards_.empty() ? 1 : shards_.size();
-  }
-
   // -- context plumbing (used by NodeCtx / CoordCtx) ------------------------
   // Per-node scalars (armed, needs-observe, quiet range) live in the
   // cluster's shared structure-of-arrays NodeRuntime, next to the
-  // network's due-mail bits the tick scan unions them with. The node-side entry points
-  // (raise_signal, node_send, arm_node) are parallel-phase aware: on a
-  // worker shard they stage into the shard's private buffers (via the
-  // thread-local stage pointer) for the ordered replay at the tick
-  // barrier; on the owner thread they apply directly.
+  // network's due-mail bits the tick scan unions them with.
 
-  /// Records an uncharged upstream signal for the current step. Staged in
-  /// shard raise order during a parallel phase (replay preserves the
-  /// serial order: shard-major == ascending node id).
-  void raise_signal(Signal s) {
-    if (t_stage_ != nullptr) {
-      t_stage_->signals.push_back(s);
-    } else {
-      signals_.push_back(s);
-    }
-  }
-  /// Signals raised since the step began, in raise order. Owner thread
-  /// only (coordinator phase — staged signals are merged by then).
+  /// Records an uncharged upstream signal for the current step.
+  void raise_signal(Signal s) { signals_.push_back(s); }
+  /// Signals raised since the step began, in raise order.
   const std::vector<Signal>& signals() const noexcept { return signals_; }
   /// Queues an uncharged Control broadcast for the next node phase.
-  /// Owner thread only (only coordinator callbacks queue controls, and
-  /// the coordinator phase is serial).
   void queue_control(const Control& c) { pending_controls_.push_back(c); }
-  /// Node `from` sends `m` upstream (charged). Staged during a parallel
-  /// phase — the network's send side (seq stamps, inboxes, stats) is
-  /// owner-thread only — and replayed in serial order at the barrier.
-  /// Both the serial path and the barrier replay route through
-  /// dispatch_node_send, so adversarial degradations (lag/stale/mute)
-  /// apply identically for every --workers value.
-  void node_send(NodeId from, Message m) {
-    if (t_stage_ != nullptr) {
-      m.from = from;  // replay target; node_send re-stamps it anyway
-      t_stage_->sends.push_back(m);
-    } else {
-      dispatch_node_send(from, m);
-    }
-  }
+  /// Node `from` sends `m` upstream (charged): the single funnel for
+  /// charged node->coordinator traffic. With no degraded node the funnel
+  /// is one empty-vector test on top of Network::node_send; otherwise it
+  /// applies the sender's degradation: mute discards the message, stale
+  /// rewrites a value-bearing payload to the frozen snapshot, lag parks
+  /// the message in the held queue.
+  void node_send(NodeId from, Message m);
   /// Arms node id's timer for the next node timer phase (idempotent).
-  /// Parallel-phase safe for the id's owning shard: the bit write lands
-  /// in a shard-owned word; the shared counter delta is staged.
   void arm_node(NodeId id) {
     IdBitset& armed = cluster_.runtime().armed;
     if (!armed.test(id)) {
       armed.set(id);
-      if (t_stage_ != nullptr) {
-        ++t_stage_->armed_delta;
-      } else {
-        ++armed_nodes_;
-      }
+      ++armed_nodes_;
     }
   }
   /// Arms the coordinator's timer for the next coordinator timer phase.
-  /// Owner thread only.
   void arm_coordinator() noexcept { coord_armed_ = true; }
   /// Declares node id's quiet range and sets its needs-observe bit iff
-  /// the current value lies outside it. Parallel-phase safe for the id's
-  /// owning shard (its own range entry, a bit in a shard-owned word).
+  /// the current value lies outside it.
   void set_quiet_range(NodeId id, QuietRange q) {
     NodeRuntime& rt = cluster_.runtime();
     rt.quiet[id] = q;
@@ -247,17 +191,6 @@ class SimDriver {
   }
 
  private:
-  /// One worker's private staging area for a parallel phase. Cache-line
-  /// aligned so two shards' hot counters never share a line.
-  struct alignas(64) WorkerShard {
-    std::vector<Message> sends;    ///< staged ctx.send()s (from = sender)
-    std::vector<Signal> signals;   ///< staged ctx.signal()s, raise order
-    std::vector<Message> mail;     ///< per-shard drain scratch
-    std::ptrdiff_t armed_delta = 0;  ///< net armed-counter change
-    Network::DrainStage drain;     ///< staged network accounting
-    std::exception_ptr error;      ///< first exception in this shard
-  };
-
   void settle(bool respect_budget);
   void run_tick();
   void run_tick_dense();
@@ -267,43 +200,23 @@ class SimDriver {
   /// Fires every due fault event in schedule order: crash/leave freeze
   /// the node's armed timer and drop it from the transport; recover/join
   /// restore them and run the node's on_recover (join: on_init first);
-  /// set-k forwards to the coordinator. Owner thread, tick head only.
+  /// set-k forwards to the coordinator. Tick head only.
   void apply_due_faults();
   void apply_node_down(NodeId id);
   void apply_node_up(NodeId id, bool first_time);
-  /// The single funnel for charged node->coordinator traffic. With no
-  /// degraded node the funnel is one empty-vector test on top of
-  /// Network::node_send; otherwise it applies the sender's degradation:
-  /// mute discards the message, stale rewrites a value-bearing payload
-  /// to the frozen snapshot, lag parks the message in the held queue.
-  void dispatch_node_send(NodeId from, Message m);
   /// Re-injects every held (lagged) message whose release tick has
-  /// arrived, in (release, send-seq) order. Owner thread, tick head.
+  /// arrived, in (release, send-seq) order. Tick head only.
   void release_due_held();
   /// Earliest release tick over the held queue (held_ must be non-empty;
   /// the queue is kept sorted, so this is the front element).
   SimTime earliest_held_release() const noexcept {
     return held_.front().release;
   }
-  /// Phase-1 body for one node (mail -> controls -> timer). `stage` is
-  /// the servicing shard during a parallel phase, nullptr on the serial
-  /// path (side effects then apply directly — the workers == 1 loop is
-  /// exactly the pre-parallel code).
-  void service_node(NodeId id, WorkerShard* stage);
+  /// Phase-1 body for one node (mail -> controls -> timer).
+  void service_node(NodeId id);
   /// Phases 2-3 (coordinator mail, coordinator timer).
   void service_coordinator();
   bool anything_scheduled() const noexcept;
-
-  /// Runs `body(shard, word_lo, word_hi)` for every shard over its
-  /// contiguous word range of the n-node bit arrays, in parallel, then
-  /// merges all staged effects in shard order (the tick barrier).
-  /// Exceptions are rethrown deterministically: lowest shard index wins
-  /// (== first in serial order), after every stage is committed.
-  template <typename Body>
-  void run_sharded(Body&& body);
-  /// The ordered merge half of run_sharded (commit drains and armed
-  /// deltas, rethrow, replay signals and sends in shard order).
-  void merge_shards();
 
   Cluster& cluster_;
   CoordinatorAlgo& coord_;
@@ -346,17 +259,6 @@ class SimDriver {
   };
   std::vector<NodeDegrade> degrade_;
   std::vector<HeldSend> held_;
-
-  // Parallel mode (workers > 1): per-worker staging + the persistent
-  // pool. Both empty/null at workers == 1 — the serial path never tests
-  // more than shards_.empty().
-  std::vector<WorkerShard> shards_;
-  std::unique_ptr<WorkerPool> pool_;
-  /// Points at the shard the current thread is scanning for, nullptr
-  /// outside parallel phases. thread_local (not a member copy per
-  /// thread): one OS thread services at most one driver's shard at a
-  /// time, and SweepRunner workers each drive their own driver.
-  static thread_local WorkerShard* t_stage_;
 };
 
 }  // namespace topkmon

@@ -55,16 +55,10 @@ class SimDriver;
 /// machine state (value, RNG) and its single uplink are reachable — the
 /// API makes non-local reads impossible by construction.
 ///
-/// Thread-safety contract (the parallel tick loop): node callbacks may
-/// run on SimDriver worker threads, one shard of node ids per thread.
-/// Every NodeCtx method is safe there because each one either touches
-/// only this node's own state (value, rng — one owner per id) or routes
-/// through the driver's parallel-phase-aware plumbing (send/signal are
-/// staged per shard and replayed in serial order at the tick barrier;
-/// arm_timer/set_quiet_range/set_needs_observe write this node's range
-/// entry and bits in words owned by the calling shard). A NodeAlgo that
-/// keeps all its state per-instance — the native implementations do —
-/// therefore needs no synchronization of its own.
+/// Node callbacks run on the driver's thread, one at a time in id order;
+/// every NodeCtx method applies its effect directly (send/signal reach
+/// the network and the signal queue in callback order). A NodeAlgo needs
+/// no synchronization of its own.
 class NodeCtx {
  public:
   /// Transient view (driver, cluster, id): constructed at the call
@@ -84,9 +78,8 @@ class NodeCtx {
   Rng& rng() { return cluster_.node_rng(id_); }
 
   /// Sends `m` to the coordinator (charged, subject to the network
-  /// policy). Routed through the driver: on a worker shard the send is
-  /// staged and replayed at the tick barrier in serial order (defined in
-  /// driver.cpp with the other context plumbing).
+  /// policy). Routed through the driver's degradation funnel (defined
+  /// in driver.cpp with the other context plumbing).
   void send(Message m);
 
   /// Raises an uncharged control signal the coordinator sees this step.
@@ -125,9 +118,9 @@ class NodeCtx {
 /// (unicast / broadcast), its RNG, the control plane, and the protocol
 /// epoch counter. Node state is not reachable.
 ///
-/// Thread-safety: coordinator callbacks always run on the driver's owner
-/// thread (the coordinator phase is serial even under workers > 1), so
-/// every method here may touch shared network/driver state directly.
+/// Coordinator callbacks run on the driver's thread like every other
+/// callback, so every method here may touch network/driver state
+/// directly.
 class CoordCtx {
  public:
   /// Transient view over the driver and cluster (one per deployment).

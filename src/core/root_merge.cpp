@@ -216,6 +216,10 @@ std::string_view monitor_name(ShardedSpec::Monitor m) {
 }  // namespace
 
 ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
+  if (spec.workers != 1) {
+    throw std::invalid_argument("ShardedDeployment: workers must be 1, got " +
+                                std::to_string(spec.workers));
+  }
   ranges_ = partition_shards(spec.n, spec.shards);
   const std::size_t c = ranges_.size();
 
@@ -287,10 +291,6 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
       cfg.faults = &shard_plans_[s];
     }
     cfg.join_reserve = ranges_[s].size - live_ranges[s].size;
-    // At c == 1 the (single) inner driver takes the parallel tick scan; at
-    // c > 1 the inner drivers stay serial and the pool below steps whole
-    // shards concurrently instead — no nested pools.
-    cfg.workers = c == 1 ? spec.workers : 1;
     cfg.dense_loop = spec.dense_loop;
     cfg.sharded = c > 1;
     switch (spec.monitor) {
@@ -321,13 +321,8 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
   root_coord_ = std::make_unique<RootMergeCoordinator>(
       std::string(monitor_name(spec.monitor)), spec.k, adapters_, ranges_);
   root_driver_ = std::make_unique<SimDriver>(*root_cluster_, *root_coord_,
-                                             agents_, /*auto_deliver=*/true,
-                                             /*workers=*/1);
-  if (c > 1 && spec.workers > 1) {
-    pool_.emplace(std::min(spec.workers, c) - 1);
-  }
+                                             agents_, /*auto_deliver=*/true);
   changed_by_shard_.resize(c);
-  shard_errors_.resize(c);
 }
 
 std::size_t ShardedDeployment::shard_of(NodeId global) const {
@@ -368,26 +363,8 @@ void ShardedDeployment::step(TimeStep t, std::span<const NodeId> changed) {
     const std::size_t s = shard_of(g);
     changed_by_shard_[s].push_back(g - ranges_[s].base);
   }
-  if (pool_.has_value()) {
-    // Step whole shards in parallel. Shard bodies must not throw across
-    // the pool; exceptions are captured per shard and the lowest shard
-    // index rethrows — the first failure in serial order, so error
-    // behaviour is worker-count independent.
-    std::fill(shard_errors_.begin(), shard_errors_.end(), nullptr);
-    pool_->run(adapters_.size(), [&](std::size_t s) {
-      try {
-        adapters_[s]->step(t, changed_by_shard_[s]);
-      } catch (...) {
-        shard_errors_[s] = std::current_exception();
-      }
-    });
-    for (const std::exception_ptr& e : shard_errors_) {
-      if (e) std::rethrow_exception(e);
-    }
-  } else {
-    for (std::size_t s = 0; s < adapters_.size(); ++s) {
-      adapters_[s]->step(t, changed_by_shard_[s]);
-    }
+  for (std::size_t s = 0; s < adapters_.size(); ++s) {
+    adapters_[s]->step(t, changed_by_shard_[s]);
   }
   // Root tier: crossing polls, renegotiations, answer assembly. Serial,
   // after every shard settled.

@@ -53,7 +53,6 @@
 #include "core/shard_coordinator.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plan.hpp"
-#include "util/worker_pool.hpp"
 
 namespace topkmon {
 
@@ -181,7 +180,10 @@ struct ShardedSpec {
   std::size_t shards = 1;     ///< shard count c (1 <= c <= n)
   std::uint64_t seed = 0;     ///< scenario seed (shard 0 keeps it verbatim)
   NetworkSpec network{};      ///< node<->shard policy (root net is instant)
-  std::size_t workers = 1;    ///< parallelism (see ShardedDeployment)
+  /// Must be 1: ShardedDeployment throws std::invalid_argument for any
+  /// other value, 0 included. Kept only because perfbench, the
+  /// repository's fixed benchmark instrument, sets it.
+  std::size_t workers = 1;
   bool dense_loop = false;    ///< diagnostic dense inner driver loops
   enum class Monitor : std::uint8_t { kFilter, kNaive, kNaiveChg };
   Monitor monitor = Monitor::kFilter;
@@ -199,17 +201,11 @@ struct ShardedSpec {
 
 /// A complete two-tier deployment: c shard deployments plus the root
 /// tier, presenting the same set_value / initialize / step / topk surface
-/// as a monolithic monitor run.
-///
-/// Parallelism: at c == 1 `workers` runs the single shard's parallel tick
-/// scan (exactly the monolithic behaviour). At c > 1 the shards' inner
-/// drivers run serial and `workers` instead steps whole shards
-/// concurrently on a WorkerPool — each shard owns its cluster/driver, the
-/// pool's static index assignment keeps the shard->thread mapping fixed,
-/// and the root tier (serial, between steps) is the only cross-shard
-/// coupling, so results are byte-identical for every worker count.
+/// as a monolithic monitor run. Single-threaded: step() steps the shards
+/// one after another in index order, then the root tier.
 class ShardedDeployment {
  public:
+  /// Throws std::invalid_argument when spec.workers != 1.
   explicit ShardedDeployment(const ShardedSpec& spec);
 
   std::size_t shards() const noexcept { return ranges_.size(); }
@@ -271,9 +267,7 @@ class ShardedDeployment {
   std::unique_ptr<Cluster> root_cluster_;
   std::unique_ptr<RootMergeCoordinator> root_coord_;
   std::unique_ptr<SimDriver> root_driver_;
-  std::optional<WorkerPool> pool_;  ///< engaged at c > 1 && workers > 1
   std::vector<std::vector<NodeId>> changed_by_shard_;  ///< step scratch
-  std::vector<std::exception_ptr> shard_errors_;       ///< step scratch
 };
 
 }  // namespace topkmon

@@ -15,9 +15,7 @@ std::vector<ShardRange> partition_shards(std::size_t n, std::size_t shards) {
   const std::size_t words = (n + 63) / 64;
   if (words >= shards) {
     // Word-aligned balanced split: the first (words % shards) shards get
-    // one extra word. Whole words per shard means the parallel tick
-    // loop's word-range ownership argument applies verbatim, and a
-    // future one-shard-per-worker mapping needs no re-partitioning.
+    // one extra word, so each shard's nodes occupy whole bitset words.
     const std::size_t base_words = words / shards;
     const std::size_t extra = words % shards;
     std::size_t word = 0;
@@ -103,7 +101,7 @@ NaiveShardAdapter::NaiveShardAdapter(const ShardConfig& cfg,
     nodes_.push_back(std::make_unique<NaiveNode>(send_on_change_only));
   }
   driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_,
-                                        /*auto_deliver=*/true, cfg_.workers);
+                                        /*auto_deliver=*/true);
   if (cfg_.faults != nullptr) driver_->set_fault_plan(cfg_.faults);
   driver_->set_dense_loop(cfg_.dense_loop);
 }
@@ -170,7 +168,7 @@ void FilterShardAdapter::rebuild() {
     nodes_.push_back(std::make_unique<FilterNode>(quota_));
   }
   driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_,
-                                        /*auto_deliver=*/true, cfg_.workers);
+                                        /*auto_deliver=*/true);
   if (cfg_.faults != nullptr) driver_->set_fault_plan(cfg_.faults, fault_cursor);
   driver_->set_dense_loop(cfg_.dense_loop);
   // Full initialization on the warm cluster: values, RNG streams, the

@@ -10,9 +10,7 @@
 // This file provides the per-shard machinery:
 //
 //  * partition_shards()   word-aligned contiguous ranges, so a shard's
-//                         nodes occupy whole bitset words (the same
-//                         substrate the parallel tick loop shards by) and
-//                         shard s can later map 1:1 onto worker s;
+//                         nodes occupy whole bitset words;
 //  * initial_shard_quotas() largest-remainder split of k over the ranges;
 //  * ShardAdapter         the root tier's handle on one shard: poll the
 //                         boundary-crossing predicate, read/refresh the
@@ -108,7 +106,6 @@ struct ShardConfig {
   std::size_t quota = 0;    ///< initial per-shard k
   std::uint64_t seed = 0;   ///< shard cluster seed (see shard_seed)
   NetworkSpec network{};    ///< node<->shard delivery policy
-  std::size_t workers = 1;  ///< inner tick-scan workers (1-shard runs only)
   bool dense_loop = false;  ///< diagnostic dense driver loop
   /// True in a c > 1 deployment: engages the pinned-boundary protocol and
   /// the quota-0 / quota-n edge cases. False at c == 1, where the shard
@@ -127,10 +124,9 @@ struct ShardConfig {
 
 /// The root tier's handle on one shard deployment.
 ///
-/// Threading: step() calls on distinct adapters are independent (each
-/// adapter owns its cluster/driver) and may run on pool threads; all
-/// other methods — the root coordinator's renegotiation plumbing — run on
-/// the owner thread between steps.
+/// Each adapter owns its cluster and driver; the deployment steps the
+/// adapters one after another, and the root coordinator's renegotiation
+/// plumbing (every other method) runs between steps.
 class ShardAdapter {
  public:
   virtual ~ShardAdapter() = default;

@@ -1,10 +1,8 @@
 #include "exp/scenario.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "core/driver.hpp"
 #include "core/ground_truth_tracker.hpp"
@@ -84,16 +82,6 @@ RunResult run_scenario(const Scenario& sc) {
         "' has no native role implementation and cannot run under fault "
         "plan '" + sc.faults + "' (native: " + native_monitor_list() + ")");
   }
-  const std::size_t workers =
-      sc.workers != 0
-          ? sc.workers
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (!pair.native && workers > 1) {
-    throw std::invalid_argument(
-        "run_scenario: monitor '" + sc.monitor +
-        "' has no native role implementation and cannot run with workers > 1 "
-        "(native: " + native_monitor_list() + ")");
-  }
   if (sc.record_series) cluster.stats().enable_series();
 
   const RunConfig cfg = sc.run_config();
@@ -128,7 +116,7 @@ RunResult run_scenario(const Scenario& sc) {
   };
 
   SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native,
-                   workers);
+                   sc.workers);
   driver.set_dense_loop(sc.dense_loop);
 
   // Down-node bookkeeping mirroring the driver's alive bits at step
@@ -373,10 +361,7 @@ RunResult run_sharded_scenario(const Scenario& sc) {
   dspec.shards = shards;
   dspec.seed = sc.seed;
   dspec.network = sc.network;
-  dspec.workers =
-      sc.workers != 0
-          ? sc.workers
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  dspec.workers = sc.workers;
   dspec.dense_loop = sc.dense_loop;
   if (faulty) dspec.faults = &plan;
   ShardedDeployment dep(dspec);

@@ -10,11 +10,10 @@
 // Under the default instant network this path is byte-identical to the
 // legacy run_monitor() pipeline (native role implementations are
 // coin-flip-compatible with their lock-step counterparts; everything else
-// bridges through the LockstepAdapter). Non-instant networks, fault plans
-// and workers > 1 require a monitor with a native role port — exactly the
-// specs exp::native_monitor_names() lists, every monitor but "recompute"
-// — and the runner rejects adapter-backed monitors there with a clear
-// error.
+// bridges through the LockstepAdapter). Non-instant networks and fault
+// plans require a monitor with a native role port — exactly the specs
+// exp::native_monitor_names() lists, every monitor but "recompute" — and
+// the runner rejects adapter-backed monitors there with a clear error.
 #pragma once
 
 #include <functional>
@@ -65,14 +64,12 @@ struct Scenario {
   /// before side of its speedup measurements.
   bool dense_loop = false;
 
-  /// Tick-scan parallelism of the SimDriver: 1 (default) runs the serial
-  /// loop, W > 1 shards the per-tick node scan across W threads, 0 means
-  /// one per hardware thread. Output is byte-identical for every value
-  /// (the parallel-tick determinism contract; enforced by tests and the
-  /// CI workers-determinism smoke). Values > 1 require a native monitor
-  /// (every registry spec except "recompute"; see
-  /// exp::native_monitor_names()) — run_scenario rejects adapter-backed
-  /// monitors with a clear error, like it does for non-instant networks.
+  /// Must be 1: run_scenario and run_sharded_scenario throw
+  /// std::invalid_argument for any other value, 0 included, before any
+  /// node callback runs (SimDriver / ShardedDeployment reject it). Kept
+  /// only because perfbench, the repository's fixed benchmark
+  /// instrument, sets it. Parallelism lives one level up: SweepRunner
+  /// runs independent scenarios concurrently.
   std::size_t workers = 1;
 
   /// Shard count of the two-tier hierarchical deployment
@@ -95,9 +92,9 @@ struct Scenario {
   /// the field; anything else schedules crash / recover / join / leave /
   /// dynamic-k events — plus the adversarial degradations lag / stale /
   /// mute / heal — against the run. Requires a monitor listed by
-  /// exp::native_monitor_names(); composes with any network policy and
-  /// with workers > 1 (schedules derive from the run seed like link
-  /// randomness, so results stay byte-reproducible). Only "topk_filter",
+  /// exp::native_monitor_names(); composes with any network policy
+  /// (schedules derive from the run seed like link randomness, so results
+  /// stay byte-reproducible). Only "topk_filter",
   /// "approx", "naive" and "naive_chg" accept the `?suspect` parameter
   /// that convicts a degraded node; the other ports reject it and carry a
   /// degradation until its heal. "ordered" and "multi_k" re-sync a
@@ -161,11 +158,11 @@ struct Scenario {
 
 /// Runs the scenario end to end and returns its result. Throws
 /// std::invalid_argument for malformed scenarios (unknown monitor/family,
-/// k out of range, non-native monitor on a non-instant network or with
-/// workers > 1) and std::logic_error on validation divergence when
-/// throw_on_error is set. Thread-safe: concurrent calls share no state
-/// (each scenario builds its own cluster/driver), which is how the
-/// SweepRunner's trial parallelism composes with per-scenario workers.
+/// k out of range, workers != 1, non-native monitor on a non-instant
+/// network or under a fault plan) and std::logic_error on validation
+/// divergence when throw_on_error is set. Thread-safe: concurrent calls
+/// share no state (each scenario builds its own cluster/driver), which is
+/// what the SweepRunner's trial parallelism relies on.
 RunResult run_scenario(const Scenario& scenario);
 
 /// Runs the scenario on a two-tier sharded deployment (core/root_merge.hpp)
@@ -182,7 +179,7 @@ RunResult run_scenario(const Scenario& scenario);
 /// supported at any c (whole-shard outages drain the dead shard's quota
 /// at the root and regrant it on recovery); adversarial degradations are
 /// not. Throws std::invalid_argument for non-native monitors, plans with
-/// degradations, or shards > n.
+/// degradations, shards > n, or workers != 1.
 RunResult run_sharded_scenario(const Scenario& scenario);
 
 }  // namespace topkmon::exp

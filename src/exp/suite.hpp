@@ -23,12 +23,9 @@ struct SuiteOptions {
   std::uint64_t trials = 0;  ///< 0: keep the suite's default
   std::uint64_t steps = 0;   ///< 0: keep the suite's default
   std::uint64_t seed = 1;    ///< base seed
-  std::size_t jobs = 1;      ///< worker threads (0: hardware concurrency)
-  /// Per-scenario SimDriver tick-scan parallelism (0: hardware
-  /// concurrency). Orthogonal to --jobs: jobs parallelizes across
-  /// trials, workers inside one simulation. Outputs are byte-identical
-  /// for every value (the parallel-tick determinism contract).
-  std::size_t workers = 1;
+  /// Trial-level worker threads (0: hardware concurrency), the one
+  /// parallel grain; outputs are byte-identical for every value.
+  std::size_t jobs = 1;
   std::string out_dir;       ///< empty: don't write CSV/JSON artifacts
   /// Path to a previous BENCH_*.json; the perf suite diffs against it
   /// (Δ steps/sec, Δ allocs) and fails on regressions. Empty: no diff.

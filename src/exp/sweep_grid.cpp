@@ -37,7 +37,7 @@ std::size_t SweepGrid::size() const noexcept {
     }
   }
   return cells * monitors.size() * families.size() * networks.size() *
-         workers.size() * shards.size() * faults.size() * trials;
+         shards.size() * faults.size() * trials;
 }
 
 std::vector<TrialSpec> SweepGrid::expand() const {
@@ -49,36 +49,31 @@ std::vector<TrialSpec> SweepGrid::expand() const {
       for (std::size_t mi = 0; mi < monitors.size(); ++mi) {
         for (std::size_t fi = 0; fi < families.size(); ++fi) {
           for (std::size_t ni = 0; ni < networks.size(); ++ni) {
-            for (std::size_t wi = 0; wi < workers.size(); ++wi) {
-              for (std::size_t si = 0; si < shards.size(); ++si) {
-                for (std::size_t pi = 0; pi < faults.size(); ++pi) {
-                  for (std::size_t t = 0; t < trials; ++t) {
-                    TrialSpec spec;
-                    spec.cfg.n = n;
-                    spec.cfg.k = k;
-                    spec.cfg.steps = steps;
-                    // Neither the network, the workers, the shards nor
-                    // the faults axis enters the seed: same-cell trials
-                    // under different policies/shard counts/fault plans
-                    // are paired replays, and different worker counts
-                    // are byte-identical replays by the determinism
-                    // contract.
-                    spec.cfg.seed =
-                        derive_trial_seed(base_seed, n, k, mi, fi, t);
-                    spec.cfg.validation = validation;
-                    spec.cfg.record_trace = record_trace;
-                    spec.stream = stream_template;
-                    spec.stream.family = families[fi];
-                    spec.network = networks[ni];
-                    spec.monitor = monitors[mi];
-                    spec.workers = workers[wi];
-                    spec.shards = shards[si];
-                    spec.faults = faults[pi];
-                    spec.trial = t;
-                    spec.ordinal = out.size();
-                    spec.throw_on_error = throw_on_error;
-                    out.push_back(std::move(spec));
-                  }
+            for (std::size_t si = 0; si < shards.size(); ++si) {
+              for (std::size_t pi = 0; pi < faults.size(); ++pi) {
+                for (std::size_t t = 0; t < trials; ++t) {
+                  TrialSpec spec;
+                  spec.cfg.n = n;
+                  spec.cfg.k = k;
+                  spec.cfg.steps = steps;
+                  // Neither the network, the shards nor the faults axis
+                  // enters the seed: same-cell trials under different
+                  // policies/shard counts/fault plans are paired
+                  // replays.
+                  spec.cfg.seed =
+                      derive_trial_seed(base_seed, n, k, mi, fi, t);
+                  spec.cfg.validation = validation;
+                  spec.cfg.record_trace = record_trace;
+                  spec.stream = stream_template;
+                  spec.stream.family = families[fi];
+                  spec.network = networks[ni];
+                  spec.monitor = monitors[mi];
+                  spec.shards = shards[si];
+                  spec.faults = faults[pi];
+                  spec.trial = t;
+                  spec.ordinal = out.size();
+                  spec.throw_on_error = throw_on_error;
+                  out.push_back(std::move(spec));
                 }
               }
             }
@@ -121,16 +116,13 @@ void SweepGrid::set_axis(const std::string& name,
   } else if (name == "network") {
     networks.clear();
     for (const auto& v : values) networks.push_back(parse_network_spec(v));
-  } else if (name == "workers") {
-    workers = parse_sizes();
   } else if (name == "shards") {
     shards = parse_sizes();
   } else if (name == "faults") {
     faults = values;
   } else {
     static const std::vector<std::string> known{
-        "n", "k", "monitor", "family", "network", "workers", "shards",
-        "faults"};
+        "n", "k", "monitor", "family", "network", "shards", "faults"};
     std::string msg = "unknown sweep axis '" + name + "'";
     const std::vector<std::string> close = closest_matches(name, known);
     if (!close.empty()) {
@@ -142,8 +134,7 @@ void SweepGrid::set_axis(const std::string& name,
       }
       msg += '?';
     }
-    msg += " (axes: n, k, monitor, family, network, workers, shards, "
-           "faults)";
+    msg += " (axes: n, k, monitor, family, network, shards, faults)";
     throw std::invalid_argument(msg);
   }
 }

@@ -27,7 +27,6 @@ struct TrialSpec {
   StreamSpec stream;                 ///< workload description
   NetworkSpec network{};             ///< delivery policy (default instant)
   std::string monitor{"topk_filter"};  ///< exp::make_monitor spec
-  std::size_t workers = 1;           ///< SimDriver tick-scan parallelism
   std::size_t shards = 1;            ///< shard coordinators (Scenario::shards)
   std::string faults{"none"};        ///< fault plan spec (Scenario::faults)
   std::size_t trial = 0;             ///< repetition index within its cell
@@ -43,7 +42,7 @@ std::uint64_t derive_trial_seed(std::uint64_t base_seed, std::size_t n,
                                 std::size_t trial) noexcept;
 
 /// Cartesian product description:
-/// ns × ks × monitors × families × networks × workers × trials.
+/// ns × ks × monitors × families × networks × shards × faults × trials.
 struct SweepGrid {
   std::vector<std::size_t> ns{16};
   std::vector<std::size_t> ks{4};
@@ -54,13 +53,8 @@ struct SweepGrid {
   /// streams and protocol coins, so delay/drop sweeps are paired
   /// comparisons.
   std::vector<NetworkSpec> networks{NetworkSpec{}};
-  /// SimDriver tick-scan parallelism values to range over. Like networks,
-  /// NOT mixed into the seed — outputs are workers-invariant by the
-  /// parallel-tick determinism contract, so this axis exists purely for
-  /// scaling measurements (wall clock per W) and determinism checks.
-  std::vector<std::size_t> workers{1};
   /// Shard-coordinator counts to range over (Scenario::shards). Like
-  /// networks and workers, NOT mixed into the per-trial seed: the same
+  /// networks, NOT mixed into the per-trial seed: the same
   /// cell at different shard counts replays the same streams, so
   /// message-cost comparisons across c are paired.
   std::vector<std::size_t> shards{1};
@@ -85,13 +79,13 @@ struct SweepGrid {
   std::size_t size() const noexcept;
 
   /// Expands the grid into per-trial specs, ordered n-major then k,
-  /// monitor, family, network, workers, shards, faults, trial
+  /// monitor, family, network, shards, faults, trial
   /// (deterministic). Cells where k > n are skipped so mixed n/k axes
   /// stay valid.
   std::vector<TrialSpec> expand() const;
 
   /// Sets one axis by name from string values ("n", "k", "monitor",
-  /// "family", "network", "workers", "shards", "faults") — the declarative
+  /// "family", "network", "shards", "faults") — the declarative
   /// counterpart of assigning the fields above, for CLIs and config
   /// readers. Throws std::invalid_argument for an empty value list, a
   /// malformed value, or an unknown axis name — the unknown-name message

@@ -1,5 +1,9 @@
 #include "exp/sweep_runner.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "exp/scenario.hpp"
 
 namespace topkmon::exp {
@@ -18,23 +22,38 @@ RunResult run_trial(const TrialSpec& spec) {
   sc.record_trace = spec.cfg.record_trace;
   sc.record_series = spec.cfg.record_series;
   sc.throw_on_error = spec.throw_on_error;
-  sc.workers = spec.workers;
   sc.shards = spec.shards;
   sc.faults = spec.faults;
   return run_scenario(sc);
 }
 
 SweepRunner::SweepRunner(std::size_t jobs) : jobs_(jobs) {
+  if (jobs_ > kMaxJobs) {
+    throw std::invalid_argument("SweepRunner: jobs " + std::to_string(jobs_) +
+                                " exceeds the maximum of " +
+                                std::to_string(kMaxJobs));
+  }
   if (jobs_ == 0) {
-    jobs_ = std::max(1u, std::thread::hardware_concurrency());
+    jobs_ = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                    kMaxJobs);
   }
   // Workers beyond the calling thread; jobs == 1 stays purely inline.
-  for (std::size_t i = 1; i < jobs_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  workers_.reserve(jobs_ - 1);
+  try {
+    for (std::size_t i = 1; i < jobs_; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // The destructor does not run for a throwing constructor, and a
+    // joinable std::thread destroyed unjoined calls std::terminate.
+    shutdown();
+    throw;
   }
 }
 
-SweepRunner::~SweepRunner() {
+SweepRunner::~SweepRunner() { shutdown(); }
+
+void SweepRunner::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;

@@ -35,8 +35,16 @@ RunResult run_trial(const TrialSpec& spec);
 
 class SweepRunner {
  public:
-  /// `jobs` worker threads; 0 means std::thread::hardware_concurrency().
-  /// With jobs == 1 no threads are spawned and work runs inline.
+  /// Upper bound on `jobs`: far above any core count a sweep can use,
+  /// far below the thread count at which the OS starts refusing.
+  static constexpr std::size_t kMaxJobs = 256;
+
+  /// `jobs` worker threads; 0 means std::thread::hardware_concurrency()
+  /// (capped at kMaxJobs). With jobs == 1 no threads are spawned and work
+  /// runs inline. Throws std::invalid_argument, before starting any
+  /// thread, when jobs > kMaxJobs. If the OS refuses a thread, the ones
+  /// already started are shut down and joined before the error
+  /// propagates.
   explicit SweepRunner(std::size_t jobs = 0);
   ~SweepRunner();
 
@@ -64,6 +72,8 @@ class SweepRunner {
   std::vector<RunResult> run(const std::vector<TrialSpec>& trials);
 
  private:
+  /// Stops and joins every started worker thread.
+  void shutdown();
   void worker_loop();
   void drain_batch(std::uint64_t batch);
 

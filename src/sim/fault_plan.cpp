@@ -216,7 +216,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
   // -- generated churn: expand bursts into crash/recover events ------------
   // Victim draws derive from the run seed through a tagged generator (the
   // Network link-hash pattern): independent of node/stream RNG streams,
-  // identical across --jobs/--workers, and consumed only when a plan is
+  // identical across --jobs, and consumed only when a plan is
   // configured — a fault-free run never touches it.
   if (gen_used) {
     if (gen_every == 0) {

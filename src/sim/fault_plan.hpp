@@ -45,9 +45,8 @@
 // `outage` steps. Victim selection derives from the run seed exactly like
 // the Network derives link randomness — independent of the node / stream
 // RNG streams — so a schedule is byte-reproducible across `--jobs` and
-// `--workers` and never perturbs a fault-free run. Explicit membership
-// events cannot be mixed with the generated form; `k=K@S` composes with
-// either.
+// never perturbs a fault-free run. Explicit membership events cannot be
+// mixed with the generated form; `k=K@S` composes with either.
 //
 // Construction validates the full timeline (ids in range, no crash of a
 // down node, no recovery of a live node, no leave while down, k never

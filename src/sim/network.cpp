@@ -329,32 +329,17 @@ bool Network::coordinator_has_mail() const noexcept {
   return ready_[num_nodes()].head != kNil;
 }
 
-void Network::drain_scheduled(std::size_t qi, std::vector<Message>& out,
-                              DrainStage* stage) {
+void Network::drain_scheduled(std::size_t qi, std::vector<Message>& out) {
   MsgList& list = ready_[qi];
   std::uint32_t idx = list.head;
   while (idx != kNil) {
     out.push_back(slab_[idx].msg);
     const std::uint32_t next = slab_[idx].next;
-    if (stage != nullptr) {
-      // Staged free: thread the node onto the stage's private chain (the
-      // shared free list is owned by the main thread); the chain is
-      // spliced back in one O(1) step by commit_drain_stage.
-      slab_[idx].next = stage->free_head;
-      if (stage->free_head == kNil) stage->free_tail = idx;
-      stage->free_head = idx;
-    } else {
-      slab_free(idx);
-    }
+    slab_free(idx);
     idx = next;
   }
-  if (stage != nullptr) {
-    stage->delivered += out.size();
-    stage->drained += out.size();
-  } else {
-    pending_ -= out.size();
-    ready_count_ -= out.size();
-  }
+  pending_ -= out.size();
+  ready_count_ -= out.size();
   list = MsgList{};
   if (qi < num_nodes()) due_mail_->clear(static_cast<NodeId>(qi));
 }
@@ -372,24 +357,15 @@ void Network::drain_coordinator(std::vector<Message>& out) {
   drain_scheduled(num_nodes(), out);
 }
 
-std::vector<Message> Network::drain_coordinator() {
-  std::vector<Message> out;
-  if (instant_) {
-    // Copy-and-clear (not swap): the returning overload must keep the
-    // inbox's send-side capacity, or every call would reset it and the
-    // next burst of node_sends would regrow the buffer from scratch.
-    out.reserve(coord_inbox_.size());
-    out.insert(out.end(), std::make_move_iterator(coord_inbox_.begin()),
-               std::make_move_iterator(coord_inbox_.end()));
-    pending_ -= coord_inbox_.size();
-    coord_inbox_.clear();
-    return out;
+void Network::drain_node(NodeId id, std::vector<Message>& out) {
+  if (id >= num_nodes()) {
+    throw std::out_of_range("Network::drain_node: bad node id");
   }
-  drain_scheduled(num_nodes(), out);
-  return out;
-}
-
-std::size_t Network::merge_instant_mail(NodeId id, std::vector<Message>& out) {
+  out.clear();
+  if (!instant_) {
+    drain_scheduled(id, out);
+    return;
+  }
   // Both sources are already seq-ascending (push order), so a two-pointer
   // merge replaces the old collect-then-sort pass and the intermediate
   // vector; the unicast buffer and `out` keep their capacity across
@@ -409,44 +385,11 @@ std::size_t Network::merge_instant_mail(NodeId id, std::vector<Message>& out) {
   }
   for (; u < uni.size(); ++u) out.push_back(uni[u].msg);
   for (; b < bcast_msgs_.size(); ++b) out.push_back(bcast_msgs_[b]);
-  const std::size_t delivered = uni.size() + (bcast_msgs_.size() - bstart);
+  pending_ -= uni.size() + (bcast_msgs_.size() - bstart);
   uni.clear();
   cursors_[id] = log_offset_ + bcast_msgs_.size();
   due_mail_->clear(id);
-  return delivered;
-}
-
-void Network::drain_node(NodeId id, std::vector<Message>& out) {
-  if (id >= num_nodes()) {
-    throw std::out_of_range("Network::drain_node: bad node id");
-  }
-  out.clear();
-  if (!instant_) {
-    drain_scheduled(id, out);
-    return;
-  }
-  pending_ -= merge_instant_mail(id, out);
   maybe_compact_broadcast_log();
-}
-
-void Network::drain_node_staged(NodeId id, std::vector<Message>& out,
-                                DrainStage& stage) {
-  if (id >= num_nodes()) {
-    throw std::out_of_range("Network::drain_node_staged: bad node id");
-  }
-  out.clear();
-  if (!instant_) {
-    drain_scheduled(id, out, &stage);
-    return;
-  }
-  stage.delivered += merge_instant_mail(id, out);
-  // Deliberately no compaction: other shards hold in-place log suffixes.
-}
-
-std::vector<Message> Network::drain_node(NodeId id) {
-  std::vector<Message> out;
-  drain_node(id, out);
-  return out;
 }
 
 void Network::set_node_down(NodeId id) {

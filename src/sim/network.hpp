@@ -32,23 +32,15 @@
 // cleared by drain_node(). The SimDriver's sparse event loop visits only
 // flagged nodes, making a settled tick O(active), not O(n).
 //
-// Hot-path drains: the `drain_*(buffer&)` overloads fill a caller-owned
-// scratch buffer (cleared first, capacity retained across calls), so a
-// settled simulation tick performs zero heap allocations at steady state.
-// The returning overloads remain as thin conveniences for tests and
-// cold paths.
+// Drains: `drain_node(id, out)` and `drain_coordinator(out)` fill a
+// caller-owned scratch buffer (cleared first, capacity retained across
+// calls), so a settled simulation tick performs zero heap allocations at
+// steady state.
 //
-// Threading: the network is single-owner — every method is meant to be
-// called from the thread driving the simulation — EXCEPT the explicitly
-// marked parallel-phase subset (drain_node_staged / ack_broadcasts_staged
-// / unread_broadcasts / node_mail_is_broadcast_only / node_has_mail),
-// which the SimDriver's worker shards may call concurrently for node ids
-// they own: those methods touch only id-owned state (the id's unicast
-// buffer, cursor, ready list, due bit word) plus the caller's private
-// DrainStage, never the shared accounting. The staged deltas become
-// visible via commit_drain_stage() on the owner thread after the tick
-// barrier (the WorkerPool join provides the happens-before edge). See
-// docs/architecture.md, "Parallel tick loop".
+// Threading: the network is single-threaded. Every method, sends,
+// drains and clock advances alike, runs on the thread driving the
+// simulation, and each call settles the shared accounting (pending and
+// ready counters, slab free list, log compaction) before it returns.
 #pragma once
 
 #include <cassert>
@@ -112,9 +104,8 @@ class Network {
   // transmissions — and every undelivered message is counted in
   // dropped_deliveries(). The liveness bits live on the shared
   // NodeRuntime (runtime().alive) so the SimDriver's scans and the
-  // transport agree at every tick. Owner thread only; liveness only
-  // changes between parallel phases (the driver applies faults at the
-  // head of run_tick).
+  // transport agree at every tick (the driver applies faults at the head
+  // of each tick).
 
   /// True iff node id is up. No bounds check (hot path).
   bool node_alive(NodeId id) const noexcept { return alive_->test(id); }
@@ -137,133 +128,53 @@ class Network {
 
   // -- clock ----------------------------------------------------------------
   /// Current tick. Sends stamp messages with it; drains deliver everything
-  /// scheduled at or before it. Stable during a parallel phase (clock
-  /// advances happen between phases, on the owner thread).
+  /// scheduled at or before it.
   SimTime now() const noexcept { return now_; }
 
-  /// Advances the clock by one tick. Owner thread only.
+  /// Advances the clock by one tick.
   void advance_clock() { advance_clock_to(now_ + 1); }
 
   /// Advances the clock to `t` (no-op if `t` is in the past). Under a
   /// scheduled policy, every timing-wheel bucket passed on the way is
-  /// moved onto the recipients' ready lists in delivery order. Owner
-  /// thread only.
+  /// moved onto the recipients' ready lists in delivery order.
   void advance_clock_to(SimTime t);
 
   // -- sending --------------------------------------------------------------
-  // All sends mutate shared state (seq stamp, inboxes, wheel, stats):
-  // owner thread only. Parallel shards stage node sends in the SimDriver
-  // and replay them here, in shard order, at the tick barrier.
 
-  /// Node `from` sends `m` to the coordinator (cost 1). Owner thread only.
+  /// Node `from` sends `m` to the coordinator (cost 1).
   void node_send(NodeId from, Message m);
 
-  /// Coordinator sends `m` to node `to` (cost 1). Owner thread only.
+  /// Coordinator sends `m` to node `to` (cost 1).
   void coord_unicast(NodeId to, Message m);
 
   /// Coordinator broadcasts `m` to all nodes (cost 1 in the paper's
-  /// model). Owner thread only.
+  /// model).
   void coord_broadcast(Message m);
 
   // -- receiving ------------------------------------------------------------
   /// Drains every deliverable message in the coordinator's inbox into
-  /// `out` (cleared first; capacity retained), in arrival order. This is
-  /// the allocation-free hot path: at steady state neither `out` nor the
-  /// internal inbox reallocates. Owner thread only (the coordinator phase
-  /// is always serial).
+  /// `out` (cleared first; capacity retained), in arrival order. At
+  /// steady state neither `out` nor the internal inbox reallocates.
   void drain_coordinator(std::vector<Message>& out);
 
-  /// Convenience overload returning a fresh vector (tests / cold paths).
-  /// Owner thread only.
-  std::vector<Message> drain_coordinator();
-
-  /// True if the coordinator has deliverable messages. Owner thread only
-  /// (reads shared send-side state).
+  /// True if the coordinator has deliverable messages.
   bool coordinator_has_mail() const noexcept;
 
   /// Drains node `id`'s deliverable messages into `out` (cleared first;
   /// capacity retained): unicasts addressed to it plus all broadcasts
   /// issued since its last drain, in send order (broadcasts and unicasts
   /// interleaved by issue time; under jitter, by delivery tick first).
-  /// Owner thread only (compacts the log, settles shared accounting) —
-  /// parallel shards use drain_node_staged.
   void drain_node(NodeId id, std::vector<Message>& out);
-
-  /// Convenience overload returning a fresh vector (tests / cold paths).
-  std::vector<Message> drain_node(NodeId id);
-
-  // -- parallel-phase drains ------------------------------------------------
-  // The SimDriver's worker shards drain the nodes they own concurrently.
-  // A drain's per-node effects (clearing the unicast buffer / ready list,
-  // advancing the cursor, clearing the due bit) are safe as-is — each id
-  // is owned by exactly one shard, and shards own whole due-mail words —
-  // but its *shared* effects (pending/ready counters, slab free list,
-  // log compaction) are not. The staged variants accumulate those into a
-  // caller-owned DrainStage instead; the owner thread applies every
-  // shard's stage after the tick barrier via commit_drain_stage(), in
-  // shard order. Deliveries surfaced are byte-identical to the unstaged
-  // calls (the accounting deltas commute — they are sums and a free-list
-  // splice — and compaction is delivery-invisible by contract).
-
-  /// Slab index sentinel (empty list / end of list; also DrainStage's
-  /// empty free chain).
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-
-  /// Shared-state deltas one worker shard accumulates across its
-  /// parallel-phase drains, applied later by commit_drain_stage(). Value
-  /// type; reusable after commit (commit resets it).
-  struct DrainStage {
-    std::uint64_t delivered = 0;  ///< pending-delivery decrements owed
-    std::uint64_t drained = 0;    ///< ready-list pops owed (scheduled mode)
-    std::uint32_t free_head = kNil;  ///< staged slab free chain ...
-    std::uint32_t free_tail = kNil;  ///< ... spliced onto the real one
-  };
-
-  /// drain_node, minus the shared-state effects: accounting deltas and
-  /// freed slab nodes go into `stage`, and the broadcast log is never
-  /// compacted (in-place suffixes handed to other shards stay stable; the
-  /// driver compacts once per tick at the barrier). Parallel-phase safe
-  /// for the id's owning shard.
-  void drain_node_staged(NodeId id, std::vector<Message>& out,
-                         DrainStage& stage);
-
-  /// ack_broadcasts, minus the shared-state effects (the pending-delivery
-  /// decrement goes into `stage`). Parallel-phase safe for the id's
-  /// owning shard; same precondition as ack_broadcasts.
-  void ack_broadcasts_staged(NodeId id, DrainStage& stage) noexcept {
-    assert(node_mail_is_broadcast_only(id));
-    const std::size_t total = log_offset_ + bcast_msgs_.size();
-    stage.delivered += total - cursors_[id];
-    cursors_[id] = total;
-    due_mail_->clear(id);
-  }
-
-  /// Applies one shard's staged deltas: settles the pending/ready
-  /// counters and splices the staged free chain onto the slab free list,
-  /// then resets `stage` for reuse. Owner thread only, after the tick
-  /// barrier; commits commute, but the driver applies them in shard
-  /// order anyway (one fixed order is easier to reason about).
-  void commit_drain_stage(DrainStage& stage) noexcept {
-    pending_ -= stage.delivered;
-    ready_count_ -= stage.drained;
-    if (stage.free_head != kNil) {
-      slab_[stage.free_tail].next = free_head_;
-      free_head_ = stage.free_head;
-    }
-    stage = DrainStage{};
-  }
 
   /// Bitset over node ids: bit `id` is set iff drain_node(id) would
   /// deliver at least one message at the current tick. Maintained under
   /// every policy; drives the SimDriver's sparse per-tick scan. (Aliases
-  /// NodeRuntime::due_mail when the network was built over one.) During
-  /// a parallel phase each shard may read/clear only its own words.
+  /// NodeRuntime::due_mail when the network was built over one.)
   std::span<const std::uint64_t> due_mail_words() const noexcept {
     return due_mail_->words();
   }
 
   /// Single-node view of due_mail_words() (no bounds check; hot path).
-  /// Parallel-phase safe for the id's owning shard.
   bool node_has_mail(NodeId id) const noexcept { return due_mail_->test(id); }
 
   // -- bulk broadcast fan-out (instant mode) --------------------------------
@@ -278,7 +189,6 @@ class Network {
   /// True iff node id's pending mail consists solely of broadcast-log
   /// entries — the precondition of unread_broadcasts()/ack_broadcasts().
   /// Always false under a scheduled policy. No bounds check (hot path).
-  /// Parallel-phase safe for the id's owning shard.
   bool node_mail_is_broadcast_only(NodeId id) const noexcept {
     return instant_ && unicasts_[id].empty();
   }
@@ -286,10 +196,7 @@ class Network {
   /// Node id's unread broadcast suffix, in issue order, served directly
   /// from the shared log (no copy). Valid only while
   /// node_mail_is_broadcast_only(id); invalidated by any send, drain or
-  /// compact_broadcast_log() call (the log may grow or shift). Parallel-
-  /// phase safe: the log is read-only during a parallel phase (sends are
-  /// staged, compaction deferred to the barrier), and cursors_[id] is
-  /// owned by the id's shard.
+  /// compact_broadcast_log() call (the log may grow or shift).
   std::span<const Message> unread_broadcasts(NodeId id) const noexcept {
     return std::span<const Message>(bcast_msgs_)
         .subspan(cursors_[id] - log_offset_);
@@ -302,8 +209,7 @@ class Network {
   /// unicasts stay queued. Unlike drain_node this never compacts the
   /// log (so spans handed to other nodes in the same pass stay stable)
   /// — callers fanning out to many nodes run compact_broadcast_log()
-  /// once afterwards. Owner thread only (settles the shared pending
-  /// counter) — parallel shards use ack_broadcasts_staged.
+  /// once afterwards.
   void ack_broadcasts(NodeId id) noexcept {
     assert(node_mail_is_broadcast_only(id));
     const std::size_t total = log_offset_ + bcast_msgs_.size();
@@ -315,9 +221,8 @@ class Network {
   /// Drops the all-read broadcast-log prefix when worthwhile (cheap
   /// length check, O(n) cursor scan only past the threshold). drain_node
   /// does this implicitly; bulk fan-out passes call it once per tick.
-  /// No-op under scheduled policies. Invisible to delivery semantics.
-  /// Owner thread only (shifts the log every unread_broadcasts span
-  /// aliases).
+  /// No-op under scheduled policies. Invisible to delivery semantics
+  /// (but it shifts the log every unread_broadcasts span aliases).
   void compact_broadcast_log() { maybe_compact_broadcast_log(); }
 
   /// Total broadcasts ever issued (compaction does not lower this; under
@@ -328,8 +233,6 @@ class Network {
   }
 
   // -- delivery accounting (drives event-loop quiescence) -------------------
-  // Owner thread only: staged drains leave these counters stale until
-  // their commit_drain_stage() at the barrier.
 
   /// Number of sent-but-not-yet-drained message deliveries (a broadcast
   /// counts once per receiving link; dropped links never count).
@@ -358,6 +261,9 @@ class Network {
   std::vector<Message> broadcast_log() const { return bcast_msgs_; }
 
  private:
+  /// Slab index sentinel (empty list / end of list).
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Stamped {
     std::uint64_t seq;
     Message msg;
@@ -409,18 +315,9 @@ class Network {
   /// earlier, see the seq argument in network.cpp) onto the ready lists.
   void flush_tick(SimTime t);
 
-  /// Shared scheduled-mode drain: with `stage` null the shared effects
-  /// (counters, slab frees) apply immediately; with a stage they are
-  /// accumulated into it instead (parallel phase).
-  void drain_scheduled(std::size_t qi, std::vector<Message>& out,
-                       DrainStage* stage = nullptr);
-
-  /// Instant-mode merge of node id's unicasts + unread broadcast suffix
-  /// into `out` (send order), clearing the id-owned state (unicast
-  /// buffer, cursor, due bit) but none of the shared accounting. Returns
-  /// the number of deliveries. Common core of drain_node and
-  /// drain_node_staged.
-  std::size_t merge_instant_mail(NodeId id, std::vector<Message>& out);
+  /// Scheduled-mode drain of recipient queue `qi` (nodes 0..n-1, the
+  /// coordinator n) into `out`, freeing its slab nodes.
+  void drain_scheduled(std::size_t qi, std::vector<Message>& out);
 
   /// Drops the broadcast-log prefix every node has already read once the
   /// retained log grows past the compaction threshold.

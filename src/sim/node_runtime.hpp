@@ -15,13 +15,9 @@
 // Fields are parallel arrays indexed by NodeId and grouped by access
 // pattern; all arrays have the same logical length size().
 //
-// Threading: plain data, no internal synchronization. Under the parallel
-// tick loop the SimDriver partitions the bit arrays into contiguous
-// per-worker ranges of whole 64-bit words; a worker may read and write
-// only bits in its own words (and the values/rngs entries of ids it
-// owns), which is why the plain uint64 stores need no atomics. All
-// cross-shard effects go through the driver's staging buffers and land
-// at the tick barrier. Outside parallel phases: owner thread only.
+// Threading: plain data, no internal synchronization; the SimDriver and
+// the Network read and write it from the one thread driving the
+// simulation.
 #pragma once
 
 #include <cstddef>

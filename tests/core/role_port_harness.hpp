@@ -80,8 +80,7 @@ inline RunResult run_native(
     const std::string& spec, const StreamSpec& stream, Shape s,
     std::uint64_t seed, std::size_t steps,
     RunConfig::Validation validation = RunConfig::Validation::kWeak,
-    const std::string& network = "instant", std::size_t workers = 1,
-    const std::string& faults = "") {
+    const std::string& network = "instant", const std::string& faults = "") {
   exp::Scenario sc;
   sc.monitor = spec;
   sc.stream = stream;
@@ -90,7 +89,6 @@ inline RunResult run_native(
   sc.k = s.k;
   sc.steps = steps;
   sc.seed = seed;
-  sc.workers = workers;
   sc.faults = faults;
   sc.validation = validation;
   sc.record_series = true;
@@ -102,10 +100,9 @@ inline RunResult run_native(
     const std::string& spec, const std::string& family, Shape s,
     std::uint64_t seed, std::size_t steps,
     RunConfig::Validation validation = RunConfig::Validation::kWeak,
-    const std::string& network = "instant", std::size_t workers = 1,
-    const std::string& faults = "") {
+    const std::string& network = "instant", const std::string& faults = "") {
   return run_native(spec, parse_stream_spec(family, StreamSpec{}), s, seed,
-                    steps, validation, network, workers, faults);
+                    steps, validation, network, faults);
 }
 
 /// Non-fatal twin comparison: true iff every compared dimension matches.

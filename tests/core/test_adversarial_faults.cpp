@@ -2,8 +2,7 @@
 // degradations against the suspicion state machines (topk_filter?suspect,
 // naive?suspect, naive_chg?suspect — see core/filter_roles.hpp and
 // core/naive_roles.hpp) and the warm-standby assignment replay
-// (topk_filter?replay). Suite names contain "Adversarial" / "Quarantine"
-// so the TSan CI job picks the concurrency-facing tests up by filter.
+// (topk_filter?replay).
 //
 // The contract under instant delivery: a degradation may corrupt the
 // answer while it is active (the coordinator needs a few strikes to
@@ -189,24 +188,6 @@ TEST(QuarantineRelease, MuteWithoutHealStaysQuarantined) {
   EXPECT_GE(r.monitor.quarantines, 3u);
   EXPECT_EQ(r.steps_executed, 301u);  // run completes, no hang
   EXPECT_EQ(r.error_step_list.size(), r.error_steps);
-}
-
-TEST(QuarantineRelease, DegradationsAreWorkerCountInvariant) {
-  // The held-send queue (lag) and the suspicion machinery run on the
-  // driver's serial phases; the parallel tick scan must not perturb one
-  // message or one strike.
-  Scenario sc = adversarial_scenario(
-      "topk_filter?nobeacon,suspect", "instant",
-      "churn?lag=0@50:200,mute=1@80,heal=0@180,heal=1@220");
-  sc.workers = 1;
-  const RunResult a = run_scenario(sc);
-  sc.workers = 8;
-  const RunResult b = run_scenario(sc);
-  EXPECT_EQ(a.comm.total(), b.comm.total());
-  EXPECT_EQ(a.error_step_list, b.error_step_list);
-  EXPECT_EQ(a.recovery_ticks, b.recovery_ticks);
-  EXPECT_EQ(a.monitor.suspicions, b.monitor.suspicions);
-  EXPECT_EQ(a.monitor.quarantines, b.monitor.quarantines);
 }
 
 TEST(QuarantineRelease, DegradationsComposeWithDelayNetworks) {

@@ -2,7 +2,7 @@
 // declares ranges and records every on_observe it receives:
 //
 //   * step(t, changed) observes exactly the live ids whose value lies
-//     outside their declared range — at workers 1 and 4 alike;
+//     outside their declared range;
 //   * set_needs_observe(false) is the point range [v, v], and
 //     set_needs_observe(true) the empty range (observed every step);
 //   * a recovery resets the range to empty (forced observe), and a down
@@ -94,8 +94,7 @@ class StubCoordinator final : public CoordinatorAlgo {
 
 /// One driver over `modes.size()` stub nodes (initial value 1000 * id).
 struct Rig {
-  Rig(const std::vector<Declare>& modes, std::size_t workers)
-      : cluster(modes.size(), 5) {
+  explicit Rig(const std::vector<Declare>& modes) : cluster(modes.size(), 5) {
     for (const Declare mode : modes) {
       nodes.push_back(std::make_unique<RangeNode>(mode));
     }
@@ -103,7 +102,7 @@ struct Rig {
       cluster.set_value(id, 1000 * static_cast<Value>(id));
     }
     driver = std::make_unique<SimDriver>(cluster, coord, nodes,
-                                         /*auto_deliver=*/true, workers);
+                                         /*auto_deliver=*/true);
   }
 
   const RangeNode& node(NodeId id) const {
@@ -133,13 +132,13 @@ struct Rig {
 /// Drives 200 steps of seeded random moves (about a third of the
 /// nodes change per step, by 1..12 either way) and checks every step's
 /// observe set against a model of the declared ranges. Returns the logs.
-std::vector<std::vector<Observe>> drive_random(std::size_t workers) {
+std::vector<std::vector<Observe>> drive_random() {
   constexpr std::size_t kN = 300;  // five bit words, the last one partial
   std::vector<Declare> modes;
   for (std::size_t i = 0; i < kN; ++i) {
     modes.push_back(static_cast<Declare>(i % 4));
   }
-  Rig rig(modes, workers);
+  Rig rig(modes);
   rig.driver->initialize();
 
   // The model: each node's current range, re-declared around the value
@@ -198,7 +197,7 @@ std::vector<std::vector<Observe>> drive_random(std::size_t workers) {
 }
 
 TEST(DriverQuietRange, ObservesExactlyTheIdsOutsideTheirRange) {
-  const auto logs = drive_random(1);
+  const auto logs = drive_random();
   // Both outcomes were exercised: the empty-range nodes were observed
   // every step, and the band nodes skipped the small moves the point-
   // range nodes (same move distribution) were observed for.
@@ -218,16 +217,12 @@ TEST(DriverQuietRange, ObservesExactlyTheIdsOutsideTheirRange) {
   EXPECT_LT(band, point);
 }
 
-TEST(DriverQuietRange, CallSequenceIdenticalAtWorkersOneAndFour) {
-  EXPECT_EQ(drive_random(1), drive_random(4));
-}
-
 TEST(DriverQuietRange, NeedsObserveFalseIsThePointRange) {
   // Same moves through set_needs_observe(false) nodes and explicit
   // [v, v] nodes: identical observe logs. An unchanged value is never
   // observed; any change is.
-  Rig via_flag(std::vector<Declare>(70, Declare::kFalse), 1);
-  Rig via_range(std::vector<Declare>(70, Declare::kPoint), 1);
+  Rig via_flag(std::vector<Declare>(70, Declare::kFalse));
+  Rig via_range(std::vector<Declare>(70, Declare::kPoint));
   via_flag.driver->initialize();
   via_range.driver->initialize();
   for (TimeStep t = 1; t <= 30; ++t) {
@@ -247,7 +242,7 @@ TEST(DriverQuietRange, NeedsObserveFalseIsThePointRange) {
 }
 
 TEST(DriverQuietRange, NeedsObserveTrueObservesEveryStep) {
-  Rig rig({Declare::kTrue, Declare::kBand, Declare::kTrue}, 1);
+  Rig rig({Declare::kTrue, Declare::kBand, Declare::kTrue});
   rig.driver->initialize();
   for (TimeStep t = 1; t <= 5; ++t) {
     rig.driver->step(t, {});  // nothing changed
@@ -257,7 +252,7 @@ TEST(DriverQuietRange, NeedsObserveTrueObservesEveryStep) {
 
 TEST(DriverQuietRange, DownNodesSkippedAndRecoveryForcesObserve) {
   constexpr std::size_t kN = 130;
-  Rig rig(std::vector<Declare>(kN, Declare::kBand), 1);
+  Rig rig(std::vector<Declare>(kN, Declare::kBand));
   // Faults fire in the settle phase of their step, after its observes.
   const FaultPlan plan("churn?crash=65@3,crash=66@3,recover=65@6,recover=66@6",
                        kN, 1, 5);
@@ -295,22 +290,20 @@ TEST(DriverQuietRange, DownNodesSkippedAndRecoveryForcesObserve) {
 }
 
 TEST(DriverQuietRange, OutOfRangeChangedIdThrowsBeforeAnyCallback) {
-  for (const std::size_t workers : {1u, 4u}) {
-    Rig rig({Declare::kTrue, Declare::kBand, Declare::kBand}, workers);
-    rig.driver->initialize();
-    rig.cluster.set_value(1, 5'000);  // far outside node 1's band
-    const std::vector<NodeId> bad{1, 3};
-    EXPECT_THROW(rig.driver->step(1, bad), std::out_of_range);
-    EXPECT_THROW(rig.driver->step(1, std::vector<NodeId>{1'000'000}),
-                 std::out_of_range);
-    for (NodeId id = 0; id < 3; ++id) {
-      EXPECT_TRUE(rig.node(id).log().empty()) << id;
-    }
-    // The driver is still usable: the next valid step observes node 0
-    // (empty range) and node 1 (outside its band).
-    rig.driver->step(1, std::vector<NodeId>{1});
-    EXPECT_EQ(rig.observed_at(1), (std::vector<NodeId>{0, 1}));
+  Rig rig({Declare::kTrue, Declare::kBand, Declare::kBand});
+  rig.driver->initialize();
+  rig.cluster.set_value(1, 5'000);  // far outside node 1's band
+  const std::vector<NodeId> bad{1, 3};
+  EXPECT_THROW(rig.driver->step(1, bad), std::out_of_range);
+  EXPECT_THROW(rig.driver->step(1, std::vector<NodeId>{1'000'000}),
+               std::out_of_range);
+  for (NodeId id = 0; id < 3; ++id) {
+    EXPECT_TRUE(rig.node(id).log().empty()) << id;
   }
+  // The driver is still usable: the next valid step observes node 0
+  // (empty range) and node 1 (outside its band).
+  rig.driver->step(1, std::vector<NodeId>{1});
+  EXPECT_EQ(rig.observed_at(1), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(DriverQuietRange, ShardedStepRejectsOutOfRangeIdBeforeAnyShard) {

@@ -3,10 +3,9 @@
 // and are message-for-message and coin-flip-identical to their lock-step
 // MonitorBase twins under the instant network, across a stream-family ×
 // shape × seed grid — then run green under scheduled networks
-// (delay / jitter / drop), byte-identically under --workers 8, and
-// through a light e19-style churn plan. The three pre-existing ports
-// (topk_filter, naive, naive_chg) re-run through the same shared
-// harness so one comparison standard covers the whole zoo.
+// (delay / jitter / drop) and through a light e19-style churn plan. The
+// three pre-existing ports (topk_filter, naive, naive_chg) re-run through
+// the same shared harness so one comparison standard covers the whole zoo.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -138,22 +137,6 @@ TEST(RolePorts, NewPortsRunGreenOnScheduledNetworks) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel tick loop: --workers 8 must be byte-identical to serial
-// ---------------------------------------------------------------------------
-
-TEST(RolePorts, NewPortsWorkersByteIdenticalToSerial) {
-  for (const std::string& spec : new_port_specs()) {
-    SCOPED_TRACE(spec);
-    const auto serial = run_native(spec, "random_walk", {24, 5}, 13, 200);
-    const auto parallel =
-        run_native(spec, "random_walk", {24, 5}, 13, 200,
-                   RunConfig::Validation::kWeak, "instant", /*workers=*/8);
-    expect_identical(serial, parallel, spec + " workers=8");
-    EXPECT_TRUE(results_identical(serial, parallel));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Fault plans: a light e19-style churn plan (crash, outage, recovery)
 // must complete with the answer re-converging after the heal.
 // ---------------------------------------------------------------------------
@@ -163,7 +146,7 @@ TEST(RolePorts, NewPortsSurviveLightChurn) {
     SCOPED_TRACE(spec);
     const auto r =
         run_native(spec, "random_walk", {16, 4}, 11, 300,
-                   RunConfig::Validation::kWeak, "instant", /*workers=*/1,
+                   RunConfig::Validation::kWeak, "instant",
                    /*faults=*/"churn?crash=1@80,recover=1@160");
     EXPECT_EQ(r.steps_executed, 301u);
     // Once the crashed node has rejoined and re-synced, the answer must

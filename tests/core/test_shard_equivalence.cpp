@@ -10,15 +10,11 @@
 //      deployment's answer equals the true global top-k every step
 //      (strict validation), including the quota edge cases (k < c forces
 //      quota-0 shards; k = n forces full shards).
-//   3. Determinism: results are byte-identical for every worker count,
-//      whether `workers` drives the single shard's tick scan (c = 1) or
-//      steps whole shards concurrently (c > 1).
 //
 // Plus the sweep/CLI surface: the shards axis never enters the trial
 // seed (paired comparisons across c), set_axis rejects unknown names
 // with a did-you-mean hint, and `?shards=c` monitor params split
-// correctly. Suite names contain "Shard" so the TSan CI job picks the
-// concurrency-facing tests up by filter.
+// correctly.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -141,27 +137,6 @@ TEST(ShardEquivalence, ShardedExactUnderInstantNetwork) {
         }
       }
     }
-  }
-}
-
-TEST(ShardDeterminism, WorkersInvariantAtAnyShardCount) {
-  // c = 1: workers shard the single driver's tick scan. c = 4: workers
-  // step whole shards concurrently. Both must be byte-identical to the
-  // serial run.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    exp::Scenario sc = base_scenario("topk_filter", 96, 8, 5, 150);
-    sc.shards = shards;
-    if (shards > 1) {
-      sc.validation = RunConfig::Validation::kStrict;
-    } else {
-      sc.record_series = true;  // series supported (and compared) at c = 1
-    }
-    sc.workers = 1;
-    const RunResult serial = exp::run_scenario(sc);
-    sc.workers = 8;
-    const RunResult wide = exp::run_scenario(sc);
-    expect_identical(serial, wide, "shards=" + std::to_string(shards));
-    EXPECT_EQ(serial.root_comm.total(), wide.root_comm.total());
   }
 }
 

@@ -1,11 +1,16 @@
 // The Scenario layer: registry spec parsing, declarative construction,
-// run_scenario semantics across network policies, and the graceful-
-// degradation properties of the native role implementations.
+// run_scenario semantics across network policies, the graceful-
+// degradation properties of the native role implementations, and the
+// single-worker contract of the kept `workers` fields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <stdexcept>
 #include <string>
 
+#include "core/driver.hpp"
+#include "core/root_merge.hpp"
 #include "exp/monitor_registry.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_grid.hpp"
@@ -146,6 +151,51 @@ TEST(ScenarioTest, RejectsInvalidShapes) {
   EXPECT_THROW(run_scenario(sc), std::invalid_argument);
   sc.k = sc.n + 1;
   EXPECT_THROW(run_scenario(sc), std::invalid_argument);
+}
+
+// Scenario::workers, ShardedSpec::workers and SimDriver's 5-argument
+// constructor remain for perfbench only; each accepts exactly 1.
+TEST(ScenarioTest, RejectsWorkersOtherThanOne) {
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE(workers);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(shards);
+      Scenario sc = base_scenario("topk_filter");
+      sc.shards = shards;
+      sc.workers = workers;
+      bool stepped = false;
+      sc.on_step = [&stepped](TimeStep, const std::vector<Value>&,
+                              const std::vector<NodeId>&) { stepped = true; };
+      EXPECT_THROW(run_scenario(sc), std::invalid_argument);
+      EXPECT_THROW(exp::run_sharded_scenario(sc), std::invalid_argument);
+      EXPECT_FALSE(stepped);
+
+      ShardedSpec spec;
+      spec.n = sc.n;
+      spec.k = sc.k;
+      spec.shards = shards;
+      spec.workers = workers;
+      EXPECT_THROW(ShardedDeployment{spec}, std::invalid_argument);
+    }
+  }
+}
+
+TEST(ScenarioTest, DriverConstructorRejectsWorkersOtherThanOne) {
+  Cluster cluster(8, 3);
+  for (NodeId id = 0; id < 8; ++id) {
+    cluster.set_value(id, static_cast<Value>(100 * (id + 1)));
+  }
+  exp::RolePair pair = exp::make_role_pair(cluster, "topk_filter", 2);
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{0}}) {
+    EXPECT_THROW((SimDriver{cluster, *pair.coordinator, pair.nodes,
+                            pair.native, workers}),
+                 std::invalid_argument)
+        << "workers " << workers;
+  }
+  EXPECT_EQ(cluster.stats().total(), 0u);  // no callback ran, nothing sent
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native, 1);
+  driver.initialize();
+  EXPECT_EQ(pair.coordinator->topk().size(), 2u);
 }
 
 TEST(SweepGridTest, NetworkAxisMultipliesCellsButNotSeeds) {

@@ -148,6 +148,13 @@ TEST(SweepRunner, PropagatesExceptions) {
 TEST(SweepRunner, ZeroJobsMeansHardwareConcurrency) {
   SweepRunner runner(0);
   EXPECT_GE(runner.jobs(), 1u);
+  EXPECT_LE(runner.jobs(), SweepRunner::kMaxJobs);
+}
+
+TEST(SweepRunner, RejectsJobsAboveMaximumBeforeStartingThreads) {
+  // The bound is checked before the first thread starts, so this starts
+  // none.
+  EXPECT_THROW(SweepRunner(SweepRunner::kMaxJobs + 1), std::invalid_argument);
 }
 
 TEST(SweepRunner, RunTrialMatchesDirectExecution) {

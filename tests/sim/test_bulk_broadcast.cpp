@@ -31,7 +31,9 @@ std::vector<Message> bulk_or_drain(Network& net, NodeId id) {
     net.ack_broadcasts(id);
     return out;
   }
-  return net.drain_node(id);
+  std::vector<Message> out;
+  net.drain_node(id, out);
+  return out;
 }
 
 void expect_same(const std::vector<Message>& got,
@@ -68,7 +70,8 @@ TEST(BulkBroadcast, EquivalentToDrainUnderMixedCleanDirtyNodes) {
       const bool clean = id != 1 && !(round % 2 == 0 && id == 3);
       EXPECT_EQ(bulk.node_mail_is_broadcast_only(id), clean)
           << "round " << round << " node " << id;
-      const auto want = drain.drain_node(id);
+      std::vector<Message> want;
+      drain.drain_node(id, want);
       const auto got = bulk_or_drain(bulk, id);
       expect_same(got, want);
       EXPECT_FALSE(bulk.node_has_mail(id));
@@ -165,7 +168,9 @@ TEST(BulkBroadcast, ScheduledPoliciesNeverQualify) {
   // The bulk fast path is an instant-mode optimization only; scheduled
   // deliveries always go through drain_node.
   EXPECT_FALSE(net.node_mail_is_broadcast_only(0));
-  EXPECT_EQ(net.drain_node(0).size(), 1u);
+  std::vector<Message> mail;
+  net.drain_node(0, mail);
+  EXPECT_EQ(mail.size(), 1u);
 }
 
 TEST(BulkBroadcast, SharedRuntimeDueMailFollowsBulkAcks) {

@@ -89,7 +89,8 @@ TEST(Cluster, BoundsChecked) {
   EXPECT_THROW(c.node_rng(9), std::out_of_range);
   EXPECT_THROW(c.net().node_send(7, Message{}), std::out_of_range);
   EXPECT_THROW(c.net().coord_unicast(7, Message{}), std::out_of_range);
-  EXPECT_THROW(c.net().drain_node(7), std::out_of_range);
+  std::vector<Message> mail;
+  EXPECT_THROW(c.net().drain_node(7, mail), std::out_of_range);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Buffer-reuse drains: the drain_*(buffer&) overloads must deliver
-// exactly what the legacy returning overloads deliver (ordering included),
-// clear the caller's buffer, and retain its capacity across calls so the
-// settled hot path performs no allocations. Also covers the maintained
-// earliest_pending() minimum and instant-mode broadcast-log compaction.
+// Buffer-reuse drains: draining into one reused (dirty) buffer must
+// deliver exactly what draining into a fresh buffer delivers (ordering
+// included), clear the caller's buffer, and retain its capacity across
+// calls so the settled hot path performs no allocations. Also covers the
+// maintained earliest_pending() minimum and instant-mode broadcast-log
+// compaction.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -33,8 +34,9 @@ void expect_same(const std::vector<Message>& got,
   }
 }
 
-/// Drives `fn(net)` against two identical networks and checks that every
-/// drain agrees between the returning and the buffer-filling overloads.
+/// Drives `traffic(net)` against two identical networks and checks that
+/// every drain agrees between a fresh buffer per call (`legacy`) and one
+/// buffer reused across all calls (`reuse`).
 template <typename Traffic>
 void compare_drains(const NetworkSpec& spec, Traffic traffic) {
   CommStats stats_a;
@@ -47,11 +49,13 @@ void compare_drains(const NetworkSpec& spec, Traffic traffic) {
   std::vector<Message> buf;
   for (int tick = 0; tick < 12; ++tick) {
     for (NodeId id = 0; id < 3; ++id) {
-      const auto want = legacy.drain_node(id);
+      std::vector<Message> want;
+      legacy.drain_node(id, want);
       reuse.drain_node(id, buf);
       expect_same(buf, want);
     }
-    const auto want = legacy.drain_coordinator();
+    std::vector<Message> want;
+    legacy.drain_coordinator(want);
     reuse.drain_coordinator(buf);
     expect_same(buf, want);
     legacy.advance_clock();

@@ -2,8 +2,8 @@
 // scenario plumbing): spec grammar and timeline validation with
 // did-you-mean hints, property/fuzz coverage of the grammar (random valid
 // timelines validate; spec_name round-trips; malformed specs hint),
-// schedule determinism (same seed => same victims, byte-identical across
-// worker counts), crash/recover/join/leave/k end-to-end on every native
+// schedule determinism (same seed => same victims, repeated runs
+// byte-identical), crash/recover/join/leave/k end-to-end on every native
 // monitor, churn composed with the e15 drop ladder, the sharded churn
 // contract (per-shard plan carving, whole-shard outage quota drain,
 // degradations rejected), and the RunResult error/recovery accounting the
@@ -462,35 +462,6 @@ TEST(FaultInjection, ChurnComposedWithDropLadder) {
 // Determinism contracts
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjection, ByteIdenticalAcrossWorkerCounts) {
-  for (const char* net : {"instant", "jitter=2", "drop=0.05"}) {
-    SCOPED_TRACE(net);
-    std::vector<std::vector<NodeId>> answers[3];
-    RunResult results[3];
-    const std::size_t workers[3] = {1, 3, 8};
-    for (int i = 0; i < 3; ++i) {
-      Scenario sc = churn_scenario("topk_filter?nobeacon", net, kMixedPlan);
-      sc.workers = workers[i];
-      sc.validation = RunConfig::Validation::kWeak;
-      sc.on_step = [&answers, i](TimeStep, const std::vector<Value>&,
-                                 const std::vector<NodeId>& answer) {
-        answers[i].push_back(answer);
-      };
-      results[i] = run_scenario(sc);
-    }
-    for (int i = 1; i < 3; ++i) {
-      EXPECT_EQ(results[0].comm.total(), results[i].comm.total());
-      EXPECT_EQ(results[0].error_steps, results[i].error_steps);
-      EXPECT_EQ(results[0].error_step_list, results[i].error_step_list);
-      EXPECT_EQ(results[0].recovery_ticks, results[i].recovery_ticks);
-      EXPECT_EQ(results[0].monitor.resyncs, results[i].monitor.resyncs);
-      EXPECT_EQ(results[0].monitor.resync_retries,
-                results[i].monitor.resync_retries);
-      EXPECT_EQ(answers[0], answers[i]);
-    }
-  }
-}
-
 TEST(FaultInjection, RepeatedRunsAreIdentical) {
   const Scenario sc = churn_scenario("naive_chg", "jitter=3", kMixedPlan);
   const RunResult a = run_scenario(sc);
@@ -594,23 +565,6 @@ TEST(FaultInjection, ShardedWholeShardOutageDrainsQuotaAndRecovers) {
     EXPECT_EQ(r.error_steps_since(250), 0u);
     EXPECT_LE(r.max_recovery_ticks(), 50'000u);
   }
-}
-
-TEST(FaultInjection, ShardedChurnIsWorkerCountInvariant) {
-  // Churn events fire inside the per-shard drivers; whole-shard stepping
-  // on pool threads must not perturb a single message, error step or
-  // recovery window.
-  Scenario sc = churn_scenario("topk_filter?nobeacon", "instant", kMixedPlan);
-  sc.shards = 4;
-  sc.workers = 1;
-  const RunResult a = run_scenario(sc);
-  sc.workers = 8;
-  const RunResult b = run_scenario(sc);
-  EXPECT_EQ(a.comm.total(), b.comm.total());
-  EXPECT_EQ(a.root_comm.total(), b.root_comm.total());
-  EXPECT_EQ(a.error_step_list, b.error_step_list);
-  EXPECT_EQ(a.recovery_ticks, b.recovery_ticks);
-  EXPECT_EQ(a.monitor.resyncs, b.monitor.resyncs);
 }
 
 TEST(FaultInjection, ShardedSetKValidatesRange) {

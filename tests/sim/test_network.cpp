@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace topkmon {
 namespace {
@@ -25,7 +26,8 @@ TEST(Network, NodeSendReachesCoordinator) {
   Network net(4, &stats);
   net.node_send(2, mk(MsgKind::kValueReport, 99));
   ASSERT_TRUE(net.coordinator_has_mail());
-  const auto inbox = net.drain_coordinator();
+  std::vector<Message> inbox;
+  net.drain_coordinator(inbox);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].from, 2u);
   EXPECT_EQ(inbox[0].a, 99);
@@ -39,7 +41,10 @@ TEST(Network, NodeSendStampsSender) {
   Message m = mk(MsgKind::kValueReport, 1);
   m.from = 99;  // sender field must be overwritten with the true sender
   net.node_send(3, m);
-  EXPECT_EQ(net.drain_coordinator()[0].from, 3u);
+  std::vector<Message> inbox;
+  net.drain_coordinator(inbox);
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0].from, 3u);
 }
 
 TEST(Network, RejectsBadIds) {
@@ -47,18 +52,22 @@ TEST(Network, RejectsBadIds) {
   Network net(4, &stats);
   EXPECT_THROW(net.node_send(4, mk(MsgKind::kValueReport)), std::out_of_range);
   EXPECT_THROW(net.coord_unicast(7, mk(MsgKind::kProbe)), std::out_of_range);
-  EXPECT_THROW(net.drain_node(100), std::out_of_range);
+  std::vector<Message> inbox;
+  EXPECT_THROW(net.drain_node(100, inbox), std::out_of_range);
 }
 
 TEST(Network, UnicastReachesOnlyTarget) {
   CommStats stats;
   Network net(3, &stats);
   net.coord_unicast(1, mk(MsgKind::kProbe, 5));
-  EXPECT_TRUE(net.drain_node(0).empty());
-  const auto inbox = net.drain_node(1);
+  std::vector<Message> inbox;
+  net.drain_node(0, inbox);
+  EXPECT_TRUE(inbox.empty());
+  net.drain_node(1, inbox);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].a, 5);
-  EXPECT_TRUE(net.drain_node(2).empty());
+  net.drain_node(2, inbox);
+  EXPECT_TRUE(inbox.empty());
   EXPECT_EQ(stats.unicast(), 1u);
 }
 
@@ -66,13 +75,17 @@ TEST(Network, BroadcastReachesEveryNodeOnce) {
   CommStats stats;
   Network net(3, &stats);
   net.coord_broadcast(mk(MsgKind::kRoundBeacon, 7));
+  std::vector<Message> inbox;
   for (NodeId id = 0; id < 3; ++id) {
-    const auto inbox = net.drain_node(id);
+    net.drain_node(id, inbox);
     ASSERT_EQ(inbox.size(), 1u) << "node " << id;
     EXPECT_EQ(inbox[0].a, 7);
   }
   // Draining again delivers nothing (cursor advanced).
-  for (NodeId id = 0; id < 3; ++id) EXPECT_TRUE(net.drain_node(id).empty());
+  for (NodeId id = 0; id < 3; ++id) {
+    net.drain_node(id, inbox);
+    EXPECT_TRUE(inbox.empty());
+  }
   EXPECT_EQ(stats.broadcast(), 1u);  // one message regardless of n
 }
 
@@ -89,7 +102,8 @@ TEST(Network, LateJoinerSeesAllBroadcastsSinceLastDrain) {
   Network net(2, &stats);
   net.coord_broadcast(mk(MsgKind::kRoundBeacon, 1));
   net.coord_broadcast(mk(MsgKind::kRoundBeacon, 2));
-  const auto inbox = net.drain_node(0);
+  std::vector<Message> inbox;
+  net.drain_node(0, inbox);
   ASSERT_EQ(inbox.size(), 2u);
   EXPECT_EQ(inbox[0].a, 1);
   EXPECT_EQ(inbox[1].a, 2);
@@ -101,7 +115,8 @@ TEST(Network, UnicastAndBroadcastInterleaveBySendOrder) {
   net.coord_unicast(0, mk(MsgKind::kProbe, 1));
   net.coord_broadcast(mk(MsgKind::kRoundBeacon, 2));
   net.coord_unicast(0, mk(MsgKind::kFilterAssign, 3));
-  const auto inbox = net.drain_node(0);
+  std::vector<Message> inbox;
+  net.drain_node(0, inbox);
   ASSERT_EQ(inbox.size(), 3u);
   EXPECT_EQ(inbox[0].a, 1);
   EXPECT_EQ(inbox[1].a, 2);
@@ -114,7 +129,8 @@ TEST(Network, CoordinatorInboxPreservesArrivalOrder) {
   net.node_send(2, mk(MsgKind::kValueReport, 20));
   net.node_send(0, mk(MsgKind::kValueReport, 0));
   net.node_send(1, mk(MsgKind::kValueReport, 10));
-  const auto inbox = net.drain_coordinator();
+  std::vector<Message> inbox;
+  net.drain_coordinator(inbox);
   ASSERT_EQ(inbox.size(), 3u);
   EXPECT_EQ(inbox[0].from, 2u);
   EXPECT_EQ(inbox[1].from, 0u);

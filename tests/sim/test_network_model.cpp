@@ -66,12 +66,15 @@ TEST(ScheduledNetworkTest, FixedDelayHoldsDeliveries) {
 
   net.node_send(0, value_report(7));
   EXPECT_EQ(net.pending_deliveries(), 1u);
-  EXPECT_TRUE(net.drain_coordinator().empty());  // due at tick 2
+  std::vector<Message> mail;
+  net.drain_coordinator(mail);
+  EXPECT_TRUE(mail.empty());  // due at tick 2
 
   net.advance_clock();
-  EXPECT_TRUE(net.drain_coordinator().empty());
+  net.drain_coordinator(mail);
+  EXPECT_TRUE(mail.empty());
   net.advance_clock();
-  const auto mail = net.drain_coordinator();
+  net.drain_coordinator(mail);
   ASSERT_EQ(mail.size(), 1u);
   EXPECT_EQ(mail[0].a, 7);
   EXPECT_EQ(net.pending_deliveries(), 0u);
@@ -84,7 +87,8 @@ TEST(ScheduledNetworkTest, DelayedDeliveriesArriveInSendOrder) {
   net.node_send(0, value_report(1));
   net.node_send(1, value_report(2));
   net.advance_clock();
-  const auto mail = net.drain_coordinator();
+  std::vector<Message> mail;
+  net.drain_coordinator(mail);
   ASSERT_EQ(mail.size(), 2u);
   EXPECT_EQ(mail[0].a, 1);
   EXPECT_EQ(mail[1].a, 2);
@@ -97,8 +101,9 @@ TEST(ScheduledNetworkTest, BroadcastFansOutPerLink) {
   EXPECT_EQ(stats.broadcast(), 1u);          // charged once (paper's model)
   EXPECT_EQ(net.pending_deliveries(), 3u);   // one delivery per link
   net.advance_clock();
+  std::vector<Message> mail;
   for (NodeId id = 0; id < 3; ++id) {
-    const auto mail = net.drain_node(id);
+    net.drain_node(id, mail);
     ASSERT_EQ(mail.size(), 1u) << id;
     EXPECT_EQ(mail[0].a, 5);
   }
@@ -112,8 +117,10 @@ TEST(ScheduledNetworkTest, JitterIsDeterministicAndBounded) {
     Network net(4, &stats, spec, seed);
     for (int i = 0; i < 32; ++i) net.node_send(0, value_report(i));
     std::vector<int> arrival_tick(32, -1);
+    std::vector<Message> mail;
     for (int tick = 0; tick <= 5; ++tick) {
-      for (const auto& m : net.drain_coordinator()) {
+      net.drain_coordinator(mail);
+      for (const auto& m : mail) {
         arrival_tick[static_cast<std::size_t>(m.a)] = tick;
       }
       net.advance_clock();
@@ -138,7 +145,8 @@ TEST(ScheduledNetworkTest, DropsAreDeterministicAndCharged) {
     CommStats stats;
     Network net(2, &stats, spec, seed);
     for (int i = 0; i < 200; ++i) net.node_send(0, value_report(i));
-    const auto mail = net.drain_coordinator();
+    std::vector<Message> mail;
+    net.drain_coordinator(mail);
     EXPECT_EQ(stats.upstream(), 200u);  // sends charged even when lost
     EXPECT_EQ(mail.size() + net.dropped_deliveries(), 200u);
     std::vector<Value> got;
@@ -160,11 +168,15 @@ TEST(ScheduledNetworkTest, BatchWindowCoalescesDeliveries) {
   net.node_send(0, value_report(2));  // due tick 4
   net.advance_clock();                // tick 2
   net.node_send(0, value_report(3));  // due tick 4
-  EXPECT_EQ(net.drain_coordinator().size(), 1u);  // only the tick-0 send
+  std::vector<Message> mail;
+  net.drain_coordinator(mail);
+  EXPECT_EQ(mail.size(), 1u);  // only the tick-0 send
   net.advance_clock_to(3);
-  EXPECT_TRUE(net.drain_coordinator().empty());
+  net.drain_coordinator(mail);
+  EXPECT_TRUE(mail.empty());
   net.advance_clock_to(4);
-  EXPECT_EQ(net.drain_coordinator().size(), 2u);  // the window's batch
+  net.drain_coordinator(mail);
+  EXPECT_EQ(mail.size(), 2u);  // the window's batch
 }
 
 TEST(ScheduledNetworkTest, EarliestPendingReportsNextDeliveryTick) {
@@ -183,11 +195,12 @@ TEST(InstantNetworkTest, PendingAccountingTracksDrains) {
   net.coord_broadcast(value_report(2));
   net.coord_unicast(1, value_report(3));
   EXPECT_EQ(net.pending_deliveries(), 1u + 2u + 1u);
-  net.drain_coordinator();
+  std::vector<Message> mail;
+  net.drain_coordinator(mail);
   EXPECT_EQ(net.pending_deliveries(), 3u);
-  net.drain_node(0);
+  net.drain_node(0, mail);
   EXPECT_EQ(net.pending_deliveries(), 2u);
-  net.drain_node(1);
+  net.drain_node(1, mail);
   EXPECT_EQ(net.pending_deliveries(), 0u);
 }
 

@@ -110,9 +110,11 @@ TEST(TimingWheel, FarFutureDeliveriesUseOverflowAndArriveOnTime) {
   EXPECT_EQ(*net.earliest_pending(), 10'000u);
 
   net.advance_clock_to(9'999);
-  EXPECT_TRUE(net.drain_coordinator().empty());
+  std::vector<Message> mail;
+  net.drain_coordinator(mail);
+  EXPECT_TRUE(mail.empty());
   net.advance_clock();
-  const auto mail = net.drain_coordinator();
+  net.drain_coordinator(mail);
   ASSERT_EQ(mail.size(), 1u);
   EXPECT_EQ(mail[0].a, 1);
   EXPECT_EQ(net.pending_deliveries(), 0u);
@@ -133,13 +135,15 @@ TEST(TimingWheel, OverflowAndWheelMixDeliverWithinBoundsLosingNothing) {
   constexpr int kSends = 300;
   int sent = 0;
   std::size_t got = 0;
+  std::vector<Message> mail;
   while (sent < kSends || net.pending_deliveries() > 0) {
     if (sent < kSends) {
       net.node_send(0, payload(static_cast<std::int64_t>(net.now())));
       ++sent;
     }
     net.advance_clock_to(net.now() + 1 + rng.uniform_below(40));
-    for (const Message& m : net.drain_coordinator()) {
+    net.drain_coordinator(mail);
+    for (const Message& m : mail) {
       const auto send_tick = static_cast<SimTime>(m.a);
       EXPECT_GE(net.now(), send_tick + 1'000);
       // Drains lag deliveries by up to the advance stride (40).
@@ -166,9 +170,10 @@ TEST(TimingWheel, JitterSpansWheelBoundary) {
   std::size_t got = 0;
   SimTime first = 0;
   SimTime last = 0;
+  std::vector<Message> mail;
   for (SimTime t = 1; t <= 4'500; ++t) {
     net.advance_clock();
-    const auto mail = net.drain_coordinator();
+    net.drain_coordinator(mail);
     if (!mail.empty() && first == 0) first = t;
     if (!mail.empty()) last = t;
     got += mail.size();
