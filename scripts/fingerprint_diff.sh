@@ -4,12 +4,15 @@
 #
 #   scripts/fingerprint_diff.sh BASE_REF
 #
-# Builds BASE_REF (in a temporary git worktree) and the current working
-# tree, runs e1-e20 plus the perf suite on both with the same small
-# settings, and diffs every CSV/JSON they write except the
-# machine-dependent BENCH_*.json wall-clock records. Exits 0 when all
-# fingerprints match, 1 on any difference. Takes ~6 min per tree on one
-# core; set CMAKE_CXX_COMPILER_LAUNCHER=ccache to reuse compiler output.
+# Exports BASE_REF (git archive, into a temporary directory) and builds
+# it and the current working tree. The suites run are every suite both
+# CLIs list (`topkmon_bench --list`) except `micro`; a suite listed on
+# one side only is printed and skipped. Both trees run them with the
+# same small settings, then every CSV/JSON they write is diffed except
+# the machine-dependent BENCH_*.json wall-clock records. Exits 0 when
+# all fingerprints match, 1 on any difference. Takes ~6 min per tree on
+# one core; set CMAKE_CXX_COMPILER_LAUNCHER=ccache to reuse compiler
+# output.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -18,36 +21,45 @@ if [[ $# -ne 1 ]]; then
 fi
 BASE_REF="$1"
 ROOT=$(git rev-parse --show-toplevel)
-SUITES=e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e12,e13,e14,e15,e16,e18_shards,e19_churn,e20_adversarial,perf
 
 WORK=$(mktemp -d)
-cleanup() {
-  git -C "$ROOT" worktree remove --force "$WORK/base" 2>/dev/null || true
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+trap 'rm -rf "$WORK"' EXIT
 
-git -C "$ROOT" worktree add --detach --quiet "$WORK/base" "$BASE_REF"
+mkdir "$WORK/base"
+git -C "$ROOT" archive "$BASE_REF" | tar -x -C "$WORK/base"
 
 generator=()
 if command -v ninja >/dev/null; then generator=(-G Ninja); fi
 
-# fingerprints SOURCE_DIR NAME: builds the CLI from SOURCE_DIR and writes
-# the suite tables to $WORK/NAME-out.
-fingerprints() {
+# build SOURCE_DIR NAME: builds the CLI from SOURCE_DIR into
+# $WORK/NAME-build and writes its suite names to $WORK/NAME-suites.
+build() {
   local src="$1" name="$2"
   cmake -S "$src" -B "$WORK/$name-build" "${generator[@]}" \
     -DCMAKE_BUILD_TYPE=Release -DTOPKMON_BUILD_TESTS=OFF \
     -DTOPKMON_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "$WORK/$name-build" --target topkmon_bench \
     -j "$(nproc)" >/dev/null
-  echo "fingerprint_diff: running suites on $name" >&2
-  "$WORK/$name-build/topkmon_bench" --suite "$SUITES" --steps 60 \
-    --trials 2 --seed 1 --jobs 1 --out-dir "$WORK/$name-out" >/dev/null
+  "$WORK/$name-build/topkmon_bench" --list |
+    awk '/^  [A-Za-z0-9_]+ / { print $1 }' | sort >"$WORK/$name-suites"
 }
 
-fingerprints "$WORK/base" base
-fingerprints "$ROOT" head
+build "$WORK/base" base
+build "$ROOT" head
+
+only=$(comm -3 "$WORK/base-suites" "$WORK/head-suites" | tr -d '\t')
+if [[ -n "$only" ]]; then
+  echo "fingerprint_diff: skipping suites listed on one side only:" \
+    $only >&2
+fi
+SUITES=$(comm -12 "$WORK/base-suites" "$WORK/head-suites" |
+  grep -vx micro | paste -sd, -)
+
+for name in base head; do
+  echo "fingerprint_diff: running $SUITES on $name" >&2
+  "$WORK/$name-build/topkmon_bench" --suite "$SUITES" --steps 60 \
+    --trials 2 --seed 1 --jobs 1 --out-dir "$WORK/$name-out" >/dev/null
+done
 
 if diff -r -x 'BENCH_*.json' "$WORK/base-out" "$WORK/head-out"; then
   count=$(find "$WORK/head-out" \( -name '*.csv' -o -name '*.json' \) \

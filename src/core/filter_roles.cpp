@@ -136,6 +136,7 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
       excluded_ = false;
       announces_seen_ = 0;
       member_ = false;
+      k_ = static_cast<std::size_t>(c.a);
       break;
     }
     case FilterControlOp::kStartSession: {
@@ -605,6 +606,7 @@ void FilterCoordinator::begin_reset(CoordCtx& ctx) {
   sel_winners_.clear();
   Control sel;
   sel.op = static_cast<std::int64_t>(FilterControlOp::kStartSelection);
+  sel.a = static_cast<std::int64_t>(k_);
   ctx.control_broadcast(sel);
   start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
                 /*announce=*/true);

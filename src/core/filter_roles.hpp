@@ -23,9 +23,10 @@
 //
 // The uncharged control plane carries exactly the synchronization the
 // lock-step model grants for free: "your side's protocol execution starts
-// now, epoch e, bound log N" and "a reset selection begins". Everything
-// that the paper charges — reports, beacons, winner announcements, filter
-// updates, protocol-start broadcasts — flows through the Network.
+// now, epoch e, bound log N" and "a reset selection for k begins".
+// Everything that the paper charges — reports, beacons, winner
+// announcements, filter updates, protocol-start broadcasts — flows
+// through the Network.
 #pragma once
 
 #include <algorithm>
@@ -45,8 +46,9 @@ enum class FilterControlOp : std::int64_t {
   /// (FilterSessionGroup), c = (epoch << 8) | log_n.
   kStartSession = 1,
   /// A FILTERRESET selection begins: clear membership/exclusion state.
-  /// No payload — each node derives membership from the announce order
-  /// and its deployed k.
+  /// a = the coordinator's current k — each node derives membership from
+  /// the announce order (the first k winners are the members), so a
+  /// dynamic-k reset re-keys the nodes with it.
   kStartSelection = 2,
 };
 
@@ -66,8 +68,7 @@ enum class FilterSessionGroup : std::int64_t {
 /// and the coordinator are configured with the same value.
 class FilterNode final : public NodeAlgo {
  public:
-  explicit FilterNode(std::size_t k, Value epsilon = 0)
-      : k_(k), half_(epsilon / 2) {}
+  explicit FilterNode(Value epsilon = 0) : half_(epsilon / 2) {}
 
   void on_init(NodeCtx& ctx, Value v0) override;
   void on_observe(NodeCtx& ctx, Value v, TimeStep t) override;
@@ -87,8 +88,8 @@ class FilterNode final : public NodeAlgo {
     return member ? Filter{m - half_, kPlusInf} : Filter{kMinusInf, m + half_};
   }
 
-  std::size_t k_;
   Value half_;  ///< ε/2 (0 in the exact deployment)
+  std::size_t k_ = 0;  ///< k of the latest selection (kStartSelection)
 
   // Persistent node state (what a deployed node stores).
   Filter filter_{};       ///< [-inf, +inf] until the first boundary arrives

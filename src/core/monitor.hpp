@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +44,35 @@ struct MonitorStats {
                                         ///< an assignment-log replay instead
                                         ///< of the probe handshake
 };
+
+/// One MonitorStats counter: its field name and member pointer.
+struct MonitorCounter {
+  std::string_view name;
+  std::uint64_t MonitorStats::*field;
+};
+
+/// Every MonitorStats counter, in declaration order. Code that sums or
+/// compares counters iterates this table instead of listing fields.
+inline constexpr MonitorCounter kMonitorCounters[] = {
+    {"violation_steps", &MonitorStats::violation_steps},
+    {"violations", &MonitorStats::violations},
+    {"handler_calls", &MonitorStats::handler_calls},
+    {"midpoint_updates", &MonitorStats::midpoint_updates},
+    {"filter_resets", &MonitorStats::filter_resets},
+    {"protocol_runs", &MonitorStats::protocol_runs},
+    {"polls", &MonitorStats::polls},
+    {"full_rebuilds", &MonitorStats::full_rebuilds},
+    {"resyncs", &MonitorStats::resyncs},
+    {"resync_retries", &MonitorStats::resync_retries},
+    {"reset_backoffs", &MonitorStats::reset_backoffs},
+    {"suspicions", &MonitorStats::suspicions},
+    {"quarantines", &MonitorStats::quarantines},
+    {"stale_detections", &MonitorStats::stale_detections},
+    {"assign_replays", &MonitorStats::assign_replays},
+};
+// A counter added to MonitorStats without a row here fails to compile.
+static_assert(sizeof(MonitorStats) ==
+              std::size(kMonitorCounters) * sizeof(std::uint64_t));
 
 /// Abstract Top-k-Position monitor.
 class MonitorBase {

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/runner.hpp"
 #include "util/rng.hpp"
 
 namespace topkmon {
@@ -168,8 +169,6 @@ void RootMergeCoordinator::finish_renegotiation(CoordCtx& ctx) {
     max_l = std::max(max_l, i.l);
     min_u = std::min(min_u, i.u);
   }
-  r_ = midpoint(max_l, min_u);
-  have_r_ = true;
   ++mstats_.midpoint_updates;
   rphase_ = RPhase::kIdle;
   // Unconditional re-anchor broadcast, even when R is unchanged: a shard
@@ -177,7 +176,7 @@ void RootMergeCoordinator::finish_renegotiation(CoordCtx& ctx) {
   // report the same crossing every step.
   Message update;
   update.kind = MsgKind::kFilterUpdate;
-  update.a = r_;
+  update.a = midpoint(max_l, min_u);
   ctx.broadcast(update);
 }
 
@@ -220,6 +219,14 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
     throw std::invalid_argument("ShardedDeployment: workers must be 1, got " +
                                 std::to_string(spec.workers));
   }
+  // The lag/stale/mute held-send machinery is per-driver state that
+  // cannot survive shard rebuilds.
+  if (spec.faults != nullptr && spec.faults->has_degradation()) {
+    throw std::invalid_argument(
+        "ShardedDeployment: fault plan '" + spec.faults->spec_name() +
+        "' contains adversarial degradations; sharded deployments support "
+        "churn and k plans (lag/stale/mute/heal require shards == 1)");
+  }
   ranges_ = partition_shards(spec.n, spec.shards);
   const std::size_t c = ranges_.size();
 
@@ -240,7 +247,7 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
   // Carve the deployment-level plan into per-shard plans with shard-local
   // ids. Membership events route to the owning shard (a join block can
   // straddle shard boundaries and is split at them); kSetK stays at the
-  // deployment level (the scenario routes it through set_k). shard_plans_
+  // deployment level (step() routes it through set_k). shard_plans_
   // is filled completely before any adapter takes a pointer into it.
   if (spec.faults != nullptr) {
     std::vector<std::vector<FaultEvent>> by_shard(c);
@@ -345,6 +352,15 @@ void ShardedDeployment::set_value(NodeId global, Value v) {
   adapters_[s]->cluster().set_value(global - ranges_[s].base, v);
 }
 
+void ShardedDeployment::set_values(std::span<const NodeId> ids,
+                                   std::span<const Value> column) {
+  for (const NodeId id : ids) set_value(id, column[id]);
+}
+
+void ShardedDeployment::begin_step(TimeStep t) {
+  for (auto& a : adapters_) a->cluster().stats().begin_step(t);
+}
+
 void ShardedDeployment::initialize() {
   for (auto& a : adapters_) a->initialize();
   root_driver_->initialize();
@@ -363,6 +379,15 @@ void ShardedDeployment::step(TimeStep t, std::span<const NodeId> changed) {
     const std::size_t s = shard_of(g);
     changed_by_shard_[s].push_back(g - ranges_[s].base);
   }
+  if (spec_.faults != nullptr) {
+    const auto& events = spec_.faults->events();
+    for (; next_k_event_ < events.size() && events[next_k_event_].step <= t;
+         ++next_k_event_) {
+      if (events[next_k_event_].kind == FaultEvent::Kind::kSetK) {
+        set_k(events[next_k_event_].count);
+      }
+    }
+  }
   for (std::size_t s = 0; s < adapters_.size(); ++s) {
     adapters_[s]->step(t, changed_by_shard_[s]);
   }
@@ -377,9 +402,12 @@ void ShardedDeployment::set_k(std::size_t k) {
   }
   spec_.k = k;
   if (adapters_.size() == 1) {
-    // Inert root tier: re-key the single shard directly (the naive shard
-    // rekeys its replica in place; the filter shard rebuilds on its warm
-    // cluster), exactly the monolithic on_set_k semantics.
+    // Inert root tier: re-key the single shard directly. The naive shard
+    // rekeys its replica in place, exactly like the monolithic on_set_k.
+    // The filter shard rebuilds on its warm cluster: fresh roles run the
+    // same full FILTERRESET the monolithic on_set_k starts, but the
+    // rebuild also drops coordinator state the warm reset keeps (e.g.
+    // pending re-sync handshakes).
     adapters_[0]->set_quota(k);
     return;
   }
@@ -401,6 +429,12 @@ CommStats ShardedDeployment::node_shard_comm() {
   CommStats out;
   for (const auto& a : adapters_) out.accumulate(a->cluster().stats());
   return out;
+}
+
+void ShardedDeployment::fill_result(RunResult& result) {
+  result.comm = node_shard_comm();
+  result.root_comm = shard_root_comm();
+  result.monitor = monitor_totals();
 }
 
 MonitorStats ShardedDeployment::monitor_totals() const {

@@ -48,6 +48,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/deployment.hpp"
 #include "core/driver.hpp"
 #include "core/roles.hpp"
 #include "core/shard_coordinator.hpp"
@@ -120,11 +121,6 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
   void on_step_end(CoordCtx& ctx, TimeStep t) override;
   const std::vector<NodeId>& topk() const override { return topk_ids_; }
 
-  /// The shared root boundary R, once established.
-  std::optional<Value> root_boundary() const {
-    return have_r_ ? std::optional<Value>(r_) : std::nullopt;
-  }
-
   /// Dynamic reconfiguration: renegotiate the global top-k size to `k`
   /// at the next step. The quota fixpoint generalizes to an off-target
   /// total: while sum(quota) < k the shard with the strongest outsider
@@ -162,8 +158,6 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
   };
   RPhase rphase_ = RPhase::kIdle;
   std::optional<std::size_t> pending_k_;  ///< request_k, applied at step begin
-  bool have_r_ = false;
-  Value r_ = 0;
   std::vector<Info> info_;
   std::size_t fresh_ = 0;  ///< number of shards with info_[s].fresh
 
@@ -192,38 +186,45 @@ struct ShardedSpec {
   /// Deployment-level fault schedule (global ids; nullptr = fault-free;
   /// must outlive the deployment). Membership churn is carved into
   /// per-shard plans with shard-local ids and fired by the shard drivers;
-  /// quotas split over the initially-live prefix only; kSetK events stay
-  /// with the caller (route them through set_k). Degradations (lag/
-  /// stale/mute) are not supported sharded — the scenario runner rejects
-  /// such plans before construction.
+  /// quotas split over the initially-live prefix only; step() applies
+  /// kSetK events through set_k at the head of their step. Degradations
+  /// (lag/stale/mute/heal) are not supported sharded: the constructor
+  /// rejects such plans.
   const FaultPlan* faults = nullptr;
 };
 
 /// A complete two-tier deployment: c shard deployments plus the root
-/// tier, presenting the same set_value / initialize / step / topk surface
-/// as a monolithic monitor run. Single-threaded: step() steps the shards
-/// one after another in index order, then the root tier.
-class ShardedDeployment {
+/// tier, behind the same Deployment surface as a monolithic run.
+/// Single-threaded: step() steps the shards one after another in index
+/// order, then the root tier.
+class ShardedDeployment final : public Deployment {
  public:
-  /// Throws std::invalid_argument when spec.workers != 1.
+  /// Throws std::invalid_argument when spec.workers != 1 or the fault
+  /// plan contains adversarial degradations.
   explicit ShardedDeployment(const ShardedSpec& spec);
 
   std::size_t shards() const noexcept { return ranges_.size(); }
-  const ShardRange& range(std::size_t s) const { return ranges_.at(s); }
   /// Owning shard of a global node id.
   std::size_t shard_of(NodeId global) const;
 
   /// Routes a global-id value write to the owning shard's cluster.
   void set_value(NodeId global, Value v);
+  /// set_value(id, column[id]) for every id in `ids`.
+  void set_values(std::span<const NodeId> ids,
+                  std::span<const Value> column) override;
+
+  /// Opens step t on every shard cluster's counters.
+  void begin_step(TimeStep t) override;
 
   /// Time 0: values must already be set. Initializes every shard (serial),
   /// then the root tier — the bootstrap renegotiation establishes R and
   /// anchors every shard on it before the first observation step.
-  void initialize();
+  void initialize() override;
 
   /// One observation step; `changed` holds global ids (any order).
+  /// Applies the fault plan's kSetK events scheduled at t first (set_k).
   /// Throws std::out_of_range, before any shard steps, if an id is >= n.
-  void step(TimeStep t, std::span<const NodeId> changed);
+  void step(TimeStep t, std::span<const NodeId> changed) override;
 
   /// Dynamic reconfiguration to a new global top-k size (1 <= k <= n),
   /// applied warm: at c == 1 the single shard's quota is re-keyed
@@ -232,17 +233,21 @@ class ShardedDeployment {
   /// between steps, before the step the new k takes effect at.
   void set_k(std::size_t k);
 
-  const std::vector<NodeId>& topk() const { return root_coord_->topk(); }
-  std::string_view name() const { return root_coord_->name(); }
-  const RootMergeCoordinator& root() const { return *root_coord_; }
+  const std::vector<NodeId>& topk() const override {
+    return root_coord_->topk();
+  }
+  std::string_view name() const override { return root_coord_->name(); }
   Cluster& shard_cluster(std::size_t s) { return adapters_.at(s)->cluster(); }
 
   /// Max inner-driver delivery ticks across the shards. Monotonic across
   /// filter-shard rebuilds (each shard's clock lives on its warm
-  /// cluster), so the sharded scenario runner can key recovery-window
-  /// accounting on it exactly like the monolithic runner keys on
-  /// SimDriver::now().
-  SimTime ticks() const;
+  /// cluster), so recovery windows measure the same clock the monolithic
+  /// deployment reads off SimDriver::now().
+  SimTime ticks() const override;
+
+  /// comm = node_shard_comm(), root_comm = shard_root_comm(),
+  /// monitor = monitor_totals().
+  void fill_result(RunResult& result) override;
 
   /// node<->shard tier message totals: the per-shard cluster counters
   /// summed (at c == 1, a plain copy of the single shard's stats, series
@@ -268,6 +273,7 @@ class ShardedDeployment {
   std::unique_ptr<RootMergeCoordinator> root_coord_;
   std::unique_ptr<SimDriver> root_driver_;
   std::vector<std::vector<NodeId>> changed_by_shard_;  ///< step scratch
+  std::size_t next_k_event_ = 0;  ///< fault-plan cursor of step()'s set_k
 };
 
 }  // namespace topkmon

@@ -165,7 +165,7 @@ void FilterShardAdapter::rebuild() {
   coord_ = std::make_unique<FilterCoordinator>(quota_, o);
   nodes_.reserve(cfg_.n);
   for (std::size_t i = 0; i < cfg_.n; ++i) {
-    nodes_.push_back(std::make_unique<FilterNode>(quota_));
+    nodes_.push_back(std::make_unique<FilterNode>());
   }
   driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_,
                                         /*auto_deliver=*/true);

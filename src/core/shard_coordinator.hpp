@@ -77,21 +77,9 @@ std::uint64_t shard_seed(std::uint64_t base_seed, std::size_t shard) noexcept;
 /// Field-wise sum of MonitorStats (per-shard totals -> deployment total).
 inline void add_monitor_stats(MonitorStats& into,
                               const MonitorStats& from) noexcept {
-  into.violation_steps += from.violation_steps;
-  into.violations += from.violations;
-  into.handler_calls += from.handler_calls;
-  into.midpoint_updates += from.midpoint_updates;
-  into.filter_resets += from.filter_resets;
-  into.protocol_runs += from.protocol_runs;
-  into.polls += from.polls;
-  into.full_rebuilds += from.full_rebuilds;
-  into.resyncs += from.resyncs;
-  into.resync_retries += from.resync_retries;
-  into.reset_backoffs += from.reset_backoffs;
-  into.suspicions += from.suspicions;
-  into.quarantines += from.quarantines;
-  into.stale_detections += from.stale_detections;
-  into.assign_replays += from.assign_replays;
+  for (const MonitorCounter& c : kMonitorCounters) {
+    into.*c.field += from.*c.field;
+  }
 }
 
 /// The shard extrema the root tier merges over.
@@ -167,7 +155,7 @@ class ShardAdapter {
 
   /// Inner-driver delivery ticks consumed so far. Monotonic across filter
   /// shard rebuilds (the clock lives on the warm cluster's network);
-  /// recovery-window accounting in the sharded scenario runner keys on it.
+  /// ShardedDeployment::ticks() reads recovery windows off it.
   virtual SimTime ticks() const = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "exp/monitor_registry.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -164,6 +165,152 @@ std::unique_ptr<MonitorBase> build_monitor(const ParsedSpec& spec,
   throw std::invalid_argument("unknown monitor '" + spec.name + "'");
 }
 
+/// A native role pair: `coordinator` plus one Node(args...) per cluster
+/// node.
+template <typename Node, typename... Args>
+RolePair native_pair(std::unique_ptr<CoordinatorAlgo> coordinator,
+                     const Cluster& cluster, const Args&... args) {
+  RolePair pair;
+  pair.coordinator = std::move(coordinator);
+  pair.nodes.reserve(cluster.size());
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    pair.nodes.push_back(std::make_unique<Node>(args...));
+  }
+  pair.native = true;
+  return pair;
+}
+
+RolePair filter_roles(const Cluster& cluster, const ParsedSpec& spec,
+                      std::size_t k) {
+  // The ε-approximate monitor is the filter monitor with half-widened
+  // boundaries (FilterCoordinator::Options::approx), so it composes with
+  // the same native-only knobs as topk_filter.
+  FilterCoordinator::Options o;
+  o.approx = (spec.name == "approx");
+  for (const auto& p : spec.params) {
+    if (o.approx && p.key == "eps") o.epsilon = parse_int(spec, p);
+    else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
+    // Native-roles-only knob (the lock-step bridge has no FILTERRESET
+    // retry loop to damp): seeded exponential backoff on defensive
+    // resets, for the lossy-network and churn suites.
+    else if (p.key == "backoff") o.reset_backoff = parse_flag(p);
+    // Adversarial-degradation suspicion machinery (lag/stale/mute
+    // plans; see core/filter_roles.hpp).
+    else if (p.key == "suspect") o.suspect = parse_flag(p);
+    // Warm-standby assignment replay on recovery/join (one
+    // kFilterAssign instead of the resync handshake).
+    else if (p.key == "replay") o.replay = parse_flag(p);
+    else bad_param(spec, p);
+  }
+  return native_pair<FilterNode>(std::make_unique<FilterCoordinator>(k, o),
+                                 cluster, o.epsilon);
+}
+
+RolePair naive_roles(const Cluster& cluster, const ParsedSpec& spec,
+                     std::size_t k) {
+  // Native-roles-only knob: the suspicion machinery for adversarial
+  // degradations (silence scan / audit probes; core/naive_roles.hpp).
+  bool suspect = false;
+  for (const auto& p : spec.params) {
+    if (p.key == "suspect") suspect = parse_flag(p);
+    else bad_param(spec, p);
+  }
+  const bool chg = (spec.name == "naive_chg");
+  return native_pair<NaiveNode>(
+      std::make_unique<NaiveCoordinator>(k, chg, /*sharded=*/false, suspect),
+      cluster, chg);
+}
+
+RolePair slack_roles(const Cluster& cluster, const ParsedSpec& spec,
+                     std::size_t k) {
+  SlackCoordinator::Options o;
+  for (const auto& p : spec.params) {
+    if (p.key == "alpha") o.alpha = parse_double(spec, p);
+    else if (p.key == "adaptive") o.adaptive = parse_flag(p);
+    // TEST-ONLY: off-by-`nudge` boundary mutation for the differential
+    // harness's self-test (tests/core/test_port_mutant.cpp). Never a
+    // documented monitor parameter.
+    else if (p.key == "nudge") o.debug_boundary_nudge = parse_int(spec, p);
+    else bad_param(spec, p);
+  }
+  return native_pair<SlackNode>(std::make_unique<SlackCoordinator>(k, o),
+                                cluster);
+}
+
+RolePair dominance_roles(const Cluster& cluster, const ParsedSpec& spec,
+                         std::size_t k) {
+  expect_no_params(spec);
+  return native_pair<DominanceNode>(std::make_unique<DominanceCoordinator>(k),
+                                    cluster);
+}
+
+RolePair ordered_roles(const Cluster& cluster, const ParsedSpec& spec,
+                       std::size_t k) {
+  OrderedCoordinator::Options o;
+  o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
+  return native_pair<OrderedNode>(std::make_unique<OrderedCoordinator>(k, o),
+                                  cluster, k);
+}
+
+RolePair multik_roles(const Cluster& cluster, const ParsedSpec& spec,
+                      std::size_t k) {
+  std::vector<std::size_t> ks{k};
+  MultiKCoordinator::Options o;
+  for (const auto& p : spec.params) {
+    if (p.key == "ks") ks = parse_ks(spec, p);
+    else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
+    else bad_param(spec, p);
+  }
+  return native_pair<MultiKNode>(std::make_unique<MultiKCoordinator>(ks, o),
+                                 cluster, ks);
+}
+
+/// One registered monitor. Every capability list the library exposes is
+/// derived from kMonitors, so a new monitor is one new row.
+struct MonitorRow {
+  std::string_view name;
+  /// Native role factory; nullptr bridges the lock-step monitor through
+  /// the LockstepAdapter (instant network, no fault plans).
+  RolePair (*roles)(const Cluster&, const ParsedSpec&, std::size_t);
+  /// Monitor kind of the two-tier ShardedDeployment, if it has one.
+  std::optional<ShardedSpec::Monitor> sharded;
+  /// The coordinator implements on_set_k (dynamic-k fault events).
+  bool dynamic_k;
+};
+
+/// Canonical order: the paper's Algorithm 1 first, then baselines. The
+/// recompute baseline stays a lock-step bridge (its per-step global
+/// re-sort has no event-driven decomposition worth maintaining);
+/// multi_k monitors a fixed set of k values, so it takes no dynamic k.
+constexpr MonitorRow kMonitors[] = {
+    {"topk_filter", &filter_roles, ShardedSpec::Monitor::kFilter, true},
+    {"ordered", &ordered_roles, std::nullopt, true},
+    {"slack", &slack_roles, std::nullopt, true},
+    {"dominance", &dominance_roles, std::nullopt, true},
+    {"recompute", nullptr, std::nullopt, false},
+    {"naive", &naive_roles, ShardedSpec::Monitor::kNaive, true},
+    {"naive_chg", &naive_roles, ShardedSpec::Monitor::kNaiveChg, true},
+    {"approx", &filter_roles, std::nullopt, true},
+    {"multi_k", &multik_roles, std::nullopt, false},
+};
+
+const MonitorRow* find_row(std::string_view name) noexcept {
+  for (const MonitorRow& row : kMonitors) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+/// Names of the rows matching `keep`, in table order.
+template <typename Pred>
+std::vector<std::string> row_names(Pred keep) {
+  std::vector<std::string> out;
+  for (const MonitorRow& row : kMonitors) {
+    if (keep(row)) out.emplace_back(row.name);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::unique_ptr<MonitorBase> make_monitor(std::string_view spec,
@@ -174,136 +321,16 @@ std::unique_ptr<MonitorBase> make_monitor(std::string_view spec,
 RolePair make_role_pair(Cluster& cluster, std::string_view spec,
                         std::size_t k) {
   const ParsedSpec parsed = parse_spec(spec);
+  const MonitorRow* row = find_row(parsed.name);
+  if (row != nullptr && row->roles != nullptr) {
+    RolePair pair = row->roles(cluster, parsed, k);
+    pair.dynamic_k = row->dynamic_k;
+    return pair;
+  }
+
+  // Everything else bridges the lock-step implementation (instant only);
+  // build_monitor rejects unknown names.
   RolePair pair;
-
-  if (parsed.name == "topk_filter") {
-    FilterCoordinator::Options o;
-    for (const auto& p : parsed.params) {
-      if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      // Native-roles-only knob (the lock-step bridge has no FILTERRESET
-      // retry loop to damp): seeded exponential backoff on defensive
-      // resets, for the lossy-network and churn suites.
-      else if (p.key == "backoff") o.reset_backoff = parse_flag(p);
-      // Adversarial-degradation suspicion machinery (lag/stale/mute
-      // plans; see core/filter_roles.hpp).
-      else if (p.key == "suspect") o.suspect = parse_flag(p);
-      // Warm-standby assignment replay on recovery/join (one
-      // kFilterAssign instead of the resync handshake).
-      else if (p.key == "replay") o.replay = parse_flag(p);
-      else bad_param(parsed, p);
-    }
-    pair.coordinator = std::make_unique<FilterCoordinator>(k, o);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<FilterNode>(k));
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  if (parsed.name == "naive" || parsed.name == "naive_chg") {
-    // Native-roles-only knob: the suspicion machinery for adversarial
-    // degradations (silence scan / audit probes; core/naive_roles.hpp).
-    bool suspect = false;
-    for (const auto& p : parsed.params) {
-      if (p.key == "suspect") suspect = parse_flag(p);
-      else bad_param(parsed, p);
-    }
-    const bool chg = (parsed.name == "naive_chg");
-    pair.coordinator =
-        std::make_unique<NaiveCoordinator>(k, chg, /*sharded=*/false, suspect);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<NaiveNode>(chg));
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  if (parsed.name == "approx") {
-    // The ε-approximate monitor is the filter monitor with half-widened
-    // boundaries (FilterCoordinator::Options::approx), so it composes
-    // with the same native-only knobs as topk_filter.
-    FilterCoordinator::Options o;
-    o.approx = true;
-    for (const auto& p : parsed.params) {
-      if (p.key == "eps") o.epsilon = parse_int(parsed, p);
-      else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      else if (p.key == "backoff") o.reset_backoff = parse_flag(p);
-      else if (p.key == "suspect") o.suspect = parse_flag(p);
-      else if (p.key == "replay") o.replay = parse_flag(p);
-      else bad_param(parsed, p);
-    }
-    pair.coordinator = std::make_unique<FilterCoordinator>(k, o);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<FilterNode>(k, o.epsilon));
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  if (parsed.name == "slack") {
-    SlackCoordinator::Options o;
-    for (const auto& p : parsed.params) {
-      if (p.key == "alpha") o.alpha = parse_double(parsed, p);
-      else if (p.key == "adaptive") o.adaptive = parse_flag(p);
-      // TEST-ONLY: off-by-`nudge` boundary mutation for the differential
-      // harness's self-test (tests/core/test_port_mutant.cpp). Never a
-      // documented monitor parameter.
-      else if (p.key == "nudge") o.debug_boundary_nudge = parse_int(parsed, p);
-      else bad_param(parsed, p);
-    }
-    pair.coordinator = std::make_unique<SlackCoordinator>(k, o);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<SlackNode>());
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  if (parsed.name == "dominance") {
-    expect_no_params(parsed);
-    pair.coordinator = std::make_unique<DominanceCoordinator>(k);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<DominanceNode>());
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  if (parsed.name == "ordered") {
-    OrderedCoordinator::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(parsed);
-    pair.coordinator = std::make_unique<OrderedCoordinator>(k, o);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<OrderedNode>(k));
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  if (parsed.name == "multi_k") {
-    std::vector<std::size_t> ks{k};
-    MultiKCoordinator::Options o;
-    for (const auto& p : parsed.params) {
-      if (p.key == "ks") ks = parse_ks(parsed, p);
-      else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      else bad_param(parsed, p);
-    }
-    pair.coordinator = std::make_unique<MultiKCoordinator>(ks, o);
-    pair.nodes.reserve(cluster.size());
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      pair.nodes.push_back(std::make_unique<MultiKNode>(ks));
-    }
-    pair.native = true;
-    return pair;
-  }
-
-  // Everything else bridges the lock-step implementation (instant only).
   auto adapter =
       std::make_unique<LockstepAdapter>(build_monitor(parsed, k), cluster);
   pair.lockstep = adapter->lockstep();
@@ -312,8 +339,33 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     pair.nodes.push_back(std::make_unique<LockstepNode>());
   }
-  pair.native = false;
   return pair;
+}
+
+ShardedSpec parse_sharded_spec(std::string_view spec) {
+  const ParsedSpec parsed = parse_spec(spec);
+  const MonitorRow* row = find_row(parsed.name);
+  if (row == nullptr || !row->sharded.has_value()) {
+    throw std::invalid_argument(
+        "monitor '" + std::string(spec) +
+        "' has no sharded deployment (shardable: " +
+        join_names(row_names(
+            [](const MonitorRow& r) { return r.sharded.has_value(); })) +
+        ")");
+  }
+  ShardedSpec out;
+  out.monitor = *row->sharded;
+  // The shard adapters forward topk_filter's beacon suppression and
+  // nothing else: any other parameter (backoff, suspect, replay, ...)
+  // would be silently dropped, so it is rejected.
+  for (const auto& p : parsed.params) {
+    if (out.monitor == ShardedSpec::Monitor::kFilter && p.key == "nobeacon") {
+      out.suppress_idle_broadcasts = parse_flag(p);
+    } else {
+      bad_param(parsed, p);
+    }
+  }
+  return out;
 }
 
 std::pair<std::string, std::size_t> split_shards_param(std::string_view spec) {
@@ -345,28 +397,18 @@ std::pair<std::string, std::size_t> split_shards_param(std::string_view spec) {
 }
 
 bool is_known_monitor(std::string_view spec) noexcept {
-  const std::size_t q = spec.find('?');
-  const std::string_view name = spec.substr(0, q);
-  for (const auto& known : all_monitor_names()) {
-    if (known == name) return true;
-  }
-  return false;
+  return find_row(spec.substr(0, spec.find('?'))) != nullptr;
 }
 
 const std::vector<std::string>& all_monitor_names() {
-  static const std::vector<std::string> names{
-      "topk_filter", "ordered", "slack",     "dominance", "recompute",
-      "naive",       "naive_chg", "approx",  "multi_k"};
+  static const std::vector<std::string> names =
+      row_names([](const MonitorRow&) { return true; });
   return names;
 }
 
 const std::vector<std::string>& native_monitor_names() {
-  // Every monitor except the recompute baseline has a native role port;
-  // recompute stays a lock-step bridge (its per-step global re-sort has
-  // no event-driven decomposition worth maintaining).
-  static const std::vector<std::string> names{
-      "topk_filter", "ordered", "slack",  "dominance",
-      "naive",       "naive_chg", "approx", "multi_k"};
+  static const std::vector<std::string> names =
+      row_names([](const MonitorRow& r) { return r.roles != nullptr; });
   return names;
 }
 

@@ -17,6 +17,9 @@
 // (CoordinatorAlgo + n NodeAlgos) used by run_scenario — native for
 // every monitor except recompute, which stays LockstepAdapter-bridged
 // as the adapter-path reference (pair.native tells which).
+// parse_sharded_spec maps a spec onto the two-tier ShardedDeployment.
+// One table in monitor_registry.cpp lists every monitor with its role
+// factory and its sharded kind; the name lists below derive from it.
 #pragma once
 
 #include <memory>
@@ -27,6 +30,7 @@
 
 #include "core/monitor.hpp"
 #include "core/roles.hpp"
+#include "core/root_merge.hpp"
 #include "sim/cluster.hpp"
 
 namespace topkmon::exp {
@@ -47,12 +51,23 @@ struct RolePair {
   bool native = false;
   /// The wrapped lock-step monitor for adapter pairs (else nullptr).
   const MonitorBase* lockstep = nullptr;
+  /// True when the coordinator implements on_set_k, i.e. the pair can
+  /// run a fault plan with dynamic-k events.
+  bool dynamic_k = false;
 };
 
 /// Instantiates the role-separated deployment described by `spec` on
 /// `cluster`. Throws std::invalid_argument for unknown names/parameters.
 RolePair make_role_pair(Cluster& cluster, std::string_view spec,
                         std::size_t k);
+
+/// Parses a monitor spec (without `shards=`) into the kind and knobs of
+/// the two-tier ShardedDeployment; the size, seed and network fields
+/// stay default. Throws std::invalid_argument for a monitor without a
+/// sharded deployment (the message lists the ones with one) and for any
+/// parameter the shard adapters would drop (backoff, suspect, replay,
+/// eps, ...).
+ShardedSpec parse_sharded_spec(std::string_view spec);
 
 /// True when `spec`'s base name is a registered monitor.
 bool is_known_monitor(std::string_view spec) noexcept;

@@ -2,10 +2,13 @@
 // single simulation needs — which monitor (registry spec string), which
 // workload (StreamSpec, family settable by name), which network policy
 // (NetworkSpec, parseable from a string), the problem size and the
-// validation regime. run_scenario() is the single execution entry point:
-// it builds the role-separated deployment, drives it with the SimDriver
-// event loop, validates every step against the ground truth and returns
-// the familiar RunResult.
+// validation regime. run_scenario() is the single execution entry point.
+// It builds a Deployment (core/deployment.hpp) — the monolithic one (one
+// cluster, the registry's role pair, one SimDriver) or, at shards > 1,
+// the two-tier ShardedDeployment — and runs one step loop over it for
+// either tier: observe, write the step's values in bulk, apply the fault
+// schedule's ground-truth effects, step, validate every step against the
+// ground truth, and return the familiar RunResult.
 //
 // Under the default instant network this path is byte-identical to the
 // legacy run_monitor() pipeline (native role implementations are
@@ -79,9 +82,9 @@ struct Scenario {
   /// RunResult::comm then counts the node<->shard tier and
   /// RunResult::root_comm the shard<->root tier. A `?shards=c` monitor
   /// parameter (e.g. "topk_filter?shards=4") overrides this field. Only
-  /// the monitors with a sharded deployment ("topk_filter", "naive",
-  /// "naive_chg" — a narrower set than the native role ports) support
-  /// c > 1.
+  /// the monitors with a sharded deployment (exp::parse_sharded_spec:
+  /// "topk_filter", "naive", "naive_chg" — a narrower set than the
+  /// native role ports) support c > 1.
   /// record_series works at any c: the per-shard series are merged
   /// element-wise into one deployment-level per-step series (every shard
   /// begins the same steps, so the series align by index).
@@ -98,7 +101,8 @@ struct Scenario {
   /// "approx", "naive" and "naive_chg" accept the `?suspect` parameter
   /// that convicts a degraded node; the other ports reject it and carry a
   /// degradation until its heal. "ordered" and "multi_k" re-sync a
-  /// recovered or joining node with a full reset. With join
+  /// recovered or joining node with a full reset; "multi_k" rejects
+  /// dynamic-k events (its k set is fixed). With join
   /// events the cluster/streams/ground truth are provisioned at the
   /// plan's total_nodes(); RunResult::recovery_ticks then reports the
   /// re-convergence window of every event (for a degradation: the error
@@ -156,30 +160,36 @@ struct Scenario {
   }
 };
 
-/// Runs the scenario end to end and returns its result. Throws
-/// std::invalid_argument for malformed scenarios (unknown monitor/family,
-/// k out of range, workers != 1, non-native monitor on a non-instant
-/// network or under a fault plan) and std::logic_error on validation
-/// divergence when throw_on_error is set. Thread-safe: concurrent calls
-/// share no state (each scenario builds its own cluster/driver), which is
-/// what the SweepRunner's trial parallelism relies on.
+/// Runs the scenario end to end and returns its result: the monolithic
+/// deployment when the effective shard count (a `?shards=c` monitor
+/// parameter, else Scenario::shards) is 1, else run_sharded_scenario.
+/// Throws std::invalid_argument, before any node callback runs, for
+/// malformed scenarios (unknown monitor/family, k out of range,
+/// workers != 1, non-native monitor on a non-instant network or under a
+/// fault plan, a dynamic-k plan for a monitor without on_set_k — multi_k)
+/// and std::logic_error on validation divergence when throw_on_error is
+/// set. Thread-safe: concurrent calls share no state (each scenario
+/// builds its own deployment), which is what the SweepRunner's trial
+/// parallelism relies on.
 RunResult run_scenario(const Scenario& scenario);
 
-/// Runs the scenario on a two-tier sharded deployment (core/root_merge.hpp)
-/// with `scenario.shards` shard coordinators (a `?shards=c` monitor
-/// parameter wins over the field; run_scenario dispatches here whenever
-/// the effective count is > 1). Callable directly with shards == 1 too —
-/// the root tier is then inert and the output is message-for-message and
-/// answer-for-answer identical to run_scenario's monolithic path (pinned
-/// by tests/core/test_shard_equivalence.cpp). Exactness at c > 1 is
+/// Runs the scenario's step loop over a two-tier ShardedDeployment
+/// (core/root_merge.hpp) with `scenario.shards` shard coordinators (a
+/// `?shards=c` monitor parameter wins over the field). Callable directly
+/// with shards == 1 too — the root tier is then inert and the output is
+/// message-for-message and answer-for-answer identical to run_scenario's
+/// monolithic path, churn and dynamic-k plans included (pinned by
+/// tests/core/test_shard_equivalence.cpp). Exactness at c > 1 is
 /// guaranteed under instant delivery with pairwise-distinct values;
 /// non-instant networks run supported-but-degraded, like the monolithic
 /// native monitors (error steps are recorded, use kWeak +
 /// throw_on_error=false). Membership churn and dynamic-k fault plans are
 /// supported at any c (whole-shard outages drain the dead shard's quota
 /// at the root and regrant it on recovery); adversarial degradations are
-/// not. Throws std::invalid_argument for non-native monitors, plans with
-/// degradations, shards > n, or workers != 1.
+/// not. Throws std::invalid_argument for monitors without a sharded
+/// deployment or with a parameter the shards would drop
+/// (exp::parse_sharded_spec), plans with degradations, shards > n, or
+/// workers != 1.
 RunResult run_sharded_scenario(const Scenario& scenario);
 
 }  // namespace topkmon::exp

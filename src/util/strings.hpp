@@ -83,6 +83,16 @@ inline std::size_t edit_distance(std::string_view a, std::string_view b) {
   return prev[b.size()];
 }
 
+/// `parts` joined with ", " (for lists in error messages).
+inline std::string join_names(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const auto& part : parts) {
+    if (!out.empty()) out += ", ";
+    out += part;
+  }
+  return out;
+}
+
 /// The candidates closest to `name` by edit_distance (<= max_distance,
 /// best first, stable within a distance), truncated to max_results so the
 /// hint stays scannable.

@@ -66,38 +66,67 @@ void expect_identical(const RunResult& a, const RunResult& b,
   }
   EXPECT_EQ(a.comm.series(), b.comm.series());
 
-  // Algorithm event counters.
-  EXPECT_EQ(a.monitor.violation_steps, b.monitor.violation_steps);
-  EXPECT_EQ(a.monitor.violations, b.monitor.violations);
-  EXPECT_EQ(a.monitor.handler_calls, b.monitor.handler_calls);
-  EXPECT_EQ(a.monitor.midpoint_updates, b.monitor.midpoint_updates);
-  EXPECT_EQ(a.monitor.filter_resets, b.monitor.filter_resets);
-  EXPECT_EQ(a.monitor.protocol_runs, b.monitor.protocol_runs);
-  EXPECT_EQ(a.monitor.polls, b.monitor.polls);
+  // Algorithm event counters, every one of them.
+  for (const MonitorCounter& c : kMonitorCounters) {
+    EXPECT_EQ(a.monitor.*c.field, b.monitor.*c.field) << c.name;
+  }
+
+  // Fault accounting.
+  EXPECT_EQ(a.error_step_list, b.error_step_list);
+  EXPECT_EQ(a.recovery_ticks, b.recovery_ticks);
 }
 
 TEST(ShardEquivalence, ShardsOneMatchesMonolithicPath) {
-  const std::vector<std::string> monitors{"topk_filter", "naive", "naive_chg"};
-  const std::vector<std::string> networks{"instant", "delay=1",
-                                          "delay=1,jitter=2", "drop=0.2"};
-  for (const auto& monitor : monitors) {
-    for (const auto& network : networks) {
+  // Fault-free on four networks, then membership churn on two: an
+  // explicit crash/recover/join/leave plan and generated churn. Under
+  // churn the deployments fire their own carved schedules while the
+  // scenario loop keeps one fault cursor for the ground truth and the
+  // recovery windows, so equal error_step_list and recovery_ticks pin
+  // that cursor to the same steps and ticks on both paths.
+  struct Case {
+    const char* network;
+    const char* faults;
+  };
+  const std::vector<Case> cases{
+      {"instant", "none"},
+      {"delay=1", "none"},
+      {"delay=1,jitter=2", "none"},
+      {"drop=0.2", "none"},
+      {"instant",
+       "churn?crash=5@40,recover=5@80,join=+16@120,leave=2@160,crash=20@150,"
+       "recover=20@170"},
+      {"delay=1,jitter=2",
+       "churn?crash=5@40,recover=5@80,join=+16@120,leave=2@160,crash=20@150,"
+       "recover=20@170"},
+      {"instant", "churn?every=40,down=2,count=3,outage=15"},
+      {"delay=1,jitter=2", "churn?every=40,down=2,count=3,outage=15"},
+      {"instant", "churn?k=10@80"},
+      {"delay=1,jitter=2", "churn?k=10@80"},
+      {"instant", "churn?k=20@80,k=4@180"},
+      {"delay=1,jitter=2", "churn?k=20@80,k=4@180"},
+      {"instant", "churn?crash=5@40,recover=5@80,k=10@100,join=+8@120"},
+  };
+  for (const char* monitor : {"topk_filter", "naive", "naive_chg"}) {
+    for (const Case& c : cases) {
       exp::Scenario sc = base_scenario(monitor, 48, 6, 17, 200);
-      sc.network = parse_network_spec(network);
+      sc.network = parse_network_spec(c.network);
+      sc.faults = c.faults;
       sc.shards = 1;
       sc.record_series = true;  // per-step message counts must match too
-      if (!sc.network.is_instant()) {
-        // Scheduled networks degrade the answer exactly like monolithic
-        // native runs; equal error_steps below pins the answers per step.
+      if (!sc.network.is_instant() || sc.faults != "none") {
+        // Scheduled networks and churn degrade the answer exactly like
+        // monolithic native runs; equal error_step_list below pins the
+        // answers per step.
         sc.validation = RunConfig::Validation::kWeak;
         sc.throw_on_error = false;
       }
+      const std::string label =
+          std::string(monitor) + " / " + c.network + " / " + c.faults;
       const RunResult mono = exp::run_scenario(sc);
       const RunResult sharded = exp::run_sharded_scenario(sc);
-      expect_identical(mono, sharded, monitor + " / " + network);
+      expect_identical(mono, sharded, label);
       EXPECT_EQ(sharded.root_comm.total(), 0u)
-          << monitor << " / " << network
-          << ": inert root tier must never speak";
+          << label << ": inert root tier must never speak";
     }
   }
 }

@@ -109,9 +109,14 @@ TEST(PortParams, ShardedDeploymentRejectsPortsWithoutOne) {
   // The two-tier sharded runner supports the filter/naive families only;
   // the newly-native ports must be rejected up front with a clear error,
   // not run monolithically under a silently dropped parameter.
-  for (const char* monitor : {"slack?shards=2", "dominance?shards=2",
-                              "ordered?shards=2", "approx?eps=64,shards=2",
-                              "multi_k?ks=2+8,shards=2"}) {
+  // Parameters of shardable monitors that the shard adapters would drop
+  // (only topk_filter's nobeacon reaches the shards) are rejected too.
+  for (const char* monitor :
+       {"slack?shards=2", "dominance?shards=2", "ordered?shards=2",
+        "approx?eps=64,shards=2", "multi_k?ks=2+8,shards=2",
+        "topk_filter?backoff,shards=2", "topk_filter?suspect,shards=2",
+        "topk_filter?replay,shards=2", "topk_filter?eps=64,shards=2",
+        "naive?suspect,shards=2", "naive_chg?nobeacon,shards=2"}) {
     SCOPED_TRACE(monitor);
     exp::Scenario sc;
     sc.monitor = monitor;
@@ -120,6 +125,20 @@ TEST(PortParams, ShardedDeploymentRejectsPortsWithoutOne) {
     sc.steps = 5;
     EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
   }
+  // The rejection lists the shardable monitors, read off the registry.
+  try {
+    exp::parse_sharded_spec("ordered");
+    ADD_FAILURE() << "ordered has no sharded deployment";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("topk_filter, naive, naive_chg"),
+              std::string::npos)
+        << e.what();
+  }
+  const ShardedSpec nobeacon = exp::parse_sharded_spec("topk_filter?nobeacon");
+  EXPECT_EQ(nobeacon.monitor, ShardedSpec::Monitor::kFilter);
+  EXPECT_TRUE(nobeacon.suppress_idle_broadcasts);
+  EXPECT_EQ(exp::parse_sharded_spec("naive_chg").monitor,
+            ShardedSpec::Monitor::kNaiveChg);
 }
 
 }  // namespace

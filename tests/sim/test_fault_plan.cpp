@@ -419,6 +419,31 @@ TEST(FaultInjection, RecoverDuringRenegotiationAndDynamicK) {
   }
 }
 
+TEST(FaultInjection, DynamicKReKeysFilterNodes) {
+  // A dynamic-k reset must re-key the nodes, not only the coordinator:
+  // each node derives its membership from the announce order and the k
+  // its kStartSelection control carries. A node that kept its
+  // construction-time k would hold a wrong filter, violate every step and
+  // drag the coordinator into one FILTERRESET per step. So after each k
+  // event the filter family settles like ordered does: exact answers and
+  // at most one reset per k event plus the initial one.
+  struct Plan {
+    const char* spec;
+    std::uint64_t k_events;
+  };
+  for (const Plan& plan : {Plan{"churn?k=10@80", 1},
+                           Plan{"churn?k=20@80,k=4@180", 2}}) {
+    for (const char* mon : {"topk_filter", "topk_filter?nobeacon",
+                            "approx?eps=64", "ordered"}) {
+      SCOPED_TRACE(std::string(mon) + " " + plan.spec);
+      const RunResult r = run_scenario(churn_scenario(mon, "instant",
+                                                      plan.spec));
+      EXPECT_EQ(r.error_steps, 0u);
+      EXPECT_LE(r.monitor.filter_resets, plan.k_events + 1);
+    }
+  }
+}
+
 TEST(FaultInjection, JoinBlockExtendsIdRange) {
   // Joining ids live in [n, total_nodes); the answer may contain them
   // after the join step.
@@ -491,6 +516,28 @@ TEST(FaultInjection, NonNativeMonitorRejected) {
   // all have native role ports now); it must still be rejected.
   Scenario sc = churn_scenario("recompute", "instant", "churn?crash=1@10");
   EXPECT_THROW(run_scenario(sc), std::invalid_argument);
+
+  // multi_k monitors a fixed set of k values and has no on_set_k: a plan
+  // with a dynamic-k event is rejected before the run starts, naming the
+  // monitor, instead of diverging (and throwing) mid-run. Its churn-only
+  // plans still run.
+  Scenario multik = churn_scenario("multi_k", "instant", "churn?k=10@80");
+  multik.throw_on_error = true;
+  bool stepped = false;
+  multik.on_step = [&stepped](TimeStep, const std::vector<Value>&,
+                              const std::vector<NodeId>&) { stepped = true; };
+  try {
+    run_scenario(multik);
+    ADD_FAILURE() << "multi_k accepted a dynamic-k plan";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("multi_k"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(stepped);
+  multik.faults = "churn?crash=3@40,recover=3@80";
+  multik.throw_on_error = false;
+  multik.on_step = nullptr;
+  EXPECT_NO_THROW(run_scenario(multik));
 }
 
 // ---------------------------------------------------------------------------
