@@ -17,6 +17,7 @@
 #include "core/naive_roles.hpp"
 #include "core/ordered_roles.hpp"
 #include "core/ordered_topk_monitor.hpp"
+#include "core/recompute_roles.hpp"
 #include "core/slack_roles.hpp"
 #include "core/recompute_monitor.hpp"
 #include "core/slack_monitor.hpp"
@@ -252,6 +253,14 @@ RolePair ordered_roles(const Cluster& cluster, const ParsedSpec& spec,
                                   cluster, k);
 }
 
+RolePair recompute_roles(const Cluster& cluster, const ParsedSpec& spec,
+                         std::size_t k) {
+  RecomputeCoordinator::Options o;
+  o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
+  return native_pair<RecomputeNode>(
+      std::make_unique<RecomputeCoordinator>(k, o), cluster);
+}
+
 RolePair multik_roles(const Cluster& cluster, const ParsedSpec& spec,
                       std::size_t k) {
   std::vector<std::size_t> ks{k};
@@ -287,7 +296,7 @@ constexpr MonitorRow kMonitors[] = {
     {"ordered", &ordered_roles, std::nullopt, true},
     {"slack", &slack_roles, std::nullopt, true},
     {"dominance", &dominance_roles, std::nullopt, true},
-    {"recompute", nullptr, std::nullopt, false},
+    {"recompute", &recompute_roles, std::nullopt, true},
     {"naive", &naive_roles, ShardedSpec::Monitor::kNaive, true},
     {"naive_chg", &naive_roles, ShardedSpec::Monitor::kNaiveChg, true},
     {"approx", &filter_roles, std::nullopt, true},

@@ -1,79 +1,80 @@
-// Shared differential equivalence harness for native role ports.
+// Shared differential equivalence harness for the native role ports.
 //
-// Every native CoordinatorAlgo/NodeAlgo port of a lock-step monitor is
-// proven against its MonitorBase twin with the same instruments:
+// Every monitor is one CoordinatorAlgo/NodeAlgo role pair. Each port was
+// proven identical to the lock-step implementation it replaced, and what
+// those implementations produced is frozen as golden records
+// (lockstep_golden.hpp). The instruments:
 //
-//   * run_lockstep / run_native — twin runs of the same spec over the
-//     same stream family, shape and seed, one through the legacy
-//     run_monitor path (the reference oracle), one through the Scenario
-//     path (the role deployment under the SimDriver);
-//   * expect_identical / results_identical — the full comparison:
-//     per-step message series, messages by direction and by kind,
-//     algorithm event counters, and the per-step error pattern against
-//     the ground truth (which pins the answers themselves);
-//   * expect_twin_lockstep_parity — a manual side-by-side drive of both
-//     twins that additionally compares the coordinator's *answer* after
-//     every step (rank order included for the ordered port) and, at the
-//     end of the run, the full state of every per-node RNG plus the
-//     coordinator RNG — the coin-flip-identity proof: both runs must
-//     have consumed exactly the same random draws from the same streams.
+//   * run_lockstep — the golden record of a (spec, workload, shape,
+//     seed, steps) cell (throws std::out_of_range for a cell the table
+//     does not hold);
+//   * run_native — the same cell through exp::run_scenario (any network
+//     policy and fault plan);
+//   * expect_identical / results_identical — the full comparison: per-
+//     step message series, messages by direction and by kind, every
+//     algorithm counter, and the per-step error pattern against the
+//     ground truth (which pins the answers themselves);
+//   * expect_answer_and_rng_parity — drives the native pair by hand and
+//     compares the coordinator's answer after every step (rank order
+//     included for the ordered port) and the final state of every node
+//     RNG plus the coordinator RNG with the record: identical RNG state
+//     on identical seeds means the port consumed exactly the same coin
+//     flips as the reference.
 //
-// The harness is deliberately spec-agnostic: the same functions verify
-// the five ports this PR adds (slack, dominance, approx, multi_k,
-// ordered) and re-verify the three pre-existing ones (topk_filter,
-// naive, naive_chg). Its own teeth are pinned by the mutant property
-// test (test_port_mutant.cpp): a deliberately off-by-one port must make
-// results_identical return false on every network policy.
+// Its own teeth are pinned by the mutant property test
+// (test_port_mutant.cpp): a deliberately off-by-one port must make
+// results_identical return false against the record and on every
+// network policy.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/ground_truth_tracker.hpp"
 #include "core/ordered_roles.hpp"
-#include "core/ordered_topk_monitor.hpp"
 #include "core/runner.hpp"
 #include "exp/monitor_registry.hpp"
 #include "exp/scenario.hpp"
+#include "lockstep_golden.hpp"
 #include "sim/cluster.hpp"
 #include "streams/factory.hpp"
 
 namespace topkmon::harness {
+
+using golden::GoldenRun;
 
 struct Shape {
   std::size_t n;
   std::size_t k;
 };
 
-inline RunResult run_lockstep(
-    const std::string& spec, const StreamSpec& stream, Shape s,
-    std::uint64_t seed, std::size_t steps,
-    RunConfig::Validation validation = RunConfig::Validation::kWeak) {
-  auto monitor = exp::make_monitor(spec, s.k);
-  auto streams = make_stream_set(stream, s.n, seed);
-  RunConfig cfg;
-  cfg.n = s.n;
-  cfg.k = s.k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  cfg.validation = validation;
-  cfg.record_series = true;
-  // Divergence is recorded, not thrown: lossy configurations (and the
-  // mutant property test) legitimately err, and the comparison below
-  // checks that both twins err in exactly the same steps.
-  return run_monitor(*monitor, streams, cfg, /*throw_on_error=*/false);
+inline const GoldenRun& run_lockstep(const std::string& spec,
+                                     const StreamSpec& stream, Shape s,
+                                     std::uint64_t seed, std::size_t steps) {
+  const std::string key = golden::stream_key(stream);
+  for (const GoldenRun& g : golden::golden_runs()) {
+    if (g.monitor == spec && g.stream == key && g.n == s.n && g.k == s.k &&
+        g.seed == seed && g.steps == steps) {
+      return g;
+    }
+  }
+  throw std::out_of_range("no golden record for " + spec + " on " + key +
+                          " n=" + std::to_string(s.n) +
+                          " k=" + std::to_string(s.k) +
+                          " seed=" + std::to_string(seed) +
+                          " steps=" + std::to_string(steps));
 }
 
-inline RunResult run_lockstep(
-    const std::string& spec, const std::string& family, Shape s,
-    std::uint64_t seed, std::size_t steps,
-    RunConfig::Validation validation = RunConfig::Validation::kWeak) {
+inline const GoldenRun& run_lockstep(const std::string& spec,
+                                     const std::string& family, Shape s,
+                                     std::uint64_t seed, std::size_t steps) {
   return run_lockstep(spec, parse_stream_spec(family, StreamSpec{}), s, seed,
-                      steps, validation);
+                      steps);
 }
 
 inline RunResult run_native(
@@ -92,6 +93,9 @@ inline RunResult run_native(
   sc.faults = faults;
   sc.validation = validation;
   sc.record_series = true;
+  // Divergence is recorded, not thrown: lossy configurations (and the
+  // mutant property test) legitimately err, and the comparison checks
+  // that both runs err in exactly the same steps.
   sc.throw_on_error = false;
   return exp::run_scenario(sc);
 }
@@ -105,136 +109,126 @@ inline RunResult run_native(
                     steps, validation, network, faults);
 }
 
-/// Non-fatal twin comparison: true iff every compared dimension matches.
-/// The mutant property test uses the boolean form to assert the harness
+/// Non-fatal comparison: true iff every compared dimension matches. The
+/// mutant property test uses the boolean form to assert the harness
 /// *fails* on a perturbed port; expect_identical uses gtest expectations
 /// for readable per-dimension diagnostics.
 inline bool results_identical(const RunResult& a, const RunResult& b) {
-  if (a.monitor_name != b.monitor_name) return false;
-  if (a.comm.upstream() != b.comm.upstream()) return false;
-  if (a.comm.unicast() != b.comm.unicast()) return false;
-  if (a.comm.broadcast() != b.comm.broadcast()) return false;
-  for (std::size_t kind = 0; kind < kNumMsgKinds; ++kind) {
-    if (a.comm.by_kind(static_cast<MsgKind>(kind)) !=
-        b.comm.by_kind(static_cast<MsgKind>(kind))) {
-      return false;
-    }
-  }
-  if (a.comm.series() != b.comm.series()) return false;
-  if (a.monitor.violation_steps != b.monitor.violation_steps) return false;
-  if (a.monitor.violations != b.monitor.violations) return false;
-  if (a.monitor.handler_calls != b.monitor.handler_calls) return false;
-  if (a.monitor.midpoint_updates != b.monitor.midpoint_updates) return false;
-  if (a.monitor.filter_resets != b.monitor.filter_resets) return false;
-  if (a.monitor.protocol_runs != b.monitor.protocol_runs) return false;
-  if (a.correct != b.correct) return false;
-  if (a.error_steps != b.error_steps) return false;
-  if (a.first_error_step != b.first_error_step) return false;
-  if (a.error_step_list != b.error_step_list) return false;
-  return true;
+  return golden::fingerprint(a) == golden::fingerprint(b);
 }
 
-inline void expect_identical(const RunResult& a, const RunResult& b,
+inline bool results_identical(const GoldenRun& g, const RunResult& r) {
+  return g.fp == golden::fingerprint(r);
+}
+
+inline void expect_identical(const GoldenRun& g, const RunResult& r,
                              const std::string& label) {
   SCOPED_TRACE(label);
+  const golden::Fingerprint a = g.fp;
+  const golden::Fingerprint b = golden::fingerprint(r);
   EXPECT_EQ(a.monitor_name, b.monitor_name);
 
   // Communication: every direction, every kind, every step.
-  EXPECT_EQ(a.comm.upstream(), b.comm.upstream());
-  EXPECT_EQ(a.comm.unicast(), b.comm.unicast());
-  EXPECT_EQ(a.comm.broadcast(), b.comm.broadcast());
+  EXPECT_EQ(a.upstream, b.upstream);
+  EXPECT_EQ(a.unicast, b.unicast);
+  EXPECT_EQ(a.broadcast, b.broadcast);
   for (std::size_t kind = 0; kind < kNumMsgKinds; ++kind) {
-    EXPECT_EQ(a.comm.by_kind(static_cast<MsgKind>(kind)),
-              b.comm.by_kind(static_cast<MsgKind>(kind)))
+    EXPECT_EQ(a.by_kind[kind], b.by_kind[kind])
         << "kind " << msg_kind_name(static_cast<MsgKind>(kind));
   }
-  EXPECT_EQ(a.comm.series(), b.comm.series());
+  EXPECT_EQ(a.series, b.series) << "per-step message series differ";
 
   // Algorithm event counters.
-  EXPECT_EQ(a.monitor.violation_steps, b.monitor.violation_steps);
-  EXPECT_EQ(a.monitor.violations, b.monitor.violations);
-  EXPECT_EQ(a.monitor.handler_calls, b.monitor.handler_calls);
-  EXPECT_EQ(a.monitor.midpoint_updates, b.monitor.midpoint_updates);
-  EXPECT_EQ(a.monitor.filter_resets, b.monitor.filter_resets);
-  EXPECT_EQ(a.monitor.protocol_runs, b.monitor.protocol_runs);
+  for (std::size_t i = 0; i < std::size(kMonitorCounters); ++i) {
+    EXPECT_EQ(a.counters[i], b.counters[i]) << kMonitorCounters[i].name;
+  }
 
   // Per-step answer pattern against the ground truth: identical steps
   // must err (none at all for exact monitors on the instant network).
-  EXPECT_EQ(a.correct, b.correct);
   EXPECT_EQ(a.error_steps, b.error_steps);
-  EXPECT_EQ(a.first_error_step, b.first_error_step);
-  EXPECT_EQ(a.error_step_list, b.error_step_list);
 }
 
-/// Drives both twins side by side over the same values and compares the
-/// coordinator's answer after *every* step (rank order too when both
-/// sides expose one), then — the coin-flip-identity proof — the final
-/// state of all n node RNGs and the coordinator RNG. Identical final
-/// RNG state on identical seeds means both implementations consumed
-/// exactly the same draws in the same order.
-inline void expect_twin_lockstep_parity(const std::string& spec,
-                                        const std::string& family, Shape s,
-                                        std::uint64_t seed,
-                                        std::size_t steps) {
-  SCOPED_TRACE("twin " + spec + " fam=" + family);
-  const StreamSpec stream = parse_stream_spec(family, StreamSpec{});
+/// Drives the native pair by hand over the record's cell and compares the
+/// coordinator's answer after *every* step (rank order too for the
+/// ordered port) and the final state of all n node RNGs and the
+/// coordinator RNG with the record.
+inline void expect_answer_and_rng_parity(const std::string& spec,
+                                         const StreamSpec& stream, Shape s,
+                                         std::uint64_t seed,
+                                         std::size_t steps) {
+  SCOPED_TRACE("parity " + spec + " on " + golden::stream_key(stream));
+  const GoldenRun& g = run_lockstep(spec, stream, s, seed, steps);
 
-  // Lock-step oracle side.
-  Cluster lock_cluster(s.n, seed);
-  auto monitor = exp::make_monitor(spec, s.k);
-  auto lock_streams = make_stream_set(stream, s.n, seed);
-
-  // Native role side.
-  Cluster role_cluster(s.n, seed);
-  exp::RolePair pair = exp::make_role_pair(role_cluster, spec, s.k);
-  ASSERT_TRUE(pair.native) << spec << " did not resolve to a native port";
-  SimDriver driver(role_cluster, *pair.coordinator, pair.nodes, pair.native);
-  auto role_streams = make_stream_set(stream, s.n, seed);
-
-  const auto* ordered_lockstep =
-      dynamic_cast<const OrderedTopkMonitor*>(monitor.get());
-  const auto* ordered_native =
+  Cluster cluster(s.n, seed);
+  exp::RolePair pair = exp::make_role_pair(cluster, spec, s.k);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
+  auto streams = make_stream_set(stream, s.n, seed);
+  const auto* ordered =
       dynamic_cast<const OrderedCoordinator*>(pair.coordinator.get());
 
+  golden::Digest answers;
   std::vector<Value> observed(s.n);
-  const auto observe = [&](Cluster& cluster, StreamSet& streams) {
+  std::vector<NodeId> changed;
+  const auto observe = [&] {
     streams.advance_all(observed);
-    for (NodeId id = 0; id < s.n; ++id) cluster.set_value(id, observed[id]);
-  };
-  const auto compare_answers = [&](TimeStep t) {
-    EXPECT_EQ(monitor->topk(), pair.coordinator->topk()) << "step " << t;
-    if (ordered_lockstep != nullptr && ordered_native != nullptr) {
-      EXPECT_EQ(ordered_lockstep->ordered_topk(),
-                ordered_native->ordered_topk())
-          << "order at step " << t;
+    changed.clear();
+    for (NodeId id = 0; id < s.n; ++id) {
+      if (observed[id] != cluster.value(id)) {
+        cluster.set_value(id, observed[id]);
+        changed.push_back(id);
+      }
     }
   };
+  const auto record_answer = [&] {
+    answers.add_ids(pair.coordinator->topk());
+    if (ordered != nullptr) answers.add_ids(ordered->ordered_topk());
+  };
 
-  lock_cluster.stats().begin_step(0);
-  observe(lock_cluster, lock_streams);
-  monitor->initialize(lock_cluster);
-  role_cluster.stats().begin_step(0);
-  observe(role_cluster, role_streams);
+  observe();
   driver.initialize();
-  compare_answers(0);
-
+  record_answer();
   for (TimeStep t = 1; t <= steps; ++t) {
-    lock_cluster.stats().begin_step(t);
-    observe(lock_cluster, lock_streams);
-    monitor->step(lock_cluster, t);
-    role_cluster.stats().begin_step(t);
-    observe(role_cluster, role_streams);
-    driver.step(t);
-    compare_answers(t);
+    observe();
+    driver.step(t, changed);
+    record_answer();
   }
 
-  for (NodeId id = 0; id < s.n; ++id) {
-    EXPECT_TRUE(lock_cluster.node_rng(id) == role_cluster.node_rng(id))
-        << "node " << id << " RNG state diverged (unequal coin draws)";
-  }
-  EXPECT_TRUE(lock_cluster.coordinator_rng() == role_cluster.coordinator_rng())
+  EXPECT_EQ(answers.value(), g.answers) << "per-step answers diverged";
+  EXPECT_EQ(golden::node_rng_digest(cluster), g.node_rng)
+      << "node RNG state diverged (unequal coin draws)";
+  EXPECT_EQ(golden::coordinator_rng_digest(cluster), g.coord_rng)
       << "coordinator RNG state diverged (unequal coin draws)";
-  EXPECT_EQ(lock_cluster.stats().total(), role_cluster.stats().total());
+  EXPECT_EQ(cluster.stats().total(), g.fp.upstream + g.fp.unicast +
+                                         g.fp.broadcast);
+}
+
+inline void expect_answer_and_rng_parity(const std::string& spec,
+                                         const std::string& family, Shape s,
+                                         std::uint64_t seed,
+                                         std::size_t steps) {
+  expect_answer_and_rng_parity(spec, parse_stream_spec(family, StreamSpec{}),
+                               s, seed, steps);
+}
+
+/// The full check of one cell: the run_scenario path against the record,
+/// then the hand-driven answer and RNG parity.
+inline void expect_matches_golden(const std::string& spec,
+                                  const StreamSpec& stream, Shape s,
+                                  std::uint64_t seed, std::size_t steps) {
+  const std::string label = spec + " n=" + std::to_string(s.n) +
+                            " k=" + std::to_string(s.k) + " on " +
+                            golden::stream_key(stream) +
+                            " seed=" + std::to_string(seed);
+  expect_identical(run_lockstep(spec, stream, s, seed, steps),
+                   run_native(spec, stream, s, seed, steps), label);
+  expect_answer_and_rng_parity(spec, stream, s, seed, steps);
+}
+
+inline void expect_matches_golden(const std::string& spec,
+                                  const std::string& family, Shape s,
+                                  std::uint64_t seed, std::size_t steps) {
+  expect_matches_golden(spec, parse_stream_spec(family, StreamSpec{}), s, seed,
+                        steps);
 }
 
 }  // namespace topkmon::harness

@@ -5,9 +5,9 @@
 // off-by-one porting bug. The harness comparison (messages by kind,
 // per-step series, counters, error pattern) must flag the mutant
 //
-//   * against the lock-step oracle under the instant network, and
+//   * against the golden lock-step record under the instant network, and
 //   * against the clean native port under every scheduled network
-//     policy (where no lock-step twin exists),
+//     policy (where no golden record exists),
 //
 // pinning that the comparison has teeth on each policy rather than
 // vacuously passing on dimensions a policy happens not to exercise.

@@ -1,12 +1,13 @@
-// The load-bearing guarantee of the role-separated redesign: under the
-// instant NetworkSpec, the native event-driven implementations are
-// *byte-identical* to their lock-step MonitorBase counterparts — same
-// messages of every kind in every step, same protocol coin flips, same
-// answers, same algorithm-event counters. This is what lets every
-// pre-redesign experiment suite reproduce its numbers exactly through
-// the Scenario path. The comparison machinery lives in the shared
-// differential harness (role_port_harness.hpp), which also proves the
-// five later ports (test_role_ports.cpp) — one standard for the zoo.
+// The load-bearing guarantee of the role-separated design: under the
+// instant NetworkSpec, every native role pair is *byte-identical* to the
+// lock-step implementation it replaced — same messages of every kind in
+// every step, same protocol coin flips, same answers, same algorithm-
+// event counters. The lock-step outputs are frozen as golden records
+// (lockstep_golden.hpp), which is what lets every experiment suite keep
+// its published numbers exactly through the Scenario path. The
+// comparison machinery lives in the shared differential harness
+// (role_port_harness.hpp), which also covers the per-port grids
+// (test_role_ports.cpp) — one standard for the zoo.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,19 +19,7 @@ namespace topkmon {
 namespace {
 
 using harness::Shape;
-using harness::expect_identical;
-using harness::run_lockstep;
-using harness::run_native;
-
-void expect_identical_and_correct(const RunResult& lockstep,
-                                  const RunResult& native,
-                                  const std::string& label) {
-  // The monitors below are exact on the instant network: beyond twin
-  // identity, both runs must match the ground truth at every step.
-  EXPECT_TRUE(lockstep.correct) << label;
-  EXPECT_TRUE(native.correct) << label;
-  expect_identical(lockstep, native, label);
-}
+using harness::expect_matches_golden;
 
 TEST(RoleEquivalence, FilterMonitorMatchesLockstepAcrossShapes) {
   const std::vector<Shape> shapes{{8, 2}, {16, 4}, {16, 1}, {16, 15}, {5, 5}};
@@ -39,63 +28,52 @@ TEST(RoleEquivalence, FilterMonitorMatchesLockstepAcrossShapes) {
   for (const Shape s : shapes) {
     for (const std::string& family : families) {
       for (const std::uint64_t seed : {1ull, 7ull}) {
-        const auto lockstep =
-            run_lockstep("topk_filter", family, s, seed, 300);
-        const auto native = run_native("topk_filter", family, s, seed, 300);
-        expect_identical_and_correct(
-            lockstep, native,
-            "topk_filter n=" + std::to_string(s.n) + " k=" +
-                std::to_string(s.k) + " fam=" + family + " seed=" +
-                std::to_string(seed));
+        expect_matches_golden("topk_filter", family, s, seed, 300);
       }
     }
   }
 }
 
 TEST(RoleEquivalence, FilterMonitorMatchesLockstepWithBeaconSuppression) {
-  const Shape s{24, 4};
   for (const std::string family : {"random_walk", "iid_uniform"}) {
-    const auto lockstep =
-        run_lockstep("topk_filter?nobeacon", family, s, 11, 400);
-    const auto native = run_native("topk_filter?nobeacon", family, s, 11, 400);
-    expect_identical_and_correct(lockstep, native, "nobeacon fam=" + family);
+    expect_matches_golden("topk_filter?nobeacon", family, {24, 4}, 11, 400);
   }
 }
 
 TEST(RoleEquivalence, NaiveVariantsMatchLockstep) {
-  const Shape s{12, 3};
   for (const std::string spec : {"naive", "naive_chg"}) {
     for (const std::string family : {"random_walk", "sinusoidal"}) {
-      const auto lockstep = run_lockstep(spec, family, s, 3, 250);
-      const auto native = run_native(spec, family, s, 3, 250);
-      expect_identical_and_correct(lockstep, native,
-                                   spec + " fam=" + family);
+      expect_matches_golden(spec, family, {12, 3}, 3, 250);
     }
   }
 }
 
 TEST(RoleEquivalence, FormerAdapterMonitorsNowRunNativeAndMatch) {
-  // Before the five-port PR these bridged through LockstepAdapter; the
-  // same twin comparison now exercises their native role pairs (the
-  // deep per-port grids live in test_role_ports.cpp). `recompute` stays
-  // the adapter-backed reference, pinning that the bridge still works.
+  // The exact monitors are also error-free against the ground truth.
   const Shape s{16, 4};
   for (const std::string spec :
        {"recompute", "slack", "dominance", "ordered", "approx?eps=64"}) {
-    const auto lockstep = run_lockstep(spec, "random_walk", s, 5, 200);
-    const auto native = run_native(spec, "random_walk", s, 5, 200);
-    expect_identical_and_correct(lockstep, native, spec);
+    expect_matches_golden(spec, "random_walk", s, 5, 200);
+  }
+  for (const std::string spec : {"recompute", "slack", "dominance"}) {
+    EXPECT_TRUE(harness::run_lockstep(spec, "random_walk", s, 5, 200)
+                    .fp.error_steps.empty())
+        << spec;
   }
 }
 
-TEST(RoleEquivalence, ScenarioRejectsAdapterMonitorsOnLossyNetworks) {
-  exp::Scenario sc;
-  sc.monitor = "recompute";
-  sc.n = 8;
-  sc.k = 2;
-  sc.steps = 10;
-  sc.network = parse_network_spec("delay=1");
-  EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
+TEST(RoleEquivalence, GoldenTableHasOneRecordPerCell) {
+  const auto& runs = golden::golden_runs();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = i + 1; j < runs.size(); ++j) {
+      const bool same = runs[i].monitor == runs[j].monitor &&
+                        runs[i].stream == runs[j].stream &&
+                        runs[i].n == runs[j].n && runs[i].k == runs[j].k &&
+                        runs[i].seed == runs[j].seed &&
+                        runs[i].steps == runs[j].steps;
+      EXPECT_FALSE(same) << "duplicate record " << runs[i].monitor;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// The tentpole proof of the five-port PR: slack, dominance, approx,
-// multi_k and ordered run as native CoordinatorAlgo/NodeAlgo role pairs
-// and are message-for-message and coin-flip-identical to their lock-step
-// MonitorBase twins under the instant network, across a stream-family ×
-// shape × seed grid — then run green under scheduled networks
-// (delay / jitter / drop) and through a light e19-style churn plan. The
-// three pre-existing ports (topk_filter, naive, naive_chg) re-run through
-// the same shared harness so one comparison standard covers the whole zoo.
+// Per-port proof: every monitor runs as a native CoordinatorAlgo/NodeAlgo
+// role pair that is message-for-message and coin-flip-identical to the
+// golden records of the lock-step implementation it replaced, under the
+// instant network, across a stream-family × shape × seed grid — and then
+// runs green under scheduled networks (delay / jitter / drop) and through
+// a light e19-style churn plan.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,17 +15,9 @@ namespace topkmon {
 namespace {
 
 using harness::Shape;
-using harness::expect_identical;
-using harness::expect_twin_lockstep_parity;
-using harness::results_identical;
-using harness::run_lockstep;
+using harness::expect_answer_and_rng_parity;
+using harness::expect_matches_golden;
 using harness::run_native;
-
-std::string label(const std::string& spec, Shape s, const std::string& family,
-                  std::uint64_t seed) {
-  return spec + " n=" + std::to_string(s.n) + " k=" + std::to_string(s.k) +
-         " fam=" + family + " seed=" + std::to_string(seed);
-}
 
 void expect_grid_equivalence(const std::vector<std::string>& specs,
                              const std::vector<Shape>& shapes,
@@ -38,9 +28,7 @@ void expect_grid_equivalence(const std::vector<std::string>& specs,
     for (const Shape s : shapes) {
       for (const std::string& family : families) {
         for (const std::uint64_t seed : {1ull, 7ull}) {
-          const auto lockstep = run_lockstep(spec, family, s, seed, steps);
-          const auto native = run_native(spec, family, s, seed, steps);
-          expect_identical(lockstep, native, label(spec, s, family, seed));
+          expect_matches_golden(spec, family, s, seed, steps);
         }
       }
     }
@@ -75,7 +63,8 @@ TEST(RolePorts, OrderedMatchesLockstepAcrossGrid) {
 }
 
 TEST(RolePorts, ExistingPortsStillMatchThroughSharedHarness) {
-  expect_grid_equivalence({"topk_filter", "naive", "naive_chg"}, {{16, 4}});
+  expect_grid_equivalence({"topk_filter", "naive", "naive_chg", "recompute"},
+                          {{16, 4}});
 }
 
 TEST(RolePorts, DegenerateShapesMatch) {
@@ -88,7 +77,7 @@ TEST(RolePorts, DegenerateShapesMatch) {
 
 TEST(RolePorts, BeaconSuppressionVariantsMatch) {
   expect_grid_equivalence({"ordered?nobeacon", "multi_k?ks=2+8,nobeacon",
-                           "approx?eps=64,nobeacon"},
+                           "approx?eps=64,nobeacon", "recompute?nobeacon"},
                           {{16, 4}}, 200);
 }
 
@@ -100,29 +89,47 @@ TEST(RolePorts, TwinDriveProvesAnswerAndRngParity) {
   const Shape s{16, 4};
   for (const std::string spec :
        {"topk_filter", "naive", "naive_chg", "slack", "slack?adaptive",
-        "dominance", "approx?eps=64", "multi_k?ks=2+8", "ordered"}) {
-    expect_twin_lockstep_parity(spec, "random_walk", s, 5, 250);
-    expect_twin_lockstep_parity(spec, "bursty", s, 9, 250);
+        "dominance", "approx?eps=64", "multi_k?ks=2+8", "ordered",
+        "recompute", "recompute?nobeacon"}) {
+    expect_answer_and_rng_parity(spec, "random_walk", s, 5, 250);
+    expect_answer_and_rng_parity(spec, "bursty", s, 9, 250);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The latency (e14) and loss (e15) suites publish rows for the whole zoo;
+// their instant-network cells at the suites' defaults (n 32, k 4, 1200
+// steps, seed 1, a fast walk) are in the golden table, so every row's
+// port still speaks its reference protocol message for message.
+// ---------------------------------------------------------------------------
+
+TEST(RolePorts, LatencyAndLossSuiteCellsMatchLockstep) {
+  StreamSpec fast;
+  fast.walk.max_step = 20'000;
+  for (const std::string spec :
+       {"topk_filter", "naive", "slack", "dominance", "ordered",
+        "approx?eps=40000", "multi_k?ks=4+8"}) {
+    expect_matches_golden(spec, fast, {32, 4}, 1, 1'200);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Scheduled networks: the ports must run (and stay live) once messages
-// are delayed, jittered, and dropped — the regime the lock-step twins
-// cannot enter at all.
+// are delayed, jittered, and dropped — a regime no golden record covers.
 // ---------------------------------------------------------------------------
 
-const std::vector<std::string>& new_port_specs() {
+const std::vector<std::string>& port_specs() {
   // multi_k's answer is the top-k of its *smallest* monitored k, so the
   // scheduled-network / churn scenarios (validated against the scenario
   // k) pin ks to start at the scenario's k = 4.
   static const std::vector<std::string> specs{
-      "slack", "dominance", "approx?eps=64", "multi_k?ks=4+8", "ordered"};
+      "slack",   "dominance", "approx?eps=64", "multi_k?ks=4+8",
+      "ordered", "recompute"};
   return specs;
 }
 
 TEST(RolePorts, NewPortsRunGreenOnScheduledNetworks) {
-  for (const std::string& spec : new_port_specs()) {
+  for (const std::string& spec : port_specs()) {
     for (const std::string network : {"delay=2", "jitter=2", "drop=0.02"}) {
       SCOPED_TRACE(spec + " / " + network);
       const auto r = run_native(spec, "random_walk", {16, 4}, 3, 300,
@@ -142,7 +149,7 @@ TEST(RolePorts, NewPortsRunGreenOnScheduledNetworks) {
 // ---------------------------------------------------------------------------
 
 TEST(RolePorts, NewPortsSurviveLightChurn) {
-  for (const std::string& spec : new_port_specs()) {
+  for (const std::string& spec : port_specs()) {
     SCOPED_TRACE(spec);
     const auto r =
         run_native(spec, "random_walk", {16, 4}, 11, 300,
@@ -152,6 +159,20 @@ TEST(RolePorts, NewPortsSurviveLightChurn) {
     // Once the crashed node has rejoined and re-synced, the answer must
     // go clean again: no errors over the final third of the run.
     EXPECT_EQ(r.error_steps_since(220), 0u) << "never re-converged";
+  }
+}
+
+TEST(RolePorts, RecomputeFollowsDynamicK) {
+  // recompute reselects every step, so a k= event only changes how many
+  // winners the next selection announces.
+  for (const std::string faults :
+       {"churn?k=8@80", "churn?k=8@80,k=2@180",
+        "churn?crash=1@60,k=6@100,recover=1@150"}) {
+    SCOPED_TRACE(faults);
+    const auto r = run_native("recompute", "random_walk", {16, 4}, 13, 300,
+                              RunConfig::Validation::kWeak, "instant", faults);
+    EXPECT_EQ(r.steps_executed, 301u);
+    EXPECT_EQ(r.error_steps, 0u);
   }
 }
 
