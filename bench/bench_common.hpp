@@ -45,46 +45,6 @@ inline Scenario scenario(std::string monitor, const StreamSpec& stream,
   return sc;
 }
 
-/// Differential guard for suites whose grids mix native role ports into
-/// their monitor rows (e14/e15): re-runs every monitor's instant-network
-/// cell both natively (run_scenario) and as its lock-step twin
-/// (exp::make_monitor through run_monitor) and throws std::logic_error
-/// unless the message totals agree in every direction — the suite's
-/// published rows are only comparable across the zoo if each port still
-/// speaks its reference protocol message-for-message.
-inline void assert_ports_match_lockstep(
-    SuiteContext& ctx, const std::vector<std::string>& monitors,
-    const StreamSpec& stream, std::size_t n, std::size_t k,
-    std::uint64_t steps, std::uint64_t seed) {
-  for (const auto& spec : monitors) {
-    auto monitor = exp::make_monitor(spec, k);
-    auto streams = make_stream_set(stream, n, seed);
-    RunConfig cfg;
-    cfg.n = n;
-    cfg.k = k;
-    cfg.steps = steps;
-    cfg.seed = seed;
-    cfg.validation = RunConfig::Validation::kWeak;
-    const RunResult lock = run_monitor(*monitor, streams, cfg,
-                                       /*throw_on_error=*/false);
-
-    Scenario sc = scenario(spec, stream, n, k, steps, seed);
-    sc.validation = RunConfig::Validation::kWeak;
-    sc.throw_on_error = false;
-    const RunResult native = run_scenario(sc);
-
-    if (lock.comm.upstream() != native.comm.upstream() ||
-        lock.comm.unicast() != native.comm.unicast() ||
-        lock.comm.broadcast() != native.comm.broadcast()) {
-      throw std::logic_error(
-          "differential guard: native port '" + spec +
-          "' is not message-identical to its lock-step twin on instant");
-    }
-  }
-  ctx.out() << "differential guard: every native row is message-identical "
-               "to its lock-step twin on the instant network\n\n";
-}
-
 /// Label for BENCH_*.json file names (shared by the perf and e16 suites):
 /// env override, else git describe, else the UTC date. Sanitized to
 /// [A-Za-z0-9._-].

@@ -18,6 +18,39 @@
 namespace topkmon::bench {
 namespace {
 
+/// Replays `trace` through the topk_filter role pair (k = 1) with strict
+/// validation after every step and returns the run's messages and trace.
+RunResult replay_filter(const TraceMatrix& trace, std::uint64_t seed) {
+  const std::size_t n = trace.nodes();
+  RunConfig cfg;
+  cfg.n = n;
+  cfg.k = 1;
+  cfg.steps = trace.steps() - 1;
+  cfg.seed = seed;
+  Cluster cluster(n, seed);
+  exp::RolePair pair = exp::make_role_pair(cluster, "topk_filter", cfg.k);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
+  GroundTruthTracker truth(n, cfg.k);
+  RunResult result;
+  for (TimeStep t = 0; t < trace.steps(); ++t) {
+    for (NodeId id = 0; id < n; ++id) {
+      cluster.set_value(id, trace.at(t, id));
+      truth.set_value(id, trace.at(t, id));
+    }
+    if (t == 0) {
+      driver.initialize();
+    } else {
+      driver.step(t);
+    }
+    check_answer_step(truth, pair.coordinator->topk(), nullptr, cfg,
+                      pair.coordinator->name(), "", t, &result,
+                      /*throw_on_error=*/true);
+  }
+  result.comm = cluster.stats();
+  result.trace = trace;
+  return result;
+}
+
 /// Builds the sawtooth-approach trace: node 1 sits at `center`; node 0
 /// descends from center+delta geometrically (gap /= 4 per step), dips one
 /// unit below node 1 (swap: OPT must update), then jumps back up (swap
@@ -69,16 +102,8 @@ TOPKMON_SUITE(e4, "competitive ratio vs log Delta (Theorems 3.3/4.4)") {
     };
     const auto rows = ctx.runner().map<SawtoothRow>(
         deltas.size(), [&](std::size_t di) {
-          TopkFilterMonitor monitor(1);
-          const auto trace = sawtooth_trace(kN, steps, deltas[di]);
-          auto streams = trace.to_stream_set();
-          RunConfig cfg;
-          cfg.n = kN;
-          cfg.k = 1;
-          cfg.steps = steps - 1;
-          cfg.seed = args.seed;
-          cfg.record_trace = true;
-          const auto r = run_monitor(monitor, streams, cfg);
+          const auto r =
+              replay_filter(sawtooth_trace(kN, steps, deltas[di]), args.seed);
           const auto opt = compute_offline_opt(*r.trace, 1);
           return SawtoothRow{r.comm.total(), opt.updates(),
                              competitive_ratio(r, 1)};

@@ -1,8 +1,8 @@
 // Approximate-monitoring dashboard: a fleet of 32 build machines reports
 // queue depths; the dashboard needs the 5 busiest machines but tolerates
 // being off by up to 3 jobs — an ε-approximate answer. Demonstrates the
-// ApproxTopkMonitor trade-off and the EventLog tap for auditing exactly
-// which messages flowed.
+// "approx?eps=" monitor's trade-off and the EventLog tap for auditing
+// exactly which messages flowed.
 #include <iostream>
 
 #include "topkmon.hpp"
@@ -39,15 +39,16 @@ int main() {
     EventLog log;
     cluster.net().set_tap(log.tap());
 
-    ApproxTopkMonitor::Options o;
-    o.epsilon = eps;
-    ApproxTopkMonitor monitor(kBusiest, o);
+    exp::RolePair monitor = exp::make_role_pair(
+        cluster, "approx?eps=" + std::to_string(eps), kBusiest);
+    SimDriver driver(cluster, *monitor.coordinator, monitor.nodes,
+                     monitor.native);
 
     for (NodeId i = 0; i < kMachines; ++i) {
       cluster.set_value(i, streams.advance(i));
     }
     log.begin_step(0);
-    monitor.initialize(cluster);
+    driver.initialize();
 
     Value worst_regret = 0;
     std::vector<Value> values(kMachines);
@@ -57,9 +58,9 @@ int main() {
         values[i] = streams.advance(i);
         cluster.set_value(i, values[i]);
       }
-      monitor.step(cluster, step);
-      worst_regret =
-          std::max(worst_regret, topk_regret(values, monitor.topk()));
+      driver.step(step);
+      worst_regret = std::max(worst_regret,
+                              topk_regret(values, monitor.coordinator->topk()));
     }
 
     t.add_row({std::to_string(eps), fmt_count(cluster.stats().total()),

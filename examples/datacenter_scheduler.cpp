@@ -27,8 +27,12 @@ int main() {
   spec.walk.max_step = 300;
   auto raw = make_stream_set(spec, kMachines, kSeed);
 
+  // The ordered top-k monitor as a role pair driven by a SimDriver.
   Cluster cluster(kMachines, kSeed);
-  OrderedTopkMonitor monitor(kCandidates);
+  exp::RolePair pair = exp::make_role_pair(cluster, "ordered", kCandidates);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
+  const auto& monitor =
+      dynamic_cast<const OrderedCoordinator&>(*pair.coordinator);
 
   auto observe = [&] {
     for (NodeId m = 0; m < kMachines; ++m) {
@@ -37,13 +41,13 @@ int main() {
   };
 
   observe();
-  monitor.initialize(cluster);
+  driver.initialize();
 
   std::uint64_t placements = 0;
   std::vector<std::uint64_t> placed_on(kMachines, 0);
   for (TimeStep t = 1; t <= kSteps; ++t) {
     observe();
-    monitor.step(cluster, t);
+    driver.step(t);
     // A job arrives every step; place it on the least-loaded machine (the
     // coordinator's rank-1 answer) without polling anyone.
     const NodeId target = monitor.ordered_topk().front();

@@ -1,8 +1,9 @@
 // Network telemetry scenario: 64 edge routers export per-interface byte
 // counters with heavy-tailed (Pareto) traffic and flash-crowd bursts; the
 // NOC continuously tracks the 8 most loaded routers. Demonstrates
-// (a) live use of the monitor API on a Cluster you drive yourself (rather
-// than through run_monitor), and (b) per-kind message accounting.
+// (a) live use of the role API — a Cluster, the registry's role pair and
+// a SimDriver you step yourself (rather than through run_scenario) — and
+// (b) per-kind message accounting.
 #include <iomanip>
 #include <iostream>
 
@@ -27,28 +28,33 @@ int main() {
   spec.bursty.p_exit_burst = 0.05;
   auto streams = make_stream_set(spec, kRouters, kSeed);
 
+  // The paper's Algorithm 1: one coordinator plus one node algorithm per
+  // router, driven by the event loop over the cluster's network.
   Cluster cluster(kRouters, kSeed);
-  TopkFilterMonitor monitor(kTop);
+  exp::RolePair monitor = exp::make_role_pair(cluster, "topk_filter", kTop);
+  SimDriver driver(cluster, *monitor.coordinator, monitor.nodes,
+                   monitor.native);
+  const CoordinatorAlgo& coordinator = *monitor.coordinator;
 
   // Drive the cluster manually: observe, then let the monitor react.
   for (NodeId r = 0; r < kRouters; ++r) {
     cluster.set_value(r, streams.advance(r));
   }
-  monitor.initialize(cluster);
+  driver.initialize();
 
   std::size_t topset_changes = 0;
-  auto last_top = monitor.topk();
+  auto last_top = coordinator.topk();
   for (TimeStep t = 1; t <= kSteps; ++t) {
     for (NodeId r = 0; r < kRouters; ++r) {
       cluster.set_value(r, streams.advance(r));
     }
-    monitor.step(cluster, t);
-    if (monitor.topk() != last_top) {
+    driver.step(t);
+    if (coordinator.topk() != last_top) {
       ++topset_changes;
-      last_top = monitor.topk();
+      last_top = coordinator.topk();
     }
     // Spot-check the coordinator's answer like the test-suite would.
-    if (t % 500 == 0 && !is_valid_topk(cluster, monitor.topk())) {
+    if (t % 500 == 0 && !is_valid_topk(cluster, coordinator.topk())) {
       std::cerr << "DIVERGED at t=" << t << "\n";
       return 1;
     }
@@ -58,7 +64,7 @@ int main() {
             << ", " << kSteps << " steps\n\n";
   std::cout << "hot set changed " << topset_changes << " times; final top-"
             << kTop << " routers:";
-  for (const NodeId id : monitor.topk()) std::cout << " R" << id;
+  for (const NodeId id : coordinator.topk()) std::cout << " R" << id;
   std::cout << "\n\n";
 
   const auto& stats = cluster.stats();
@@ -86,7 +92,7 @@ int main() {
   }
   by_kind.print(std::cout);
 
-  const auto& ms = monitor.monitor_stats();
+  const auto& ms = coordinator.monitor_stats();
   std::cout << "\nalgorithm events: " << ms.filter_resets << " resets, "
             << ms.midpoint_updates << " midpoint updates, "
             << ms.protocol_runs << " protocol executions\n";

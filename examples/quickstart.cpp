@@ -5,12 +5,14 @@
 //   $ ./quickstart
 //
 // Walk-through of the core API:
-//   1. describe the workload (StreamSpec -> make_stream_set),
-//   2. pick an algorithm (TopkFilterMonitor = the paper's Algorithm 1),
-//   3. drive it with run_monitor (validates every step against ground
-//      truth), and
+//   1. describe the workload (a StreamSpec),
+//   2. pick an algorithm by registry name ("topk_filter" = the paper's
+//      Algorithm 1),
+//   3. run the Scenario with run_scenario (validates every step against
+//      ground truth), and
 //   4. inspect CommStats / MonitorStats / the competitive ratio.
 #include <iostream>
+#include <vector>
 
 #include "topkmon.hpp"
 
@@ -27,27 +29,30 @@ int main() {
   constexpr std::size_t kNodes = 10;
   constexpr std::size_t kK = 3;
   constexpr std::uint64_t kSeed = 2024;
-  auto streams = make_stream_set(spec, kNodes, kSeed);
 
   // 2. The paper's filter-based algorithm.
-  TopkFilterMonitor monitor(kK);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.stream = spec;
+  sc.n = kNodes;
+  sc.k = kK;
+  sc.seed = kSeed;
 
-  // 3. Run 5000 steps; the runner checks the coordinator's answer against
-  //    the ground truth after every observation and records the trace so
-  //    we can compare against the offline optimum afterwards.
-  RunConfig cfg;
-  cfg.n = kNodes;
-  cfg.k = kK;
-  cfg.steps = 5'000;
-  cfg.seed = kSeed;
-  cfg.record_trace = true;
-  const RunResult result = run_monitor(monitor, streams, cfg);
+  // 3. Run 5000 steps; the scenario checks the coordinator's answer
+  //    against the ground truth after every observation and records the
+  //    trace so we can compare against the offline optimum afterwards.
+  sc.steps = 5'000;
+  sc.record_trace = true;
+  std::vector<NodeId> answer;
+  sc.on_step = [&answer](TimeStep, const std::vector<Value>&,
+                         const std::vector<NodeId>& topk) { answer = topk; };
+  const RunResult result = exp::run_scenario(sc);
 
   // 4. What do we know, and what did it cost?
   std::cout << "correct at every step: " << (result.correct ? "yes" : "NO")
             << "\n";
   std::cout << "current top-" << kK << " node ids:";
-  for (const NodeId id : monitor.topk()) std::cout << " " << id;
+  for (const NodeId id : answer) std::cout << " " << id;
   std::cout << "\n\n";
 
   std::cout << "communication: " << result.comm.summary() << "\n";

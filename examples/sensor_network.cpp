@@ -4,13 +4,50 @@
 // simulated week and reports the communication bill of four algorithms.
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "topkmon.hpp"
 
-int main() {
-  using namespace topkmon;
+namespace {
 
+using namespace topkmon;
+
+/// Drives monitor `spec` over hand-built `streams` through its role pair
+/// and validates the answer against the true top-k after every minute
+/// (throws std::logic_error on a divergence).
+RunResult run_roles(const std::string& spec, StreamSet& streams,
+                    const RunConfig& cfg) {
+  Cluster cluster(cfg.n, cfg.seed);
+  exp::RolePair pair = exp::make_role_pair(cluster, spec, cfg.k);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
+  GroundTruthTracker truth(cfg.n, cfg.k);
+  RunResult result;
+  std::vector<Value> values(cfg.n);
+  for (TimeStep t = 0; t <= cfg.steps; ++t) {
+    streams.advance_all(values);
+    for (NodeId id = 0; id < cfg.n; ++id) {
+      cluster.set_value(id, values[id]);
+      truth.set_value(id, values[id]);
+    }
+    if (t == 0) {
+      driver.initialize();
+    } else {
+      driver.step(t);
+    }
+    check_answer_step(truth, pair.coordinator->topk(), nullptr, cfg,
+                      pair.coordinator->name(), "", t, &result,
+                      /*throw_on_error=*/true);
+    ++result.steps_executed;
+  }
+  result.comm = cluster.stats();
+  result.monitor = pair.coordinator->monitor_stats();
+  return result;
+}
+
+}  // namespace
+
+int main() {
   constexpr std::size_t kSensors = 48;
   constexpr std::size_t kHottest = 5;
   constexpr std::size_t kMinutesPerDay = 1'440;
@@ -47,28 +84,25 @@ int main() {
 
   struct Entry {
     const char* label;
-    std::unique_ptr<MonitorBase> monitor;
+    const char* spec;  ///< monitor registry spec
   };
-  std::vector<Entry> entries;
-  entries.push_back({"Algorithm 1 (filters + rand. protocol)",
-                     std::make_unique<TopkFilterMonitor>(kHottest)});
-  entries.push_back({"ordered top-k (§5 variant)",
-                     std::make_unique<OrderedTopkMonitor>(kHottest)});
-  entries.push_back({"recompute each minute (§2.1)",
-                     std::make_unique<RecomputeMonitor>(kHottest)});
-  entries.push_back({"naive forwarding",
-                     std::make_unique<NaiveMonitor>(kHottest)});
+  const Entry entries[] = {
+      {"Algorithm 1 (filters + rand. protocol)", "topk_filter"},
+      {"ordered top-k (§5 variant)", "ordered"},
+      {"recompute each minute (§2.1)", "recompute"},
+      {"naive forwarding", "naive"},
+  };
 
   Table table({"algorithm", "total msgs", "msgs/min", "resets",
                "violations"});
-  for (auto& e : entries) {
+  for (const Entry& e : entries) {
     auto streams = build_streams();
     RunConfig cfg;
     cfg.n = kSensors;
     cfg.k = kHottest;
     cfg.steps = kMinutesPerDay * kDays;
     cfg.seed = kSeed;
-    const auto r = run_monitor(*e.monitor, streams, cfg);
+    const auto r = run_roles(e.spec, streams, cfg);
     table.add_row({e.label, fmt_count(r.comm.total()),
                    fmt(r.messages_per_step(), 2),
                    fmt_count(r.monitor.filter_resets),

@@ -1,22 +1,25 @@
 // Tests for the ε-approximate monitor: ε-validity at every step, message
 // savings vs the exact monitor, and the ε = 0 degeneration.
-#include "core/approx_monitor.hpp"
-
 #include <gtest/gtest.h>
 
+#include "core/filter_roles.hpp"
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "role_drive.hpp"
 
 namespace topkmon {
 namespace {
 
+using testing::Deployed;
+using testing::run_spec;
+
+std::string approx(Value eps) { return "approx?eps=" + std::to_string(eps); }
+
 TEST(ApproxMonitor, RejectsBadParams) {
-  EXPECT_THROW(ApproxTopkMonitor(0), std::invalid_argument);
-  ApproxTopkMonitor::Options o;
+  FilterCoordinator::Options o;
+  o.approx = true;
+  EXPECT_THROW(FilterCoordinator(0, o), std::invalid_argument);
   o.epsilon = -1;
-  EXPECT_THROW(ApproxTopkMonitor(2, o), std::invalid_argument);
+  EXPECT_THROW(FilterCoordinator(2, o), std::invalid_argument);
 }
 
 TEST(ApproxMonitor, EpsValidityHelpers) {
@@ -32,17 +35,8 @@ TEST(ApproxMonitor, EpsValidityHelpers) {
 }
 
 TEST(ApproxMonitor, ZeroEpsilonIsExactEveryStep) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 10, 5);
-  ApproxTopkMonitor m(3);  // default epsilon = 0
-  RunConfig cfg;
-  cfg.n = 10;
-  cfg.k = 3;
-  cfg.steps = 600;
-  cfg.seed = 5;
-  const auto r = run_monitor(m, streams, cfg);  // strict validation
+  // Default epsilon = 0; strict validation.
+  const auto r = run_spec("approx", testing::walk(3'000), 10, 3, 600, 5);
   EXPECT_TRUE(r.correct);
 }
 
@@ -55,20 +49,18 @@ TEST_P(ApproxEpsSweep, AlwaysEpsValid) {
   spec.walk.max_step = 3'000;
   spec.enforce_distinct = false;  // keep raw value scale == eps scale
   auto streams = make_stream_set(spec, 10, 11);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = eps;
-  ApproxTopkMonitor m(3, o);
-  Cluster c(10, 11);
-  for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(10);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 10; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  Deployed m(approx(eps), 3, 11, values);
   Value worst_regret = 0;
   for (TimeStep t = 1; t <= 800; ++t) {
-    for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    ASSERT_TRUE(is_valid_topk_eps(c, m.topk(), eps))
+    observe();
+    m.step(values, t);
+    ASSERT_TRUE(is_valid_topk_eps(m.cluster(), m.topk(), eps))
         << "eps=" << eps << " t=" << t;
-    std::vector<Value> values(10);
-    for (NodeId i = 0; i < 10; ++i) values[i] = c.value(i);
     worst_regret = std::max(worst_regret, topk_regret(values, m.topk()));
   }
   EXPECT_LE(worst_regret, eps);
@@ -86,17 +78,10 @@ TEST(ApproxMonitor, LargerEpsilonSendsFewerMessages) {
     spec.walk.lo = 0;
     spec.walk.hi = 60'000;  // confined: nodes interact constantly
     spec.enforce_distinct = false;
-    auto streams = make_stream_set(spec, 16, 13);
-    ApproxTopkMonitor::Options o;
-    o.epsilon = eps;
-    ApproxTopkMonitor m(4, o);
-    RunConfig cfg;
-    cfg.n = 16;
-    cfg.k = 4;
-    cfg.steps = 1'000;
-    cfg.seed = 13;
-    cfg.validation = RunConfig::Validation::kOff;  // eps-validity checked above
-    return run_monitor(m, streams, cfg).comm.total();
+    // eps-validity is checked above.
+    return run_spec(approx(eps), spec, 16, 4, 1'000, 13,
+                    RunConfig::Validation::kOff)
+        .comm.total();
   };
   const auto exact = run_with_eps(0);
   const auto loose = run_with_eps(50'000);
@@ -110,28 +95,16 @@ TEST(ApproxMonitor, HugeEpsilonNearSilent) {
   spec.walk.lo = 0;
   spec.walk.hi = 10'000;
   spec.enforce_distinct = false;
-  auto streams = make_stream_set(spec, 8, 17);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = 1'000'000;  // wider than the whole value range
-  ApproxTopkMonitor m(2, o);
-  RunConfig cfg;
-  cfg.n = 8;
-  cfg.k = 2;
-  cfg.steps = 500;
-  cfg.seed = 17;
-  cfg.validation = RunConfig::Validation::kOff;
-  const auto r = run_monitor(m, streams, cfg);
+  // eps wider than the whole value range.
+  const auto r = run_spec(approx(1'000'000), spec, 8, 2, 500, 17,
+                          RunConfig::Validation::kOff);
   // Only initialization traffic; filters can never be violated.
   EXPECT_EQ(r.monitor.violation_steps, 0u);
 }
 
 TEST(ApproxMonitor, DegenerateKEqualsN) {
-  Cluster c(3, 1);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = 10;
-  ApproxTopkMonitor m(3, o);
-  m.initialize(c);
-  EXPECT_EQ(c.stats().total(), 0u);
+  Deployed m(approx(10), 3, 1, {0, 0, 0});
+  EXPECT_EQ(m.messages(), 0u);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
@@ -139,20 +112,16 @@ TEST(ApproxMonitor, OddEpsilonNoLivelock) {
   // With odd eps the boundary re-centering must still terminate (the
   // 2*floor(eps/2) slack rule); drive a node to sit exactly at T+ and
   // check violations do not repeat forever on a static configuration.
-  Cluster c(2, 3);
-  c.set_value(0, 1'001);
-  c.set_value(1, 0);
-  ApproxTopkMonitor::Options o;
-  o.epsilon = 7;
-  ApproxTopkMonitor m(1, o);
-  m.initialize(c);
+  constexpr Value kEps = 7;
+  Deployed m(approx(kEps), 1, 3, {1'001, 0});
   // Drop node 0 just below the widened filter once.
-  c.set_value(0, m.boundary() - o.epsilon / 2 - 1);
-  m.step(c, 1);
-  const auto msgs_after_first = c.stats().total();
+  const std::vector<Value> low{
+      m.coordinator<FilterCoordinator>().boundary() - kEps / 2 - 1, 0};
+  m.step(low, 1);
+  const auto msgs_after_first = m.messages();
   // Static values afterwards: no further messages may flow.
-  for (TimeStep t = 2; t <= 10; ++t) m.step(c, t);
-  EXPECT_EQ(c.stats().total(), msgs_after_first);
+  for (TimeStep t = 2; t <= 10; ++t) m.step(low, t);
+  EXPECT_EQ(m.messages(), msgs_after_first);
 }
 
 }  // namespace

@@ -5,37 +5,22 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/naive_monitor.hpp"
 #include "core/naive_roles.hpp"
-#include "core/recompute_monitor.hpp"
-#include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/recompute_roles.hpp"
+#include "core/slack_roles.hpp"
+#include "role_drive.hpp"
 
 namespace topkmon {
 namespace {
 
-RunConfig small_cfg(std::size_t n, std::size_t k, std::size_t steps,
-                    std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  return cfg;
-}
-
-StreamSet walk_streams(std::size_t n, std::uint64_t seed, Value step = 2'000) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = step;
-  return make_stream_set(spec, n, seed);
-}
+using testing::Deployed;
+using testing::run_spec;
+using testing::walk;
 
 // ---------------------------------------------------------------- naive --
 
 TEST(NaiveMonitor, RejectsBadK) {
-  EXPECT_THROW(NaiveMonitor(0), std::invalid_argument);
+  EXPECT_THROW(NaiveCoordinator(0, false, false), std::invalid_argument);
 }
 
 TEST(NaiveCoordinator, ReadsSeeReportsDeliveredEarlierInTheStep) {
@@ -75,16 +60,12 @@ TEST(NaiveCoordinator, ReadsSeeReportsDeliveredEarlierInTheStep) {
 }
 
 TEST(NaiveMonitor, AlwaysCorrectOnWalks) {
-  auto streams = walk_streams(8, 5);
-  NaiveMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(8, 3, 300, 5));
+  const auto result = run_spec("naive", walk(2'000), 8, 3, 300, 5);
   EXPECT_TRUE(result.correct);
 }
 
 TEST(NaiveMonitor, SendsNPerStep) {
-  auto streams = walk_streams(8, 7);
-  NaiveMonitor m(2);
-  const auto result = run_monitor(m, streams, small_cfg(8, 2, 100, 7));
+  const auto result = run_spec("naive", walk(2'000), 8, 2, 100, 7);
   // Every node reports every step (101 steps including init).
   EXPECT_EQ(result.comm.upstream(), 8u * 101u);
   EXPECT_EQ(result.comm.broadcast(), 0u);
@@ -95,15 +76,8 @@ TEST(NaiveMonitor, OnChangeVariantSendsLess) {
   StreamSpec spec;
   spec.family = StreamFamily::kRotatingMax;
   spec.enforce_distinct = false;
-  auto s1 = make_stream_set(spec, 8, 9);
-  NaiveMonitor every(2);
-  const auto r1 = run_monitor(every, s1, small_cfg(8, 2, 200, 9));
-
-  auto s2 = make_stream_set(spec, 8, 9);
-  NaiveMonitor::Options opts;
-  opts.send_on_change_only = true;
-  NaiveMonitor on_change(2, opts);
-  const auto r2 = run_monitor(on_change, s2, small_cfg(8, 2, 200, 9));
+  const auto r1 = run_spec("naive", spec, 8, 2, 200, 9);
+  const auto r2 = run_spec("naive_chg", spec, 8, 2, 200, 9);
 
   EXPECT_TRUE(r1.correct);
   EXPECT_TRUE(r2.correct);
@@ -111,10 +85,8 @@ TEST(NaiveMonitor, OnChangeVariantSendsLess) {
 }
 
 TEST(NaiveMonitor, NamesDistinguishVariants) {
-  NaiveMonitor a(1);
-  NaiveMonitor::Options opts;
-  opts.send_on_change_only = true;
-  NaiveMonitor b(1, opts);
+  NaiveCoordinator a(1, /*send_on_change_only=*/false, /*sharded=*/false);
+  NaiveCoordinator b(1, /*send_on_change_only=*/true, /*sharded=*/false);
   EXPECT_EQ(a.name(), "naive");
   EXPECT_EQ(b.name(), "naive_on_change");
 }
@@ -122,22 +94,18 @@ TEST(NaiveMonitor, NamesDistinguishVariants) {
 // ------------------------------------------------------------ recompute --
 
 TEST(RecomputeMonitor, RejectsBadK) {
-  EXPECT_THROW(RecomputeMonitor(0), std::invalid_argument);
+  EXPECT_THROW(RecomputeCoordinator(0), std::invalid_argument);
 }
 
 TEST(RecomputeMonitor, AlwaysCorrectOnWalks) {
-  auto streams = walk_streams(10, 11);
-  RecomputeMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 300, 11));
+  const auto result = run_spec("recompute", walk(2'000), 10, 3, 300, 11);
   EXPECT_TRUE(result.correct);
 }
 
 TEST(RecomputeMonitor, AlwaysCorrectOnRotatingMax) {
   StreamSpec spec;
   spec.family = StreamFamily::kRotatingMax;
-  auto streams = make_stream_set(spec, 8, 13);
-  RecomputeMonitor m(2);
-  const auto result = run_monitor(m, streams, small_cfg(8, 2, 200, 13));
+  const auto result = run_spec("recompute", spec, 8, 2, 200, 13);
   EXPECT_TRUE(result.correct);
 }
 
@@ -146,9 +114,7 @@ TEST(RecomputeMonitor, CostsEveryStepEvenWhenStill) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 0;
-  auto streams = make_stream_set(spec, 8, 15);
-  RecomputeMonitor m(2);
-  const auto result = run_monitor(m, streams, small_cfg(8, 2, 100, 15));
+  const auto result = run_spec("recompute", spec, 8, 2, 100, 15);
   EXPECT_TRUE(result.correct);
   // k protocol runs per step, each with >= 1 report + >= 1 announce.
   EXPECT_GE(result.comm.total(), 100u * 2u * 2u);
@@ -158,78 +124,57 @@ TEST(RecomputeMonitor, CostsEveryStepEvenWhenStill) {
 // ---------------------------------------------------------------- slack --
 
 TEST(SlackMonitor, RejectsBadParams) {
-  EXPECT_THROW(SlackMonitor(0), std::invalid_argument);
-  SlackMonitor::Options bad;
+  EXPECT_THROW(SlackCoordinator(0), std::invalid_argument);
+  SlackCoordinator::Options bad;
   bad.alpha = 0.0;
-  EXPECT_THROW(SlackMonitor(1, bad), std::invalid_argument);
+  EXPECT_THROW(SlackCoordinator(1, bad), std::invalid_argument);
   bad.alpha = 1.0;
-  EXPECT_THROW(SlackMonitor(1, bad), std::invalid_argument);
+  EXPECT_THROW(SlackCoordinator(1, bad), std::invalid_argument);
 }
 
 TEST(SlackMonitor, NamesDistinguishVariants) {
-  SlackMonitor fixed(1);
-  SlackMonitor::Options opts;
+  SlackCoordinator fixed(1);
+  SlackCoordinator::Options opts;
   opts.adaptive = true;
-  SlackMonitor adaptive(1, opts);
+  SlackCoordinator adaptive(1, opts);
   EXPECT_EQ(fixed.name(), "slack_fixed");
   EXPECT_EQ(adaptive.name(), "slack_adaptive");
 }
 
 TEST(SlackMonitor, CorrectOnWalks) {
-  auto streams = walk_streams(10, 17);
-  SlackMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 500, 17));
+  const auto result = run_spec("slack", walk(2'000), 10, 3, 500, 17);
   EXPECT_TRUE(result.correct);
 }
 
 TEST(SlackMonitor, CorrectWithAsymmetricAlpha) {
   for (const double alpha : {0.1, 0.9}) {
-    auto streams = walk_streams(10, 19);
-    SlackMonitor::Options opts;
-    opts.alpha = alpha;
-    SlackMonitor m(3, opts);
-    const auto result = run_monitor(m, streams, small_cfg(10, 3, 400, 19));
+    const auto result = run_spec("slack?alpha=" + std::to_string(alpha),
+                                 walk(2'000), 10, 3, 400, 19);
     EXPECT_TRUE(result.correct) << "alpha=" << alpha;
   }
 }
 
 TEST(SlackMonitor, AdaptiveVariantCorrect) {
-  auto streams = walk_streams(10, 21);
-  SlackMonitor::Options opts;
-  opts.adaptive = true;
-  SlackMonitor m(3, opts);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 500, 21));
+  const auto result =
+      run_spec("slack?adaptive", walk(2'000), 10, 3, 500, 21);
   EXPECT_TRUE(result.correct);
 }
 
 TEST(SlackMonitor, BoundaryWithinGapAfterInit) {
-  Cluster c(4, 23);
-  c.set_value(0, 100);
-  c.set_value(1, 80);
-  c.set_value(2, 20);
-  c.set_value(3, 10);
-  SlackMonitor m(2);
-  m.initialize(c);
-  EXPECT_GE(m.boundary(), 20);
-  EXPECT_LE(m.boundary(), 80);
+  Deployed m("slack", 2, 23, {100, 80, 20, 10});
+  EXPECT_GE(m.coordinator<SlackCoordinator>().boundary(), 20);
+  EXPECT_LE(m.coordinator<SlackCoordinator>().boundary(), 80);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(SlackMonitor, DegenerateKEqualsNSilent) {
-  Cluster c(3, 1);
-  c.set_value(0, 5);
-  c.set_value(1, 6);
-  c.set_value(2, 7);
-  SlackMonitor m(3);
-  m.initialize(c);
-  EXPECT_EQ(c.stats().total(), 0u);
+  Deployed m("slack", 3, 1, {5, 6, 7});
+  EXPECT_EQ(m.messages(), 0u);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(SlackMonitor, UsesPollsNotProtocols) {
-  auto streams = walk_streams(10, 25, /*step=*/20'000);
-  SlackMonitor m(3);
-  const auto result = run_monitor(m, streams, small_cfg(10, 3, 300, 25));
+  const auto result = run_spec("slack", walk(20'000), 10, 3, 300, 25);
   EXPECT_TRUE(result.correct);
   EXPECT_GT(result.monitor.polls, 0u);
   EXPECT_EQ(result.monitor.protocol_runs, 0u);

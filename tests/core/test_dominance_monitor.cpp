@@ -1,72 +1,52 @@
 // Tests for the Lam-style full-order dominance monitor.
-#include "core/dominance_monitor.hpp"
-
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/dominance_roles.hpp"
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "streams/factory.hpp"
+#include "role_drive.hpp"
 
 namespace topkmon {
 namespace {
 
-RunConfig cfg_of(std::size_t n, std::size_t k, std::size_t steps,
-                 std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  return cfg;
-}
+using testing::run_spec;
+
+struct Dom : testing::Deployed {
+  Dom(std::size_t k, std::uint64_t seed, const std::vector<Value>& v0)
+      : Deployed("dominance", k, seed, v0) {}
+  std::vector<NodeId> full_order() const {
+    return coordinator<DominanceCoordinator>().full_order();
+  }
+};
 
 TEST(DominanceMonitor, RejectsBadK) {
-  EXPECT_THROW(DominanceMonitor(0), std::invalid_argument);
+  EXPECT_THROW(DominanceCoordinator(0), std::invalid_argument);
 }
 
 TEST(DominanceMonitor, InitializationOrdersEverything) {
-  Cluster c(5, 1);
-  const std::vector<Value> values{30, 10, 50, 20, 40};
-  for (NodeId i = 0; i < 5; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(2);
-  m.initialize(c);
+  Dom m(2, 1, {30, 10, 50, 20, 40});
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{2, 4}));
   EXPECT_EQ(m.full_order(), (std::vector<NodeId>{2, 4, 0, 3, 1}));
   // Init costs 1 shout + n echoes + n filter unicasts.
-  EXPECT_EQ(c.stats().broadcast(), 1u);
-  EXPECT_EQ(c.stats().upstream(), 5u);
-  EXPECT_EQ(c.stats().unicast(), 5u);
+  EXPECT_EQ(m.cluster().stats().broadcast(), 1u);
+  EXPECT_EQ(m.cluster().stats().upstream(), 5u);
+  EXPECT_EQ(m.cluster().stats().unicast(), 5u);
 }
 
 TEST(DominanceMonitor, QuietWhenValuesStayInSlots) {
-  Cluster c(4, 3);
-  const std::vector<Value> values{400, 300, 200, 100};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(2);
-  m.initialize(c);
-  const auto baseline = c.stats().total();
+  Dom m(2, 3, {400, 300, 200, 100});
+  const auto baseline = m.messages();
   // Wiggle without crossing midpoints (+-10 around spaced-by-100 values).
-  c.set_value(0, 410);
-  c.set_value(1, 295);
-  c.set_value(2, 205);
-  c.set_value(3, 95);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), baseline);
+  m.step({410, 295, 205, 95}, 1);
+  EXPECT_EQ(m.messages(), baseline);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(DominanceMonitor, AdjacentSwapHandled) {
-  Cluster c(4, 5);
-  const std::vector<Value> values{400, 300, 200, 100};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(2);
-  m.initialize(c);
+  Dom m(2, 5, {400, 300, 200, 100});
   // Nodes 1 and 2 swap.
-  c.set_value(1, 190);
-  c.set_value(2, 310);
-  m.step(c, 1);
+  m.step({400, 190, 310, 100}, 1);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2}));
   EXPECT_EQ(m.full_order(), (std::vector<NodeId>{0, 2, 1, 3}));
 }
@@ -74,26 +54,17 @@ TEST(DominanceMonitor, AdjacentSwapHandled) {
 TEST(DominanceMonitor, PaysForIrrelevantSwaps) {
   // The §3.1 argument: an order change far below the k-boundary costs the
   // dominance tracker messages although the top-k set is unaffected.
-  Cluster c(6, 7);
-  const std::vector<Value> values{600, 500, 400, 300, 200, 100};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  DominanceMonitor m(1);
-  m.initialize(c);
-  const auto baseline = c.stats().total();
-  c.set_value(4, 95);  // nodes 4 and 5 swap, far from the top
-  c.set_value(5, 205);
-  m.step(c, 1);
-  EXPECT_GT(c.stats().total(), baseline);  // messages despite unchanged top-1
+  Dom m(1, 7, {600, 500, 400, 300, 200, 100});
+  const auto baseline = m.messages();
+  // Nodes 4 and 5 swap, far from the top.
+  m.step({600, 500, 400, 300, 95, 205}, 1);
+  EXPECT_GT(m.messages(), baseline);  // messages despite unchanged top-1
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0}));
 }
 
 TEST(DominanceMonitor, LongWalkStaysCorrect) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 10, 11);
-  DominanceMonitor m(3);
-  const auto result = run_monitor(m, streams, cfg_of(10, 3, 1'000, 11));
+  const auto result =
+      run_spec("dominance", testing::walk(3'000), 10, 3, 1'000, 11);
   EXPECT_TRUE(result.correct);
 }
 
@@ -106,11 +77,8 @@ TEST(DominanceMonitor, CorrectUnderTies) {
   spec.iid_lo = 0;
   spec.iid_hi = 5;  // heavy ties
   spec.enforce_distinct = false;
-  auto streams = make_stream_set(spec, 6, 13);
-  DominanceMonitor m(2);
-  auto cfg = cfg_of(6, 2, 300, 13);
-  cfg.validation = RunConfig::Validation::kStrict;
-  const auto result = run_monitor(m, streams, cfg);
+  const auto result = run_spec("dominance", spec, 6, 2, 300, 13,
+                               RunConfig::Validation::kStrict);
   EXPECT_TRUE(result.correct);
 }
 
@@ -119,14 +87,16 @@ TEST(DominanceMonitor, FullOrderMatchesGroundTruthOverWalk) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 10'000;
   auto streams = make_stream_set(spec, 8, 17);
-  Cluster c(8, 17);
-  DominanceMonitor m(3);
-  for (NodeId i = 0; i < 8; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(8);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 8; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  Dom m(3, 17, values);
   for (TimeStep t = 1; t <= 500; ++t) {
-    for (NodeId i = 0; i < 8; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    ASSERT_EQ(m.full_order(), true_topk_ordered(c, 8)) << "t=" << t;
+    observe();
+    m.step(values, t);
+    ASSERT_EQ(m.full_order(), true_topk_ordered(m.cluster(), 8)) << "t=" << t;
   }
 }
 
@@ -137,9 +107,7 @@ TEST(DominanceMonitor, CostExceedsTopkFilterOnDeepChurn) {
   StreamSpec spec;
   spec.family = StreamFamily::kCrossingPairs;
   spec.crossing.period = 16;
-  auto streams = make_stream_set(spec, 12, 19);
-  DominanceMonitor m(2);
-  const auto result = run_monitor(m, streams, cfg_of(12, 2, 300, 19));
+  const auto result = run_spec("dominance", spec, 12, 2, 300, 19);
   EXPECT_TRUE(result.correct);
   EXPECT_GT(result.monitor.violations, 300u);  // every pair churns
 }

@@ -6,32 +6,25 @@
 #include <limits>
 #include <memory>
 
-#include "core/approx_monitor.hpp"
-#include "core/dominance_monitor.hpp"
-#include "core/multik_monitor.hpp"
-#include "core/naive_monitor.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/multik_roles.hpp"
+#include "role_drive.hpp"
 #include "streams/trace.hpp"
 
 namespace topkmon {
 namespace {
 
-std::unique_ptr<MonitorBase> make_monitor(const std::string& which,
-                                          std::size_t k) {
-  if (which == "topk_filter") return std::make_unique<TopkFilterMonitor>(k);
-  if (which == "naive") return std::make_unique<NaiveMonitor>(k);
-  if (which == "recompute") return std::make_unique<RecomputeMonitor>(k);
-  if (which == "dominance") return std::make_unique<DominanceMonitor>(k);
-  if (which == "slack") return std::make_unique<SlackMonitor>(k);
-  if (which == "ordered") return std::make_unique<OrderedTopkMonitor>(k);
-  if (which == "approx") return std::make_unique<ApproxTopkMonitor>(k);
-  throw std::invalid_argument("unknown monitor " + which);
+using testing::Deployed;
+using testing::run_streams;
+
+RunConfig cfg_of(std::size_t n, std::size_t k, std::size_t steps,
+                 std::uint64_t seed) {
+  RunConfig cfg;
+  cfg.n = n;
+  cfg.k = k;
+  cfg.steps = steps;
+  cfg.seed = seed;
+  return cfg;
 }
 
 const std::string kAllMonitors[] = {"topk_filter", "naive",   "recompute",
@@ -41,76 +34,47 @@ const std::string kAllMonitors[] = {"topk_filter", "naive",   "recompute",
 class AllMonitors : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllMonitors, SingleNodeSystem) {
-  auto monitor = make_monitor(GetParam(), 1);
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   auto streams = make_stream_set(spec, 1, 3);
-  RunConfig cfg;
-  cfg.n = 1;
-  cfg.k = 1;
-  cfg.steps = 50;
-  cfg.seed = 3;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  std::vector<NodeId> answer;
+  const auto r =
+      run_streams(GetParam(), streams, cfg_of(1, 1, 50, 3), true, &answer);
   EXPECT_TRUE(r.correct);
-  EXPECT_EQ(monitor->topk(), (std::vector<NodeId>{0}));
+  EXPECT_EQ(answer, (std::vector<NodeId>{0}));
 }
 
 TEST_P(AllMonitors, TwoNodesRepeatedSwaps) {
-  auto monitor = make_monitor(GetParam(), 1);
   TraceMatrix trace(2, 40);
   for (std::size_t t = 0; t < 40; ++t) {
     trace.at(t, 0) = (t % 2 == 0) ? 100 : 10;
     trace.at(t, 1) = (t % 2 == 0) ? 10 : 100;
   }
   auto streams = trace.to_stream_set();
-  RunConfig cfg;
-  cfg.n = 2;
-  cfg.k = 1;
-  cfg.steps = 39;
-  cfg.seed = 5;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  const auto r = run_streams(GetParam(), streams, cfg_of(2, 1, 39, 5));
   EXPECT_TRUE(r.correct);
 }
 
 TEST_P(AllMonitors, FrozenStreamsGoQuietAfterInit) {
-  auto monitor = make_monitor(GetParam(), 2);
-  TraceMatrix trace(6, 30);
-  for (std::size_t t = 0; t < 30; ++t) {
-    for (NodeId i = 0; i < 6; ++i) {
-      trace.at(t, i) = 100 * (static_cast<Value>(i) + 1);
-    }
-  }
-  auto streams = trace.to_stream_set();
-  Cluster c(6, 7);
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-  monitor->initialize(c);
-  const auto after_init = c.stats().total();
-  for (TimeStep t = 1; t < 30; ++t) {
-    for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-    monitor->step(c, t);
-  }
+  const std::vector<Value> frozen{100, 200, 300, 400, 500, 600};
+  Deployed m(GetParam(), 2, 7, frozen);
+  const auto after_init = m.messages();
+  for (TimeStep t = 1; t < 30; ++t) m.step(frozen, t);
   if (GetParam() == "naive" || GetParam() == "recompute") {
-    EXPECT_GT(c.stats().total(), after_init);  // these always pay
+    EXPECT_GT(m.messages(), after_init);  // these always pay
   } else {
-    EXPECT_EQ(c.stats().total(), after_init)
+    EXPECT_EQ(m.messages(), after_init)
         << GetParam() << " must be silent on frozen values";
   }
 }
 
 TEST_P(AllMonitors, NegativeValueRegime) {
-  auto monitor = make_monitor(GetParam(), 2);
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.lo = -2'000'000;
   spec.walk.hi = -1'000'000;
   spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 8, 9);
-  RunConfig cfg;
-  cfg.n = 8;
-  cfg.k = 2;
-  cfg.steps = 300;
-  cfg.seed = 9;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  const auto r = testing::run_spec(GetParam(), spec, 8, 2, 300, 9);
   EXPECT_TRUE(r.correct);
 }
 
@@ -118,7 +82,6 @@ TEST_P(AllMonitors, HugeMagnitudeJumps) {
   // Alternating extreme magnitudes (quarter of the int64 range so the
   // distinctness transform and midpoints stay exact).
   const Value big = std::numeric_limits<Value>::max() / 8;
-  auto monitor = make_monitor(GetParam(), 1);
   TraceMatrix trace(4, 20);
   for (std::size_t t = 0; t < 20; ++t) {
     trace.at(t, 0) = (t % 3 == 0) ? big : -big;
@@ -127,27 +90,13 @@ TEST_P(AllMonitors, HugeMagnitudeJumps) {
     trace.at(t, 3) = static_cast<Value>(t);
   }
   auto streams = trace.to_stream_set();
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 1;
-  cfg.steps = 19;
-  cfg.seed = 11;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  const auto r = run_streams(GetParam(), streams, cfg_of(4, 1, 19, 11));
   EXPECT_TRUE(r.correct);
 }
 
 TEST_P(AllMonitors, KJustBelowN) {
-  auto monitor = make_monitor(GetParam(), 7);
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, 8, 13);
-  RunConfig cfg;
-  cfg.n = 8;
-  cfg.k = 7;
-  cfg.steps = 300;
-  cfg.seed = 13;
-  const auto r = run_monitor(*monitor, streams, cfg);
+  const auto r =
+      testing::run_spec(GetParam(), testing::walk(5'000), 8, 7, 300, 13);
   EXPECT_TRUE(r.correct);
 }
 
@@ -173,15 +122,11 @@ TEST(MonitorAgreement, AllAlgorithmsAgreeOnChurnyTrace) {
   std::vector<std::vector<NodeId>> answers;
   for (const auto& name : kAllMonitors) {
     auto streams = trace.to_stream_set();
-    auto monitor = make_monitor(name, 2);
-    RunConfig cfg;
-    cfg.n = 5;
-    cfg.k = 2;
-    cfg.steps = 59;
-    cfg.seed = 21;
-    const auto r = run_monitor(*monitor, streams, cfg);
+    std::vector<NodeId> answer;
+    const auto r =
+        run_streams(name, streams, cfg_of(5, 2, 59, 21), true, &answer);
     EXPECT_TRUE(r.correct) << name;
-    answers.push_back(monitor->topk());
+    answers.push_back(answer);
   }
   for (std::size_t i = 1; i < answers.size(); ++i) {
     EXPECT_EQ(answers[i], answers[0]);
@@ -193,12 +138,10 @@ TEST(MonitorAgreement, AllAlgorithmsAgreeOnChurnyTrace) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiKEdges, SingleNodeSingleK) {
-  Cluster c(1, 1);
-  c.set_value(0, 5);
-  MultiKMonitor m({1});
-  m.initialize(c);  // k == n: degenerate
-  EXPECT_EQ(m.topk_for(1), (std::vector<NodeId>{0}));
-  EXPECT_EQ(c.stats().total(), 0u);
+  Deployed m("multi_k?ks=1", 1, 1, {5});  // k == n: degenerate
+  EXPECT_EQ(m.coordinator<MultiKCoordinator>().topk_for(1),
+            (std::vector<NodeId>{0}));
+  EXPECT_EQ(m.messages(), 0u);
 }
 
 TEST(MultiKEdges, DenseBoundaries) {
@@ -207,15 +150,19 @@ TEST(MultiKEdges, DenseBoundaries) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 4'000;
   auto streams = make_stream_set(spec, 6, 23);
-  Cluster c(6, 23);
-  MultiKMonitor m({1, 2, 3, 4, 5});
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(6);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 6; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  Deployed m("multi_k?ks=1+2+3+4+5", 1, 23, values);
+  const auto& coord = m.coordinator<MultiKCoordinator>();
   for (TimeStep t = 1; t <= 300; ++t) {
-    for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    observe();
+    m.step(values, t);
     for (std::size_t k = 1; k <= 5; ++k) {
-      ASSERT_EQ(m.topk_for(k), true_topk_set(c, k)) << "k=" << k << " t=" << t;
+      ASSERT_EQ(coord.topk_for(k), true_topk_set(m.cluster(), k))
+          << "k=" << k << " t=" << t;
     }
   }
 }

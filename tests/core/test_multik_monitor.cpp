@@ -1,76 +1,73 @@
 // Tests for the multi-k monitor: every monitored boundary correct at every
 // step, shared resets, degenerate configurations.
-#include "core/multik_monitor.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/multik_roles.hpp"
+#include "role_drive.hpp"
 
 namespace topkmon {
 namespace {
 
+using testing::run_spec;
+
+/// A multi_k deployment monitoring `ks` ("multi_k?ks=a+b+...").
+struct Multi : testing::Deployed {
+  Multi(const std::vector<std::size_t>& ks, std::uint64_t seed,
+        const std::vector<Value>& v0)
+      : Deployed(spec(ks), ks.front(), seed, v0) {}
+  static std::string spec(const std::vector<std::size_t>& ks) {
+    std::string out = "multi_k?ks=";
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      out += (i ? "+" : "") + std::to_string(ks[i]);
+    }
+    return out;
+  }
+  std::vector<NodeId> topk_for(std::size_t k) const {
+    return coordinator<MultiKCoordinator>().topk_for(k);
+  }
+};
+
 TEST(MultiK, RejectsBadKs) {
-  EXPECT_THROW(MultiKMonitor({}), std::invalid_argument);
-  EXPECT_THROW(MultiKMonitor({0}), std::invalid_argument);
-  EXPECT_THROW(MultiKMonitor({3, 3}), std::invalid_argument);
-  EXPECT_THROW(MultiKMonitor({4, 2}), std::invalid_argument);
+  using Ks = std::vector<std::size_t>;
+  EXPECT_THROW(MultiKCoordinator(Ks{}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator(Ks{0}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator(Ks{3, 3}), std::invalid_argument);
+  EXPECT_THROW(MultiKCoordinator(Ks{4, 2}), std::invalid_argument);
 }
 
 TEST(MultiK, RejectsKLargerThanN) {
-  MultiKMonitor m({2, 9});
-  Cluster c(5, 1);
-  EXPECT_THROW(m.initialize(c), std::invalid_argument);
+  EXPECT_THROW(Multi({2, 9}, 1, {0, 0, 0, 0, 0}), std::invalid_argument);
 }
 
 TEST(MultiK, InitializationAllBoundaries) {
-  Cluster c(6, 1);
-  const std::vector<Value> values{60, 50, 40, 30, 20, 10};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  MultiKMonitor m({1, 3, 5});
-  m.initialize(c);
+  Multi m({1, 3, 5}, 1, {60, 50, 40, 30, 20, 10});
   EXPECT_EQ(m.topk_for(1), (std::vector<NodeId>{0}));
   EXPECT_EQ(m.topk_for(3), (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(m.topk_for(5), (std::vector<NodeId>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0}));  // MonitorBase = smallest k
+  EXPECT_EQ(m.topk(), (std::vector<NodeId>{0}));  // topk() = smallest k
   EXPECT_THROW(m.topk_for(2), std::invalid_argument);
 }
 
 TEST(MultiK, TrailingKEqualsNIsDegenerate) {
-  Cluster c(4, 1);
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, 10 * (i + 1));
-  MultiKMonitor m({2, 4});
-  m.initialize(c);
+  Multi m({2, 4}, 1, {10, 20, 30, 40});
   EXPECT_EQ(m.topk_for(4), (std::vector<NodeId>{0, 1, 2, 3}));
   EXPECT_EQ(m.topk_for(2), (std::vector<NodeId>{2, 3}));
 }
 
 TEST(MultiK, OnlyKEqualsNIsFree) {
-  Cluster c(3, 1);
-  MultiKMonitor m({3});
-  m.initialize(c);
-  EXPECT_EQ(c.stats().total(), 0u);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), 0u);
+  Multi m({3}, 1, {0, 0, 0});
+  EXPECT_EQ(m.messages(), 0u);
+  m.step({0, 0, 0}, 1);
+  EXPECT_EQ(m.messages(), 0u);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(MultiK, SingleBoundaryMatchesGroundTruthOverWalk) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, 10, 7);
-  MultiKMonitor m({3});
-  RunConfig cfg;
-  cfg.n = 10;
-  cfg.k = 3;
-  cfg.steps = 800;
-  cfg.seed = 7;
-  const auto r = run_monitor(m, streams, cfg);
+  const auto r =
+      run_spec("multi_k?ks=3", testing::walk(5'000), 10, 3, 800, 7);
   EXPECT_TRUE(r.correct);
 }
 
@@ -79,15 +76,18 @@ TEST(MultiK, AllBoundariesCorrectEveryStep) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 4'000;
   auto streams = make_stream_set(spec, 12, 9);
-  Cluster c(12, 9);
-  MultiKMonitor m({1, 4, 8});
-  for (NodeId i = 0; i < 12; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(12);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 12; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  Multi m({1, 4, 8}, 9, values);
   for (TimeStep t = 1; t <= 800; ++t) {
-    for (NodeId i = 0; i < 12; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    observe();
+    m.step(values, t);
     for (const std::size_t k : {1u, 4u, 8u}) {
-      ASSERT_EQ(m.topk_for(k), true_topk_set(c, k)) << "k=" << k << " t=" << t;
+      ASSERT_EQ(m.topk_for(k), true_topk_set(m.cluster(), k))
+          << "k=" << k << " t=" << t;
     }
   }
 }
@@ -103,34 +103,30 @@ TEST(MultiK, CorrectOnJumpyStreams) {
   spec.bursty.start = 25'000;
   spec.bursty.burst_step = 20'000;
   auto streams = make_stream_set(spec, 10, 11);
-  Cluster c(10, 11);
-  MultiKMonitor m({2, 5});
-  for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(10);
+  const auto observe = [&] {
+    for (NodeId i = 0; i < 10; ++i) values[i] = streams.advance(i);
+  };
+  observe();
+  Multi m({2, 5}, 11, values);
   for (TimeStep t = 1; t <= 600; ++t) {
-    for (NodeId i = 0; i < 10; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    ASSERT_EQ(m.topk_for(2), true_topk_set(c, 2)) << "t=" << t;
-    ASSERT_EQ(m.topk_for(5), true_topk_set(c, 5)) << "t=" << t;
+    observe();
+    m.step(values, t);
+    ASSERT_EQ(m.topk_for(2), true_topk_set(m.cluster(), 2)) << "t=" << t;
+    ASSERT_EQ(m.topk_for(5), true_topk_set(m.cluster(), 5)) << "t=" << t;
   }
-  EXPECT_GT(m.monitor_stats().filter_resets, 1u);
+  EXPECT_GT(m.stats().filter_resets, 1u);
 }
 
 TEST(MultiK, QuietWhenValuesDriftInsideBands) {
-  Cluster c(6, 13);
-  const std::vector<Value> values{6'000, 5'000, 4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, values[i]);
-  MultiKMonitor m({2, 4});
-  m.initialize(c);
-  const auto baseline = c.stats().total();
-  c.set_value(0, 6'050);
-  c.set_value(3, 2'960);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), baseline);
+  Multi m({2, 4}, 13, {6'000, 5'000, 4'000, 3'000, 2'000, 1'000});
+  const auto baseline = m.messages();
+  m.step({6'050, 5'000, 4'000, 2'960, 2'000, 1'000}, 1);
+  EXPECT_EQ(m.messages(), baseline);
 }
 
 TEST(MultiK, SharedResetCheaperThanIndependentMonitors) {
-  // Compare against m independent TopkFilterMonitor instances on the same
+  // Compare against m independent topk_filter deployments on the same
   // reset-heavy workload (iid): the shared k_max+1 selection should beat
   // the sum of per-k selections.
   StreamSpec spec;
@@ -138,22 +134,13 @@ TEST(MultiK, SharedResetCheaperThanIndependentMonitors) {
   constexpr std::size_t kN = 64;
   const std::vector<std::size_t> ks{2, 8, 16};
 
-  auto multik_streams = make_stream_set(spec, kN, 15);
-  MultiKMonitor multi(ks);
-  RunConfig cfg;
-  cfg.n = kN;
-  cfg.k = ks.front();
-  cfg.steps = 150;
-  cfg.seed = 15;
-  const auto rm = run_monitor(multi, multik_streams, cfg);
+  const auto rm =
+      run_spec(Multi::spec(ks), spec, kN, ks.front(), 150, 15);
 
   std::uint64_t independent_total = 0;
   for (const std::size_t k : ks) {
-    auto streams = make_stream_set(spec, kN, 15);
-    TopkFilterMonitor single(k);
-    RunConfig c1 = cfg;
-    c1.k = k;
-    independent_total += run_monitor(single, streams, c1).comm.total();
+    independent_total +=
+        run_spec("topk_filter", spec, kN, k, 150, 15).comm.total();
   }
   EXPECT_LT(rm.comm.total(), independent_total);
 }
@@ -162,14 +149,7 @@ TEST(MultiK, DeterministicAcrossRuns) {
   auto run_once_total = [] {
     StreamSpec spec;
     spec.family = StreamFamily::kSinusoidal;
-    auto streams = make_stream_set(spec, 10, 17);
-    MultiKMonitor m({2, 5});
-    RunConfig cfg;
-    cfg.n = 10;
-    cfg.k = 2;
-    cfg.steps = 300;
-    cfg.seed = 17;
-    return run_monitor(m, streams, cfg).comm.total();
+    return run_spec("multi_k?ks=2+5", spec, 10, 2, 300, 17).comm.total();
   };
   EXPECT_EQ(run_once_total(), run_once_total());
 }

@@ -1,117 +1,89 @@
 // Tests for the ordered top-k monitor (§5 future-work variant).
-#include "core/ordered_topk_monitor.hpp"
-
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/ground_truth.hpp"
-#include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
+#include "core/ordered_roles.hpp"
+#include "role_drive.hpp"
 
 namespace topkmon {
 namespace {
 
-RunConfig cfg_of(std::size_t n, std::size_t k, std::size_t steps,
-                 std::uint64_t seed) {
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  cfg.validate_order = true;
-  return cfg;
+/// Strict validation of the set and of the rank order.
+RunResult run_ordered(const StreamSpec& stream, std::size_t n, std::size_t k,
+                      std::size_t steps, std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.monitor = "ordered";
+  sc.stream = stream;
+  sc.n = n;
+  sc.k = k;
+  sc.steps = steps;
+  sc.seed = seed;
+  sc.validate_order = true;
+  return exp::run_scenario(sc);
 }
 
+struct Ord : testing::Deployed {
+  Ord(std::size_t k, std::uint64_t seed, const std::vector<Value>& v0)
+      : Deployed("ordered", k, seed, v0) {}
+  const std::vector<NodeId>& ordered_topk() const {
+    return coordinator<OrderedCoordinator>().ordered_topk();
+  }
+};
+
 TEST(OrderedTopk, RejectsBadK) {
-  EXPECT_THROW(OrderedTopkMonitor(0), std::invalid_argument);
+  EXPECT_THROW(OrderedCoordinator(0), std::invalid_argument);
 }
 
 TEST(OrderedTopk, InitializationOrdersTopK) {
-  Cluster c(5, 1);
-  const std::vector<Value> values{30, 10, 50, 20, 40};
-  for (NodeId i = 0; i < 5; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(3);
-  m.initialize(c);
+  Ord m(3, 1, {30, 10, 50, 20, 40});
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2, 4}));
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{2, 4, 0}));
 }
 
 TEST(OrderedTopk, QuietWhenNothingCrosses) {
-  Cluster c(4, 3);
-  const std::vector<Value> values{4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(2);
-  m.initialize(c);
-  const auto baseline = c.stats().total();
-  c.set_value(0, 4'010);
-  c.set_value(1, 2'990);
-  m.step(c, 1);
-  EXPECT_EQ(c.stats().total(), baseline);
+  Ord m(2, 3, {4'000, 3'000, 2'000, 1'000});
+  const auto baseline = m.messages();
+  m.step({4'010, 2'990, 2'000, 1'000}, 1);
+  EXPECT_EQ(m.messages(), baseline);
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(OrderedTopk, InternalSwapReordersWithoutReset) {
-  Cluster c(4, 5);
-  const std::vector<Value> values{4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(2);
-  m.initialize(c);
-  const auto resets_before = m.monitor_stats().filter_resets;
+  Ord m(2, 5, {4'000, 3'000, 2'000, 1'000});
+  const auto resets_before = m.stats().filter_resets;
   // Members 0 and 1 swap; both stay far above the boundary.
-  c.set_value(0, 2'900);
-  c.set_value(1, 3'900);
-  m.step(c, 1);
+  m.step({2'900, 3'900, 2'000, 1'000}, 1);
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{1, 0}));
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 1}));  // set unchanged
-  EXPECT_EQ(m.monitor_stats().filter_resets, resets_before);
+  EXPECT_EQ(m.stats().filter_resets, resets_before);
 }
 
 TEST(OrderedTopk, BoundaryCrossingChangesSet) {
-  Cluster c(4, 7);
-  const std::vector<Value> values{4'000, 3'000, 2'000, 1'000};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(2);
-  m.initialize(c);
-  c.set_value(1, 500);   // member collapses
-  c.set_value(2, 3'500); // outsider rises
-  m.step(c, 1);
+  Ord m(2, 7, {4'000, 3'000, 2'000, 1'000});
+  // Member 1 collapses, outsider 2 rises.
+  m.step({4'000, 500, 3'500, 1'000}, 1);
   EXPECT_EQ(m.topk(), (std::vector<NodeId>{0, 2}));
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0, 2}));
 }
 
 TEST(OrderedTopk, KEqualsOneDegeneratesToMaxTracking) {
-  Cluster c(6, 9);
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, 10 * (i + 1));
-  OrderedTopkMonitor m(1);
-  m.initialize(c);
+  Ord m(1, 9, {10, 20, 30, 40, 50, 60});
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{5}));
-  c.set_value(0, 1'000);
-  m.step(c, 1);
+  m.step({1'000, 20, 30, 40, 50, 60}, 1);
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0}));
 }
 
 TEST(OrderedTopk, KEqualsNOrdersEverything) {
-  Cluster c(4, 11);
-  const std::vector<Value> values{20, 40, 10, 30};
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, values[i]);
-  OrderedTopkMonitor m(4);
-  m.initialize(c);
+  Ord m(4, 11, {20, 40, 10, 30});
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{1, 3, 0, 2}));
   // Swap two nodes; order must follow.
-  c.set_value(0, 45);
-  m.step(c, 1);
+  m.step({45, 40, 10, 30}, 1);
   EXPECT_EQ(m.ordered_topk(), (std::vector<NodeId>{0, 1, 3, 2}));
 }
 
 TEST(OrderedTopk, LongWalkOrderAlwaysCorrect) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 3'000;
-  auto streams = make_stream_set(spec, 10, 13);
-  OrderedTopkMonitor m(4);
-  const auto result = run_monitor(m, streams, cfg_of(10, 4, 1'000, 13));
+  const auto result = run_ordered(testing::walk(3'000), 10, 4, 1'000, 13);
   EXPECT_TRUE(result.correct);
 }
 
@@ -120,27 +92,16 @@ TEST(OrderedTopk, SinusoidalRotationsCorrect) {
   spec.family = StreamFamily::kSinusoidal;
   spec.sinus.period = 80.0;
   spec.sinus.amplitude = 400.0;
-  auto streams = make_stream_set(spec, 8, 15);
-  OrderedTopkMonitor m(3);
-  const auto result = run_monitor(m, streams, cfg_of(8, 3, 600, 15));
+  const auto result = run_ordered(spec, 8, 3, 600, 15);
   EXPECT_TRUE(result.correct);
 }
 
 TEST(OrderedTopk, CostsMoreThanUnorderedVariant) {
   // Maintaining the order cannot be cheaper than maintaining just the set
   // on order-churny inputs (E10 quantifies the overhead).
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 10'000;
-  auto s1 = make_stream_set(spec, 12, 17);
-  OrderedTopkMonitor ordered(4);
-  const auto r1 = run_monitor(ordered, s1, cfg_of(12, 4, 500, 17));
-
-  auto cfg2 = cfg_of(12, 4, 500, 17);
-  cfg2.validate_order = false;
-  auto s2 = make_stream_set(spec, 12, 17);
-  TopkFilterMonitor plain(4);
-  const auto r2 = run_monitor(plain, s2, cfg2);
+  const StreamSpec spec = testing::walk(10'000);
+  const auto r1 = run_ordered(spec, 12, 4, 500, 17);
+  const auto r2 = testing::run_spec("topk_filter", spec, 12, 4, 500, 17);
 
   EXPECT_TRUE(r1.correct);
   EXPECT_TRUE(r2.correct);

@@ -1,125 +1,101 @@
-// Tests for the experiment runner and competitive-ratio helper.
+// Tests for the run-level contract shared by every scenario: the step
+// count, the per-step answer check (check_answer_step), trace and series
+// recording, and the competitive-ratio helper.
 #include "core/runner.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/naive_monitor.hpp"
-#include "core/topk_monitor.hpp"
-#include "streams/factory.hpp"
-#include "streams/trace.hpp"
+#include <memory>
+#include <vector>
+
+#include "core/driver.hpp"
+#include "core/ground_truth_tracker.hpp"
+#include "core/naive_roles.hpp"
+#include "role_drive.hpp"
 
 namespace topkmon {
 namespace {
 
-/// A deliberately wrong monitor: always claims {0, .., k-1}.
-class ConstantMonitor final : public MonitorBase {
- public:
-  explicit ConstantMonitor(std::size_t k) {
-    for (NodeId i = 0; i < k; ++i) ids_.push_back(i);
-  }
-  std::string_view name() const override { return "constant"; }
-  void initialize(Cluster&) override {}
-  void step(Cluster&, TimeStep) override {}
-  const std::vector<NodeId>& topk() const override { return ids_; }
+using testing::run_spec;
 
- private:
-  std::vector<NodeId> ids_;
-};
+/// Checks the deliberately wrong answer {0, 1} against a fast walk over
+/// `steps` steps (6 nodes, k = 2) and returns the outcome.
+RunResult check_constant_answer(RunConfig::Validation validation,
+                                std::size_t steps, bool throw_on_error) {
+  auto streams = make_stream_set(testing::walk(50'000), 6, 3);
+  RunConfig cfg;
+  cfg.n = 6;
+  cfg.k = 2;
+  cfg.steps = steps;
+  cfg.validation = validation;
+  GroundTruthTracker truth(cfg.n, cfg.k);
+  const std::vector<NodeId> wrong{0, 1};
+  std::vector<Value> values(cfg.n);
+  RunResult r;
+  for (TimeStep t = 0; t <= steps; ++t) {
+    streams.advance_all(values);
+    for (NodeId id = 0; id < cfg.n; ++id) truth.set_value(id, values[id]);
+    check_answer_step(truth, wrong, nullptr, cfg, "constant", "", t, &r,
+                      throw_on_error);
+  }
+  return r;
+}
 
 TEST(Runner, RejectsMismatchedStreamCount) {
-  StreamSpec spec;
-  auto streams = make_stream_set(spec, 4, 1);
-  TopkFilterMonitor m(2);
-  RunConfig cfg;
-  cfg.n = 8;  // != 4 streams
-  cfg.k = 2;
-  EXPECT_THROW(run_monitor(m, streams, cfg), std::invalid_argument);
+  // One node algorithm per cluster node: a deployment with fewer is
+  // rejected before any callback.
+  Cluster cluster(8, 1);
+  NaiveCoordinator coord(2, false, false);
+  std::vector<std::unique_ptr<NodeAlgo>> nodes;
+  for (std::size_t i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<NaiveNode>(false));
+  }
+  EXPECT_THROW(SimDriver(cluster, coord, nodes, true), std::invalid_argument);
 }
 
 TEST(Runner, RejectsBadK) {
-  StreamSpec spec;
-  auto streams = make_stream_set(spec, 4, 1);
-  TopkFilterMonitor m(2);
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 0;
-  EXPECT_THROW(run_monitor(m, streams, cfg), std::invalid_argument);
-  cfg.k = 5;
-  EXPECT_THROW(run_monitor(m, streams, cfg), std::invalid_argument);
+  EXPECT_THROW(run_spec("topk_filter", StreamSpec{}, 4, 0, 10, 1),
+               std::invalid_argument);
+  EXPECT_THROW(run_spec("topk_filter", StreamSpec{}, 4, 5, 10, 1),
+               std::invalid_argument);
 }
 
 TEST(Runner, ExecutesConfiguredSteps) {
-  StreamSpec spec;
-  auto streams = make_stream_set(spec, 4, 2);
-  TopkFilterMonitor m(2);
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 2;
-  cfg.steps = 77;
-  cfg.seed = 2;
-  const auto r = run_monitor(m, streams, cfg);
+  const auto r = run_spec("topk_filter", StreamSpec{}, 4, 2, 77, 2);
   EXPECT_EQ(r.steps_executed, 78u);  // init + 77 steps
   EXPECT_EQ(r.monitor_name, "topk_filter");
 }
 
 TEST(Runner, ThrowsOnDivergenceByDefault) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 50'000;
-  auto streams = make_stream_set(spec, 6, 3);
-  ConstantMonitor wrong(2);
-  RunConfig cfg;
-  cfg.n = 6;
-  cfg.k = 2;
-  cfg.steps = 100;
-  cfg.seed = 3;
-  EXPECT_THROW(run_monitor(wrong, streams, cfg), std::logic_error);
+  EXPECT_THROW(
+      check_constant_answer(RunConfig::Validation::kStrict, 100, true),
+      std::logic_error);
 }
 
 TEST(Runner, RecordsDivergenceWhenNotThrowing) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 50'000;
-  auto streams = make_stream_set(spec, 6, 3);
-  ConstantMonitor wrong(2);
-  RunConfig cfg;
-  cfg.n = 6;
-  cfg.k = 2;
-  cfg.steps = 100;
-  cfg.seed = 3;
-  const auto r = run_monitor(wrong, streams, cfg, /*throw_on_error=*/false);
+  const auto r =
+      check_constant_answer(RunConfig::Validation::kStrict, 100, false);
   EXPECT_FALSE(r.correct);
   EXPECT_TRUE(r.first_error_step.has_value());
+  EXPECT_EQ(r.error_step_list.size(), r.error_steps);
 }
 
 TEST(Runner, ValidationOffAcceptsAnything) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 50'000;
-  auto streams = make_stream_set(spec, 6, 3);
-  ConstantMonitor wrong(2);
-  RunConfig cfg;
-  cfg.n = 6;
-  cfg.k = 2;
-  cfg.steps = 50;
-  cfg.seed = 3;
-  cfg.validation = RunConfig::Validation::kOff;
-  const auto r = run_monitor(wrong, streams, cfg);
+  const auto r = check_constant_answer(RunConfig::Validation::kOff, 50, true);
   EXPECT_TRUE(r.correct);
 }
 
 TEST(Runner, TraceRecordingMatchesStreams) {
   StreamSpec spec;
-  auto streams = make_stream_set(spec, 3, 5);
   auto replay = make_stream_set(spec, 3, 5);
-  TopkFilterMonitor m(1);
-  RunConfig cfg;
-  cfg.n = 3;
-  cfg.k = 1;
-  cfg.steps = 20;
-  cfg.seed = 5;
-  cfg.record_trace = true;
-  const auto r = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.n = 3;
+  sc.k = 1;
+  sc.steps = 20;
+  sc.seed = 5;
+  sc.record_trace = true;
+  const auto r = exp::run_scenario(sc);
   ASSERT_TRUE(r.trace.has_value());
   EXPECT_EQ(r.trace->steps(), 21u);
   for (std::size_t t = 0; t <= 20; ++t) {
@@ -130,16 +106,14 @@ TEST(Runner, TraceRecordingMatchesStreams) {
 }
 
 TEST(Runner, SeriesRecordingWorks) {
-  StreamSpec spec;
-  auto streams = make_stream_set(spec, 4, 7);
-  NaiveMonitor m(2);
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 2;
-  cfg.steps = 10;
-  cfg.seed = 7;
-  cfg.record_series = true;
-  const auto r = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "naive";
+  sc.n = 4;
+  sc.k = 2;
+  sc.steps = 10;
+  sc.seed = 7;
+  sc.record_series = true;
+  const auto r = exp::run_scenario(sc);
   ASSERT_EQ(r.comm.series().size(), 11u);
   for (const auto per_step : r.comm.series()) {
     EXPECT_EQ(per_step, 4u);  // naive: n messages every step
@@ -152,32 +126,21 @@ TEST(Runner, CompetitiveRatioRequiresTrace) {
 }
 
 TEST(Runner, CompetitiveRatioFiniteOnSilentTrace) {
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 0;  // frozen values: OPT needs zero updates
-  auto streams = make_stream_set(spec, 4, 9);
-  TopkFilterMonitor m(2);
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 2;
-  cfg.steps = 50;
-  cfg.seed = 9;
-  cfg.record_trace = true;
-  const auto r = run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.stream = testing::walk(0);  // frozen values: OPT needs zero updates
+  sc.n = 4;
+  sc.k = 2;
+  sc.steps = 50;
+  sc.seed = 9;
+  sc.record_trace = true;
+  const auto r = exp::run_scenario(sc);
   const double ratio = competitive_ratio(r, 2);
   EXPECT_GT(ratio, 0.0);  // algorithm paid initialization, OPT epsilon
 }
 
 TEST(Runner, MessagesPerStep) {
-  StreamSpec spec;
-  auto streams = make_stream_set(spec, 4, 11);
-  NaiveMonitor m(1);
-  RunConfig cfg;
-  cfg.n = 4;
-  cfg.k = 1;
-  cfg.steps = 9;
-  cfg.seed = 11;
-  const auto r = run_monitor(m, streams, cfg);
+  const auto r = run_spec("naive", StreamSpec{}, 4, 1, 9, 11);
   EXPECT_DOUBLE_EQ(r.messages_per_step(), 4.0);
 }
 

@@ -184,7 +184,7 @@ TEST(ShardScenario, MonitorParamOverridesScenarioField) {
 }
 
 TEST(ShardScenario, RejectsUnsupportedConfigurations) {
-  // Adapter-backed monitors have no sharded deployment.
+  // Monitors without a sharded deployment are rejected.
   exp::Scenario sc = base_scenario("recompute", 16, 4, 1, 10);
   sc.shards = 2;
   EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);

@@ -1,8 +1,7 @@
-// Monitor-spec parameter round-trips for the five newly-native ports:
-// every documented `?key=value` must reach both factories (lock-step
-// make_monitor and native make_role_pair) with the same meaning — the
-// twin runs of the differential harness only prove something if both
-// sides were built from the same configuration. Plus the composition
+// Monitor-spec parameter round-trips for the native ports: every
+// documented `?key=value` must reach the role pair with its meaning —
+// the golden records of the differential harness only prove something
+// if the port was built from the recorded configuration. Plus the composition
 // rules: `?shards=` is a deployment parameter that must split off
 // cleanly (and be rejected where no sharded deployment exists), and
 // `?suspect` is a native-roles-only knob accepted exactly where the
@@ -26,26 +25,20 @@ std::string native_name(const std::string& spec, std::size_t k = 4) {
   return std::string(pair.coordinator->name());
 }
 
-std::string lockstep_name(const std::string& spec, std::size_t k = 4) {
-  return std::string(exp::make_monitor(spec, k)->name());
-}
-
 TEST(PortParams, NamesRoundTripThroughBothFactories) {
   // name() encodes the effective configuration (e.g. the slack placement
-  // mode), so twin name equality pins that a parameter reached both
-  // implementations — the harness compares monitor_name first.
-  for (const char* spec :
-       {"slack", "slack?alpha=0.25", "slack?adaptive", "dominance", "ordered",
-        "approx?eps=64", "multi_k", "multi_k?ks=2+8+16"}) {
-    SCOPED_TRACE(spec);
-    EXPECT_EQ(native_name(spec), lockstep_name(spec));
-  }
+  // mode), so the name pins that a parameter reached the port — the
+  // harness compares monitor_name with the golden record first.
+  EXPECT_EQ(native_name("slack"), "slack_fixed");
+  EXPECT_EQ(native_name("slack?alpha=0.25"), "slack_fixed");
   EXPECT_EQ(native_name("slack?adaptive"), "slack_adaptive");
   EXPECT_EQ(native_name("slack?alpha=0.1"), "slack_fixed");
   EXPECT_EQ(native_name("dominance"), "dominance_midpoint");
   EXPECT_EQ(native_name("ordered"), "ordered_topk");
   EXPECT_EQ(native_name("approx?eps=64"), "approx_topk");
   EXPECT_EQ(native_name("multi_k?ks=2+8"), "multi_k");
+  EXPECT_EQ(native_name("multi_k"), "multi_k");
+  EXPECT_EQ(native_name("recompute?nobeacon"), "recompute");
 }
 
 TEST(PortParams, UnknownAndMalformedParamsRejectOnBothPaths) {
@@ -60,7 +53,6 @@ TEST(PortParams, UnknownAndMalformedParamsRejectOnBothPaths) {
         "multi_k?ks=5+2",         // not strictly increasing
         "multi_k?ks=4+4"}) {      // duplicates are not increasing either
     SCOPED_TRACE(spec);
-    EXPECT_THROW(exp::make_monitor(spec, 4), std::invalid_argument);
     EXPECT_THROW(exp::make_role_pair(cluster, spec, 4),
                  std::invalid_argument);
   }
@@ -77,16 +69,14 @@ TEST(PortParams, SuspectKnobIsNativeOnlyAndScoped) {
     EXPECT_TRUE(exp::make_role_pair(cluster, spec, 4).native);
   }
   // ...rejected on ports without it (a silently ignored `?suspect` would
-  // report an adversarial sweep as hardened when it never was), and on
-  // the lock-step factory (native-roles-only knob).
+  // report an adversarial sweep as hardened when it never was).
   for (const char* spec : {"slack?suspect", "dominance?suspect",
-                           "ordered?suspect", "multi_k?suspect"}) {
+                           "ordered?suspect", "multi_k?suspect",
+                           "recompute?suspect"}) {
     SCOPED_TRACE(spec);
     EXPECT_THROW(exp::make_role_pair(cluster, spec, 4),
                  std::invalid_argument);
   }
-  EXPECT_THROW(exp::make_monitor("approx?eps=64,suspect", 4),
-               std::invalid_argument);
 }
 
 TEST(PortParams, ShardsParamSplitsAndComposes) {

@@ -14,6 +14,7 @@
 
 #include "exp/monitor_registry.hpp"
 #include "exp/result_sink.hpp"
+#include "exp/scenario.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/writers.hpp"
 
@@ -168,9 +169,14 @@ TEST(SweepRunner, RunTrialMatchesDirectExecution) {
 
   const auto via_engine = run_trial(spec);
 
-  auto monitor = make_monitor("topk_filter", 3);
-  auto streams = make_stream_set(spec.stream, spec.cfg.n, spec.cfg.seed);
-  const auto direct = run_monitor(*monitor, streams, spec.cfg);
+  Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.stream = spec.stream;
+  sc.n = spec.cfg.n;
+  sc.k = spec.cfg.k;
+  sc.steps = spec.cfg.steps;
+  sc.seed = spec.cfg.seed;
+  const auto direct = run_scenario(sc);
 
   EXPECT_EQ(via_engine.comm.total(), direct.comm.total());
   EXPECT_EQ(via_engine.monitor.filter_resets, direct.monitor.filter_resets);

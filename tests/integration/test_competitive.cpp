@@ -4,37 +4,34 @@
 // worse than per-round recomputation on adversarial inputs.
 #include <gtest/gtest.h>
 
-#include "core/naive_monitor.hpp"
 #include "core/offline_opt.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
+#include "exp/scenario.hpp"
 #include "streams/factory.hpp"
 
 namespace topkmon {
 namespace {
 
-RunResult run_with_trace(MonitorBase& m, const StreamSpec& spec,
+RunResult run_with_trace(const std::string& monitor, const StreamSpec& spec,
                          std::size_t n, std::size_t k, std::size_t steps,
                          std::uint64_t seed) {
-  auto streams = make_stream_set(spec, n, seed);
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = steps;
-  cfg.seed = seed;
-  cfg.record_trace = true;
-  return run_monitor(m, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = monitor;
+  sc.stream = spec;
+  sc.n = n;
+  sc.k = k;
+  sc.steps = steps;
+  sc.seed = seed;
+  sc.record_trace = true;
+  return exp::run_scenario(sc);
 }
 
 TEST(Competitive, FiltersBeatNaiveOnSlowWalks) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 5;  // slow drift: filters should stay quiet
-  TopkFilterMonitor filt(3);
-  const auto rf = run_with_trace(filt, spec, 16, 3, 1'000, 7);
-  NaiveMonitor naive(3);
-  const auto rn = run_with_trace(naive, spec, 16, 3, 1'000, 7);
+  const auto rf = run_with_trace("topk_filter", spec, 16, 3, 1'000, 7);
+  const auto rn = run_with_trace("naive", spec, 16, 3, 1'000, 7);
   EXPECT_TRUE(rf.correct);
   EXPECT_TRUE(rn.correct);
   EXPECT_LT(rf.comm.total() * 10, rn.comm.total())
@@ -45,10 +42,8 @@ TEST(Competitive, FiltersBeatRecomputeOnSlowWalks) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 5;
-  TopkFilterMonitor filt(3);
-  const auto rf = run_with_trace(filt, spec, 16, 3, 1'000, 9);
-  RecomputeMonitor rec(3);
-  const auto rr = run_with_trace(rec, spec, 16, 3, 1'000, 9);
+  const auto rf = run_with_trace("topk_filter", spec, 16, 3, 1'000, 9);
+  const auto rr = run_with_trace("recompute", spec, 16, 3, 1'000, 9);
   EXPECT_LT(rf.comm.total() * 5, rr.comm.total());
 }
 
@@ -56,8 +51,7 @@ TEST(Competitive, RatioAgainstOptIsModestOnWalks) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 2'000;
-  TopkFilterMonitor filt(3);
-  const auto r = run_with_trace(filt, spec, 16, 3, 2'000, 11);
+  const auto r = run_with_trace("topk_filter", spec, 16, 3, 2'000, 11);
   ASSERT_TRUE(r.trace.has_value());
   const auto opt = compute_offline_opt(*r.trace, 3);
   ASSERT_GT(opt.updates(), 0u) << "the workload should force OPT updates";
@@ -80,8 +74,7 @@ TEST(Competitive, OptNeverExceedsAlgorithmUpdates) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 5'000;
-  TopkFilterMonitor filt(2);
-  const auto r = run_with_trace(filt, spec, 12, 2, 1'000, 13);
+  const auto r = run_with_trace("topk_filter", spec, 12, 2, 1'000, 13);
   const auto opt = compute_offline_opt(*r.trace, 2);
   EXPECT_LE(opt.updates(),
             r.monitor.filter_resets + r.monitor.midpoint_updates);
@@ -93,12 +86,10 @@ TEST(Competitive, RecomputeNearOptimalOnRotatingMax) {
   // overhead but OPT itself needs an update almost every step.
   StreamSpec spec;
   spec.family = StreamFamily::kRotatingMax;
-  TopkFilterMonitor filt(1);
-  const auto rf = run_with_trace(filt, spec, 8, 1, 300, 15);
+  const auto rf = run_with_trace("topk_filter", spec, 8, 1, 300, 15);
   const auto opt = compute_offline_opt(*rf.trace, 1);
   EXPECT_GT(opt.updates(), 250u);  // OPT pays nearly every step
-  RecomputeMonitor rec(1);
-  const auto rr = run_with_trace(rec, spec, 8, 1, 300, 15);
+  const auto rr = run_with_trace("recompute", spec, 8, 1, 300, 15);
   // Both algorithms are busy; neither should be more than ~20x the other.
   const double f = static_cast<double>(rf.comm.total());
   const double c = static_cast<double>(rr.comm.total());
@@ -115,15 +106,7 @@ TEST(Competitive, DeltaGrowthIncreasesMessages) {
     spec.family = StreamFamily::kRandomWalk;
     spec.walk.max_step = step;
     spec.walk.hi = 100'000'000;
-    TopkFilterMonitor filt(2);
-    auto streams = make_stream_set(spec, 8, seed);
-    RunConfig cfg;
-    cfg.n = 8;
-    cfg.k = 2;
-    cfg.steps = 1'500;
-    cfg.seed = seed;
-    cfg.record_trace = true;
-    const auto r = run_monitor(filt, streams, cfg);
+      const auto r = run_with_trace("topk_filter", spec, 8, 2, 1'500, seed);
     return competitive_ratio(r, 2);
   };
   double small = 0;

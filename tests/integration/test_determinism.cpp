@@ -3,70 +3,63 @@
 // every experiment in EXPERIMENTS.md relies on.
 #include <gtest/gtest.h>
 
-#include "core/dominance_monitor.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
+#include "exp/scenario.hpp"
 #include "streams/factory.hpp"
 
 namespace topkmon {
 namespace {
 
-template <typename MonitorT>
 std::pair<std::uint64_t, std::vector<std::uint64_t>> run_once(
-    StreamFamily family, std::uint64_t seed) {
-  StreamSpec spec;
-  spec.family = family;
-  auto streams = make_stream_set(spec, 10, seed);
-  MonitorT m(3);
-  RunConfig cfg;
-  cfg.n = 10;
-  cfg.k = 3;
-  cfg.steps = 400;
-  cfg.seed = seed;
-  cfg.record_series = true;
-  const auto r = run_monitor(m, streams, cfg);
+    const std::string& monitor, StreamFamily family, std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.monitor = monitor;
+  sc.stream.family = family;
+  sc.n = 10;
+  sc.k = 3;
+  sc.steps = 400;
+  sc.seed = seed;
+  sc.record_series = true;
+  const auto r = exp::run_scenario(sc);
   return {r.comm.total(), r.comm.series()};
 }
 
 TEST(Determinism, TopkFilterIdenticalRuns) {
-  const auto a = run_once<TopkFilterMonitor>(StreamFamily::kRandomWalk, 31);
-  const auto b = run_once<TopkFilterMonitor>(StreamFamily::kRandomWalk, 31);
+  const auto a = run_once("topk_filter", StreamFamily::kRandomWalk, 31);
+  const auto b = run_once("topk_filter", StreamFamily::kRandomWalk, 31);
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
 }
 
 TEST(Determinism, TopkFilterDifferentSeedsDiffer) {
-  const auto a = run_once<TopkFilterMonitor>(StreamFamily::kRandomWalk, 31);
-  const auto b = run_once<TopkFilterMonitor>(StreamFamily::kRandomWalk, 32);
+  const auto a = run_once("topk_filter", StreamFamily::kRandomWalk, 31);
+  const auto b = run_once("topk_filter", StreamFamily::kRandomWalk, 32);
   EXPECT_NE(a.second, b.second);
 }
 
 TEST(Determinism, RecomputeIdenticalRuns) {
-  const auto a = run_once<RecomputeMonitor>(StreamFamily::kBursty, 33);
-  const auto b = run_once<RecomputeMonitor>(StreamFamily::kBursty, 33);
+  const auto a = run_once("recompute", StreamFamily::kBursty, 33);
+  const auto b = run_once("recompute", StreamFamily::kBursty, 33);
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
 }
 
 TEST(Determinism, DominanceIdenticalRuns) {
-  const auto a = run_once<DominanceMonitor>(StreamFamily::kSinusoidal, 35);
-  const auto b = run_once<DominanceMonitor>(StreamFamily::kSinusoidal, 35);
+  const auto a = run_once("dominance", StreamFamily::kSinusoidal, 35);
+  const auto b = run_once("dominance", StreamFamily::kSinusoidal, 35);
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
 }
 
 TEST(Determinism, SlackIdenticalRuns) {
-  const auto a = run_once<SlackMonitor>(StreamFamily::kRandomWalk, 37);
-  const auto b = run_once<SlackMonitor>(StreamFamily::kRandomWalk, 37);
+  const auto a = run_once("slack", StreamFamily::kRandomWalk, 37);
+  const auto b = run_once("slack", StreamFamily::kRandomWalk, 37);
   EXPECT_EQ(a.first, b.first);
 }
 
 TEST(Determinism, OrderedIdenticalRuns) {
-  const auto a = run_once<OrderedTopkMonitor>(StreamFamily::kRandomWalk, 39);
-  const auto b = run_once<OrderedTopkMonitor>(StreamFamily::kRandomWalk, 39);
+  const auto a = run_once("ordered", StreamFamily::kRandomWalk, 39);
+  const auto b = run_once("ordered", StreamFamily::kRandomWalk, 39);
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
 }
@@ -74,18 +67,15 @@ TEST(Determinism, OrderedIdenticalRuns) {
 TEST(Determinism, TraceRecordingIsStable) {
   StreamSpec spec;
   spec.family = StreamFamily::kPareto;
-  auto s1 = make_stream_set(spec, 6, 41);
-  auto s2 = make_stream_set(spec, 6, 41);
-  TopkFilterMonitor m1(2);
-  TopkFilterMonitor m2(2);
-  RunConfig cfg;
-  cfg.n = 6;
-  cfg.k = 2;
-  cfg.steps = 100;
-  cfg.seed = 41;
-  cfg.record_trace = true;
-  const auto r1 = run_monitor(m1, s1, cfg);
-  const auto r2 = run_monitor(m2, s2, cfg);
+  exp::Scenario sc;
+  sc.stream = spec;
+  sc.n = 6;
+  sc.k = 2;
+  sc.steps = 100;
+  sc.seed = 41;
+  sc.record_trace = true;
+  const auto r1 = exp::run_scenario(sc);
+  const auto r2 = exp::run_scenario(sc);
   ASSERT_TRUE(r1.trace.has_value() && r2.trace.has_value());
   for (std::size_t t = 0; t < r1.trace->steps(); ++t) {
     for (NodeId i = 0; i < 6; ++i) {

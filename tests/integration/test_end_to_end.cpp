@@ -5,28 +5,12 @@
 
 #include <memory>
 
-#include "core/dominance_monitor.hpp"
-#include "core/naive_monitor.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
+#include "exp/scenario.hpp"
 #include "streams/factory.hpp"
 
 namespace topkmon {
 namespace {
-
-std::unique_ptr<MonitorBase> make_monitor(const std::string& which,
-                                          std::size_t k) {
-  if (which == "topk_filter") return std::make_unique<TopkFilterMonitor>(k);
-  if (which == "naive") return std::make_unique<NaiveMonitor>(k);
-  if (which == "recompute") return std::make_unique<RecomputeMonitor>(k);
-  if (which == "dominance") return std::make_unique<DominanceMonitor>(k);
-  if (which == "slack") return std::make_unique<SlackMonitor>(k);
-  if (which == "ordered") return std::make_unique<OrderedTopkMonitor>(k);
-  throw std::invalid_argument("unknown monitor " + which);
-}
 
 struct Case {
   std::string monitor;
@@ -42,19 +26,15 @@ class EndToEnd : public ::testing::TestWithParam<Case> {};
 
 TEST_P(EndToEnd, CorrectForFourHundredSteps) {
   const auto& param = GetParam();
-  StreamSpec spec;
-  spec.family = param.family;
-  constexpr std::size_t kN = 12;
-  constexpr std::size_t kK = 3;
-  auto streams = make_stream_set(spec, kN, 2024);
-  auto monitor = make_monitor(param.monitor, kK);
-  RunConfig cfg;
-  cfg.n = kN;
-  cfg.k = kK;
-  cfg.steps = 400;
-  cfg.seed = 2024;
-  cfg.validate_order = true;
-  const auto result = run_monitor(*monitor, streams, cfg);
+  exp::Scenario sc;
+  sc.monitor = param.monitor;
+  sc.stream.family = param.family;
+  sc.n = 12;
+  sc.k = 3;
+  sc.steps = 400;
+  sc.seed = 2024;
+  sc.validate_order = true;
+  const auto result = exp::run_scenario(sc);
   EXPECT_TRUE(result.correct);
 }
 

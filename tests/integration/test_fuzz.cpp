@@ -7,17 +7,11 @@
 
 #include <memory>
 
-#include "core/approx_monitor.hpp"
-#include "core/dominance_monitor.hpp"
+#include "../core/role_drive.hpp"
 #include "core/ground_truth.hpp"
-#include "core/multik_monitor.hpp"
-#include "core/naive_monitor.hpp"
+#include "core/multik_roles.hpp"
 #include "core/offline_opt.hpp"
-#include "core/ordered_topk_monitor.hpp"
-#include "core/recompute_monitor.hpp"
 #include "core/runner.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
 #include "streams/trace.hpp"
 
 namespace topkmon {
@@ -59,16 +53,8 @@ TEST_P(FuzzSeeds, AllMonitorsStrictOnDistinctTraces) {
   const std::size_t k = 1 + rng.uniform_below(n);
   const auto trace = fuzz_trace(n, 120, rng, /*force_distinct=*/true);
 
-  std::vector<std::unique_ptr<MonitorBase>> monitors;
-  monitors.push_back(std::make_unique<TopkFilterMonitor>(k));
-  monitors.push_back(std::make_unique<NaiveMonitor>(k));
-  monitors.push_back(std::make_unique<RecomputeMonitor>(k));
-  monitors.push_back(std::make_unique<DominanceMonitor>(k));
-  monitors.push_back(std::make_unique<SlackMonitor>(k));
-  monitors.push_back(std::make_unique<OrderedTopkMonitor>(k));
-  monitors.push_back(std::make_unique<ApproxTopkMonitor>(k));
-
-  for (auto& monitor : monitors) {
+  for (const char* monitor : {"topk_filter", "naive", "recompute",
+                              "dominance", "slack", "ordered", "approx"}) {
     auto streams = trace.to_stream_set();
     RunConfig cfg;
     cfg.n = n;
@@ -76,9 +62,8 @@ TEST_P(FuzzSeeds, AllMonitorsStrictOnDistinctTraces) {
     cfg.steps = 119;
     cfg.seed = GetParam();
     cfg.validate_order = true;
-    const auto r = run_monitor(*monitor, streams, cfg);
-    EXPECT_TRUE(r.correct)
-        << monitor->name() << " n=" << n << " k=" << k;
+    const auto r = testing::run_streams(monitor, streams, cfg);
+    EXPECT_TRUE(r.correct) << monitor << " n=" << n << " k=" << k;
   }
 }
 
@@ -90,14 +75,8 @@ TEST_P(FuzzSeeds, TieTolerantMonitorsWeakValidOnTiedTraces) {
 
   // Monitors that are specified to handle raw ties (full-information ones
   // plus the w-space ones).
-  std::vector<std::unique_ptr<MonitorBase>> monitors;
-  monitors.push_back(std::make_unique<NaiveMonitor>(k));
-  monitors.push_back(std::make_unique<RecomputeMonitor>(k));
-  monitors.push_back(std::make_unique<DominanceMonitor>(k));
-  monitors.push_back(std::make_unique<TopkFilterMonitor>(k));
-  monitors.push_back(std::make_unique<SlackMonitor>(k));
-
-  for (auto& monitor : monitors) {
+  for (const char* monitor :
+       {"naive", "recompute", "dominance", "topk_filter", "slack"}) {
     auto streams = trace.to_stream_set();
     RunConfig cfg;
     cfg.n = n;
@@ -105,8 +84,8 @@ TEST_P(FuzzSeeds, TieTolerantMonitorsWeakValidOnTiedTraces) {
     cfg.steps = 119;
     cfg.seed = GetParam();
     cfg.validation = RunConfig::Validation::kWeak;
-    const auto r = run_monitor(*monitor, streams, cfg);
-    EXPECT_TRUE(r.correct) << monitor->name() << " n=" << n << " k=" << k;
+    const auto r = testing::run_streams(monitor, streams, cfg);
+    EXPECT_TRUE(r.correct) << monitor << " n=" << n << " k=" << k;
   }
 }
 
@@ -117,16 +96,20 @@ TEST_P(FuzzSeeds, MultiKAllBoundariesOnDistinctTraces) {
   std::vector<std::size_t> ks{1, 1 + n / 3, 1 + (2 * n) / 3};
   ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
 
+  std::string spec = "multi_k?ks=";
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    spec += (i ? "+" : "") + std::to_string(ks[i]);
+  }
   auto streams = trace.to_stream_set();
-  Cluster c(n, GetParam());
-  MultiKMonitor m(ks);
-  for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(n);
+  streams.advance_all(values);
+  testing::Deployed m(spec, ks.front(), GetParam(), values);
+  const auto& coord = m.coordinator<MultiKCoordinator>();
   for (TimeStep t = 1; t < 100; ++t) {
-    for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    streams.advance_all(values);
+    m.step(values, t);
     for (const auto k : ks) {
-      ASSERT_EQ(m.topk_for(k), true_topk_set(c, k))
+      ASSERT_EQ(coord.topk_for(k), true_topk_set(m.cluster(), k))
           << "k=" << k << " t=" << t << " n=" << n;
     }
   }

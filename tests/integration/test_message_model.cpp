@@ -5,9 +5,8 @@
 // word budget by construction.
 #include <gtest/gtest.h>
 
-#include "core/naive_monitor.hpp"
+#include "../core/role_drive.hpp"
 #include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
 #include "sim/event_log.hpp"
 #include "streams/factory.hpp"
 
@@ -29,23 +28,19 @@ TappedRun run_tapped(std::size_t n, std::size_t k, std::size_t steps,
   spec.walk.max_step = 4'000;
   auto streams = make_stream_set(spec, n, seed);
   TappedRun out;
-  Cluster c(n, seed);
-  c.net().set_tap(out.log.tap());
-  TopkFilterMonitor m(k);
-  for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-  out.log.begin_step(0);
-  m.initialize(c);
+  std::vector<Value> values(n);
+  streams.advance_all(values);
+  testing::Deployed m("topk_filter", k, seed, values, false, &out.log);
   for (TimeStep t = 1; t <= steps; ++t) {
-    for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-    out.log.begin_step(t);
-    const auto before = m.monitor_stats().violation_steps;
-    m.step(c, t);
-    if (m.monitor_stats().violation_steps != before) {
+    streams.advance_all(values);
+    const auto before = m.stats().violation_steps;
+    m.step(values, t);
+    if (m.stats().violation_steps != before) {
       out.violation_steps.push_back(t);
     }
   }
-  out.stats = c.stats();
-  out.monitor = m.monitor_stats();
+  out.stats = m.cluster().stats();
+  out.monitor = m.stats();
   return out;
 }
 
@@ -120,15 +115,13 @@ TEST(MessageModel, NaiveBreakdownIsPureUpstream) {
   StreamSpec spec;
   spec.family = StreamFamily::kRandomWalk;
   auto streams = make_stream_set(spec, 6, 15);
-  Cluster c(6, 15);
   EventLog log;
-  c.net().set_tap(log.tap());
-  NaiveMonitor m(2);
-  for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(6);
+  streams.advance_all(values);
+  testing::Deployed m("naive", 2, 15, values, false, &log);
   for (TimeStep t = 1; t <= 50; ++t) {
-    for (NodeId i = 0; i < 6; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    streams.advance_all(values);
+    m.step(values, t);
   }
   EXPECT_EQ(log.size(), 6u * 51u);
   EXPECT_EQ(log.count_direction(MsgDirection::kUpstream), log.size());

@@ -5,9 +5,11 @@
 
 #include <tuple>
 
+#include "../core/role_drive.hpp"
+#include "core/filter.hpp"
+#include "core/filter_roles.hpp"
 #include "core/ground_truth.hpp"
 #include "core/runner.hpp"
-#include "core/topk_monitor.hpp"
 #include "protocols/extremum.hpp"
 #include "streams/factory.hpp"
 
@@ -15,7 +17,7 @@ namespace topkmon {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Sweep 1: TopkFilterMonitor over a grid of (n, k).
+// Sweep 1: topk_filter over a grid of (n, k).
 // ---------------------------------------------------------------------------
 
 class TopkGrid
@@ -24,17 +26,8 @@ class TopkGrid
 TEST_P(TopkGrid, CorrectOnWalks) {
   const auto [n, k] = GetParam();
   if (k > n) GTEST_SKIP() << "k > n is rejected by construction";
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  spec.walk.max_step = 5'000;
-  auto streams = make_stream_set(spec, n, 100 + n * 31 + k);
-  TopkFilterMonitor m(k);
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = k;
-  cfg.steps = 250;
-  cfg.seed = 100 + n * 31 + k;
-  const auto result = run_monitor(m, streams, cfg);
+  const auto result = testing::run_spec("topk_filter", testing::walk(5'000),
+                                        n, k, 250, 100 + n * 31 + k);
   EXPECT_TRUE(result.correct);
 }
 
@@ -57,16 +50,19 @@ TEST_P(FilterInvariant, HoldsThroughoutRun) {
   spec.family = StreamFamily::kRandomWalk;
   spec.walk.max_step = 8'000;
   auto streams = make_stream_set(spec, kN, seed);
-  Cluster c(kN, seed);
-  TopkFilterMonitor m(kK);
-  for (NodeId i = 0; i < kN; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  std::vector<Value> values(kN);
+  streams.advance_all(values);
+  testing::Deployed m("topk_filter", kK, seed, values);
+  std::vector<Filter> filters(kN);
+  std::vector<char> members(kN);
   for (TimeStep t = 1; t <= 300; ++t) {
-    for (NodeId i = 0; i < kN; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
-    std::vector<Value> values(kN);
-    for (NodeId i = 0; i < kN; ++i) values[i] = c.value(i);
-    ASSERT_TRUE(is_valid_filter_set(values, m.filters(), m.membership()))
+    streams.advance_all(values);
+    m.step(values, t);
+    for (NodeId i = 0; i < kN; ++i) {
+      filters[i] = m.node<FilterNode>(i).filter();
+      members[i] = m.node<FilterNode>(i).member() ? 1 : 0;
+    }
+    ASSERT_TRUE(is_valid_filter_set(values, filters, members))
         << "Lemma 2.2 violated at t=" << t << " seed=" << seed;
     ASSERT_EQ(m.topk(), true_topk_set(values, kK)) << "t=" << t;
   }
@@ -126,14 +122,7 @@ TEST_P(DegenerateK, NoMessagesEver) {
   const std::size_t n = GetParam();
   StreamSpec spec;
   spec.family = StreamFamily::kIidUniform;
-  auto streams = make_stream_set(spec, n, 42);
-  TopkFilterMonitor m(n);
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = n;
-  cfg.steps = 50;
-  cfg.seed = 42;
-  const auto result = run_monitor(m, streams, cfg);
+  const auto result = testing::run_spec("topk_filter", spec, n, n, 50, 42);
   EXPECT_TRUE(result.correct);
   EXPECT_EQ(result.comm.total(), 0u);
 }

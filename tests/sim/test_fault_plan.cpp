@@ -512,10 +512,10 @@ TEST(FaultInjection, NoFaultRunIsByteIdenticalToDefault) {
 }
 
 TEST(FaultInjection, NonNativeMonitorRejected) {
-  // `recompute` is the last adapter-backed monitor (the other zoo members
-  // all have native role ports now); it must still be rejected.
+  // Every monitor is a native role pair now: `recompute`, once the one
+  // monitor without a port, runs a churn plan like the rest.
   Scenario sc = churn_scenario("recompute", "instant", "churn?crash=1@10");
-  EXPECT_THROW(run_scenario(sc), std::invalid_argument);
+  EXPECT_NO_THROW(run_scenario(sc));
 
   // multi_k monitors a fixed set of k values and has no on_set_k: a plan
   // with a dynamic-k event is rejected before the run starts, naming the
