@@ -101,14 +101,15 @@ void BM_TopkMonitorStep(benchmark::State& state) {
   spec.walk.max_step = 500;
   auto streams = make_stream_set(spec, n, 7);
   Cluster c(n, 7);
-  TopkFilterMonitor m(4);
+  exp::RolePair m = exp::make_role_pair(c, "topk_filter", 4);
+  SimDriver driver(c, *m.coordinator, m.nodes);
   for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-  m.initialize(c);
+  driver.initialize();
   TimeStep t = 0;
   for (auto _ : state) {
     ++t;
     for (NodeId i = 0; i < n; ++i) c.set_value(i, streams.advance(i));
-    m.step(c, t);
+    driver.step(t);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

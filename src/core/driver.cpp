@@ -46,8 +46,12 @@ SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
     : cluster_(cluster),
       coord_(coordinator),
       nodes_(nodes),
-      auto_deliver_(auto_deliver),
       coord_ctx_(*this, cluster) {
+  if (!auto_deliver) {
+    throw std::invalid_argument(
+        "SimDriver: auto_deliver must be true (the driver always delivers "
+        "the network's mail)");
+  }
   if (workers != 1) {
     throw std::invalid_argument("SimDriver: workers must be 1, got " +
                                 std::to_string(workers));
@@ -72,7 +76,7 @@ bool SimDriver::anything_scheduled() const noexcept {
     return true;
   }
   if (fault_due() || !held_.empty()) return true;
-  return auto_deliver_ && cluster_.net().pending_deliveries() > 0;
+  return cluster_.net().pending_deliveries() > 0;
 }
 
 void SimDriver::set_fault_plan(const FaultPlan* plan) {
@@ -239,7 +243,7 @@ void SimDriver::service_node(NodeId id) {
   // broadcasts, then the armed timer. Messages precede controls because a
   // control queued in the same coordinator phase as a broadcast (e.g.
   // "next selection iteration starts" after a winner announcement)
-  // logically follows it — the lock-step semantics exclude the announced
+  // logically follows it — the synchronous model excludes the announced
   // winner before the next iteration convenes.
   Network& net = cluster_.net();
   if (net.down_nodes() != 0 && !net.node_alive(id)) {
@@ -250,7 +254,7 @@ void SimDriver::service_node(NodeId id) {
   NodeCtx ctx(*this, cluster_, id);  // transient view; per-node scalars
                                      // live in the shared NodeRuntime
   NodeAlgo& algo = *nodes_[id];
-  if (auto_deliver_ && net.node_has_mail(id)) {
+  if (net.node_has_mail(id)) {
     if (net.node_mail_is_broadcast_only(id)) {
       // Bulk broadcast fan-out: the node's mail is exactly the shared
       // log's unread suffix, so deliver it in place — no per-node copy,
@@ -282,11 +286,9 @@ void SimDriver::service_node(NodeId id) {
 
 void SimDriver::service_coordinator() {
   // Phase 2: the coordinator's due mail, in arrival order.
-  if (auto_deliver_) {
-    cluster_.net().drain_coordinator(mail_scratch_);
-    for (const Message& m : mail_scratch_) {
-      coord_.on_message(coord_ctx_, m);
-    }
+  cluster_.net().drain_coordinator(mail_scratch_);
+  for (const Message& m : mail_scratch_) {
+    coord_.on_message(coord_ctx_, m);
   }
   // Phase 3: the coordinator's armed timer.
   if (coord_armed_) {
@@ -301,7 +303,7 @@ void SimDriver::run_tick_dense() {
   }
   // Bulk acks defer log compaction so in-place suffixes stay stable for
   // the rest of the scan; settle the deferred work once per tick.
-  if (auto_deliver_) cluster_.net().compact_broadcast_log();
+  cluster_.net().compact_broadcast_log();
   service_coordinator();
 }
 
@@ -336,15 +338,14 @@ void SimDriver::run_tick() {
   const auto mail = rt.due_mail.words();
   const auto armed = rt.armed.words();
   for (std::size_t w = 0; w < armed.size(); ++w) {
-    std::uint64_t bits = armed[w];
-    if (auto_deliver_) bits |= mail[w];
+    std::uint64_t bits = armed[w] | mail[w];
     while (bits != 0) {
       const auto bit = static_cast<unsigned>(std::countr_zero(bits));
       bits &= bits - 1;
       service_node(static_cast<NodeId>(w * 64 + bit));
     }
   }
-  if (auto_deliver_) net.compact_broadcast_log();
+  net.compact_broadcast_log();
   service_coordinator();
 }
 

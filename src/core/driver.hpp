@@ -16,11 +16,11 @@
 // Ticks repeat until quiescence (no armed timer, no pending delivery, no
 // pending control) or, when the NetworkSpec sets a tick budget, until the
 // budget expires — in-flight messages then carry over into later steps.
-// Under the instant NetworkSpec this schedule reproduces the lock-step
-// protocol rounds of the legacy MonitorBase::step() exactly: a beacon
-// broadcast in phase 4 of tick T reaches nodes in phase 2 of tick T+1,
-// and reports sent there reach the coordinator in phase 2 of the same
-// tick — the paper's node-phase / coordinator-phase alternation.
+// Under the instant NetworkSpec this schedule reproduces the paper's
+// synchronous protocol rounds exactly (the node-phase / coordinator-phase
+// alternation of Algorithm 2): a beacon broadcast in the coordinator
+// timer phase of tick T reaches the nodes in the node phase of tick T+1,
+// and the reports sent there reach the coordinator in the same tick.
 //
 // Sparse scan: phase 1 only *visits* the union of {nodes with due mail,
 // nodes with an armed timer} — for every other node all three sub-phases
@@ -79,16 +79,15 @@ namespace topkmon {
 /// the header comment above and in docs/architecture.md.
 class SimDriver {
  public:
-  /// `auto_deliver` selects the event loop: true for native role
-  /// algorithms (the driver drains the network each tick), false for
-  /// LockstepAdapter-backed ones (the wrapped monitor drains the network
-  /// itself inside on_step_begin, so the driver must not consume mail).
-  /// `workers` must be 1 (throws std::invalid_argument otherwise, 0
-  /// included); the parameter is kept only because perfbench, the
-  /// repository's fixed benchmark instrument, passes it.
+  /// `nodes` holds one node algorithm per cluster node. `auto_deliver`
+  /// must be true and `workers` must be 1: anything else throws
+  /// std::invalid_argument (as does a node count other than the cluster
+  /// size) before any callback runs. Both parameters are kept only
+  /// because perfbench, the repository's fixed benchmark instrument,
+  /// passes them.
   SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
             std::span<const std::unique_ptr<NodeAlgo>> nodes,
-            bool auto_deliver, std::size_t workers = 1);
+            bool auto_deliver = true, std::size_t workers = 1);
 
   /// Time 0: values must already be set on the cluster. Runs every node's
   /// on_init, the coordinator's on_init, and settles to quiescence (the
@@ -221,7 +220,6 @@ class SimDriver {
   Cluster& cluster_;
   CoordinatorAlgo& coord_;
   std::span<const std::unique_ptr<NodeAlgo>> nodes_;
-  bool auto_deliver_;
   bool dense_ = false;
 
   CoordCtx coord_ctx_;

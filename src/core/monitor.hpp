@@ -1,22 +1,13 @@
-// Common interface of all Top-k-Position monitoring algorithms.
-//
-// A monitor owns both the coordinator-side and the node-side algorithm
-// state (the simulation runs both roles in one process); all communication
-// between the two sides flows through the cluster's Network so that the
-// paper's message accounting is exact. The runner drives the lifecycle:
-//   observe values -> initialize(cluster)          (time 0)
-//   observe values -> step(cluster, t)             (every t >= 1)
-// and checks `topk()` against the ground truth after every call.
+// Algorithm-level event counters shared by every Top-k-Position monitor.
+// Each monitor is one coordinator plus n node algorithms (core/roles.hpp);
+// its coordinator keeps these counters, and run results, sharded
+// aggregates and the differential tests read them through
+// kMonitorCounters.
 #pragma once
 
 #include <cstdint>
 #include <iterator>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "sim/cluster.hpp"
-#include "util/types.hpp"
 
 namespace topkmon {
 
@@ -73,32 +64,5 @@ inline constexpr MonitorCounter kMonitorCounters[] = {
 // A counter added to MonitorStats without a row here fails to compile.
 static_assert(sizeof(MonitorStats) ==
               std::size(kMonitorCounters) * sizeof(std::uint64_t));
-
-/// Abstract Top-k-Position monitor.
-class MonitorBase {
- public:
-  virtual ~MonitorBase() = default;
-
-  /// Short identifier used in tables ("topk_filter", "naive", ...).
-  virtual std::string_view name() const = 0;
-
-  /// Called once, after the nodes observed their first values (time 0).
-  /// Establishes the initial coordinator knowledge and filters.
-  virtual void initialize(Cluster& cluster) = 0;
-
-  /// Called after the nodes observed the values of time step t (t >= 1).
-  /// Runs the between-observations communication protocol of the paper's
-  /// model until quiescence.
-  virtual void step(Cluster& cluster, TimeStep t) = 0;
-
-  /// The coordinator's current answer: ids of the top-k nodes, sorted by
-  /// id (canonical set representation).
-  virtual const std::vector<NodeId>& topk() const = 0;
-
-  const MonitorStats& monitor_stats() const noexcept { return mstats_; }
-
- protected:
-  MonitorStats mstats_;
-};
 
 }  // namespace topkmon

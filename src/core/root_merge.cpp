@@ -328,7 +328,7 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
   root_coord_ = std::make_unique<RootMergeCoordinator>(
       std::string(monitor_name(spec.monitor)), spec.k, adapters_, ranges_);
   root_driver_ = std::make_unique<SimDriver>(*root_cluster_, *root_coord_,
-                                             agents_, /*auto_deliver=*/true);
+                                             agents_);
   changed_by_shard_.resize(c);
 }
 

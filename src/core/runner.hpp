@@ -1,19 +1,22 @@
-// Experiment runner: drives a monitor over a stream set for T steps,
-// validates the coordinator's answer against the ground truth after every
-// step, and collects message/event statistics (optionally the full value
-// trace, enabling the offline-optimal comparison and competitive ratios).
+// What one monitoring run is configured with and what it produced, plus
+// the per-step answer check and the competitive-ratio helper. The run
+// itself is exp::run_scenario (exp/scenario.hpp): it drives a monitor's
+// role pair over the configured streams for T steps, validates the
+// coordinator's answer against the ground truth after every step
+// (check_answer_step) and fills a RunResult with message/event statistics
+// (optionally the full value trace, enabling the offline-optimal
+// comparison and competitive ratios).
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/monitor.hpp"
 #include "core/offline_opt.hpp"
-#include "sim/cluster.hpp"
-#include "streams/stream.hpp"
+#include "sim/comm_stats.hpp"
 #include "streams/trace.hpp"
 
 namespace topkmon {
@@ -33,8 +36,9 @@ struct RunConfig {
   enum class Validation { kStrict, kWeak, kOff };
   Validation validation = Validation::kStrict;
 
-  /// For monitors exposing an order (OrderedTopkMonitor): also check the
-  /// rank order against the ground truth.
+  /// For monitors exposing an order (the ordered monitor's
+  /// OrderedCoordinator): also check the rank order against the ground
+  /// truth.
   bool validate_order = false;
 
   /// Record the full value trace (needed for offline-OPT comparison).
@@ -133,21 +137,13 @@ struct RunResult {
   }
 };
 
-/// Runs `monitor` over `streams` (must have exactly cfg.n streams).
-/// Step 0 initializes; steps 1..cfg.steps call monitor.step(). Throws
-/// std::logic_error on validation failure unless cfg tolerates it — the
-/// failure is also recorded in the result (set `throw_on_error=false`).
-RunResult run_monitor(MonitorBase& monitor, StreamSet& streams,
-                      const RunConfig& cfg, bool throw_on_error = true);
-
 class GroundTruthTracker;
 
-/// Shared per-step validation core of run_monitor and exp::run_scenario:
-/// checks `answer` against the incrementally maintained ground truth
-/// under cfg.validation (plus the rank order when cfg.validate_order and
-/// `claimed_order` is non-null — the monitor's ranked answer, best
-/// first, from either the lock-step OrderedTopkMonitor or the native
-/// OrderedCoordinator), records any divergence on `result`
+/// The per-step validation of exp::run_scenario: checks `answer` against
+/// the incrementally maintained ground truth under cfg.validation (plus
+/// the rank order when cfg.validate_order and `claimed_order` is non-null
+/// — the ranked answer, best first, of the OrderedCoordinator), records
+/// any divergence on `result`
 /// (correct / error_steps / first_error_step), and throws
 /// std::logic_error when `throw_on_error`. `detail` is appended to the
 /// error message (e.g. " (network delay=2)"). The caller owns `truth`

@@ -100,8 +100,7 @@ NaiveShardAdapter::NaiveShardAdapter(const ShardConfig& cfg,
   for (std::size_t i = 0; i < cfg_.n; ++i) {
     nodes_.push_back(std::make_unique<NaiveNode>(send_on_change_only));
   }
-  driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_,
-                                        /*auto_deliver=*/true);
+  driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_);
   if (cfg_.faults != nullptr) driver_->set_fault_plan(cfg_.faults);
   driver_->set_dense_loop(cfg_.dense_loop);
 }
@@ -167,8 +166,7 @@ void FilterShardAdapter::rebuild() {
   for (std::size_t i = 0; i < cfg_.n; ++i) {
     nodes_.push_back(std::make_unique<FilterNode>());
   }
-  driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_,
-                                        /*auto_deliver=*/true);
+  driver_ = std::make_unique<SimDriver>(cluster_, *coord_, nodes_);
   if (cfg_.faults != nullptr) driver_->set_fault_plan(cfg_.faults, fault_cursor);
   driver_->set_dense_loop(cfg_.dense_loop);
   // Full initialization on the warm cluster: values, RNG streams, the

@@ -6,22 +6,13 @@
 
 #include "util/strings.hpp"
 
-#include "core/approx_monitor.hpp"
-#include "core/dominance_monitor.hpp"
-#include "core/filter_roles.hpp"
-#include "core/lockstep_adapter.hpp"
 #include "core/dominance_roles.hpp"
-#include "core/multik_monitor.hpp"
+#include "core/filter_roles.hpp"
 #include "core/multik_roles.hpp"
-#include "core/naive_monitor.hpp"
 #include "core/naive_roles.hpp"
 #include "core/ordered_roles.hpp"
-#include "core/ordered_topk_monitor.hpp"
 #include "core/recompute_roles.hpp"
 #include "core/slack_roles.hpp"
-#include "core/recompute_monitor.hpp"
-#include "core/slack_monitor.hpp"
-#include "core/topk_monitor.hpp"
 
 namespace topkmon::exp {
 
@@ -79,9 +70,8 @@ double parse_double(const ParsedSpec& spec, const Param& p) {
   return *out;
 }
 
-/// Shared grammar of the specs that accept only `nobeacon` (used by both
-/// the lock-step and the native topk_filter factories, so the two accept
-/// exactly the same strings).
+/// Shared grammar of the specs that accept only `nobeacon` (ordered and
+/// recompute).
 bool parse_nobeacon_only(const ParsedSpec& spec) {
   bool nobeacon = false;
   for (const auto& p : spec.params) {
@@ -108,66 +98,7 @@ std::vector<std::size_t> parse_ks(const ParsedSpec& spec, const Param& p) {
   return out;
 }
 
-std::unique_ptr<MonitorBase> build_monitor(const ParsedSpec& spec,
-                                           std::size_t k) {
-  if (spec.name == "topk_filter") {
-    TopkFilterMonitor::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
-    return std::make_unique<TopkFilterMonitor>(k, o);
-  }
-  if (spec.name == "ordered") {
-    OrderedTopkMonitor::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
-    return std::make_unique<OrderedTopkMonitor>(k, o);
-  }
-  if (spec.name == "slack") {
-    SlackMonitor::Options o;
-    for (const auto& p : spec.params) {
-      if (p.key == "alpha") o.alpha = parse_double(spec, p);
-      else if (p.key == "adaptive") o.adaptive = parse_flag(p);
-      else bad_param(spec, p);
-    }
-    return std::make_unique<SlackMonitor>(k, o);
-  }
-  if (spec.name == "dominance") {
-    expect_no_params(spec);
-    return std::make_unique<DominanceMonitor>(k);
-  }
-  if (spec.name == "recompute") {
-    RecomputeMonitor::Options o;
-    o.suppress_idle_broadcasts = parse_nobeacon_only(spec);
-    return std::make_unique<RecomputeMonitor>(k, o);
-  }
-  if (spec.name == "naive" || spec.name == "naive_chg") {
-    expect_no_params(spec);
-    NaiveMonitor::Options o;
-    o.send_on_change_only = (spec.name == "naive_chg");
-    return std::make_unique<NaiveMonitor>(k, o);
-  }
-  if (spec.name == "approx") {
-    ApproxTopkMonitor::Options o;
-    for (const auto& p : spec.params) {
-      if (p.key == "eps") o.epsilon = parse_int(spec, p);
-      else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      else bad_param(spec, p);
-    }
-    return std::make_unique<ApproxTopkMonitor>(k, o);
-  }
-  if (spec.name == "multi_k") {
-    std::vector<std::size_t> ks{k};
-    MultiKMonitor::Options o;
-    for (const auto& p : spec.params) {
-      if (p.key == "ks") ks = parse_ks(spec, p);
-      else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-      else bad_param(spec, p);
-    }
-    return std::make_unique<MultiKMonitor>(std::move(ks), o);
-  }
-  throw std::invalid_argument("unknown monitor '" + spec.name + "'");
-}
-
-/// A native role pair: `coordinator` plus one Node(args...) per cluster
-/// node.
+/// A role pair: `coordinator` plus one Node(args...) per cluster node.
 template <typename Node, typename... Args>
 RolePair native_pair(std::unique_ptr<CoordinatorAlgo> coordinator,
                      const Cluster& cluster, const Args&... args) {
@@ -177,7 +108,6 @@ RolePair native_pair(std::unique_ptr<CoordinatorAlgo> coordinator,
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     pair.nodes.push_back(std::make_unique<Node>(args...));
   }
-  pair.native = true;
   return pair;
 }
 
@@ -185,15 +115,14 @@ RolePair filter_roles(const Cluster& cluster, const ParsedSpec& spec,
                       std::size_t k) {
   // The ε-approximate monitor is the filter monitor with half-widened
   // boundaries (FilterCoordinator::Options::approx), so it composes with
-  // the same native-only knobs as topk_filter.
+  // the same knobs as topk_filter.
   FilterCoordinator::Options o;
   o.approx = (spec.name == "approx");
   for (const auto& p : spec.params) {
     if (o.approx && p.key == "eps") o.epsilon = parse_int(spec, p);
     else if (p.key == "nobeacon") o.suppress_idle_broadcasts = parse_flag(p);
-    // Native-roles-only knob (the lock-step bridge has no FILTERRESET
-    // retry loop to damp): seeded exponential backoff on defensive
-    // resets, for the lossy-network and churn suites.
+    // Seeded exponential backoff on defensive resets, for the
+    // lossy-network and churn suites.
     else if (p.key == "backoff") o.reset_backoff = parse_flag(p);
     // Adversarial-degradation suspicion machinery (lag/stale/mute
     // plans; see core/filter_roles.hpp).
@@ -209,8 +138,8 @@ RolePair filter_roles(const Cluster& cluster, const ParsedSpec& spec,
 
 RolePair naive_roles(const Cluster& cluster, const ParsedSpec& spec,
                      std::size_t k) {
-  // Native-roles-only knob: the suspicion machinery for adversarial
-  // degradations (silence scan / audit probes; core/naive_roles.hpp).
+  // The suspicion machinery for adversarial degradations (silence scan /
+  // audit probes; core/naive_roles.hpp).
   bool suspect = false;
   for (const auto& p : spec.params) {
     if (p.key == "suspect") suspect = parse_flag(p);
@@ -278,8 +207,7 @@ RolePair multik_roles(const Cluster& cluster, const ParsedSpec& spec,
 /// derived from kMonitors, so a new monitor is one new row.
 struct MonitorRow {
   std::string_view name;
-  /// Native role factory; nullptr bridges the lock-step monitor through
-  /// the LockstepAdapter (instant network, no fault plans).
+  /// Role factory.
   RolePair (*roles)(const Cluster&, const ParsedSpec&, std::size_t);
   /// Monitor kind of the two-tier ShardedDeployment, if it has one.
   std::optional<ShardedSpec::Monitor> sharded;
@@ -287,9 +215,7 @@ struct MonitorRow {
   bool dynamic_k;
 };
 
-/// Canonical order: the paper's Algorithm 1 first, then baselines. The
-/// recompute baseline stays a lock-step bridge (its per-step global
-/// re-sort has no event-driven decomposition worth maintaining);
+/// Canonical order: the paper's Algorithm 1 first, then baselines.
 /// multi_k monitors a fixed set of k values, so it takes no dynamic k.
 constexpr MonitorRow kMonitors[] = {
     {"topk_filter", &filter_roles, ShardedSpec::Monitor::kFilter, true},
@@ -322,32 +248,15 @@ std::vector<std::string> row_names(Pred keep) {
 
 }  // namespace
 
-std::unique_ptr<MonitorBase> make_monitor(std::string_view spec,
-                                          std::size_t k) {
-  return build_monitor(parse_spec(spec), k);
-}
-
 RolePair make_role_pair(Cluster& cluster, std::string_view spec,
                         std::size_t k) {
   const ParsedSpec parsed = parse_spec(spec);
   const MonitorRow* row = find_row(parsed.name);
-  if (row != nullptr && row->roles != nullptr) {
-    RolePair pair = row->roles(cluster, parsed, k);
-    pair.dynamic_k = row->dynamic_k;
-    return pair;
+  if (row == nullptr) {
+    throw std::invalid_argument("unknown monitor '" + parsed.name + "'");
   }
-
-  // Everything else bridges the lock-step implementation (instant only);
-  // build_monitor rejects unknown names.
-  RolePair pair;
-  auto adapter =
-      std::make_unique<LockstepAdapter>(build_monitor(parsed, k), cluster);
-  pair.lockstep = adapter->lockstep();
-  pair.coordinator = std::move(adapter);
-  pair.nodes.reserve(cluster.size());
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    pair.nodes.push_back(std::make_unique<LockstepNode>());
-  }
+  RolePair pair = row->roles(cluster, parsed, k);
+  pair.dynamic_k = row->dynamic_k;
   return pair;
 }
 
@@ -412,12 +321,6 @@ bool is_known_monitor(std::string_view spec) noexcept {
 const std::vector<std::string>& all_monitor_names() {
   static const std::vector<std::string> names =
       row_names([](const MonitorRow&) { return true; });
-  return names;
-}
-
-const std::vector<std::string>& native_monitor_names() {
-  static const std::vector<std::string> names =
-      row_names([](const MonitorRow& r) { return r.roles != nullptr; });
   return names;
 }
 

@@ -12,14 +12,13 @@
 //   "approx?eps=512"              ε-approximate variant
 //   "multi_k?ks=2+8+16"           simultaneous k ∈ {2,8,16}
 //
-// Two factories exist: make_monitor yields the legacy lock-step
-// MonitorBase; make_role_pair yields the role-separated deployment
-// (CoordinatorAlgo + n NodeAlgos) used by run_scenario — native for
-// every monitor except recompute, which stays LockstepAdapter-bridged
-// as the adapter-path reference (pair.native tells which).
+// make_role_pair yields a monitor's one implementation: the
+// role-separated deployment (CoordinatorAlgo + n NodeAlgos) that
+// run_scenario drives under any NetworkSpec and fault plan.
 // parse_sharded_spec maps a spec onto the two-tier ShardedDeployment.
 // One table in monitor_registry.cpp lists every monitor with its role
-// factory and its sharded kind; the name lists below derive from it.
+// factory, its sharded kind and its dynamic-k capability; the name list
+// below derives from it.
 #pragma once
 
 #include <memory>
@@ -28,29 +27,21 @@
 #include <utility>
 #include <vector>
 
-#include "core/monitor.hpp"
 #include "core/roles.hpp"
 #include "core/root_merge.hpp"
 #include "sim/cluster.hpp"
 
 namespace topkmon::exp {
 
-/// Instantiates the lock-step monitor described by `spec` for top-k size
-/// `k`. Throws std::invalid_argument for unknown names or parameters.
-std::unique_ptr<MonitorBase> make_monitor(std::string_view spec,
-                                          std::size_t k);
-
 /// A deployable role-separated monitor: one coordinator plus one node
 /// algorithm per cluster node.
 struct RolePair {
   std::unique_ptr<CoordinatorAlgo> coordinator;
   std::vector<std::unique_ptr<NodeAlgo>> nodes;
-  /// True when the pair is a native event-driven implementation (runs
-  /// under any NetworkSpec); false for LockstepAdapter bridges (instant
-  /// only).
-  bool native = false;
-  /// The wrapped lock-step monitor for adapter pairs (else nullptr).
-  const MonitorBase* lockstep = nullptr;
+  /// Always true: every monitor is a native event-driven implementation.
+  /// Kept because perfbench, the repository's fixed benchmark
+  /// instrument, passes it on as SimDriver's `auto_deliver` argument.
+  bool native = true;
   /// True when the coordinator implements on_set_k, i.e. the pair can
   /// run a fault plan with dynamic-k events.
   bool dynamic_k = false;
@@ -85,9 +76,5 @@ std::pair<std::string, std::size_t> split_shards_param(std::string_view spec);
 /// All registered monitor base names, in a stable canonical order (the
 /// paper's Algorithm 1 first, then baselines).
 const std::vector<std::string>& all_monitor_names();
-
-/// Base names with a native role-separated implementation (usable under
-/// non-instant NetworkSpecs).
-const std::vector<std::string>& native_monitor_names();
 
 }  // namespace topkmon::exp

@@ -29,17 +29,8 @@ class MonolithicDeployment final : public Deployment {
                        const FaultPlan& plan, std::size_t n)
       : cluster_(n, sc.seed, sc.network),
         pair_(make_role_pair(cluster_, spec, sc.k)),
-        driver_(cluster_, *pair_.coordinator, pair_.nodes, pair_.native,
+        driver_(cluster_, *pair_.coordinator, pair_.nodes, /*auto_deliver=*/true,
                 sc.workers) {
-    if (!pair_.native && (!sc.network.is_instant() || !plan.empty())) {
-      throw std::invalid_argument(
-          "run_scenario: monitor '" + spec +
-          "' has no native role implementation and cannot run " +
-          (sc.network.is_instant()
-               ? "under fault plan '" + sc.faults
-               : "on network '" + sc.network.name()) +
-          "' (native: " + join_names(native_monitor_names()) + ")");
-    }
     const auto& events = plan.events();
     if (!pair_.dynamic_k &&
         std::any_of(events.begin(), events.end(), [](const FaultEvent& ev) {

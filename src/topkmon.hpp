@@ -3,8 +3,10 @@
 //   #include <topkmon.hpp>
 //
 // pulls in the simulation substrate, stream generators, the distributed
-// max/min protocols (Algorithm 2) and every Top-k-Position monitoring
-// algorithm (Algorithm 1 and the baselines), plus the experiment runner.
+// max/min protocols (Algorithm 2), every Top-k-Position monitoring
+// algorithm (Algorithm 1 and the baselines, one coordinator/node role pair
+// each, built by name through exp::make_role_pair) and the scenario
+// runner.
 #pragma once
 
 #include "util/types.hpp"      // IWYU pragma: export
@@ -42,15 +44,7 @@
 #include "core/dominance_roles.hpp"      // IWYU pragma: export
 #include "core/ordered_roles.hpp"        // IWYU pragma: export
 #include "core/multik_roles.hpp"         // IWYU pragma: export
-#include "core/lockstep_adapter.hpp"     // IWYU pragma: export
-#include "core/topk_monitor.hpp"         // IWYU pragma: export
-#include "core/approx_monitor.hpp"       // IWYU pragma: export
-#include "core/multik_monitor.hpp"       // IWYU pragma: export
-#include "core/naive_monitor.hpp"        // IWYU pragma: export
-#include "core/recompute_monitor.hpp"    // IWYU pragma: export
-#include "core/dominance_monitor.hpp"    // IWYU pragma: export
-#include "core/slack_monitor.hpp"        // IWYU pragma: export
-#include "core/ordered_topk_monitor.hpp" // IWYU pragma: export
+#include "core/recompute_roles.hpp"      // IWYU pragma: export
 #include "core/offline_opt.hpp"          // IWYU pragma: export
 #include "core/runner.hpp"               // IWYU pragma: export
 

@@ -34,7 +34,7 @@ TEST(NaiveCoordinator, ReadsSeeReportsDeliveredEarlierInTheStep) {
   for (std::size_t i = 0; i < kN; ++i) {
     nodes.push_back(std::make_unique<NaiveNode>(false));
   }
-  SimDriver driver(cluster, coord, nodes, /*auto_deliver=*/true);
+  SimDriver driver(cluster, coord, nodes);
   driver.initialize();
   EXPECT_EQ(coord.topk(), (std::vector<NodeId>{12, 13, 14, 15}));
   EXPECT_EQ(coord.weakest_member_value(), 112);

@@ -101,8 +101,7 @@ struct Rig {
     for (NodeId id = 0; id < modes.size(); ++id) {
       cluster.set_value(id, 1000 * static_cast<Value>(id));
     }
-    driver = std::make_unique<SimDriver>(cluster, coord, nodes,
-                                         /*auto_deliver=*/true);
+    driver = std::make_unique<SimDriver>(cluster, coord, nodes);
   }
 
   const RangeNode& node(NodeId id) const {

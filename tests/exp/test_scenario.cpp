@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -191,6 +192,38 @@ TEST(ScenarioTest, DriverConstructorRejectsWorkersOtherThanOne) {
   SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native, 1);
   driver.initialize();
   EXPECT_EQ(pair.coordinator->topk().size(), 2u);
+}
+
+// Every monitor is a native role pair, so the driver always delivers the
+// network's mail itself; the manual-delivery mode (auto_deliver == false)
+// is rejected like workers != 1, before any callback runs.
+TEST(ScenarioTest, DriverConstructorRejectsManualDelivery) {
+  struct Spy final : NodeAlgo {
+    explicit Spy(int& calls) : calls_(calls) {}
+    void on_init(NodeCtx&, Value) override { ++calls_; }
+    int& calls_;
+  };
+  struct SpyCoordinator final : CoordinatorAlgo {
+    explicit SpyCoordinator(int& calls) : calls_(calls) {}
+    std::string_view name() const override { return "spy"; }
+    void on_init(CoordCtx&) override { ++calls_; }
+    const std::vector<NodeId>& topk() const override { return ids_; }
+    int& calls_;
+    std::vector<NodeId> ids_;
+  };
+  int calls = 0;
+  Cluster cluster(4, 1);
+  SpyCoordinator coord(calls);
+  std::vector<std::unique_ptr<NodeAlgo>> nodes;
+  for (int i = 0; i < 4; ++i) nodes.push_back(std::make_unique<Spy>(calls));
+  EXPECT_THROW((SimDriver{cluster, coord, nodes, /*auto_deliver=*/false}),
+               std::invalid_argument);
+  EXPECT_THROW((SimDriver{cluster, coord, nodes, false, 1}),
+               std::invalid_argument);
+  EXPECT_EQ(calls, 0);
+  SimDriver driver(cluster, coord, nodes);
+  driver.initialize();
+  EXPECT_EQ(calls, 5);  // four nodes and the coordinator
 }
 
 TEST(SweepGridTest, NetworkAxisMultipliesCellsButNotSeeds) {
