@@ -1,5 +1,5 @@
-// Native role-separated implementation of the dominance-slot monitor
-// (core/dominance_monitor.hpp): the coordinator maintains a total order of
+// Role-separated implementation of the dominance-slot monitor
+// ("dominance"): the coordinator maintains a total order of
 // per-node midpoint slots in the injective w-space w = v·n + (n-1-id);
 // every node checks its own w against its assigned slot interval locally,
 // reports violations directly, and the coordinator re-slots violators —
@@ -7,8 +7,8 @@
 // one-unicast probe of the incumbent.
 //
 // Under the instant NetworkSpec the port is message-for-message identical
-// to the lock-step DominanceMonitor (differential harness,
-// tests/core/role_port_harness.hpp): same init shout/report/assign cycle,
+// to the frozen records of the lock-step implementation it replaced
+// (tests/core/lockstep_golden.inc): same init shout/report/assign cycle,
 // same kViolation reports, same probe/report pairs, same kFilterAssign
 // unicasts, same counters; the monitor draws no randomness. Under delay or
 // drop policies each probe stretches to the network round trip and a lost

@@ -3,7 +3,7 @@
 // The batch helpers in core/ground_truth.hpp recompute the true top-k from
 // scratch: every call snapshots all n values, allocates an id vector and
 // partial-sorts it. Validating a monitor after *every* observation step —
-// what run_monitor / run_scenario do — turns that into the dominant cost
+// what run_scenario does — turns that into the dominant cost
 // of a run once the monitor itself is quiet.
 //
 // GroundTruthTracker keeps the answer alive across steps instead. It

@@ -1,5 +1,5 @@
-// Native role-separated implementation of the multi-k monitor
-// (core/multik_monitor.hpp): one shared filter-tree instance maintaining
+// Role-separated implementation of the multi-k monitor ("multi_k"):
+// one shared filter-tree instance maintaining
 // every requested boundary k ∈ ks at once in the injective w-space.
 // Each node guards its band interval (between the midpoints of its two
 // adjacent boundaries) locally, classifies its own crossing — including
@@ -8,8 +8,9 @@
 // (core/role_session.hpp), processed in ascending boundary order.
 //
 // Under the instant NetworkSpec the port is message-for-message and
-// coin-flip-for-coin-flip identical to the lock-step MultiKMonitor
-// (differential harness, tests/core/role_port_harness.hpp): the same
+// coin-flip-for-coin-flip identical to the frozen records of the
+// lock-step implementation it replaced (tests/core/lockstep_golden.inc,
+// checked by tests/core/role_port_harness.hpp): the same
 // per-boundary session sequence, the same kProtocolStart / kFilterUpdate
 // broadcasts tagged with the boundary index, the same (k_max+1)-round
 // announce-driven shared reset, and the same counters. Bands change only

@@ -1,7 +1,8 @@
-// Native role-separated implementation of the naive baseline of §2.1:
-// every node forwards its observations to the coordinator, which computes
-// the top-k from its value replica. Identical to core/naive_monitor.hpp
-// under the instant NetworkSpec (asserted by the role-equivalence tests);
+// Role-separated implementation of the naive baseline of §2.1: every
+// node forwards its observations to the coordinator, which computes the
+// top-k from its value replica. Identical to the frozen records of the
+// lock-step implementation it replaced under the instant NetworkSpec
+// (asserted by the role-equivalence tests);
 // under delay/drop policies the replica goes stale and the validation
 // layer records the resulting error steps — the natural "how robust is
 // brute force?" baseline for the latency/loss experiment suites.

@@ -1,5 +1,5 @@
-// Native role-separated implementation of the ordered top-k monitor
-// (core/ordered_topk_monitor.hpp): the hybrid of the shared k-th/(k+1)-st
+// Role-separated implementation of the ordered top-k monitor ("ordered"):
+// the hybrid of the shared k-th/(k+1)-st
 // boundary (filter monitor) below with per-member midpoint slots
 // (dominance monitor) above, all in the injective w-space
 // w = v·n + (n-1-id). Members guard their rank slot, outsiders guard the
@@ -7,8 +7,9 @@
 // event-driven sessions (core/role_session.hpp).
 //
 // Under the instant NetworkSpec the port is message-for-message and
-// coin-flip-for-coin-flip identical to the lock-step OrderedTopkMonitor
-// (differential harness, tests/core/role_port_harness.hpp): the same
+// coin-flip-for-coin-flip identical to the frozen records of the
+// lock-step implementation it replaced (differential harness,
+// tests/core/role_port_harness.hpp): the same
 // session sequence per violating step (below-crossers' min, outsiders'
 // max, the missing side under a charged kProtocolStart, then a k-round
 // member re-selection whenever the order above the boundary may have

@@ -15,9 +15,10 @@
 // step it delivers observations (on_observe), then runs delivery ticks —
 // due messages (on_message), then armed timers (on_timer) — until
 // quiescence or until the network's tick budget expires. Under the
-// instant NetworkSpec this reproduces the lock-step round structure of
-// the original MonitorBase::step() byte for byte (asserted by the
-// role-equivalence test suite).
+// instant NetworkSpec this reproduces the paper's synchronous round
+// structure byte for byte: every monitor matches the frozen records of
+// the lock-step implementation it replaced (tests/core/
+// lockstep_golden.inc, asserted by the role-equivalence test suite).
 #pragma once
 
 #include <cstdint>
@@ -278,8 +279,8 @@ class CoordinatorAlgo {
   /// id (canonical set representation).
   virtual const std::vector<NodeId>& topk() const = 0;
 
-  /// Algorithm-level event counters (virtual so bridges can forward the
-  /// wrapped implementation's counters).
+  /// Algorithm-level event counters (virtual so wrappers, such as
+  /// perfbench's timing coordinator, can forward the inner counters).
   virtual const MonitorStats& monitor_stats() const noexcept { return mstats_; }
 
  protected:

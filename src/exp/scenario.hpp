@@ -10,13 +10,11 @@
 // schedule's ground-truth effects, step, validate every step against the
 // ground truth, and return the familiar RunResult.
 //
-// Under the default instant network this path is byte-identical to the
-// legacy run_monitor() pipeline (native role implementations are
-// coin-flip-compatible with their lock-step counterparts; everything else
-// bridges through the LockstepAdapter). Non-instant networks and fault
-// plans require a monitor with a native role port — exactly the specs
-// exp::native_monitor_names() lists, every monitor but "recompute" — and
-// the runner rejects adapter-backed monitors there with a clear error.
+// Every monitor is one role pair, so every monitor runs under every
+// network policy and fault plan. Under the default instant network each
+// reproduces, message for message and coin flip for coin flip, the
+// frozen records of the lock-step implementation it replaced
+// (tests/core/lockstep_golden.inc).
 #pragma once
 
 #include <functional>
@@ -84,7 +82,7 @@ struct Scenario {
   /// parameter (e.g. "topk_filter?shards=4") overrides this field. Only
   /// the monitors with a sharded deployment (exp::parse_sharded_spec:
   /// "topk_filter", "naive", "naive_chg" — a narrower set than the
-  /// native role ports) support c > 1.
+  /// registered monitors) support c > 1.
   /// record_series works at any c: the per-shard series are merged
   /// element-wise into one deployment-level per-step series (every shard
   /// begins the same steps, so the series align by index).
@@ -94,13 +92,12 @@ struct Scenario {
   /// (default) runs fault-free and byte-identical to a scenario without
   /// the field; anything else schedules crash / recover / join / leave /
   /// dynamic-k events — plus the adversarial degradations lag / stale /
-  /// mute / heal — against the run. Requires a monitor listed by
-  /// exp::native_monitor_names(); composes with any network policy
+  /// mute / heal — against the run. Composes with any network policy
   /// (schedules derive from the run seed like link randomness, so results
   /// stay byte-reproducible). Only "topk_filter",
   /// "approx", "naive" and "naive_chg" accept the `?suspect` parameter
-  /// that convicts a degraded node; the other ports reject it and carry a
-  /// degradation until its heal. "ordered" and "multi_k" re-sync a
+  /// that convicts a degraded node; the other monitors reject it and carry
+  /// a degradation until its heal. "ordered" and "multi_k" re-sync a
   /// recovered or joining node with a full reset; "multi_k" rejects
   /// dynamic-k events (its k set is fixed). With join
   /// events the cluster/streams/ground truth are provisioned at the
@@ -165,8 +162,8 @@ struct Scenario {
 /// parameter, else Scenario::shards) is 1, else run_sharded_scenario.
 /// Throws std::invalid_argument, before any node callback runs, for
 /// malformed scenarios (unknown monitor/family, k out of range,
-/// workers != 1, non-native monitor on a non-instant network or under a
-/// fault plan, a dynamic-k plan for a monitor without on_set_k — multi_k)
+/// workers != 1, a dynamic-k plan for a monitor without on_set_k —
+/// multi_k)
 /// and std::logic_error on validation divergence when throw_on_error is
 /// set. Thread-safe: concurrent calls share no state (each scenario
 /// builds its own deployment), which is what the SweepRunner's trial
@@ -182,7 +179,7 @@ RunResult run_scenario(const Scenario& scenario);
 /// tests/core/test_shard_equivalence.cpp). Exactness at c > 1 is
 /// guaranteed under instant delivery with pairwise-distinct values;
 /// non-instant networks run supported-but-degraded, like the monolithic
-/// native monitors (error steps are recorded, use kWeak +
+/// monitors (error steps are recorded, use kWeak +
 /// throw_on_error=false). Membership churn and dynamic-k fault plans are
 /// supported at any c (whole-shard outages drain the dead shard's quota
 /// at the root and regrant it on recovery); adversarial degradations are

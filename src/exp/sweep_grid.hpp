@@ -26,7 +26,7 @@ struct TrialSpec {
   RunConfig cfg;                     ///< n/k/steps/seed/validation
   StreamSpec stream;                 ///< workload description
   NetworkSpec network{};             ///< delivery policy (default instant)
-  std::string monitor{"topk_filter"};  ///< exp::make_monitor spec
+  std::string monitor{"topk_filter"};  ///< monitor registry spec
   std::size_t shards = 1;            ///< shard coordinators (Scenario::shards)
   std::string faults{"none"};        ///< fault plan spec (Scenario::faults)
   std::size_t trial = 0;             ///< repetition index within its cell

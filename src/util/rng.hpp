@@ -122,9 +122,9 @@ class Rng {
   Rng derive(std::uint64_t stream_id) const noexcept;
 
   /// Full-state equality: two generators compare equal iff their future
-  /// output sequences are identical. The differential equivalence harness
-  /// uses this to prove a native role port consumed exactly the same coin
-  /// flips as its lock-step twin.
+  /// output sequences are identical (state() exposes the words the
+  /// differential harness digests to prove a role port consumed exactly
+  /// the same coin flips as the frozen lock-step records).
   friend bool operator==(const Rng& a, const Rng& b) noexcept {
     return a.s_ == b.s_ &&
            a.has_cached_gaussian_ == b.has_cached_gaussian_ &&
