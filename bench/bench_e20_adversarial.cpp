@@ -19,8 +19,9 @@
 //   * filter stale rows: at least one contradiction conviction
 //     (stale_detections > 0) — the naive family cannot detect stale and
 //     is not asserted;
-//   * replay rows: assign_replays fired and the re-sync retry storm is
-//     strictly smaller than the handshake twin's;
+//   * replay rows: assign_replays fired, and the replay row runs fewer
+//     re-sync handshakes and sends fewer messages than the handshake
+//     twin, with no more probe retries;
 //   * sharded churn rows (instant): zero tail errors at c in {2, 4} —
 //     whole-deployment exactness after crash/recover/join across shards.
 //
@@ -196,14 +197,18 @@ TOPKMON_SUITE(e20_adversarial,
       throw std::logic_error(
           "e20: replay row served no warm-standby replays");
     }
-    if (replay.monitor.resync_retries >= handshake.monitor.resync_retries ||
-        replay.monitor.resyncs >= handshake.monitor.resyncs) {
+    if (replay.monitor.resync_retries > handshake.monitor.resync_retries ||
+        replay.monitor.resyncs >= handshake.monitor.resyncs ||
+        replay.comm.total() >= handshake.comm.total()) {
       throw std::logic_error(
-          "e20: assignment replay did not cut the re-sync storm (" +
+          "e20: assignment replay did not cut the re-sync handshakes (" +
           std::to_string(replay.monitor.resyncs) + "/" +
-          std::to_string(replay.monitor.resync_retries) + " vs handshake " +
+          std::to_string(replay.monitor.resync_retries) + "/" +
+          std::to_string(replay.comm.total()) + " vs handshake " +
           std::to_string(handshake.monitor.resyncs) + "/" +
-          std::to_string(handshake.monitor.resync_retries) + ")");
+          std::to_string(handshake.monitor.resync_retries) + "/" +
+          std::to_string(handshake.comm.total()) +
+          " resyncs/retries/messages)");
     }
     break;
   }

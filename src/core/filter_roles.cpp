@@ -334,7 +334,8 @@ void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
   }
   backoff_wait_ = 0;
   backoff_attempt_ = 0;
-  if (pending_top_ || pending_bot_) start_cycle(ctx);
+  admit_parked(ctx);
+  if (pending_top_ || pending_bot_) start_pending_cycle(ctx);
 }
 
 void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
@@ -396,6 +397,9 @@ void FilterCoordinator::on_timer(CoordCtx& ctx) {
       pending_select_ = false;
       start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
                     /*announce=*/true);
+    } else if (phase_ == Phase::kIdle && (pending_top_ || pending_bot_)) {
+      if (admit_wait_ > 0) --admit_wait_;
+      start_pending_cycle(ctx);  // a re-admitted node's violation (admit)
     }
     return;
   }
@@ -685,9 +689,11 @@ void FilterCoordinator::cycle_done(CoordCtx& ctx) {
   phase_ = Phase::kIdle;
   min_v_.reset();
   max_v_.reset();
-  // Violations that arrived while the cycle ran (possible only under a
-  // tick budget) convene the next cycle immediately.
-  if (pending_top_ || pending_bot_) start_cycle(ctx);
+  // Re-sync replies parked while the cycle ran are admitted now, and
+  // violations that arrived meanwhile (possible only under a tick budget)
+  // convene the next cycle immediately.
+  admit_parked(ctx);
+  if (pending_top_ || pending_bot_) start_pending_cycle(ctx);
 }
 
 void FilterCoordinator::abort_cycle() {
@@ -784,15 +790,16 @@ void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
 }
 
 void FilterCoordinator::tick_resyncs(CoordCtx& ctx) {
-  if (resync_.empty()) return;
+  bool waiting = false;
   for (Resync& r : resync_) {
+    if (r.parked) continue;  // the reply is in hand
+    waiting = true;
     if (r.countdown > 0) {
       --r.countdown;
       continue;
     }
-    // The probe or its reply was lost (or the reply arrived mid-cycle and
-    // was deferred): resend, with capped exponential backoff so a long
-    // outage of the return path cannot flood the link.
+    // The probe or its reply was lost: resend, with capped exponential
+    // backoff so a long outage of the return path cannot flood the link.
     ++mstats_.resync_retries;
     r.countdown = probe_timeout(ctx)
                   << std::min<std::uint32_t>(++r.attempt, 6);
@@ -800,7 +807,8 @@ void FilterCoordinator::tick_resyncs(CoordCtx& ctx) {
     probe.kind = MsgKind::kProbe;
     ctx.unicast(r.id, probe);
   }
-  ctx.arm_timer();  // keep the countdown ticking while any re-sync pends
+  // Keep the countdown ticking while any probe awaits its reply.
+  if (waiting) ctx.arm_timer();
 }
 
 void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
@@ -809,9 +817,11 @@ void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
                          [from](const Resync& r) { return r.id == from; });
   if (it == resync_.end()) return;  // late duplicate of a completed re-sync
   if (phase_ != Phase::kIdle || session_active_) {
-    // Re-admitting mid-cycle would corrupt the running session's quorum;
-    // park the reply — the retry probe finds the coordinator idle later.
-    it->countdown = probe_timeout(ctx);
+    // Re-admitting mid-cycle would corrupt the running session's quorum:
+    // park the reply and admit the node when the cycle ends
+    // (admit_parked). Nothing was lost, so no probe is resent.
+    it->parked = true;
+    it->value = v;
     return;
   }
   resync_.erase(it);
@@ -821,22 +831,58 @@ void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
     begin_reset(ctx);
     return;
   }
-  // Re-admit as an outsider anchored on the established boundary. The
-  // assignment unicast lands before any control queued below (messages
-  // precede controls within a node phase), so a violating node is primed
-  // to join the repair session its own violation convenes.
+  if (admit(ctx, from, v)) {
+    // Convene the repair from the coordinator timer of this tick, not
+    // from here: a session started inside on_message would run its
+    // coordinator rounds one tick ahead of the nodes and conclude before
+    // their final-round reports land. Replies drained in the same tick
+    // join the same cycle.
+    pending_bot_ = true;
+    ctx.arm_timer();
+  }
+}
+
+void FilterCoordinator::admit_parked(CoordCtx& ctx) {
+  // Without an established answer the pending selection re-integrates
+  // every live node; its cycle_done admits the parked replies after.
+  if (topk_ids_.size() != k_) return;
+  for (auto it = resync_.begin(); it != resync_.end();) {
+    if (!it->parked) {
+      ++it;
+      continue;
+    }
+    if (admit(ctx, it->id, it->value)) pending_bot_ = true;
+    it = resync_.erase(it);
+  }
+}
+
+void FilterCoordinator::start_pending_cycle(CoordCtx& ctx) {
+  if (admit_wait_ > 0) {
+    ctx.arm_timer();
+    return;
+  }
+  start_cycle(ctx);
+}
+
+bool FilterCoordinator::admit(CoordCtx& ctx, NodeId id, Value v) {
+  // Anchor the node on the established boundary with its membership (an
+  // outage clears it, but a selection that ran while the reply was
+  // parked may have re-admitted the node as a member). The assignment
+  // unicast lands before any control queued after it (messages precede
+  // controls within a node phase), so a violating node is primed to
+  // join the repair session its own violation convenes.
   Message assign;
   assign.kind = MsgKind::kFilterAssign;
-  assign.a = 0;  // non-member: the crash removed it from the answer
+  assign.a = in_topk_[id];
   assign.b = mid_;
-  ctx.unicast(from, assign);
-  if (v > mid_ + opts_.epsilon / 2) {
-    // The returning value belongs above the (ε/2-widened) boundary:
-    // handle it exactly like a signalled bottom-side filter violation.
-    ++mstats_.violations;
-    pending_bot_ = true;
-    start_cycle(ctx);
-  }
+  ctx.unicast(id, assign);
+  // An outsider whose value belongs above the (ε/2-widened) boundary is
+  // handled exactly like a signalled bottom-side filter violation, once
+  // the assignment that primes it has landed.
+  if (in_topk_[id] != 0 || v <= mid_ + opts_.epsilon / 2) return false;
+  ++mstats_.violations;
+  admit_wait_ = ctx.flush_ticks();
+  return true;
 }
 
 // ---------------------------------------------------------------------------

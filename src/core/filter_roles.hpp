@@ -1,12 +1,12 @@
-// Native role-separated implementation of the paper's Algorithm 1 (the
+// Role-separated implementation of the paper's Algorithm 1 (the
 // randomized filter-based Top-k-Position monitor) with Algorithm 2 (the
 // randomized extremum protocol) embedded as event-driven sessions.
 //
-// This is the same algorithm as core/topk_monitor.hpp, restructured into
-// the coordinator/node split of core/roles.hpp so it runs on *any*
-// NetworkSpec: under the instant policy it is message-for-message and
-// coin-flip-for-coin-flip identical to the lock-step TopkFilterMonitor
-// (asserted by tests/core/test_role_equivalence.cpp); under delay, jitter,
+// The algorithm runs in the coordinator/node split of core/roles.hpp, so
+// it runs on *any* NetworkSpec: under the instant policy it is
+// message-for-message and coin-flip-for-coin-flip identical to the frozen
+// records of the synchronous implementation it replaced (asserted by
+// tests/core/test_role_equivalence.cpp); under delay, jitter,
 // drop or tick-budget policies it degrades gracefully — stale beacons
 // weaken round pruning (more reports), lost filter updates or winner
 // announcements desynchronize node state until the next violation repairs
@@ -62,7 +62,7 @@ enum class FilterSessionGroup : std::int64_t {
 };
 
 /// Node-side half of Algorithm 1. With a non-zero epsilon the node runs
-/// the ε-approximate variant (core/approx_monitor.hpp): every boundary it
+/// the ε-approximate variant ("approx?eps="): every boundary it
 /// installs is widened by ε/2 on its own side, so values within ε/2 of
 /// the boundary never violate. ε is a deployment constant — every node
 /// and the coordinator are configured with the same value.
@@ -179,7 +179,7 @@ class FilterCoordinator final : public CoordinatorAlgo {
     /// back to the handshake whenever the answer is not established or
     /// a cycle is running. Off by default (changes e19 traces).
     bool replay = false;
-    /// ε-approximate mode (core/approx_monitor.hpp): the answer only has
+    /// ε-approximate mode ("approx?eps="): the answer only has
     /// to be correct for value vectors perturbed by at most ε/2 per node.
     /// The coordinator tolerates a T+/T- inversion up to 2·⌊ε/2⌋ before
     /// resetting, stamps ε into every kFilterUpdate (payload b), and
@@ -261,9 +261,20 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// exponential backoff), keeps the coordinator timer armed while any
   /// re-sync is pending. No-op with no pending re-sync.
   void tick_resyncs(CoordCtx& ctx);
-  /// A kValueReport with b == 1: the probed node's answer. Deferred while
+  /// A kValueReport with b == 1: the probed node's answer. Parked while
   /// a cycle is in flight (re-integrating mid-session would corrupt it).
   void handle_resync_reply(CoordCtx& ctx, NodeId from, Value v);
+  /// Re-admits every parked re-sync once the coordinator is idle with an
+  /// established answer; a returning value above the boundary raises
+  /// pending_bot_ for the caller's next start_cycle.
+  void admit_parked(CoordCtx& ctx);
+  /// Sends node `id` its (membership, boundary) assignment; true when the
+  /// re-sync value `v` violates it from below (a bottom-side violation).
+  bool admit(CoordCtx& ctx, NodeId id, Value v);
+  /// Convenes the pending violations' cycle (start_cycle) once every
+  /// re-sync assignment has landed; until then the coordinator timer
+  /// waits out admit_wait_.
+  void start_pending_cycle(CoordCtx& ctx);
   /// Probe round trip plus slack under the deployed network policy.
   std::uint64_t probe_timeout(CoordCtx& ctx) const {
     return 2 * ctx.flush_ticks() + 2;
@@ -321,6 +332,10 @@ class FilterCoordinator final : public CoordinatorAlgo {
   // Violations signalled but not yet consumed by a cycle.
   bool pending_top_ = false;
   bool pending_bot_ = false;
+  /// Ticks until the latest re-sync assignment has landed (admit): the
+  /// cycle its violation convenes must not start before the node knows
+  /// it is a violator. Zero under instant delivery.
+  std::uint64_t admit_wait_ = 0;
 
   // Current cycle.
   Phase phase_ = Phase::kIdle;
@@ -356,6 +371,8 @@ class FilterCoordinator final : public CoordinatorAlgo {
     NodeId id;
     std::uint64_t countdown;  ///< ticks until the probe is declared lost
     std::uint32_t attempt;    ///< resend count (bounds the backoff shift)
+    bool parked = false;      ///< replied mid-cycle; admitted once idle
+    Value value = 0;          ///< the parked reply's value
   };
   std::vector<Resync> resync_;
 

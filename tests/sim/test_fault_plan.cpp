@@ -359,6 +359,21 @@ TEST(FaultInjection, EveryNativeMonitorSurvivesMixedChurnOnInstant) {
   }
 }
 
+TEST(FaultInjection, ParkedResyncRepliesNeedNoRetryOnInstant) {
+  // A re-sync reply that lands while a repair cycle runs is parked and
+  // admitted when the cycle ends. On instant delivery nothing is lost, so
+  // the coordinator never re-probes (it used to re-probe every
+  // probe_timeout ticks until a reply happened to land while idle).
+  for (const char* mon : {"topk_filter", "approx?eps=64"}) {
+    SCOPED_TRACE(mon);
+    const RunResult r =
+        run_scenario(churn_scenario(mon, "instant", kMixedPlan));
+    EXPECT_EQ(r.monitor.resyncs, 18u);  // 2 recoveries + 16 joiners
+    EXPECT_EQ(r.monitor.resync_retries, 0u);
+    EXPECT_EQ(r.error_steps_since(250), 0u);  // after the last recovery
+  }
+}
+
 TEST(FaultInjection, NaiveBatchedReportsStayExactUnderChurnAndDynamicK) {
   // The naive coordinator queues each step's reports and applies them to
   // its tracker in one batch before every answer, extremum read and
