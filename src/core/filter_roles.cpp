@@ -867,10 +867,11 @@ void FilterCoordinator::start_pending_cycle(CoordCtx& ctx) {
 bool FilterCoordinator::admit(CoordCtx& ctx, NodeId id, Value v) {
   // Anchor the node on the established boundary with its membership (an
   // outage clears it, but a selection that ran while the reply was
-  // parked may have re-admitted the node as a member). The assignment
-  // unicast lands before any control queued after it (messages precede
-  // controls within a node phase), so a violating node is primed to
-  // join the repair session its own violation convenes.
+  // parked may have re-admitted the node as a member). The repair
+  // session a violation convenes starts only after this unicast has
+  // landed (admit_wait_; under instant delivery it lands first because
+  // messages precede controls within a node phase), so a violating node
+  // is primed to join it.
   Message assign;
   assign.kind = MsgKind::kFilterAssign;
   assign.a = in_topk_[id];

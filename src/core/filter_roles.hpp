@@ -266,7 +266,7 @@ class FilterCoordinator final : public CoordinatorAlgo {
   void handle_resync_reply(CoordCtx& ctx, NodeId from, Value v);
   /// Re-admits every parked re-sync once the coordinator is idle with an
   /// established answer; a returning value above the boundary raises
-  /// pending_bot_ for the caller's next start_cycle.
+  /// pending_bot_ for the caller's next start_pending_cycle.
   void admit_parked(CoordCtx& ctx);
   /// Sends node `id` its (membership, boundary) assignment; true when the
   /// re-sync value `v` violates it from below (a bottom-side violation).

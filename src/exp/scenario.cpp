@@ -14,7 +14,6 @@
 #include "exp/monitor_registry.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plan.hpp"
-#include "util/strings.hpp"
 
 namespace topkmon::exp {
 
@@ -29,8 +28,8 @@ class MonolithicDeployment final : public Deployment {
                        const FaultPlan& plan, std::size_t n)
       : cluster_(n, sc.seed, sc.network),
         pair_(make_role_pair(cluster_, spec, sc.k)),
-        driver_(cluster_, *pair_.coordinator, pair_.nodes, /*auto_deliver=*/true,
-                sc.workers) {
+        driver_(cluster_, *pair_.coordinator, pair_.nodes,
+                /*auto_deliver=*/true, sc.workers) {
     const auto& events = plan.events();
     if (!pair_.dynamic_k &&
         std::any_of(events.begin(), events.end(), [](const FaultEvent& ev) {

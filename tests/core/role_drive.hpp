@@ -78,7 +78,9 @@ class Deployed {
 
   const std::vector<NodeId>& topk() const { return pair_.coordinator->topk(); }
   std::string_view name() const { return pair_.coordinator->name(); }
-  const MonitorStats& stats() const { return pair_.coordinator->monitor_stats(); }
+  const MonitorStats& stats() const {
+    return pair_.coordinator->monitor_stats();
+  }
   std::uint64_t messages() const { return cluster_.stats().total(); }
   Cluster& cluster() { return cluster_; }
 
