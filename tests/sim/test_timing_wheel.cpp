@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -182,6 +184,175 @@ TEST(TimingWheel, JitterSpansWheelBoundary) {
   EXPECT_GE(first, 4'000u);
   EXPECT_LE(last, 4'500u);
   EXPECT_EQ(net.pending_deliveries(), 0u);
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of each folded word.
+class Fnv1a {
+ public:
+  void add(std::uint64_t x) noexcept {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (x >> (8 * byte)) & 0xFFu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Drives one seeded random mix of node sends, coordinator unicasts and
+/// broadcasts, one-tick clock advances, crashes and recoveries through a
+/// 6-node network under `spec_text`, draining every recipient every tick
+/// until nothing is in flight. Asserts per-recipient (drain tick, send
+/// counter) order, the spec's delay window, conservation of deliveries,
+/// earliest_pending() and the due-mail bits on every tick, and returns an
+/// FNV-1a digest of the whole delivery sequence (with each tick's
+/// earliest_pending() and drop count folded in).
+std::uint64_t drive_seeded_mix(const char* spec_text, std::uint64_t seed) {
+  constexpr std::size_t kN = 6;
+  constexpr SimTime kSendTicks = 300;
+  const NetworkSpec spec = parse_network_spec(spec_text);
+  CommStats stats;
+  Network net(kN, &stats, spec, seed);
+  Rng rng(seed);
+  Fnv1a digest;
+
+  // Per-link deliveries issued: one per unicast / upstream send, one per
+  // node per broadcast (down and dropped links included).
+  std::uint64_t issued = 0;
+  std::uint64_t delivered = 0;
+  std::int64_t counter = 0;
+  std::vector<std::pair<SimTime, std::int64_t>> last(kN + 1, {0, -1});
+  std::optional<SimTime> promised;  // earliest_pending() after last drain
+  std::vector<Message> mail;
+
+  const SimTime w = spec.batch_window > 1 ? spec.batch_window : 1;
+  const auto check_delivery = [&](std::size_t recipient, const Message& m) {
+    const SimTime now = net.now();
+    EXPECT_LT(last[recipient], std::make_pair(now, m.a))
+        << spec_text << ": recipient " << recipient << " out of order";
+    last[recipient] = {now, m.a};
+    const auto sent = static_cast<SimTime>(m.b);
+    const SimTime latest = (sent + spec.max_delay() + w - 1) / w * w;
+    EXPECT_GE(now, sent + spec.delay) << spec_text << ": early delivery";
+    EXPECT_LE(now, latest) << spec_text << ": late delivery";
+    EXPECT_EQ(now % w, 0u) << spec_text << ": off the batch grid";
+    digest.add(recipient);
+    digest.add(now);
+    digest.add(static_cast<std::uint64_t>(m.kind));
+    digest.add(m.from);
+    digest.add(static_cast<std::uint64_t>(m.a));
+    ++delivered;
+  };
+  const auto make = [&](MsgKind kind) {
+    Message m;
+    m.kind = kind;
+    m.a = counter++;
+    m.b = static_cast<std::int64_t>(net.now());
+    return m;
+  };
+
+  while (net.now() < kSendTicks || net.pending_deliveries() > 0) {
+    if (rng.uniform_below(2) == 0) {
+      net.advance_clock();
+    } else {
+      net.advance_clock_to(net.now() + 1);
+    }
+    const SimTime now = net.now();
+    if (promised && *promised > now) {
+      // Nothing sent since the last drain can be due yet (delay >= 1):
+      // the promise must hold.
+      EXPECT_FALSE(net.coordinator_has_mail()) << spec_text << " t=" << now;
+      for (const std::uint64_t word : net.due_mail_words()) {
+        EXPECT_EQ(word, 0u) << spec_text << " t=" << now;
+      }
+    }
+    if (now < kSendTicks) {
+      if (rng.uniform_below(16) == 0) {
+        const auto id = static_cast<NodeId>(rng.uniform_below(kN));
+        if (net.node_alive(id)) {
+          net.set_node_down(id);
+        } else {
+          net.set_node_up(id);
+        }
+      }
+      const std::uint64_t ops = rng.uniform_below(5);
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        const auto id = static_cast<NodeId>(rng.uniform_below(kN));
+        switch (rng.uniform_below(4)) {
+          case 0:
+          case 1:
+            if (!net.node_alive(id)) break;  // a down node cannot send
+            net.node_send(id, make(MsgKind::kValueReport));
+            ++issued;
+            break;
+          case 2:
+            net.coord_unicast(id, make(MsgKind::kProbe));
+            ++issued;
+            break;
+          default:
+            net.coord_broadcast(make(MsgKind::kRoundBeacon));
+            issued += kN;
+            break;
+        }
+      }
+    }
+    // Due bits and earliest_pending() agree with what the drains find.
+    const std::optional<SimTime> before = net.earliest_pending();
+    bool any = false;
+    for (NodeId id = 0; id < kN; ++id) {
+      const bool flagged = net.node_has_mail(id);
+      net.drain_node(id, mail);
+      EXPECT_EQ(flagged, !mail.empty()) << spec_text << " t=" << now;
+      EXPECT_TRUE(mail.empty() || net.node_alive(id)) << spec_text;
+      any = any || !mail.empty();
+      for (const Message& m : mail) check_delivery(id, m);
+    }
+    const bool coord_flagged = net.coordinator_has_mail();
+    net.drain_coordinator(mail);
+    EXPECT_EQ(coord_flagged, !mail.empty()) << spec_text << " t=" << now;
+    any = any || !mail.empty();
+    for (const Message& m : mail) check_delivery(kN, m);
+    if (any) {
+      EXPECT_EQ(before, std::optional<SimTime>(now)) << spec_text;
+    }
+    promised = net.earliest_pending();
+    EXPECT_EQ(promised.has_value(), net.pending_deliveries() > 0);
+    EXPECT_GT(promised.value_or(now + 1), now) << spec_text;
+    EXPECT_EQ(issued, delivered + net.dropped_deliveries() +
+                          net.pending_deliveries())
+        << spec_text << " t=" << now;
+    digest.add(promised.value_or(0));
+    digest.add(net.dropped_deliveries());
+  }
+  EXPECT_GT(delivered, 0u) << spec_text;
+  EXPECT_EQ(stats.total(), issued - (kN - 1) * stats.broadcast());
+  return digest.value();
+}
+
+TEST(TimingWheel, SeededMixMatchesPinnedDeliverySequence) {
+  // The pinned digests fix every delivery's recipient, due tick and
+  // payload, every tick's earliest_pending() and the drop count: any
+  // change to the transport's schedule or ordering shows here.
+  struct Case {
+    const char* spec;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"delay=2", 14479910183473475475ull},
+      {"delay=1,jitter=6", 11066732084098183449ull},
+      {"delay=1,jitter=2,drop=0.2", 3947240698398729645ull},
+      {"delay=1,jitter=3,batch=4", 9669400802628013676ull},
+      {"delay=2,jitter=4,ticks=8", 4217142053570372788ull},
+      // Straddles the 4096-tick wheel span: wheel and overflow heap mix.
+      {"delay=4093,jitter=6", 11407514331904731393ull},
+      // Beyond the span: every delivery takes the overflow heap.
+      {"delay=5000,jitter=3", 16638165974108685094ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(drive_seeded_mix(c.spec, 17), c.digest) << c.spec;
+  }
 }
 
 TEST(TimingWheel, RepeatedBurstsRecycleSlabNodes) {
