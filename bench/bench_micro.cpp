@@ -12,6 +12,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "core/root_merge.hpp"
 
 namespace topkmon {
@@ -356,27 +359,47 @@ void BM_DriverObserveInFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_DriverObserveInFilter)->Arg(4096)->Arg(65536);
 
-/// The scheduled (timing-wheel) transport: each tick sends 8 upstream
-/// reports with delay 1 + jitter up to 12, advances the clock and drains
-/// the coordinator.
-void BM_SchedWheelPushPop(benchmark::State& state) {
+/// The transport's share of one naive step: 1024 nodes each send one
+/// upstream report, then the step's ticks run (one under `instant`, the
+/// spec's tick budget otherwise), each followed by a coordinator drain.
+/// Reports the send half and the tick+drain half per message.
+void BM_UpstreamBurst(benchmark::State& state, const char* spec_text) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kN = 1024;
+  const NetworkSpec spec = parse_network_spec(spec_text);
+  const std::uint64_t ticks = std::max<std::uint64_t>(spec.ticks_per_step, 1);
   CommStats stats;
-  NetworkSpec spec;
-  spec.delay = 1;
-  spec.jitter = 12;
-  Network net(8, &stats, spec, 3);
+  Network net(kN, &stats, spec, 5);
   Message m;
   m.kind = MsgKind::kValueReport;
   std::vector<Message> buf;
+  Clock::duration send{};
+  Clock::duration tick_drain{};
   for (auto _ : state) {
-    net.advance_clock();
-    for (int i = 0; i < 8; ++i) net.node_send(static_cast<NodeId>(i), m);
-    net.drain_coordinator(buf);
-    benchmark::DoNotOptimize(buf.data());
+    const auto t0 = Clock::now();
+    for (NodeId id = 0; id < kN; ++id) {
+      m.a = id;
+      net.node_send(id, m);
+    }
+    const auto t1 = Clock::now();
+    for (std::uint64_t t = 0; t < ticks; ++t) {
+      net.advance_clock();
+      net.drain_coordinator(buf);
+      benchmark::DoNotOptimize(buf.data());
+    }
+    send += t1 - t0;
+    tick_drain += Clock::now() - t1;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
+  const double msgs = static_cast<double>(state.iterations()) * kN;
+  const auto ns = [&](Clock::duration d) {
+    return std::chrono::duration<double, std::nano>(d).count() / msgs;
+  };
+  state.counters["send_ns_per_msg"] = ns(send);
+  state.counters["tick_drain_ns_per_msg"] = ns(tick_drain);
+  state.SetItemsProcessed(static_cast<std::int64_t>(msgs));
 }
-BENCHMARK(BM_SchedWheelPushPop);
+BENCHMARK_CAPTURE(BM_UpstreamBurst, TransportInstant, "instant");
+BENCHMARK_CAPTURE(BM_UpstreamBurst, TransportSched, "delay=2,jitter=4,ticks=8");
 
 /// The tracker's non-member boundary under decay: the current best
 /// outsider keeps sinking, so every query must re-find the maximum over

@@ -16,7 +16,7 @@ constexpr std::uint64_t kMaxTicksPerSettle = 1'000'000;
 
 }  // namespace
 
-void NodeCtx::send(Message m) { driver_.node_send(id_, m); }
+void NodeCtx::send(const Message& m) { driver_.node_send(id_, m); }
 
 void NodeCtx::signal(std::int64_t code) {
   driver_.raise_signal(Signal{id_, code});
@@ -107,11 +107,7 @@ void SimDriver::set_fault_plan(const FaultPlan* plan, std::size_t cursor) {
   }
 }
 
-void SimDriver::node_send(NodeId from, Message m) {
-  if (degrade_.empty()) {  // no degradation events in the plan
-    cluster_.net().node_send(from, m);
-    return;
-  }
+[[gnu::cold]] void SimDriver::send_degraded(NodeId from, const Message& m) {
   const NodeDegrade& d = degrade_[from];
   switch (d.mode) {
     case DegradeMode::kNone:
@@ -122,7 +118,10 @@ void SimDriver::node_send(NodeId from, Message m) {
       // Only value-bearing payloads freeze; the probe-reply flag in m.b
       // and every other kind pass through untouched.
       if (m.kind == MsgKind::kValueReport || m.kind == MsgKind::kViolation) {
-        m.a = d.frozen;
+        Message frozen = m;
+        frozen.a = d.frozen;
+        cluster_.net().node_send(from, frozen);
+        return;
       }
       break;
     case DegradeMode::kLag: {

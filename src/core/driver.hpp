@@ -164,7 +164,13 @@ class SimDriver {
   /// applies the sender's degradation: mute discards the message, stale
   /// rewrites a value-bearing payload to the frozen snapshot, lag parks
   /// the message in the held queue.
-  void node_send(NodeId from, Message m);
+  void node_send(NodeId from, const Message& m) {
+    if (degrade_.empty()) {  // no degradation events in the plan
+      cluster_.net().node_send(from, m);
+    } else {
+      send_degraded(from, m);
+    }
+  }
   /// Arms node id's timer for the next node timer phase (idempotent).
   void arm_node(NodeId id) {
     IdBitset& armed = cluster_.runtime().armed;
@@ -206,6 +212,9 @@ class SimDriver {
   /// Re-injects every held (lagged) message whose release tick has
   /// arrived, in (release, send-seq) order. Tick head only.
   void release_due_held();
+  /// node_send's path when the plan degrades some node: applies the
+  /// sender's mode (mute, stale or lag) to `m`.
+  void send_degraded(NodeId from, const Message& m);
   /// Earliest release tick over the held queue (held_ must be non-empty;
   /// the queue is kept sorted, so this is the front element).
   SimTime earliest_held_release() const noexcept {

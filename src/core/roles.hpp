@@ -81,7 +81,7 @@ class NodeCtx {
   /// Sends `m` to the coordinator (charged, subject to the network
   /// policy). Routed through the driver's degradation funnel (defined
   /// in driver.cpp with the other context plumbing).
-  void send(Message m);
+  void send(const Message& m);
 
   /// Raises an uncharged control signal the coordinator sees this step.
   void signal(std::int64_t code);

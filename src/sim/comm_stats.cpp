@@ -4,26 +4,6 @@
 
 namespace topkmon {
 
-void CommStats::bump(MsgKind kind) noexcept {
-  ++by_kind_[static_cast<std::size_t>(kind)];
-  if (series_enabled_ && !series_.empty()) ++series_.back();
-}
-
-void CommStats::record_upstream(MsgKind kind) noexcept {
-  ++upstream_;
-  bump(kind);
-}
-
-void CommStats::record_unicast(MsgKind kind) noexcept {
-  ++unicast_;
-  bump(kind);
-}
-
-void CommStats::record_broadcast(MsgKind kind) noexcept {
-  ++broadcast_;
-  bump(kind);
-}
-
 void CommStats::begin_step(TimeStep) {
   if (series_enabled_) series_.push_back(0);
 }

@@ -26,9 +26,19 @@ class CommStats {
   CommStats() = default;
 
   // -- recording (called by Network) ---------------------------------------
-  void record_upstream(MsgKind kind) noexcept;
-  void record_unicast(MsgKind kind) noexcept;
-  void record_broadcast(MsgKind kind) noexcept;
+  // Inline: the transport charges every message through one of these.
+  void record_upstream(MsgKind kind) noexcept {
+    ++upstream_;
+    bump(kind);
+  }
+  void record_unicast(MsgKind kind) noexcept {
+    ++unicast_;
+    bump(kind);
+  }
+  void record_broadcast(MsgKind kind) noexcept {
+    ++broadcast_;
+    bump(kind);
+  }
 
   /// Marks the beginning of time step `t`; subsequent messages are charged
   /// to this step in the series (if enabled).
@@ -99,7 +109,10 @@ class CommStats {
   std::string summary() const;
 
  private:
-  void bump(MsgKind kind) noexcept;
+  void bump(MsgKind kind) noexcept {
+    ++by_kind_[static_cast<std::size_t>(kind)];
+    if (series_enabled_ && !series_.empty()) ++series_.back();
+  }
 
   std::uint64_t upstream_ = 0;
   std::uint64_t unicast_ = 0;

@@ -45,6 +45,7 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
     : spec_(spec),
       instant_(spec.is_instant()),
       stats_(stats),
+      jitter_mod_(static_cast<std::uint64_t>(spec.jitter) + 1),
       unicasts_(n),
       cursors_(n, 0) {
   if (stats_ == nullptr) {
@@ -65,22 +66,21 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
   std::uint64_t state = seed ^ 0x6E65745F6C696E6Bull;  // "net_link"
   hash_seed_ = splitmix64(state);
   if (!instant_) {
-    // Wheel span: one bucket per tick of the spec's worst-case schedule
+    // Wheel span: one slot per tick of the spec's worst-case schedule
     // offset (delay + jitter, plus batch-window rounding), power-of-two
     // sized for mask indexing and capped so a pathological delay cannot
     // allocate an unbounded wheel (the overflow heap absorbs the rest).
     std::uint64_t span = spec_.max_delay() + 2;
     if (spec_.batch_window > 1) span += spec_.batch_window - 1;
     const std::uint64_t size = next_pow2(std::min(span, kMaxWheelSpan));
-    wheel_.assign(size, MsgList{});
+    wheel_.resize(size);
     wheel_bits_.assign((size + 63) / 64, 0);
     wheel_mask_ = size - 1;
-    ready_.assign(n + 1, MsgList{});
   }
 }
 
-std::optional<SimTime> Network::schedule_link(std::uint64_t seq,
-                                              std::uint32_t link) {
+[[gnu::always_inline]] inline std::optional<SimTime> Network::schedule_link(
+    std::uint64_t seq, std::uint32_t link) {
   // One SplitMix64 step over (seed, seq, link) yields independent,
   // drain-order-free randomness for this message instance on this link.
   std::uint64_t state =
@@ -94,7 +94,7 @@ std::optional<SimTime> Network::schedule_link(std::uint64_t seq,
   }
   SimTime due = now_ + spec_.delay;
   if (spec_.jitter > 0) {
-    due += (h & 0xFFFFFFFFull) % (static_cast<std::uint64_t>(spec_.jitter) + 1);
+    due += jitter_mod_.mod(static_cast<std::uint32_t>(h));
   }
   if (spec_.batch_window > 1) {
     const std::uint64_t w = spec_.batch_window;
@@ -103,75 +103,52 @@ std::optional<SimTime> Network::schedule_link(std::uint64_t seq,
   return due;
 }
 
-std::uint32_t Network::slab_alloc(const Message& m, std::uint32_t recipient) {
-  std::uint32_t idx;
-  if (free_head_ != kNil) {
-    idx = free_head_;
-    free_head_ = slab_[idx].next;
-  } else {
-    idx = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back();
+void Network::deliver(std::uint32_t recipient, const Stamped& s) {
+  if (recipient == num_nodes()) {
+    coord_inbox_.push_back(s.msg);
+    return;
   }
-  slab_[idx].msg = m;
-  slab_[idx].next = kNil;
-  slab_[idx].recipient = recipient;
-  return idx;
-}
-
-void Network::slab_free(std::uint32_t idx) {
-  slab_[idx].next = free_head_;
-  free_head_ = idx;
-}
-
-void Network::append_ready(std::uint32_t recipient, std::uint32_t idx) {
-  if (down_count_ != 0 && recipient < num_nodes() &&
-      !alive_->test(static_cast<NodeId>(recipient))) {
+  const auto id = static_cast<NodeId>(recipient);
+  if (down_count_ != 0 && !alive_->test(id)) {
     // Delivery-time drop: the recipient is down at the due tick. The send
     // was charged when it happened; the delivery just never lands.
-    slab_free(idx);
     --pending_;
     ++dropped_;
     return;
   }
-  MsgList& list = ready_[recipient];
-  if (list.tail == kNil) {
-    list.head = idx;
-  } else {
-    slab_[list.tail].next = idx;
-  }
-  list.tail = idx;
-  ++ready_count_;
-  if (recipient < num_nodes()) due_mail_->set(static_cast<NodeId>(recipient));
+  unicasts_[id].push_back(s);
+  due_mail_->set(id);
 }
 
-void Network::schedule_delivery(std::uint32_t recipient, SimTime due,
-                                std::uint64_t seq, const Message& m) {
+[[gnu::always_inline]] inline void Network::schedule_delivery(
+    std::uint32_t recipient, SimTime due, std::uint64_t seq, const Message& m,
+    NodeId from) {
+  // Each branch copies `m` first and stamps `from` into the copy (see
+  // node_send).
   ++pending_;
   if (due <= now_) {
-    append_ready(recipient, slab_alloc(m, recipient));
+    Stamped s{seq, m};
+    s.msg.from = from;
+    deliver(recipient, s);
     return;
   }
+  ++in_flight_;
   if (due - now_ <= wheel_mask_) {
-    const std::uint32_t idx = slab_alloc(m, recipient);
+    // Sends happen in global seq order, so each slot is automatically
+    // (due, seq)-sorted by appending.
     const auto slot = static_cast<std::size_t>(due & wheel_mask_);
-    MsgList& bucket = wheel_[slot];
-    // Sends happen in global seq order, so each bucket's list is
-    // automatically (due, seq)-sorted by appending.
-    if (bucket.tail == kNil) {
-      bucket.head = idx;
-    } else {
-      slab_[bucket.tail].next = idx;
-    }
-    bucket.tail = idx;
+    wheel_[slot].push_back(Slotted{recipient, Stamped{seq, m}});
+    wheel_[slot].back().stamped.msg.from = from;
     wheel_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     return;
   }
   overflow_.push_back(Overflow{due, seq, recipient, m});
+  overflow_.back().msg.from = from;
   std::push_heap(overflow_.begin(), overflow_.end(), LaterDelivery{});
 }
 
 SimTime Network::next_wheel_tick() const {
-  // Every occupied bucket holds the unique in-span due tick congruent to
+  // Every occupied slot holds the unique in-span due tick congruent to
   // its slot index, so the first occupied slot in circular order starting
   // at (now_ + 1) is the earliest wheel delivery. Two linear word-wise
   // passes ([start, size) then the wrapped [0, start)) — O(span/64),
@@ -208,18 +185,15 @@ void Network::flush_tick(SimTime t) {
   while (!overflow_.empty() && overflow_.front().due == t) {
     std::pop_heap(overflow_.begin(), overflow_.end(), LaterDelivery{});
     const Overflow& o = overflow_.back();
-    append_ready(o.recipient, slab_alloc(o.msg, o.recipient));
+    deliver(o.recipient, Stamped{o.seq, o.msg});
     overflow_.pop_back();
+    --in_flight_;
   }
   const auto slot = static_cast<std::size_t>(t & wheel_mask_);
-  std::uint32_t idx = wheel_[slot].head;
-  while (idx != kNil) {
-    const std::uint32_t next = slab_[idx].next;
-    slab_[idx].next = kNil;
-    append_ready(slab_[idx].recipient, idx);
-    idx = next;
-  }
-  wheel_[slot] = MsgList{};
+  std::vector<Slotted>& due = wheel_[slot];
+  for (const Slotted& d : due) deliver(d.recipient, d.stamped);
+  in_flight_ -= due.size();
+  due.clear();
   wheel_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
 }
 
@@ -229,7 +203,7 @@ void Network::advance_clock_to(SimTime t) {
     return;
   }
   while (now_ < t) {
-    // Next event tick: min of the wheel's first occupied bucket and the
+    // Next event tick: min of the wheel's first occupied slot and the
     // overflow top. Empty tick ranges are skipped in one step.
     SimTime e = next_wheel_tick();
     if (!overflow_.empty()) e = std::min(e, overflow_.front().due);
@@ -242,30 +216,37 @@ void Network::advance_clock_to(SimTime t) {
   }
 }
 
-void Network::node_send(NodeId from, Message m) {
+void Network::node_send(NodeId from, const Message& m) {
   if (from >= num_nodes()) {
     throw std::out_of_range("Network::node_send: bad node id");
   }
   assert(alive_->test(from) && "a down node cannot send");
-  m.from = from;
   stats_->record_upstream(m.kind);
-  if (tap_) tap_(MsgDirection::kUpstream, m);
+  if (tap_) {
+    Message tapped = m;
+    tapped.from = from;
+    tap_(MsgDirection::kUpstream, tapped);
+  }
   const std::uint64_t seq = seq_++;
   if (instant_) {
+    // Copy, then stamp the sender into the copy: stamping a local and
+    // copying that would reload a fresh 4-byte store with a 16-byte
+    // load, which stalls store forwarding on every message.
     coord_inbox_.push_back(m);
+    coord_inbox_.back().from = from;
     ++pending_;
     return;
   }
   // The coordinator's "link" id is one past the node range.
   const auto coord_link = static_cast<std::uint32_t>(num_nodes());
   if (const auto due = schedule_link(seq, coord_link)) {
-    schedule_delivery(coord_link, *due, seq, m);
+    schedule_delivery(coord_link, *due, seq, m, from);
   } else {
     ++dropped_;
   }
 }
 
-void Network::coord_unicast(NodeId to, Message m) {
+void Network::coord_unicast(NodeId to, const Message& m) {
   if (to >= num_nodes()) {
     throw std::out_of_range("Network::coord_unicast: bad node id");
   }
@@ -283,13 +264,13 @@ void Network::coord_unicast(NodeId to, Message m) {
     return;
   }
   if (const auto due = schedule_link(seq, to)) {
-    schedule_delivery(to, *due, seq, m);
+    schedule_delivery(to, *due, seq, m, m.from);
   } else {
     ++dropped_;
   }
 }
 
-void Network::coord_broadcast(Message m) {
+void Network::coord_broadcast(const Message& m) {
   stats_->record_broadcast(m.kind);
   if (tap_) tap_(MsgDirection::kBroadcast, m);
   const std::uint64_t seq = seq_++;
@@ -317,7 +298,7 @@ void Network::coord_broadcast(Message m) {
   ++broadcasts_issued_;
   for (NodeId id = 0; id < num_nodes(); ++id) {
     if (const auto due = schedule_link(seq, id)) {
-      schedule_delivery(id, *due, seq, m);
+      schedule_delivery(id, *due, seq, m, m.from);
     } else {
       ++dropped_;
     }
@@ -325,36 +306,16 @@ void Network::coord_broadcast(Message m) {
 }
 
 bool Network::coordinator_has_mail() const noexcept {
-  if (instant_) return !coord_inbox_.empty();
-  return ready_[num_nodes()].head != kNil;
-}
-
-void Network::drain_scheduled(std::size_t qi, std::vector<Message>& out) {
-  MsgList& list = ready_[qi];
-  std::uint32_t idx = list.head;
-  while (idx != kNil) {
-    out.push_back(slab_[idx].msg);
-    const std::uint32_t next = slab_[idx].next;
-    slab_free(idx);
-    idx = next;
-  }
-  pending_ -= out.size();
-  ready_count_ -= out.size();
-  list = MsgList{};
-  if (qi < num_nodes()) due_mail_->clear(static_cast<NodeId>(qi));
+  return !coord_inbox_.empty();
 }
 
 void Network::drain_coordinator(std::vector<Message>& out) {
+  // Swap the burst out: both the caller's scratch and the inbox keep
+  // their capacities, so steady-state protocol rounds allocate nothing
+  // on either side.
   out.clear();
-  if (instant_) {
-    // Swap the burst out: both the caller's scratch and the inbox keep
-    // their capacities, so steady-state protocol rounds allocate nothing
-    // on either side.
-    std::swap(out, coord_inbox_);
-    pending_ -= out.size();
-    return;
-  }
-  drain_scheduled(num_nodes(), out);
+  std::swap(out, coord_inbox_);
+  pending_ -= out.size();
 }
 
 void Network::drain_node(NodeId id, std::vector<Message>& out) {
@@ -362,15 +323,12 @@ void Network::drain_node(NodeId id, std::vector<Message>& out) {
     throw std::out_of_range("Network::drain_node: bad node id");
   }
   out.clear();
-  if (!instant_) {
-    drain_scheduled(id, out);
-    return;
-  }
   // Both sources are already seq-ascending (push order), so a two-pointer
-  // merge replaces the old collect-then-sort pass and the intermediate
-  // vector; the unicast buffer and `out` keep their capacity across
-  // drains. The log's parallel layout keeps the comparison loop on the
-  // dense seq array.
+  // merge replaces a collect-then-sort pass and the intermediate vector;
+  // the unicast buffer and `out` keep their capacity across drains. The
+  // log's parallel layout keeps the comparison loop on the dense seq
+  // array. Under a scheduled policy the log is empty and the inbox is
+  // already (due, seq)-ordered, so this only copies.
   std::vector<Stamped>& uni = unicasts_[id];
   const std::size_t bstart = cursors_[id] - log_offset_;
   out.reserve(uni.size() + (bcast_msgs_.size() - bstart));
@@ -399,33 +357,15 @@ void Network::set_node_down(NodeId id) {
   if (!alive_->test(id)) return;
   alive_->clear(id);
   ++down_count_;
-  if (instant_) {
-    // Queued-but-undrained mail dies with the node.
-    const std::size_t total = log_offset_ + bcast_msgs_.size();
-    const std::uint64_t queued =
-        unicasts_[id].size() + (total - cursors_[id]);
-    pending_ -= queued;
-    dropped_ += queued;
-    unicasts_[id].clear();
-    cursors_[id] = total;
-  } else if (!ready_.empty()) {
-    // Purge the delivered-but-undrained ready list; in-flight wheel /
-    // overflow entries addressed to the node are dropped lazily at their
-    // due tick by append_ready.
-    MsgList& list = ready_[id];
-    std::uint32_t idx = list.head;
-    std::uint64_t purged = 0;
-    while (idx != kNil) {
-      const std::uint32_t next = slab_[idx].next;
-      slab_free(idx);
-      idx = next;
-      ++purged;
-    }
-    list = MsgList{};
-    pending_ -= purged;
-    ready_count_ -= purged;
-    dropped_ += purged;
-  }
+  // Queued-but-undrained mail dies with the node. In-flight wheel /
+  // overflow entries addressed to it are dropped at their due tick by
+  // deliver().
+  const std::size_t total = log_offset_ + bcast_msgs_.size();
+  const std::uint64_t queued = unicasts_[id].size() + (total - cursors_[id]);
+  pending_ -= queued;
+  dropped_ += queued;
+  unicasts_[id].clear();
+  cursors_[id] = total;
   due_mail_->clear(id);
 }
 
@@ -436,11 +376,9 @@ void Network::set_node_up(NodeId id) {
   if (alive_->test(id)) return;
   alive_->set(id);
   --down_count_;
-  if (instant_) {
-    // Skip every broadcast issued during the outage (each was already
-    // counted dropped at issue time); delivery resumes with the next send.
-    cursors_[id] = log_offset_ + bcast_msgs_.size();
-  }
+  // Skip every broadcast issued during the outage (each was already
+  // counted dropped at issue time); delivery resumes with the next send.
+  cursors_[id] = log_offset_ + bcast_msgs_.size();
 }
 
 void Network::maybe_compact_broadcast_log() {
@@ -467,7 +405,7 @@ void Network::maybe_compact_broadcast_log() {
 
 std::optional<SimTime> Network::earliest_pending() const {
   if (pending_ == 0) return std::nullopt;
-  if (instant_ || ready_count_ > 0) return now_;  // deliverable right away
+  if (instant_ || pending_ > in_flight_) return now_;  // deliverable now
   SimTime e = next_wheel_tick();
   if (!overflow_.empty()) e = std::min(e, overflow_.front().due);
   return e;

@@ -17,12 +17,13 @@
 //     assigned a deterministic delivery tick (or dropped) at send time;
 //     drains only surface messages whose delivery tick has been reached.
 //     Broadcasts fan out into per-link scheduled deliveries. In-flight
-//     messages live in a slab of arena-allocated nodes threaded through a
-//     bucketed timing wheel keyed by delivery tick (far-future ticks
-//     overflow into a small heap); advancing the clock moves each tick's
-//     bucket onto per-recipient ready lists. Pushes and pops are O(1) and
-//     allocation-free at steady state (the slab free list recycles
-//     nodes), and earliest_pending() costs O(1) in n.
+//     messages wait in a timing wheel keyed by delivery tick (Varghese &
+//     Lauck): one flat slot per tick, appended in send order, with
+//     far-future ticks overflowing into a small heap. Advancing the clock
+//     moves each due slot into the same inboxes instant mode fills, so
+//     both modes share one drain path. Pushes and pops are O(1) and
+//     allocation-free at steady state (slots and inboxes keep their
+//     capacity), and earliest_pending() costs O(1) in n.
 //
 // Message *sends* are always charged to CommStats — the paper's objective
 // counts transmissions; a dropped message still cost its sender one unit.
@@ -40,7 +41,7 @@
 // Threading: the network is single-threaded. Every method, sends,
 // drains and clock advances alike, runs on the thread driving the
 // simulation, and each call settles the shared accounting (pending and
-// ready counters, slab free list, log compaction) before it returns.
+// in-flight counters, log compaction) before it returns.
 #pragma once
 
 #include <cassert>
@@ -135,21 +136,21 @@ class Network {
   void advance_clock() { advance_clock_to(now_ + 1); }
 
   /// Advances the clock to `t` (no-op if `t` is in the past). Under a
-  /// scheduled policy, every timing-wheel bucket passed on the way is
-  /// moved onto the recipients' ready lists in delivery order.
+  /// scheduled policy, every timing-wheel slot passed on the way is
+  /// moved into the recipients' inboxes in delivery order.
   void advance_clock_to(SimTime t);
 
   // -- sending --------------------------------------------------------------
 
   /// Node `from` sends `m` to the coordinator (cost 1).
-  void node_send(NodeId from, Message m);
+  void node_send(NodeId from, const Message& m);
 
   /// Coordinator sends `m` to node `to` (cost 1).
-  void coord_unicast(NodeId to, Message m);
+  void coord_unicast(NodeId to, const Message& m);
 
   /// Coordinator broadcasts `m` to all nodes (cost 1 in the paper's
   /// model).
-  void coord_broadcast(Message m);
+  void coord_broadcast(const Message& m);
 
   // -- receiving ------------------------------------------------------------
   /// Drains every deliverable message in the coordinator's inbox into
@@ -240,7 +241,7 @@ class Network {
 
   /// Earliest tick at which a pending message can be drained: `now()`
   /// when something is already deliverable, else the next occupied
-  /// timing-wheel bucket / overflow entry; nullopt when idle. O(1) in n.
+  /// timing-wheel slot / overflow entry; nullopt when idle. O(1) in n.
   std::optional<SimTime> earliest_pending() const;
 
   /// Total messages lost to the drop policy so far (per link).
@@ -256,32 +257,22 @@ class Network {
 
   /// Copy of the *retained* broadcast log messages in issue order (tests /
   /// tracing). Maintained under the instant policy only — scheduled modes
-  /// return an empty log (deliveries live in the slab instead), and a
-  /// prefix already read by every node may have been compacted away.
+  /// return an empty log (each broadcast fans out into per-link
+  /// deliveries instead), and a prefix already read by every node may
+  /// have been compacted away.
   std::vector<Message> broadcast_log() const { return bcast_msgs_; }
 
  private:
-  /// Slab index sentinel (empty list / end of list).
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-
   struct Stamped {
     std::uint64_t seq;
     Message msg;
   };
 
-  /// One in-flight scheduled message, arena-allocated in the slab and
-  /// threaded through exactly one list (a wheel bucket, then a ready
-  /// list). Recipient queues are nodes 0..n-1, the coordinator is n.
-  struct MsgNode {
-    Message msg;
-    std::uint32_t next = kNil;
-    std::uint32_t recipient = 0;
-  };
-
-  /// Intrusive singly-linked FIFO into the slab.
-  struct MsgList {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
+  /// One in-flight scheduled delivery in a wheel slot. Recipients are
+  /// nodes 0..n-1; the coordinator is n.
+  struct Slotted {
+    std::uint32_t recipient;
+    Stamped stamped;
   };
 
   /// A message scheduled beyond the wheel horizon (rare: only when the
@@ -298,26 +289,24 @@ class Network {
   /// when the drop policy loses the message on this link.
   std::optional<SimTime> schedule_link(std::uint64_t seq, std::uint32_t link);
 
-  /// Routes one scheduled delivery: ready list if already due, wheel
-  /// bucket within the horizon, overflow heap beyond it.
+  /// Routes one scheduled delivery of `m` sent by `from`: straight into
+  /// the recipient's inbox if already due, a wheel slot within the
+  /// horizon, the overflow heap beyond it.
   void schedule_delivery(std::uint32_t recipient, SimTime due,
-                         std::uint64_t seq, const Message& m);
+                         std::uint64_t seq, const Message& m, NodeId from);
 
-  std::uint32_t slab_alloc(const Message& m, std::uint32_t recipient);
-  void slab_free(std::uint32_t idx);
-  void append_ready(std::uint32_t recipient, std::uint32_t idx);
+  /// Lands one due delivery in the recipient's inbox (coordinator mail in
+  /// coord_inbox_, node mail in unicasts_ with the due bit set), or drops
+  /// it when the recipient node is down.
+  void deliver(std::uint32_t recipient, const Stamped& s);
 
-  /// Due tick of the next occupied wheel bucket strictly after now()
+  /// Due tick of the next occupied wheel slot strictly after now()
   /// (kNoTick when the wheel is empty).
   SimTime next_wheel_tick() const;
 
   /// Moves tick `t`'s deliveries (overflow first — they were sent
-  /// earlier, see the seq argument in network.cpp) onto the ready lists.
+  /// earlier, see the seq argument in network.cpp) into the inboxes.
   void flush_tick(SimTime t);
-
-  /// Scheduled-mode drain of recipient queue `qi` (nodes 0..n-1, the
-  /// coordinator n) into `out`, freeing its slab nodes.
-  void drain_scheduled(std::size_t qi, std::vector<Message>& out);
 
   /// Drops the broadcast-log prefix every node has already read once the
   /// retained log grows past the compaction threshold.
@@ -328,6 +317,7 @@ class Network {
   std::uint64_t hash_seed_ = 0;
 
   CommStats* stats_;
+  FastMod32 jitter_mod_;  // per-link jitter draw: % (jitter + 1)
   std::function<void(MsgDirection, const Message&)> tap_;
   std::uint64_t seq_ = 0;  // global send-order stamp
   SimTime now_ = 0;
@@ -348,34 +338,33 @@ class Network {
   IdBitset* alive_ = nullptr;
   std::size_t down_count_ = 0;
 
-  // Instant mode: flat inboxes + shared broadcast log with read cursors.
-  // The log is split into parallel arrays (messages / seq stamps) so the
-  // bulk fan-out hands out contiguous Message spans and the merge in
-  // drain_node compares a dense seq array. Cursors are absolute (count of
-  // broadcasts read since construction); log_offset_ is the absolute
-  // index of bcast_msgs_[0] after prefix compaction.
+  // Inboxes (both modes): the coordinator's flat inbox, per-node stamped
+  // unicasts, and (instant mode only) a shared broadcast log with read
+  // cursors. The log is split into parallel arrays (messages / seq
+  // stamps) so the bulk fan-out hands out contiguous Message spans and the
+  // merge in drain_node compares a dense seq array. Cursors are absolute
+  // (count of broadcasts read since construction); log_offset_ is the
+  // absolute index of bcast_msgs_[0] after prefix compaction. Under a
+  // scheduled policy the log stays empty, so the merge only copies.
   std::vector<Message> coord_inbox_;
   std::vector<Message> bcast_msgs_;             // log payloads, issue order
   std::vector<std::uint64_t> bcast_seqs_;       // parallel send-order stamps
-  std::vector<std::vector<Stamped>> unicasts_;  // per-node pending unicasts
+  std::vector<std::vector<Stamped>> unicasts_;  // per-node due unicasts
   std::vector<std::size_t> cursors_;            // per-node broadcast cursor
   std::size_t log_offset_ = 0;
 
-  // Scheduled mode: slab + timing wheel + per-recipient ready lists.
-  // wheel_[due & (wheel_mask_)] holds the deliveries of exactly one due
-  // tick (every in-wheel due lies within `wheel span` of the clock, so
-  // buckets never mix ticks); wheel_bits_ mirrors bucket occupancy for
-  // O(span/64) next-event scans. ready_[qi] is (due, seq)-ordered by
-  // construction: buckets are flushed in tick order and each bucket's
-  // list is appended in send order.
-  std::vector<MsgNode> slab_;
-  std::uint32_t free_head_ = kNil;
-  std::vector<MsgList> wheel_;
+  // Scheduled mode: a timing wheel in front of the inboxes above.
+  // wheel_[due & wheel_mask_] holds the deliveries of exactly one due tick
+  // (every in-wheel due lies within `wheel span` of the clock, so slots
+  // never mix ticks), appended in send order; wheel_bits_ mirrors slot
+  // occupancy for O(span/64) next-event scans. Each inbox stays
+  // (due, seq)-ordered: slots are flushed in tick order, each in send
+  // order, and a send that is already due lands after every earlier tick.
+  std::vector<std::vector<Slotted>> wheel_;
   std::vector<std::uint64_t> wheel_bits_;
   std::uint64_t wheel_mask_ = 0;
   std::vector<Overflow> overflow_;  // min-heap by (due, seq)
-  std::vector<MsgList> ready_;      // per recipient; index n = coordinator
-  std::uint64_t ready_count_ = 0;
+  std::uint64_t in_flight_ = 0;     // deliveries in wheel_ or overflow_
 };
 
 }  // namespace topkmon

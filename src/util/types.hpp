@@ -53,6 +53,26 @@ constexpr std::uint64_t next_pow2(std::uint64_t x) noexcept {
   return x + 1;
 }
 
+/// Precomputed divisor for fastmod_u32: exact `x % d` for every 32-bit x
+/// and 1 <= d <= 2^32 with one 64-bit and one 128-bit multiply instead of
+/// a 64-bit divide (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+/// Computation", 2019).
+struct FastMod32 {
+  std::uint64_t d = 1;
+  std::uint64_t magic = 0;  // ceil(2^64 / d), wrapping to 0 for d = 1
+
+  constexpr FastMod32() noexcept = default;
+  constexpr explicit FastMod32(std::uint64_t divisor) noexcept
+      : d(divisor), magic(~std::uint64_t{0} / divisor + 1) {}
+
+  /// x % d.
+  constexpr std::uint32_t mod(std::uint32_t x) const noexcept {
+    const std::uint64_t low = magic * x;
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(low) * d) >> 64);
+  }
+};
+
 /// floor(log2(x)) for x >= 1.
 constexpr std::uint32_t floor_log2(std::uint64_t x) noexcept {
   std::uint32_t r = 0;

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <tuple>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace topkmon {
 namespace {
@@ -97,6 +101,32 @@ TEST(NextPow2, Values) {
   EXPECT_EQ(next_pow2(1024), 1024u);
   EXPECT_EQ(next_pow2(1025), 2048u);
   EXPECT_EQ(next_pow2(1ull << 62), 1ull << 62);
+}
+
+TEST(FastMod32, MatchesRemainderForEveryDivisorWidth) {
+  // Edge divisors (1, powers of two and their neighbours, the 32-bit
+  // limits) plus pseudo-random ones; edge and random numerators.
+  std::vector<std::uint64_t> divisors = {1,          2,          3,
+                                         5,          7,          8,
+                                         13,         1000,       65'537,
+                                         (1ull << 31) - 1, 1ull << 31,
+                                         (1ull << 31) + 1, (1ull << 32) - 1,
+                                         1ull << 32};
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t bits = 1 + splitmix64(state) % 32;
+    divisors.push_back(1 + (splitmix64(state) & ((1ull << bits) - 1)));
+  }
+  for (const std::uint64_t d : divisors) {
+    const FastMod32 fm(d);
+    std::vector<std::uint64_t> xs = {0, 1, d - 1, d, d + 1, 2 * d - 1,
+                                     0xFFFFFFFFull, 0xFFFFFFFEull};
+    for (int i = 0; i < 200; ++i) xs.push_back(splitmix64(state));
+    for (const std::uint64_t x64 : xs) {
+      const auto x = static_cast<std::uint32_t>(x64);
+      ASSERT_EQ(fm.mod(x), x % d) << "x=" << x << " d=" << d;
+    }
+  }
 }
 
 TEST(FloorLog2, Values) {
