@@ -6,6 +6,8 @@
 // bound. The paper claims the bound for every input; the layouts probe the
 // extremes (uniform random, ascending = "many candidate maxima survive",
 // descending, all-equal).
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -107,6 +109,26 @@ TOPKMON_SUITE(e1, "MaximumProtocol message scaling (Theorem 4.2)") {
   ctx.emit(table, "e1_max_protocol");
   ctx.out() << "\nshape check: E[reports] grows ~linearly in log n and stays"
                " under the bound for every layout.\n";
+
+  // Theorem 4.2 as a check: after the table is out, fail the suite on
+  // every cell whose mean report count exceeds 2·log2 N + 1.
+  std::string failed;
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    const auto [exp2, layout] = cells[ci];
+    const double mean = stats[ci].reports.mean();
+    const double bound = 2.0 * exp2 + 1.0;
+    if (!(mean <= bound)) {
+      failed += std::string(failed.empty() ? "" : "; ") +
+                "n=" + std::to_string(1ull << exp2) + " " +
+                layout_name(layout) + " (" + fmt(mean) + " > " + fmt(bound) +
+                ")";
+    }
+  }
+  if (!failed.empty()) {
+    throw std::logic_error(
+        "e1: mean reports exceed the Theorem 4.2 bound 2 log2 N + 1 at " +
+        failed);
+  }
 }
 
 }  // namespace

@@ -18,37 +18,18 @@
 namespace topkmon::bench {
 namespace {
 
-/// Replays `trace` through the topk_filter role pair (k = 1) with strict
-/// validation after every step and returns the run's messages and trace.
+/// Replays `trace` through run_scenario's step loop (topk_filter, k = 1,
+/// strict validation every step) and returns the run's messages and
+/// trace.
 RunResult replay_filter(const TraceMatrix& trace, std::uint64_t seed) {
-  const std::size_t n = trace.nodes();
-  RunConfig cfg;
-  cfg.n = n;
-  cfg.k = 1;
-  cfg.steps = trace.steps() - 1;
-  cfg.seed = seed;
-  Cluster cluster(n, seed);
-  exp::RolePair pair = exp::make_role_pair(cluster, "topk_filter", cfg.k);
-  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
-  GroundTruthTracker truth(n, cfg.k);
-  RunResult result;
-  for (TimeStep t = 0; t < trace.steps(); ++t) {
-    for (NodeId id = 0; id < n; ++id) {
-      cluster.set_value(id, trace.at(t, id));
-      truth.set_value(id, trace.at(t, id));
-    }
-    if (t == 0) {
-      driver.initialize();
-    } else {
-      driver.step(t);
-    }
-    check_answer_step(truth, pair.coordinator->topk(), nullptr, cfg,
-                      pair.coordinator->name(), "", t, &result,
-                      /*throw_on_error=*/true);
-  }
-  result.comm = cluster.stats();
-  result.trace = trace;
-  return result;
+  exp::Scenario sc;
+  sc.monitor = "topk_filter";
+  sc.n = trace.nodes();
+  sc.k = 1;
+  sc.steps = trace.steps() - 1;
+  sc.seed = seed;
+  sc.record_trace = true;
+  return exp::run_scenario(sc, trace.to_stream_set());
 }
 
 /// Builds the sawtooth-approach trace: node 1 sits at `center`; node 0

@@ -261,8 +261,9 @@ TOPKMON_SUITE(perf, "hot-path wall-clock suite (emits BENCH_*.json)") {
       {"sched_drop_off", "topk_filter", StreamFamily::kRandomWalk,
        "delay=1,drop=0.01,ticks=64", 256, 8, RunConfig::Validation::kOff},
       // Burst-heavy scheduled traffic: naive pushes n reports per step
-      // through the timing wheel — the slab free list must make sustained
-      // bursts allocation-free after warm-up.
+      // through the timing wheel — its slots and the inboxes keep their
+      // capacity, so sustained bursts must be allocation-free after
+      // warm-up.
       {"sched_burst_naive", "naive", StreamFamily::kRandomWalk,
        "delay=2,jitter=4,ticks=8", 256, 8, RunConfig::Validation::kWeak},
       // Broadcast-heavy instant traffic: a volatile walk at larger n keeps

@@ -9,43 +9,7 @@
 
 #include "topkmon.hpp"
 
-namespace {
-
 using namespace topkmon;
-
-/// Drives monitor `spec` over hand-built `streams` through its role pair
-/// and validates the answer against the true top-k after every minute
-/// (throws std::logic_error on a divergence).
-RunResult run_roles(const std::string& spec, StreamSet& streams,
-                    const RunConfig& cfg) {
-  Cluster cluster(cfg.n, cfg.seed);
-  exp::RolePair pair = exp::make_role_pair(cluster, spec, cfg.k);
-  SimDriver driver(cluster, *pair.coordinator, pair.nodes, pair.native);
-  GroundTruthTracker truth(cfg.n, cfg.k);
-  RunResult result;
-  std::vector<Value> values(cfg.n);
-  for (TimeStep t = 0; t <= cfg.steps; ++t) {
-    streams.advance_all(values);
-    for (NodeId id = 0; id < cfg.n; ++id) {
-      cluster.set_value(id, values[id]);
-      truth.set_value(id, values[id]);
-    }
-    if (t == 0) {
-      driver.initialize();
-    } else {
-      driver.step(t);
-    }
-    check_answer_step(truth, pair.coordinator->topk(), nullptr, cfg,
-                      pair.coordinator->name(), "", t, &result,
-                      /*throw_on_error=*/true);
-    ++result.steps_executed;
-  }
-  result.comm = cluster.stats();
-  result.monitor = pair.coordinator->monitor_stats();
-  return result;
-}
-
-}  // namespace
 
 int main() {
   constexpr std::size_t kSensors = 48;
@@ -96,13 +60,15 @@ int main() {
   Table table({"algorithm", "total msgs", "msgs/min", "resets",
                "violations"});
   for (const Entry& e : entries) {
-    auto streams = build_streams();
-    RunConfig cfg;
-    cfg.n = kSensors;
-    cfg.k = kHottest;
-    cfg.steps = kMinutesPerDay * kDays;
-    cfg.seed = kSeed;
-    const auto r = run_roles(e.spec, streams, cfg);
+    // The same step loop as every experiment, over the hand-built
+    // streams; validated against the true hottest set every minute.
+    exp::Scenario sc;
+    sc.monitor = e.spec;
+    sc.n = kSensors;
+    sc.k = kHottest;
+    sc.steps = kMinutesPerDay * kDays;
+    sc.seed = kSeed;
+    const auto r = exp::run_scenario(sc, build_streams());
     table.add_row({e.label, fmt_count(r.comm.total()),
                    fmt(r.messages_per_step(), 2),
                    fmt_count(r.monitor.filter_resets),

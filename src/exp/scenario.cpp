@@ -84,10 +84,12 @@ class MonolithicDeployment final : public Deployment {
 
 /// The one observation-step loop. `make` builds the deployment over the
 /// provisioned id range once the fault plan is validated; `detail` tags
-/// validation errors.
+/// validation errors. The loop replays `given` when non-null, else the
+/// scenario's StreamSpec.
 template <typename Make>
-RunResult run_deployment(const Scenario& sc, const char* caller,
-                         const std::string& detail, const Make& make) {
+RunResult run_deployment(const Scenario& sc, StreamSet* given,
+                         const char* caller, const std::string& detail,
+                         const Make& make) {
   if (sc.k == 0 || sc.k > sc.n) {
     throw std::invalid_argument(std::string(caller) + ": k out of range");
   }
@@ -101,7 +103,14 @@ RunResult run_deployment(const Scenario& sc, const char* caller,
   const std::size_t N = faulty ? plan.total_nodes() : sc.n;
 
   const auto wall_start = std::chrono::steady_clock::now();
-  auto streams = make_stream_set(sc.stream, N, sc.seed);
+  StreamSet streams = given != nullptr ? std::move(*given)
+                                       : make_stream_set(sc.stream, N, sc.seed);
+  if (streams.size() != N) {
+    throw std::invalid_argument(
+        std::string(caller) + ": the stream set has " +
+        std::to_string(streams.size()) + " streams, the scenario provisions " +
+        std::to_string(N) + " nodes");
+  }
   const std::unique_ptr<Deployment> owned = make(plan, N);
   Deployment& dep = *owned;
 
@@ -282,24 +291,7 @@ RunResult run_deployment(const Scenario& sc, const char* caller,
   return result;
 }
 
-}  // namespace
-
-RunResult run_scenario(const Scenario& sc) {
-  // An explicit `?shards=c` monitor parameter wins over Scenario::shards;
-  // an effective count > 1 runs the two-tier deployment. `?shards=1` is
-  // stripped and runs the monolithic deployment.
-  const auto [spec, shards_param] = split_shards_param(sc.monitor);
-  if ((shards_param != 0 ? shards_param : sc.shards) > 1) {
-    return run_sharded_scenario(sc);
-  }
-  return run_deployment(
-      sc, "run_scenario", " (network " + sc.network.name() + ")",
-      [&](const FaultPlan& plan, std::size_t n) {
-        return std::make_unique<MonolithicDeployment>(sc, spec, plan, n);
-      });
-}
-
-RunResult run_sharded_scenario(const Scenario& sc) {
+RunResult run_sharded(const Scenario& sc, StreamSet* given) {
   const auto [spec, shards_param] = split_shards_param(sc.monitor);
   const std::size_t shards = shards_param != 0 ? shards_param : sc.shards;
   if (shards == 0 || shards > sc.n) {
@@ -314,7 +306,7 @@ RunResult run_sharded_scenario(const Scenario& sc) {
   dspec.workers = sc.workers;
   dspec.dense_loop = sc.dense_loop;
   return run_deployment(
-      sc, "run_sharded_scenario",
+      sc, given, "run_sharded_scenario",
       " (network " + sc.network.name() + ", shards " + std::to_string(shards) +
           ")",
       [&](const FaultPlan& plan, std::size_t n) {
@@ -333,6 +325,33 @@ RunResult run_sharded_scenario(const Scenario& sc) {
         }
         return dep;
       });
+}
+
+RunResult run_any(const Scenario& sc, StreamSet* given) {
+  // An explicit `?shards=c` monitor parameter wins over Scenario::shards;
+  // an effective count > 1 runs the two-tier deployment. `?shards=1` is
+  // stripped and runs the monolithic deployment.
+  const auto [spec, shards_param] = split_shards_param(sc.monitor);
+  if ((shards_param != 0 ? shards_param : sc.shards) > 1) {
+    return run_sharded(sc, given);
+  }
+  return run_deployment(
+      sc, given, "run_scenario", " (network " + sc.network.name() + ")",
+      [&](const FaultPlan& plan, std::size_t n) {
+        return std::make_unique<MonolithicDeployment>(sc, spec, plan, n);
+      });
+}
+
+}  // namespace
+
+RunResult run_scenario(const Scenario& sc) { return run_any(sc, nullptr); }
+
+RunResult run_scenario(const Scenario& sc, StreamSet streams) {
+  return run_any(sc, &streams);
+}
+
+RunResult run_sharded_scenario(const Scenario& sc) {
+  return run_sharded(sc, nullptr);
 }
 
 }  // namespace topkmon::exp

@@ -170,6 +170,14 @@ struct Scenario {
 /// parallelism relies on.
 RunResult run_scenario(const Scenario& scenario);
 
+/// Runs the scenario over a caller-built stream set instead of
+/// `scenario.stream` (e.g. TraceMatrix::to_stream_set() or hand-built
+/// streams), through the same step loop, validation and dispatch as
+/// run_scenario. `streams` must hold one stream per provisioned node (n,
+/// plus the ids a fault plan provisions for joins); throws
+/// std::invalid_argument otherwise, before any node callback runs.
+RunResult run_scenario(const Scenario& scenario, StreamSet streams);
+
 /// Runs the scenario's step loop over a two-tier ShardedDeployment
 /// (core/root_merge.hpp) with `scenario.shards` shard coordinators (a
 /// `?shards=c` monitor parameter wins over the field). Callable directly

@@ -46,7 +46,10 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
       instant_(spec.is_instant()),
       stats_(stats),
       jitter_mod_(static_cast<std::uint64_t>(spec.jitter) + 1),
-      unicasts_(n),
+      // First arena chunk: the inbox table (32 bytes a node) plus room
+      // for about one queued message per node.
+      arena_((n + 1) * 64),
+      unicasts_(n, &arena_),
       cursors_(n, 0) {
   if (stats_ == nullptr) {
     throw std::invalid_argument("Network requires a CommStats sink");
@@ -190,7 +193,7 @@ void Network::flush_tick(SimTime t) {
     --in_flight_;
   }
   const auto slot = static_cast<std::size_t>(t & wheel_mask_);
-  std::vector<Slotted>& due = wheel_[slot];
+  auto& due = wheel_[slot];
   for (const Slotted& d : due) deliver(d.recipient, d.stamped);
   in_flight_ -= due.size();
   due.clear();
@@ -329,7 +332,7 @@ void Network::drain_node(NodeId id, std::vector<Message>& out) {
   // log's parallel layout keeps the comparison loop on the dense seq
   // array. Under a scheduled policy the log is empty and the inbox is
   // already (due, seq)-ordered, so this only copies.
-  std::vector<Stamped>& uni = unicasts_[id];
+  auto& uni = unicasts_[id];
   const std::size_t bstart = cursors_[id] - log_offset_;
   out.reserve(uni.size() + (bcast_msgs_.size() - bstart));
   std::size_t u = 0;

@@ -5,18 +5,16 @@
 //   * Deployed — a hand-driven deployment (cluster, the registry's role
 //     pair, a SimDriver) for tests that set every value themselves and
 //     inspect the coordinator or node state between steps;
-//   * run_streams — a Deployed run over a caller-built stream set (e.g.
-//     TraceMatrix::to_stream_set()), validated every step like
-//     run_scenario's instant, fault-free path.
+//   * run_streams — run_scenario over a caller-built stream set (e.g.
+//     TraceMatrix::to_stream_set()), validated every step.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/ground_truth_tracker.hpp"
-#include "core/ordered_roles.hpp"
 #include "core/runner.hpp"
 #include "exp/monitor_registry.hpp"
 #include "exp/scenario.hpp"
@@ -111,43 +109,28 @@ class Deployed {
 };
 
 /// `final_answer`, when given, receives the coordinator's last answer.
-inline RunResult run_streams(const std::string& spec, StreamSet& streams,
+inline RunResult run_streams(const std::string& spec, StreamSet streams,
                              const RunConfig& cfg,
                              bool throw_on_error = true,
                              std::vector<NodeId>* final_answer = nullptr) {
-  RunResult result;
-  result.config = cfg;
-  if (cfg.record_trace) result.trace.emplace(cfg.n, cfg.steps + 1);
-  GroundTruthTracker truth(cfg.n, cfg.k);
-  std::vector<Value> values(cfg.n);
-  const auto observe = [&](TimeStep t) {
-    streams.advance_all(values);
-    for (NodeId id = 0; id < cfg.n; ++id) {
-      truth.set_value(id, values[id]);
-      if (result.trace.has_value()) result.trace->at(t, id) = values[id];
-    }
-  };
-  observe(0);
-  Deployed dep(spec, cfg.k, cfg.seed, values, cfg.record_series);
-  const auto* ordered = dynamic_cast<const OrderedCoordinator*>(
-      &dep.coordinator<CoordinatorAlgo>());
-  const auto check = [&](TimeStep t) {
-    check_answer_step(truth, dep.topk(),
-                      ordered != nullptr ? &ordered->ordered_topk() : nullptr,
-                      cfg, dep.name(), "", t, &result, throw_on_error);
-    ++result.steps_executed;
-  };
-  check(0);
-  for (TimeStep t = 1; t <= cfg.steps; ++t) {
-    observe(t);
-    dep.step(values, t);
-    check(t);
+  exp::Scenario sc;
+  sc.monitor = spec;
+  sc.n = cfg.n;
+  sc.k = cfg.k;
+  sc.steps = cfg.steps;
+  sc.seed = cfg.seed;
+  sc.validation = cfg.validation;
+  sc.validate_order = cfg.validate_order;
+  sc.record_trace = cfg.record_trace;
+  sc.record_series = cfg.record_series;
+  sc.throw_on_error = throw_on_error;
+  if (final_answer != nullptr) {
+    sc.on_step = [final_answer](TimeStep, const std::vector<Value>&,
+                                const std::vector<NodeId>& topk) {
+      *final_answer = topk;
+    };
   }
-  if (final_answer != nullptr) *final_answer = dep.topk();
-  result.monitor_name = std::string(dep.name());
-  result.comm = dep.cluster().stats();
-  result.monitor = dep.stats();
-  return result;
+  return exp::run_scenario(sc, std::move(streams));
 }
 
 }  // namespace topkmon::testing

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "core/ground_truth.hpp"
 #include "core/multik_roles.hpp"
@@ -39,7 +40,8 @@ TEST_P(AllMonitors, SingleNodeSystem) {
   auto streams = make_stream_set(spec, 1, 3);
   std::vector<NodeId> answer;
   const auto r =
-      run_streams(GetParam(), streams, cfg_of(1, 1, 50, 3), true, &answer);
+      run_streams(GetParam(), std::move(streams), cfg_of(1, 1, 50, 3), true,
+                  &answer);
   EXPECT_TRUE(r.correct);
   EXPECT_EQ(answer, (std::vector<NodeId>{0}));
 }
@@ -51,7 +53,8 @@ TEST_P(AllMonitors, TwoNodesRepeatedSwaps) {
     trace.at(t, 1) = (t % 2 == 0) ? 10 : 100;
   }
   auto streams = trace.to_stream_set();
-  const auto r = run_streams(GetParam(), streams, cfg_of(2, 1, 39, 5));
+  const auto r =
+      run_streams(GetParam(), std::move(streams), cfg_of(2, 1, 39, 5));
   EXPECT_TRUE(r.correct);
 }
 
@@ -90,7 +93,8 @@ TEST_P(AllMonitors, HugeMagnitudeJumps) {
     trace.at(t, 3) = static_cast<Value>(t);
   }
   auto streams = trace.to_stream_set();
-  const auto r = run_streams(GetParam(), streams, cfg_of(4, 1, 19, 11));
+  const auto r =
+      run_streams(GetParam(), std::move(streams), cfg_of(4, 1, 19, 11));
   EXPECT_TRUE(r.correct);
 }
 
@@ -124,7 +128,8 @@ TEST(MonitorAgreement, AllAlgorithmsAgreeOnChurnyTrace) {
     auto streams = trace.to_stream_set();
     std::vector<NodeId> answer;
     const auto r =
-        run_streams(name, streams, cfg_of(5, 2, 59, 21), true, &answer);
+        run_streams(name, std::move(streams), cfg_of(5, 2, 59, 21), true,
+                    &answer);
     EXPECT_TRUE(r.correct) << name;
     answers.push_back(answer);
   }

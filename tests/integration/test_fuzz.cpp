@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "../core/role_drive.hpp"
 #include "core/ground_truth.hpp"
@@ -62,7 +63,7 @@ TEST_P(FuzzSeeds, AllMonitorsStrictOnDistinctTraces) {
     cfg.steps = 119;
     cfg.seed = GetParam();
     cfg.validate_order = true;
-    const auto r = testing::run_streams(monitor, streams, cfg);
+    const auto r = testing::run_streams(monitor, std::move(streams), cfg);
     EXPECT_TRUE(r.correct) << monitor << " n=" << n << " k=" << k;
   }
 }
@@ -84,7 +85,7 @@ TEST_P(FuzzSeeds, TieTolerantMonitorsWeakValidOnTiedTraces) {
     cfg.steps = 119;
     cfg.seed = GetParam();
     cfg.validation = RunConfig::Validation::kWeak;
-    const auto r = testing::run_streams(monitor, streams, cfg);
+    const auto r = testing::run_streams(monitor, std::move(streams), cfg);
     EXPECT_TRUE(r.correct) << monitor << " n=" << n << " k=" << k;
   }
 }

@@ -1,9 +1,9 @@
-// Property tests for the slab/timing-wheel scheduled transport: per-
-// recipient delivery order is (delivery tick, send order) no matter how
-// sends, clock advances and drains interleave; far-future deliveries
-// (beyond the wheel span) take the overflow path and interleave with
-// in-wheel deliveries correctly; the slab recycles nodes so repeated
-// bursts do not grow memory without bound.
+// Property tests for the timing-wheel scheduled transport: per-recipient
+// delivery order is (delivery tick, send order) no matter how sends,
+// clock advances and drains interleave; far-future deliveries (beyond
+// the wheel span) take the overflow path and interleave with in-wheel
+// deliveries correctly; repeated bursts through the same slots keep the
+// accounting exact; a seeded mix pins the whole delivery sequence.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -355,12 +355,11 @@ TEST(TimingWheel, SeededMixMatchesPinnedDeliverySequence) {
   }
 }
 
-TEST(TimingWheel, RepeatedBurstsRecycleSlabNodes) {
-  // The slab must reuse freed nodes: after a warm-up burst, identical
+TEST(TimingWheel, RepeatedBurstsReuseWheelSlots) {
+  // Slots are reused tick after tick: after a warm-up burst, identical
   // bursts keep pending/dropped accounting exact and deliver everything
-  // (a leak would eventually misindex the free list — this is the
-  // functional canary; the allocation count itself is covered by the
-  // perf suite's alloc hook).
+  // (this is the functional canary; the allocation count itself is
+  // covered by the perf suite's alloc hook).
   NetworkSpec spec;
   spec.delay = 3;
   CommStats stats;
