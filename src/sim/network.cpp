@@ -46,9 +46,10 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
       instant_(spec.is_instant()),
       stats_(stats),
       jitter_mod_(static_cast<std::uint64_t>(spec.jitter) + 1),
-      // First arena chunk: the inbox table (32 bytes a node) plus room
-      // for about one queued message per node.
-      arena_((n + 1) * 64),
+      // First arena chunk under a scheduled policy: the inbox table (32
+      // bytes a node) plus room for about one queued message per node.
+      // Instant mode rarely queues node mail, so it starts small.
+      arena_(instant_ ? std::size_t{1024} : (n + 1) * 64),
       unicasts_(n, &arena_),
       cursors_(n, 0) {
   if (stats_ == nullptr) {
