@@ -46,15 +46,18 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
       instant_(spec.is_instant()),
       stats_(stats),
       jitter_mod_(static_cast<std::uint64_t>(spec.jitter) + 1),
-      // First arena chunk under a scheduled policy: the inbox table (32
-      // bytes a node) plus room for about one queued message per node.
-      // Instant mode rarely queues node mail, so it starts small.
-      arena_(instant_ ? std::size_t{1024} : (n + 1) * 64),
-      unicasts_(n, &arena_),
+      // First arena chunk: room for about four queued messages per node.
+      arena_((n + 1) * 4 * sizeof(Stamped)),
       cursors_(n, 0) {
   if (stats_ == nullptr) {
     throw std::invalid_argument("Network requires a CommStats sink");
   }
+  // Element by element: a copied pmr vector would rebind to the default
+  // resource.
+  std::pmr::memory_resource* const inbox_memory =
+      instant_ ? std::pmr::new_delete_resource() : &arena_;
+  unicasts_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) unicasts_.emplace_back(inbox_memory);
   if (runtime != nullptr) {
     due_mail_ = &runtime->due_mail;  // shared structure-of-arrays state
     alive_ = &runtime->alive;
@@ -77,7 +80,8 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
     std::uint64_t span = spec_.max_delay() + 2;
     if (spec_.batch_window > 1) span += spec_.batch_window - 1;
     const std::uint64_t size = next_pow2(std::min(span, kMaxWheelSpan));
-    wheel_.resize(size);
+    wheel_.reserve(size);
+    for (std::uint64_t i = 0; i < size; ++i) wheel_.emplace_back(&arena_);
     wheel_bits_.assign((size + 63) / 64, 0);
     wheel_mask_ = size - 1;
   }

@@ -348,16 +348,18 @@ class Network {
   // absolute index of bcast_msgs_[0] after prefix compaction. Under a
   // scheduled policy the log stays empty, so the merge only copies.
   //
-  // The per-node inboxes and the wheel slots below draw their storage
-  // from arena_: each grows to its own peak during warm-up, and one arena
-  // turns those growth steps into O(log) heap allocations instead of a
-  // few per node and per slot. Nothing shrinks (clear() keeps capacity),
-  // so the arena holds at most about twice the peak capacities.
+  // Under a scheduled policy the per-node inboxes and the wheel slots
+  // below draw their storage from arena_: each grows to its own peak
+  // during warm-up, and one arena turns those growth steps into O(log)
+  // heap allocations instead of a few per node and per slot. Nothing
+  // shrinks (clear() keeps capacity), so the arena holds at most about
+  // twice the peak capacities. Instant mode rarely queues node mail; its
+  // inboxes stay on the heap and the arena is never touched.
   std::pmr::monotonic_buffer_resource arena_;
   std::vector<Message> coord_inbox_;
   std::vector<Message> bcast_msgs_;        // log payloads, issue order
   std::vector<std::uint64_t> bcast_seqs_;  // parallel send-order stamps
-  std::pmr::vector<std::pmr::vector<Stamped>> unicasts_;  // per-node inbox
+  std::vector<std::pmr::vector<Stamped>> unicasts_;  // per-node inbox
   std::vector<std::size_t> cursors_;            // per-node broadcast cursor
   std::size_t log_offset_ = 0;
 
@@ -368,7 +370,7 @@ class Network {
   // occupancy for O(span/64) next-event scans. Each inbox stays
   // (due, seq)-ordered: slots are flushed in tick order, each in send
   // order, and a send that is already due lands after every earlier tick.
-  std::pmr::vector<std::pmr::vector<Slotted>> wheel_{&arena_};
+  std::vector<std::pmr::vector<Slotted>> wheel_;
   std::vector<std::uint64_t> wheel_bits_;
   std::uint64_t wheel_mask_ = 0;
   std::vector<Overflow> overflow_;  // min-heap by (due, seq)
