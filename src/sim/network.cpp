@@ -87,6 +87,8 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
   }
 }
 
+// schedule_link and schedule_delivery are forced inline: each runs once
+// per scheduled delivery, and the calls cost about a third of a send.
 [[gnu::always_inline]] inline std::optional<SimTime> Network::schedule_link(
     std::uint64_t seq, std::uint32_t link) {
   // One SplitMix64 step over (seed, seq, link) yields independent,
