@@ -190,6 +190,23 @@ TEST(QuarantineRelease, MuteWithoutHealStaysQuarantined) {
   EXPECT_EQ(r.error_step_list.size(), r.error_steps);
 }
 
+TEST(QuarantineRelease, ReleaseProbeCapsArePerMonitor) {
+  // Three nodes muted from step 50 to the end: each is quarantined and
+  // then re-probed on the step-driven release schedule, whose backoff
+  // caps at 16 steps for the filter monitor and at 64 for naive. Over
+  // 250 muted steps both caps are reached, so the probe counts pin each
+  // monitor's cap; swapping the two changes both figures.
+  const char* plan = "churn?mute=0@50,mute=1@50,mute=2@50";
+  const RunResult filter = run_scenario(adversarial_scenario(
+      "topk_filter?nobeacon,suspect", "instant", plan));
+  EXPECT_EQ(filter.comm.by_kind(MsgKind::kProbe), 47u);
+  EXPECT_EQ(filter.monitor.quarantines, 3u);
+  const RunResult naive =
+      run_scenario(adversarial_scenario("naive?suspect", "instant", plan));
+  EXPECT_EQ(naive.comm.by_kind(MsgKind::kProbe), 30u);
+  EXPECT_EQ(naive.monitor.quarantines, 3u);
+}
+
 TEST(QuarantineRelease, DegradationsComposeWithDelayNetworks) {
   // The strike thresholds are tuned for instant/delayed networks: under
   // delay=2 the run must keep consistent accounting, convict the mute

@@ -374,6 +374,20 @@ TEST(FaultInjection, ParkedResyncRepliesNeedNoRetryOnInstant) {
   }
 }
 
+TEST(FaultInjection, DominanceResyncResendsUnderDropArePinned) {
+  // dominance re-syncs a recovered node with a probe and places the reply
+  // like a violator. Under drop the probe or its reply is lost, and the
+  // coordinator resends on timeout with capped backoff. The figures are
+  // pinned so a refactor of the re-sync table must reproduce its resend
+  // schedule exactly, not only its outcome.
+  const RunResult r = run_scenario(churn_scenario(
+      "dominance", "drop=0.2", "churn?every=40,down=3,count=6,outage=20"));
+  EXPECT_EQ(r.monitor.resyncs, 31u);
+  EXPECT_EQ(r.monitor.resync_retries, 15u);
+  EXPECT_EQ(r.comm.by_kind(MsgKind::kProbe), 64u);
+  EXPECT_EQ(r.comm.total(), 336u);
+}
+
 TEST(FaultInjection, NaiveBatchedReportsStayExactUnderChurnAndDynamicK) {
   // The naive coordinator queues each step's reports and applies them to
   // its tracker in one batch before every answer, extremum read and
