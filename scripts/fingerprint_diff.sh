@@ -10,9 +10,12 @@
 # one side only is printed and skipped. Both trees run them with the
 # same small settings, then every CSV/JSON they write is diffed except
 # the machine-dependent BENCH_*.json wall-clock records. Exits 0 when
-# all fingerprints match, 1 on any difference. Takes ~6 min per tree on
-# one core; set CMAKE_CXX_COMPILER_LAUNCHER=ccache to reuse compiler
-# output.
+# all fingerprints match, 1 on any difference. The suites run at
+# `--jobs $(nproc)` (capped at 256, the CLI's limit): every suite's
+# tables are byte-identical at any --jobs, so the parallel grain changes
+# only the wall time. That is ~6 min per tree on one core, about a
+# quarter of it on four; set CMAKE_CXX_COMPILER_LAUNCHER=ccache to reuse
+# compiler output.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -54,11 +57,13 @@ if [[ -n "$only" ]]; then
 fi
 SUITES=$(comm -12 "$WORK/base-suites" "$WORK/head-suites" |
   grep -vx micro | paste -sd, -)
+JOBS=$(nproc)
+if ((JOBS > 256)); then JOBS=256; fi
 
 for name in base head; do
   echo "fingerprint_diff: running $SUITES on $name" >&2
   "$WORK/$name-build/topkmon_bench" --suite "$SUITES" --steps 60 \
-    --trials 2 --seed 1 --jobs 1 --out-dir "$WORK/$name-out" >/dev/null
+    --trials 2 --seed 1 --jobs "$JOBS" --out-dir "$WORK/$name-out" >/dev/null
 done
 
 if diff -r -x 'BENCH_*.json' "$WORK/base-out" "$WORK/head-out"; then

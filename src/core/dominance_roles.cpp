@@ -135,11 +135,7 @@ void DominanceCoordinator::on_message(CoordCtx& ctx, const Message& m) {
       }
       // A re-sync reply: place the recovered node like a violator (its
       // old slot, if any, was vacated when it went down).
-      const auto it =
-          std::find_if(resync_.begin(), resync_.end(),
-                       [&](const Resync& r) { return r.id == m.from; });
-      if (it != resync_.end()) {
-        resync_.erase(it);
+      if (guard_.complete(m.from)) {
         viol_new_.emplace_back(m.a, m.from);
         if (phase_ == Phase::kIdle && !collect_) {
           collect_ = true;
@@ -154,7 +150,7 @@ void DominanceCoordinator::on_message(CoordCtx& ctx, const Message& m) {
 }
 
 void DominanceCoordinator::on_timer(CoordCtx& ctx) {
-  tick_resyncs(ctx);
+  guard_.tick_resyncs(ctx, mstats_);
   switch (phase_) {
     case Phase::kInitWait: {
       if (wait_ > 0) {
@@ -372,7 +368,7 @@ void DominanceCoordinator::vacate(NodeId id) {
 // ---------------------------------------------------------------------------
 
 void DominanceCoordinator::on_node_down(CoordCtx&, NodeId id) {
-  std::erase_if(resync_, [id](const Resync& r) { return r.id == id; });
+  guard_.drop(id);
   vacate(id);
   if (phase_ == Phase::kIdle) {
     compact_slots();
@@ -381,36 +377,12 @@ void DominanceCoordinator::on_node_down(CoordCtx&, NodeId id) {
 }
 
 void DominanceCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
-  for (const Resync& r : resync_) {
-    if (r.id == id) return;
-  }
-  ++mstats_.resyncs;
-  resync_.push_back(Resync{id, probe_timeout(ctx), 0});
-  Message probe;
-  probe.kind = MsgKind::kProbe;
-  ctx.unicast(id, probe);
-  ctx.arm_timer();
+  guard_.begin_resync(ctx, mstats_, id);
 }
 
 void DominanceCoordinator::on_set_k(CoordCtx&, std::size_t k) {
   k_ = k;
   refresh_topk();
-}
-
-void DominanceCoordinator::tick_resyncs(CoordCtx& ctx) {
-  if (resync_.empty()) return;
-  for (Resync& r : resync_) {
-    if (r.countdown > 0) {
-      --r.countdown;
-      continue;
-    }
-    ++mstats_.resync_retries;
-    r.countdown = probe_timeout(ctx) << std::min<std::uint32_t>(++r.attempt, 6);
-    Message probe;
-    probe.kind = MsgKind::kProbe;
-    ctx.unicast(r.id, probe);
-  }
-  ctx.arm_timer();
 }
 
 }  // namespace topkmon

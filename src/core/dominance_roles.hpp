@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/filter.hpp"
+#include "core/role_session.hpp"
 #include "core/roles.hpp"
 
 namespace topkmon {
@@ -115,17 +116,10 @@ class DominanceCoordinator final : public CoordinatorAlgo {
   NodeId probe_violator_ = 0;
   std::optional<Value> probe_reply_;
 
-  // Crash-recovery re-syncs: probe, then place the reply like a violator.
-  struct Resync {
-    NodeId id;
-    std::uint64_t countdown;
-    std::uint32_t attempt;
-  };
-  std::vector<Resync> resync_;
-  void tick_resyncs(CoordCtx& ctx);
-  std::uint64_t probe_timeout(CoordCtx& ctx) const {
-    return 2 * ctx.flush_ticks() + 2;
-  }
+  /// Crash-recovery re-syncs: probe, then place the reply like a
+  /// violator. Only the re-sync table is used; dominance runs no
+  /// suspicion policy.
+  RecoveryGuard guard_;
 };
 
 }  // namespace topkmon

@@ -9,22 +9,17 @@ namespace topkmon {
 
 namespace {
 
-constexpr std::int64_t pack_session_c(std::uint32_t epoch,
-                                      std::uint32_t log_n) noexcept {
-  return static_cast<std::int64_t>(
-      (static_cast<std::uint64_t>(epoch) << 8) | log_n);
-}
-
 // Suspicion thresholds (Options::suspect). A healthy violating node's
 // report lands within the step that convened the repair (instant /
 // flushed-delay policies), so three consecutive signalled-but-silent
 // steps clear honest latency while catching mute and heavily lagging
-// nodes quickly. Two lost probe deadlines (the second already backed
-// off) escalate to quarantine; two contradicting reports confirm
-// staleness against boundary races.
+// nodes quickly. Two contradicting reports confirm staleness against
+// boundary races. Release probes back off to at most 16 steps: a healed
+// node should not sit excluded for most of a run because its quarantine
+// happened to be old.
 constexpr std::uint32_t kSilenceStrikes = 3;
-constexpr std::uint32_t kSuspectAttempts = 2;
 constexpr std::uint8_t kStaleStrikes = 2;
+constexpr std::uint32_t kReleaseCap = 4;
 
 }  // namespace
 
@@ -252,9 +247,7 @@ void FilterCoordinator::on_init(CoordCtx& ctx) {
   }
   in_topk_.assign(n_, 0);
   if (opts_.suspect) {
-    suspects_.clear();
-    quarantined_.assign(n_, 0);
-    n_quarantined_ = 0;
+    guard_.init_suspicion(n_);
     silent_steps_.assign(n_, 0);
     sig_side_.assign(n_, 0);
     sig_step_.assign(n_, 0);
@@ -284,7 +277,7 @@ void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
       // convening sessions for them would thrash aborts every step.
       std::uint64_t counted = 0;
       for (const Signal& s : signals) {
-        if (quarantined_[s.from] != 0) continue;
+        if (guard_.is_quarantined(s.from)) continue;
         ++counted;
         (s.code == 1 ? pending_top_ : pending_bot_) = true;
         sig_side_[s.from] = s.code == 1 ? 1 : 2;
@@ -292,7 +285,7 @@ void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
         // A node that keeps signalling without any charged message
         // landing is mute or lagging past the repair window.
         if (++silent_steps_[s.from] >= kSilenceStrikes) {
-          suspect_node(ctx, s.from);
+          guard_.suspect(ctx, mstats_, s.from);
         }
       }
       if (counted > 0) {
@@ -307,7 +300,7 @@ void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
       }
     }
   }
-  if (opts_.suspect && !suspects_.empty()) tick_release_probes(ctx);
+  guard_.tick_release_probes(ctx, kReleaseCap);
   if (phase_ != Phase::kIdle) return;
   if (topk_ids_.size() != k_) {
     // The answer was never established — a FILTERRESET aborted under
@@ -339,7 +332,7 @@ void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
 }
 
 void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
-  if (opts_.suspect && quarantined_[m.from] != 0) {
+  if (opts_.suspect && guard_.is_quarantined(m.from)) {
     // The only message the coordinator trusts from a quarantined node is
     // a probe reply — it proves the node answers again and releases the
     // quarantine; session reports are exactly what quarantine distrusts.
@@ -358,12 +351,10 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     // silence, or a laggard is never convicted.
     if (session_active_ || phase_ != Phase::kIdle || m.b == 1) {
       silent_steps_[m.from] = 0;
-      std::erase_if(suspects_, [&](const Suspect& s) {
-        return s.id == m.from && !s.quarantined;
-      });
+      guard_.clear_suspicion(m.from);
     }
     check_stale_report(ctx, m.from, m.a);
-    if (quarantined_[m.from] != 0) return;  // the check just escalated
+    if (guard_.is_quarantined(m.from)) return;  // the check just escalated
   }
   if (m.kind == MsgKind::kValueReport && m.b == 1) {
     // Re-sync reply (session reports leave b at 0).
@@ -381,8 +372,9 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
 }
 
 void FilterCoordinator::on_timer(CoordCtx& ctx) {
-  tick_resyncs(ctx);
-  if (opts_.suspect && !suspects_.empty()) tick_suspects(ctx);
+  guard_.tick_resyncs(ctx, mstats_);
+  guard_.tick_suspects(ctx, mstats_,
+                       [&](NodeId id) { remove_node(ctx, id); });
   if (!session_active_) {
     // Inter-iteration gap of a FILTERRESET selection: the previous
     // iteration's winner announcement is in flight; convening the next
@@ -712,13 +704,19 @@ void FilterCoordinator::abort_cycle() {
 void FilterCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
   if (degenerate_) return;  // a crash under k == n is rejected by the plan
   n_live_ = ctx.live_count();
-  std::erase_if(resync_, [id](const Resync& r) { return r.id == id; });
-  if (opts_.suspect) clear_suspicion_state(id);
-  // Structural loss: a member of the answer (or a winner of the in-flight
-  // FILTERRESET selection, which would otherwise be installed dead) takes
-  // the k-th position with it — re-find it over the remaining live nodes.
+  guard_.drop(id);
+  if (opts_.suspect) forget_signals(id);
   // A crashed non-member mid-session is just a lost report, which the
   // session machinery already tolerates.
+  remove_node(ctx, id);
+}
+
+void FilterCoordinator::remove_node(CoordCtx& ctx, NodeId id) {
+  // Structural loss: a member of the answer (or a winner of the in-flight
+  // FILTERRESET selection, which would otherwise be installed dead or
+  // pin a distrusted value) takes the k-th position with it — re-find it
+  // over the nodes that remain. The reset's fresh boundary is the
+  // defensive widen that covers the vacated slot.
   bool structural = in_topk_[id] != 0;
   if (phase_ == Phase::kReset) {
     for (const Winner& w : sel_winners_) {
@@ -739,9 +737,8 @@ void FilterCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
 void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
   if (degenerate_) return;
   n_live_ = ctx.live_count();
-  for (const Resync& r : resync_) {
-    if (r.id == id) return;  // already pending (defensive; cleared on down)
-  }
+  // Already pending (defensive; cleared on down).
+  if (guard_.resyncing(id)) return;
   if (opts_.replay && phase_ == Phase::kIdle && !session_active_ &&
       topk_ids_.size() == k_) {
     // Warm-standby recovery: the coordinator's own state is the collapsed
@@ -759,12 +756,7 @@ void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
     ctx.unicast(id, assign);
     return;
   }
-  ++mstats_.resyncs;
-  resync_.push_back(Resync{id, probe_timeout(ctx), 0});
-  Message probe;
-  probe.kind = MsgKind::kProbe;
-  ctx.unicast(id, probe);
-  ctx.arm_timer();  // drive the retry countdown
+  guard_.begin_resync(ctx, mstats_, id);
 }
 
 void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
@@ -789,42 +781,17 @@ void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
   begin_reset(ctx);
 }
 
-void FilterCoordinator::tick_resyncs(CoordCtx& ctx) {
-  bool waiting = false;
-  for (Resync& r : resync_) {
-    if (r.parked) continue;  // the reply is in hand
-    waiting = true;
-    if (r.countdown > 0) {
-      --r.countdown;
-      continue;
-    }
-    // The probe or its reply was lost: resend, with capped exponential
-    // backoff so a long outage of the return path cannot flood the link.
-    ++mstats_.resync_retries;
-    r.countdown = probe_timeout(ctx)
-                  << std::min<std::uint32_t>(++r.attempt, 6);
-    Message probe;
-    probe.kind = MsgKind::kProbe;
-    ctx.unicast(r.id, probe);
-  }
-  // Keep the countdown ticking while any probe awaits its reply.
-  if (waiting) ctx.arm_timer();
-}
-
 void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
                                             Value v) {
-  auto it = std::find_if(resync_.begin(), resync_.end(),
-                         [from](const Resync& r) { return r.id == from; });
-  if (it == resync_.end()) return;  // late duplicate of a completed re-sync
   if (phase_ != Phase::kIdle || session_active_) {
     // Re-admitting mid-cycle would corrupt the running session's quorum:
     // park the reply and admit the node when the cycle ends
-    // (admit_parked). Nothing was lost, so no probe is resent.
-    it->parked = true;
-    it->value = v;
+    // (admit_parked).
+    guard_.park(from, v);
     return;
   }
-  resync_.erase(it);
+  // A late duplicate of a completed re-sync is ignored.
+  if (!guard_.complete(from)) return;
   if (topk_ids_.size() != k_) {
     // No established answer to re-admit into: the next selection
     // re-integrates the node along with everyone else.
@@ -846,14 +813,9 @@ void FilterCoordinator::admit_parked(CoordCtx& ctx) {
   // Without an established answer the pending selection re-integrates
   // every live node; its cycle_done admits the parked replies after.
   if (topk_ids_.size() != k_) return;
-  for (auto it = resync_.begin(); it != resync_.end();) {
-    if (!it->parked) {
-      ++it;
-      continue;
-    }
-    if (admit(ctx, it->id, it->value)) pending_bot_ = true;
-    it = resync_.erase(it);
-  }
+  guard_.admit_parked([&](NodeId id, Value v) {
+    if (admit(ctx, id, v)) pending_bot_ = true;
+  });
 }
 
 void FilterCoordinator::start_pending_cycle(CoordCtx& ctx) {
@@ -890,115 +852,16 @@ bool FilterCoordinator::admit(CoordCtx& ctx, NodeId id, Value v) {
 // Suspicion / quarantine (Options::suspect)
 // ---------------------------------------------------------------------------
 
-void FilterCoordinator::send_probe(CoordCtx& ctx, NodeId id) {
-  Message probe;
-  probe.kind = MsgKind::kProbe;
-  ctx.unicast(id, probe);
-}
-
-void FilterCoordinator::suspect_node(CoordCtx& ctx, NodeId id) {
-  for (const Suspect& s : suspects_) {
-    if (s.id == id) return;  // already suspected or quarantined
-  }
-  ++mstats_.suspicions;
-  suspects_.push_back(Suspect{id, probe_timeout(ctx), 0, false, 0, 0});
-  send_probe(ctx, id);
-  ctx.arm_timer();  // drive the probe deadline
-}
-
-void FilterCoordinator::quarantine_node(CoordCtx& ctx, NodeId id, bool stale) {
-  Suspect* entry = nullptr;
-  for (Suspect& s : suspects_) {
-    if (s.id == id) entry = &s;
-  }
-  if (entry == nullptr) {
-    // Stale detection quarantines directly, without a silence suspicion.
-    suspects_.push_back(Suspect{id, 0, 0, false, 0, 0});
-    entry = &suspects_.back();
-  }
-  if (entry->quarantined) return;
-  entry->quarantined = true;
-  entry->release_wait = 1;  // first release probe next step
-  entry->release_attempt = 0;
-  quarantined_[id] = 1;
-  ++n_quarantined_;
-  ++mstats_.quarantines;
-  if (stale) ++mstats_.stale_detections;
-  // Defensive removal, exactly like a crash: a quarantined member (or
-  // selection winner) would pin a value the coordinator distrusts into
-  // the answer, so the k-th position is re-found over the nodes it still
-  // trusts — the reset's fresh boundary is the defensive widen that
-  // covers the vacated slot.
-  bool structural = in_topk_[id] != 0;
-  if (phase_ == Phase::kReset) {
-    for (const Winner& w : sel_winners_) {
-      structural = structural || w.id == id;
-    }
-  }
-  if (in_topk_[id]) {
-    in_topk_[id] = 0;
-    topk_ids_.erase(std::remove(topk_ids_.begin(), topk_ids_.end(), id),
-                    topk_ids_.end());
-  }
-  if (structural) {
-    abort_cycle();
-    begin_reset(ctx);
-  }
-}
-
-void FilterCoordinator::tick_suspects(CoordCtx& ctx) {
-  bool ticking = false;
-  for (Suspect& s : suspects_) {
-    if (s.quarantined) continue;  // release probing is step-driven
-    if (s.countdown > 0) {
-      --s.countdown;
-      ticking = true;
-      continue;
-    }
-    if (++s.attempt >= kSuspectAttempts) {
-      quarantine_node(ctx, s.id, /*stale=*/false);
-      continue;
-    }
-    s.countdown = probe_timeout(ctx) << std::min(s.attempt, 6u);
-    send_probe(ctx, s.id);
-    ticking = true;
-  }
-  if (ticking) ctx.arm_timer();
-}
-
-void FilterCoordinator::tick_release_probes(CoordCtx& ctx) {
-  // Step-driven (not tick-driven) on purpose: a mute node answers no
-  // probe until it heals, and a tick-driven deadline would keep the
-  // coordinator timer armed forever — the settle loop would never
-  // quiesce under an unbudgeted network policy.
-  for (Suspect& s : suspects_) {
-    if (!s.quarantined) continue;
-    if (s.release_wait > 0) {
-      --s.release_wait;
-      continue;
-    }
-    // Cap the backoff at 16 steps: a release probe is one unicast per
-    // window, and a healed node should not sit excluded for most of a
-    // run because its quarantine happened to be old.
-    s.release_wait = std::uint32_t{1}
-                     << std::min(++s.release_attempt, 4u);
-    send_probe(ctx, s.id);
-  }
-}
-
 void FilterCoordinator::handle_release_reply(CoordCtx& ctx, NodeId from,
                                              Value v) {
-  auto it = std::find_if(suspects_.begin(), suspects_.end(),
-                         [from](const Suspect& s) { return s.id == from; });
-  if (it == suspects_.end() || !it->quarantined) return;
   if (phase_ != Phase::kIdle || session_active_) {
     // Re-admitting mid-cycle would corrupt the running session's quorum;
     // the next release probe finds the coordinator idle later.
-    it->release_wait = 1;
-    it->release_attempt = 0;
+    guard_.defer_release(from);
     return;
   }
-  clear_suspicion_state(from);
+  guard_.release(from);
+  forget_signals(from);
   if (topk_ids_.size() != k_) {
     begin_reset(ctx);  // the selection re-integrates it with everyone else
     return;
@@ -1043,20 +906,14 @@ void FilterCoordinator::check_stale_report(CoordCtx& ctx, NodeId from,
     stale_strikes_[from] = 0;
     return;
   }
-  if (++stale_strikes_[from] >= kStaleStrikes) {
-    quarantine_node(ctx, from, /*stale=*/true);
+  if (++stale_strikes_[from] >= kStaleStrikes &&
+      guard_.quarantine(mstats_, from)) {
+    ++mstats_.stale_detections;
+    remove_node(ctx, from);
   }
 }
 
-void FilterCoordinator::clear_suspicion_state(NodeId id) {
-  std::erase_if(suspects_, [&](const Suspect& s) {
-    if (s.id != id) return false;
-    if (s.quarantined) {
-      quarantined_[id] = 0;
-      --n_quarantined_;
-    }
-    return true;
-  });
+void FilterCoordinator::forget_signals(NodeId id) {
   silent_steps_[id] = 0;
   sig_side_[id] = 0;
   sig_step_[id] = 0;

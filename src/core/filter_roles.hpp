@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/filter.hpp"
+#include "core/role_session.hpp"
 #include "core/roles.hpp"
 #include "protocols/extremum.hpp"
 
@@ -157,17 +158,19 @@ class FilterCoordinator final : public CoordinatorAlgo {
     ///    crossed the boundary while its reports keep landing on the
     ///    other side (stale) accumulates strikes; at kStaleStrikes it is
     ///    quarantined directly (MonitorStats::stale_detections).
-    /// A suspect that exhausts kSuspectAttempts probe deadlines is
-    /// *quarantined* (MonitorStats::quarantines): its signals and
-    /// session reports are ignored, it is removed from the answer (a
-    /// structural removal aborts the cycle and re-runs the selection —
-    /// the defensive boundary widen), and selection_target() shrinks so
-    /// resets stop waiting for it. Quarantined nodes are re-probed with
-    /// step-driven capped backoff forever; a probe reply releases the
-    /// quarantine and re-admits the node through the re-sync path, so a
-    /// healed node converges back to the exact answer. Off by default:
-    /// the machinery changes no trace until enabled AND a node actually
-    /// degrades. Tuned for instant/delayed networks; under heavy drop
+    /// A suspect that misses RecoveryGuard::kProbeAttempts probe
+    /// deadlines is *quarantined* (MonitorStats::quarantines): its
+    /// signals and session reports are ignored, it is removed from the
+    /// answer (a structural removal aborts the cycle and re-runs the
+    /// selection — the defensive boundary widen), and selection_target()
+    /// shrinks so resets stop waiting for it. Quarantined nodes are
+    /// re-probed with step-driven backoff capped at 16 steps forever; a
+    /// probe reply releases the quarantine and re-admits the node through
+    /// the re-sync path, so a healed node converges back to the exact
+    /// answer. The tables and their drivers are RecoveryGuard's (see
+    /// core/role_session.hpp); the policy above is this monitor's. Off
+    /// by default: the machinery changes no trace until enabled AND a
+    /// node actually degrades. Tuned for instant/delayed networks; under heavy drop
     /// the strike thresholds absorb most — not all — false positives.
     bool suspect = false;
     /// Warm-standby recovery: when a node recovers (or joins) while the
@@ -257,10 +260,10 @@ class FilterCoordinator final : public CoordinatorAlgo {
   void apply_boundary(CoordCtx& ctx, Value m);
   void cycle_done(CoordCtx& ctx);
   void abort_cycle();
-  /// Decrements re-sync countdowns, resends timed-out probes (capped
-  /// exponential backoff), keeps the coordinator timer armed while any
-  /// re-sync is pending. No-op with no pending re-sync.
-  void tick_resyncs(CoordCtx& ctx);
+  /// Drops `id` from the answer (crash or quarantine). A member, or a
+  /// winner of the in-flight FILTERRESET selection, takes the k-th
+  /// position with it: the cycle aborts and the selection re-runs.
+  void remove_node(CoordCtx& ctx, NodeId id);
   /// A kValueReport with b == 1: the probed node's answer. Parked while
   /// a cycle is in flight (re-integrating mid-session would corrupt it).
   void handle_resync_reply(CoordCtx& ctx, NodeId from, Value v);
@@ -275,25 +278,8 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// re-sync assignment has landed; until then the coordinator timer
   /// waits out admit_wait_.
   void start_pending_cycle(CoordCtx& ctx);
-  /// Probe round trip plus slack under the deployed network policy.
-  std::uint64_t probe_timeout(CoordCtx& ctx) const {
-    return 2 * ctx.flush_ticks() + 2;
-  }
 
-  // -- suspicion machinery (active only with Options::suspect) --------------
-  void send_probe(CoordCtx& ctx, NodeId id);
-  /// Puts `id` under suspicion (if not already) and sends the first
-  /// deadline-tracked probe.
-  void suspect_node(CoordCtx& ctx, NodeId id);
-  /// Escalates `id` to quarantine: ignore its signals and reports, drop
-  /// it from the answer (structural removals re-run the selection), and
-  /// switch its probing to the step-driven release schedule.
-  void quarantine_node(CoordCtx& ctx, NodeId id, bool stale);
-  /// Tick-driven probe deadlines of pre-quarantine suspects (capped
-  /// backoff; kSuspectAttempts lost probes escalate to quarantine).
-  void tick_suspects(CoordCtx& ctx);
-  /// Step-driven release probes of quarantined nodes (capped backoff).
-  void tick_release_probes(CoordCtx& ctx);
+  // -- suspicion policy (active only with Options::suspect) -----------------
   /// A probe reply from a quarantined node: release the quarantine and
   /// re-admit through the established-boundary assignment (deferred
   /// mid-cycle, like a re-sync reply).
@@ -302,8 +288,9 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// signal fixes which side of the boundary the node's *true* value is
   /// on; a report landing on the other side is a strike.
   void check_stale_report(CoordCtx& ctx, NodeId from, Value v);
-  /// Clears every per-node suspicion trace for `id` (crash, release).
-  void clear_suspicion_state(NodeId id);
+  /// Clears the per-node signal and strike records of `id` (crash,
+  /// release).
+  void forget_signals(NodeId id);
 
   /// Boundary for a concluded cycle: the pinned root boundary when the
   /// gap contains it (sharded mode), the gap midpoint otherwise.
@@ -313,7 +300,7 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// everyone exactly once and a selection under churn or quarantine
   /// never waits on a participant that cannot answer.
   std::size_t selection_target() const noexcept {
-    return std::min(k_ + 1, n_live_ - std::min(n_quarantined_, n_live_));
+    return std::min(k_ + 1, n_live_ - std::min(guard_.n_quarantined, n_live_));
   }
 
   std::size_t k_;
@@ -366,32 +353,16 @@ class FilterCoordinator final : public CoordinatorAlgo {
   bool pending_select_ = false;   ///< next iteration waits for announce lag
   std::uint64_t select_gap_ = 0;  ///< remaining inter-iteration gap ticks
 
-  // Pending crash-recovery re-syncs, in recovery order.
-  struct Resync {
-    NodeId id;
-    std::uint64_t countdown;  ///< ticks until the probe is declared lost
-    std::uint32_t attempt;    ///< resend count (bounds the backoff shift)
-    bool parked = false;      ///< replied mid-cycle; admitted once idle
-    Value value = 0;          ///< the parked reply's value
-  };
-  std::vector<Resync> resync_;
+  /// Crash-recovery re-syncs and (with Options::suspect) the suspicion
+  /// table: probes, deadlines, quarantine and release probes.
+  RecoveryGuard guard_;
 
   // Defensive-rebuild backoff (active only with Options::reset_backoff).
   std::uint32_t backoff_wait_ = 0;     ///< steps left before the next retry
   std::uint32_t backoff_attempt_ = 0;  ///< consecutive failed rebuilds
 
-  // Suspicion / quarantine state (allocated only with Options::suspect).
-  struct Suspect {
-    NodeId id;
-    std::uint64_t countdown;  ///< ticks until the suspicion probe is lost
-    std::uint32_t attempt;    ///< pre-quarantine probe deadlines missed
-    bool quarantined;
-    std::uint32_t release_wait;     ///< steps until the next release probe
-    std::uint32_t release_attempt;  ///< failed release probes (caps backoff)
-  };
-  std::vector<Suspect> suspects_;
-  std::vector<char> quarantined_;  ///< fast membership test for suspects_
-  std::size_t n_quarantined_ = 0;
+  // Signal records of the suspicion policy (allocated only with
+  // Options::suspect).
   std::vector<std::uint32_t> silent_steps_;  ///< signalled-but-silent streak
   std::vector<std::uint8_t> sig_side_;  ///< last signalled side (1 top, 2 bot)
   std::vector<TimeStep> sig_step_;      ///< step of that signal

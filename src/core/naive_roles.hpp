@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/ground_truth_tracker.hpp"
+#include "core/role_session.hpp"
 #include "core/roles.hpp"
 
 namespace topkmon {
@@ -86,11 +87,13 @@ class NaiveCoordinator final : public CoordinatorAlgo {
   ///    (MonitorStats::quarantines) — its replica entry drops to -inf so
   ///    the distrusted value leaves the answer;
   ///  * naive_chg — silence is legitimate, so the coordinator audits:
-  ///    one round-robin probe per step (MonitorStats::polls) arms the
-  ///    same deadline machinery for the audited node.
-  /// Quarantined nodes get step-driven capped-backoff release probes;
-  /// any report from the node releases the quarantine (it demonstrably
-  /// answers again — a laggard oscillates, a healed node stays). Stale
+  ///    one round-robin probe per step (MonitorStats::polls) is watched
+  ///    with the same deadlines, and becomes a suspicion at its first
+  ///    missed one.
+  /// Quarantined nodes get step-driven release probes, backed off to at
+  /// most 64 steps; any report from the node releases the quarantine (it
+  /// demonstrably answers again — a laggard oscillates, a healed node
+  /// stays). The tables and their drivers are RecoveryGuard's. Stale
   /// responders are undetectable for the naive family: nodes raise no
   /// violation signals, so there is no truth to contradict a frozen
   /// report (stale_detections stays 0 by design; see the filter
@@ -114,7 +117,8 @@ class NaiveCoordinator final : public CoordinatorAlgo {
   // answer at once. Recovery: the coordinator probes for the current
   // value (the change-only variant would otherwise stay silent until the
   // value happens to move); any report from the node completes the
-  // re-sync, and lost probes are resent with capped exponential backoff.
+  // re-sync, and lost probes are resent with capped exponential backoff
+  // (RecoveryGuard).
   void on_node_down(CoordCtx& ctx, NodeId id) override;
   void on_node_up(CoordCtx& ctx, NodeId id) override;
   /// Dynamic k: a coordinator-local recompute over the replica (rekey).
@@ -138,42 +142,16 @@ class NaiveCoordinator final : public CoordinatorAlgo {
   /// Applies the replica entries named in reported_ to truth_ in one
   /// set_values batch. Runs before every read or direct write of truth_.
   void flush_reports();
-  // -- suspicion machinery (active only with suspect_) ----------------------
-  void send_probe(CoordCtx& ctx, NodeId id);
-  void suspect_node(CoordCtx& ctx, NodeId id);
-  void quarantine_node(NodeId id);
-  /// Any report from `id`: refresh the heard stamp, clear pending
-  /// suspicion, release an active quarantine.
-  void note_report(NodeId id);
+  /// Crash or quarantine: the node's replica entry drops to -inf.
+  void drop_value(NodeId id);
 
   std::size_t k_;
   bool send_on_change_only_;
   bool sharded_ = false;
   bool suspect_ = false;
 
-  // Pending crash-recovery re-syncs, in recovery order (see filter_roles
-  // for the same pattern with a handshake reply).
-  struct Resync {
-    NodeId id;
-    std::uint64_t countdown;
-    std::uint32_t attempt;
-  };
-  std::vector<Resync> resync_;
-
-  // Suspicion / quarantine state (allocated only with suspect_).
-  struct Suspect {
-    NodeId id;
-    std::uint64_t countdown;  ///< ticks until the probe is declared lost
-    std::uint32_t attempt;    ///< probe deadlines missed so far
-    bool quarantined;
-    std::uint32_t release_wait;     ///< steps until the next release probe
-    std::uint32_t release_attempt;  ///< failed release probes (caps backoff)
-    /// naive_chg audit probe: not yet a suspicion — the first missed
-    /// deadline converts it into one (MonitorStats::suspicions).
-    bool audit;
-  };
-  std::vector<Suspect> suspects_;
-  std::vector<char> quarantined_;
+  /// Crash-recovery re-syncs and (with suspect_) the suspicion table.
+  RecoveryGuard guard_;
   std::vector<TimeStep> last_heard_;  ///< step of the last report per node
   NodeId audit_cursor_ = 0;           ///< naive_chg round-robin audit probe
   TimeStep cur_step_ = 0;

@@ -13,7 +13,9 @@
 // the conclusion; the structs own only the round/beacon/flush mechanics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/roles.hpp"
 #include "protocols/beacon.hpp"
@@ -220,6 +222,289 @@ struct CoordProtoSession {
     announce.a = best_value;
     announce.b = pack_beacon_b(epoch, best_holder);
     ctx.broadcast(announce);
+  }
+};
+
+/// Coordinator-side recovery mechanics of the native ports that re-sync
+/// recovered nodes and infer degraded ones (filter, naive, dominance): the
+/// re-sync table and the suspicion table, each with its tick- or
+/// step-driven driver. Like CoordProtoSession it is a plain struct driven
+/// by its owner. What differs by monitor stays with the owner and is
+/// passed in: what a reply re-admits, which reports count as useful,
+/// stale contradiction, the structural removal on quarantine and the
+/// release-backoff cap. Counters go to the owner's MonitorStats: resyncs,
+/// resync_retries, suspicions and quarantines.
+struct RecoveryGuard {
+  /// A crash-recovery re-sync: the node was probed and its reply is due.
+  struct Resync {
+    NodeId id;
+    std::uint64_t countdown;  ///< ticks until the probe is declared lost
+    std::uint32_t attempt;    ///< resend count (bounds the backoff shift)
+    bool parked;              ///< replied while the owner was busy
+    Value value;              ///< the parked reply's value
+  };
+  /// A node under suspicion: probed on tick-driven deadlines until it
+  /// answers, quarantined after kProbeAttempts missed deadlines, then
+  /// re-probed on the step-driven release schedule.
+  struct Suspect {
+    NodeId id;
+    std::uint64_t countdown;  ///< ticks until the probe is declared lost
+    std::uint32_t attempt;    ///< probe deadlines missed so far
+    bool quarantined;
+    std::uint32_t release_wait;     ///< steps until the next release probe
+    std::uint32_t release_attempt;  ///< failed release probes (caps backoff)
+    /// An audit probe, not yet a suspicion: the first missed deadline
+    /// makes it one (MonitorStats::suspicions).
+    bool watch;
+  };
+
+  /// Missed probe deadlines that escalate a suspicion to quarantine (the
+  /// second deadline is already backed off).
+  static constexpr std::uint32_t kProbeAttempts = 2;
+
+  std::vector<Resync> resyncs;  ///< pending re-syncs, in recovery order
+  std::vector<Suspect> suspects;
+  std::vector<char> quarantined;  ///< per node; allocated by init_suspicion
+  std::size_t n_quarantined = 0;
+
+  /// Probe round trip plus slack under the deployed network policy.
+  static std::uint64_t probe_timeout(const CoordCtx& ctx) noexcept {
+    return 2 * ctx.flush_ticks() + 2;
+  }
+
+  /// Deadline after the attempt-th lost probe: capped exponential backoff,
+  /// so a long outage of the return path cannot flood the link.
+  static std::uint64_t backoff(const CoordCtx& ctx,
+                               std::uint32_t attempt) noexcept {
+    return probe_timeout(ctx) << std::min(attempt, 6u);
+  }
+
+  static void send_probe(CoordCtx& ctx, NodeId id) {
+    Message probe;
+    probe.kind = MsgKind::kProbe;
+    ctx.unicast(id, probe);
+  }
+
+  // -- re-sync table ---------------------------------------------------------
+
+  bool resyncing(NodeId id) const noexcept {
+    return std::any_of(resyncs.begin(), resyncs.end(),
+                       [id](const Resync& r) { return r.id == id; });
+  }
+
+  /// Probes recovered node `id` and arms the owner's timer for the resend
+  /// countdown. No-op while a re-sync of `id` is pending.
+  void begin_resync(CoordCtx& ctx, MonitorStats& st, NodeId id) {
+    if (resyncing(id)) return;
+    ++st.resyncs;
+    resyncs.push_back(Resync{id, probe_timeout(ctx), 0, false, 0});
+    send_probe(ctx, id);
+    ctx.arm_timer();
+  }
+
+  /// Coordinator tick: resends timed-out probes and keeps the owner's
+  /// timer armed while any probe awaits its reply.
+  void tick_resyncs(CoordCtx& ctx, MonitorStats& st) {
+    if (resyncs.empty()) return;
+    bool waiting = false;
+    for (Resync& r : resyncs) {
+      if (r.parked) continue;  // the reply is in hand
+      waiting = true;
+      if (r.countdown > 0) {
+        --r.countdown;
+        continue;
+      }
+      ++st.resync_retries;
+      r.countdown = backoff(ctx, ++r.attempt);
+      send_probe(ctx, r.id);
+    }
+    if (waiting) ctx.arm_timer();
+  }
+
+  /// A reply the owner cannot act on yet: keep its value for
+  /// admit_parked. Nothing was lost, so no probe is resent. No-op when no
+  /// re-sync of `id` is pending.
+  void park(NodeId id, Value v) {
+    for (Resync& r : resyncs) {
+      if (r.id != id) continue;
+      r.parked = true;
+      r.value = v;
+      return;
+    }
+  }
+
+  /// Completes the re-sync of `id`; false when none is pending (a late
+  /// duplicate reply, or a report from a node that was never probed).
+  bool complete(NodeId id) {
+    if (resyncs.empty()) return false;
+    const auto it = std::find_if(resyncs.begin(), resyncs.end(),
+                                 [id](const Resync& r) { return r.id == id; });
+    if (it == resyncs.end()) return false;
+    resyncs.erase(it);
+    return true;
+  }
+
+  /// Hands every parked reply to `admit(id, value)` in recovery order and
+  /// completes its re-sync.
+  template <class Admit>
+  void admit_parked(Admit&& admit) {
+    for (auto it = resyncs.begin(); it != resyncs.end();) {
+      if (!it->parked) {
+        ++it;
+        continue;
+      }
+      admit(it->id, it->value);
+      it = resyncs.erase(it);
+    }
+  }
+
+  /// Node `id` went down: its re-sync and every suspicion trace go.
+  void drop(NodeId id) {
+    std::erase_if(resyncs, [id](const Resync& r) { return r.id == id; });
+    release(id);
+  }
+
+  // -- suspicion table -------------------------------------------------------
+
+  void init_suspicion(std::size_t n) {
+    suspects.clear();
+    quarantined.assign(n, 0);
+    n_quarantined = 0;
+  }
+
+  bool is_quarantined(NodeId id) const noexcept {
+    return quarantined[id] != 0;
+  }
+
+  /// True when `id` is suspected, watched or quarantined.
+  bool suspected(NodeId id) const noexcept {
+    return std::any_of(suspects.begin(), suspects.end(),
+                       [id](const Suspect& s) { return s.id == id; });
+  }
+
+  /// Puts `id` under suspicion and sends the first deadline-tracked probe.
+  /// No-op when `id` is already suspected, watched or quarantined.
+  void suspect(CoordCtx& ctx, MonitorStats& st, NodeId id) {
+    if (suspected(id)) return;
+    ++st.suspicions;
+    open(ctx, id, /*watch=*/false);
+  }
+
+  /// Sends `id` a deadline-tracked audit probe that becomes a suspicion
+  /// only at its first missed deadline. The caller makes sure `id` is
+  /// neither suspected nor re-syncing, and counts the poll.
+  void watch(CoordCtx& ctx, NodeId id) { open(ctx, id, /*watch=*/true); }
+
+  /// Coordinator tick: runs the probe deadlines of suspects not yet
+  /// quarantined. A missed deadline resends with capped backoff; the
+  /// kProbeAttempts-th quarantines the node, and `on_quarantine(id)` runs
+  /// the owner's removal right there, so its sends keep their place
+  /// among the probes.
+  template <class OnQuarantine>
+  void tick_suspects(CoordCtx& ctx, MonitorStats& st,
+                     OnQuarantine&& on_quarantine) {
+    if (suspects.empty()) return;
+    bool ticking = false;
+    for (std::size_t i = 0; i < suspects.size(); ++i) {
+      Suspect& s = suspects[i];
+      if (s.quarantined) continue;  // release probing is step-driven
+      if (s.countdown > 0) {
+        --s.countdown;
+        ticking = true;
+        continue;
+      }
+      if (s.watch) {
+        s.watch = false;
+        ++st.suspicions;
+      }
+      if (++s.attempt >= kProbeAttempts) {
+        const NodeId id = s.id;
+        if (quarantine(st, id)) on_quarantine(id);
+        continue;
+      }
+      s.countdown = backoff(ctx, s.attempt);
+      send_probe(ctx, s.id);
+      ticking = true;
+    }
+    if (ticking) ctx.arm_timer();
+  }
+
+  /// Quarantines `id`, opening its entry when a direct conviction skipped
+  /// the suspicion; its first release probe goes out next step. False
+  /// when `id` already was quarantined.
+  bool quarantine(MonitorStats& st, NodeId id) {
+    Suspect* entry = nullptr;
+    for (Suspect& s : suspects) {
+      if (s.id == id) entry = &s;
+    }
+    if (entry == nullptr) {
+      suspects.push_back(Suspect{id, 0, 0, false, 0, 0, false});
+      entry = &suspects.back();
+    }
+    if (entry->quarantined) return false;
+    entry->quarantined = true;
+    entry->release_wait = 1;
+    entry->release_attempt = 0;
+    quarantined[id] = 1;
+    ++n_quarantined;
+    ++st.quarantines;
+    return true;
+  }
+
+  /// Observation step: release probes of quarantined nodes, backoff capped
+  /// at 2^cap steps. Step-driven on purpose: a mute node answers no probe
+  /// until it heals, and a tick-driven deadline would keep the owner's
+  /// timer armed forever, so the settle loop would never quiesce under an
+  /// unbudgeted network policy.
+  void tick_release_probes(CoordCtx& ctx, std::uint32_t cap) {
+    for (Suspect& s : suspects) {
+      if (!s.quarantined) continue;
+      if (s.release_wait > 0) {
+        --s.release_wait;
+        continue;
+      }
+      s.release_wait = std::uint32_t{1} << std::min(++s.release_attempt, cap);
+      send_probe(ctx, s.id);
+    }
+  }
+
+  /// A quarantined node answered while the owner cannot re-admit it:
+  /// restart its release schedule, so the next probe goes out next step.
+  void defer_release(NodeId id) {
+    for (Suspect& s : suspects) {
+      if (s.id != id) continue;
+      s.release_wait = 1;
+      s.release_attempt = 0;
+      return;
+    }
+  }
+
+  /// A useful report from `id` clears its pending (not yet quarantined)
+  /// suspicion.
+  void clear_suspicion(NodeId id) {
+    std::erase_if(suspects, [id](const Suspect& s) {
+      return s.id == id && !s.quarantined;
+    });
+  }
+
+  /// Drops every suspicion trace of `id`, lifting its quarantine.
+  void release(NodeId id) {
+    if (suspects.empty()) return;
+    std::erase_if(suspects, [&](const Suspect& s) {
+      if (s.id != id) return false;
+      if (s.quarantined) {
+        quarantined[id] = 0;
+        --n_quarantined;
+      }
+      return true;
+    });
+  }
+
+ private:
+  void open(CoordCtx& ctx, NodeId id, bool watch) {
+    suspects.push_back(Suspect{id, probe_timeout(ctx), 0, false, 0, 0, watch});
+    send_probe(ctx, id);
+    ctx.arm_timer();  // drive the probe deadline
   }
 };
 
