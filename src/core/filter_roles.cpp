@@ -53,18 +53,9 @@ void FilterNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
 
 void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
   switch (m.kind) {
-    case MsgKind::kRoundBeacon: {
-      if (!in_session_) break;
-      const auto beacon = unpack_beacon_b(m.b);
-      if (beacon.epoch != epoch_) break;
-      // A beacon without a holder means "no report seen yet" and carries
-      // no deactivation power.
-      if (beacon.holder == kNoHolder) break;
-      has_beacon_ = true;
-      beacon_value_ = m.a;
-      beacon_holder_ = beacon.holder;
+    case MsgKind::kRoundBeacon:
+      session_.handle_beacon(m);
       break;
-    }
     case MsgKind::kWinnerAnnounce: {
       // During FILTERRESET the announce order is common knowledge: the
       // first k winners are the new top-k, the (k+1)-st is the best
@@ -109,8 +100,7 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
       member_ = m.a != 0;
       filter_ = boundary_filter(m.b, member_);
       selecting_ = false;
-      in_session_ = false;
-      active_ = false;
+      session_.skip();
       ctx.set_quiet_range(filter_.lo, filter_.hi);
       if (filter_.contains(ctx.value())) {
         pending_ = Pending::kNone;
@@ -135,11 +125,7 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
       break;
     }
     case FilterControlOp::kStartSession: {
-      const auto dir = c.a == 1 ? Direction::kMin : Direction::kMax;
       const auto group = static_cast<FilterSessionGroup>(c.b);
-      const auto epoch = static_cast<std::uint32_t>(c.c >> 8);
-      const auto log_n = static_cast<std::uint32_t>(c.c & 0xFF);
-
       bool join = false;
       switch (group) {
         case FilterSessionGroup::kViolTop:
@@ -160,16 +146,11 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
           join = selecting_ && !excluded_;
           break;
       }
-      in_session_ = join;
-      if (!join) break;
-      active_ = true;
-      dir_ = dir;
-      epoch_ = epoch;
-      log_n_ = log_n;
-      round_ = 0;
-      has_beacon_ = false;
-      beacon_holder_ = kNoHolder;
-      ctx.arm_timer();
+      if (join) {
+        session_.join(ctx, unpack_session_start(c));
+      } else {
+        session_.skip();
+      }
       break;
     }
   }
@@ -177,30 +158,7 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
 
 void FilterNode::on_timer(NodeCtx& ctx) {
   // One protocol round (Algorithm 2, node side).
-  if (!in_session_ || !active_) return;
-  const std::uint32_t r = round_++;
-
-  // Line 8: a node beaten by the broadcast extremum deactivates.
-  if (has_beacon_ &&
-      !beats(dir_, ctx.value(), ctx.id(), beacon_value_, beacon_holder_)) {
-    active_ = false;
-    return;
-  }
-
-  // Line 11: Bernoulli(2^r / N) coin flip; the final round has p = 1.
-  if (ctx.rng().bernoulli_pow2(r, log_n_)) {
-    Message report;
-    report.kind = MsgKind::kValueReport;
-    report.a = ctx.value();
-    ctx.send(report);
-    active_ = false;
-    return;
-  }
-  if (r >= log_n_) {
-    active_ = false;  // defensive; the final-round coin always succeeds
-    return;
-  }
-  ctx.arm_timer();
+  session_.run_round(ctx, ctx.value());
 }
 
 void FilterNode::on_recover(NodeCtx& ctx) {
@@ -208,14 +166,11 @@ void FilterNode::on_recover(NodeCtx& ctx) {
   // session-scoped state must not — any protocol execution convened
   // while this node was down proceeded without it, so replaying a stale
   // round counter, beacon view or selection role would corrupt the run.
-  in_session_ = false;
-  active_ = false;
+  session_.reset();
   selecting_ = false;
   excluded_ = false;
   announces_seen_ = 0;
   pending_ = Pending::kNone;
-  has_beacon_ = false;
-  beacon_holder_ = kNoHolder;
   // The surviving filter may predate boundaries renegotiated during the
   // outage: stay observed until an observe or the re-sync handshake's
   // kFilterAssign declares the filter again.
@@ -237,6 +192,7 @@ FilterCoordinator::FilterCoordinator(std::size_t k, Options opts)
   if (opts_.epsilon < 0) {
     throw std::invalid_argument("FilterCoordinator: epsilon must be >= 0");
   }
+  session_.suppress_idle = opts_.suppress_idle_broadcasts;
 }
 
 void FilterCoordinator::on_init(CoordCtx& ctx) {
@@ -349,7 +305,7 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     // beyond the session window keeps producing stragglers that arrive
     // after the repair already aborted; those must not launder its
     // silence, or a laggard is never convicted.
-    if (session_active_ || phase_ != Phase::kIdle || m.b == 1) {
+    if (session_.active || phase_ != Phase::kIdle || m.b == 1) {
       silent_steps_[m.from] = 0;
       guard_.clear_suspicion(m.from);
     }
@@ -361,21 +317,14 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     handle_resync_reply(ctx, m.from, m.a);
     return;
   }
-  if (!session_active_ || m.kind != MsgKind::kValueReport) return;
-  if (!have_best_ ||
-      beats(sdir_, m.a, m.from, best_value_, best_holder_)) {
-    have_best_ = true;
-    best_value_ = m.a;
-    best_holder_ = m.from;
-    improved_ = true;
-  }
+  if (m.kind == MsgKind::kValueReport) session_.fold(m);
 }
 
 void FilterCoordinator::on_timer(CoordCtx& ctx) {
   guard_.tick_resyncs(ctx, mstats_);
   guard_.tick_suspects(ctx, mstats_,
                        [&](NodeId id) { remove_node(ctx, id); });
-  if (!session_active_) {
+  if (!session_.active) {
     // Inter-iteration gap of a FILTERRESET selection: the previous
     // iteration's winner announcement is in flight; convening the next
     // iteration before it lands would let the winner re-join. Zero ticks
@@ -395,33 +344,10 @@ void FilterCoordinator::on_timer(CoordCtx& ctx) {
     }
     return;
   }
-  // End of round sround_ (Algorithm 2, coordinator side): the round's
-  // reports have been folded in via on_message.
-  if (sround_ < slog_n_) {
-    // Line 18: broadcast the running extremum (optionally only on change).
-    if (!opts_.suppress_idle_broadcasts || improved_) {
-      Message beacon;
-      beacon.kind = MsgKind::kRoundBeacon;
-      beacon.a = have_best_ ? best_value_ : kMinusInf;
-      beacon.b = pack_beacon_b(sepoch_, have_best_ ? best_holder_ : kNoHolder);
-      ctx.broadcast(beacon);
-    }
-    improved_ = false;
-    ++sround_;
-    ctx.arm_timer();
-    return;
-  }
-  // Final round complete. Under a delayed policy, reports may still be in
-  // flight: wait out the network's worst-case lag before concluding (zero
-  // extra ticks under instant delivery).
-  if (sflush_ > 0) {
-    --sflush_;
-    ctx.arm_timer();
-    return;
-  }
-  // Under lossless delivery every still-active participant reported, so
-  // the extremum is exact.
-  conclude_session(ctx);
+  // End of a round (Algorithm 2, coordinator side): the round's reports
+  // have been folded in via on_message. Under lossless delivery every
+  // still-active participant reported, so a concluded extremum is exact.
+  if (session_.advance(ctx)) conclude_session(ctx);
 }
 
 void FilterCoordinator::start_cycle(CoordCtx& ctx) {
@@ -447,36 +373,14 @@ void FilterCoordinator::start_session(CoordCtx& ctx, Direction dir,
                                       FilterSessionGroup group,
                                       std::uint64_t n_upper, bool announce) {
   ++mstats_.protocol_runs;
-  sdir_ = dir;
-  sepoch_ = ctx.next_protocol_epoch();
-  slog_n_ = floor_log2(next_pow2(n_upper));
-  sround_ = 0;
-  sflush_ = ctx.flush_ticks();
-  have_best_ = false;
-  improved_ = false;
-  best_holder_ = kNoHolder;
-  session_active_ = true;
   announce_at_end_ = announce;
-
-  Control start;
-  start.op = static_cast<std::int64_t>(FilterControlOp::kStartSession);
-  start.a = dir == Direction::kMin ? 1 : 0;
-  start.b = static_cast<std::int64_t>(group);
-  start.c = pack_session_c(sepoch_, slog_n_);
-  ctx.control_broadcast(start);
-  ctx.arm_timer();
+  session_.begin(ctx, static_cast<std::int64_t>(FilterControlOp::kStartSession),
+                 dir, static_cast<std::int64_t>(group), n_upper);
 }
 
 void FilterCoordinator::conclude_session(CoordCtx& ctx) {
-  session_active_ = false;
-  if (announce_at_end_ && have_best_) {
-    Message announce;
-    announce.kind = MsgKind::kWinnerAnnounce;
-    announce.a = best_value_;
-    announce.b = pack_beacon_b(sepoch_, best_holder_);
-    ctx.broadcast(announce);
-  }
-  if (!have_best_) {
+  if (announce_at_end_) session_.announce(ctx);
+  if (!session_.have_best) {
     // Only possible under message loss: every report of the session was
     // dropped. Abandon the cycle; the next violation restarts repair.
     abort_cycle();
@@ -485,7 +389,7 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
 
   switch (phase_) {
     case Phase::kViolMin:
-      min_v_ = best_value_;
+      min_v_ = session_.best_value;
       if (cycle_bot_) {
         phase_ = Phase::kViolMax;
         start_session(ctx, Direction::kMax, FilterSessionGroup::kViolBot,
@@ -495,14 +399,14 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
       }
       break;
     case Phase::kViolMax:
-      max_v_ = best_value_;
+      max_v_ = session_.best_value;
       handler_transition(ctx);
       break;
     case Phase::kFullSide:
-      if (sdir_ == Direction::kMax) {
-        max_v_ = best_value_;
+      if (session_.dir == Direction::kMax) {
+        max_v_ = session_.best_value;
       } else {
-        min_v_ = best_value_;
+        min_v_ = session_.best_value;
       }
       decide(ctx);
       break;
@@ -516,12 +420,12 @@ void FilterCoordinator::conclude_session(CoordCtx& ctx) {
       // succeed; suppressing it measured severalfold higher error rates
       // under loss (e15) for one saved message.
       for (const Winner& w : sel_winners_) {
-        if (w.id == best_holder_) {
+        if (w.id == session_.best_holder) {
           abort_cycle();
           return;
         }
       }
-      sel_winners_.push_back(Winner{best_holder_, best_value_});
+      sel_winners_.push_back(Winner{session_.best_holder, session_.best_value});
       if (sel_winners_.size() < selection_target()) {
         const std::uint64_t gap = ctx.flush_ticks();
         if (gap == 0) {
@@ -647,7 +551,7 @@ Value FilterCoordinator::choose_boundary() const {
 }
 
 void FilterCoordinator::reanchor(CoordCtx& ctx) {
-  if (degenerate_ || phase_ != Phase::kIdle || session_active_) return;
+  if (degenerate_ || phase_ != Phase::kIdle || session_.active) return;
   if (opts_.pinned_boundary == nullptr ||
       !opts_.pinned_boundary->has_value()) {
     return;
@@ -690,7 +594,7 @@ void FilterCoordinator::cycle_done(CoordCtx& ctx) {
 
 void FilterCoordinator::abort_cycle() {
   phase_ = Phase::kIdle;
-  session_active_ = false;
+  session_.active = false;
   pending_select_ = false;
   select_gap_ = 0;
   min_v_.reset();
@@ -739,7 +643,7 @@ void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
   n_live_ = ctx.live_count();
   // Already pending (defensive; cleared on down).
   if (guard_.resyncing(id)) return;
-  if (opts_.replay && phase_ == Phase::kIdle && !session_active_ &&
+  if (opts_.replay && phase_ == Phase::kIdle && !session_.active &&
       topk_ids_.size() == k_) {
     // Warm-standby recovery: the coordinator's own state is the collapsed
     // assignment log — the node's membership (an outage always cleared
@@ -783,7 +687,7 @@ void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
 
 void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
                                             Value v) {
-  if (phase_ != Phase::kIdle || session_active_) {
+  if (phase_ != Phase::kIdle || session_.active) {
     // Re-admitting mid-cycle would corrupt the running session's quorum:
     // park the reply and admit the node when the cycle ends
     // (admit_parked).
@@ -854,7 +758,7 @@ bool FilterCoordinator::admit(CoordCtx& ctx, NodeId id, Value v) {
 
 void FilterCoordinator::handle_release_reply(CoordCtx& ctx, NodeId from,
                                              Value v) {
-  if (phase_ != Phase::kIdle || session_active_) {
+  if (phase_ != Phase::kIdle || session_.active) {
     // Re-admitting mid-cycle would corrupt the running session's quorum;
     // the next release probe finds the coordinator idle later.
     guard_.defer_release(from);

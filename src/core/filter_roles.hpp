@@ -14,12 +14,16 @@
 //
 // Division of state, mirroring a real deployment:
 //  * FilterNode owns the node's filter interval, its top-k membership
-//    belief, and its per-session protocol state (round counter, beacon
-//    view, activation). All of it is updated exclusively from local
+//    belief, and its per-session protocol state (a NodeProtoSession of
+//    core/role_session.hpp). All of it is updated exclusively from local
 //    observations and received (control) broadcasts.
 //  * FilterCoordinator owns the violation-cycle state machine
 //    (violation sessions -> missing-side session -> midpoint/reset), the
-//    T+/T- accumulators and the answer set.
+//    T+/T- accumulators and the answer set. Its sessions run on a
+//    CoordProtoSession, and its recovery — the crash re-sync table and
+//    the ?suspect suspicion table — on a RecoveryGuard; the policy the
+//    guard runs (re-admission, useful reports, stale contradiction,
+//    removal on quarantine) stays here.
 //
 // The uncharged control plane carries exactly the synchronization the
 // lock-step model grants for free: "your side's protocol execution starts
@@ -100,16 +104,7 @@ class FilterNode final : public NodeAlgo {
   enum class Pending : std::uint8_t { kNone, kTop, kBot };
   Pending pending_ = Pending::kNone;
 
-  // Current protocol session (valid while in_session_).
-  bool in_session_ = false;
-  bool active_ = false;
-  Direction dir_ = Direction::kMax;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t log_n_ = 0;
-  std::uint32_t round_ = 0;
-  bool has_beacon_ = false;
-  Value beacon_value_ = 0;
-  NodeId beacon_holder_ = kNoHolder;
+  NodeProtoSession session_;  ///< the current protocol session
 
   // Reset-selection bookkeeping.
   bool selecting_ = false;
@@ -332,17 +327,8 @@ class FilterCoordinator final : public CoordinatorAlgo {
   std::optional<Value> max_v_;
 
   // Current protocol session.
-  bool session_active_ = false;
-  Direction sdir_ = Direction::kMax;
-  std::uint32_t sepoch_ = 0;
-  std::uint32_t slog_n_ = 0;
-  std::uint32_t sround_ = 0;
-  std::uint64_t sflush_ = 0;  ///< post-final-round delay drain (0 on instant)
-  bool have_best_ = false;
-  bool improved_ = false;
-  Value best_value_ = 0;
-  NodeId best_holder_ = kNoHolder;
-  bool announce_at_end_ = false;
+  CoordProtoSession session_;
+  bool announce_at_end_ = false;  ///< a selection iteration: announce winner
 
   // Reset selection progress.
   struct Winner {
