@@ -104,12 +104,12 @@ class FilterNode final : public NodeAlgo {
   enum class Pending : std::uint8_t { kNone, kTop, kBot };
   Pending pending_ = Pending::kNone;
 
-  NodeProtoSession session_;  ///< the current protocol session
-
   // Reset-selection bookkeeping.
   bool selecting_ = false;
   bool excluded_ = false;
   std::uint32_t announces_seen_ = 0;
+
+  NodeProtoSession session_;  ///< the current protocol session
 };
 
 /// Coordinator-side half of Algorithm 1.
@@ -165,8 +165,9 @@ class FilterCoordinator final : public CoordinatorAlgo {
     /// answer. The tables and their drivers are RecoveryGuard's (see
     /// core/role_session.hpp); the policy above is this monitor's. Off
     /// by default: the machinery changes no trace until enabled AND a
-    /// node actually degrades. Tuned for instant/delayed networks; under heavy drop
-    /// the strike thresholds absorb most — not all — false positives.
+    /// node actually degrades. Tuned for instant/delayed networks; under
+    /// heavy drop the strike thresholds absorb most — not all — false
+    /// positives.
     bool suspect = false;
     /// Warm-standby recovery: when a node recovers (or joins) while the
     /// answer is established and no cycle is in flight, replay the

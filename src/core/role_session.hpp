@@ -1,16 +1,18 @@
-// Reusable node/coordinator halves of one randomized extremum session
-// (Algorithm 2) for native role ports. This is the session machinery of
-// core/filter_roles.cpp factored into two plain structs so the ordered
-// and multi-k ports (core/ordered_roles.hpp, core/multik_roles.hpp) run
-// the exact same wire protocol — same kStartSession control packing,
-// same per-round kRoundBeacon / kValueReport exchange, same Bernoulli
-// coin schedule, same flush-window conclusion — without re-implementing
-// it. The filter port keeps its own inlined copy: its session state is
-// entangled with suspicion bookkeeping the shared struct must not grow.
+// Reusable halves of the native role ports, as plain structs driven by
+// their owners.
 //
-// Division of labour: the owner decides who participates (group
-// semantics stay monitor-specific), counts protocol_runs, and handles
-// the conclusion; the structs own only the round/beacon/flush mechanics.
+// NodeProtoSession / CoordProtoSession: the node and coordinator halves
+// of one randomized extremum session (Algorithm 2). The filter, ordered,
+// multi-k and recompute ports (core/*_roles.hpp) run the exact same wire
+// protocol on them — same kStartSession control packing, same per-round
+// kRoundBeacon / kValueReport exchange, same Bernoulli coin schedule,
+// same flush-window conclusion. The owner decides who participates
+// (group semantics stay monitor-specific), counts protocol_runs, and
+// handles the conclusion; the structs own only the round/beacon/flush
+// mechanics.
+//
+// RecoveryGuard: the coordinator's crash re-sync table and suspicion
+// table, driven by the filter, naive and dominance ports.
 #pragma once
 
 #include <algorithm>
@@ -53,13 +55,13 @@ inline SessionStart unpack_session_start(const Control& c) noexcept {
 struct NodeProtoSession {
   bool in = false;      ///< joined the currently convened session
   bool active = false;  ///< still eligible to report
+  bool has_beacon = false;
   Direction dir = Direction::kMax;
   std::uint32_t epoch = 0;
   std::uint32_t log_n = 0;
   std::uint32_t round = 0;
-  bool has_beacon = false;
-  Value beacon_value = kMinusInf;
   NodeId beacon_holder = kNoHolder;
+  Value beacon_value = kMinusInf;
 
   void join(NodeCtx& ctx, const SessionStart& s) {
     in = true;
@@ -137,15 +139,15 @@ struct NodeProtoSession {
 struct CoordProtoSession {
   bool active = false;
   bool suppress_idle = false;  ///< skip beacons that repeat the extremum
+  bool have_best = false;
+  bool improved = false;
   Direction dir = Direction::kMax;
   std::uint32_t epoch = 0;
   std::uint32_t log_n = 0;
   std::uint32_t round = 0;
-  std::uint64_t flush = 0;
-  bool have_best = false;
-  bool improved = false;
-  Value best_value = 0;
   NodeId best_holder = kNoHolder;
+  std::uint64_t flush = 0;
+  Value best_value = 0;
 
   /// Starts a session and emits its kStartSession control under the
   /// monitor's own control opcode; `group` rides in the control's b word
