@@ -13,9 +13,10 @@
 # all fingerprints match, 1 on any difference. The suites run at
 # `--jobs $(nproc)` (capped at 256, the CLI's limit): every suite's
 # tables are byte-identical at any --jobs, so the parallel grain changes
-# only the wall time. That is ~6 min per tree on one core, about a
-# quarter of it on four; set CMAKE_CXX_COMPILER_LAUNCHER=ccache to reuse
-# compiler output.
+# only the wall time. The suites take ~8 CPU-minutes per tree, ~3.5 min
+# of wall time on four cores (the longest suites bound it), plus the
+# builds; set CMAKE_CXX_COMPILER_LAUNCHER=ccache to reuse compiler
+# output.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then

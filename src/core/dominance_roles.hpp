@@ -15,6 +15,11 @@
 // probe reply falls back to the incumbent's last known w — the split is
 // then placed on slightly stale information, which the incumbent's own
 // next violation repairs.
+//
+// A recovered node is re-synced through the coordinator's RecoveryGuard
+// (core/role_session.hpp): probed, re-probed with capped backoff when the
+// probe or reply is lost, and placed like a violator once its w arrives.
+// Dominance runs no suspicion policy.
 #pragma once
 
 #include <cstdint>

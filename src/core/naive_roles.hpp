@@ -6,6 +6,12 @@
 // under delay/drop policies the replica goes stale and the validation
 // layer records the resulting error steps — the natural "how robust is
 // brute force?" baseline for the latency/loss experiment suites.
+//
+// Recovery runs on the coordinator's RecoveryGuard (core/role_session.hpp):
+// a recovered node is re-synced by a probe, and with ?suspect silent
+// nodes are suspected, probed, quarantined and released. The naive
+// policy is what counts as silence and that a quarantined node's replica
+// entry drops to -inf.
 #pragma once
 
 #include <optional>
