@@ -121,10 +121,7 @@ class DominanceCoordinator final : public CoordinatorAlgo {
   NodeId probe_violator_ = 0;
   std::optional<Value> probe_reply_;
 
-  /// Crash-recovery re-syncs: probe, then place the reply like a
-  /// violator. Only the re-sync table is used; dominance runs no
-  /// suspicion policy.
-  RecoveryGuard guard_;
+  RecoveryGuard guard_;  ///< crash-recovery re-syncs only
 };
 
 }  // namespace topkmon
