@@ -45,6 +45,26 @@ inline Scenario scenario(std::string monitor, const StreamSpec& stream,
   return sc;
 }
 
+/// Cost and outcome of one MAXIMUMPROTOCOL(n) run (Algorithm 2).
+struct MaxProtocolRun {
+  std::uint64_t reports = 0;  ///< node -> coordinator value reports
+  std::uint64_t beacons = 0;  ///< coordinator round-beacon broadcasts
+  NodeId winner = kNoHolder;  ///< holder of the maximum
+};
+
+/// Runs MAXIMUMPROTOCOL(n) over every node of `c` (values already set)
+/// on the code the monitors run: the recompute role pair with k = 1
+/// convenes exactly one extremum session in SimDriver::initialize(). Its
+/// one winner announcement is left out of the counts; session-start
+/// controls are uncharged.
+inline MaxProtocolRun run_max_session(Cluster& c) {
+  const exp::RolePair pair = exp::make_role_pair(c, "recompute", 1);
+  SimDriver(c, *pair.coordinator, pair.nodes).initialize();
+  return {c.stats().by_kind(MsgKind::kValueReport),
+          c.stats().by_kind(MsgKind::kRoundBeacon),
+          pair.coordinator->topk().front()};
+}
+
 /// Label for BENCH_*.json file names (shared by the perf and e16 suites):
 /// env override, else git describe, else the UTC date. Sanitized to
 /// [A-Za-z0-9._-].

@@ -86,10 +86,10 @@ TOPKMON_SUITE(e1, "MaximumProtocol message scaling (Theorem 4.2)") {
         for (std::uint64_t t = 0; t < cell_trials; ++t) {
           Cluster c(n, args.seed * 7919 + t * 104729 + exp2);
           fill_values(c, layout, layout_rng);
-          const auto r = run_max_protocol(c, c.all_ids(), n);
+          const MaxProtocolRun r = run_max_session(c);
           s.reports.add(static_cast<double>(r.reports));
           s.beacons.add(static_cast<double>(r.beacons));
-          s.totals.add(static_cast<double>(r.messages()));
+          s.totals.add(static_cast<double>(r.reports + r.beacons));
         }
         return s;
       });

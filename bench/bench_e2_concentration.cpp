@@ -41,8 +41,7 @@ TOPKMON_SUITE(e2, "MaximumProtocol concentration / tail decay (Thm 4.2)") {
           for (NodeId i = 0; i < kN; ++i) {
             c.set_value(i, value_rng.uniform_int(0, 1'000'000'000));
           }
-          out.push_back(static_cast<double>(
-              run_max_protocol(c, c.all_ids(), kN).reports));
+          out.push_back(static_cast<double>(run_max_session(c).reports));
         }
         return out;
       });

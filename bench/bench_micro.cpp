@@ -89,8 +89,13 @@ void BM_MaxProtocol(benchmark::State& state) {
     for (NodeId i = 0; i < n; ++i) {
       c.set_value(i, values.uniform_int(0, 1'000'000));
     }
+    const exp::RolePair pair = exp::make_role_pair(c, "recompute", 1);
+    SimDriver driver(c, *pair.coordinator, pair.nodes);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(run_max_protocol(c, c.all_ids(), n));
+    // One MAXIMUMPROTOCOL(n) session: recompute with k = 1 convenes
+    // exactly one in initialize().
+    driver.initialize();
+    benchmark::DoNotOptimize(pair.coordinator->topk().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

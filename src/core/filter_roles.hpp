@@ -41,7 +41,6 @@
 #include "core/filter.hpp"
 #include "core/role_session.hpp"
 #include "core/roles.hpp"
-#include "protocols/extremum.hpp"
 
 namespace topkmon {
 

@@ -8,9 +8,9 @@
 //
 // Each step runs one announce-driven selection: k extremum sessions
 // (core/role_session.hpp) over every node not yet announced as a winner
-// of this selection. Under the instant NetworkSpec this is the wire
-// protocol of protocols/select_topk.hpp's select_extreme — same reports,
-// beacons and announcements in the same rounds, same coin flips. Under
+// of this selection — the repeated-extremum selection of FILTERRESET.
+// With k = 1 it is exactly one MAXIMUMPROTOCOL(n) plus one winner
+// announcement, which is how suites e1-e3 measure Algorithm 2. Under
 // delay the next iteration waits for the previous announcement to land;
 // a selection that cannot finish within a step's tick budget carries
 // over, and the next step reselects once it concludes.

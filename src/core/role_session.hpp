@@ -21,9 +21,20 @@
 
 #include "core/roles.hpp"
 #include "protocols/beacon.hpp"
-#include "protocols/extremum.hpp"
 
 namespace topkmon {
+
+/// Which extremum a session computes.
+enum class Direction { kMax, kMin };
+
+/// True if (va, ia) beats (vb, ib) in direction `dir` under the smaller-id
+/// tie break, which makes the extremum unique even without the paper's
+/// pairwise-distinct assumption.
+constexpr bool beats(Direction dir, Value va, NodeId ia, Value vb,
+                     NodeId ib) noexcept {
+  if (va != vb) return dir == Direction::kMax ? va > vb : va < vb;
+  return ia < ib;
+}
 
 /// Packs a session-start control's c payload: (epoch << 8) | log_n.
 constexpr std::int64_t pack_session_c(std::uint32_t epoch,

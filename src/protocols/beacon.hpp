@@ -4,10 +4,10 @@
 // epoch of the protocol execution that produced them, so that a node
 // participating in a later execution can discard stale beacons still
 // sitting in its mailbox. The epoch and holder share the second payload
-// word: b = (epoch << 32) | holder. Both the synchronous protocol
-// implementation (protocols/extremum.cpp) and the native event-driven
-// sessions (core/filter_roles.cpp) must agree on this packing — it is
-// part of the byte-level message format.
+// word: b = (epoch << 32) | holder. The extremum sessions
+// (core/role_session.hpp), the recompute nodes that read winner
+// announcements and the filter's side-session handling must agree on
+// this packing — it is part of the byte-level message format.
 #pragma once
 
 #include <cstdint>

@@ -52,8 +52,8 @@ class Cluster {
 
   /// The shared structure-of-arrays per-node machine state. The Network
   /// maintains runtime().due_mail; the SimDriver maintains
-  /// runtime().armed / runtime().needs_observe; protocol executions use
-  /// runtime().active / runtime().rngs.
+  /// runtime().armed / runtime().needs_observe; protocol sessions flip
+  /// their coins on runtime().rngs.
   NodeRuntime& runtime() noexcept { return runtime_; }
   const NodeRuntime& runtime() const noexcept { return runtime_; }
 

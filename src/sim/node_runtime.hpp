@@ -41,7 +41,7 @@ struct QuietRange {
 };
 
 /// Per-node machine state as parallel flat arrays ("which node needs
-/// attention" bits, observed values, protocol scratch, RNGs).
+/// attention" bits, observed values, RNGs).
 struct NodeRuntime {
   NodeRuntime() = default;
 
@@ -56,7 +56,6 @@ struct NodeRuntime {
         needs_observe(n),
         quiet(n),
         values(n, 0),
-        active(n),
         rngs(n) {
     alive.set_all();
   }
@@ -96,8 +95,6 @@ struct NodeRuntime {
   std::vector<Value> values;
 
   // -- warm group: touched only inside protocol executions ------------------
-  /// Protocol scratch flag ("active" in the paper's Algorithm 2).
-  IdBitset active;
   /// rngs[id] is node id's private coin-flip source (Bernoulli(2^r/N)).
   std::vector<Rng> rngs;
 };

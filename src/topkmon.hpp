@@ -2,8 +2,9 @@
 //
 //   #include <topkmon.hpp>
 //
-// pulls in the simulation substrate, stream generators, the distributed
-// max/min protocols (Algorithm 2), every Top-k-Position monitoring
+// pulls in the simulation substrate, stream generators, the extremum
+// sessions of Algorithm 2 that every monitor runs (core/role_session.hpp),
+// Theorem 4.3's sequential-probe baseline, every Top-k-Position monitoring
 // algorithm (Algorithm 1 and the baselines, one coordinator/node role pair
 // each, built by name through exp::make_role_pair) and the scenario
 // runner.
@@ -27,9 +28,6 @@
 #include "streams/factory.hpp"     // IWYU pragma: export
 #include "streams/trace.hpp"       // IWYU pragma: export
 
-#include "protocols/extremum.hpp"          // IWYU pragma: export
-#include "protocols/select_topk.hpp"       // IWYU pragma: export
-#include "protocols/shout_echo.hpp"        // IWYU pragma: export
 #include "protocols/sequential_probe.hpp"  // IWYU pragma: export
 
 #include "core/filter.hpp"               // IWYU pragma: export
@@ -37,6 +35,7 @@
 #include "core/ground_truth_tracker.hpp" // IWYU pragma: export
 #include "core/monitor.hpp"              // IWYU pragma: export
 #include "core/roles.hpp"                // IWYU pragma: export
+#include "core/role_session.hpp"         // IWYU pragma: export
 #include "core/driver.hpp"               // IWYU pragma: export
 #include "core/filter_roles.hpp"         // IWYU pragma: export
 #include "core/naive_roles.hpp"          // IWYU pragma: export

@@ -95,6 +95,7 @@ TEST(NaiveMonitor, NamesDistinguishVariants) {
 
 TEST(RecomputeMonitor, RejectsBadK) {
   EXPECT_THROW(RecomputeCoordinator(0), std::invalid_argument);
+  EXPECT_THROW(Deployed("recompute", 4, 1, {1, 2, 3}), std::invalid_argument);
 }
 
 TEST(RecomputeMonitor, AlwaysCorrectOnWalks) {

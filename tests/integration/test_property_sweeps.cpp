@@ -1,6 +1,6 @@
 // Parameterized property sweeps over (n, k, seed): Algorithm 1 must stay
-// correct and maintain valid filters across the whole parameter grid, and
-// its protocols must respect their structural invariants.
+// correct and maintain valid filters across the whole parameter grid.
+// (Algorithm 2's exactness sweep lives in core/test_max_protocol_session.)
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -10,7 +10,6 @@
 #include "core/filter_roles.hpp"
 #include "core/ground_truth.hpp"
 #include "core/runner.hpp"
-#include "protocols/extremum.hpp"
 #include "streams/factory.hpp"
 
 namespace topkmon {
@@ -72,48 +71,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FilterInvariant,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------------
-// Sweep 3: MaximumProtocol exactness across sizes and seeds.
-// ---------------------------------------------------------------------------
-
-class ProtocolExactness
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
-};
-
-TEST_P(ProtocolExactness, MaxAndMinAlwaysExact) {
-  const auto [n, seed] = GetParam();
-  Cluster c(n, seed);
-  Rng values_rng(seed * 7919 + 13);
-  Value best = kMinusInf;
-  Value worst = kPlusInf;
-  NodeId best_id = 0;
-  NodeId worst_id = 0;
-  for (NodeId i = 0; i < n; ++i) {
-    const Value v = values_rng.uniform_int(-1'000'000, 1'000'000);
-    c.set_value(i, v);
-    if (v > best) {
-      best = v;
-      best_id = i;
-    }
-    if (v < worst) {
-      worst = v;
-      worst_id = i;
-    }
-  }
-  const auto rmax = run_max_protocol(c, c.all_ids(), n);
-  EXPECT_EQ(rmax.extremum, best);
-  EXPECT_EQ(rmax.winner, best_id);
-  const auto rmin = run_min_protocol(c, c.all_ids(), n);
-  EXPECT_EQ(rmin.extremum, worst);
-  EXPECT_EQ(rmin.winner, worst_id);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndSeeds, ProtocolExactness,
-    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 5, 17, 64, 200),
-                       ::testing::Range<std::uint64_t>(1, 11)));
-
-// ---------------------------------------------------------------------------
-// Sweep 4: k == n degeneracy is free for every n.
+// Sweep 3: k == n degeneracy is free for every n.
 // ---------------------------------------------------------------------------
 
 class DegenerateK : public ::testing::TestWithParam<std::size_t> {};

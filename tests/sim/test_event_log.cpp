@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/role_drive.hpp"
 #include "sim/cluster.hpp"
-#include "protocols/extremum.hpp"
 
 namespace topkmon {
 namespace {
@@ -81,15 +81,19 @@ TEST(EventLog, ClearResets) {
 }
 
 TEST(EventLog, TapsNetworkTraffic) {
-  Cluster c(4, 1);
+  // One MAXIMUMPROTOCOL(4) session: recompute with k = 1.
   EventLog log;
-  c.net().set_tap(log.tap());
-  for (NodeId i = 0; i < 4; ++i) c.set_value(i, 10 * (i + 1));
-  const auto r = run_max_protocol(c, c.all_ids(), 4);
+  testing::Deployed d("recompute", 1, 1, {10, 20, 30, 40}, false, &log);
+  const CommStats& comm = d.cluster().stats();
   // Every counted message must have been tapped.
-  EXPECT_EQ(log.size(), c.stats().total());
-  EXPECT_EQ(log.count_direction(MsgDirection::kUpstream), r.reports);
-  EXPECT_EQ(log.count_direction(MsgDirection::kBroadcast), r.beacons);
+  EXPECT_EQ(log.size(), comm.total());
+  EXPECT_EQ(log.count_direction(MsgDirection::kUpstream), comm.upstream());
+  EXPECT_EQ(log.count_direction(MsgDirection::kBroadcast), comm.broadcast());
+  EXPECT_EQ(log.count_kind(MsgKind::kValueReport),
+            comm.by_kind(MsgKind::kValueReport));
+  EXPECT_EQ(log.count_kind(MsgKind::kRoundBeacon),
+            comm.by_kind(MsgKind::kRoundBeacon));
+  EXPECT_EQ(log.count_kind(MsgKind::kWinnerAnnounce), 1u);
 }
 
 TEST(EventLog, TapSeesUpstreamSenderIds) {
