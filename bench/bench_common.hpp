@@ -45,11 +45,10 @@ inline Scenario scenario(std::string monitor, const StreamSpec& stream,
   return sc;
 }
 
-/// Cost and outcome of one MAXIMUMPROTOCOL(n) run (Algorithm 2).
+/// Message cost of one MAXIMUMPROTOCOL(n) run (Algorithm 2).
 struct MaxProtocolRun {
   std::uint64_t reports = 0;  ///< node -> coordinator value reports
   std::uint64_t beacons = 0;  ///< coordinator round-beacon broadcasts
-  NodeId winner = kNoHolder;  ///< holder of the maximum
 };
 
 /// Runs MAXIMUMPROTOCOL(n) over every node of `c` (values already set)
@@ -61,8 +60,7 @@ inline MaxProtocolRun run_max_session(Cluster& c) {
   const exp::RolePair pair = exp::make_role_pair(c, "recompute", 1);
   SimDriver(c, *pair.coordinator, pair.nodes).initialize();
   return {c.stats().by_kind(MsgKind::kValueReport),
-          c.stats().by_kind(MsgKind::kRoundBeacon),
-          pair.coordinator->topk().front()};
+          c.stats().by_kind(MsgKind::kRoundBeacon)};
 }
 
 /// Label for BENCH_*.json file names (shared by the perf and e16 suites):

@@ -8,7 +8,6 @@
 // cluster with down nodes runs the protocol under a loose upper bound N.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -45,8 +44,8 @@ SessionRun collect(const Cluster& c, const CoordinatorAlgo& coord) {
 /// Initializes the registry's `spec` role pair over `values`, with the
 /// nodes in `down` down from the start.
 SessionRun run_spec_pair(const std::string& spec, std::size_t k,
-                  const std::vector<Value>& values, std::uint64_t seed,
-                  const std::vector<NodeId>& down = {}) {
+                         const std::vector<Value>& values, std::uint64_t seed,
+                         const std::vector<NodeId>& down = {}) {
   Cluster c(values, seed);
   for (const NodeId id : down) c.net().set_node_down(id);
   const exp::RolePair pair = exp::make_role_pair(c, spec, k);
@@ -56,7 +55,7 @@ SessionRun run_spec_pair(const std::string& spec, std::size_t k,
 
 /// MAXIMUMPROTOCOL(n): one recompute session with k = 1.
 SessionRun run_max(const std::vector<Value>& values, std::uint64_t seed,
-            const std::vector<NodeId>& down = {}) {
+                   const std::vector<NodeId>& down = {}) {
   return run_spec_pair("recompute", 1, values, seed, down);
 }
 
@@ -307,7 +306,7 @@ TEST(Beats, MinDirection) {
   EXPECT_TRUE(beats(Direction::kMin, 5, 0, 5, 1));
 }
 
-// -- exactness -----------------------------------------------------------------
+// -- exactness ----------------------------------------------------------------
 
 TEST(MaxProtocol, SingleParticipant) {
   // One live node of three: N = 3 still sets log2 N = 2 rounds of beacons.
@@ -434,7 +433,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 5, 17, 64, 200),
                        ::testing::Range<std::uint64_t>(1, 11)));
 
-// -- consecutive runs ----------------------------------------------------------
+// -- consecutive runs ---------------------------------------------------------
 
 TEST(MaxProtocol, ConsecutiveRunsIsolatedByEpochs) {
   // The first two sessions of a k = 3 selection beacon 1000 and 900. The
@@ -475,7 +474,7 @@ TEST(ProtocolSequencing, ManyAlternatingRunsStayExact) {
   }
 }
 
-// -- message costs -------------------------------------------------------------
+// -- message costs ------------------------------------------------------------
 
 TEST(MaxProtocol, RoundsAreLogNPlusOne) {
   // log2 N + 1 rounds, each but the last closed by one beacon.
@@ -534,7 +533,8 @@ TEST(ProtocolCosts, StructuralUpperBounds) {
     const std::size_t n = 1 + rng.uniform_below(100);
     std::vector<Value> values(n);
     for (auto& v : values) v = rng.uniform_int(0, 1'000'000);
-    const SessionRun r = run_max(values, 31 + static_cast<std::uint64_t>(trial));
+    const SessionRun r =
+        run_max(values, 31 + static_cast<std::uint64_t>(trial));
     EXPECT_LE(r.reports, n);           // each node reports at most once
     EXPECT_LE(r.beacons, log2_n(n));   // at most one beacon per round
     EXPECT_GE(r.reports, 1u);          // final round has p = 1
@@ -596,7 +596,7 @@ TEST(MinProtocol, MirrorsMaxCost) {
   EXPECT_NEAR(max_reports.mean(), min_reports.mean(), 2.5);
 }
 
-// -- repeated-extremum selection (k = m) ---------------------------------------
+// -- repeated-extremum selection (k = m) --------------------------------------
 
 TEST(SelectExtreme, FullDescendingOrder) {
   EventLog log;
@@ -618,7 +618,8 @@ TEST(SelectExtreme, AnnouncesEveryWinner) {
 }
 
 TEST(SelectExtreme, MessageTotalsMatchNetwork) {
-  const SessionRun r = run_spec_pair("recompute", 4, {9, 8, 7, 6, 5, 4, 3, 2}, 9);
+  const SessionRun r =
+      run_spec_pair("recompute", 4, {9, 8, 7, 6, 5, 4, 3, 2}, 9);
   EXPECT_EQ(r.announces, 4u);
   EXPECT_EQ(r.total, r.reports + r.beacons + r.announces);
 }
@@ -628,8 +629,10 @@ TEST(SelectExtreme, CostScalesLinearlyInM) {
   double cost1 = 0;
   double cost8 = 0;
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    cost1 += static_cast<double>(run_spec_pair("recompute", 1, values, seed).total);
-    cost8 += static_cast<double>(run_spec_pair("recompute", 8, values, seed).total);
+    cost1 += static_cast<double>(
+        run_spec_pair("recompute", 1, values, seed).total);
+    cost8 += static_cast<double>(
+        run_spec_pair("recompute", 8, values, seed).total);
   }
   // 8 iterations should cost roughly 8x one iteration (within 2x slack).
   EXPECT_GT(cost8, 4.0 * cost1);
