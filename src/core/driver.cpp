@@ -32,6 +32,10 @@ void NodeCtx::set_needs_observe(bool needs) {
   driver_.set_needs_observe(id_, needs);
 }
 
+void NodeCtx::set_beacon_deaf(bool deaf) {
+  driver_.set_beacon_deaf(id_, deaf);
+}
+
 void CoordCtx::control_broadcast(const Control& c) { driver_.queue_control(c); }
 
 const std::vector<Signal>& CoordCtx::signals() const {
@@ -64,10 +68,12 @@ SimDriver::SimDriver(Cluster& cluster, CoordinatorAlgo& coordinator,
   // earlier one over the same cluster. Every range starts empty (every
   // needs-observe bit set): an algorithm must declare a quiet range
   // (NodeCtx::set_quiet_range / set_needs_observe(false)) to certify that
-  // its on_observe is a no-op for values inside it.
+  // its on_observe is a no-op for values inside it. Likewise every node
+  // starts hearing round beacons until its algorithm declares otherwise.
   NodeRuntime& rt = cluster_.runtime();
   rt.armed.clear_all();
   rt.needs_observe.set_all();
+  rt.beacon_deaf.clear_all();
   std::fill(rt.quiet.begin(), rt.quiet.end(), QuietRange{});
 }
 

@@ -32,7 +32,10 @@
 // broadcasts take the bulk fan-out: the instant network hands out each
 // node's unread log suffix in place (Network::unread_broadcasts) and the
 // delivery commits with an O(1) ack — same messages, same order as a
-// drain, none of the per-node buffer traffic.
+// drain, none of the per-node buffer traffic. Round beacons do not even
+// raise the due bit of a node that declared itself beacon-deaf
+// (NodeCtx::set_beacon_deaf: a beacon is a no-op for it), so a protocol
+// session's rounds visit only the nodes still active in it, not all n.
 //
 // Observation sparsity follows the same contract, through per-node quiet
 // ranges: a node declares (NodeCtx::set_quiet_range) a value interval
@@ -193,6 +196,11 @@ class SimDriver {
   void set_needs_observe(NodeId id, bool needs) {
     const Value v = cluster_.runtime().values[id];
     set_quiet_range(id, needs ? QuietRange{} : QuietRange{v, v});
+  }
+  /// Declares whether a round beacon is a no-op for node id (read by
+  /// the network's instant beacon fan-out).
+  void set_beacon_deaf(NodeId id, bool deaf) {
+    cluster_.runtime().beacon_deaf.assign(id, deaf);
   }
 
  private:

@@ -100,7 +100,7 @@ void FilterNode::on_message(NodeCtx& ctx, const Message& m) {
       member_ = m.a != 0;
       filter_ = boundary_filter(m.b, member_);
       selecting_ = false;
-      session_.skip();
+      session_.skip(ctx);
       ctx.set_quiet_range(filter_.lo, filter_.hi);
       if (filter_.contains(ctx.value())) {
         pending_ = Pending::kNone;
@@ -149,7 +149,7 @@ void FilterNode::on_control(NodeCtx& ctx, const Control& c) {
       if (join) {
         session_.join(ctx, unpack_session_start(c));
       } else {
-        session_.skip();
+        session_.skip(ctx);
       }
       break;
     }
@@ -166,7 +166,7 @@ void FilterNode::on_recover(NodeCtx& ctx) {
   // session-scoped state must not — any protocol execution convened
   // while this node was down proceeded without it, so replaying a stale
   // round counter, beacon view or selection role would corrupt the run.
-  session_.reset();
+  session_.reset(ctx);
   selecting_ = false;
   excluded_ = false;
   announces_seen_ = 0;

@@ -158,7 +158,7 @@ void MultiKNode::on_control(NodeCtx& ctx, const Control& c) {
       if (join) {
         sess_.join(ctx, unpack_session_start(c));
       } else {
-        sess_.skip();
+        sess_.skip(ctx);
       }
       break;
     }
@@ -168,7 +168,7 @@ void MultiKNode::on_control(NodeCtx& ctx, const Control& c) {
 void MultiKNode::on_timer(NodeCtx& ctx) { sess_.run_round(ctx, ctx.value()); }
 
 void MultiKNode::on_recover(NodeCtx& ctx) {
-  sess_.reset();
+  sess_.reset(ctx);
   selecting_ = false;
   excluded_ = false;
   announces_seen_ = 0;

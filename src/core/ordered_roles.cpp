@@ -131,7 +131,7 @@ void OrderedNode::on_control(NodeCtx& ctx, const Control& c) {
       if (join) {
         sess_.join(ctx, unpack_session_start(c));
       } else {
-        sess_.skip();
+        sess_.skip(ctx);
       }
       break;
     }
@@ -145,7 +145,7 @@ void OrderedNode::on_recover(NodeCtx& ctx) {
   // outage; session- and selection-scoped state must not. The filter may
   // predate slots renegotiated during the outage — stay in the observe
   // set until the coordinator's recovery reset re-ranks everyone.
-  sess_.reset();
+  sess_.reset(ctx);
   selecting_ = false;
   excluded_ = false;
   announces_seen_ = 0;

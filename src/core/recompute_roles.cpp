@@ -43,7 +43,7 @@ void RecomputeNode::on_control(NodeCtx& ctx, const Control& c) {
     sel_epoch_ = s.epoch;
   }
   if (excluded_) {
-    sess_.skip();
+    sess_.skip(ctx);
   } else {
     sess_.join(ctx, s);
   }
@@ -52,7 +52,7 @@ void RecomputeNode::on_control(NodeCtx& ctx, const Control& c) {
 void RecomputeNode::on_recover(NodeCtx& ctx) {
   // The node missed every session convened during the outage; it joins
   // the next one as a fresh candidate.
-  sess_.reset();
+  sess_.reset(ctx);
   excluded_ = false;
   ctx.set_quiet_range(kMinusInf, kPlusInf);
 }

@@ -63,6 +63,15 @@ inline SessionStart unpack_session_start(const Control& c) noexcept {
 /// beacon seen, and the activation flag. The owner calls join()/skip()
 /// from its kStartSession handler, handle_beacon() from on_message, and
 /// run_round() from on_timer.
+///
+/// The struct also keeps the node's beacon-deaf bit
+/// (NodeCtx::set_beacon_deaf) equal to !(in && active): join() clears
+/// it, and skip(), reset() and every deactivation in run_round() set it.
+/// That is sound because beacon state is read only by run_round() under
+/// in && active, and join() forgets the last beacon, so a beacon that
+/// reaches a node outside an active session changes nothing. The owner
+/// must route kRoundBeacon only to handle_beacon(). A node that never
+/// declares keeps the default (hearing) and gets every beacon.
 struct NodeProtoSession {
   bool in = false;      ///< joined the currently convened session
   bool active = false;  ///< still eligible to report
@@ -83,10 +92,14 @@ struct NodeProtoSession {
     round = 0;
     has_beacon = false;
     beacon_holder = kNoHolder;
+    ctx.set_beacon_deaf(false);
     ctx.arm_timer();
   }
 
-  void skip() { in = false; }
+  void skip(NodeCtx& ctx) {
+    in = false;
+    ctx.set_beacon_deaf(true);
+  }
 
   void handle_beacon(const Message& m) {
     if (!in) return;
@@ -111,7 +124,7 @@ struct NodeProtoSession {
     // Line 8: a node beaten by the broadcast extremum deactivates.
     if (has_beacon &&
         !beats(dir, report_value, ctx.id(), beacon_value, beacon_holder)) {
-      active = false;
+      deactivate(ctx);
       return;
     }
 
@@ -122,23 +135,30 @@ struct NodeProtoSession {
       report.a = report_value;
       report.b = report_b;
       ctx.send(report);
-      active = false;
+      deactivate(ctx);
       return;
     }
     if (r >= log_n) {
-      active = false;  // defensive; the final-round coin always succeeds
+      deactivate(ctx);  // defensive; the final-round coin always succeeds
       return;
     }
     ctx.arm_timer();
   }
 
   /// Session-scoped state must not survive an outage or a re-anchor.
-  void reset() {
+  void reset(NodeCtx& ctx) {
     in = false;
     active = false;
     has_beacon = false;
     beacon_holder = kNoHolder;
     round = 0;
+    ctx.set_beacon_deaf(true);
+  }
+
+ private:
+  void deactivate(NodeCtx& ctx) {
+    active = false;
+    ctx.set_beacon_deaf(true);
   }
 };
 

@@ -109,6 +109,19 @@ class NodeCtx {
   /// value v (on_observe is a no-op on an unchanged value).
   void set_needs_observe(bool needs);
 
+  /// Declares whether a round beacon is a no-op for this node. `true`
+  /// certifies that on_message with a kRoundBeacon changes nothing — no
+  /// message, no signal, no timer, no state anyone later reads — until
+  /// the node declares `false` again; under the instant policy the
+  /// network then skips the node when it fans a beacon out, so the node
+  /// is never visited for one. The bit is read when the beacon is sent,
+  /// so it must already hold for any beacon sent while it is set and
+  /// read before the node next declares `false`. Every node starts
+  /// hearing (`false`). The extremum sessions of core/role_session.hpp
+  /// keep it equal to "not in an active session"; the sparse/dense and
+  /// lock-step golden tests pin the contract for the in-tree algorithms.
+  void set_beacon_deaf(bool deaf);
+
  private:
   SimDriver& driver_;
   Cluster& cluster_;

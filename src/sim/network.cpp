@@ -61,12 +61,15 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
   if (runtime != nullptr) {
     due_mail_ = &runtime->due_mail;  // shared structure-of-arrays state
     alive_ = &runtime->alive;
+    beacon_deaf_ = &runtime->beacon_deaf;
   } else {
     owned_due_mail_ = IdBitset(n);
     due_mail_ = &owned_due_mail_;
     owned_alive_ = IdBitset(n);
     owned_alive_.set_all();
     alive_ = &owned_alive_;
+    owned_beacon_deaf_ = IdBitset(n);  // nobody deaf
+    beacon_deaf_ = &owned_beacon_deaf_;
   }
   // Mix the seed once so that a zero scenario seed still decorrelates the
   // link hash from the message sequence numbers.
@@ -270,7 +273,12 @@ void Network::coord_unicast(NodeId to, const Message& m) {
     }
     unicasts_[to].push_back(Stamped{seq, m});
     ++pending_;
-    due_mail_->set(to);
+    if (!due_mail_->test(to)) {
+      // Clear-bit cursor rule: whatever the node has not read is beacons
+      // it was deaf to. Skip them; the node reads only this unicast.
+      cursors_[to] = log_offset_ + bcast_msgs_.size();
+      due_mail_->set(to);
+    }
     return;
   }
   if (const auto due = schedule_link(seq, to)) {
@@ -285,12 +293,22 @@ void Network::coord_broadcast(const Message& m) {
   if (tap_) tap_(MsgDirection::kBroadcast, m);
   const std::uint64_t seq = seq_++;
   if (instant_) {
-    // Shared log + per-node cursors: O(1) regardless of n (the word-wise
-    // due-bit fill is n/64). Every node has one pending delivery until it
-    // next drains.
+    // Shared log + per-node cursors: O(1) per message regardless of n
+    // (plus the n/64 word-wise due-bit pass). `end` is the new entry's
+    // absolute log index: a node whose due bit rises now reads from it.
+    const std::size_t end = log_offset_ + bcast_msgs_.size();
     bcast_msgs_.push_back(m);
     bcast_seqs_.push_back(seq);
+    if (m.kind == MsgKind::kRoundBeacon) {
+      fan_out_beacon(end);
+      return;
+    }
+    // Every live node has one pending delivery until it next drains.
     pending_ += num_nodes() - down_count_;
+    if (stale_cursors_) {
+      catch_up_cursors(end);
+      stale_cursors_ = false;  // every live node is due from here on
+    }
     due_mail_->set_all();
     if (down_count_ != 0) {
       // Down nodes never see this entry: their due bits stay clear and
@@ -333,6 +351,12 @@ void Network::drain_node(NodeId id, std::vector<Message>& out) {
     throw std::out_of_range("Network::drain_node: bad node id");
   }
   out.clear();
+  if (!due_mail_->test(id)) {
+    // Nothing deliverable: at most a suffix of beacons the node was deaf
+    // to, which it skips (clear-bit cursor rule).
+    cursors_[id] = log_offset_ + bcast_msgs_.size();
+    return;
+  }
   // Both sources are already seq-ascending (push order), so a two-pointer
   // merge replaces a collect-then-sort pass and the intermediate vector;
   // the unicast buffer and `out` keep their capacity across drains. The
@@ -369,9 +393,12 @@ void Network::set_node_down(NodeId id) {
   ++down_count_;
   // Queued-but-undrained mail dies with the node. In-flight wheel /
   // overflow entries addressed to it are dropped at their due tick by
-  // deliver().
+  // deliver(). A clear due bit means nothing is queued: the unread
+  // suffix, if any, holds only beacons the node was deaf to, which were
+  // never pending and are not dropped either.
   const std::size_t total = log_offset_ + bcast_msgs_.size();
-  const std::uint64_t queued = unicasts_[id].size() + (total - cursors_[id]);
+  const std::uint64_t queued =
+      due_mail_->test(id) ? unicasts_[id].size() + (total - cursors_[id]) : 0;
   pending_ -= queued;
   dropped_ += queued;
   unicasts_[id].clear();
@@ -393,14 +420,18 @@ void Network::set_node_up(NodeId id) {
 
 void Network::maybe_compact_broadcast_log() {
   if (bcast_msgs_.size() < kLogCompactThreshold) return;
+  // Only nodes with a set due bit have unread mail. A clear-bit node's
+  // cursor jumps to the log end when its bit next rises, and a down
+  // node's cursor is fast-forwarded on recovery (a down node's due bit is
+  // always clear), so neither pins the log prefix.
   std::size_t min_cursor = log_offset_ + bcast_msgs_.size();
-  if (down_count_ == 0) {
-    for (const std::size_t c : cursors_) min_cursor = std::min(min_cursor, c);
-  } else {
-    // A down node's cursor is parked at its crash point and fast-forwarded
-    // on recovery; it must not pin the log prefix for the whole outage.
-    for (NodeId id = 0; id < num_nodes(); ++id) {
-      if (alive_->test(id)) min_cursor = std::min(min_cursor, cursors_[id]);
+  const auto due = due_mail_->words();
+  for (std::size_t w = 0; w < due.size(); ++w) {
+    std::uint64_t bits = due[w];
+    while (bits != 0) {
+      const auto id = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      min_cursor = std::min(min_cursor, cursors_[id]);
     }
   }
   const std::size_t read_prefix = min_cursor - log_offset_;
@@ -411,6 +442,50 @@ void Network::maybe_compact_broadcast_log() {
   bcast_msgs_.erase(bcast_msgs_.begin(), bcast_msgs_.begin() + cut);
   bcast_seqs_.erase(bcast_seqs_.begin(), bcast_seqs_.begin() + cut);
   log_offset_ += read_prefix;
+}
+
+void Network::fan_out_beacon(std::size_t end) {
+  // Only live hearing nodes get a due bit; a deaf node with mail already
+  // due reads the beacon with that mail, so it counts as pending too. A
+  // live node left with a clear bit is skipped: neither pending nor
+  // dropped, and its cursor goes stale until its bit next rises.
+  const auto due = due_mail_->mutable_words();
+  const auto alive = alive_->words();
+  const auto deaf = beacon_deaf_->words();
+  std::uint64_t reached = 0;
+  std::uint64_t skipped = 0;
+  for (std::size_t w = 0; w < due.size(); ++w) {
+    const std::uint64_t hear = alive[w] & ~deaf[w];
+    if (stale_cursors_) {
+      std::uint64_t rising = hear & ~due[w];
+      while (rising != 0) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(rising));
+        rising &= rising - 1;
+        cursors_[w * 64 + bit] = end;
+      }
+    }
+    due[w] |= hear;
+    reached += static_cast<std::uint64_t>(std::popcount(due[w]));
+    skipped |= alive[w] & ~due[w];
+  }
+  pending_ += reached;
+  dropped_ += down_count_;
+  // Every live node not due now was skipped (possibly again); all others
+  // read from a valid cursor.
+  stale_cursors_ = skipped != 0;
+}
+
+void Network::catch_up_cursors(std::size_t end) {
+  const auto due = due_mail_->words();
+  const auto alive = alive_->words();
+  for (std::size_t w = 0; w < due.size(); ++w) {
+    std::uint64_t rising = alive[w] & ~due[w];
+    while (rising != 0) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(rising));
+      rising &= rising - 1;
+      cursors_[w * 64 + bit] = end;
+    }
+  }
 }
 
 std::optional<SimTime> Network::earliest_pending() const {

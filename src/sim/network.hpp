@@ -12,7 +12,12 @@
 //     lock-step semantics exactly. Broadcasts are stored once in a shared
 //     log with a per-node read cursor, so a broadcast costs O(1)
 //     regardless of n; the log prefix every node has read is compacted
-//     away so long runs stay in bounded memory.
+//     away so long runs stay in bounded memory. A round beacon
+//     (kRoundBeacon) reaches only the live nodes whose beacon-deaf bit
+//     is clear (NodeRuntime::beacon_deaf, declared by the node's
+//     algorithm through NodeCtx::set_beacon_deaf): a set bit certifies
+//     the beacon is a no-op for the node, so the node is never visited
+//     for it.
 //   * Under a delay/jitter/drop/batch spec, each (message, link) pair is
 //     assigned a deterministic delivery tick (or dropped) at send time;
 //     drains only surface messages whose delivery tick has been reached.
@@ -32,6 +37,15 @@
 // bitset (`due_mail_words()`), set when a delivery becomes drainable and
 // cleared by drain_node(). The SimDriver's sparse event loop visits only
 // flagged nodes, making a settled tick O(active), not O(n).
+//
+// Clear-bit cursor invariant (instant mode): a live node whose due bit is
+// clear has no deliverable mail. Its unread log suffix, if any, holds
+// only beacons it was deaf to. So whenever a clear bit rises (a unicast,
+// a non-beacon broadcast, or a beacon to a hearing node) the node's
+// cursor first moves to the log end, and drain_node, ack_broadcasts,
+// set_node_down and log compaction treat a clear-bit node's cursor as
+// being at the log end. A skipped beacon link is neither pending nor
+// dropped.
 //
 // Drains: `drain_node(id, out)` and `drain_coordinator(out)` fill a
 // caller-owned scratch buffer (cleared first, capacity retained across
@@ -150,7 +164,12 @@ class Network {
   void coord_unicast(NodeId to, const Message& m);
 
   /// Coordinator broadcasts `m` to all nodes (cost 1 in the paper's
-  /// model).
+  /// model). Under the instant policy every live node gets one pending
+  /// delivery until it next drains, except for a kRoundBeacon: a live
+  /// node whose beacon-deaf bit is set and whose due bit is clear is
+  /// skipped (no due bit, no pending delivery, no drop), while a deaf
+  /// node that already has mail due reads the beacon with that mail.
+  /// Scheduled policies deliver every broadcast on every link.
   void coord_broadcast(const Message& m);
 
   // -- receiving ------------------------------------------------------------
@@ -196,9 +215,11 @@ class Network {
   }
 
   /// Node id's unread broadcast suffix, in issue order, served directly
-  /// from the shared log (no copy). Valid only while
-  /// node_mail_is_broadcast_only(id); invalidated by any send, drain or
-  /// compact_broadcast_log() call (the log may grow or shift).
+  /// from the shared log (no copy). Valid only while node_has_mail(id)
+  /// and node_mail_is_broadcast_only(id) (a clear-bit node's cursor may
+  /// sit behind skipped beacons or before the retained log); invalidated
+  /// by any send, drain or compact_broadcast_log() call (the log may
+  /// grow or shift).
   std::span<const Message> unread_broadcasts(NodeId id) const noexcept {
     return std::span<const Message>(bcast_msgs_)
         .subspan(cursors_[id] - log_offset_);
@@ -215,7 +236,9 @@ class Network {
   void ack_broadcasts(NodeId id) noexcept {
     assert(node_mail_is_broadcast_only(id));
     const std::size_t total = log_offset_ + bcast_msgs_.size();
-    pending_ -= total - cursors_[id];
+    // A clear due bit has nothing pending: a skipped suffix of beacons the
+    // node was deaf to, if anything (see coord_broadcast).
+    if (due_mail_->test(id)) pending_ -= total - cursors_[id];
     cursors_[id] = total;
     due_mail_->clear(id);
   }
@@ -237,7 +260,10 @@ class Network {
   // -- delivery accounting (drives event-loop quiescence) -------------------
 
   /// Number of sent-but-not-yet-drained message deliveries (a broadcast
-  /// counts once per receiving link; dropped links never count).
+  /// counts once per receiving link; dropped links never count). An
+  /// instant-mode round beacon counts only for the nodes that will read
+  /// it: live nodes that are not beacon-deaf, plus deaf ones whose due
+  /// bit was already set.
   std::uint64_t pending_deliveries() const noexcept { return pending_; }
 
   /// Earliest tick at which a pending message can be drained: `now()`
@@ -245,7 +271,9 @@ class Network {
   /// timing-wheel slot / overflow entry; nullopt when idle. O(1) in n.
   std::optional<SimTime> earliest_pending() const;
 
-  /// Total messages lost to the drop policy so far (per link).
+  /// Total messages lost to the drop policy or to down recipients so far
+  /// (per link). A beacon link skipped because its node is beacon-deaf
+  /// is not a loss and never counts here.
   std::uint64_t dropped_deliveries() const noexcept { return dropped_; }
 
   /// Installs (or clears, with nullptr semantics via empty function) a tap
@@ -309,9 +337,19 @@ class Network {
   /// earlier, see the seq argument in network.cpp) into the inboxes.
   void flush_tick(SimTime t);
 
-  /// Drops the broadcast-log prefix every node has already read once the
-  /// retained log grows past the compaction threshold.
+  /// Drops the broadcast-log prefix every due node has already read once
+  /// the retained log grows past the compaction threshold.
   void maybe_compact_broadcast_log();
+
+  /// Instant-mode fan-out of the kRoundBeacon just appended at absolute
+  /// log index `end`: raises due bits for live nodes that are not
+  /// beacon-deaf and counts the beacon once per node that will read it.
+  void fan_out_beacon(std::size_t end);
+
+  /// Moves the cursor of every live node whose due bit is clear to `end`
+  /// (clear-bit cursor rule), before a non-beacon broadcast raises every
+  /// live bit.
+  void catch_up_cursors(std::size_t end);
 
   NetworkSpec spec_;
   bool instant_ = true;   ///< pure lock-step fast path
@@ -338,6 +376,16 @@ class Network {
   IdBitset owned_alive_;
   IdBitset* alive_ = nullptr;
   std::size_t down_count_ = 0;
+
+  /// Per-node beacon-deaf flags, declared by node algorithms (points at
+  /// the shared NodeRuntime's bits, else at owned_beacon_deaf_, which
+  /// stays all clear). Read only by the instant beacon fan-out.
+  IdBitset owned_beacon_deaf_;
+  IdBitset* beacon_deaf_ = nullptr;
+  /// False guarantees that every live node with a clear due bit has its
+  /// cursor at the log end. True once a beacon skipped some live node;
+  /// bits that rise then first move the cursor to the log end.
+  bool stale_cursors_ = false;
 
   // Inboxes (both modes): the coordinator's flat inbox, per-node stamped
   // unicasts, and (instant mode only) a shared broadcast log with read

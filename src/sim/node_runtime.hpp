@@ -3,14 +3,19 @@
 // One NodeRuntime is shared by the three components that touch per-node
 // state on the hot path: the Cluster owns it, the Network maintains the
 // due-mail bits, and the SimDriver maintains the armed / needs-observe
-// bits and the quiet ranges and streams through the value array in its
-// observe scan. Keeping each field in its own flat array — instead of
-// one struct per node — means every scan touches only the bytes it
-// actually uses: the per-tick word-wise scans read two bit arrays (16
-// bytes per 64 nodes), the per-step range pass reads one 16-byte range
-// per changed node, the per-step observe scan streams an 8-byte-stride
-// value array, and the cold RNG state (most of a cache line per node) is
-// only paged in when a protocol execution actually flips coins.
+// bits, the quiet ranges and the beacon-deaf bits its node algorithms
+// declare, and streams through the value array in its observe scan. The
+// beacon-deaf bits are to round beacons what the quiet ranges are to
+// observations: a set bit certifies that a kRoundBeacon is a no-op for
+// the node, and the Network's instant fan-out then skips the node.
+//
+// Keeping each field in its own flat array — instead of one struct per
+// node — means every scan touches only the bytes it actually uses: the
+// per-tick word-wise scans read two bit arrays (16 bytes per 64 nodes),
+// the per-step range pass reads one 16-byte range per changed node, the
+// per-step observe scan streams an 8-byte-stride value array, and the
+// cold RNG state (most of a cache line per node) is only paged in when a
+// protocol execution actually flips coins.
 //
 // Fields are parallel arrays indexed by NodeId and grouped by access
 // pattern; all arrays have the same logical length size().
@@ -53,6 +58,7 @@ struct NodeRuntime {
       : due_mail(n),
         armed(n),
         alive(n),
+        beacon_deaf(n),
         needs_observe(n),
         quiet(n),
         values(n, 0),
@@ -78,6 +84,15 @@ struct NodeRuntime {
   /// in the other arrays are masked out, never mutated, so recovery
   /// restores exactly the pre-crash machine state.
   IdBitset alive;
+
+  // -- per-beacon group: read word-wise by the instant beacon fan-out -------
+  /// Bit id set iff node id certifies that a kRoundBeacon is a no-op for
+  /// it (NodeCtx::set_beacon_deaf): an instant-mode beacon broadcast
+  /// then raises no due bit for it, so the beacon never costs the node a
+  /// visit. All clear by default (every node hears every beacon);
+  /// declared by the node's algorithm through the SimDriver, read only
+  /// by the Network's instant beacon fan-out.
+  IdBitset beacon_deaf;
 
   // -- per-step hot group: the observe scan ---------------------------------
   /// Bit id set iff node id must receive on_observe this step. Maintained

@@ -64,6 +64,10 @@ class IdBitset {
 
   std::span<const std::uint64_t> words() const noexcept { return words_; }
 
+  /// Writable word view for word-wise bulk updates. The caller keeps the
+  /// tail of the last word zero.
+  std::span<std::uint64_t> mutable_words() noexcept { return words_; }
+
   /// Word-wise intersection with another bitset of the same size (e.g.
   /// masking a due/armed scan down to the alive nodes).
   void mask_with(const IdBitset& other) noexcept {
