@@ -14,6 +14,7 @@
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/role_session.hpp"
@@ -494,6 +495,97 @@ TEST(MaxProtocol, MessageAccountingMatchesNetwork) {
   EXPECT_EQ(c.stats().broadcast(), r.beacons + r.announces);
   EXPECT_EQ(c.stats().unicast(), 0u);
   EXPECT_EQ(r.total, r.reports + r.beacons + r.announces);
+}
+
+// -- beacon fan-out -------------------------------------------------------------
+
+/// Forwards every callback to the wrapped node and counts the round
+/// beacons it receives, flagging any that reach a node outside
+/// `hearers` (the nodes in an active session when the beacon was sent).
+class BeaconCountingNode final : public NodeAlgo {
+ public:
+  BeaconCountingNode(std::unique_ptr<NodeAlgo> inner,
+                     const std::vector<char>& hearers,
+                     std::uint64_t& delivered, std::uint64_t& unexpected)
+      : inner_(std::move(inner)),
+        hearers_(hearers),
+        delivered_(delivered),
+        unexpected_(unexpected) {}
+
+  void on_init(NodeCtx& ctx, Value v0) override { inner_->on_init(ctx, v0); }
+  void on_observe(NodeCtx& ctx, Value v, TimeStep t) override {
+    inner_->on_observe(ctx, v, t);
+  }
+  void on_message(NodeCtx& ctx, const Message& m) override {
+    if (m.kind == MsgKind::kRoundBeacon) {
+      ++delivered_;
+      if (hearers_[ctx.id()] == 0) ++unexpected_;
+    }
+    inner_->on_message(ctx, m);
+  }
+  void on_control(NodeCtx& ctx, const Control& c) override {
+    inner_->on_control(ctx, c);
+  }
+  void on_timer(NodeCtx& ctx) override { inner_->on_timer(ctx); }
+  void on_recover(NodeCtx& ctx) override { inner_->on_recover(ctx); }
+
+ private:
+  std::unique_ptr<NodeAlgo> inner_;
+  const std::vector<char>& hearers_;
+  std::uint64_t& delivered_;
+  std::uint64_t& unexpected_;
+};
+
+TEST(MaxProtocolSession, BeaconsReachOnlyNodesActiveInTheSession) {
+  // MAXIMUMPROTOCOL(4096) on recompute k = 1. A node is in an active
+  // session exactly while its next round is armed, so the armed set when
+  // a beacon is sent is the set the beacon must reach: no more (the
+  // beacon-deaf skip) and no fewer.
+  constexpr std::size_t kN = 4096;
+  Cluster c(e1_values(1, 12, Layout::kUniform), 1 * 7919 + 12);
+  exp::RolePair pair = exp::make_role_pair(c, "recompute", 1);
+  std::vector<char> hearers(kN, 0);
+  std::uint64_t delivered = 0;
+  std::uint64_t unexpected = 0;
+  std::vector<std::uint64_t> expected;  // per beacon: active at the send
+  std::vector<std::uint64_t> got;       // per beacon: on_message calls
+  std::uint64_t deaf_mismatches = 0;
+  const NodeRuntime& rt = c.runtime();
+  c.net().set_tap([&](MsgDirection dir, const Message& m) {
+    if (dir != MsgDirection::kBroadcast || m.kind != MsgKind::kRoundBeacon) {
+      return;
+    }
+    if (!expected.empty()) got.push_back(delivered);
+    delivered = 0;
+    std::uint64_t active = 0;
+    for (NodeId id = 0; id < kN; ++id) {
+      const bool armed = rt.armed.test(id);
+      hearers[id] = armed ? 1 : 0;
+      active += armed ? 1 : 0;
+      if (rt.beacon_deaf.test(id) == armed) ++deaf_mismatches;
+    }
+    expected.push_back(active);
+  });
+  std::vector<std::unique_ptr<NodeAlgo>> nodes;
+  for (auto& inner : pair.nodes) {
+    nodes.push_back(std::make_unique<BeaconCountingNode>(
+        std::move(inner), hearers, delivered, unexpected));
+  }
+  SimDriver(c, *pair.coordinator, nodes).initialize();
+  got.push_back(delivered);
+
+  ASSERT_EQ(expected.size(), log2_n(kN));
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(unexpected, 0u);
+  // The session's own bookkeeping agrees: deaf exactly when not active.
+  EXPECT_EQ(deaf_mismatches, 0u);
+  // The first beacon still reaches nearly everyone; by the last one the
+  // session has shrunk to a handful of nodes.
+  EXPECT_GT(expected.front(), kN / 2);
+  EXPECT_LT(expected.back(), kN / 64);
+  // Same run as the frozen e1 cell (seed 1, n = 2^12, uniform).
+  EXPECT_EQ(c.stats().by_kind(MsgKind::kValueReport), 7u);
+  EXPECT_EQ(pair.coordinator->topk(), std::vector<NodeId>{1491});
 }
 
 TEST(MaxProtocol, AnnounceWinnerAddsOneBroadcast) {
