@@ -16,10 +16,11 @@
 # --seconds SECONDS --trace 0` (defaults: seed 1, 10 s), the two sides in
 # alternating order from round to round. Per metric it prints the base
 # and change medians over every run, the change's delta, the number of
-# pairs the change won, and each side's layout spread: the range of the
-# per-pad medians over the median of all runs. A delta smaller than the
-# base's layout spread is indistinguishable from moving code by a few
-# bytes.
+# pairs the change won, the base's run-to-run spread (interquartile range
+# of all its runs over their median) and each side's layout spread (the
+# range of the per-pad medians over the median of all runs). A delta
+# smaller than either base spread is indistinguishable from noise or
+# from moving code by a few bytes.
 #
 # Set TMPDIR to keep the work tree (six builds) off /tmp. Exits non-zero
 # when a build fails or any run reports a wrong answer.
@@ -59,8 +60,9 @@ build() {
   for pad in "${PADS[@]}"; do
     cp "$WORK/$name-network.cpp" "$padded"
     if ((pad > 0)); then
-      printf '\nasm(".pushsection .text.unlikely,\\"ax\\",@progbits\\n"\n    ".fill %d,1,0xcc\\n.popsection");\n' \
-        "$pad" >>"$padded"
+      printf '%s\n' '' \
+        'asm(".pushsection .text.unlikely,\"ax\",@progbits\n"' \
+        "    \".fill $pad,1,0xcc\\n.popsection\");" >>"$padded"
     fi
     cmake --build "$WORK/$name-build" -j "$JOBS" >/dev/null
     cp "$WORK/$name-build/perfbench_run" "$WORK/bin/$name-pad$pad"
@@ -111,7 +113,6 @@ rounds = int(rounds)
 with open(bench_path) as f:
     bench = json.load(f)
 better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-better.update({m["name"]: m["better"] for m in bench["per_layer"]})
 
 def load(side, pad, r):
     with open(os.path.join(runs_dir, f"{side}-pad{pad}-r{r}.json")) as f:
@@ -126,22 +127,23 @@ runs = {(side, pad, r): load(side, pad, r)
 def spread(side, name):
     values = [runs[(side, p, r)][name] for p in pads for r in range(rounds)]
     med = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4)
     per_pad = [statistics.median(runs[(side, p, r)][name]
                                  for r in range(rounds)) for p in pads]
-    rel = (max(per_pad) - min(per_pad)) / abs(med) if med else 0.0
-    return med, rel
+    iqr = (q3 - q1) / abs(med) if med else 0.0
+    lay = (max(per_pad) - min(per_pad)) / abs(med) if med else 0.0
+    return med, iqr, lay
 
 names = [m["name"] for m in bench["end_to_end"]]
-names += sorted(n for n in runs[("base", pads[0], 0)] if n not in names)
 print(f"workload {workload}, seed {seed}, {rounds} round(s) x pads "
       f"{pads} = {rounds * len(pads)} pairs")
-print(f"{'metric':<44} {'base':>12} {'change':>12} {'delta':>8} "
-      f"{'won':>6} {'base lay':>9} {'chg lay':>9}")
+print(f"{'metric':<24} {'base':>12} {'change':>12} {'delta':>8} "
+      f"{'won':>6} {'base iqr':>9} {'base lay':>9} {'chg lay':>9}")
 for name in names:
     if not all(name in v for v in runs.values()):
         continue
-    base_med, base_lay = spread("base", name)
-    chg_med, chg_lay = spread("change", name)
+    base_med, base_iqr, base_lay = spread("base", name)
+    chg_med, _, chg_lay = spread("change", name)
     delta = (chg_med - base_med) / abs(base_med) if base_med else 0.0
     direction = better.get(name)
     won = "-"
@@ -153,6 +155,6 @@ for name in names:
                 c = runs[("change", p, r)][name]
                 wins += (c > b) if direction == "higher" else (c < b)
         won = f"{wins}/{len(pads) * rounds}"
-    print(f"{name:<44} {base_med:>12.6g} {chg_med:>12.6g} {delta:>+8.1%} "
-          f"{won:>6} {base_lay:>9.1%} {chg_lay:>9.1%}")
+    print(f"{name:<24} {base_med:>12.6g} {chg_med:>12.6g} {delta:>+8.1%} "
+          f"{won:>6} {base_iqr:>9.1%} {base_lay:>9.1%} {chg_lay:>9.1%}")
 EOF
