@@ -29,6 +29,16 @@ constexpr SimTime kNoTick = std::numeric_limits<SimTime>::max();
 /// broadcast; small enough that long instant-mode runs stay flat in memory.
 constexpr std::size_t kLogCompactThreshold = 4096;
 
+/// Calls f(id) for every set bit of `bits`, word `w` of an id bitset, in
+/// ascending id order.
+template <class F>
+void for_each_id(std::size_t w, std::uint64_t bits, F&& f) {
+  while (bits != 0) {
+    f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    bits &= bits - 1;
+  }
+}
+
 /// Upper bound on the timing-wheel span in ticks. Specs whose worst-case
 /// delay fits under this bound (all realistic ones) never touch the
 /// overflow heap; larger delays merely fall back to O(log pending) pushes
@@ -306,7 +316,13 @@ void Network::coord_broadcast(const Message& m) {
     // Every live node has one pending delivery until it next drains.
     pending_ += num_nodes() - down_count_;
     if (stale_cursors_) {
-      catch_up_cursors(end);
+      // Clear-bit cursor rule: every clear live bit is about to rise.
+      const auto due = due_mail_->words();
+      const auto alive = alive_->words();
+      for (std::size_t w = 0; w < due.size(); ++w) {
+        for_each_id(w, alive[w] & ~due[w],
+                    [&](std::size_t id) { cursors_[id] = end; });
+      }
       stale_cursors_ = false;  // every live node is due from here on
     }
     due_mail_->set_all();
@@ -427,12 +443,9 @@ void Network::maybe_compact_broadcast_log() {
   std::size_t min_cursor = log_offset_ + bcast_msgs_.size();
   const auto due = due_mail_->words();
   for (std::size_t w = 0; w < due.size(); ++w) {
-    std::uint64_t bits = due[w];
-    while (bits != 0) {
-      const auto id = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
+    for_each_id(w, due[w], [&](std::size_t id) {
       min_cursor = std::min(min_cursor, cursors_[id]);
-    }
+    });
   }
   const std::size_t read_prefix = min_cursor - log_offset_;
   // Only pay the erase when it reclaims at least half the retained log;
@@ -457,12 +470,8 @@ void Network::fan_out_beacon(std::size_t end) {
   for (std::size_t w = 0; w < due.size(); ++w) {
     const std::uint64_t hear = alive[w] & ~deaf[w];
     if (stale_cursors_) {
-      std::uint64_t rising = hear & ~due[w];
-      while (rising != 0) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(rising));
-        rising &= rising - 1;
-        cursors_[w * 64 + bit] = end;
-      }
+      for_each_id(w, hear & ~due[w],
+                  [&](std::size_t id) { cursors_[id] = end; });
     }
     due[w] |= hear;
     reached += static_cast<std::uint64_t>(std::popcount(due[w]));
@@ -473,19 +482,6 @@ void Network::fan_out_beacon(std::size_t end) {
   // Every live node not due now was skipped (possibly again); all others
   // read from a valid cursor.
   stale_cursors_ = skipped != 0;
-}
-
-void Network::catch_up_cursors(std::size_t end) {
-  const auto due = due_mail_->words();
-  const auto alive = alive_->words();
-  for (std::size_t w = 0; w < due.size(); ++w) {
-    std::uint64_t rising = alive[w] & ~due[w];
-    while (rising != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(rising));
-      rising &= rising - 1;
-      cursors_[w * 64 + bit] = end;
-    }
-  }
 }
 
 std::optional<SimTime> Network::earliest_pending() const {

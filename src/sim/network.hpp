@@ -346,11 +346,6 @@ class Network {
   /// beacon-deaf and counts the beacon once per node that will read it.
   void fan_out_beacon(std::size_t end);
 
-  /// Moves the cursor of every live node whose due bit is clear to `end`
-  /// (clear-bit cursor rule), before a non-beacon broadcast raises every
-  /// live bit.
-  void catch_up_cursors(std::size_t end);
-
   NetworkSpec spec_;
   bool instant_ = true;   ///< pure lock-step fast path
   std::uint64_t hash_seed_ = 0;

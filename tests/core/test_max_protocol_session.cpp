@@ -497,7 +497,7 @@ TEST(MaxProtocol, MessageAccountingMatchesNetwork) {
   EXPECT_EQ(r.total, r.reports + r.beacons + r.announces);
 }
 
-// -- beacon fan-out -------------------------------------------------------------
+// -- beacon fan-out -----------------------------------------------------------
 
 /// Forwards every callback to the wrapped node and counts the round
 /// beacons it receives, flagging any that reach a node outside

@@ -188,7 +188,7 @@ TEST(BulkBroadcast, SharedRuntimeDueMailFollowsBulkAcks) {
   EXPECT_TRUE(rt.due_mail.test(1));
 }
 
-// -- beacon-deaf nodes ---------------------------------------------------------
+// -- beacon-deaf nodes --------------------------------------------------------
 
 /// An instant network over its own NodeRuntime, so tests can flip the
 /// beacon-deaf bits a node algorithm would declare through NodeCtx.
