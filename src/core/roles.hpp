@@ -114,12 +114,13 @@ class NodeCtx {
   /// message, no signal, no timer, no state anyone later reads — until
   /// the node declares `false` again; under the instant policy the
   /// network then skips the node when it fans a beacon out, so the node
-  /// is never visited for one. The bit is read when the beacon is sent,
-  /// so it must already hold for any beacon sent while it is set and
-  /// read before the node next declares `false`. Every node starts
-  /// hearing (`false`). The extremum sessions of core/role_session.hpp
-  /// keep it equal to "not in an active session"; the sparse/dense and
-  /// lock-step golden tests pin the contract for the in-tree algorithms.
+  /// is never visited for one. The network reads the bit when the beacon
+  /// is sent and skips a deaf node for good, so the certificate must
+  /// hold where the node would have read that beacon, even if it
+  /// declares `false` in between. Every node starts hearing (`false`).
+  /// The extremum sessions of core/role_session.hpp keep it equal to
+  /// "not in an active session"; the lock-step golden tests pin the
+  /// contract for the in-tree algorithms.
   void set_beacon_deaf(bool deaf);
 
  private:
