@@ -309,30 +309,7 @@ void Network::coord_broadcast(const Message& m) {
     const std::size_t end = log_offset_ + bcast_msgs_.size();
     bcast_msgs_.push_back(m);
     bcast_seqs_.push_back(seq);
-    if (m.kind == MsgKind::kRoundBeacon) {
-      fan_out_beacon(end);
-      return;
-    }
-    // Every live node has one pending delivery until it next drains.
-    pending_ += num_nodes() - down_count_;
-    if (stale_cursors_) {
-      // Clear-bit cursor rule: every clear live bit is about to rise.
-      const auto due = due_mail_->words();
-      const auto alive = alive_->words();
-      for (std::size_t w = 0; w < due.size(); ++w) {
-        for_each_id(w, alive[w] & ~due[w],
-                    [&](std::size_t id) { cursors_[id] = end; });
-      }
-      stale_cursors_ = false;  // every live node is due from here on
-    }
-    due_mail_->set_all();
-    if (down_count_ != 0) {
-      // Down nodes never see this entry: their due bits stay clear and
-      // set_node_up fast-forwards their cursor past it. The per-link
-      // deliveries they miss are dropped here, at delivery time.
-      due_mail_->mask_with(*alive_);
-      dropped_ += down_count_;
-    }
+    fan_out(end, m.kind == MsgKind::kRoundBeacon);
     return;
   }
   // Scheduled mode fans the broadcast out per link so each receiver gets
@@ -457,9 +434,12 @@ void Network::maybe_compact_broadcast_log() {
   log_offset_ += read_prefix;
 }
 
-void Network::fan_out_beacon(std::size_t end) {
-  // Only live hearing nodes get a due bit; a deaf node with mail already
-  // due reads the beacon with that mail, so it counts as pending too. A
+void Network::fan_out(std::size_t end, bool beacon) {
+  // Only live hearing nodes get a due bit (every live node hears a
+  // non-beacon); a deaf node with mail already due reads the beacon with
+  // that mail, so it counts as pending too. Down nodes never see the
+  // entry: their due bits stay clear, set_node_up fast-forwards their
+  // cursor past it, and their per-link deliveries are dropped here. A
   // live node left with a clear bit is skipped: neither pending nor
   // dropped, and its cursor goes stale until its bit next rises.
   const auto due = due_mail_->mutable_words();
@@ -468,8 +448,9 @@ void Network::fan_out_beacon(std::size_t end) {
   std::uint64_t reached = 0;
   std::uint64_t skipped = 0;
   for (std::size_t w = 0; w < due.size(); ++w) {
-    const std::uint64_t hear = alive[w] & ~deaf[w];
+    const std::uint64_t hear = beacon ? alive[w] & ~deaf[w] : alive[w];
     if (stale_cursors_) {
+      // Clear-bit cursor rule: a clear bit about to rise reads from here.
       for_each_id(w, hear & ~due[w],
                   [&](std::size_t id) { cursors_[id] = end; });
     }

@@ -341,10 +341,11 @@ class Network {
   /// the retained log grows past the compaction threshold.
   void maybe_compact_broadcast_log();
 
-  /// Instant-mode fan-out of the kRoundBeacon just appended at absolute
-  /// log index `end`: raises due bits for live nodes that are not
-  /// beacon-deaf and counts the beacon once per node that will read it.
-  void fan_out_beacon(std::size_t end);
+  /// Instant-mode fan-out of the broadcast just appended at absolute log
+  /// index `end`: raises the due bit of every live node (for a `beacon`,
+  /// only of live nodes that are not beacon-deaf), counts the entry once
+  /// per node that will read it and once as dropped per down node.
+  void fan_out(std::size_t end, bool beacon);
 
   NetworkSpec spec_;
   bool instant_ = true;   ///< pure lock-step fast path
