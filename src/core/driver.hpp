@@ -36,6 +36,8 @@
 // raise the due bit of a node that declared itself beacon-deaf
 // (NodeCtx::set_beacon_deaf: a beacon is a no-op for it), so a protocol
 // session's rounds visit only the nodes still active in it, not all n.
+// set_dense_loop(true) drops those declarations, so the dense loop stays
+// the certificate-free reference for beacons as it is for quiet ranges.
 //
 // Observation sparsity follows the same contract, through per-node quiet
 // ranges: a node declares (NodeCtx::set_quiet_range) a value interval
@@ -121,7 +123,15 @@ class SimDriver {
 
   /// Forces the legacy dense per-tick scan and dense observe loop
   /// (diagnostics / sparse-vs-dense benchmarking; output-identical).
-  void set_dense_loop(bool dense) noexcept { dense_ = dense; }
+  /// The dense loop ignores every skip certificate: quiet ranges are
+  /// kept but every live node is observed, and beacon-deaf declarations
+  /// are dropped (every bit stays clear), so every live node hears every
+  /// round beacon. It is the reference the certificates are checked
+  /// against.
+  void set_dense_loop(bool dense) noexcept {
+    dense_ = dense;
+    if (dense) cluster_.runtime().beacon_deaf.clear_all();
+  }
 
   /// Attaches a fault-injection schedule (sim/fault_plan.hpp). `plan`
   /// must outlive the driver (nullptr detaches). Events fire at the
@@ -198,8 +208,10 @@ class SimDriver {
     set_quiet_range(id, needs ? QuietRange{} : QuietRange{v, v});
   }
   /// Declares whether a round beacon is a no-op for node id (read by
-  /// the network's instant beacon fan-out).
+  /// the network's instant beacon fan-out). A no-op under
+  /// set_dense_loop(true), which delivers every beacon.
   void set_beacon_deaf(NodeId id, bool deaf) {
+    if (dense_) return;
     cluster_.runtime().beacon_deaf.assign(id, deaf);
   }
 
