@@ -7,9 +7,10 @@
 // growing c — which should decay geometrically.
 //
 // The claim is checked on default-size runs: the suite fails when p99 /
-// mean leaves a band, or when the tail fraction grows with c. The band
-// was set once, from the default run at seed 1 (mean 14.61, p99 28,
-// ratio 1.92), and is never widened to let a change pass.
+// mean leaves a band. The band was set once, from the default run at
+// seed 1 (mean 14.61, p99 28, ratio 1.92), and is never widened to let a
+// change pass. The tail table is not checked: on one sample set its
+// fraction is non-increasing in c by construction.
 #include <algorithm>
 #include <stdexcept>
 #include <string>
@@ -88,15 +89,9 @@ TOPKMON_SUITE(e2, "MaximumProtocol concentration / tail decay (Thm 4.2)") {
   ctx.out() << "\ndistribution of report counts:\n" << hist.ascii(40) << "\n";
 
   Table tail({"c", "threshold c*E", "tail fraction"});
-  std::string rising;  // c values where the tail grew
-  double prev_tail = 1.0;
   for (const double c : {1.0, 1.25, 1.5, 2.0, 2.5, 3.0}) {
-    const double fraction = reports.tail_fraction_above(c * mean);
-    tail.add_row({fmt(c), fmt(c * mean), fmt(fraction, 5)});
-    if (fraction > prev_tail) {
-      rising += std::string(rising.empty() ? "" : ", ") + fmt(c);
-    }
-    prev_tail = fraction;
+    tail.add_row({fmt(c), fmt(c * mean),
+                  fmt(reports.tail_fraction_above(c * mean), 5)});
   }
   ctx.emit(tail, "e2_tail");
   ctx.out() << "\nshape check: tail mass decays geometrically in c "
@@ -113,19 +108,11 @@ TOPKMON_SUITE(e2, "MaximumProtocol concentration / tail decay (Thm 4.2)") {
   const double margin = std::min(ratio - kRatioLo, kRatioHi - ratio);
   ctx.out() << "concentration check: p99/mean " << fmt(ratio) << " in ["
             << fmt(kRatioLo) << ", " << fmt(kRatioHi) << "] (margin "
-            << fmt(margin) << "); tail non-increasing in c: "
-            << (rising.empty() ? "yes" : "no") << "\n";
-  if (!(margin >= 0.0) || !rising.empty()) {
-    std::string why;
-    if (!(margin >= 0.0)) {
-      why = "p99/mean " + fmt(ratio) + " outside [" + fmt(kRatioLo) + ", " +
-            fmt(kRatioHi) + "]";
-    }
-    if (!rising.empty()) {
-      why += std::string(why.empty() ? "" : "; ") +
-             "tail fraction grows at c = " + rising;
-    }
-    throw std::logic_error("e2: report counts do not concentrate: " + why);
+            << fmt(margin) << ")\n";
+  if (!(margin >= 0.0)) {
+    throw std::logic_error("e2: report counts do not concentrate: p99/mean " +
+                           fmt(ratio) + " outside [" + fmt(kRatioLo) + ", " +
+                           fmt(kRatioHi) + "]");
   }
 }
 
