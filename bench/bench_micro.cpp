@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/frame_kernels.hpp"
 #include "core/root_merge.hpp"
 
 namespace topkmon {
@@ -254,24 +255,67 @@ BENCHMARK(BM_StreamSetAdvanceAll)
     ->Arg(4096)
     ->Arg(16384);
 
-/// The same whole-set step of 4096 walks through one kernel variant
-/// (registered below as BM_WalkKernel/<variant> for each variant the host
-/// CPU supports), so one binary shows the vectorization gain per ISA.
-void BM_WalkKernel(benchmark::State& state, WalkKernel kernel) {
-  constexpr std::size_t kN = 4096;
-  StreamSpec spec;
-  spec.family = StreamFamily::kRandomWalk;
-  auto bank = make_walk_bank(spec, kN, 13);
-  bank->set_kernel(kernel);
-  std::vector<Value> out(kN);
+/// The dense step's stream call on 4096 walks: advance_all_masked, the
+/// values plus the change mask, through `bank`.
+void run_masked_advance(benchmark::State& state, StreamBank& bank) {
+  const std::size_t n = bank.size();
+  std::vector<Value> values(n, 0);
+  std::vector<std::uint64_t> mask((n + 63) / 64);
   for (auto _ : state) {
-    bank->advance_all(out);
-    benchmark::DoNotOptimize(out.data());
+    bank.advance_all_masked(values, mask);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::DoNotOptimize(mask.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kN));
+                          static_cast<std::int64_t>(n));
 }
+
+/// The masked whole-set step through one kernel variant (registered
+/// below as BM_WalkKernel/<variant> for each variant the host CPU
+/// supports), so one binary shows the vectorization gain per ISA.
+void BM_WalkKernel(benchmark::State& state, WalkKernel kernel) {
+  StreamSpec spec;
+  spec.family = StreamFamily::kRandomWalk;
+  auto bank = make_walk_bank(spec, 4096, 13);
+  bank->set_kernel(kernel);
+  run_masked_advance(state, *bank);
+}
+
+/// One node's walk exactly as RandomWalkStream draws it, with next()
+/// inline: the per-node stream objects the column bank replaced.
+class InlineWalk final : public Stream {
+ public:
+  InlineWalk(const RandomWalkParams& p, Rng rng)
+      : p_(p), rng_(rng), current_(p.start) {}
+  Value next() override {
+    current_ = reflect_into(
+        current_ + rng_.uniform_int(-p_.max_step, p_.max_step), p_.lo, p_.hi);
+    return current_;
+  }
+
+ private:
+  RandomWalkParams p_;
+  Rng rng_;
+  Value current_;
+};
+
+/// The same 4096 walks as per-node stream objects stored by value
+/// (TypedBank<InlineWalk>, next() inlined, the compare fallback's mask):
+/// the reference BM_WalkKernel/baseline is judged against.
+void BM_WalkPerNodeStreams(benchmark::State& state) {
+  constexpr std::size_t kN = 4096;
+  std::vector<InlineWalk> walks;
+  const Rng root(13);
+  for (NodeId id = 0; id < kN; ++id) {
+    RandomWalkParams p;
+    p.start = static_cast<Value>(id) * 200;
+    walks.emplace_back(p, root.derive(id));
+  }
+  TypedBank<InlineWalk> bank(std::move(walks), /*distinct=*/false);
+  run_masked_advance(state, bank);
+}
+BENCHMARK(BM_WalkPerNodeStreams);
 
 [[maybe_unused]] const bool kWalkKernelsRegistered = [] {
   for (const WalkKernel kernel : RandomWalkBank::host_kernels()) {
@@ -364,6 +408,152 @@ void BM_DriverObserveInFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_DriverObserveInFilter)->Arg(4096)->Arg(65536);
 
+/// The driver's step when `percent`% of 4096 filter nodes move by 8 (a
+/// fixed random subset, alternating up and down) and none leaves its
+/// filter: the changed-id list through step(t, ids) (state.range(1) ==
+/// 0) versus the frame's mask through step_masked (== 1). The density at
+/// which the mask starts to win is the range pass's crossover.
+void BM_DriverStepDensity(benchmark::State& state) {
+  constexpr std::size_t kN = 4096;
+  const auto percent = static_cast<std::size_t>(state.range(0));
+  const bool masked = state.range(1) != 0;
+  Cluster cluster(kN, 7);
+  for (NodeId id = 0; id < kN; ++id) {
+    cluster.set_value(id, 1000 * static_cast<Value>(id));
+  }
+  std::vector<NodeId> changed;
+  IdBitset mask(kN);
+  Rng rng(3);
+  for (NodeId id = 0; id < kN; ++id) {
+    if (rng.uniform_below(100) < percent) {
+      changed.push_back(id);
+      mask.set(id);
+    }
+  }
+  auto pair = exp::make_role_pair(cluster, "topk_filter?nobeacon", 8);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes);
+  cluster.stats().begin_step(0);
+  driver.initialize();
+  TimeStep t = 0;
+  for (auto _ : state) {
+    ++t;
+    const Value delta = t % 2 == 1 ? 8 : -8;
+    cluster.stats().begin_step(t);
+    for (const NodeId id : changed) {
+      cluster.set_value(id, cluster.value(id) + delta);
+    }
+    if (masked) {
+      driver.step_masked(t, mask);
+    } else {
+      driver.step(t, changed);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kN));
+}
+BENCHMARK(BM_DriverStepDensity)
+    ->ArgsProduct({{1, 3, 6, 12, 25, 50, 100}, {0, 1}});
+
+/// The range pass alone over 4096 in-range nodes that all moved, through
+/// one ISA level (registered below as BM_DriverRangePass/<level> for
+/// each level the host runs).
+void BM_DriverRangePass(benchmark::State& state, IsaLevel isa) {
+  constexpr std::size_t kN = 4096;
+  std::vector<Value> values(kN);
+  std::vector<QuietRange> quiet(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    values[i] = static_cast<Value>(1000 * i);
+    quiet[i] = QuietRange{values[i] - 500, values[i] + 500};
+  }
+  IdBitset changed(kN);
+  changed.set_all();
+  IdBitset needs(kN);
+  for (auto _ : state) {
+    mark_out_of_range(isa, values, quiet, changed.words(), {},
+                      needs.mutable_words());
+    benchmark::DoNotOptimize(needs.words().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kN));
+}
+
+[[maybe_unused]] const bool kRangePassesRegistered = [] {
+  for (const IsaLevel isa : host_isa_levels()) {
+    const std::string name =
+        "BM_DriverRangePass/" + std::string(isa_name(isa));
+    benchmark::RegisterBenchmark(name.c_str(), BM_DriverRangePass, isa);
+  }
+  return true;
+}();
+
+/// One walk_strict-shaped observation step (n filter nodes on random
+/// walks 24414 apart, k = 8), in the two shapes the run loop has had.
+/// Frame (`masked`): the walk kernel's masked pass, the cluster's bulk
+/// value fill, the driver's frame step and the tracker's mask update.
+/// Id list: advance_all plus a scalar previous-value compare, per-id
+/// cluster writes, the tracker's id-list batch and step(t, ids). Both
+/// end with the ground-truth query.
+void run_dense_step(benchmark::State& state, bool masked) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  StreamSpec spec;
+  spec.family = StreamFamily::kRandomWalk;
+  spec.walk.hi = 100'000'000;
+  auto streams = make_stream_set(spec, n, 5);
+  Cluster cluster(n, 5);
+  auto pair = exp::make_role_pair(cluster, "topk_filter", 8);
+  SimDriver driver(cluster, *pair.coordinator, pair.nodes);
+  GroundTruthTracker truth(n, 8);
+  std::vector<Value> values(n, 0), incoming(n);
+  std::vector<NodeId> changed;
+  changed.reserve(n);
+  IdBitset moved(n);
+  const auto observe = [&] {
+    if (masked) {
+      streams.advance_all_masked(values, moved);
+      cluster.set_up_values(values);
+      truth.set_values_masked(moved, values);
+      return;
+    }
+    streams.advance_all(incoming);
+    changed.clear();
+    for (NodeId id = 0; id < n; ++id) {
+      if (incoming[id] != values[id]) changed.push_back(id);
+    }
+    values.swap(incoming);
+    for (const NodeId id : changed) cluster.set_value(id, values[id]);
+    truth.set_values(changed, values);
+  };
+  cluster.stats().begin_step(0);
+  observe();
+  driver.initialize();
+  benchmark::DoNotOptimize(truth.topk_set());
+  TimeStep t = 0;
+  for (auto _ : state) {
+    ++t;
+    cluster.stats().begin_step(t);
+    observe();
+    if (masked) {
+      driver.step_masked(t, moved);
+    } else {
+      driver.step(t, changed);
+    }
+    benchmark::DoNotOptimize(truth.topk_set());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_DenseStepFrame(benchmark::State& state) {
+  run_dense_step(state, /*masked=*/true);
+}
+BENCHMARK(BM_DenseStepFrame)->Arg(4096);
+
+void BM_DenseStepIdList(benchmark::State& state) {
+  run_dense_step(state, /*masked=*/false);
+}
+BENCHMARK(BM_DenseStepIdList)->Arg(4096);
+
 /// The transport's share of one naive step: 1024 nodes each send one
 /// upstream report, then the step's ticks run (one under `instant`, the
 /// spec's tick budget otherwise), each followed by a coordinator drain.
@@ -439,8 +629,10 @@ BENCHMARK(BM_NonmemberRescanLazy)->Arg(1024)->Arg(65536);
 /// false) or as one set_values batch, and the answer is queried. The
 /// moves are drawn up front and replayed, so the timed loop holds
 /// tracker work and the value writes only.
+enum class TrackerWrite { kPerId, kBulk, kMask };
+
 void run_tracker_step(benchmark::State& state, std::size_t n,
-                      std::size_t moved, bool bulk) {
+                      std::size_t moved, TrackerWrite write) {
   constexpr std::size_t kBankSteps = 64;
   GroundTruthTracker tracker(n, 8);
   std::vector<Value> values(n);
@@ -451,11 +643,13 @@ void run_tracker_step(benchmark::State& state, std::size_t n,
   }
   std::vector<std::vector<NodeId>> ids(kBankSteps);
   std::vector<std::vector<Value>> deltas(kBankSteps);
+  std::vector<IdBitset> masks(kBankSteps, IdBitset(n));
   for (std::size_t s = 0; s < kBankSteps; ++s) {
     for (std::size_t j = 0; j < moved; ++j) {
       ids[s].push_back(moved == n ? static_cast<NodeId>(j)
                                   : static_cast<NodeId>(rng.uniform_below(n)));
       deltas[s].push_back(rng.uniform_int(-8, 8));
+      masks[s].set(ids[s].back());
     }
   }
   benchmark::DoNotOptimize(tracker.topk_set());
@@ -465,10 +659,16 @@ void run_tracker_step(benchmark::State& state, std::size_t n,
     for (std::size_t j = 0; j < moved; ++j) {
       values[step_ids[j]] += deltas[s][j];
     }
-    if (bulk) {
-      tracker.set_values(step_ids, values);
-    } else {
-      for (const NodeId id : step_ids) tracker.set_value(id, values[id]);
+    switch (write) {
+      case TrackerWrite::kPerId:
+        for (const NodeId id : step_ids) tracker.set_value(id, values[id]);
+        break;
+      case TrackerWrite::kBulk:
+        tracker.set_values(step_ids, values);
+        break;
+      case TrackerWrite::kMask:
+        tracker.set_values_masked(masks[s], values);
+        break;
     }
     benchmark::DoNotOptimize(tracker.topk_set());
     s = (s + 1) % kBankSteps;
@@ -482,27 +682,47 @@ void run_tracker_step(benchmark::State& state, std::size_t n,
 /// non-member index climbs plus one decay repair whenever the boundary
 /// outsider sank.
 void BM_TrackerWalkStep(benchmark::State& state) {
-  run_tracker_step(state, 4096, 4096, /*bulk=*/false);
+  run_tracker_step(state, 4096, 4096, TrackerWrite::kPerId);
 }
 BENCHMARK(BM_TrackerWalkStep);
 
 /// The same step as one set_values batch: the one-sweep schedule.
 void BM_TrackerWalkStepBulk(benchmark::State& state) {
-  run_tracker_step(state, 4096, 4096, /*bulk=*/true);
+  run_tracker_step(state, 4096, 4096, TrackerWrite::kBulk);
 }
 BENCHMARK(BM_TrackerWalkStepBulk);
+
+/// The same step as the dense frame's mask: k member bit tests, a
+/// word-wise blend of the column, the same sweep.
+void BM_TrackerWalkStepMask(benchmark::State& state) {
+  run_tracker_step(state, 4096, 4096, TrackerWrite::kMask);
+}
+BENCHMARK(BM_TrackerWalkStepMask);
 
 /// A sparse step, n = 16384 with 1% of the ids moving: per-id updates
 /// versus a batch below the n / 8 cut-over, which must cost the same.
 void BM_TrackerSparseStep(benchmark::State& state) {
-  run_tracker_step(state, 16384, 164, /*bulk=*/false);
+  run_tracker_step(state, 16384, 164, TrackerWrite::kPerId);
 }
 BENCHMARK(BM_TrackerSparseStep);
 
 void BM_TrackerSparseStepBulk(benchmark::State& state) {
-  run_tracker_step(state, 16384, 164, /*bulk=*/true);
+  run_tracker_step(state, 16384, 164, TrackerWrite::kBulk);
 }
 BENCHMARK(BM_TrackerSparseStepBulk);
+
+/// The tracker's cut-over on n = 4096 (state.range(0): ids drawn per
+/// step, repeats possible, as a percentage of n) through per-id
+/// set_value (state.range(1) == 0) or the mask (== 1), which switches
+/// from per-id calls to the sweep at n / 8 set bits.
+void BM_TrackerStepDensity(benchmark::State& state) {
+  const auto moved = static_cast<std::size_t>(state.range(0)) * 4096 / 100;
+  run_tracker_step(state, 4096, moved,
+                   state.range(1) != 0 ? TrackerWrite::kMask
+                                       : TrackerWrite::kPerId);
+}
+BENCHMARK(BM_TrackerStepDensity)
+    ->ArgsProduct({{6, 10, 14, 20, 30}, {0, 1}});
 
 void BM_EarliestPending(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

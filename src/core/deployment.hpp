@@ -12,11 +12,31 @@
 #include <vector>
 
 #include "sim/network_model.hpp"
+#include "util/bitset.hpp"
 #include "util/types.hpp"
 
 namespace topkmon {
 
 struct RunResult;
+
+/// One observation step's writes as the loop hands them to a deployment,
+/// in one of two shapes over the same value column (indexed by id):
+///
+///  * id list (`mask` null) — `ids` lists the nodes to write, any order.
+///    The quiet/sparse stream path and single-node recovery writes use it.
+///  * dense frame (`mask` set) — bit id of *mask is set iff node id is up
+///    and its value moved; `column` holds every node's latest
+///    observation, down nodes included. An up node outside the mask
+///    already holds column[id]; a down node must keep its stale value
+///    until its recovery write (an id-list frame). The loop's down set
+///    equals a deployment's alive bits whenever it writes a dense frame:
+///    both change only at the head of a step's fault events, which the
+///    loop mirrors after the write.
+struct StepFrame {
+  std::span<const Value> column;
+  std::span<const NodeId> ids;
+  const IdBitset* mask = nullptr;
+};
 
 class Deployment {
  public:
@@ -25,10 +45,10 @@ class Deployment {
   /// Monitor name reported in result tables.
   virtual std::string_view name() const = 0;
 
-  /// Writes column[id] to node `id` for every id in `ids` (any order).
-  /// One call per step, so a dense step pays one virtual call, not n.
-  virtual void set_values(std::span<const NodeId> ids,
-                          std::span<const Value> column) = 0;
+  /// Writes the frame's values: column[id] to node id for every listed
+  /// id, or, for a dense frame, to every up node. One call per frame, so
+  /// a dense step pays one virtual call, not n.
+  virtual void set_values(const StepFrame& frame) = 0;
 
   /// Opens observation step t on every per-step message counter.
   virtual void begin_step(TimeStep t) = 0;
@@ -36,8 +56,9 @@ class Deployment {
   /// Time 0: values must already be set.
   virtual void initialize() = 0;
 
-  /// One observation step; `changed` lists the ids whose value moved.
-  virtual void step(TimeStep t, std::span<const NodeId> changed) = 0;
+  /// One observation step over the frame its set_values call wrote: the
+  /// listed ids, or the mask's bits, are the nodes whose value moved.
+  virtual void step(TimeStep t, const StepFrame& frame) = 0;
 
   /// The current answer, ids ascending.
   virtual const std::vector<NodeId>& topk() const = 0;

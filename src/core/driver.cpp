@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/frame_kernels.hpp"
+
 namespace topkmon {
 
 namespace {
@@ -447,6 +449,29 @@ void SimDriver::step(TimeStep t, std::span<const NodeId> changed) {
       rt.needs_observe.set(id);
     }
   }
+  observe_and_settle(t);
+}
+
+void SimDriver::step_masked(TimeStep t, const IdBitset& changed) {
+  NodeRuntime& rt = cluster_.runtime();
+  if (changed.size() != rt.size()) {
+    throw std::invalid_argument("SimDriver::step_masked: mask of " +
+                                std::to_string(changed.size()) +
+                                " bits for " + std::to_string(rt.size()) +
+                                " nodes");
+  }
+  // The same range pass, column-wise: moved ∩ alive ∩ outside-range bits
+  // OR'd into needs-observe word by word. Down nodes are masked out; a
+  // recovering node gets its bit from apply_node_up anyway.
+  const bool any_down = cluster_.net().down_nodes() != 0;
+  mark_out_of_range(isa_, rt.values, rt.quiet, changed.words(),
+                    any_down ? rt.alive.words()
+                             : std::span<const std::uint64_t>{},
+                    rt.needs_observe.mutable_words());
+  observe_and_settle(t);
+}
+
+void SimDriver::observe_and_settle(TimeStep t) {
   if (dense_) {
     step(t);
     return;
@@ -459,6 +484,7 @@ void SimDriver::step(TimeStep t, std::span<const NodeId> changed) {
   // is identical to the dense loop's. Down nodes are masked out: their
   // observations are lost for the outage. Each word is snapshotted before
   // its bits are visited; on_observe may rewrite only its own node's bit.
+  const NodeRuntime& rt = cluster_.runtime();
   const bool any_down = cluster_.net().down_nodes() != 0;
   const auto need = rt.needs_observe.words();
   const auto alive = rt.alive.words();

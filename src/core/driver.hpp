@@ -42,14 +42,22 @@
 // Observation sparsity follows the same contract, through per-node quiet
 // ranges: a node declares (NodeCtx::set_quiet_range) a value interval
 // inside which its on_observe is a no-op — a filter node declares its
-// filter. step(t, changed) first runs a serial range pass over the
-// changed ids, setting the needs-observe bit of every id whose new value
-// left its range, then runs on_observe for exactly the needs-observe ∩
-// alive set. Only a new declaration clears a bit, so a clear bit always
-// means "value inside the quiet range". NodeCtx::set_needs_observe is
-// shorthand over the same mechanism: true declares the empty range
-// (observe every step), false the point range [v, v] (no-op on an
-// unchanged value). Every range starts empty (see roles.hpp).
+// filter. A step first runs a serial range pass that sets the
+// needs-observe bit of every moved node whose new value left its range,
+// then runs on_observe for exactly the needs-observe ∩ alive set. Only a
+// new declaration clears a bit, so a clear bit always means "value
+// inside the quiet range". The moved nodes arrive in one of two shapes:
+// step(t, changed) takes an id list and tests each id; step_masked(t,
+// mask) takes a dense frame's change mask over the cluster's value
+// column and compares the column against the quiet ranges word by word,
+// without a branch per node (core/frame_kernels.hpp; compiled per ISA
+// level like the walk kernel), OR-ing the outside bits of the moved,
+// alive nodes into needs-observe. Same bits, same outcomes; the mask
+// wins from about n / 8 movers (docs/architecture.md, "Dense frames").
+// NodeCtx::set_needs_observe is shorthand over the same mechanism: true
+// declares the empty range (observe every step), false the point range
+// [v, v] (no-op on an unchanged value). Every range starts empty (see
+// roles.hpp).
 //
 // Timer semantics: arming from a node's on_message/on_control fires in
 // the same tick's node timer slot; arming from within on_timer fires next
@@ -74,6 +82,7 @@
 #include "sim/cluster.hpp"
 #include "sim/fault_plan.hpp"
 #include "util/bitset.hpp"
+#include "util/isa.hpp"
 
 namespace topkmon {
 
@@ -113,6 +122,17 @@ class SimDriver {
   /// std::out_of_range, before any node callback runs, if an id in
   /// `changed` is >= the cluster size.
   void step(TimeStep t, std::span<const NodeId> changed);
+
+  /// The same step over a dense frame: `changed` has bit id set iff node
+  /// id's value moved (the cluster's value column already holds the new
+  /// values). The range pass becomes a branch-free column compare
+  /// against the quiet ranges (core/frame_kernels.hpp), OR'd into the
+  /// needs-observe bits word by word and masked by the alive bits; a
+  /// word with few movers tests them one by one. Outcomes are identical
+  /// to step(t, ids of the set bits). Throws std::invalid_argument,
+  /// before any node callback runs, unless changed.size() is the
+  /// cluster size.
+  void step_masked(TimeStep t, const IdBitset& changed);
 
   /// Drains scheduled deliveries and timers to quiescence without running
   /// an observation phase (subject to the same per-step tick budget as a
@@ -216,6 +236,9 @@ class SimDriver {
   }
 
  private:
+  /// Observe phase (needs-observe ∩ alive, or every live node under the
+  /// dense loop) and the tick loop of one step, after its range pass.
+  void observe_and_settle(TimeStep t);
   void settle(bool respect_budget);
   void run_tick();
   void run_tick_dense();
@@ -250,6 +273,7 @@ class SimDriver {
   CoordinatorAlgo& coord_;
   std::span<const std::unique_ptr<NodeAlgo>> nodes_;
   bool dense_ = false;
+  IsaLevel isa_ = best_host_isa();  ///< step_masked's range-pass kernel
 
   CoordCtx coord_ctx_;
 

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/frame_kernels.hpp"
+
 namespace topkmon {
 
 GroundTruthTracker::GroundTruthTracker(std::size_t n, std::size_t k)
@@ -34,6 +36,17 @@ namespace {
 /// schedule: below it, the per-id climbs touch less memory than an O(n)
 /// index recompute.
 constexpr std::size_t kDenseBatchDivisor = 8;
+
+/// True iff `words` hold at least `target` set bits. Stops counting once
+/// there: a dense mask decides within its first few words.
+bool has_bits(std::span<const std::uint64_t> words, std::size_t target) {
+  std::size_t seen = 0;
+  for (const std::uint64_t w : words) {
+    if (seen >= target) return true;
+    seen += static_cast<std::size_t>(popcount_word(w));
+  }
+  return seen >= target;
+}
 
 }  // namespace
 
@@ -72,13 +85,70 @@ void GroundTruthTracker::set_values(std::span<const NodeId> ids,
     if (member_[id] && v != values_[id]) note_member_update(id, values_[id], v);
     values_[id] = v;
   }
-  // Outside the dirty flag nonmember_max_val_ is the boundary outsider's
-  // exact value, so a lower value now means it decayed — the event a
-  // per-id schedule would repair (and count) at the next query.
-  if (nonmember_dirty_ || values_[nonmember_max_id_] < nonmember_max_val_) {
-    ++boundary_rescans_;
+  finish_dense_batch();
+}
+
+void GroundTruthTracker::set_values_masked(const IdBitset& changed,
+                                           std::span<const Value> column) {
+  const std::size_t n = values_.size();
+  if (changed.size() != n || column.size() != n) {
+    throw std::invalid_argument(
+        "GroundTruthTracker::set_values_masked: mask or column size != n");
   }
+  const auto words = changed.words();
+  if (!built_ || k_ == n || !has_bits(words, n / kDenseBatchDivisor)) {
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        const auto id = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+        set_value(id, column[id]);
+      }
+    }
+    return;
+  }
+  // Member bookkeeping visits the k members and tests their bits; then
+  // the whole column is blended in by word, members included.
+  for (const NodeId id : sorted_set_) {
+    if (changed.test(id) && column[id] != values_[id]) {
+      note_member_update(id, values_[id], column[id]);
+    }
+  }
+  copy_masked(isa_, words, column, values_);
+  finish_dense_batch();
+}
+
+void GroundTruthTracker::finish_dense_batch() {
+  // Outside the dirty flag nonmember_max_val_ is the boundary outsider's
+  // exact value from before the batch. A per-id pass in ascending id
+  // order would leave the boundary dirty iff it already was, or the
+  // outsider decayed before a lower id overtook it — reached its old
+  // value, the only way an id below it can rank ahead. The sweep makes
+  // the index exact either way; the repair that pass would pay at the
+  // next query is only counted there.
+  const NodeId boundary = nonmember_max_id_;
+  const Value boundary_val = nonmember_max_val_;
+  const bool was_dirty = nonmember_dirty_;
+  const bool decayed = values_[boundary] < boundary_val;
   rebuild_index();
+  if (was_dirty || (decayed && !nonmember_reaches(boundary, boundary_val))) {
+    rescan_pending_ = true;
+  }
+}
+
+bool GroundTruthTracker::nonmember_reaches(NodeId end, Value v) const {
+  // The ids of end's own block first, then, level by level, the entries
+  // left of end's ancestor under the same parent; the top level has at
+  // most 64 entries, so its scan covers everything left of the path.
+  std::size_t pos = end;
+  for (std::size_t i = pos & ~std::size_t{63}; i < pos; ++i) {
+    if (!member_[i] && values_[i] >= v) return true;
+  }
+  for (const auto& level : nm_index_) {
+    pos /= 64;
+    for (std::size_t i = pos & ~std::size_t{63}; i < pos; ++i) {
+      if (level[i].id != kNoNode && level[i].value >= v) return true;
+    }
+  }
+  return false;
 }
 
 void GroundTruthTracker::note_member_update(NodeId id, Value old, Value v) {
@@ -271,7 +341,12 @@ void GroundTruthTracker::ensure_current() {
   }
   if (member_dirty_) rescan_member_min();
   if (k_ == values_.size()) return;  // the set can never change
-  if (nonmember_dirty_) repair_nonmember_max();
+  if (nonmember_dirty_) {
+    repair_nonmember_max();
+  } else if (rescan_pending_) {
+    ++boundary_rescans_;  // a dense batch's sweep already repaired it
+  }
+  rescan_pending_ = false;
   // Boundary intact <=> every member still ranks before every non-member
   // <=> the worst member ranks before the best non-member. (The ranking
   // is a total order — ids break value ties — so this is exact even on

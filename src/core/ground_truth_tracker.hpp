@@ -21,20 +21,25 @@
 //
 // Cost model: updates take one of two schedules.
 //
-//  * Per id — set_value(), and set_values() on a sparse batch. O(1) for
-//    members and typically O(1) for non-members, which also update a
-//    lazy 64-ary max index over the non-members (level 0 keeps the best
-//    non-member of each block of 64 ids, every higher level the best of
-//    64 entries below, up to a top of at most 64 entries). An update
-//    climbs only while it beats the entry above, so the worst case is
-//    O(log_64 n); when an entry's own argmax decays it is marked dirty
-//    instead of recomputed.
-//  * One sweep — set_values() on a dense batch (at least n / 8 ids once
-//    the tracker is built, k < n). The values are written and members
-//    keep their O(1) bookkeeping, then the whole index is recomputed
-//    bottom-up in O(n) branch-free block sweeps and the best non-member
-//    read off the top. On a step that moves most ids this is several
-//    times cheaper than n climbs, and it leaves the index exact.
+//  * Per id — set_value(), and set_values() / set_values_masked() on a
+//    sparse batch. O(1) for members and typically O(1) for non-members,
+//    which also update a lazy 64-ary max index over the non-members
+//    (level 0 keeps the best non-member of each block of 64 ids, every
+//    higher level the best of 64 entries below, up to a top of at most
+//    64 entries). An update climbs only while it beats the entry above,
+//    so the worst case is O(log_64 n); when an entry's own argmax decays
+//    it is marked dirty instead of recomputed.
+//  * One sweep — a dense batch (at least n / 8 ids once the tracker is
+//    built, k < n). The values are written and members keep their O(1)
+//    bookkeeping, then the whole index is recomputed bottom-up in O(n)
+//    branch-free block sweeps and the best non-member read off the top.
+//    On a step that moves most ids this is several times cheaper than n
+//    climbs, and it leaves the index exact. An id list (set_values)
+//    writes and tests membership per id; the dense-step frame's mask
+//    (set_values_masked) visits only the k members and tests their bits,
+//    then blends the whole value column in by word — the cheaper of the
+//    two on a walk step. The n / 8 cut-over is measured for both shapes
+//    (BM_TrackerStepDensity; docs/architecture.md, "Ground truth").
 //
 // A query first repairs the extrema — O(k) when a member update stalled
 // the member minimum, O(64 * dirty entries + 64) when the boundary
@@ -43,16 +48,19 @@
 // performs a full O(n log k) rebuild (full_rebuilds), which rebuilds the
 // index in O(n). boundary_rescans counts the events "the boundary
 // non-member decayed": a per-id schedule pays for each with a repair at
-// the next query, a dense batch counts it when the batch moved the
-// previous boundary outsider down and its sweep absorbs the repair. The
-// index is sized once at construction, so at steady state no query or
-// update allocates: all scratch is owned by the tracker and reused.
+// the next query; after a dense batch, whose sweep absorbs the repair,
+// the next query counts it exactly when an ascending per-id pass over
+// the batch would have left the boundary dirty. The index is sized once
+// at construction, so at steady state no query or update allocates: all
+// scratch is owned by the tracker and reused.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "util/bitset.hpp"
+#include "util/isa.hpp"
 #include "util/types.hpp"
 
 namespace topkmon {
@@ -76,8 +84,23 @@ class GroundTruthTracker {
   /// fewer than n / 8 ids (or any batch before the first query, or at
   /// k == n) applies set_value per id; a denser one writes the values
   /// and recomputes the non-member index in one O(n) sweep. Either way
-  /// every later query answers exactly as after the per-id calls.
+  /// every later query answers exactly as after the per-id calls (the
+  /// counters as after them in ascending id order).
   void set_values(std::span<const NodeId> ids, std::span<const Value> values);
+
+  /// The dense-step frame's update: sets node id to column[id] for every
+  /// id whose bit is set in `changed`; every other node keeps its value
+  /// (a down node its kMinusInf). Below n / 8 set bits (or before the
+  /// first query, or at k == n) it applies set_value per id in ascending
+  /// order; a denser mask tests the k members' bits, blends the column
+  /// into the value mirror by word (core/frame_kernels.hpp) and
+  /// recomputes the non-member index in one sweep. Either way every later
+  /// query, full_rebuilds() and boundary_rescans() included, answers
+  /// exactly as after the ascending per-id calls. Throws
+  /// std::invalid_argument unless changed.size() == column.size() ==
+  /// size().
+  void set_values_masked(const IdBitset& changed,
+                         std::span<const Value> column);
 
   /// Current value of node `id`.
   Value value(NodeId id) const { return values_[id]; }
@@ -150,6 +173,13 @@ class GroundTruthTracker {
   void rebuild_index();
   /// Member-side bookkeeping of a member's update from `old` to `v`.
   void note_member_update(NodeId id, Value old, Value v);
+  /// A dense batch's tail, once its values are written: recomputes the
+  /// index and notes the boundary repair an ascending per-id pass would
+  /// have left for the next query (rescan_pending_).
+  void finish_dense_batch();
+  /// True iff some non-member with id < end has a value >= v. Reads the
+  /// index, so it must be exact: O(64 * levels).
+  bool nonmember_reaches(NodeId end, Value v) const;
 
   /// One index entry: the best-ranked non-member below it, or the empty
   /// sentinel (kMinusInf, kNoNode), which ranks after every real node.
@@ -189,6 +219,10 @@ class GroundTruthTracker {
   bool built_ = false;             ///< first query triggers the initial build
   bool member_dirty_ = false;      ///< member minimum may have risen
   bool nonmember_dirty_ = false;   ///< non-member maximum may have fallen
+  /// A dense batch absorbed a boundary repair that the per-id schedule
+  /// would pay at the next query: that query counts it.
+  bool rescan_pending_ = false;
+  IsaLevel isa_ = best_host_isa(); ///< set_values_masked's blend kernel
 
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t boundary_rescans_ = 0;

@@ -1,6 +1,7 @@
 #include "core/root_merge.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -352,9 +353,47 @@ void ShardedDeployment::set_value(NodeId global, Value v) {
   adapters_[s]->cluster().set_value(global - ranges_[s].base, v);
 }
 
-void ShardedDeployment::set_values(std::span<const NodeId> ids,
-                                   std::span<const Value> column) {
-  for (const NodeId id : ids) set_value(id, column[id]);
+namespace {
+
+/// Calls f(id) for every set bit id of `mask` in [begin, end), ascending.
+template <typename F>
+void for_each_set_bit(const IdBitset& mask, std::size_t begin,
+                      std::size_t end, F&& f) {
+  const auto words = mask.words();
+  for (std::size_t w = begin / 64; w * 64 < end; ++w) {
+    std::uint64_t bits = words[w];
+    if (w == begin / 64) bits &= ~std::uint64_t{0} << (begin % 64);
+    if (end - w * 64 < 64) bits &= (std::uint64_t{1} << (end - w * 64)) - 1;
+    for (; bits != 0; bits &= bits - 1) {
+      f(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+}
+
+}  // namespace
+
+void ShardedDeployment::set_values(const StepFrame& frame) {
+  if (frame.mask == nullptr) {
+    for (const NodeId id : frame.ids) set_value(id, frame.column[id]);
+    return;
+  }
+  check_mask(*frame.mask);
+  for (std::size_t s = 0; s < ranges_.size(); ++s) {
+    Cluster& cluster = adapters_[s]->cluster();
+    const NodeId base = ranges_[s].base;
+    for_each_set_bit(*frame.mask, base, base + ranges_[s].size,
+                     [&](NodeId id) {
+                       cluster.set_value(id - base, frame.column[id]);
+                     });
+  }
+}
+
+void ShardedDeployment::check_mask(const IdBitset& mask) const {
+  if (mask.size() != spec_.n) {
+    throw std::invalid_argument("ShardedDeployment: frame mask of " +
+                                std::to_string(mask.size()) + " bits for " +
+                                std::to_string(spec_.n) + " nodes");
+  }
 }
 
 void ShardedDeployment::begin_step(TimeStep t) {
@@ -379,6 +418,27 @@ void ShardedDeployment::step(TimeStep t, std::span<const NodeId> changed) {
     const std::size_t s = shard_of(g);
     changed_by_shard_[s].push_back(g - ranges_[s].base);
   }
+  step_shards(t);
+}
+
+void ShardedDeployment::step(TimeStep t, const StepFrame& frame) {
+  if (frame.mask == nullptr) {
+    step(t, frame.ids);
+    return;
+  }
+  // The mask splits into the same per-shard lists the id path builds.
+  check_mask(*frame.mask);
+  for (std::size_t s = 0; s < ranges_.size(); ++s) {
+    auto& local = changed_by_shard_[s];
+    local.clear();
+    const NodeId base = ranges_[s].base;
+    for_each_set_bit(*frame.mask, base, base + ranges_[s].size,
+                     [&](NodeId id) { local.push_back(id - base); });
+  }
+  step_shards(t);
+}
+
+void ShardedDeployment::step_shards(TimeStep t) {
   if (spec_.faults != nullptr) {
     const auto& events = spec_.faults->events();
     for (; next_k_event_ < events.size() && events[next_k_event_].step <= t;

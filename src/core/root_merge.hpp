@@ -209,9 +209,10 @@ class ShardedDeployment final : public Deployment {
 
   /// Routes a global-id value write to the owning shard's cluster.
   void set_value(NodeId global, Value v);
-  /// set_value(id, column[id]) for every id in `ids`.
-  void set_values(std::span<const NodeId> ids,
-                  std::span<const Value> column) override;
+  /// set_value(id, frame.column[id]) for every listed id, or every id
+  /// whose bit the dense frame's mask sets (shard by shard). Throws
+  /// std::invalid_argument for a mask not sized n.
+  void set_values(const StepFrame& frame) override;
 
   /// Opens step t on every shard cluster's counters.
   void begin_step(TimeStep t) override;
@@ -224,7 +225,11 @@ class ShardedDeployment final : public Deployment {
   /// One observation step; `changed` holds global ids (any order).
   /// Applies the fault plan's kSetK events scheduled at t first (set_k).
   /// Throws std::out_of_range, before any shard steps, if an id is >= n.
-  void step(TimeStep t, std::span<const NodeId> changed) override;
+  void step(TimeStep t, std::span<const NodeId> changed);
+  /// The loop's step: a dense frame's mask splits into the same
+  /// per-shard id lists, so every frame shape reaches the shards through
+  /// one step path. Throws std::invalid_argument for a mask not sized n.
+  void step(TimeStep t, const StepFrame& frame) override;
 
   /// Dynamic reconfiguration to a new global top-k size (1 <= k <= n),
   /// applied warm: at c == 1 the single shard's quota is re-keyed
@@ -260,6 +265,11 @@ class ShardedDeployment final : public Deployment {
   MonitorStats monitor_totals() const;
 
  private:
+  void check_mask(const IdBitset& mask) const;
+  /// Applies the step's kSetK events, then steps every shard on
+  /// changed_by_shard_ and the root tier.
+  void step_shards(TimeStep t);
+
   ShardedSpec spec_;
   std::vector<ShardRange> ranges_;
   /// Per-shard carved fault schedules (shard-local ids). Filled once in

@@ -56,14 +56,21 @@ class MonolithicDeployment final : public Deployment {
   }
 
   std::string_view name() const override { return pair_.coordinator->name(); }
-  void set_values(std::span<const NodeId> ids,
-                  std::span<const Value> column) override {
-    for (const NodeId id : ids) cluster_.set_value(id, column[id]);
+  void set_values(const StepFrame& frame) override {
+    if (frame.mask != nullptr) {
+      cluster_.set_up_values(frame.column);
+      return;
+    }
+    for (const NodeId id : frame.ids) cluster_.set_value(id, frame.column[id]);
   }
   void begin_step(TimeStep t) override { cluster_.stats().begin_step(t); }
   void initialize() override { driver_.initialize(); }
-  void step(TimeStep t, std::span<const NodeId> changed) override {
-    driver_.step(t, changed);
+  void step(TimeStep t, const StepFrame& frame) override {
+    if (frame.mask != nullptr) {
+      driver_.step_masked(t, *frame.mask);
+    } else {
+      driver_.step(t, frame.ids);
+    }
   }
   const std::vector<NodeId>& topk() const override {
     return pair_.coordinator->topk();
@@ -134,32 +141,39 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
   // granularity: ids provisioned for a later join start down (the
   // deployment keeps them off its transport; the ground truth excludes
   // them until their join event fires).
-  std::vector<char> down(N, 0);
+  IdBitset down(N);
   for (NodeId id = static_cast<NodeId>(sc.n); id < N; ++id) {
-    down[id] = 1;
+    down.set(id);
     if (track) truth->set_value(id, kMinusInf);
   }
 
-  // Two observation paths producing identical values and an identical
-  // changed-id list: quiet-capable stream sets (the sparse wrapper
-  // family) advance through the activity interface, touching only active
-  // nodes; everything else generates the whole step in one stream-bank
-  // call plus a flat previous-value compare. Either way the deployment
-  // and the ground truth then take the step's writes in one bulk call
-  // each. Down nodes keep streaming into values[] (their stream RNG stays
-  // in lock-step with a fault-free run) but write neither the deployment
-  // nor the ground truth until recovery syncs their latest value back
-  // in; the quiet path still lists them as changed.
+  // Two observation paths producing identical values and the same set of
+  // movers, each handed on as one StepFrame (core/deployment.hpp):
+  // quiet-capable stream sets (the sparse wrapper family) advance through
+  // the activity interface, touching only active nodes, and list the
+  // movers; everything else advances the whole step in one stream-bank
+  // call that also writes the change mask (a dense frame). Either way the
+  // deployment and the ground truth then take the frame in one call each.
+  // Down nodes keep streaming into values[] (their stream RNG stays in
+  // lock-step with a fault-free run) but write neither the deployment nor
+  // the ground truth until recovery syncs their latest value back in; the
+  // quiet path still lists them as changed.
   const bool quiet_streams = streams.quiet_capable();
   std::vector<Value> values(N, 0);  // mirrors the (all-zero) deployment
-  std::vector<Value> incoming(quiet_streams ? 0 : N);
+  IdBitset moved(quiet_streams ? 0 : N);
   std::vector<NodeId> changed;
-  changed.reserve(N);
+  if (quiet_streams) changed.reserve(N);
   std::vector<NodeId> live;  // quiet path under faults: changed minus down
+  StepFrame frame{.column = values, .ids = {}, .mask = nullptr};
 
-  const auto write = [&](std::span<const NodeId> ids) {
-    dep.set_values(ids, values);
-    if (track) truth->set_values(ids, values);
+  const auto write = [&](const StepFrame& f) {
+    dep.set_values(f);
+    if (!track) return;
+    if (f.mask != nullptr) {
+      truth->set_values_masked(*f.mask, values);
+    } else {
+      truth->set_values(f.ids, values);
+    }
   };
   const auto observe = [&](TimeStep t) {
     if (quiet_streams) {
@@ -167,21 +181,18 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
       if (faulty) {
         live.clear();
         for (const NodeId id : changed) {
-          if (!down[id]) live.push_back(id);
+          if (!down.test(id)) live.push_back(id);
         }
-        write(live);
+        frame.ids = live;
       } else {
-        write(changed);
+        frame.ids = changed;
       }
     } else {
-      streams.advance_all(incoming);
-      changed.clear();
-      for (NodeId id = 0; id < N; ++id) {
-        if (incoming[id] != values[id] && !down[id]) changed.push_back(id);
-      }
-      values.swap(incoming);
-      write(changed);
+      streams.advance_all_masked(values, moved);
+      if (faulty) moved.subtract(down);
+      frame.mask = &moved;
     }
+    write(frame);
     if (result.trace.has_value()) {
       for (NodeId id = 0; id < N; ++id) result.trace->at(t, id) = values[id];
     }
@@ -201,8 +212,8 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
   if (faulty) result.recovery_ticks.assign(plan.events().size(), 0);
 
   const auto bring_up = [&](NodeId id) {
-    down[id] = 0;
-    write(std::span<const NodeId>(&id, 1));
+    down.clear(id);
+    write(StepFrame{.column = values, .ids = {&id, 1}, .mask = nullptr});
   };
   const auto apply_events = [&](TimeStep t) {
     const std::size_t first = next_event;
@@ -212,7 +223,7 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
       switch (ev.kind) {
         case FaultEvent::Kind::kCrash:
         case FaultEvent::Kind::kLeave:
-          down[ev.node] = 1;
+          down.set(ev.node);
           if (track) truth->set_value(ev.node, kMinusInf);
           break;
         case FaultEvent::Kind::kRecover:
@@ -227,7 +238,7 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
           if (track) {
             truth.emplace(N, ev.count);
             for (NodeId id = 0; id < N; ++id) {
-              truth->set_value(id, down[id] ? kMinusInf : values[id]);
+              truth->set_value(id, down.test(id) ? kMinusInf : values[id]);
             }
           }
           break;
@@ -270,7 +281,7 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
     observe(t);
     if (faulty) apply_events(t);
     const std::uint64_t errors_before = result.error_steps;
-    dep.step(t, changed);
+    dep.step(t, frame);
     check(t);
     if (win_open && result.error_steps != errors_before) {
       const std::uint64_t w = dep.ticks() - win_tick;

@@ -71,6 +71,12 @@ class Cluster {
     runtime_.values[id] = v;
   }
 
+  /// The dense-step frame's bulk write: every up node takes column[id];
+  /// a down node keeps its stale value until its recovery writes it
+  /// (set_value). One copy of the column when no node is down. Throws
+  /// std::invalid_argument unless column.size() == size().
+  void set_up_values(std::span<const Value> column);
+
   /// All n current values, indexed by node id (flat hot array).
   std::span<const Value> values() const noexcept { return runtime_.values; }
 

@@ -44,15 +44,6 @@ Value RandomWalkStream::next() {
   return current_;
 }
 
-std::string_view kernel_name(WalkKernel kernel) noexcept {
-  switch (kernel) {
-    case WalkKernel::kBaseline: return "baseline";
-    case WalkKernel::kAvx2: return "avx2";
-    case WalkKernel::kX86_64_v4: return "x86-64-v4";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Column pointers and per-bank constants of one vector pass.
@@ -64,30 +55,37 @@ struct WalkPass {
   Value* cur;
   std::uint32_t* rejected;
   Value* out;
+  std::uint64_t* mask;
   std::size_t n;
   Value max_step, lo, hi;
   std::uint32_t span;  ///< 2 * max_step + 1 < 2^32
   std::uint64_t threshold;
 };
 
-/// Advances every lane once: the xoshiro step, Lemire's draw below span,
-/// reflect_into, and distinct_value. A lane whose draw falls in Lemire's
-/// rejection zone keeps its old value and sets its flag for the scalar
-/// fix-up. Returns true if any lane was rejected. No branch depends on a
-/// lane, so the loop vectorizes across nodes.
+/// Advances lanes [base, base + len) once, len <= 64: the xoshiro step,
+/// Lemire's draw below span, reflect_into, and distinct_value. out[i]
+/// holds lane i's previous observation on entry; the returned word has
+/// bit i - base set iff the lane's new observation differs from it. A
+/// lane whose draw falls in Lemire's rejection zone keeps its old value
+/// and observation (bit clear) and sets its flag for the scalar fix-up;
+/// `any` collects the flags. No branch depends on a lane, so the loop
+/// vectorizes across nodes; full blocks pass len = 64, a constant once
+/// inlined.
 template <bool kDistinct>
-[[gnu::always_inline]] inline bool walk_lanes(
+[[gnu::always_inline]] inline std::uint64_t walk_block(
     std::uint64_t* __restrict s0, std::uint64_t* __restrict s1,
     std::uint64_t* __restrict s2, std::uint64_t* __restrict s3,
     Value* __restrict cur, std::uint32_t* __restrict rejected,
-    Value* __restrict out, const WalkPass& p) noexcept {
-  const std::size_t n = p.n;
+    Value* __restrict out, std::size_t base, std::size_t len,
+    const WalkPass& p, std::uint64_t& any) noexcept {
   const std::uint32_t span = p.span;
   const auto max_step = static_cast<std::uint64_t>(p.max_step);
-  const Value lo = p.lo, hi = p.hi, vn = static_cast<Value>(n);
+  const Value lo = p.lo, hi = p.hi, vn = static_cast<Value>(p.n);
   const std::uint64_t threshold = p.threshold;
-  std::uint64_t any = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  std::uint64_t changed = 0;
+  std::uint64_t rejects = 0;
+  for (std::size_t j = 0; j < len; ++j) {
+    const std::size_t i = base + j;
     std::uint64_t a = s0[i], b = s1[i], c = s2[i], d = s3[i];
     const std::uint64_t x = detail::xoshiro_next(a, b, c, d);
     s0[i] = a;
@@ -110,8 +108,42 @@ template <bool kDistinct>
     const Value v = reject ? old : reflect_into(moved, lo, hi);
     cur[i] = v;
     rejected[i] = static_cast<std::uint32_t>(reject);
-    any |= reject;
-    out[i] = kDistinct ? distinct_value(v, static_cast<NodeId>(i), vn) : v;
+    rejects |= reject;
+    const Value prev = out[i];
+    const Value fresh =
+        kDistinct ? distinct_value(v, static_cast<NodeId>(i), vn) : v;
+    // Rejected lanes keep their previous observation (bitwise select:
+    // GCC does not if-convert the conditional form here).
+    const std::uint64_t keep = 0 - reject;
+    const auto obs = static_cast<Value>(
+        (static_cast<std::uint64_t>(prev) & keep) |
+        (static_cast<std::uint64_t>(fresh) & ~keep));
+    out[i] = obs;
+    changed |= kWordBit[j] & (0 - static_cast<std::uint64_t>(obs != prev));
+  }
+  any |= rejects;
+  return changed;
+}
+
+/// Advances every lane once, writing the observations to p.out and the
+/// change mask to p.mask (one word per 64 lanes). Returns true if any
+/// lane was rejected.
+template <bool kDistinct>
+[[gnu::always_inline]] inline bool walk_lanes(
+    std::uint64_t* __restrict s0, std::uint64_t* __restrict s1,
+    std::uint64_t* __restrict s2, std::uint64_t* __restrict s3,
+    Value* __restrict cur, std::uint32_t* __restrict rejected,
+    Value* __restrict out, std::uint64_t* __restrict mask,
+    const WalkPass& p) noexcept {
+  const std::size_t full = p.n / 64;
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < full; ++w) {
+    mask[w] = walk_block<kDistinct>(s0, s1, s2, s3, cur, rejected, out,
+                                    w * 64, 64, p, any);
+  }
+  if (p.n % 64 != 0) {
+    mask[full] = walk_block<kDistinct>(s0, s1, s2, s3, cur, rejected, out,
+                                       full * 64, p.n % 64, p, any);
   }
   return any != 0;
 }
@@ -122,13 +154,12 @@ template <bool kDistinct>
 [[gnu::always_inline]] inline bool walk_pass(const WalkPass& p,
                                              bool distinct) noexcept {
   return distinct ? walk_lanes<true>(p.s0, p.s1, p.s2, p.s3, p.cur,
-                                     p.rejected, p.out, p)
+                                     p.rejected, p.out, p.mask, p)
                   : walk_lanes<false>(p.s0, p.s1, p.s2, p.s3, p.cur,
-                                      p.rejected, p.out, p);
+                                      p.rejected, p.out, p.mask, p);
 }
 
-// One body, three compilations. Explicit wrappers rather than
-// target_clones: tests call every variant, and no ifunc resolver runs.
+// One body, three compilations (util/isa.hpp).
 #if defined(__x86_64__)
 [[gnu::target("arch=x86-64-v4")]] bool pass_x86_64_v4(const WalkPass& p,
                                                        bool distinct) {
@@ -144,49 +175,10 @@ bool pass_baseline(const WalkPass& p, bool distinct) {
   return walk_pass(p, distinct);
 }
 
-bool host_supports(WalkKernel kernel) noexcept {
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  switch (kernel) {
-    case WalkKernel::kBaseline: return true;
-    case WalkKernel::kAvx2: return __builtin_cpu_supports("avx2");
-    case WalkKernel::kX86_64_v4:
-      // The AVX-512 subsets x86-64-v4 adds, plus the v3 features the
-      // compiled loop may use; spelled out because older compilers'
-      // __builtin_cpu_supports do not know the level names.
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512dq") &&
-             __builtin_cpu_supports("avx512cd") &&
-             __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi") &&
-             __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("fma");
-  }
-  return false;
-#else
-  return kernel == WalkKernel::kBaseline;
-#endif
-}
-
-/// Every variant, baseline first, best last.
-constexpr std::array<WalkKernel, 3> kKernels = {
-    WalkKernel::kBaseline, WalkKernel::kAvx2, WalkKernel::kX86_64_v4};
-
-WalkKernel best_host_kernel() noexcept {
-  for (auto k = kKernels.rbegin(); k != kKernels.rend(); ++k) {
-    if (host_supports(*k)) return *k;
-  }
-  return WalkKernel::kBaseline;
-}
-
 }  // namespace
 
 std::vector<WalkKernel> RandomWalkBank::host_kernels() {
-  std::vector<WalkKernel> kernels;
-  for (const WalkKernel k : kKernels) {
-    if (host_supports(k)) kernels.push_back(k);
-  }
-  return kernels;
+  return host_isa_levels();
 }
 
 RandomWalkBank::RandomWalkBank(const RandomWalkParams& params, std::size_t n,
@@ -197,13 +189,14 @@ RandomWalkBank::RandomWalkBank(const RandomWalkParams& params, std::size_t n,
       s3_(n),
       cur_(n, params.lo),
       rejected_(n),
+      mask_scratch_((n + 63) / 64),
       max_step_(params.max_step),
       lo_(params.lo),
       hi_(params.hi),
       span_(2 * static_cast<std::uint64_t>(params.max_step) + 1),
       threshold_((0 - span_) % span_),
       distinct_(distinct),
-      kernel_(best_host_kernel()) {
+      kernel_(best_host_isa()) {
   validate_walk_params(params, distinct ? n : 0);
   if (n == 0) throw std::invalid_argument("RandomWalkBank: n == 0");
 }
@@ -243,14 +236,23 @@ Value RandomWalkBank::advance(NodeId id) {
 }
 
 void RandomWalkBank::advance_all(std::span<Value> out) {
+  advance_all_masked(out, mask_scratch_);
+}
+
+void RandomWalkBank::advance_all_masked(std::span<Value> values,
+                                        std::span<std::uint64_t> changed) {
   const std::size_t n = size();
+  const auto finish_lane = [&](std::size_t i) {
+    const Value prev = values[i];
+    scalar_step(i);
+    values[i] = observe(i);
+    if (values[i] != prev) changed[i / 64] |= kWordBit[i % 64];
+  };
   if (span_ > std::numeric_limits<std::uint32_t>::max()) {
     // The 32-bit product split is inexact: every lane takes the scalar
     // step over the same columns.
-    for (std::size_t i = 0; i < n; ++i) {
-      scalar_step(i);
-      out[i] = observe(i);
-    }
+    std::fill(changed.begin(), changed.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) finish_lane(i);
     return;
   }
   const WalkPass pass{
@@ -260,7 +262,8 @@ void RandomWalkBank::advance_all(std::span<Value> out) {
       .s3 = s3_.data(),
       .cur = cur_.data(),
       .rejected = rejected_.data(),
-      .out = out.data(),
+      .out = values.data(),
+      .mask = changed.data(),
       .n = n,
       .max_step = max_step_,
       .lo = lo_,
@@ -283,12 +286,11 @@ void RandomWalkBank::advance_all(std::span<Value> out) {
       break;
   }
   // Rejections are rare (each draw lands in the zone with probability
-  // below 2^-32): finish those lanes with the scalar continuation.
+  // below 2^-32): finish those lanes with the scalar continuation. The
+  // vector pass left their observation and mask bit untouched.
   if (any_rejected) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (rejected_[i] == 0) continue;
-      scalar_step(i);
-      out[i] = observe(i);
+      if (rejected_[i] != 0) finish_lane(i);
     }
   }
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "streams/stream.hpp"
+#include "util/isa.hpp"
 
 namespace topkmon {
 
@@ -70,19 +71,22 @@ class RandomWalkStream final : public Stream {
 };
 
 /// Kernel variants of RandomWalkBank::advance_all: the same loop body
-/// compiled for baseline x86-64 (the only variant off x86), AVX2, and
-/// x86-64-v4 (AVX-512).
-enum class WalkKernel { kBaseline, kAvx2, kX86_64_v4 };
+/// compiled for each ISA level (util/isa.hpp).
+using WalkKernel = IsaLevel;
 
 /// "baseline", "avx2", "x86-64-v4".
-std::string_view kernel_name(WalkKernel kernel) noexcept;
+inline std::string_view kernel_name(WalkKernel kernel) noexcept {
+  return isa_name(kernel);
+}
 
 /// n random walks sharing one RandomWalkParams (only the starts differ),
 /// stored as columns: the four xoshiro256** state words, the current
-/// value, and a rejection flag per node. advance_all advances every walk
-/// with one branch-free loop, vectorized across nodes; advance(id) takes
-/// the scalar step on one column lane. Outputs, and every node's RNG
-/// draws, are identical to a RandomWalkStream per node.
+/// value, and a rejection flag per node. advance_all_masked advances
+/// every walk with one branch-free loop, vectorized across nodes, that
+/// also packs the change mask (new != previous observation) 64 lanes to
+/// a word; advance_all is the same pass into a scratch mask. advance(id)
+/// takes the scalar step on one column lane. Outputs, and every node's
+/// RNG draws, are identical to a RandomWalkStream per node.
 class RandomWalkBank final : public StreamBank {
  public:
   /// n walks over `params` (its start is ignored: set_walk sets each
@@ -112,6 +116,8 @@ class RandomWalkBank final : public StreamBank {
   std::size_t size() const noexcept override { return cur_.size(); }
   Value advance(NodeId id) override;
   void advance_all(std::span<Value> out) override;
+  void advance_all_masked(std::span<Value> values,
+                          std::span<std::uint64_t> changed) override;
 
  private:
   /// The draw, step and reflection of lane i through the full-width
@@ -134,6 +140,7 @@ class RandomWalkBank final : public StreamBank {
   /// sizes the vector loop by its narrowest column, and byte flags made
   /// it 32 or 64 lanes wide, spilling the state words.
   std::vector<std::uint32_t> rejected_;
+  std::vector<std::uint64_t> mask_scratch_;  ///< advance_all's change mask
   Value max_step_, lo_, hi_;
   std::uint64_t span_;       ///< draws are below 2 * max_step + 1
   std::uint64_t threshold_;  ///< Lemire rejection bound (2^64 - span) % span

@@ -25,6 +25,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/bitset.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -111,6 +112,15 @@ class StreamBank {
   /// Advances every node once: out[id] receives node id's observation.
   /// Requires out.size() == size().
   virtual void advance_all(std::span<Value> out) = 0;
+
+  /// advance_all in place, plus the change mask of the dense-step frame:
+  /// `values` holds every node's previous observation on entry, and bit
+  /// id of `changed` (word id / 64) is set iff node id's new observation
+  /// differs from it. Requires values.size() == size() and
+  /// changed.size() == (size() + 63) / 64; bits past size() come out
+  /// zero.
+  virtual void advance_all_masked(std::span<Value> values,
+                                  std::span<std::uint64_t> changed) = 0;
 };
 
 /// Bank over a contiguous vector of `Elem`: either a concrete `final`
@@ -142,6 +152,8 @@ class TypedBank final : public StreamBank {
   }
   Value advance(NodeId id) override;
   void advance_all(std::span<Value> out) override;
+  void advance_all_masked(std::span<Value> values,
+                          std::span<std::uint64_t> changed) override;
 
  private:
   static constexpr bool kByValue = std::is_base_of_v<Stream, Elem>;
@@ -183,6 +195,27 @@ void TypedBank<Elem>::advance_all(std::span<Value> out) {
   for (NodeId id = 0; id < n; ++id) {
     const Value v = next_of(streams_[id]);
     out[id] = distinct_ ? distinct_value(v, id, vn) : v;
+  }
+}
+
+template <typename Elem>
+void TypedBank<Elem>::advance_all_masked(std::span<Value> values,
+                                         std::span<std::uint64_t> changed) {
+  // The branch-free compare fallback: each lane's "moved" bit is packed
+  // into its word as the value is written.
+  const std::size_t n = streams_.size();
+  const auto vn = static_cast<Value>(n);
+  for (std::size_t w = 0; w < changed.size(); ++w) {
+    std::uint64_t bits = 0;
+    const std::size_t end = std::min(n, w * 64 + 64);
+    for (std::size_t id = w * 64; id < end; ++id) {
+      const Value raw = next_of(streams_[id]);
+      const Value v =
+          distinct_ ? distinct_value(raw, static_cast<NodeId>(id), vn) : raw;
+      bits |= std::uint64_t{v != values[id]} << (id & 63);
+      values[id] = v;
+    }
+    changed[w] = bits;
   }
 }
 
@@ -268,6 +301,22 @@ class StreamSet {
     if (active_mode_) throw_mixed_mode();
     check_span(out.size());
     bank_->advance_all(out);
+  }
+
+  /// The dense step's advance: advance_all in place plus the change mask.
+  /// `values` must hold every node's previous observation on entry (all
+  /// zeros before the first advance, matching a fresh cluster) and
+  /// receives the new ones, identical to advance_all's; `changed` is
+  /// overwritten with exactly the nodes whose value moved. The random-walk
+  /// bank writes the mask in its vector pass; every other bank packs a
+  /// branch-free compare. Throws std::invalid_argument unless
+  /// values.size() == changed.size() == size(), std::logic_error after
+  /// advance_all_active took over the set.
+  void advance_all_masked(std::span<Value> values, IdBitset& changed) {
+    if (active_mode_) throw_mixed_mode();
+    check_span(values.size());
+    check_span(changed.size());
+    bank_->advance_all_masked(values, changed.mutable_words());
   }
 
  private:

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -18,6 +20,30 @@
 #include "util/types.hpp"
 
 namespace topkmon {
+
+/// kWordBit[j] == 1 << j. Column kernels that pack one bit per lane into a
+/// 64-lane word AND a lane's all-ones compare result with its table entry
+/// and OR the lanes together: plain vector loads, ANDs and ORs on every
+/// ISA level (SSE2 has no per-lane 64-bit shift).
+inline constexpr std::array<std::uint64_t, 64> kWordBit = [] {
+  std::array<std::uint64_t, 64> bits{};
+  for (std::size_t j = 0; j < 64; ++j) bits[j] = std::uint64_t{1} << j;
+  return bits;
+}();
+
+/// Set bits of one word. std::popcount compiles to a libgcc call where
+/// the target lacks POPCNT (baseline x86-64); the SWAR sum here stays
+/// inline, a dozen ALU operations.
+inline int popcount_word(std::uint64_t x) noexcept {
+#if defined(__POPCNT__) || !defined(__x86_64__)
+  return std::popcount(x);
+#else
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<int>((x * 0x0101010101010101ull) >> 56);
+#endif
+}
 
 /// A set of node ids in [0, size), packed 64 per word. All mutators are
 /// O(1); `set_all`/`clear_all` are O(size/64). Words past the last valid
@@ -62,6 +88,15 @@ class IdBitset {
     return false;
   }
 
+  /// Number of set bits. O(size/64).
+  std::size_t count() const noexcept {
+    std::size_t n = 0;
+    for (const std::uint64_t w : words_) {
+      n += static_cast<std::size_t>(popcount_word(w));
+    }
+    return n;
+  }
+
   std::span<const std::uint64_t> words() const noexcept { return words_; }
 
   /// Writable word view for word-wise bulk updates. The caller keeps the
@@ -73,6 +108,13 @@ class IdBitset {
   void mask_with(const IdBitset& other) noexcept {
     for (std::size_t w = 0; w < words_.size(); ++w) {
       words_[w] &= other.words_[w];
+    }
+  }
+
+  /// Word-wise difference: clears every bit set in `other` (same size).
+  void subtract(const IdBitset& other) noexcept {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      words_[w] &= ~other.words_[w];
     }
   }
 

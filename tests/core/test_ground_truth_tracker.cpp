@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -468,6 +469,103 @@ TEST(GroundTruthTracker, SparseBatchMatchesPerIdUpdates) {
   }
   EXPECT_EQ(bulk.boundary_rescans(), per_id.boundary_rescans());
   EXPECT_EQ(bulk.full_rebuilds(), per_id.full_rebuilds());
+}
+
+// -- the dense-step frame's mask path -----------------------------------------
+
+TEST(GroundTruthTracker, MaskPathAnswersLikeAscendingPerIdUpdates) {
+  // The run loop's dense frame: each step's change mask of a stream set,
+  // minus the down nodes, thinned to 100%, 20% or 5% of its bits so the
+  // mask path takes both its per-id schedule (< n / 8 bits) and its
+  // one-sweep one. Nodes crash to kMinusInf and recover with their latest
+  // value per id, and k changes once mid-run (the tracker is re-emplaced
+  // and re-fed), as in exp::run_scenario. The reference takes the same
+  // writes through set_value in ascending id order.
+  std::uint64_t dense_steps = 0, rebuilds = 0, rescans = 0;
+  for (const StreamFamily family : all_families()) {
+    for (const std::size_t n : {std::size_t{300}, std::size_t{4097}}) {
+      for (const std::size_t percent : {100, 20, 5}) {
+        const std::size_t steps = n < 1000 ? 120 : 30;
+        const std::size_t k0 = n < 1000 ? 5 : 40;
+        StreamSpec spec;
+        spec.family = family;
+        auto streams = make_stream_set(spec, n, 77 + percent);
+        Rng rng(n + percent);
+        std::vector<Value> values(n, 0), mirror(n);
+        IdBitset moved(n);
+        IdBitset down(n);
+        std::optional<GroundTruthTracker> mask(std::in_place, n, k0);
+        std::optional<GroundTruthTracker> per_id(std::in_place, n, k0);
+        const auto write = [&](NodeId id, Value v) {
+          mask->set_value(id, v);
+          per_id->set_value(id, v);
+        };
+        for (std::size_t t = 0; t < steps; ++t) {
+          SCOPED_TRACE(::testing::Message()
+                       << family_name(family) << " n=" << n << " " << percent
+                       << "% t=" << t);
+          streams.advance_all_masked(values, moved);
+          moved.subtract(down);
+          for (NodeId id = 0; id < n; ++id) {
+            if (moved.test(id) && rng.uniform_below(100) >= percent) {
+              moved.clear(id);
+            }
+          }
+          if (t > 0 && moved.count() >= n / 8) ++dense_steps;
+          mask->set_values_masked(moved, values);
+          for (NodeId id = 0; id < n; ++id) {
+            if (moved.test(id)) per_id->set_value(id, values[id]);
+          }
+          // Churn between the write and the query, as the run loop's
+          // fault events: ~1% of the nodes crash, a down node recovers
+          // with probability 1/4.
+          for (NodeId id = 0; id < n; ++id) {
+            if (down.test(id) && rng.uniform_below(4) == 0) {
+              down.clear(id);
+              write(id, values[id]);
+            } else if (!down.test(id) && rng.uniform_below(100) == 0) {
+              down.set(id);
+              write(id, kMinusInf);
+            }
+          }
+          if (t == steps / 2) {
+            // Dynamic k: re-emplace both and re-feed every value.
+            rebuilds += mask->full_rebuilds();
+            rescans += mask->boundary_rescans();
+            mask.emplace(n, 2 * k0 + 1);
+            per_id.emplace(n, 2 * k0 + 1);
+            for (NodeId id = 0; id < n; ++id) {
+              write(id, down.test(id) ? kMinusInf : values[id]);
+            }
+          }
+          ASSERT_EQ(mask->topk_set(), per_id->topk_set());
+          ASSERT_EQ(mask->ordered_topk(), per_id->ordered_topk());
+          ASSERT_EQ(mask->full_rebuilds(), per_id->full_rebuilds());
+          ASSERT_EQ(mask->boundary_rescans(), per_id->boundary_rescans());
+          for (NodeId id = 0; id < n; ++id) mirror[id] = mask->value(id);
+          ASSERT_EQ(mask->topk_set(), true_topk_set(mirror, mask->k()));
+        }
+        rebuilds += mask->full_rebuilds();
+        rescans += mask->boundary_rescans();
+      }
+    }
+  }
+  // Both schedules ran, boundaries were crossed and outsiders decayed.
+  EXPECT_GT(dense_steps, 100u);
+  EXPECT_GT(rebuilds, 100u);
+  EXPECT_GT(rescans, 100u);
+}
+
+TEST(GroundTruthTracker, MaskPathChecksSizes) {
+  GroundTruthTracker tracker(10, 2);
+  std::vector<Value> column(10);
+  std::vector<Value> short_column(9);
+  IdBitset mask(10);
+  IdBitset short_mask(9);
+  EXPECT_THROW(tracker.set_values_masked(short_mask, column),
+               std::invalid_argument);
+  EXPECT_THROW(tracker.set_values_masked(mask, short_column),
+               std::invalid_argument);
 }
 
 // -- weak validation: answer size ---------------------------------------------

@@ -70,6 +70,51 @@ TEST(BatchEquivalence, AdvanceAllMatchesScalarAdvancePerFamily) {
   }
 }
 
+TEST(BatchEquivalence, AdvanceAllMaskedMarksExactlyTheMovers) {
+  // Every bank's masked advance writes advance_all's values in place and
+  // sets exactly the bits of the nodes whose value moved: the walk bank's
+  // vector pass and every other bank's compare fallback alike.
+  for (const StreamFamily family : all_families()) {
+    for (const bool distinct : {false, true}) {
+      for (const std::size_t n : {std::size_t{1}, kN, std::size_t{130}}) {
+        const StreamSpec spec = spec_for(family, distinct);
+        auto masked = make_stream_set(spec, n, kSeed);
+        auto plain = make_stream_set(spec, n, kSeed);
+        std::vector<Value> values(n, 0), previous(n), want(n);
+        IdBitset mask(n);
+        for (std::size_t t = 0; t < kSteps; ++t) {
+          previous = values;
+          masked.advance_all_masked(values, mask);
+          plain.advance_all(want);
+          ASSERT_EQ(values, want) << family_name(family) << " t=" << t;
+          for (NodeId id = 0; id < n; ++id) {
+            ASSERT_EQ(mask.test(id), values[id] != previous[id])
+                << family_name(family) << " distinct=" << distinct
+                << " n=" << n << " t=" << t << " node=" << id;
+          }
+          if (n % 64 != 0) {
+            ASSERT_EQ(mask.words().back() >> (n % 64), 0u)
+                << family_name(family) << " t=" << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEquivalence, AdvanceAllMaskedChecksSizes) {
+  auto set = make_stream_set(spec_for(StreamFamily::kIidUniform, false), kN,
+                             kSeed);
+  std::vector<Value> values(kN);
+  std::vector<Value> short_values(kN - 1);
+  IdBitset mask(kN);
+  IdBitset short_mask(kN - 1);
+  EXPECT_THROW(set.advance_all_masked(short_values, mask),
+               std::invalid_argument);
+  EXPECT_THROW(set.advance_all_masked(values, short_mask),
+               std::invalid_argument);
+}
+
 TEST(BatchEquivalence, MixedAdvanceAndAdvanceAllStayConsistent) {
   // Nodes are independent: per-id advances in reverse id order, between
   // whole-set steps, still track the reference stream by stream.

@@ -128,6 +128,54 @@ TEST_P(WalkBankGrid, EveryKernelMatchesPerNodeStreams) {
   }
 }
 
+/// The bits of `mask` at and above `n` (the tail of the last word).
+std::uint64_t bits_past(const IdBitset& mask, std::size_t n) {
+  if (n % 64 == 0) return 0;
+  return mask.words().back() & (~std::uint64_t{0} << (n % 64));
+}
+
+TEST_P(WalkBankGrid, EveryKernelEmitsTheChangeMask) {
+  // The mask the vector pass packs is exactly new != previous for every
+  // lane, whole words (64, 4096) and a vector tail (1000) alike, and the
+  // observations equal advance_all's.
+  for (const std::size_t n : {64, 1000, 4096}) {
+    for (const bool distinct : {false, true}) {
+      StreamSpec spec;
+      spec.family = StreamFamily::kRandomWalk;
+      spec.enforce_distinct = distinct;
+      spec.walk = GetParam().walk;
+      for (const WalkKernel k : RandomWalkBank::host_kernels()) {
+        auto masked = make_walk_bank(spec, n, kSeed);
+        auto plain = make_walk_bank(spec, n, kSeed);
+        masked->set_kernel(k);
+        plain->set_kernel(k);
+        StreamSet set(std::move(masked));
+        std::vector<Value> values(n, 0), previous(n), want(n);
+        IdBitset mask(n);
+        std::size_t moved = 0;
+        for (std::size_t t = 0; t < 60; ++t) {
+          previous = values;
+          set.advance_all_masked(values, mask);
+          plain->advance_all(want);
+          ASSERT_EQ(values, want) << kernel_name(k) << " t=" << t;
+          for (NodeId id = 0; id < n; ++id) {
+            ASSERT_EQ(mask.test(id), values[id] != previous[id])
+                << GetParam().name << " " << kernel_name(k) << " n=" << n
+                << " distinct=" << distinct << " t=" << t << " node=" << id;
+          }
+          ASSERT_EQ(bits_past(mask, n), 0u) << kernel_name(k) << " t=" << t;
+          moved += mask.count();
+        }
+        if (GetParam().walk.max_step == 0) {
+          // Only the first step moves off the all-zero start (a walk
+          // pinned at 0 by a zero start never does).
+          EXPECT_LE(moved, n) << kernel_name(k);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Walks, WalkBankGrid, ::testing::ValuesIn(walk_cases()),
                          [](const auto& info) { return info.param.name; });
 
@@ -173,9 +221,11 @@ TEST(WalkBank, RejectedLanesFinishWithLemiresScalarContinuation) {
         ASSERT_EQ(probe.next_u64(), 0u);
       }
     }
-    std::vector<Value> got(kN);
+    std::vector<Value> got(kN, 0);
+    std::vector<std::uint64_t> mask(1);
     for (int t = 0; t < 200; ++t) {
-      bank.advance_all(got);
+      const std::vector<Value> previous = got;
+      bank.advance_all_masked(got, mask);
       for (NodeId id = 0; id < kN; ++id) {
         const Value want = ref[id].next();
         if (t == 0) {
@@ -183,7 +233,12 @@ TEST(WalkBank, RejectedLanesFinishWithLemiresScalarContinuation) {
         }
         ASSERT_EQ(got[id], want)
             << kernel_name(k) << " t=" << t << " node=" << id;
+        // A fixed-up lane's bit comes from the scalar continuation; the
+        // crafted lanes move on step 0 (start 100 + 20 id, span 17).
+        ASSERT_EQ((mask[0] >> id) & 1, std::uint64_t{got[id] != previous[id]})
+            << kernel_name(k) << " t=" << t << " node=" << id;
       }
+      ASSERT_EQ(mask[0] >> kN, 0u) << kernel_name(k) << " t=" << t;
     }
   }
 }
