@@ -53,7 +53,8 @@
 // without a branch per node (core/frame_kernels.hpp; compiled per ISA
 // level like the walk kernel), OR-ing the outside bits of the moved,
 // alive nodes into needs-observe. Same bits, same outcomes; the mask
-// wins from about n / 8 movers (docs/architecture.md, "Dense frames").
+// wins once 6-12% of the nodes move (docs/architecture.md, "Dense
+// frames").
 // NodeCtx::set_needs_observe is shorthand over the same mechanism: true
 // declares the empty range (observe every step), false the point range
 // [v, v] (no-op on an unchanged value). Every range starts empty (see
