@@ -6,10 +6,12 @@
 // a light e19-style churn plan.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "role_port_harness.hpp"
+#include "streams/trace.hpp"
 
 namespace topkmon {
 namespace {
@@ -174,6 +176,129 @@ TEST(RolePorts, RecomputeFollowsDynamicK) {
     EXPECT_EQ(r.steps_executed, 301u);
     EXPECT_EQ(r.error_steps, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Crash pins for the violation cycle's structural branch: a crash that
+// takes a rank with it (an ordered member, a multi_k node above a
+// boundary, or a winner of the in-flight reset selection) aborts the
+// running cycle and re-runs the full reset over the live nodes. Churn on
+// random streams reaches none of these, so scripted traces fix the
+// crashed node's role, and a budgeted delay network stretches a cycle
+// across the step boundary where the crash fires. The literal figures
+// pin the behaviour of every crash, recovery and reset along the way.
+// ---------------------------------------------------------------------------
+
+struct Move {
+  TimeStep step;
+  NodeId node;
+  Value value;  ///< held from `step` on
+};
+
+/// n nodes at 1000·(id + 1), node n-1 on top, each move applied from its
+/// step on.
+TraceMatrix scripted(std::size_t n, std::size_t steps,
+                     const std::vector<Move>& moves) {
+  TraceMatrix m(n, steps + 1);
+  for (std::size_t t = 0; t <= steps; ++t) {
+    for (NodeId id = 0; id < n; ++id) {
+      m.at(t, id) = 1000 * static_cast<Value>(id + 1);
+    }
+    for (const Move& mv : moves) {
+      if (mv.step <= t) m.at(t, mv.node) = mv.value;
+    }
+  }
+  return m;
+}
+
+struct CrashPin {
+  std::array<std::uint64_t, kNumMsgKinds> by_kind;
+  std::uint64_t filter_resets;
+  std::uint64_t full_rebuilds;
+  std::uint64_t resyncs;
+  std::vector<TimeStep> error_steps;
+};
+
+/// Runs `spec` over the scripted trace and checks the pinned figures and
+/// a clean answer from step `healed` on.
+void expect_crash_pin(const std::string& spec, std::size_t k,
+                      const TraceMatrix& trace, const std::string& network,
+                      const std::string& faults, TimeStep healed,
+                      const CrashPin& want) {
+  SCOPED_TRACE(spec + " / " + network + " / " + faults);
+  exp::Scenario sc;
+  sc.monitor = spec;
+  sc.n = trace.nodes();
+  sc.k = k;
+  sc.steps = trace.steps() - 1;
+  sc.seed = 3;
+  sc.with_network(network);
+  sc.faults = faults;
+  sc.validation = RunConfig::Validation::kWeak;
+  sc.throw_on_error = false;
+  const RunResult r = exp::run_scenario(sc, trace.to_stream_set());
+  for (std::size_t kind = 0; kind < kNumMsgKinds; ++kind) {
+    EXPECT_EQ(r.comm.by_kind(static_cast<MsgKind>(kind)), want.by_kind[kind])
+        << "kind " << msg_kind_name(static_cast<MsgKind>(kind));
+  }
+  EXPECT_EQ(r.monitor.filter_resets, want.filter_resets);
+  EXPECT_EQ(r.monitor.full_rebuilds, want.full_rebuilds);
+  EXPECT_EQ(r.monitor.resyncs, want.resyncs);
+  EXPECT_EQ(r.error_step_list, want.error_steps);
+  EXPECT_EQ(r.error_steps_since(healed), 0u) << "never re-converged";
+}
+
+// ordered, n = 8, k = 3: members 7, 6, 5 until a move says otherwise.
+
+TEST(RolePorts, OrderedMemberCrashWhileIdleRerunsReset) {
+  // Node 4 overtakes member 5 at step 3 (a full reset makes it a member);
+  // member 6 crashes at step 6 with no cycle running.
+  expect_crash_pin("ordered", 3, scripted(8, 30, {{3, 4, 6500}}), "instant",
+                   "churn?crash=6@6,recover=6@12", 13,
+                   {{59, 0, 53, 16, 0, 1, 0, 0}, 4, 0, 1, {}});
+}
+
+TEST(RolePorts, OrderedMemberCrashDuringInternalRerankRerunsReset) {
+  // Member 5 overtakes member 6 at step 3: the boundary holds and a
+  // k-iteration member re-rank runs, spanning steps on the budgeted
+  // delay network; member 7, its first winner, crashes at step 4 while
+  // the second iteration runs.
+  expect_crash_pin("ordered", 3, scripted(8, 30, {{3, 5, 7500}}),
+                   "delay=1,ticks=6", "churn?crash=7@4,recover=7@12", 18,
+                   {{80, 0, 55, 17, 0, 1, 0, 0}, 4, 0, 1,
+                    {4, 5, 6, 7, 12, 13, 14, 15, 16, 17}});
+}
+
+TEST(RolePorts, OrderedResetWinnerCrashRerunsReset) {
+  // Outsider 0 jumps to the top at step 3: T+ < T- and a full reset
+  // runs. Node 0 wins its first iteration and crashes at step 8, in the
+  // gap before the second, so it is a winner without being a member.
+  // Its recovery at step 14 lands mid-reset and is deferred.
+  expect_crash_pin("ordered", 3, scripted(8, 40, {{3, 0, 9000}}),
+                   "delay=1,ticks=3", "churn?crash=0@8,recover=0@14", 25,
+                   {{81, 0, 61, 17, 0, 2, 0, 0}, 5, 0, 1,
+                    {3, 4, 5, 6, 7, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}});
+}
+
+// multi_k?ks=2+5, n = 8: band 0 holds 7, 6; band 1 holds 5, 4, 3; band 2
+// the rest. Boundary 0 lies between nodes 6 and 5, boundary 1 between 3
+// and 2.
+
+TEST(RolePorts, MultiKBandZeroCrashWhileIdleRerunsReset) {
+  // Node 2 crosses boundary 1 upward at step 3 (its repair resets);
+  // band-0 node 7 crashes at step 6 with no cycle running.
+  expect_crash_pin("multi_k?ks=2+5", 2, scripted(8, 30, {{3, 2, 4500}}),
+                   "instant", "churn?crash=7@6,recover=7@12", 13,
+                   {{81, 0, 77, 24, 0, 1, 0, 0}, 4, 0, 1, {}});
+}
+
+TEST(RolePorts, MultiKCrashMidRepairOfSecondBoundaryRerunsReset) {
+  // Node 3 crosses boundary 1 downward at step 3; band-0 node 6 crashes
+  // at step 4 while boundary 1's missing-side session runs.
+  expect_crash_pin("multi_k?ks=2+5", 2, scripted(8, 30, {{3, 3, 2500}}),
+                   "delay=1,ticks=6", "churn?crash=6@4,recover=6@12", 18,
+                   {{69, 0, 63, 18, 1, 2, 0, 0}, 3, 0, 1,
+                    {4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16, 17}});
 }
 
 }  // namespace
