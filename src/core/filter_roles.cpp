@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "protocols/beacon.hpp"
 
@@ -192,7 +193,8 @@ FilterCoordinator::FilterCoordinator(std::size_t k, Options opts)
   if (opts_.epsilon < 0) {
     throw std::invalid_argument("FilterCoordinator: epsilon must be >= 0");
   }
-  session_.suppress_idle = opts_.suppress_idle_broadcasts;
+  cycle_.start_op = static_cast<std::int64_t>(FilterControlOp::kStartSession);
+  cycle_.session.suppress_idle = opts_.suppress_idle_broadcasts;
 }
 
 void FilterCoordinator::on_init(CoordCtx& ctx) {
@@ -257,7 +259,7 @@ void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
     }
   }
   guard_.tick_release_probes(ctx, kReleaseCap);
-  if (phase_ != Phase::kIdle) return;
+  if (cycle_.phase != ViolationCycle::Phase::kIdle) return;
   if (topk_ids_.size() != k_) {
     // The answer was never established — a FILTERRESET aborted under
     // message loss before any boundary reached the nodes, so no filter
@@ -305,7 +307,7 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     // beyond the session window keeps producing stragglers that arrive
     // after the repair already aborted; those must not launder its
     // silence, or a laggard is never convicted.
-    if (session_.active || phase_ != Phase::kIdle || m.b == 1) {
+    if (cycle_.busy() || m.b == 1) {
       silent_steps_[m.from] = 0;
       guard_.clear_suspicion(m.from);
     }
@@ -317,28 +319,15 @@ void FilterCoordinator::on_message(CoordCtx& ctx, const Message& m) {
     handle_resync_reply(ctx, m.from, m.a);
     return;
   }
-  if (m.kind == MsgKind::kValueReport) session_.fold(m);
+  if (m.kind == MsgKind::kValueReport) cycle_.session.fold(m);
 }
 
 void FilterCoordinator::on_timer(CoordCtx& ctx) {
   guard_.tick_resyncs(ctx, mstats_);
   guard_.tick_suspects(ctx, mstats_,
                        [&](NodeId id) { remove_node(ctx, id); });
-  if (!session_.active) {
-    // Inter-iteration gap of a FILTERRESET selection: the previous
-    // iteration's winner announcement is in flight; convening the next
-    // iteration before it lands would let the winner re-join. Zero ticks
-    // under instant delivery.
-    if (pending_select_) {
-      if (select_gap_ > 0) {
-        --select_gap_;
-        ctx.arm_timer();
-        return;
-      }
-      pending_select_ = false;
-      start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
-                    /*announce=*/true);
-    } else if (phase_ == Phase::kIdle && (pending_top_ || pending_bot_)) {
+  if (cycle_.phase == ViolationCycle::Phase::kIdle) {
+    if (pending_top_ || pending_bot_) {
       if (admit_wait_ > 0) --admit_wait_;
       start_pending_cycle(ctx);  // a re-admitted node's violation (admit)
     }
@@ -347,102 +336,45 @@ void FilterCoordinator::on_timer(CoordCtx& ctx) {
   // End of a round (Algorithm 2, coordinator side): the round's reports
   // have been folded in via on_message. Under lossless delivery every
   // still-active participant reported, so a concluded extremum is exact.
-  if (session_.advance(ctx)) conclude_session(ctx);
+  switch (cycle_.on_timer(ctx, mstats_, *this)) {
+    case CycleEvent::kViolated:
+      handler_transition(ctx);
+      break;
+    case CycleEvent::kSides:
+      decide(ctx);
+      break;
+    case CycleEvent::kSelected:
+      finish_reset(ctx);
+      break;
+    case CycleEvent::kNone:
+    case CycleEvent::kSilent:
+      break;
+  }
+}
+
+SessionSpec FilterCoordinator::cycle_session(CycleSession s) const noexcept {
+  const auto group = [](FilterSessionGroup g) {
+    return static_cast<std::int64_t>(g);
+  };
+  switch (s) {
+    case CycleSession::kViolMin:  // line 5: MINIMUMPROTOCOL(k)
+      return {group(FilterSessionGroup::kViolTop), k_};
+    case CycleSession::kViolMax:  // line 7: MAXIMUMPROTOCOL(n-k)
+      return {group(FilterSessionGroup::kViolBot), n_ - k_};
+    case CycleSession::kSideMin:
+      return {group(FilterSessionGroup::kAllTop), k_, 1};  // side: top-k
+    case CycleSession::kSideMax:
+      return {group(FilterSessionGroup::kAllBot), n_ - k_, 0};  // non-top-k
+    case CycleSession::kSelect:
+      return {group(FilterSessionGroup::kSelectRest), n_};
+  }
+  return {};
 }
 
 void FilterCoordinator::start_cycle(CoordCtx& ctx) {
-  cycle_top_ = pending_top_;
-  cycle_bot_ = pending_bot_;
-  pending_top_ = pending_bot_ = false;
-  min_v_.reset();
-  max_v_.reset();
-  if (cycle_top_) {
-    // Line 5: violating former members run MINIMUMPROTOCOL(k).
-    phase_ = Phase::kViolMin;
-    start_session(ctx, Direction::kMin, FilterSessionGroup::kViolTop, k_,
-                  /*announce=*/false);
-  } else {
-    // Line 7: violating outsiders run MAXIMUMPROTOCOL(n-k).
-    phase_ = Phase::kViolMax;
-    start_session(ctx, Direction::kMax, FilterSessionGroup::kViolBot, n_ - k_,
-                  /*announce=*/false);
-  }
-}
-
-void FilterCoordinator::start_session(CoordCtx& ctx, Direction dir,
-                                      FilterSessionGroup group,
-                                      std::uint64_t n_upper, bool announce) {
-  ++mstats_.protocol_runs;
-  announce_at_end_ = announce;
-  session_.begin(ctx, static_cast<std::int64_t>(FilterControlOp::kStartSession),
-                 dir, static_cast<std::int64_t>(group), n_upper);
-}
-
-void FilterCoordinator::conclude_session(CoordCtx& ctx) {
-  if (announce_at_end_) session_.announce(ctx);
-  if (!session_.have_best) {
-    // Only possible under message loss: every report of the session was
-    // dropped. Abandon the cycle; the next violation restarts repair.
-    abort_cycle();
-    return;
-  }
-
-  switch (phase_) {
-    case Phase::kViolMin:
-      min_v_ = session_.best_value;
-      if (cycle_bot_) {
-        phase_ = Phase::kViolMax;
-        start_session(ctx, Direction::kMax, FilterSessionGroup::kViolBot,
-                      n_ - k_, /*announce=*/false);
-      } else {
-        handler_transition(ctx);
-      }
-      break;
-    case Phase::kViolMax:
-      max_v_ = session_.best_value;
-      handler_transition(ctx);
-      break;
-    case Phase::kFullSide:
-      if (session_.dir == Direction::kMax) {
-        max_v_ = session_.best_value;
-      } else {
-        min_v_ = session_.best_value;
-      }
-      decide(ctx);
-      break;
-    case Phase::kReset:
-      // A repeat winner means its earlier announce was lost on its own
-      // link (possible only under drops): it re-joined and won again, so
-      // the selection order is corrupted beyond local repair — abandon
-      // the reset. Deliberately checked AFTER the announce broadcast
-      // above: the "redundant" announcement is what finally tells the
-      // repeated winner it is excluded, so the next reset attempt can
-      // succeed; suppressing it measured severalfold higher error rates
-      // under loss (e15) for one saved message.
-      for (const Winner& w : sel_winners_) {
-        if (w.id == session_.best_holder) {
-          abort_cycle();
-          return;
-        }
-      }
-      sel_winners_.push_back(Winner{session_.best_holder, session_.best_value});
-      if (sel_winners_.size() < selection_target()) {
-        const std::uint64_t gap = ctx.flush_ticks();
-        if (gap == 0) {
-          start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest,
-                        n_, /*announce=*/true);
-        } else {
-          pending_select_ = true;
-          select_gap_ = gap;
-          ctx.arm_timer();
-        }
-      } else {
-        finish_reset(ctx);
-      }
-      break;
-    case Phase::kIdle:
-      break;  // unreachable
-  }
+  const bool top = std::exchange(pending_top_, false);
+  const bool bot = std::exchange(pending_bot_, false);
+  cycle_.open(ctx, mstats_, *this, top, bot);
 }
 
 void FilterCoordinator::handler_transition(CoordCtx& ctx) {
@@ -454,36 +386,23 @@ void FilterCoordinator::handler_transition(CoordCtx& ctx) {
   // the empty max/min — running a session over zero participants would
   // only abort the cycle. Unreachable monolithically (1 <= k <= n-1 once
   // the degenerate k == n shortcut is taken).
-  if (!max_v_.has_value() && k_ == n_) {
-    max_v_ = kMinusInf;
+  if (!cycle_.max && k_ == n_) {
+    cycle_.max = kMinusInf;
     decide(ctx);
     return;
   }
-  if (max_v_.has_value() && k_ == 0) {
-    min_v_ = kPlusInf;
+  if (cycle_.max && k_ == 0) {
+    cycle_.min = kPlusInf;
     decide(ctx);
     return;
   }
-  phase_ = Phase::kFullSide;
-  Message start;
-  start.kind = MsgKind::kProtocolStart;
-  if (!max_v_.has_value()) {
-    start.a = 0;  // side: non-top-k
-    ctx.broadcast(start);
-    start_session(ctx, Direction::kMax, FilterSessionGroup::kAllBot, n_ - k_,
-                  /*announce=*/false);
-  } else {
-    start.a = 1;  // side: top-k
-    ctx.broadcast(start);
-    start_session(ctx, Direction::kMin, FilterSessionGroup::kAllTop, k_,
-                  /*announce=*/false);
-  }
+  cycle_.fetch_side(ctx, mstats_, *this);
 }
 
 void FilterCoordinator::decide(CoordCtx& ctx) {
   // Lines 27-28: accumulate T+ and T- since the last reset.
-  tplus_ = std::min(tplus_, *min_v_);
-  tminus_ = std::max(tminus_, *max_v_);
+  tplus_ = std::min(tplus_, *cycle_.min);
+  tminus_ = std::max(tminus_, *cycle_.max);
   // Approx mode tolerates an inversion of up to 2·⌊ε/2⌋ before resetting
   // (core/approx_monitor.cpp explains the even rounding); ε = 0 exact.
   const Value slack = 2 * (opts_.epsilon / 2);
@@ -502,14 +421,11 @@ void FilterCoordinator::begin_reset(CoordCtx& ctx) {
   // FILTERRESET, lines 37-39: k+1 repeated MAXIMUMPROTOCOL(n) runs; each
   // winner announcement doubles as the membership notification.
   ++mstats_.filter_resets;
-  phase_ = Phase::kReset;
-  sel_winners_.clear();
   Control sel;
   sel.op = static_cast<std::int64_t>(FilterControlOp::kStartSelection);
   sel.a = static_cast<std::int64_t>(k_);
   ctx.control_broadcast(sel);
-  start_session(ctx, Direction::kMax, FilterSessionGroup::kSelectRest, n_,
-                /*announce=*/true);
+  cycle_.select(ctx, mstats_, *this);
 }
 
 void FilterCoordinator::finish_reset(CoordCtx& ctx) {
@@ -517,9 +433,10 @@ void FilterCoordinator::finish_reset(CoordCtx& ctx) {
   // winners (selection_target() capped below k+1): install the partial
   // answer — topk_ids_.size() != k_ then keeps the defensive rebuild
   // retrying — instead of indexing past the winner list.
-  const std::size_t members = std::min(k_, sel_winners_.size());
+  const auto& winners = cycle_.winners;
+  const std::size_t members = std::min(k_, winners.size());
   std::fill(in_topk_.begin(), in_topk_.end(), char{0});
-  for (std::size_t i = 0; i < members; ++i) in_topk_[sel_winners_[i].id] = 1;
+  for (std::size_t i = 0; i < members; ++i) in_topk_[winners[i].id] = 1;
   topk_ids_.clear();
   for (NodeId id = 0; id < n_; ++id) {
     if (in_topk_[id]) topk_ids_.push_back(id);
@@ -529,8 +446,8 @@ void FilterCoordinator::finish_reset(CoordCtx& ctx) {
   // has no k-th member (T+ = +inf), k == n no (k+1)-st outsider
   // (T- = -inf). Monolithically both indices exist (the selection drew
   // k+1 <= n winners).
-  tplus_ = members > 0 ? sel_winners_[members - 1].value : kPlusInf;
-  tminus_ = k_ < sel_winners_.size() ? sel_winners_[k_].value : kMinusInf;
+  tplus_ = members > 0 ? winners[members - 1].value : kPlusInf;
+  tminus_ = k_ < winners.size() ? winners[k_].value : kMinusInf;
   // Lines 40-41.
   apply_boundary(ctx, choose_boundary());
   cycle_done(ctx);
@@ -551,7 +468,7 @@ Value FilterCoordinator::choose_boundary() const {
 }
 
 void FilterCoordinator::reanchor(CoordCtx& ctx) {
-  if (degenerate_ || phase_ != Phase::kIdle || session_.active) return;
+  if (degenerate_ || cycle_.busy()) return;
   if (opts_.pinned_boundary == nullptr ||
       !opts_.pinned_boundary->has_value()) {
     return;
@@ -582,23 +499,12 @@ void FilterCoordinator::apply_boundary(CoordCtx& ctx, Value m) {
 }
 
 void FilterCoordinator::cycle_done(CoordCtx& ctx) {
-  phase_ = Phase::kIdle;
-  min_v_.reset();
-  max_v_.reset();
+  cycle_.done();
   // Re-sync replies parked while the cycle ran are admitted now, and
   // violations that arrived meanwhile (possible only under a tick budget)
   // convene the next cycle immediately.
   admit_parked(ctx);
   if (pending_top_ || pending_bot_) start_pending_cycle(ctx);
-}
-
-void FilterCoordinator::abort_cycle() {
-  phase_ = Phase::kIdle;
-  session_.active = false;
-  pending_select_ = false;
-  select_gap_ = 0;
-  min_v_.reset();
-  max_v_.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -621,19 +527,14 @@ void FilterCoordinator::remove_node(CoordCtx& ctx, NodeId id) {
   // pin a distrusted value) takes the k-th position with it — re-find it
   // over the nodes that remain. The reset's fresh boundary is the
   // defensive widen that covers the vacated slot.
-  bool structural = in_topk_[id] != 0;
-  if (phase_ == Phase::kReset) {
-    for (const Winner& w : sel_winners_) {
-      structural = structural || w.id == id;
-    }
-  }
+  const bool structural = in_topk_[id] != 0 || cycle_.holds_winner(id);
   if (in_topk_[id]) {
     in_topk_[id] = 0;
     topk_ids_.erase(std::remove(topk_ids_.begin(), topk_ids_.end(), id),
                     topk_ids_.end());
   }
   if (structural) {
-    abort_cycle();
+    cycle_.abort();
     begin_reset(ctx);
   }
 }
@@ -643,8 +544,7 @@ void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
   n_live_ = ctx.live_count();
   // Already pending (defensive; cleared on down).
   if (guard_.resyncing(id)) return;
-  if (opts_.replay && phase_ == Phase::kIdle && !session_.active &&
-      topk_ids_.size() == k_) {
+  if (opts_.replay && !cycle_.busy() && topk_ids_.size() == k_) {
     // Warm-standby recovery: the coordinator's own state is the collapsed
     // assignment log — the node's membership (an outage always cleared
     // it) and the established boundary — so replay it in one message
@@ -668,7 +568,7 @@ void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
   k_ = k;
   backoff_wait_ = 0;
   backoff_attempt_ = 0;
-  abort_cycle();
+  cycle_.abort();
   // Violations signalled against the old k's filters are stale: the
   // selection below re-evaluates every node anyway.
   pending_top_ = pending_bot_ = false;
@@ -687,7 +587,7 @@ void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
 
 void FilterCoordinator::handle_resync_reply(CoordCtx& ctx, NodeId from,
                                             Value v) {
-  if (phase_ != Phase::kIdle || session_.active) {
+  if (cycle_.busy()) {
     // Re-admitting mid-cycle would corrupt the running session's quorum:
     // park the reply and admit the node when the cycle ends
     // (admit_parked).
@@ -758,7 +658,7 @@ bool FilterCoordinator::admit(CoordCtx& ctx, NodeId id, Value v) {
 
 void FilterCoordinator::handle_release_reply(CoordCtx& ctx, NodeId from,
                                              Value v) {
-  if (phase_ != Phase::kIdle || session_.active) {
+  if (cycle_.busy()) {
     // Re-admitting mid-cycle would corrupt the running session's quorum;
     // the next release probe finds the coordinator idle later.
     guard_.defer_release(from);

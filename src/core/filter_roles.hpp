@@ -17,13 +17,14 @@
 //    belief, and its per-session protocol state (a NodeProtoSession of
 //    core/role_session.hpp). All of it is updated exclusively from local
 //    observations and received (control) broadcasts.
-//  * FilterCoordinator owns the violation-cycle state machine
-//    (violation sessions -> missing-side session -> midpoint/reset), the
-//    T+/T- accumulators and the answer set. Its sessions run on a
-//    CoordProtoSession, and its recovery — the crash re-sync table and
-//    the ?suspect suspicion table — on a RecoveryGuard; the policy the
-//    guard runs (re-admission, useful reports, stale contradiction,
-//    removal on quarantine) stays here.
+//  * FilterCoordinator drives the violation cycle (violation sessions ->
+//    missing-side session -> midpoint/reset) on a ViolationCycle of
+//    core/role_session.hpp and owns what is the filter's own: the
+//    midpoint rule with its sharded pin and ε slack, the T+/T-
+//    accumulators, the answer set a reset installs. Its recovery — the
+//    crash re-sync table and the ?suspect suspicion table — runs on a
+//    RecoveryGuard; the policy the guard runs (re-admission, useful
+//    reports, stale contradiction, removal on quarantine) stays here.
 //
 // The uncharged control plane carries exactly the synchronization the
 // lock-step model grants for free: "your side's protocol execution starts
@@ -235,26 +236,18 @@ class FilterCoordinator final : public CoordinatorAlgo {
   Value t_minus() const noexcept { return tminus_; }
 
  private:
-  /// Where the violation cycle currently stands.
-  enum class Phase : std::uint8_t {
-    kIdle,      ///< no cycle running
-    kViolMin,   ///< MINIMUMPROTOCOL(k) over top-side violators
-    kViolMax,   ///< MAXIMUMPROTOCOL(n-k) over bottom-side violators
-    kFullSide,  ///< handler's run over the whole missing side
-    kReset,     ///< FILTERRESET: k+1 repeated selections
-  };
+  friend struct ViolationCycle;
+  /// The cycle's sessions in this monitor's groups (ViolationCycle port).
+  SessionSpec cycle_session(CycleSession s) const noexcept;
+  Value cycle_key(NodeId, Value v) const noexcept { return v; }
 
   void start_cycle(CoordCtx& ctx);
-  void start_session(CoordCtx& ctx, Direction dir, FilterSessionGroup group,
-                     std::uint64_t n_upper, bool announce);
-  void conclude_session(CoordCtx& ctx);
   void handler_transition(CoordCtx& ctx);
   void decide(CoordCtx& ctx);
   void begin_reset(CoordCtx& ctx);
   void finish_reset(CoordCtx& ctx);
   void apply_boundary(CoordCtx& ctx, Value m);
   void cycle_done(CoordCtx& ctx);
-  void abort_cycle();
   /// Drops `id` from the answer (crash or quarantine). A member, or a
   /// winner of the in-flight FILTERRESET selection, takes the k-th
   /// position with it: the cycle aborts and the selection re-runs.
@@ -319,25 +312,8 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// it is a violator. Zero under instant delivery.
   std::uint64_t admit_wait_ = 0;
 
-  // Current cycle.
-  Phase phase_ = Phase::kIdle;
-  bool cycle_top_ = false;
-  bool cycle_bot_ = false;
-  std::optional<Value> min_v_;
-  std::optional<Value> max_v_;
-
-  // Current protocol session.
-  CoordProtoSession session_;
-  bool announce_at_end_ = false;  ///< a selection iteration: announce winner
-
-  // Reset selection progress.
-  struct Winner {
-    NodeId id;
-    Value value;
-  };
-  std::vector<Winner> sel_winners_;
-  bool pending_select_ = false;   ///< next iteration waits for announce lag
-  std::uint64_t select_gap_ = 0;  ///< remaining inter-iteration gap ticks
+  /// The violation cycle: its sessions, extrema and reset selection.
+  ViolationCycle cycle_;
 
   /// Crash-recovery re-syncs and (with Options::suspect) the suspicion
   /// table: probes, deadlines, quarantine and release probes.

@@ -7,9 +7,16 @@
 // protocol on them — same kStartSession control packing, same per-round
 // kRoundBeacon / kValueReport exchange, same Bernoulli coin schedule,
 // same flush-window conclusion. The owner decides who participates
-// (group semantics stay monitor-specific), counts protocol_runs, and
-// handles the conclusion; the structs own only the round/beacon/flush
-// mechanics.
+// (group semantics stay monitor-specific) and handles the conclusion;
+// the structs own only the round/beacon/flush mechanics.
+//
+// ViolationCycle: Algorithm 1's repair cycle on one CoordProtoSession —
+// the violators' MIN/MAX sessions, FILTERVIOLATIONHANDLER's missing-side
+// session, and the FILTERRESET selection of repeated MAXIMUMPROTOCOL(n)
+// runs — driven by the filter, ordered and multi-k coordinators. The
+// recompute coordinator drives its selection half alone. NodeSelection
+// is the node side of an announce-driven selection for the ports whose
+// nodes derive ranks from the announce order (ordered, multi-k).
 //
 // RecoveryGuard: the coordinator's crash re-sync table and suspicion
 // table, driven by the filter, naive and dominance ports.
@@ -17,6 +24,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/roles.hpp"
@@ -255,6 +264,318 @@ struct CoordProtoSession {
     announce.a = best_value;
     announce.b = pack_beacon_b(epoch, best_holder);
     ctx.broadcast(announce);
+  }
+};
+
+/// Node-side bookkeeping of an announce-driven selection (ordered,
+/// multi-k). The announce order is common knowledge: the r-th
+/// kWinnerAnnounce names rank r, so every node derives the winners' order
+/// and its own rank locally, with no extra charged message. The owner
+/// calls begin() from its kStartSelection control, fold() from
+/// on_message, and reset() from on_recover.
+struct NodeSelection {
+  bool selecting = false;
+  bool excluded = false;  ///< announced a winner of this selection
+  std::size_t want = 0;   ///< winners the selection announces
+  std::size_t seen = 0;   ///< announces folded so far
+  std::vector<Value> w;   ///< winners' w = v·n + (n-1-id), in rank order
+  std::optional<std::size_t> own_rank;
+
+  void begin(std::size_t winners) {
+    selecting = true;
+    excluded = false;
+    want = winners;
+    seen = 0;
+    w.clear();
+    own_rank.reset();
+  }
+
+  /// True while the node may still win an iteration of the selection.
+  bool candidate() const noexcept { return selecting && !excluded; }
+
+  /// Folds one kWinnerAnnounce. True when it was the selection's last:
+  /// the selection has ended and the owner derives its state from w and
+  /// own_rank.
+  bool fold(const NodeCtx& ctx, const Message& m) {
+    if (!selecting) return false;
+    const auto beacon = unpack_beacon_b(m.b);
+    const auto n = static_cast<Value>(ctx.n());
+    w.push_back(m.a * n + (n - 1 - static_cast<Value>(beacon.holder)));
+    if (beacon.holder == ctx.id()) {
+      excluded = true;
+      own_rank = seen;
+    }
+    if (++seen != want) return false;
+    selecting = false;
+    return true;
+  }
+
+  /// Selection-scoped state must not survive an outage.
+  void reset() noexcept {
+    selecting = false;
+    excluded = false;
+    seen = 0;
+  }
+};
+
+/// The sessions a ViolationCycle convenes. The owner maps each to its
+/// participant group (SessionSpec).
+enum class CycleSession : std::uint8_t {
+  kViolMin,  ///< MINIMUMPROTOCOL over the members that fell (low side)
+  kViolMax,  ///< MAXIMUMPROTOCOL over the outsiders that rose (high side)
+  kSideMin,  ///< the handler's run over every member
+  kSideMax,  ///< the handler's run over every outsider
+  kSelect,   ///< one selection iteration over the not yet announced
+};
+
+/// An owner's encoding of one cycle session.
+struct SessionSpec {
+  std::int64_t group = 0;     ///< kStartSession's b word
+  std::uint64_t n_upper = 0;  ///< participant bound (sets log N)
+  /// Payload of the charged kProtocolStart that announces a missing-side
+  /// session (filter and ordered: 1 = members, 0 = outsiders; multi-k:
+  /// the boundary index).
+  std::int64_t tag = 0;
+};
+
+/// What a coordinator timer firing leaves for the owner of a
+/// ViolationCycle to do.
+enum class CycleEvent : std::uint8_t {
+  kNone,      ///< nothing: a round, a gap tick, the next session, or an
+              ///< abort on a repeat winner
+  kViolated,  ///< the violators' sessions concluded: run the handler
+              ///< (fetch_side, unless the owner knows the missing side)
+  kSides,     ///< the missing side concluded: min and max are both set,
+              ///< apply the boundary rule
+  kSelected,  ///< the selection has its target winners: install them,
+              ///< then done()
+  kSilent,    ///< a session concluded without a report; the cycle was
+              ///< aborted
+};
+
+/// Coordinator-side state machine of Algorithm 1's violation cycle, on
+/// one CoordProtoSession. A cycle opens with the violators' sessions
+/// (MINIMUMPROTOCOL over the low side, then MAXIMUMPROTOCOL over the high
+/// side), fetches the side extremum they did not deliver under a charged
+/// kProtocolStart (FILTERVIOLATIONHANDLER, lines 22-26), and leaves the
+/// decision to the owner: a new boundary, the next boundary's repair, or
+/// a selection. A selection (FILTERRESET, lines 37-39, or any repeated
+/// MAXIMUMPROTOCOL) collects winners one announced iteration at a time,
+/// waiting out the announce lag between iterations.
+///
+/// The owner keeps what differs by monitor and passes itself as the
+/// `port` of the template calls (the struct must be its friend):
+///
+///   SessionSpec cycle_session(CycleSession) const;  // group and bound
+///   Value cycle_key(NodeId, Value) const;  // extremum's key (w-space)
+///   std::size_t selection_target() const;  // read at every conclusion
+///
+/// The boundary rule, what a selection installs, the kStartSelection
+/// control and the counters other than protocol_runs and resyncs stay
+/// with the owner, which acts on the CycleEvent of each timer firing.
+struct ViolationCycle {
+  enum class Phase : std::uint8_t {
+    kIdle,      ///< no cycle running
+    kViolMin,   ///< MINIMUMPROTOCOL over the low-side violators
+    kViolMax,   ///< MAXIMUMPROTOCOL over the high-side violators
+    kFullSide,  ///< the handler's run over the whole missing side
+    kSelect,    ///< a selection: repeated MAXIMUMPROTOCOL runs
+  };
+  struct Winner {
+    NodeId id;
+    Value value;
+  };
+
+  CoordProtoSession session;
+  std::int64_t start_op = 0;  ///< the owner's kStartSession control opcode
+  Phase phase = Phase::kIdle;
+  bool low = false;   ///< this cycle has low-side violators
+  bool high = false;  ///< this cycle has high-side violators
+  std::optional<Value> min;  ///< the cycle's member-side extremum (key)
+  std::optional<Value> max;  ///< the cycle's outsider-side extremum (key)
+  std::vector<Winner> winners;  ///< the selection's winners, rank order
+  std::uint32_t iteration = 0;  ///< selection sessions convened so far
+  bool gap_pending = false;     ///< next iteration waits for announce lag
+  std::uint64_t gap = 0;        ///< remaining inter-iteration gap ticks
+  bool reset_due = false;  ///< a recovery asked for a reset mid-cycle
+
+  bool busy() const noexcept { return phase != Phase::kIdle || session.active; }
+
+  /// True when `id` won an iteration of the running selection: its crash
+  /// (or quarantine) would install a dead or distrusted rank.
+  bool holds_winner(NodeId id) const noexcept {
+    return phase == Phase::kSelect &&
+           std::any_of(winners.begin(), winners.end(),
+                       [id](const Winner& w) { return w.id == id; });
+  }
+
+  /// Opens a repair: the low side's violators run first, then the high
+  /// side's. At least one side must hold violators.
+  template <class Port>
+  void open(CoordCtx& ctx, MonitorStats& st, const Port& port, bool lo,
+            bool hi) {
+    low = lo;
+    high = hi;
+    min.reset();
+    max.reset();
+    phase = low ? Phase::kViolMin : Phase::kViolMax;
+    start(ctx, st, port, low ? CycleSession::kViolMin : CycleSession::kViolMax);
+  }
+
+  /// FILTERVIOLATIONHANDLER, lines 22-26: a charged kProtocolStart
+  /// announces the run over the whole side whose extremum the violators
+  /// did not deliver.
+  template <class Port>
+  void fetch_side(CoordCtx& ctx, MonitorStats& st, const Port& port) {
+    phase = Phase::kFullSide;
+    const CycleSession s = max ? CycleSession::kSideMin : CycleSession::kSideMax;
+    const SessionSpec spec = port.cycle_session(s);
+    Message start;
+    start.kind = MsgKind::kProtocolStart;
+    start.a = spec.tag;
+    ctx.broadcast(start);
+    begin(ctx, st, s, spec);
+  }
+
+  /// Starts a selection of port.selection_target() winners. The owner
+  /// broadcasts its kStartSelection control, if it has one, first.
+  template <class Port>
+  void select(CoordCtx& ctx, MonitorStats& st, const Port& port) {
+    phase = Phase::kSelect;
+    winners.clear();
+    iteration = 0;
+    start(ctx, st, port, CycleSession::kSelect);
+  }
+
+  /// Coordinator timer: runs the selection half in a selection, else the
+  /// violators' and missing-side sessions. The owner acts on the event.
+  template <class Port>
+  CycleEvent on_timer(CoordCtx& ctx, MonitorStats& st, const Port& port) {
+    if (phase == Phase::kSelect) return select_timer(ctx, st, port);
+    if (!session.active || !session.advance(ctx)) return CycleEvent::kNone;
+    if (!session.have_best) {
+      // Only possible under message loss or churn: every report of the
+      // session was lost. Abandon the cycle; the next violation restarts
+      // repair.
+      abort();
+      return CycleEvent::kSilent;
+    }
+    const Value v = port.cycle_key(session.best_holder, session.best_value);
+    switch (phase) {
+      case Phase::kViolMin:
+        min = v;
+        if (!high) return CycleEvent::kViolated;
+        phase = Phase::kViolMax;
+        start(ctx, st, port, CycleSession::kViolMax);
+        return CycleEvent::kNone;
+      case Phase::kViolMax:
+        max = v;
+        return CycleEvent::kViolated;
+      default:  // kFullSide
+        (session.dir == Direction::kMax ? max : min) = v;
+        return CycleEvent::kSides;
+    }
+  }
+
+  /// The selection half of on_timer: the inter-iteration gap, then each
+  /// iteration's announce and conclusion.
+  template <class Port>
+  CycleEvent select_timer(CoordCtx& ctx, MonitorStats& st, const Port& port) {
+    if (!session.active) {
+      // Inter-iteration gap: the previous iteration's winner announcement
+      // is in flight; convening the next iteration before it lands would
+      // let the winner re-join. Zero ticks under instant delivery.
+      if (!gap_pending) return CycleEvent::kNone;
+      if (gap > 0) {
+        --gap;
+        ctx.arm_timer();
+        return CycleEvent::kNone;
+      }
+      gap_pending = false;
+      start(ctx, st, port, CycleSession::kSelect);
+      return CycleEvent::kNone;
+    }
+    if (!session.advance(ctx)) return CycleEvent::kNone;
+    session.announce(ctx);
+    if (!session.have_best) {
+      abort();
+      return CycleEvent::kSilent;
+    }
+    // A repeat winner means its earlier announce was lost on its own link
+    // (possible only under drops): it re-joined and won again, so the
+    // selection order is corrupted beyond local repair — abandon the
+    // selection. Deliberately checked AFTER the announce above: the
+    // "redundant" announcement is what finally tells the repeated winner
+    // it is excluded, so the next attempt can succeed; suppressing it
+    // measured severalfold higher error rates under loss (e15) for one
+    // saved message.
+    for (const Winner& w : winners) {
+      if (w.id == session.best_holder) {
+        abort();
+        return CycleEvent::kNone;
+      }
+    }
+    winners.push_back(Winner{session.best_holder, session.best_value});
+    if (winners.size() >= port.selection_target()) return CycleEvent::kSelected;
+    const std::uint64_t lag = ctx.flush_ticks();
+    if (lag == 0) {
+      start(ctx, st, port, CycleSession::kSelect);
+    } else {
+      gap_pending = true;
+      gap = lag;
+      ctx.arm_timer();
+    }
+    return CycleEvent::kNone;
+  }
+
+  /// A recovered node is re-synced by a full reset, whose announce order
+  /// doubles as its assignment (ordered, multi-k). Counts the re-sync;
+  /// true when the owner should begin the reset now, false when it waits
+  /// for the running cycle's done().
+  bool recover(MonitorStats& st) noexcept {
+    ++st.resyncs;
+    if (!busy()) return true;
+    reset_due = true;
+    return false;
+  }
+
+  /// Ends the cycle. True when a reset deferred by recover() is due now.
+  bool done() noexcept {
+    phase = Phase::kIdle;
+    clear_sides();
+    return std::exchange(reset_due, false);
+  }
+
+  /// Abandons the running cycle (loss, crash, dynamic k). A deferred
+  /// reset stays due.
+  void abort() noexcept {
+    phase = Phase::kIdle;
+    session.active = false;
+    gap_pending = false;
+    gap = 0;
+    clear_sides();
+  }
+
+ private:
+  void clear_sides() noexcept {
+    low = high = false;
+    min.reset();
+    max.reset();
+  }
+
+  template <class Port>
+  void start(CoordCtx& ctx, MonitorStats& st, const Port& port,
+             CycleSession s) {
+    begin(ctx, st, s, port.cycle_session(s));
+  }
+
+  void begin(CoordCtx& ctx, MonitorStats& st, CycleSession s,
+             const SessionSpec& spec) {
+    ++st.protocol_runs;
+    if (s == CycleSession::kSelect) ++iteration;
+    const bool min_run = s == CycleSession::kViolMin || s == CycleSession::kSideMin;
+    session.begin(ctx, start_op, min_run ? Direction::kMin : Direction::kMax,
+                  spec.group, spec.n_upper);
   }
 };
 
