@@ -47,7 +47,7 @@ void MultiKNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
     return;
   }
   ctx.set_needs_observe(true);
-  // Mirror of MultiKMonitor::step()'s classification: count how many
+  // The crossing classes of MultiKCoordinator's repair: count how many
   // boundary midpoints the value crossed; a multi-band jump escalates to
   // the shared reset, a single crossing names its boundary.
   const std::size_t m = bks_.size();
@@ -90,21 +90,11 @@ void MultiKNode::on_message(NodeCtx& ctx, const Message& m) {
     case MsgKind::kRoundBeacon:
       sess_.handle_beacon(m);
       break;
-    case MsgKind::kWinnerAnnounce: {
-      if (!selecting_) break;
-      const auto beacon = unpack_beacon_b(m.b);
-      const auto n = static_cast<Value>(ctx.n());
-      sel_w_.push_back(m.a * n + (n - 1 - static_cast<Value>(beacon.holder)));
-      if (beacon.holder == ctx.id()) {
-        excluded_ = true;
-        sel_own_rank_ = announces_seen_;
-      }
-      ++announces_seen_;
-      if (announces_seen_ == sel_want_) finish_selection(ctx);
+    case MsgKind::kWinnerAnnounce:
+      if (sel_.fold(ctx, m)) finish_selection(ctx);
       break;
-    }
     case MsgKind::kFilterUpdate: {
-      selecting_ = false;
+      sel_.selecting = false;
       const auto j = static_cast<std::size_t>(m.b);
       if (j < mids_.size()) {
         mids_[j] = m.a;
@@ -120,12 +110,7 @@ void MultiKNode::on_message(NodeCtx& ctx, const Message& m) {
 void MultiKNode::on_control(NodeCtx& ctx, const Control& c) {
   switch (static_cast<MultiKControlOp>(c.op)) {
     case MultiKControlOp::kStartSelection: {
-      selecting_ = true;
-      excluded_ = false;
-      announces_seen_ = 0;
-      sel_w_.clear();
-      sel_own_rank_.reset();
-      sel_want_ = static_cast<std::size_t>(c.a);
+      sel_.begin(static_cast<std::size_t>(c.a));
       // The reset supersedes any unconsumed crossing.
       pending_.reset();
       break;
@@ -152,7 +137,7 @@ void MultiKNode::on_control(NodeCtx& ctx, const Control& c) {
           join = band_ > j;
           break;
         case MultiKSessionGroup::kSelectAll:
-          join = selecting_ && !excluded_;
+          join = sel_.candidate();
           break;
       }
       if (join) {
@@ -169,9 +154,7 @@ void MultiKNode::on_timer(NodeCtx& ctx) { sess_.run_round(ctx, ctx.value()); }
 
 void MultiKNode::on_recover(NodeCtx& ctx) {
   sess_.reset(ctx);
-  selecting_ = false;
-  excluded_ = false;
-  announces_seen_ = 0;
+  sel_.reset();
   pending_.reset();
   // The surviving band/filter may predate boundaries renegotiated during
   // the outage; the coordinator's recovery reset re-bands everyone.
@@ -179,20 +162,19 @@ void MultiKNode::on_recover(NodeCtx& ctx) {
 }
 
 void MultiKNode::finish_selection(NodeCtx& ctx) {
-  selecting_ = false;
   const std::size_t m = bks_.size();
-  if (sel_own_rank_.has_value()) {
+  if (sel_.own_rank.has_value()) {
     // Band of rank r (1-based): number of boundaries with k < r.
     std::size_t bd = 0;
     for (const std::size_t k : bks_) {
-      if (k < *sel_own_rank_ + 1) ++bd;
+      if (k < *sel_.own_rank + 1) ++bd;
     }
     band_ = bd;
   } else {
     band_ = m;  // non-winners sit below every boundary
   }
   for (std::size_t j = 0; j < m; ++j) {
-    mids_[j] = midpoint(sel_w_[bks_[j]], sel_w_[bks_[j] - 1]);
+    mids_[j] = midpoint(sel_.w[bks_[j]], sel_.w[bks_[j] - 1]);
   }
   rebuild_filter(ctx);
 }
@@ -211,7 +193,8 @@ void MultiKNode::rebuild_filter(NodeCtx& ctx) {
 
 MultiKCoordinator::MultiKCoordinator(std::vector<std::size_t> ks, Options opts)
     : ks_(std::move(ks)) {
-  sess_.suppress_idle = opts.suppress_idle_broadcasts;
+  cycle_.start_op = static_cast<std::int64_t>(MultiKControlOp::kStartSession);
+  cycle_.session.suppress_idle = opts.suppress_idle_broadcasts;
   if (ks_.empty()) {
     throw std::invalid_argument("MultiKCoordinator: need at least one k");
   }
@@ -271,7 +254,7 @@ void MultiKCoordinator::on_step_begin(CoordCtx& ctx, TimeStep) {
       }
     }
   }
-  if (phase_ != Phase::kIdle) return;
+  if (cycle_.phase != ViolationCycle::Phase::kIdle) return;
   if (!installed_) {
     // The bands were never established — a reset selection aborted under
     // message loss. Defensively re-run it.
@@ -293,25 +276,52 @@ void MultiKCoordinator::on_step_begin(CoordCtx& ctx, TimeStep) {
 
 void MultiKCoordinator::on_message(CoordCtx&, const Message& m) {
   if (m.kind != MsgKind::kValueReport) return;
-  sess_.fold(m);
+  cycle_.session.fold(m);
 }
 
 void MultiKCoordinator::on_timer(CoordCtx& ctx) {
-  if (!sess_.active) {
-    if (pending_select_) {
-      if (select_gap_ > 0) {
-        --select_gap_;
-        ctx.arm_timer();
-        return;
-      }
-      pending_select_ = false;
-      start_session(ctx, Direction::kMax, MultiKSessionGroup::kSelectAll, 0,
-                    n_);
-    }
-    return;
+  switch (cycle_.on_timer(ctx, mstats_, *this)) {
+    case CycleEvent::kViolated:
+      // The side extremum the crossings did not deliver, announced by a
+      // charged kProtocolStart tagged with the boundary index.
+      cycle_.fetch_side(ctx, mstats_, *this);
+      break;
+    case CycleEvent::kSides:
+      decide_boundary(ctx);
+      break;
+    case CycleEvent::kSelected:
+      finish_selection(ctx);
+      break;
+    case CycleEvent::kNone:
+    case CycleEvent::kSilent:
+      break;
   }
-  if (!sess_.advance(ctx)) return;
-  conclude_session(ctx);
+}
+
+SessionSpec MultiKCoordinator::cycle_session(CycleSession s) const noexcept {
+  const auto group = [](MultiKSessionGroup kind, std::size_t boundary) {
+    return (static_cast<std::int64_t>(boundary) << 3) |
+           static_cast<std::int64_t>(kind);
+  };
+  if (s == CycleSession::kSelect) {
+    return {group(MultiKSessionGroup::kSelectAll, 0), n_};
+  }
+  const std::size_t j = cur_boundary_;
+  const std::size_t k = boundaries_[j].k;
+  const auto tag = static_cast<std::int64_t>(j);
+  switch (s) {
+    case CycleSession::kViolMin:
+      return {group(MultiKSessionGroup::kViolDown, j), k};
+    case CycleSession::kViolMax:
+      return {group(MultiKSessionGroup::kViolUp, j), n_ - k};
+    case CycleSession::kSideMin:
+      return {group(MultiKSessionGroup::kSideAbove, j), k, tag};
+    case CycleSession::kSideMax:
+      return {group(MultiKSessionGroup::kSideBelow, j), n_ - k, tag};
+    case CycleSession::kSelect:
+      break;
+  }
+  return {};
 }
 
 void MultiKCoordinator::start_cycle(CoordCtx& ctx) {
@@ -321,17 +331,6 @@ void MultiKCoordinator::start_cycle(CoordCtx& ctx) {
   std::fill(pending_up_.begin(), pending_up_.end(), char{0});
   cur_boundary_ = 0;
   advance_boundary(ctx);
-}
-
-void MultiKCoordinator::start_session(CoordCtx& ctx, Direction dir,
-                                      MultiKSessionGroup kind,
-                                      std::size_t boundary,
-                                      std::uint64_t n_upper) {
-  ++mstats_.protocol_runs;
-  const std::int64_t group = (static_cast<std::int64_t>(boundary) << 3) |
-                             static_cast<std::int64_t>(kind);
-  sess_.begin(ctx, static_cast<std::int64_t>(MultiKControlOp::kStartSession),
-              dir, group, n_upper);
 }
 
 void MultiKCoordinator::advance_boundary(CoordCtx& ctx) {
@@ -348,103 +347,14 @@ void MultiKCoordinator::advance_boundary(CoordCtx& ctx) {
   // boundary's violators disjoint from other boundaries' sides' extrema,
   // so the boundaries are repaired independently, in ascending order.
   ++mstats_.handler_calls;
-  min_w_.reset();
-  max_w_.reset();
-  const Boundary& b = boundaries_[cur_boundary_];
-  if (cycle_down_[cur_boundary_] != 0) {
-    phase_ = Phase::kViolDown;
-    start_session(ctx, Direction::kMin, MultiKSessionGroup::kViolDown,
-                  cur_boundary_, b.k);
-  } else {
-    phase_ = Phase::kViolUp;
-    start_session(ctx, Direction::kMax, MultiKSessionGroup::kViolUp,
-                  cur_boundary_, n_ - b.k);
-  }
-}
-
-void MultiKCoordinator::conclude_session(CoordCtx& ctx) {
-  if (phase_ == Phase::kSelect) sess_.announce(ctx);
-  if (!sess_.have_best) {
-    abort_cycle();
-    return;
-  }
-  const Boundary* b =
-      cur_boundary_ < boundaries_.size() ? &boundaries_[cur_boundary_] : nullptr;
-  switch (phase_) {
-    case Phase::kViolDown:
-      min_w_ = to_w(sess_.best_holder, sess_.best_value);
-      if (cycle_up_[cur_boundary_] != 0) {
-        phase_ = Phase::kViolUp;
-        start_session(ctx, Direction::kMax, MultiKSessionGroup::kViolUp,
-                      cur_boundary_, n_ - b->k);
-      } else {
-        handler_transition(ctx);
-      }
-      break;
-    case Phase::kViolUp:
-      max_w_ = to_w(sess_.best_holder, sess_.best_value);
-      handler_transition(ctx);
-      break;
-    case Phase::kFullSide:
-      if (sess_.dir == Direction::kMax) {
-        max_w_ = to_w(sess_.best_holder, sess_.best_value);
-      } else {
-        min_w_ = to_w(sess_.best_holder, sess_.best_value);
-      }
-      decide_boundary(ctx);
-      break;
-    case Phase::kSelect: {
-      for (const auto& w : sel_winners_) {
-        if (w.second == sess_.best_holder) {
-          // Repeat winner (lost announce, drops only): abandon the
-          // reset; the defensive rebuild retries next step.
-          abort_cycle();
-          return;
-        }
-      }
-      sel_winners_.emplace_back(sess_.best_value, sess_.best_holder);
-      if (sel_winners_.size() < sel_want_) {
-        const std::uint64_t gap = ctx.flush_ticks();
-        if (gap == 0) {
-          start_session(ctx, Direction::kMax, MultiKSessionGroup::kSelectAll,
-                        0, n_);
-        } else {
-          pending_select_ = true;
-          select_gap_ = gap;
-          ctx.arm_timer();
-        }
-      } else {
-        finish_selection(ctx);
-      }
-      break;
-    }
-    case Phase::kIdle:
-      break;  // unreachable
-  }
-}
-
-void MultiKCoordinator::handler_transition(CoordCtx& ctx) {
-  // Obtain the side extremum the crossings did not deliver, announced by
-  // a charged kProtocolStart tagged with the boundary index.
-  phase_ = Phase::kFullSide;
-  const Boundary& b = boundaries_[cur_boundary_];
-  Message start;
-  start.kind = MsgKind::kProtocolStart;
-  start.a = static_cast<std::int64_t>(cur_boundary_);
-  ctx.broadcast(start);
-  if (!max_w_.has_value()) {
-    start_session(ctx, Direction::kMax, MultiKSessionGroup::kSideBelow,
-                  cur_boundary_, n_ - b.k);
-  } else {
-    start_session(ctx, Direction::kMin, MultiKSessionGroup::kSideAbove,
-                  cur_boundary_, b.k);
-  }
+  cycle_.open(ctx, mstats_, *this, cycle_down_[cur_boundary_] != 0,
+              cycle_up_[cur_boundary_] != 0);
 }
 
 void MultiKCoordinator::decide_boundary(CoordCtx& ctx) {
   Boundary& b = boundaries_[cur_boundary_];
-  b.tplus_w = std::min(b.tplus_w, *min_w_);
-  b.tminus_w = std::max(b.tminus_w, *max_w_);
+  b.tplus_w = std::min(b.tplus_w, *cycle_.min);
+  b.tminus_w = std::max(b.tminus_w, *cycle_.max);
   if (b.tplus_w < b.tminus_w) {
     // Shared reset: rebuilds every boundary at once, abandoning the
     // remaining repairs of this cycle.
@@ -468,28 +378,25 @@ void MultiKCoordinator::begin_full_reset(CoordCtx& ctx) {
   pending_escalate_ = false;
   std::fill(pending_down_.begin(), pending_down_.end(), char{0});
   std::fill(pending_up_.begin(), pending_up_.end(), char{0});
-  phase_ = Phase::kSelect;
-  sel_want_ = boundaries_.back().k + 1;
-  sel_winners_.clear();
   Control sel;
   sel.op = static_cast<std::int64_t>(MultiKControlOp::kStartSelection);
-  sel.a = static_cast<std::int64_t>(sel_want_);
+  sel.a = static_cast<std::int64_t>(selection_target());
   ctx.control_broadcast(sel);
-  start_session(ctx, Direction::kMax, MultiKSessionGroup::kSelectAll, 0, n_);
+  cycle_.select(ctx, mstats_, *this);
 }
 
 void MultiKCoordinator::finish_selection(CoordCtx& ctx) {
+  const auto& winners = cycle_.winners;
   const std::size_t m = boundaries_.size();
   band_.assign(n_, static_cast<std::uint8_t>(m));
-  std::vector<Value> rank_w(sel_winners_.size());
-  for (std::size_t r = 0; r < sel_winners_.size(); ++r) {
-    const auto& win = sel_winners_[r];
-    rank_w[r] = to_w(win.second, win.first);
+  std::vector<Value> rank_w(winners.size());
+  for (std::size_t r = 0; r < winners.size(); ++r) {
+    rank_w[r] = to_w(winners[r].id, winners[r].value);
     std::uint8_t bd = 0;
     for (const auto& b : boundaries_) {
       if (b.k < r + 1) ++bd;
     }
-    band_[win.second] = bd;
+    band_[winners[r].id] = bd;
   }
   for (auto& b : boundaries_) {
     b.tplus_w = rank_w[b.k - 1];
@@ -509,17 +416,9 @@ void MultiKCoordinator::refresh_answer() {
 }
 
 void MultiKCoordinator::cycle_done(CoordCtx& ctx) {
-  phase_ = Phase::kIdle;
-  min_w_.reset();
-  max_w_.reset();
-  std::fill(cycle_down_.begin(), cycle_down_.end(), char{0});
-  std::fill(cycle_up_.begin(), cycle_up_.end(), char{0});
-  if (resync_pending_) {
-    resync_pending_ = false;
-    begin_full_reset(ctx);
-    return;
-  }
-  if (pending_escalate_) {
+  // A recovery's re-sync that waited for this cycle, or an escalation,
+  // resets every boundary.
+  if (cycle_.done() || pending_escalate_) {
     begin_full_reset(ctx);
     return;
   }
@@ -529,17 +428,6 @@ void MultiKCoordinator::cycle_done(CoordCtx& ctx) {
       std::any_of(pending_up_.begin(), pending_up_.end(),
                   [](char f) { return f != 0; });
   if (any) start_cycle(ctx);
-}
-
-void MultiKCoordinator::abort_cycle() {
-  phase_ = Phase::kIdle;
-  sess_.active = false;
-  pending_select_ = false;
-  select_gap_ = 0;
-  min_w_.reset();
-  max_w_.reset();
-  std::fill(cycle_down_.begin(), cycle_down_.end(), char{0});
-  std::fill(cycle_up_.begin(), cycle_up_.end(), char{0});
 }
 
 std::vector<NodeId> MultiKCoordinator::topk_for(std::size_t k) const {
@@ -572,12 +460,7 @@ std::vector<NodeId> MultiKCoordinator::topk_for(std::size_t k) const {
 void MultiKCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
   const std::size_t m = boundaries_.size();
   if (m == 0) return;
-  bool structural = band_[id] < m;
-  if (phase_ == Phase::kSelect) {
-    for (const auto& w : sel_winners_) {
-      structural = structural || w.second == id;
-    }
-  }
+  const bool structural = band_[id] < m || cycle_.holds_winner(id);
   if (band_[id] < m) {
     band_[id] = static_cast<std::uint8_t>(m);
     refresh_answer();
@@ -585,7 +468,7 @@ void MultiKCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
   if (structural) {
     // The node sat above some boundary (or was an in-flight reset
     // winner): every boundary it anchored must be re-found.
-    abort_cycle();
+    cycle_.abort();
     begin_full_reset(ctx);
   }
 }
@@ -594,12 +477,7 @@ void MultiKCoordinator::on_node_up(CoordCtx& ctx, NodeId) {
   if (boundaries_.empty()) return;
   // The returning node's band is unknowable without fresh values; the
   // shared reset's announce order doubles as the re-sync assignment.
-  ++mstats_.resyncs;
-  if (phase_ == Phase::kIdle && !sess_.active) {
-    begin_full_reset(ctx);
-  } else {
-    resync_pending_ = true;
-  }
+  if (cycle_.recover(mstats_)) begin_full_reset(ctx);
 }
 
 }  // namespace topkmon

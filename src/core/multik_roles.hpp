@@ -5,7 +5,10 @@
 // adjacent boundaries) locally, classifies its own crossing — including
 // the multi-band escalation — and the coordinator repairs each crossed
 // boundary with the usual violator/missing-side protocol sessions
-// (core/role_session.hpp), processed in ascending boundary order.
+// (core/role_session.hpp), processed in ascending boundary order. Each
+// boundary's repair is one pass of the shared ViolationCycle; the
+// per-boundary advance, the band map and the bands a reset installs stay
+// here.
 //
 // Under the instant NetworkSpec the port is message-for-message and
 // coin-flip-for-coin-flip identical to the frozen records of the
@@ -77,13 +80,7 @@ class MultiKNode final : public NodeAlgo {
   };
   std::optional<PendingCross> pending_;
   NodeProtoSession sess_;
-
-  bool selecting_ = false;
-  bool excluded_ = false;
-  std::size_t sel_want_ = 0;
-  std::size_t announces_seen_ = 0;
-  std::vector<Value> sel_w_;  ///< winners' w in announce (rank) order
-  std::optional<std::size_t> sel_own_rank_;
+  NodeSelection sel_;  ///< the announce-derived ranks of a reset
 };
 
 /// Coordinator-side half: per-boundary T+/T- accumulators, the band map,
@@ -118,14 +115,6 @@ class MultiKCoordinator final : public CoordinatorAlgo {
   std::vector<NodeId> topk_for(std::size_t k) const;
 
  private:
-  enum class Phase : std::uint8_t {
-    kIdle,
-    kViolDown,  ///< min session over boundary j's downward crossers
-    kViolUp,    ///< max session over boundary j's upward crossers
-    kFullSide,  ///< boundary j's missing-side session
-    kSelect,    ///< the shared reset selection runs
-  };
-
   struct Boundary {
     std::size_t k;
     Value tplus_w = 0;
@@ -133,19 +122,24 @@ class MultiKCoordinator final : public CoordinatorAlgo {
     Value mid_w = 0;
   };
 
+  friend struct ViolationCycle;
+  /// The cycle's sessions in this monitor's groups, scoped to the
+  /// boundary under repair (ViolationCycle port).
+  SessionSpec cycle_session(CycleSession s) const noexcept;
+  Value cycle_key(NodeId id, Value v) const noexcept { return to_w(id, v); }
+  /// The shared reset announces k_max + 1 winners.
+  std::size_t selection_target() const noexcept {
+    return boundaries_.back().k + 1;
+  }
+
   Value to_w(NodeId id, Value v) const noexcept;
   void start_cycle(CoordCtx& ctx);
-  void start_session(CoordCtx& ctx, Direction dir, MultiKSessionGroup kind,
-                     std::size_t boundary, std::uint64_t n_upper);
-  void conclude_session(CoordCtx& ctx);
   void advance_boundary(CoordCtx& ctx);
-  void handler_transition(CoordCtx& ctx);
   void decide_boundary(CoordCtx& ctx);
   void begin_full_reset(CoordCtx& ctx);
   void finish_selection(CoordCtx& ctx);
   void refresh_answer();
   void cycle_done(CoordCtx& ctx);
-  void abort_cycle();
 
   std::vector<std::size_t> ks_;
   std::size_t n_ = 0;
@@ -161,19 +155,9 @@ class MultiKCoordinator final : public CoordinatorAlgo {
   std::vector<char> cycle_down_;
   std::vector<char> cycle_up_;
 
-  Phase phase_ = Phase::kIdle;
-  std::size_t cur_boundary_ = 0;  ///< boundary being repaired (kViol*/kFullSide)
-  std::optional<Value> min_w_;
-  std::optional<Value> max_w_;
-  CoordProtoSession sess_;
-
-  // Shared reset selection.
-  std::size_t sel_want_ = 0;
-  std::vector<std::pair<Value, NodeId>> sel_winners_;  ///< (raw value, id)
-  bool pending_select_ = false;
-  std::uint64_t select_gap_ = 0;
-
-  bool resync_pending_ = false;
+  std::size_t cur_boundary_ = 0;  ///< boundary whose repair runs
+  /// The violation cycle: one boundary's repair at a time, and the reset.
+  ViolationCycle cycle_;
 };
 
 }  // namespace topkmon

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace topkmon {
 
@@ -27,11 +28,11 @@ void OrderedNode::on_observe(NodeCtx& ctx, Value v, TimeStep) {
     return;
   }
   ctx.set_needs_observe(true);
-  // Mirror of OrderedTopkMonitor::step()'s classification, evaluated on
-  // the node's own beliefs (synchronized by updates and announces):
-  // outsiders raise a boundary-side violation, members below the shared
-  // boundary a below-fall, everything else is internal churn that only
-  // re-ranks the members.
+  // The violation classes of OrderedCoordinator's cycle, evaluated on the
+  // node's own beliefs (synchronized by updates and announces): outsiders
+  // raise a boundary-side violation, members below the shared boundary a
+  // below-fall, everything else is internal churn that only re-ranks the
+  // members.
   if (!member_) {
     pending_ = Pending::kOut;
     ctx.signal(0);
@@ -49,26 +50,15 @@ void OrderedNode::on_message(NodeCtx& ctx, const Message& m) {
     case MsgKind::kRoundBeacon:
       sess_.handle_beacon(m);
       break;
-    case MsgKind::kWinnerAnnounce: {
-      // The announce order is common knowledge: rank r of the selection
-      // is the r-th announce. Each node derives its own rank, membership
-      // and slot interval locally — no extra charged messages.
-      if (!selecting_) break;
-      const auto beacon = unpack_beacon_b(m.b);
-      const auto n = static_cast<Value>(ctx.n());
-      sel_w_.push_back(m.a * n + (n - 1 - static_cast<Value>(beacon.holder)));
-      if (beacon.holder == ctx.id()) {
-        excluded_ = true;
-        sel_own_rank_ = announces_seen_;
-      }
-      ++announces_seen_;
-      if (announces_seen_ == sel_want_) finish_selection(ctx);
+    case MsgKind::kWinnerAnnounce:
+      // Each node derives its own rank, membership and slot interval from
+      // the announce order (NodeSelection).
+      if (sel_.fold(ctx, m)) finish_selection(ctx);
       break;
-    }
     case MsgKind::kFilterUpdate: {
       // Boundary move: only the outsiders' upper bound and the lowest
       // member's lower bound depend on the shared boundary.
-      selecting_ = false;
+      sel_.selecting = false;
       mid_w_ = m.a;
       if (!member_) {
         filter_ = Filter{kMinusInf, mid_w_};
@@ -86,12 +76,7 @@ void OrderedNode::on_message(NodeCtx& ctx, const Message& m) {
 void OrderedNode::on_control(NodeCtx& ctx, const Control& c) {
   switch (static_cast<OrderedControlOp>(c.op)) {
     case OrderedControlOp::kStartSelection: {
-      selecting_ = true;
-      excluded_ = false;
-      announces_seen_ = 0;
-      sel_w_.clear();
-      sel_own_rank_.reset();
-      sel_want_ = static_cast<std::size_t>(c.a);
+      sel_.begin(static_cast<std::size_t>(c.a));
       sel_type_ = c.b == 1 ? SelType::kInternal : SelType::kFull;
       k_ = static_cast<std::size_t>(c.c);
       // The selection supersedes any unconsumed violation (reachable
@@ -122,10 +107,10 @@ void OrderedNode::on_control(NodeCtx& ctx, const Control& c) {
           join = !member_;
           break;
         case OrderedSessionGroup::kSelectAll:
-          join = selecting_ && !excluded_;
+          join = sel_.candidate();
           break;
         case OrderedSessionGroup::kSelectMembers:
-          join = selecting_ && member_ && !excluded_;
+          join = sel_.candidate() && member_;
           break;
       }
       if (join) {
@@ -146,39 +131,38 @@ void OrderedNode::on_recover(NodeCtx& ctx) {
   // predate slots renegotiated during the outage — stay in the observe
   // set until the coordinator's recovery reset re-ranks everyone.
   sess_.reset(ctx);
-  selecting_ = false;
-  excluded_ = false;
-  announces_seen_ = 0;
+  sel_.reset();
   pending_ = Pending::kNone;
   ctx.set_needs_observe(true);
 }
 
 void OrderedNode::finish_selection(NodeCtx& ctx) {
-  selecting_ = false;
+  const auto& own = sel_.own_rank;
   if (sel_type_ == SelType::kFull) {
-    member_ = sel_own_rank_.has_value() && *sel_own_rank_ < k_;
-    if (member_) rank_ = *sel_own_rank_;
+    member_ = own.has_value() && *own < k_;
+    if (member_) rank_ = *own;
     // boundary_active: T- is the (k+1)-st announce, T+ the k-th.
-    mid_w_ = boundary_active(ctx) ? midpoint(sel_w_[k_], sel_w_[k_ - 1])
+    mid_w_ = boundary_active(ctx) ? midpoint(sel_.w[k_], sel_.w[k_ - 1])
                                   : kMinusInf;
-  } else if (sel_own_rank_.has_value()) {
+  } else if (own.has_value()) {
     member_ = true;
-    rank_ = *sel_own_rank_;
+    rank_ = *own;
   }
   rebuild_slot(ctx);
 }
 
 void OrderedNode::rebuild_slot(NodeCtx& ctx) {
-  if (member_ && rank_ >= sel_w_.size()) {
+  const std::vector<Value>& sel_w = sel_.w;
+  if (member_ && rank_ >= sel_w.size()) {
     // Stale membership belief (possible only under message loss): the
     // announce order did not cover this rank. Keep the old filter; the
     // node's next violation or the coordinator's next reset repairs it.
     return;
   }
   if (member_) {
-    slot_hi_ = rank_ == 0 ? kPlusInf : midpoint(sel_w_[rank_], sel_w_[rank_ - 1]);
+    slot_hi_ = rank_ == 0 ? kPlusInf : midpoint(sel_w[rank_], sel_w[rank_ - 1]);
     const Value lo = rank_ + 1 == k_ ? mid_w_
-                                     : midpoint(sel_w_[rank_ + 1], sel_w_[rank_]);
+                                     : midpoint(sel_w[rank_ + 1], sel_w[rank_]);
     filter_ = Filter{lo, slot_hi_};
   } else {
     filter_ = Filter{kMinusInf, mid_w_};
@@ -194,7 +178,8 @@ OrderedCoordinator::OrderedCoordinator(std::size_t k, Options opts) : k_(k) {
   if (k == 0) {
     throw std::invalid_argument("OrderedCoordinator: k must be >= 1");
   }
-  sess_.suppress_idle = opts.suppress_idle_broadcasts;
+  cycle_.start_op = static_cast<std::int64_t>(OrderedControlOp::kStartSession);
+  cycle_.session.suppress_idle = opts.suppress_idle_broadcasts;
 }
 
 Value OrderedCoordinator::to_w(NodeId id, Value v) const noexcept {
@@ -229,7 +214,7 @@ void OrderedCoordinator::on_step_begin(CoordCtx& ctx, TimeStep) {
       }
     }
   }
-  if (phase_ != Phase::kIdle) return;
+  if (cycle_.phase != ViolationCycle::Phase::kIdle) return;
   if (order_.size() != k_) {
     // The order was never established — a reset selection aborted under
     // message loss. Defensively re-run it; no filter violation can
@@ -243,147 +228,68 @@ void OrderedCoordinator::on_step_begin(CoordCtx& ctx, TimeStep) {
 
 void OrderedCoordinator::on_message(CoordCtx&, const Message& m) {
   if (m.kind != MsgKind::kValueReport) return;
-  sess_.fold(m);
+  cycle_.session.fold(m);
 }
 
 void OrderedCoordinator::on_timer(CoordCtx& ctx) {
-  if (!sess_.active) {
-    // Inter-iteration gap of a selection: the previous iteration's winner
-    // announcement is in flight; convening the next iteration before it
-    // lands would let the winner re-join. Zero ticks under instant.
-    if (pending_select_) {
-      if (select_gap_ > 0) {
-        --select_gap_;
-        ctx.arm_timer();
-        return;
-      }
-      pending_select_ = false;
-      start_selection_iteration(ctx);
-    }
-    return;
+  switch (cycle_.on_timer(ctx, mstats_, *this)) {
+    case CycleEvent::kViolated:
+      // Obtain the side extremum the violations did not deliver;
+      // violating outsiders force a fresh minimum over every member,
+      // which re-certifies T+ after the boundary side grew.
+      ++mstats_.handler_calls;
+      cycle_.fetch_side(ctx, mstats_, *this);
+      break;
+    case CycleEvent::kSides:
+      decide(ctx);
+      break;
+    case CycleEvent::kSelected:
+      finish_selection(ctx);
+      break;
+    case CycleEvent::kNone:
+    case CycleEvent::kSilent:
+      break;
   }
-  if (!sess_.advance(ctx)) return;
-  conclude_session(ctx);
+}
+
+SessionSpec OrderedCoordinator::cycle_session(CycleSession s) const noexcept {
+  const auto group = [](OrderedSessionGroup g) {
+    return static_cast<std::int64_t>(g);
+  };
+  switch (s) {
+    case CycleSession::kViolMin:
+      return {group(OrderedSessionGroup::kViolBelow), k_};
+    case CycleSession::kViolMax:
+      return {group(OrderedSessionGroup::kViolOut), n_ - k_};
+    case CycleSession::kSideMin:
+      return {group(OrderedSessionGroup::kAllMembers), k_, 1};  // side: top-k
+    case CycleSession::kSideMax:
+      return {group(OrderedSessionGroup::kAllOutsiders), n_ - k_, 0};
+    case CycleSession::kSelect:
+      if (sel_type_ == SelType::kFull) {
+        return {group(OrderedSessionGroup::kSelectAll), n_};
+      }
+      return {group(OrderedSessionGroup::kSelectMembers), k_};
+  }
+  return {};
 }
 
 void OrderedCoordinator::start_cycle(CoordCtx& ctx) {
-  cycle_below_ = pending_below_;
-  cycle_out_ = pending_out_;
-  cycle_internal_ = pending_internal_;
-  pending_below_ = pending_out_ = pending_internal_ = false;
-  min_w_.reset();
-  max_w_.reset();
-  if (cycle_below_ || cycle_out_) {
-    if (cycle_below_) {
-      phase_ = Phase::kViolBelow;
-      start_session(ctx, Direction::kMin, OrderedSessionGroup::kViolBelow, k_);
-    } else {
-      phase_ = Phase::kViolOut;
-      start_session(ctx, Direction::kMax, OrderedSessionGroup::kViolOut,
-                    n_ - k_);
-    }
+  const bool below = std::exchange(pending_below_, false);
+  const bool out = std::exchange(pending_out_, false);
+  cycle_internal_ = std::exchange(pending_internal_, false);
+  if (below || out) {
+    cycle_.open(ctx, mstats_, *this, below, out);
   } else {
     // Pure internal churn: the boundary holds, only the order above it
     // may have changed.
-    begin_internal_rebuild(ctx);
-  }
-}
-
-void OrderedCoordinator::start_session(CoordCtx& ctx, Direction dir,
-                                       OrderedSessionGroup group,
-                                       std::uint64_t n_upper) {
-  ++mstats_.protocol_runs;
-  sess_.begin(ctx, static_cast<std::int64_t>(OrderedControlOp::kStartSession),
-              dir, static_cast<std::int64_t>(group), n_upper);
-}
-
-void OrderedCoordinator::conclude_session(CoordCtx& ctx) {
-  // A selection iteration announces its winner even when it repeats —
-  // the redundant announcement is what tells a repeated winner it is
-  // excluded (see FilterCoordinator::conclude_session).
-  if (phase_ == Phase::kSelect) sess_.announce(ctx);
-  if (!sess_.have_best) {
-    // Only possible under message loss: every report was dropped.
-    abort_cycle();
-    return;
-  }
-  switch (phase_) {
-    case Phase::kViolBelow:
-      min_w_ = to_w(sess_.best_holder, sess_.best_value);
-      if (cycle_out_) {
-        phase_ = Phase::kViolOut;
-        start_session(ctx, Direction::kMax, OrderedSessionGroup::kViolOut,
-                      n_ - k_);
-      } else {
-        handler_transition(ctx);
-      }
-      break;
-    case Phase::kViolOut:
-      max_w_ = to_w(sess_.best_holder, sess_.best_value);
-      handler_transition(ctx);
-      break;
-    case Phase::kFullSide:
-      if (sess_.dir == Direction::kMax) {
-        max_w_ = to_w(sess_.best_holder, sess_.best_value);
-      } else {
-        min_w_ = to_w(sess_.best_holder, sess_.best_value);
-      }
-      decide(ctx);
-      break;
-    case Phase::kSelect: {
-      for (const auto& w : sel_winners_) {
-        if (w.second == sess_.best_holder) {
-          // A repeat winner (lost announce, drops only): the selection
-          // order is corrupted beyond local repair — abandon the reset;
-          // the defensive rebuild or the next violation retries.
-          abort_cycle();
-          return;
-        }
-      }
-      sel_winners_.emplace_back(sess_.best_value, sess_.best_holder);
-      if (sel_winners_.size() < sel_want_) {
-        const std::uint64_t gap = ctx.flush_ticks();
-        if (gap == 0) {
-          start_selection_iteration(ctx);
-        } else {
-          pending_select_ = true;
-          select_gap_ = gap;
-          ctx.arm_timer();
-        }
-      } else {
-        finish_selection(ctx);
-      }
-      break;
-    }
-    case Phase::kIdle:
-      break;  // unreachable
-  }
-}
-
-void OrderedCoordinator::handler_transition(CoordCtx& ctx) {
-  // Obtain the side extremum the violations did not deliver (announced
-  // by a charged kProtocolStart); violating outsiders force a fresh
-  // minimum over every member, which re-certifies T+ after the boundary
-  // side grew (the same overwrite the lock-step monitor performs).
-  ++mstats_.handler_calls;
-  phase_ = Phase::kFullSide;
-  Message start;
-  start.kind = MsgKind::kProtocolStart;
-  if (!max_w_.has_value()) {
-    start.a = 0;  // side: non-top-k
-    ctx.broadcast(start);
-    start_session(ctx, Direction::kMax, OrderedSessionGroup::kAllOutsiders,
-                  n_ - k_);
-  } else {
-    start.a = 1;  // side: top-k
-    ctx.broadcast(start);
-    start_session(ctx, Direction::kMin, OrderedSessionGroup::kAllMembers, k_);
+    begin_selection(ctx, SelType::kInternal);
   }
 }
 
 void OrderedCoordinator::decide(CoordCtx& ctx) {
-  tplus_w_ = std::min(tplus_w_, *min_w_);
-  tminus_w_ = std::max(tminus_w_, *max_w_);
+  tplus_w_ = std::min(tplus_w_, *cycle_.min);
+  tminus_w_ = std::max(tminus_w_, *cycle_.max);
   if (tplus_w_ < tminus_w_) {
     // The membership may have changed; recompute from scratch.
     begin_full_reset(ctx);
@@ -395,10 +301,10 @@ void OrderedCoordinator::decide(CoordCtx& ctx) {
   update.kind = MsgKind::kFilterUpdate;
   update.a = mid_w_;
   ctx.broadcast(update);
-  if (cycle_below_ || cycle_internal_) {
+  if (cycle_.low || cycle_internal_) {
     // Members moved (below-fall repaired, or internal churn rode along):
     // re-rank the k members.
-    begin_internal_rebuild(ctx);
+    begin_selection(ctx, SelType::kInternal);
   } else {
     cycle_done(ctx);
   }
@@ -406,95 +312,56 @@ void OrderedCoordinator::decide(CoordCtx& ctx) {
 
 void OrderedCoordinator::begin_full_reset(CoordCtx& ctx) {
   ++mstats_.filter_resets;
-  phase_ = Phase::kSelect;
-  sel_type_ = SelType::kFull;
-  sel_want_ = boundary_active_ ? k_ + 1 : k_;
-  sel_winners_.clear();
-  Control sel;
-  sel.op = static_cast<std::int64_t>(OrderedControlOp::kStartSelection);
-  sel.a = static_cast<std::int64_t>(sel_want_);
-  sel.b = 0;
-  sel.c = static_cast<std::int64_t>(k_);
-  ctx.control_broadcast(sel);
-  start_selection_iteration(ctx);
+  begin_selection(ctx, SelType::kFull);
 }
 
-void OrderedCoordinator::begin_internal_rebuild(CoordCtx& ctx) {
-  phase_ = Phase::kSelect;
-  sel_type_ = SelType::kInternal;
-  sel_want_ = k_;
-  sel_winners_.clear();
+void OrderedCoordinator::begin_selection(CoordCtx& ctx, SelType type) {
+  sel_type_ = type;
   Control sel;
   sel.op = static_cast<std::int64_t>(OrderedControlOp::kStartSelection);
-  sel.a = static_cast<std::int64_t>(sel_want_);
-  sel.b = 1;
+  sel.a = static_cast<std::int64_t>(selection_target());
+  sel.b = type == SelType::kInternal ? 1 : 0;
   sel.c = static_cast<std::int64_t>(k_);
   ctx.control_broadcast(sel);
-  start_selection_iteration(ctx);
-}
-
-void OrderedCoordinator::start_selection_iteration(CoordCtx& ctx) {
-  if (sel_type_ == SelType::kFull) {
-    start_session(ctx, Direction::kMax, OrderedSessionGroup::kSelectAll, n_);
-  } else {
-    start_session(ctx, Direction::kMax, OrderedSessionGroup::kSelectMembers,
-                  k_);
-  }
+  cycle_.select(ctx, mstats_, *this);
 }
 
 void OrderedCoordinator::finish_selection(CoordCtx& ctx) {
+  const auto& winners = cycle_.winners;
+  order_.clear();
+  known_w_.clear();
   if (sel_type_ == SelType::kFull) {
-    order_.clear();
-    known_w_.clear();
     std::fill(in_topk_.begin(), in_topk_.end(), char{0});
     for (std::size_t r = 0; r < k_; ++r) {
-      const auto& win = sel_winners_[r];
-      order_.push_back(win.second);
-      known_w_.push_back(to_w(win.second, win.first));
-      in_topk_[win.second] = 1;
+      order_.push_back(winners[r].id);
+      known_w_.push_back(to_w(winners[r].id, winners[r].value));
+      in_topk_[winners[r].id] = 1;
     }
     rebuild_id_lists();
     if (boundary_active_) {
       tplus_w_ = known_w_[k_ - 1];
-      tminus_w_ = to_w(sel_winners_[k_].second, sel_winners_[k_].first);
+      tminus_w_ = to_w(winners[k_].id, winners[k_].value);
       mid_w_ = midpoint(tminus_w_, tplus_w_);
     } else {
       mid_w_ = kMinusInf;
     }
   } else {
-    order_.clear();
-    known_w_.clear();
-    for (const auto& win : sel_winners_) {
-      order_.push_back(win.second);
-      known_w_.push_back(to_w(win.second, win.first));
+    for (const auto& win : winners) {
+      order_.push_back(win.id);
+      known_w_.push_back(to_w(win.id, win.value));
     }
   }
   cycle_done(ctx);
 }
 
 void OrderedCoordinator::cycle_done(CoordCtx& ctx) {
-  phase_ = Phase::kIdle;
-  min_w_.reset();
-  max_w_.reset();
-  cycle_below_ = cycle_out_ = cycle_internal_ = false;
-  if (resync_pending_) {
-    resync_pending_ = false;
-    begin_full_reset(ctx);
+  if (cycle_.done()) {
+    begin_full_reset(ctx);  // a recovery's re-sync waited for this cycle
     return;
   }
   // Violations that arrived while the cycle ran (possible only under a
   // tick budget or delay) convene the next cycle immediately.
   if (pending_below_ || pending_out_ || pending_internal_) start_cycle(ctx);
-}
-
-void OrderedCoordinator::abort_cycle() {
-  phase_ = Phase::kIdle;
-  sess_.active = false;
-  pending_select_ = false;
-  select_gap_ = 0;
-  min_w_.reset();
-  max_w_.reset();
-  cycle_below_ = cycle_out_ = cycle_internal_ = false;
 }
 
 void OrderedCoordinator::rebuild_id_lists() {
@@ -509,12 +376,7 @@ void OrderedCoordinator::rebuild_id_lists() {
 // ---------------------------------------------------------------------------
 
 void OrderedCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
-  bool structural = in_topk_[id] != 0;
-  if (phase_ == Phase::kSelect) {
-    for (const auto& w : sel_winners_) {
-      structural = structural || w.second == id;
-    }
-  }
+  const bool structural = in_topk_[id] != 0 || cycle_.holds_winner(id);
   if (in_topk_[id]) {
     in_topk_[id] = 0;
     for (std::size_t r = 0; r < order_.size(); ++r) {
@@ -529,7 +391,7 @@ void OrderedCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
   if (structural) {
     // A member (or in-flight selection winner) took its rank with it:
     // re-establish the whole order over the remaining live nodes.
-    abort_cycle();
+    cycle_.abort();
     begin_full_reset(ctx);
   }
   // A crashed non-member mid-session is just a lost report, which the
@@ -541,12 +403,7 @@ void OrderedCoordinator::on_node_up(CoordCtx& ctx, NodeId) {
   // outage may have shifted every slot: re-rank everyone. The reset's
   // announce order doubles as the re-sync assignment, so no probe
   // round-trip machinery is needed.
-  ++mstats_.resyncs;
-  if (phase_ == Phase::kIdle && !sess_.active) {
-    begin_full_reset(ctx);
-  } else {
-    resync_pending_ = true;
-  }
+  if (cycle_.recover(mstats_)) begin_full_reset(ctx);
 }
 
 void OrderedCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
@@ -555,7 +412,7 @@ void OrderedCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
   }
   k_ = k;
   boundary_active_ = k_ < n_;
-  abort_cycle();
+  cycle_.abort();
   begin_full_reset(ctx);
 }
 

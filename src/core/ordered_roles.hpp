@@ -6,6 +6,11 @@
 // boundary, and every repair runs the randomized extremum protocol as
 // event-driven sessions (core/role_session.hpp).
 //
+// The coordinator drives Algorithm 1's violation cycle on a
+// ViolationCycle (core/role_session.hpp) and keeps the ordered rule: the
+// boundary midpoint, the member re-rank after it, and the order a
+// selection installs.
+//
 // Under the instant NetworkSpec the port is message-for-message and
 // coin-flip-for-coin-flip identical to the frozen records of the
 // lock-step implementation it replaced (differential harness,
@@ -22,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/filter.hpp"
@@ -86,19 +90,12 @@ class OrderedNode final : public NodeAlgo {
   Filter filter_{};           ///< current guard interval in w-space
   Pending pending_ = Pending::kNone;
   NodeProtoSession sess_;
-
-  // Announce-derived selection state.
-  bool selecting_ = false;
-  bool excluded_ = false;
+  NodeSelection sel_;  ///< the announce-derived ranks of a selection
   SelType sel_type_ = SelType::kFull;
-  std::size_t sel_want_ = 0;
-  std::size_t announces_seen_ = 0;
-  std::vector<Value> sel_w_;  ///< winners' w in announce (rank) order
-  std::optional<std::size_t> sel_own_rank_;
 };
 
-/// Coordinator-side half: the violation-cycle state machine, the
-/// T+/T- accumulators, the member order, and the selections.
+/// Coordinator-side half: the T+/T- accumulators, the member order, and
+/// the selections, on the shared violation cycle.
 class OrderedCoordinator final : public CoordinatorAlgo {
  public:
   struct Options {
@@ -123,33 +120,30 @@ class OrderedCoordinator final : public CoordinatorAlgo {
   void on_set_k(CoordCtx& ctx, std::size_t k) override;
 
   // -- introspection for tests / answer validation --------------------------
-  /// The monitored order, best first (mirrors
-  /// OrderedTopkMonitor::ordered_topk()).
+  /// The monitored order, best first (what the answer validation checks
+  /// rank by rank).
   const std::vector<NodeId>& ordered_topk() const noexcept { return order_; }
 
  private:
-  enum class Phase : std::uint8_t {
-    kIdle,
-    kViolBelow,  ///< min session over below-boundary fallers
-    kViolOut,    ///< max session over violating outsiders
-    kFullSide,   ///< missing-side session
-    kSelect,     ///< a selection (full reset or member re-rank) runs
-  };
   enum class SelType : std::uint8_t { kFull, kInternal };
+
+  friend struct ViolationCycle;
+  /// The cycle's sessions in this monitor's groups (ViolationCycle port).
+  SessionSpec cycle_session(CycleSession s) const noexcept;
+  Value cycle_key(NodeId id, Value v) const noexcept { return to_w(id, v); }
+  /// Winners a selection announces: k+1 for a full reset (k when no
+  /// boundary exists), k for a member re-rank.
+  std::size_t selection_target() const noexcept {
+    return sel_type_ == SelType::kFull && boundary_active_ ? k_ + 1 : k_;
+  }
 
   Value to_w(NodeId id, Value v) const noexcept;
   void start_cycle(CoordCtx& ctx);
-  void start_session(CoordCtx& ctx, Direction dir, OrderedSessionGroup group,
-                     std::uint64_t n_upper);
-  void conclude_session(CoordCtx& ctx);
-  void handler_transition(CoordCtx& ctx);
   void decide(CoordCtx& ctx);
   void begin_full_reset(CoordCtx& ctx);
-  void begin_internal_rebuild(CoordCtx& ctx);
-  void start_selection_iteration(CoordCtx& ctx);
+  void begin_selection(CoordCtx& ctx, SelType type);
   void finish_selection(CoordCtx& ctx);
   void cycle_done(CoordCtx& ctx);
-  void abort_cycle();
   void rebuild_id_lists();
 
   std::size_t k_;
@@ -165,26 +159,15 @@ class OrderedCoordinator final : public CoordinatorAlgo {
   Value tminus_w_ = 0;
   Value mid_w_ = kMinusInf;
 
-  // Current repair cycle.
-  Phase phase_ = Phase::kIdle;
+  // Violations signalled but not yet consumed by a cycle.
   bool pending_below_ = false;
   bool pending_out_ = false;
   bool pending_internal_ = false;
-  bool cycle_below_ = false;
-  bool cycle_out_ = false;
-  bool cycle_internal_ = false;
-  std::optional<Value> min_w_;
-  std::optional<Value> max_w_;
-  CoordProtoSession sess_;
+  bool cycle_internal_ = false;  ///< internal churn rode along this cycle
 
-  // Selection state.
+  /// The violation cycle: its sessions, extrema and selections.
+  ViolationCycle cycle_;
   SelType sel_type_ = SelType::kFull;
-  std::size_t sel_want_ = 0;
-  std::vector<std::pair<Value, NodeId>> sel_winners_;  ///< (raw value, id)
-  bool pending_select_ = false;
-  std::uint64_t select_gap_ = 0;
-
-  bool resync_pending_ = false;  ///< a recovery asked for a fresh reset
 };
 
 }  // namespace topkmon
