@@ -66,110 +66,58 @@ RecomputeCoordinator::RecomputeCoordinator(std::size_t k, Options opts)
   if (k == 0) {
     throw std::invalid_argument("RecomputeCoordinator: k must be >= 1");
   }
-  sess_.suppress_idle = opts.suppress_idle_broadcasts;
+  cycle_.start_op = kStartSession;
+  cycle_.session.suppress_idle = opts.suppress_idle_broadcasts;
 }
 
 void RecomputeCoordinator::on_init(CoordCtx& ctx) {
   n_ = ctx.n();
   if (k_ > n_) throw std::invalid_argument("RecomputeCoordinator: k > n");
-  begin_selection(ctx);
+  cycle_.select(ctx, mstats_, *this);
 }
 
 void RecomputeCoordinator::on_step_begin(CoordCtx& ctx, TimeStep) {
   // A selection still running (tick budget) finishes first.
-  if (!selecting_) begin_selection(ctx);
+  if (!cycle_.busy()) cycle_.select(ctx, mstats_, *this);
 }
 
 void RecomputeCoordinator::on_message(CoordCtx&, const Message& m) {
-  if (m.kind == MsgKind::kValueReport) sess_.fold(m);
+  if (m.kind == MsgKind::kValueReport) cycle_.session.fold(m);
 }
 
 void RecomputeCoordinator::on_timer(CoordCtx& ctx) {
-  if (sess_.active) {
-    if (sess_.advance(ctx)) conclude_session(ctx);
-    return;
-  }
-  // Inter-iteration gap: the previous winner's announcement is in
-  // flight; convening the next session before it lands would let the
-  // winner re-join. Zero ticks under instant delivery.
-  if (!pending_iteration_) return;
-  if (gap_ > 0) {
-    --gap_;
-    ctx.arm_timer();
-    return;
-  }
-  pending_iteration_ = false;
-  start_iteration(ctx);
-}
-
-void RecomputeCoordinator::begin_selection(CoordCtx& ctx) {
-  selecting_ = true;
-  winners_.clear();
-  iterations_ = 0;
-  start_iteration(ctx);
-}
-
-void RecomputeCoordinator::start_iteration(CoordCtx& ctx) {
-  ++mstats_.protocol_runs;
-  sess_.begin(ctx, kStartSession, Direction::kMax,
-              static_cast<std::int64_t>(iterations_++), n_);
-}
-
-void RecomputeCoordinator::conclude_session(CoordCtx& ctx) {
-  sess_.announce(ctx);
-  if (!sess_.have_best) {
-    // No report arrived: every candidate is down or excluded (fewer live
-    // nodes than k), or loss swallowed the reports.
-    if (winners_.size() >= ctx.live_count()) {
+  switch (cycle_.select_timer(ctx, mstats_, *this)) {
+    case CycleEvent::kSelected:
       finish_selection();
-    } else {
-      abort_selection();
-    }
-    return;
-  }
-  if (std::find(winners_.begin(), winners_.end(), sess_.best_holder) !=
-      winners_.end()) {
-    // A repeat winner (its announcement was lost): the selection cannot
-    // be repaired locally; keep the previous answer until the next step.
-    abort_selection();
-    return;
-  }
-  winners_.push_back(sess_.best_holder);
-  if (winners_.size() == k_) {
-    finish_selection();
-    return;
-  }
-  gap_ = ctx.flush_ticks();
-  if (gap_ == 0) {
-    start_iteration(ctx);
-  } else {
-    pending_iteration_ = true;
-    ctx.arm_timer();
+      break;
+    case CycleEvent::kSilent:
+      // No report arrived: every candidate is down or excluded (fewer live
+      // nodes than k), or loss swallowed the reports. The first keeps the
+      // winners as the answer; the second the previous answer.
+      if (cycle_.winners.size() >= ctx.live_count()) finish_selection();
+      break;
+    default:
+      break;  // still running, or a repeat winner (its announcement was
+              // lost) aborted it: the previous answer stands
   }
 }
 
 void RecomputeCoordinator::finish_selection() {
-  topk_ids_ = winners_;
+  topk_ids_.clear();
+  for (const ViolationCycle::Winner& w : cycle_.winners) {
+    topk_ids_.push_back(w.id);
+  }
   std::sort(topk_ids_.begin(), topk_ids_.end());
-  selecting_ = false;
-}
-
-void RecomputeCoordinator::abort_selection() {
-  selecting_ = false;
-  sess_.active = false;
-  pending_iteration_ = false;
-  gap_ = 0;
+  cycle_.done();
 }
 
 void RecomputeCoordinator::on_node_down(CoordCtx&, NodeId id) {
   // A crashed node leaves the answer (and a running selection's winners)
   // at once; later sessions run over the live nodes only, since a down
   // node receives no control.
-  const auto drop = [id](std::vector<NodeId>& ids) {
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-  };
-  drop(topk_ids_);
-  drop(winners_);
+  std::erase(topk_ids_, id);
+  std::erase_if(cycle_.winners,
+                [id](const ViolationCycle::Winner& w) { return w.id == id; });
 }
 
 void RecomputeCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
@@ -177,8 +125,8 @@ void RecomputeCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
     throw std::invalid_argument("RecomputeCoordinator: set_k out of range");
   }
   k_ = k;
-  abort_selection();
-  begin_selection(ctx);
+  cycle_.abort();
+  cycle_.select(ctx, mstats_, *this);
 }
 
 }  // namespace topkmon

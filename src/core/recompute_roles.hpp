@@ -10,10 +10,11 @@
 // (core/role_session.hpp) over every node not yet announced as a winner
 // of this selection — the repeated-extremum selection of FILTERRESET.
 // With k = 1 it is exactly one MAXIMUMPROTOCOL(n) plus one winner
-// announcement, which is how suites e1-e3 measure Algorithm 2. Under
-// delay the next iteration waits for the previous announcement to land;
-// a selection that cannot finish within a step's tick budget carries
-// over, and the next step reselects once it concludes.
+// announcement, which is how suites e1-e3 measure Algorithm 2. The
+// selection runs on the selection half of the shared ViolationCycle:
+// under delay the next iteration waits for the previous announcement to
+// land, and a selection that cannot finish within a step's tick budget
+// carries over; the next step reselects once it concludes.
 #pragma once
 
 #include <cstdint>
@@ -64,22 +65,20 @@ class RecomputeCoordinator final : public CoordinatorAlgo {
   void on_set_k(CoordCtx& ctx, std::size_t k) override;
 
  private:
-  void begin_selection(CoordCtx& ctx);
-  void start_iteration(CoordCtx& ctx);
-  void conclude_session(CoordCtx& ctx);
+  friend struct ViolationCycle;
+  /// Every session is a selection iteration; its group word is the
+  /// iteration index, so index 0 opens a new selection at the nodes.
+  SessionSpec cycle_session(CycleSession) const noexcept {
+    return {static_cast<std::int64_t>(cycle_.iteration), n_};
+  }
+  std::size_t selection_target() const noexcept { return k_; }
+
   void finish_selection();
-  void abort_selection();
 
   std::size_t k_;
   std::size_t n_ = 0;
   std::vector<NodeId> topk_ids_;
-
-  bool selecting_ = false;
-  std::vector<NodeId> winners_;  ///< this selection's winners, best first
-  std::size_t iterations_ = 0;   ///< sessions this selection convened
-  bool pending_iteration_ = false;
-  std::uint64_t gap_ = 0;  ///< ticks left before the next iteration
-  CoordProtoSession sess_;
+  ViolationCycle cycle_;  ///< only its selection half runs
 };
 
 }  // namespace topkmon
