@@ -329,7 +329,9 @@ void GroundTruthTracker::rebuild_index() {
 std::size_t GroundTruthTracker::dirty_index_entries() const noexcept {
   std::size_t dirty = 0;
   for (const auto& words : nm_dirty_) {
-    for (const std::uint64_t w : words) dirty += std::popcount(w);
+    for (const std::uint64_t w : words) {
+      dirty += static_cast<std::size_t>(popcount_word(w));
+    }
   }
   return dirty;
 }

@@ -455,7 +455,7 @@ void Network::fan_out(std::size_t end, bool beacon) {
                   [&](std::size_t id) { cursors_[id] = end; });
     }
     due[w] |= hear;
-    reached += static_cast<std::uint64_t>(std::popcount(due[w]));
+    reached += static_cast<std::uint64_t>(popcount_word(due[w]));
     skipped |= alive[w] & ~due[w];
   }
   pending_ += reached;
