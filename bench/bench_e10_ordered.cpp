@@ -2,9 +2,10 @@
 // (conjectured O(log Δ · log(n-k))-competitive via Lam-midpoints inside
 // the top-k + the paper's boundary machinery).
 //
-// Regenerates: overhead of OrderedTopkMonitor over plain Algorithm 1
-// across k and across workloads, plus the share of messages spent on
-// internal reordering vs boundary maintenance.
+// Regenerates: overhead of the ordered monitor (OrderedCoordinator /
+// OrderedNode) over plain Algorithm 1 across k and across workloads,
+// plus the share of messages spent on internal reordering vs boundary
+// maintenance.
 #include <vector>
 
 #include "bench_common.hpp"

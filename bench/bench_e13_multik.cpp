@@ -3,9 +3,9 @@
 // selection rebuilds all of them); the natural baseline runs one
 // independent Algorithm 1 instance per k.
 //
-// Regenerates: total messages of MultiKMonitor vs the sum of independent
-// instances, for growing boundary counts, on a reset-heavy and on a
-// similar-inputs workload.
+// Regenerates: total messages of the multi-k monitor (MultiKCoordinator /
+// MultiKNode) vs the sum of independent instances, for growing boundary
+// counts, on a reset-heavy and on a similar-inputs workload.
 #include <string>
 #include <vector>
 

@@ -89,9 +89,9 @@ class OrderedNode final : public NodeAlgo {
   Value slot_hi_ = kPlusInf;  ///< own slot's upper bound (members)
   Filter filter_{};           ///< current guard interval in w-space
   Pending pending_ = Pending::kNone;
+  SelType sel_type_ = SelType::kFull;
   NodeProtoSession sess_;
   NodeSelection sel_;  ///< the announce-derived ranks of a selection
-  SelType sel_type_ = SelType::kFull;
 };
 
 /// Coordinator-side half: the T+/T- accumulators, the member order, and
