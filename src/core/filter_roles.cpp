@@ -193,7 +193,6 @@ FilterCoordinator::FilterCoordinator(std::size_t k, Options opts)
   if (opts_.epsilon < 0) {
     throw std::invalid_argument("FilterCoordinator: epsilon must be >= 0");
   }
-  cycle_.start_op = static_cast<std::int64_t>(FilterControlOp::kStartSession);
   cycle_.session.suppress_idle = opts_.suppress_idle_broadcasts;
 }
 

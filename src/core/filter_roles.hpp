@@ -49,7 +49,7 @@ namespace topkmon {
 enum class FilterControlOp : std::int64_t {
   /// a = direction (0 = max, 1 = min), b = participant group
   /// (FilterSessionGroup), c = (epoch << 8) | log_n.
-  kStartSession = 1,
+  kStartSession = kStartSessionOp,
   /// A FILTERRESET selection begins: clear membership/exclusion state.
   /// a = the coordinator's current k — each node derives membership from
   /// the announce order (the first k winners are the members), so a

@@ -193,7 +193,6 @@ void MultiKNode::rebuild_filter(NodeCtx& ctx) {
 
 MultiKCoordinator::MultiKCoordinator(std::vector<std::size_t> ks, Options opts)
     : ks_(std::move(ks)) {
-  cycle_.start_op = static_cast<std::int64_t>(MultiKControlOp::kStartSession);
   cycle_.session.suppress_idle = opts.suppress_idle_broadcasts;
   if (ks_.empty()) {
     throw std::invalid_argument("MultiKCoordinator: need at least one k");

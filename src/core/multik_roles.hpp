@@ -36,7 +36,7 @@ namespace topkmon {
 enum class MultiKControlOp : std::int64_t {
   /// a = direction (0 = max, 1 = min), b = (boundary << 3) | group kind
   /// (MultiKSessionGroup), c = (epoch << 8) | log_n.
-  kStartSession = 1,
+  kStartSession = kStartSessionOp,
   /// The shared reset selection begins: a = number of winners (k_max+1).
   kStartSelection = 2,
 };

@@ -178,7 +178,6 @@ OrderedCoordinator::OrderedCoordinator(std::size_t k, Options opts) : k_(k) {
   if (k == 0) {
     throw std::invalid_argument("OrderedCoordinator: k must be >= 1");
   }
-  cycle_.start_op = static_cast<std::int64_t>(OrderedControlOp::kStartSession);
   cycle_.session.suppress_idle = opts.suppress_idle_broadcasts;
 }
 

@@ -39,7 +39,7 @@ namespace topkmon {
 enum class OrderedControlOp : std::int64_t {
   /// a = direction (0 = max, 1 = min), b = participant group
   /// (OrderedSessionGroup), c = (epoch << 8) | log_n.
-  kStartSession = 1,
+  kStartSession = kStartSessionOp,
   /// A selection begins: a = number of winners to announce, b = type
   /// (0 = full reset over everyone, 1 = member re-rank), c = current k.
   kStartSelection = 2,

@@ -5,14 +5,6 @@
 
 namespace topkmon {
 
-namespace {
-
-/// The one control opcode: a session of the running selection starts
-/// (a = direction, b = iteration index, c = (epoch << 8) | log_n).
-constexpr std::int64_t kStartSession = 1;
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // RecomputeNode
 // ---------------------------------------------------------------------------
@@ -36,7 +28,9 @@ void RecomputeNode::on_message(NodeCtx& ctx, const Message& m) {
 }
 
 void RecomputeNode::on_control(NodeCtx& ctx, const Control& c) {
-  if (c.op != kStartSession) return;
+  // The one control: a session of the running selection starts (a =
+  // direction, b = iteration index, c = (epoch << 8) | log_n).
+  if (c.op != kStartSessionOp) return;
   const SessionStart s = unpack_session_start(c);
   if (c.b == 0) {
     excluded_ = false;
@@ -66,7 +60,6 @@ RecomputeCoordinator::RecomputeCoordinator(std::size_t k, Options opts)
   if (k == 0) {
     throw std::invalid_argument("RecomputeCoordinator: k must be >= 1");
   }
-  cycle_.start_op = kStartSession;
   cycle_.session.suppress_idle = opts.suppress_idle_broadcasts;
 }
 

@@ -45,6 +45,11 @@ constexpr bool beats(Direction dir, Value va, NodeId ia, Value vb,
   return ia < ib;
 }
 
+/// Control opcode of a session start (kStartSession) in every monitor
+/// whose sessions run on CoordProtoSession; each keeps its other opcodes
+/// above it.
+inline constexpr std::int64_t kStartSessionOp = 1;
+
 /// Packs a session-start control's c payload: (epoch << 8) | log_n.
 constexpr std::int64_t pack_session_c(std::uint32_t epoch,
                                       std::uint32_t log_n) noexcept {
@@ -173,9 +178,9 @@ struct NodeProtoSession {
 
 /// Coordinator-side state of one protocol session: the running extremum,
 /// the round/flush countdown, and the per-round beacon broadcast. The
-/// owner emits the kStartSession control (group semantics differ per
-/// monitor), folds reports via fold(), and drives advance() from its
-/// timer; advance() returns true exactly when the session concluded.
+/// owner picks the session's group (group semantics differ per monitor),
+/// folds reports via fold(), and drives advance() from its timer;
+/// advance() returns true exactly when the session concluded.
 struct CoordProtoSession {
   bool active = false;
   bool suppress_idle = false;  ///< skip beacons that repeat the extremum
@@ -189,12 +194,11 @@ struct CoordProtoSession {
   std::uint64_t flush = 0;
   Value best_value = 0;
 
-  /// Starts a session and emits its kStartSession control under the
-  /// monitor's own control opcode; `group` rides in the control's b word
-  /// and is interpreted by the owner's nodes. The caller counts
-  /// protocol_runs.
-  void begin(CoordCtx& ctx, std::int64_t control_op, Direction d,
-             std::int64_t group, std::uint64_t n_upper) {
+  /// Starts a session and emits its kStartSession control; `group`
+  /// rides in the control's b word and is interpreted by the owner's
+  /// nodes. The caller counts protocol_runs.
+  void begin(CoordCtx& ctx, Direction d, std::int64_t group,
+             std::uint64_t n_upper) {
     dir = d;
     epoch = ctx.next_protocol_epoch();
     log_n = floor_log2(next_pow2(n_upper));
@@ -206,7 +210,7 @@ struct CoordProtoSession {
     active = true;
 
     Control start;
-    start.op = control_op;
+    start.op = kStartSessionOp;
     start.a = d == Direction::kMin ? 1 : 0;
     start.b = group;
     start.c = pack_session_c(epoch, log_n);
@@ -387,7 +391,6 @@ struct ViolationCycle {
   };
 
   CoordProtoSession session;
-  std::int64_t start_op = 0;  ///< the owner's kStartSession control opcode
   Phase phase = Phase::kIdle;
   bool low = false;   ///< this cycle has low-side violators
   bool high = false;  ///< this cycle has high-side violators
@@ -428,7 +431,8 @@ struct ViolationCycle {
   template <class Port>
   void fetch_side(CoordCtx& ctx, MonitorStats& st, const Port& port) {
     phase = Phase::kFullSide;
-    const CycleSession s = max ? CycleSession::kSideMin : CycleSession::kSideMax;
+    const CycleSession s =
+        max ? CycleSession::kSideMin : CycleSession::kSideMax;
     const SessionSpec spec = port.cycle_session(s);
     Message start;
     start.kind = MsgKind::kProtocolStart;
@@ -573,8 +577,9 @@ struct ViolationCycle {
              const SessionSpec& spec) {
     ++st.protocol_runs;
     if (s == CycleSession::kSelect) ++iteration;
-    const bool min_run = s == CycleSession::kViolMin || s == CycleSession::kSideMin;
-    session.begin(ctx, start_op, min_run ? Direction::kMin : Direction::kMax,
+    const bool min_run =
+        s == CycleSession::kViolMin || s == CycleSession::kSideMin;
+    session.begin(ctx, min_run ? Direction::kMin : Direction::kMax,
                   spec.group, spec.n_upper);
   }
 };

@@ -62,8 +62,6 @@ SessionRun run_max(const std::vector<Value>& values, std::uint64_t seed,
 
 // -- a one-session role pair in a chosen direction ----------------------------
 
-constexpr std::int64_t kStart = 1;
-
 class SessionNode final : public NodeAlgo {
  public:
   void on_init(NodeCtx& ctx, Value) override {
@@ -73,7 +71,7 @@ class SessionNode final : public NodeAlgo {
     if (m.kind == MsgKind::kRoundBeacon) sess_.handle_beacon(m);
   }
   void on_control(NodeCtx& ctx, const Control& c) override {
-    if (c.op == kStart) sess_.join(ctx, unpack_session_start(c));
+    if (c.op == kStartSessionOp) sess_.join(ctx, unpack_session_start(c));
   }
   void on_timer(NodeCtx& ctx) override { sess_.run_round(ctx, ctx.value()); }
 
@@ -102,7 +100,7 @@ class SessionCoordinator final : public CoordinatorAlgo {
  private:
   void begin(CoordCtx& ctx) {
     winner_.clear();
-    sess_.begin(ctx, kStart, dir_, 0, ctx.n());
+    sess_.begin(ctx, dir_, 0, ctx.n());
   }
 
   Direction dir_;
