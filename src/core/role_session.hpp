@@ -392,15 +392,15 @@ struct ViolationCycle {
 
   CoordProtoSession session;
   Phase phase = Phase::kIdle;
-  bool low = false;   ///< this cycle has low-side violators
-  bool high = false;  ///< this cycle has high-side violators
-  std::optional<Value> min;  ///< the cycle's member-side extremum (key)
-  std::optional<Value> max;  ///< the cycle's outsider-side extremum (key)
+  bool low = false;             ///< this cycle has low-side violators
+  bool high = false;            ///< this cycle has high-side violators
+  std::optional<Value> min;     ///< the cycle's member-side extremum (key)
+  std::optional<Value> max;     ///< the cycle's outsider-side extremum
   std::vector<Winner> winners;  ///< the selection's winners, rank order
   std::uint32_t iteration = 0;  ///< selection sessions convened so far
   bool gap_pending = false;     ///< next iteration waits for announce lag
   std::uint64_t gap = 0;        ///< remaining inter-iteration gap ticks
-  bool reset_due = false;  ///< a recovery asked for a reset mid-cycle
+  bool reset_due = false;       ///< a recovery asked for a reset mid-cycle
 
   bool busy() const noexcept { return phase != Phase::kIdle || session.active; }
 
