@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_hook.hpp"
+#include "bench_json.hpp"
 #include "topkmon.hpp"
 
 namespace topkmon::bench {
@@ -28,7 +30,6 @@ using exp::SuiteContext;
 using exp::SuiteOptions;
 using exp::SweepGrid;
 using exp::SweepRunner;
-using exp::TrialSpec;
 using exp::run_scenario;
 
 /// Declarative single-run description with the suite defaults filled in.
@@ -63,7 +64,7 @@ inline MaxProtocolRun run_max_session(Cluster& c) {
           c.stats().by_kind(MsgKind::kRoundBeacon)};
 }
 
-/// Label for BENCH_*.json file names (shared by the perf and e16 suites):
+/// Label for BENCH_*.json file names (shared by every BENCH suite):
 /// env override, else git describe, else the UTC date. Sanitized to
 /// [A-Za-z0-9._-].
 inline std::string bench_label() {
@@ -98,6 +99,22 @@ inline std::string bench_label() {
     if (!std::isalnum(u) && c != '.' && c != '_' && c != '-') c = '_';
   }
   return label;
+}
+
+/// Writes a suite's wall-clock rows to <out-dir>/BENCH_<kind>_<label>.json
+/// (BENCH_<label>.json for an empty `kind`) through write_bench_file and
+/// logs "<tag>: wrote <path>", or "<tag>: cannot write <path>".
+inline void emit_bench_file(SuiteContext& ctx, const char* tag,
+                            const std::string& kind, std::uint64_t steps,
+                            const std::vector<BenchRow>& rows) {
+  const std::string label = bench_label();
+  const std::string dir =
+      ctx.opts().out_dir.empty() ? std::string(".") : ctx.opts().out_dir;
+  const std::string path =
+      dir + "/BENCH_" + (kind.empty() ? "" : kind + "_") + label + ".json";
+  const bool ok =
+      write_bench_file(path, label, alloc_hook_enabled(), steps, rows);
+  ctx.out() << tag << (ok ? ": wrote " : ": cannot write ") << path << "\n";
 }
 
 }  // namespace topkmon::bench

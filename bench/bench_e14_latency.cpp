@@ -57,12 +57,12 @@ TOPKMON_SUITE(e14, "message-delay sweep: staleness vs cost (extension)") {
     grid.networks.push_back(parse_network_spec(s));
   }
   grid.trials = trials;
-  grid.steps = steps;
-  grid.base_seed = args.seed;
+  grid.base.steps = steps;
+  grid.base.seed = args.seed;
   // Fast walk: the top-k boundary churns visibly, so a stale answer is
   // actually wrong (a frozen workload would mask any delay).
-  grid.stream_template.walk.max_step = 20'000;
-  grid.throw_on_error = false;  // staleness is the measurement, not a bug
+  grid.base.stream.walk.max_step = 20'000;
+  grid.base.throw_on_error = false;  // staleness is the measurement, not a bug
 
   const auto specs = grid.expand();
   const auto results = ctx.runner().run(specs);
@@ -70,7 +70,7 @@ TOPKMON_SUITE(e14, "message-delay sweep: staleness vs cost (extension)") {
   exp::ResultSink sink({"monitor", "network"},
                        {"msgs_per_step", "error_pct", "resets"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    sink.add({specs[i].monitor, specs[i].network.name()}, specs[i].ordinal,
+    sink.add({specs[i].monitor, specs[i].network.name()}, i,
              {results[i].messages_per_step(), 100.0 * results[i].error_rate(),
               static_cast<double>(results[i].monitor.filter_resets)});
   }

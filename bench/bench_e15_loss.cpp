@@ -48,10 +48,10 @@ TOPKMON_SUITE(e15, "message-loss sweep: robustness of filters (extension)") {
     grid.networks.push_back(parse_network_spec(s));
   }
   grid.trials = trials;
-  grid.steps = steps;
-  grid.base_seed = args.seed;
-  grid.stream_template.walk.max_step = 20'000;
-  grid.throw_on_error = false;  // divergence is the measurement here
+  grid.base.steps = steps;
+  grid.base.seed = args.seed;
+  grid.base.stream.walk.max_step = 20'000;
+  grid.base.throw_on_error = false;  // divergence is the measurement here
 
   const auto specs = grid.expand();
   const auto results = ctx.runner().run(specs);
@@ -59,7 +59,7 @@ TOPKMON_SUITE(e15, "message-loss sweep: robustness of filters (extension)") {
   exp::ResultSink sink({"monitor", "network"},
                        {"msgs_per_step", "error_pct", "resets"});
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    sink.add({specs[i].monitor, specs[i].network.name()}, specs[i].ordinal,
+    sink.add({specs[i].monitor, specs[i].network.name()}, i,
              {results[i].messages_per_step(), 100.0 * results[i].error_rate(),
               static_cast<double>(results[i].monitor.filter_resets)});
   }

@@ -15,9 +15,7 @@
 //   * BENCH_scale_<label>.json: wall-clock record (steps/sec per config,
 //     sparse and dense), appended to the repo's perf trajectory next to
 //     the perf suite's BENCH_<label>.json.
-#include <fstream>
 
-#include "alloc_hook.hpp"
 #include "bench_common.hpp"
 
 namespace topkmon::bench {
@@ -168,41 +166,27 @@ TOPKMON_SUITE(e16, "scale sweep: steps/sec vs n x activity (sparse vs dense "
   ctx.out() << "\n";
   timing.print(ctx.out());
 
-  const std::string label = bench_label();
-  const std::string dir =
-      ctx.opts().out_dir.empty() ? std::string(".") : ctx.opts().out_dir;
-  const std::string path = dir + "/BENCH_scale_" + label + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    ctx.out() << "e16: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  out << "  \"schema\": \"topkmon-bench-v1\",\n";
-  out << "  \"label\": \"" << label << "\",\n";
-  out << "  \"alloc_hook\": " << (alloc_hook_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"steps\": " << steps << ",\n";
-  out << "  \"scenarios\": [\n";
+  std::vector<BenchRow> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ScaleCase& c = cases[i];
     const RunResult& r = outcomes[i];
     const double sps = steady_sps(r);
-    const double nsps = sps > 0.0 ? 1e9 / sps : 0.0;
-    out << "    {\"name\": \"" << c.name << "\", \"n\": " << c.n
-        << ", \"k\": " << kK << ", \"activity\": " << fmt(c.activity, 2)
-        << ", \"network\": \"" << c.network << "\", \"workload\": \""
-        << (c.burst ? "burst" : "drift") << "\", \"loop\": \""
-        << (c.dense ? "dense" : "sparse") << "\", \"wall_seconds\": "
-        << fmt(r.wall_seconds, 6) << ", \"init_seconds\": "
-        << fmt(r.init_seconds, 6) << ", \"steps_per_sec\": " << fmt(sps, 1)
-        << ", \"ns_per_step\": " << fmt(nsps, 1) << ", \"messages_total\": "
-        << r.comm.total() << ", \"error_steps\": " << r.error_steps << "}"
-        << (i + 1 < cases.size() ? "," : "") << "\n";
+    rows.emplace_back()
+        .text("name", c.name)
+        .count("n", c.n)
+        .count("k", kK)
+        .real("activity", c.activity, 2)
+        .text("network", c.network)
+        .text("workload", c.burst ? "burst" : "drift")
+        .text("loop", c.dense ? "dense" : "sparse")
+        .real("wall_seconds", r.wall_seconds, 6)
+        .real("init_seconds", r.init_seconds, 6)
+        .real("steps_per_sec", sps, 1)
+        .real("ns_per_step", sps > 0.0 ? 1e9 / sps : 0.0, 1)
+        .count("messages_total", r.comm.total())
+        .count("error_steps", r.error_steps);
   }
-  out << "  ]\n";
-  out << "}\n";
-  ctx.out() << "e16: wrote " << path << "\n";
+  emit_bench_file(ctx, "e16", "scale", steps, rows);
 }
 
 }  // namespace

@@ -25,11 +25,9 @@
 //     diffed by CI.
 //   * BENCH_shards_<label>.json: wall-clock record (steps/sec per case),
 //     next to e16's BENCH files in the perf trajectory.
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "alloc_hook.hpp"
 #include "bench_common.hpp"
 
 namespace topkmon::bench {
@@ -165,42 +163,26 @@ TOPKMON_SUITE(e18_shards,
   ctx.out() << "\n";
   timing.print(ctx.out());
 
-  const std::string label = bench_label();
-  const std::string dir =
-      ctx.opts().out_dir.empty() ? std::string(".") : ctx.opts().out_dir;
-  const std::string path = dir + "/BENCH_shards_" + label + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    ctx.out() << "e18: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  out << "  \"schema\": \"topkmon-bench-v1\",\n";
-  out << "  \"label\": \"" << label << "\",\n";
-  out << "  \"alloc_hook\": " << (alloc_hook_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"steps\": " << steps << ",\n";
-  out << "  \"scenarios\": [\n";
+  std::vector<BenchRow> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ShardCase& c = cases[i];
     const RunResult& r = outcomes[i];
     const double sps = steady_sps(r);
-    const double nsps = sps > 0.0 ? 1e9 / sps : 0.0;
-    out << "    {\"name\": \"" << c.name << "\", \"n\": " << c.n
-        << ", \"k\": " << kK << ", \"monitor\": \"" << c.mon_tag
-        << "\", \"shards\": " << c.shards
-        << ", \"wall_seconds\": " << fmt(r.wall_seconds, 6)
-        << ", \"init_seconds\": " << fmt(r.init_seconds, 6)
-        << ", \"steps_per_sec\": " << fmt(sps, 1)
-        << ", \"ns_per_step\": " << fmt(nsps, 1)
-        << ", \"messages_node_shard\": " << r.comm.total()
-        << ", \"messages_shard_root\": " << r.root_comm.total()
-        << ", \"error_steps\": " << r.error_steps << "}"
-        << (i + 1 < cases.size() ? "," : "") << "\n";
+    rows.emplace_back()
+        .text("name", c.name)
+        .count("n", c.n)
+        .count("k", kK)
+        .text("monitor", c.mon_tag)
+        .count("shards", c.shards)
+        .real("wall_seconds", r.wall_seconds, 6)
+        .real("init_seconds", r.init_seconds, 6)
+        .real("steps_per_sec", sps, 1)
+        .real("ns_per_step", sps > 0.0 ? 1e9 / sps : 0.0, 1)
+        .count("messages_node_shard", r.comm.total())
+        .count("messages_shard_root", r.root_comm.total())
+        .count("error_steps", r.error_steps);
   }
-  out << "  ]\n";
-  out << "}\n";
-  ctx.out() << "e18: wrote " << path << "\n";
+  emit_bench_file(ctx, "e18", "shards", steps, rows);
 }
 
 }  // namespace

@@ -27,12 +27,10 @@
 //     across --jobs, diffed by CI.
 //   * BENCH_churn_<label>.json: wall-clock record, next to e16/e18's
 //     BENCH files in the perf trajectory.
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "alloc_hook.hpp"
 #include "bench_common.hpp"
 
 namespace topkmon::bench {
@@ -186,22 +184,7 @@ TOPKMON_SUITE(e19_churn,
   }
   ctx.emit(fingerprint, "e19_churn");
 
-  const std::string label = bench_label();
-  const std::string dir =
-      ctx.opts().out_dir.empty() ? std::string(".") : ctx.opts().out_dir;
-  const std::string path = dir + "/BENCH_churn_" + label + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    ctx.out() << "e19: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  out << "  \"schema\": \"topkmon-bench-v1\",\n";
-  out << "  \"label\": \"" << label << "\",\n";
-  out << "  \"alloc_hook\": " << (alloc_hook_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"steps\": " << steps << ",\n";
-  out << "  \"scenarios\": [\n";
+  std::vector<BenchRow> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ChurnCase& c = cases[i];
     const RunResult& r = outcomes[i];
@@ -209,20 +192,21 @@ TOPKMON_SUITE(e19_churn,
     const double sps = sec > 0.0 && r.steps_executed > 1
                            ? static_cast<double>(r.steps_executed - 1) / sec
                            : 0.0;
-    out << "    {\"name\": \"" << c.name << "\", \"n\": " << kN
-        << ", \"k\": " << kK << ", \"monitor\": \"" << c.mon_tag
-        << "\", \"network\": \"" << c.network << "\", \"plan\": \""
-        << c.plan_tag << "\", \"wall_seconds\": " << fmt(r.wall_seconds, 6)
-        << ", \"steps_per_sec\": " << fmt(sps, 1)
-        << ", \"messages\": " << r.comm.total()
-        << ", \"error_steps\": " << r.error_steps
-        << ", \"max_recovery_ticks\": " << r.max_recovery_ticks()
-        << ", \"resyncs\": " << r.monitor.resyncs << "}"
-        << (i + 1 < cases.size() ? "," : "") << "\n";
+    rows.emplace_back()
+        .text("name", c.name)
+        .count("n", kN)
+        .count("k", kK)
+        .text("monitor", c.mon_tag)
+        .text("network", c.network)
+        .text("plan", c.plan_tag)
+        .real("wall_seconds", r.wall_seconds, 6)
+        .real("steps_per_sec", sps, 1)
+        .count("messages", r.comm.total())
+        .count("error_steps", r.error_steps)
+        .count("max_recovery_ticks", r.max_recovery_ticks())
+        .count("resyncs", r.monitor.resyncs);
   }
-  out << "  ]\n";
-  out << "}\n";
-  ctx.out() << "e19: wrote " << path << "\n";
+  emit_bench_file(ctx, "e19", "churn", steps, rows);
 }
 
 }  // namespace

@@ -31,12 +31,10 @@
 //     — byte-identical across --jobs, diffed by CI.
 //   * BENCH_adversarial_<label>.json: wall-clock record, next to the
 //     e16..e19 BENCH files in the perf trajectory.
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "alloc_hook.hpp"
 #include "bench_common.hpp"
 
 namespace topkmon::bench {
@@ -236,22 +234,7 @@ TOPKMON_SUITE(e20_adversarial,
   }
   ctx.emit(fingerprint, "e20_adversarial");
 
-  const std::string label = bench_label();
-  const std::string dir =
-      ctx.opts().out_dir.empty() ? std::string(".") : ctx.opts().out_dir;
-  const std::string path = dir + "/BENCH_adversarial_" + label + ".json";
-  std::ofstream out(path);
-  if (!out) {
-    ctx.out() << "e20: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  out << "  \"schema\": \"topkmon-bench-v1\",\n";
-  out << "  \"label\": \"" << label << "\",\n";
-  out << "  \"alloc_hook\": " << (alloc_hook_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"steps\": " << steps << ",\n";
-  out << "  \"scenarios\": [\n";
+  std::vector<BenchRow> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const AdvCase& c = cases[i];
     const RunResult& r = outcomes[i];
@@ -259,22 +242,23 @@ TOPKMON_SUITE(e20_adversarial,
     const double sps = sec > 0.0 && r.steps_executed > 1
                            ? static_cast<double>(r.steps_executed - 1) / sec
                            : 0.0;
-    out << "    {\"name\": \"" << c.name << "\", \"n\": " << c.n
-        << ", \"k\": " << c.k << ", \"monitor\": \"" << c.mon_tag
-        << "\", \"network\": \"" << c.network << "\", \"plan\": \""
-        << c.plan_tag << "\", \"shards\": " << c.shards
-        << ", \"wall_seconds\": " << fmt(r.wall_seconds, 6)
-        << ", \"steps_per_sec\": " << fmt(sps, 1)
-        << ", \"messages\": " << r.comm.total()
-        << ", \"error_steps\": " << r.error_steps
-        << ", \"max_recovery_ticks\": " << r.max_recovery_ticks()
-        << ", \"quarantines\": " << r.monitor.quarantines
-        << ", \"assign_replays\": " << r.monitor.assign_replays << "}"
-        << (i + 1 < cases.size() ? "," : "") << "\n";
+    rows.emplace_back()
+        .text("name", c.name)
+        .count("n", c.n)
+        .count("k", c.k)
+        .text("monitor", c.mon_tag)
+        .text("network", c.network)
+        .text("plan", c.plan_tag)
+        .count("shards", c.shards)
+        .real("wall_seconds", r.wall_seconds, 6)
+        .real("steps_per_sec", sps, 1)
+        .count("messages", r.comm.total())
+        .count("error_steps", r.error_steps)
+        .count("max_recovery_ticks", r.max_recovery_ticks())
+        .count("quarantines", r.monitor.quarantines)
+        .count("assign_replays", r.monitor.assign_replays);
   }
-  out << "  ]\n";
-  out << "}\n";
-  ctx.out() << "e20: wrote " << path << "\n";
+  emit_bench_file(ctx, "e20", "adversarial", steps, rows);
 }
 
 }  // namespace

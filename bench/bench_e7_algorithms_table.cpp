@@ -42,9 +42,9 @@ TOPKMON_SUITE(e7, "algorithms × workloads message matrix (§1, §2.1)") {
                    StreamFamily::kIidUniform, StreamFamily::kCrossingPairs,
                    StreamFamily::kRotatingMax};
   grid.trials = trials;
-  grid.steps = steps;
-  grid.base_seed = args.seed;
-  grid.stream_template.walk.max_step = 50;  // slow walk: "similar inputs"
+  grid.base.steps = steps;
+  grid.base.seed = args.seed;
+  grid.base.stream.walk.max_step = 50;  // slow walk: "similar inputs"
 
   const auto specs = grid.expand();
   const auto results = ctx.runner().run(specs);
@@ -53,7 +53,7 @@ TOPKMON_SUITE(e7, "algorithms × workloads message matrix (§1, §2.1)") {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     sink.add({specs[i].monitor,
               std::string(family_name(specs[i].stream.family))},
-             specs[i].ordinal, {results[i].messages_per_step()});
+             i, {results[i].messages_per_step()});
   }
 
   ctx.emit(sink.to_table(2), "e7_algorithms_table");

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/table.hpp"
+
 namespace topkmon::bench {
 
 namespace {
@@ -56,6 +58,53 @@ std::optional<std::uint64_t> field_u64(const std::string& obj,
 }
 
 }  // namespace
+
+void BenchRow::add_key(std::string_view key) {
+  if (!fields_.empty()) fields_ += ", ";
+  fields_ += '"';
+  fields_ += key;
+  fields_ += "\": ";
+}
+
+BenchRow& BenchRow::text(std::string_view key, std::string_view value) {
+  add_key(key);
+  fields_ += '"';
+  fields_ += value;
+  fields_ += '"';
+  return *this;
+}
+
+BenchRow& BenchRow::count(std::string_view key, std::uint64_t value) {
+  add_key(key);
+  fields_ += std::to_string(value);
+  return *this;
+}
+
+BenchRow& BenchRow::real(std::string_view key, double value, int precision) {
+  add_key(key);
+  fields_ += fmt(value, precision);
+  return *this;
+}
+
+bool write_bench_file(const std::string& path, const std::string& label,
+                      bool alloc_hook, std::uint64_t steps,
+                      const std::vector<BenchRow>& rows) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << "{\n";
+  out << "  \"schema\": \"topkmon-bench-v1\",\n";
+  out << "  \"label\": \"" << label << "\",\n";
+  out << "  \"alloc_hook\": " << (alloc_hook ? "true" : "false") << ",\n";
+  out << "  \"steps\": " << steps << ",\n";
+  out << "  \"scenarios\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out << "    {" << rows[i].fields() << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n";
+  out << "}\n";
+  return static_cast<bool>(out);
+}
 
 std::optional<BenchFile> read_bench_file(const std::string& path) {
   std::ifstream in(path);

@@ -16,14 +16,10 @@
 //     are NOT diffed; <label> comes from $TOPKMON_BENCH_LABEL, falling
 //     back to `git describe --always --dirty`, falling back to the UTC
 //     date.
-#include <array>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <ctime>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "alloc_hook.hpp"
 #include "bench_common.hpp"
@@ -59,60 +55,6 @@ struct PerfOutcome {
   RunResult run;
   std::uint64_t allocs = 0;  // during the timed run (hook-enabled only)
 };
-
-void write_bench_json(const std::string& path, const std::string& label,
-                      std::uint64_t steps,
-                      const std::vector<PerfCase>& cases,
-                      const std::vector<PerfOutcome>& outcomes,
-                      std::ostream& log) {
-  std::ofstream out(path);
-  if (!out) {
-    log << "perf: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  out << "  \"schema\": \"topkmon-bench-v1\",\n";
-  out << "  \"label\": \"" << label << "\",\n";
-  out << "  \"alloc_hook\": " << (alloc_hook_enabled() ? "true" : "false")
-      << ",\n";
-  out << "  \"steps\": " << steps << ",\n";
-  out << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const PerfCase& c = cases[i];
-    const RunResult& r = outcomes[i].run;
-    const double steps_per_sec =
-        r.wall_seconds > 0.0
-            ? static_cast<double>(r.steps_executed) / r.wall_seconds
-            : 0.0;
-    const double ns_per_step =
-        r.steps_executed > 0
-            ? r.wall_seconds * 1e9 / static_cast<double>(r.steps_executed)
-            : 0.0;
-    out << "    {\"name\": \"" << c.name << "\", \"monitor\": \""
-        << c.monitor << "\", \"family\": \"" << family_name(c.family)
-        << "\", \"network\": \"" << c.network << "\", \"n\": " << c.n
-        << ", \"k\": " << c.k << ", \"validation\": \""
-        << validation_name(c.validation) << "\", \"wall_seconds\": "
-        << fmt(r.wall_seconds, 6) << ", \"steps_per_sec\": "
-        << fmt(steps_per_sec, 1) << ", \"ns_per_step\": "
-        << fmt(ns_per_step, 1) << ", \"messages_total\": "
-        << r.comm.total() << ", \"error_steps\": " << r.error_steps
-        << ", \"max_recovery_ticks\": " << r.max_recovery_ticks();
-    if (alloc_hook_enabled()) {
-      const double per_step =
-          r.steps_executed > 0
-              ? static_cast<double>(outcomes[i].allocs) /
-                    static_cast<double>(r.steps_executed)
-              : 0.0;
-      out << ", \"allocs\": " << outcomes[i].allocs
-          << ", \"allocs_per_step\": " << fmt(per_step, 3);
-    }
-    out << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-  log << "perf: wrote " << path << "\n";
-}
 
 /// Regression gate of `--compare OLD.json`. Wall-clock numbers are noisy
 /// (shared CI runners), so only a large steps/sec drop fails, and only
@@ -319,9 +261,12 @@ TOPKMON_SUITE(perf, "hot-path wall-clock suite (emits BENCH_*.json)") {
   }
   ctx.emit(fingerprint, "perf");
 
-  // Timing summary (console only: wall clock is machine-dependent).
+  // Timing summary (console) and the BENCH record: wall clock is
+  // machine-dependent, so neither is diffed.
   Table timing({"case", "steps/sec", "ns/step", "allocs/step", "wall_s"});
+  std::vector<BenchRow> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
+    const PerfCase& c = cases[i];
     const RunResult& r = outcomes[i].run;
     const double sps =
         r.wall_seconds > 0.0
@@ -331,24 +276,35 @@ TOPKMON_SUITE(perf, "hot-path wall-clock suite (emits BENCH_*.json)") {
         r.steps_executed > 0
             ? r.wall_seconds * 1e9 / static_cast<double>(r.steps_executed)
             : 0.0;
+    const double allocs_per_step =
+        static_cast<double>(outcomes[i].allocs) /
+        static_cast<double>(r.steps_executed ? r.steps_executed : 1);
     const std::string allocs =
-        alloc_hook_enabled()
-            ? fmt(static_cast<double>(outcomes[i].allocs) /
-                      static_cast<double>(r.steps_executed ? r.steps_executed
-                                                           : 1),
-                  3)
-            : std::string("n/a");
-    timing.add_row({cases[i].name, fmt(sps, 0), fmt(nsps, 0), allocs,
+        alloc_hook_enabled() ? fmt(allocs_per_step, 3) : "n/a";
+    timing.add_row({c.name, fmt(sps, 0), fmt(nsps, 0), allocs,
                     fmt(r.wall_seconds, 3)});
+    BenchRow& row = rows.emplace_back();
+    row.text("name", c.name)
+        .text("monitor", c.monitor)
+        .text("family", family_name(c.family))
+        .text("network", c.network)
+        .count("n", c.n)
+        .count("k", c.k)
+        .text("validation", validation_name(c.validation))
+        .real("wall_seconds", r.wall_seconds, 6)
+        .real("steps_per_sec", sps, 1)
+        .real("ns_per_step", nsps, 1)
+        .count("messages_total", r.comm.total())
+        .count("error_steps", r.error_steps)
+        .count("max_recovery_ticks", r.max_recovery_ticks());
+    if (alloc_hook_enabled()) {
+      row.count("allocs", outcomes[i].allocs)
+          .real("allocs_per_step", allocs_per_step, 3);
+    }
   }
   ctx.out() << "\n";
   timing.print(ctx.out());
-
-  const std::string label = bench_label();
-  const std::string dir =
-      ctx.opts().out_dir.empty() ? std::string(".") : ctx.opts().out_dir;
-  write_bench_json(dir + "/BENCH_" + label + ".json", label, steps, cases,
-                   outcomes, ctx.out());
+  emit_bench_file(ctx, "perf", "", steps, rows);
 
   // Built-in trajectory diff: compare against a previous BENCH file and
   // fail the suite (non-zero topkmon_bench exit) on regression.

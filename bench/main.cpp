@@ -78,7 +78,7 @@ void list_suites(std::ostream& out) {
 }
 
 /// Registered suite names closest to `name` (util/strings.hpp edit
-/// distance — the same tolerance as SweepGrid's axis-name hints).
+/// distance).
 std::vector<std::string> closest_suites(const std::string& name) {
   std::vector<std::string> candidates;
   for (const auto& s : SuiteRegistry::instance().sorted()) {

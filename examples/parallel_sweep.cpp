@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   grid.families = {StreamFamily::kRandomWalk, StreamFamily::kBursty,
                    StreamFamily::kIidUniform};
   grid.trials = 5;
-  grid.steps = 500;
-  grid.base_seed = 7;
+  grid.base.steps = 500;
+  grid.base.seed = 7;
 
   exp::SweepRunner runner(jobs);  // 0 = one worker per hardware thread
   std::cout << "running " << grid.size() << " trials on " << runner.jobs()
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     sink.add({specs[i].monitor,
               std::string(family_name(specs[i].stream.family))},
-             specs[i].ordinal,
+             i,
              {results[i].messages_per_step(),
               results[i].wall_seconds * 1e3});
   }

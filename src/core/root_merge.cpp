@@ -199,8 +199,8 @@ void RootMergeCoordinator::on_step_end(CoordCtx&, TimeStep) {
 
 namespace {
 
-std::uint64_t root_tier_seed(std::uint64_t base_seed) {
-  std::uint64_t state = base_seed ^ 0x5297A3D7C0FFEE11ull;
+std::uint64_t root_tier_seed(std::uint64_t seed) {
+  std::uint64_t state = seed ^ 0x5297A3D7C0FFEE11ull;
   return splitmix64(state);
 }
 

@@ -63,10 +63,10 @@ std::vector<std::size_t> initial_shard_quotas(
   return quotas;
 }
 
-std::uint64_t shard_seed(std::uint64_t base_seed, std::size_t shard) noexcept {
-  if (shard == 0) return base_seed;
+std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) noexcept {
+  if (shard == 0) return seed;
   std::uint64_t state =
-      base_seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(shard);
+      seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(shard);
   return splitmix64(state);
 }
 

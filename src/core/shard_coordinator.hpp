@@ -72,7 +72,7 @@ std::vector<std::size_t> initial_shard_quotas(
 /// Deterministic per-shard cluster seed: shard 0 keeps the scenario seed
 /// verbatim (a 1-shard deployment is then seed-identical to the
 /// monolithic path), later shards derive via SplitMix64.
-std::uint64_t shard_seed(std::uint64_t base_seed, std::size_t shard) noexcept;
+std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) noexcept;
 
 /// Field-wise sum of MonitorStats (per-shard totals -> deployment total).
 inline void add_monitor_stats(MonitorStats& into,

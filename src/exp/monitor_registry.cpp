@@ -286,34 +286,6 @@ ShardedSpec parse_sharded_spec(std::string_view spec) {
   return out;
 }
 
-std::pair<std::string, std::size_t> split_shards_param(std::string_view spec) {
-  const ParsedSpec parsed = parse_spec(spec);
-  std::size_t shards = 0;
-  std::string rest = parsed.name;
-  char sep = '?';
-  for (const auto& p : parsed.params) {
-    if (p.key == "shards") {
-      const auto v = to_u64(p.value);
-      if (!v || *v == 0) {
-        throw std::invalid_argument("monitor '" + parsed.name +
-                                    "': shards expects a positive integer, "
-                                    "got '" +
-                                    p.value + "'");
-      }
-      shards = static_cast<std::size_t>(*v);
-      continue;
-    }
-    rest += sep;
-    sep = ',';
-    rest += p.key;
-    if (!p.value.empty()) {
-      rest += '=';
-      rest += p.value;
-    }
-  }
-  return {std::move(rest), shards};
-}
-
 bool is_known_monitor(std::string_view spec) noexcept {
   return find_row(spec.substr(0, spec.find('?'))) != nullptr;
 }

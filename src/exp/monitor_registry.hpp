@@ -16,6 +16,9 @@
 // role-separated deployment (CoordinatorAlgo + n NodeAlgos) that
 // run_scenario drives under any NetworkSpec and fault plan.
 // parse_sharded_spec maps a spec onto the two-tier ShardedDeployment.
+// A spec names a monitor and its knobs only: the shard count is a
+// deployment setting (Scenario::shards), so `?shards=` is an unknown
+// parameter to every monitor.
 // One table in monitor_registry.cpp lists every monitor with its role
 // factory, its sharded kind and its dynamic-k capability; the name list
 // below derives from it.
@@ -24,7 +27,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/roles.hpp"
@@ -52,26 +54,17 @@ struct RolePair {
 RolePair make_role_pair(Cluster& cluster, std::string_view spec,
                         std::size_t k);
 
-/// Parses a monitor spec (without `shards=`) into the kind and knobs of
-/// the two-tier ShardedDeployment; the size, seed and network fields
-/// stay default. Throws std::invalid_argument for a monitor without a
-/// sharded deployment (the message lists the ones with one) and for any
+/// Parses a monitor spec into the kind and knobs of the two-tier
+/// ShardedDeployment; the size, shard count, seed and network fields
+/// stay default (run_sharded_scenario fills them from the Scenario).
+/// Throws std::invalid_argument for a monitor without a sharded
+/// deployment (the message lists the ones with one) and for any
 /// parameter the shard adapters would drop (backoff, suspect, replay,
-/// eps, ...).
+/// eps, shards, ...).
 ShardedSpec parse_sharded_spec(std::string_view spec);
 
 /// True when `spec`'s base name is a registered monitor.
 bool is_known_monitor(std::string_view spec) noexcept;
-
-/// Splits the deployment-level `shards=c` parameter out of a monitor spec
-/// ("topk_filter?shards=4,nobeacon" -> {"topk_filter?nobeacon", 4}).
-/// Returns shards == 0 when the parameter is absent, so callers can tell
-/// "not given" from an explicit value; an explicit parameter always wins
-/// over Scenario::shards. Throws std::invalid_argument for a malformed
-/// or zero value. The remaining spec never reaches the monitor factories
-/// with a `shards` key — sharding is a deployment property
-/// (exp::run_sharded_scenario), not a monitor parameter.
-std::pair<std::string, std::size_t> split_shards_param(std::string_view spec);
 
 /// All registered monitor base names, in a stable canonical order (the
 /// paper's Algorithm 1 first, then baselines).

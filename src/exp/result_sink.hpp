@@ -28,7 +28,8 @@ class ResultSink {
 
   /// Records one trial's metrics (aligned with metric_columns) for the
   /// cell `key` (aligned with key_columns). `ordinal` must be unique per
-  /// (key, trial) — use TrialSpec::ordinal or the trial index. Thread-safe.
+  /// (key, trial) — use the trial's index in SweepGrid::expand()'s list.
+  /// Thread-safe.
   void add(const std::vector<std::string>& key, std::size_t ordinal,
            const std::vector<double>& metrics);
 

@@ -24,10 +24,9 @@ namespace {
 /// plan itself, dynamic-k events included.
 class MonolithicDeployment final : public Deployment {
  public:
-  MonolithicDeployment(const Scenario& sc, const std::string& spec,
-                       const FaultPlan& plan, std::size_t n)
+  MonolithicDeployment(const Scenario& sc, const FaultPlan& plan, std::size_t n)
       : cluster_(n, sc.seed, sc.network),
-        pair_(make_role_pair(cluster_, spec, sc.k)),
+        pair_(make_role_pair(cluster_, sc.monitor, sc.k)),
         driver_(cluster_, *pair_.coordinator, pair_.nodes,
                 /*auto_deliver=*/true, sc.workers) {
     const auto& events = plan.events();
@@ -35,7 +34,7 @@ class MonolithicDeployment final : public Deployment {
         std::any_of(events.begin(), events.end(), [](const FaultEvent& ev) {
           return ev.kind == FaultEvent::Kind::kSetK;
         })) {
-      throw std::invalid_argument("run_scenario: monitor '" + spec +
+      throw std::invalid_argument("run_scenario: monitor '" + sc.monitor +
                                   "' does not support dynamic-k events (fault "
                                   "plan '" + sc.faults + "')");
     }
@@ -302,24 +301,26 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
   return result;
 }
 
-RunResult run_sharded(const Scenario& sc, StreamSet* given) {
-  const auto [spec, shards_param] = split_shards_param(sc.monitor);
-  const std::size_t shards = shards_param != 0 ? shards_param : sc.shards;
-  if (shards == 0 || shards > sc.n) {
-    throw std::invalid_argument(
-        "run_sharded_scenario: need 1 <= shards <= n");
+/// The shard-count check both entry points share.
+void check_shards(const Scenario& sc, const char* caller) {
+  if (sc.shards == 0 || sc.shards > sc.n) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": need 1 <= shards <= n");
   }
-  ShardedSpec dspec = parse_sharded_spec(spec);
+}
+
+RunResult run_sharded(const Scenario& sc, StreamSet* given) {
+  ShardedSpec dspec = parse_sharded_spec(sc.monitor);
   dspec.k = sc.k;
-  dspec.shards = shards;
+  dspec.shards = sc.shards;
   dspec.seed = sc.seed;
   dspec.network = sc.network;
   dspec.workers = sc.workers;
   dspec.dense_loop = sc.dense_loop;
   return run_deployment(
       sc, given, "run_sharded_scenario",
-      " (network " + sc.network.name() + ", shards " + std::to_string(shards) +
-          ")",
+      " (network " + sc.network.name() + ", shards " +
+          std::to_string(sc.shards) + ")",
       [&](const FaultPlan& plan, std::size_t n) {
         // Ids [sc.n, n) are provisioned for joins; the deployment carves
         // the plan into per-shard schedules.
@@ -339,17 +340,12 @@ RunResult run_sharded(const Scenario& sc, StreamSet* given) {
 }
 
 RunResult run_any(const Scenario& sc, StreamSet* given) {
-  // An explicit `?shards=c` monitor parameter wins over Scenario::shards;
-  // an effective count > 1 runs the two-tier deployment. `?shards=1` is
-  // stripped and runs the monolithic deployment.
-  const auto [spec, shards_param] = split_shards_param(sc.monitor);
-  if ((shards_param != 0 ? shards_param : sc.shards) > 1) {
-    return run_sharded(sc, given);
-  }
+  check_shards(sc, "run_scenario");
+  if (sc.shards > 1) return run_sharded(sc, given);
   return run_deployment(
       sc, given, "run_scenario", " (network " + sc.network.name() + ")",
       [&](const FaultPlan& plan, std::size_t n) {
-        return std::make_unique<MonolithicDeployment>(sc, spec, plan, n);
+        return std::make_unique<MonolithicDeployment>(sc, plan, n);
       });
 }
 
@@ -362,6 +358,7 @@ RunResult run_scenario(const Scenario& sc, StreamSet streams) {
 }
 
 RunResult run_sharded_scenario(const Scenario& sc) {
+  check_shards(sc, "run_sharded_scenario");
   return run_sharded(sc, nullptr);
 }
 

@@ -2,7 +2,10 @@
 // single simulation needs — which monitor (registry spec string), which
 // workload (StreamSpec, family settable by name), which network policy
 // (NetworkSpec, parseable from a string), the problem size and the
-// validation regime. run_scenario() is the single execution entry point.
+// validation regime. Each setting has exactly this one home: a SweepGrid
+// (exp/sweep_grid.hpp) expands into Scenarios, and the shard count is
+// Scenario::shards alone. run_scenario() is the single execution entry
+// point.
 // It builds a Deployment (core/deployment.hpp) — the monolithic one (one
 // cluster, the registry's role pair, one SimDriver) or, at shards > 1,
 // the two-tier ShardedDeployment — and runs one step loop over it for
@@ -78,8 +81,10 @@ struct Scenario {
   /// c > 1 partitions the nodes across c shard coordinators under a root
   /// coordinator and routes the run through run_sharded_scenario —
   /// RunResult::comm then counts the node<->shard tier and
-  /// RunResult::root_comm the shard<->root tier. A `?shards=c` monitor
-  /// parameter (e.g. "topk_filter?shards=4") overrides this field. Only
+  /// RunResult::root_comm the shard<->root tier. This field is the only
+  /// shard count: a `?shards=` monitor parameter is rejected like any
+  /// other unknown one. Must satisfy 1 <= shards <= n (run_scenario and
+  /// run_sharded_scenario throw std::invalid_argument otherwise). Only
   /// the monitors with a sharded deployment (exp::parse_sharded_spec:
   /// "topk_filter", "naive", "naive_chg" — a narrower set than the
   /// registered monitors) support c > 1.
@@ -158,12 +163,11 @@ struct Scenario {
 };
 
 /// Runs the scenario end to end and returns its result: the monolithic
-/// deployment when the effective shard count (a `?shards=c` monitor
-/// parameter, else Scenario::shards) is 1, else run_sharded_scenario.
+/// deployment when Scenario::shards is 1, else run_sharded_scenario.
 /// Throws std::invalid_argument, before any node callback runs, for
-/// malformed scenarios (unknown monitor/family, k out of range,
-/// workers != 1, a dynamic-k plan for a monitor without on_set_k —
-/// multi_k)
+/// malformed scenarios (unknown monitor/family or monitor parameter, k
+/// out of range, shards outside [1, n], workers != 1, a dynamic-k plan
+/// for a monitor without on_set_k — multi_k)
 /// and std::logic_error on validation divergence when throw_on_error is
 /// set. Thread-safe: concurrent calls share no state (each scenario
 /// builds its own deployment), which is what the SweepRunner's trial
@@ -179,8 +183,8 @@ RunResult run_scenario(const Scenario& scenario);
 RunResult run_scenario(const Scenario& scenario, StreamSet streams);
 
 /// Runs the scenario's step loop over a two-tier ShardedDeployment
-/// (core/root_merge.hpp) with `scenario.shards` shard coordinators (a
-/// `?shards=c` monitor parameter wins over the field). Callable directly
+/// (core/root_merge.hpp) with `scenario.shards` shard coordinators.
+/// Callable directly
 /// with shards == 1 too — the root tier is then inert and the output is
 /// message-for-message and answer-for-answer identical to run_scenario's
 /// monolithic path, churn and dynamic-k plans included (pinned by
@@ -193,8 +197,8 @@ RunResult run_scenario(const Scenario& scenario, StreamSet streams);
 /// at the root and regrant it on recovery); adversarial degradations are
 /// not. Throws std::invalid_argument for monitors without a sharded
 /// deployment or with a parameter the shards would drop
-/// (exp::parse_sharded_spec), plans with degradations, shards > n, or
-/// workers != 1.
+/// (exp::parse_sharded_spec), plans with degradations, shards outside
+/// [1, n], or workers != 1.
 RunResult run_sharded_scenario(const Scenario& scenario);
 
 }  // namespace topkmon::exp

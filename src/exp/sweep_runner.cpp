@@ -4,28 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "exp/scenario.hpp"
-
 namespace topkmon::exp {
-
-RunResult run_trial(const TrialSpec& spec) {
-  Scenario sc;
-  sc.monitor = spec.monitor;
-  sc.stream = spec.stream;
-  sc.network = spec.network;
-  sc.n = spec.cfg.n;
-  sc.k = spec.cfg.k;
-  sc.steps = spec.cfg.steps;
-  sc.seed = spec.cfg.seed;
-  sc.validation = spec.cfg.validation;
-  sc.validate_order = spec.cfg.validate_order;
-  sc.record_trace = spec.cfg.record_trace;
-  sc.record_series = spec.cfg.record_series;
-  sc.throw_on_error = spec.throw_on_error;
-  sc.shards = spec.shards;
-  sc.faults = spec.faults;
-  return run_scenario(sc);
-}
 
 SweepRunner::SweepRunner(std::size_t jobs) : jobs_(jobs) {
   if (jobs_ > kMaxJobs) {
@@ -132,10 +111,10 @@ void SweepRunner::worker_loop() {
   }
 }
 
-std::vector<RunResult> SweepRunner::run(const std::vector<TrialSpec>& trials) {
+std::vector<RunResult> SweepRunner::run(const std::vector<Scenario>& trials) {
   std::vector<RunResult> results(trials.size());
   parallel_for(trials.size(),
-               [&](std::size_t i) { results[i] = run_trial(trials[i]); });
+               [&](std::size_t i) { results[i] = run_scenario(trials[i]); });
   return results;
 }
 

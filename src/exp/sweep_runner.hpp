@@ -7,8 +7,8 @@
 //     fan-out; jobs are claimed dynamically (atomic counter), results land
 //     at their own index, so the output order is independent of thread
 //     scheduling.
-//   * run(trials) — executes expanded SweepGrid TrialSpecs and returns
-//     RunResults in grid order.
+//   * run(trials) — runs Scenarios (e.g. an expanded SweepGrid) through
+//     run_scenario and returns their RunResults in order.
 //
 // Each trial owns its own RNG seed (derived from grid coordinates, see
 // sweep_grid.hpp) and builds its own cluster/streams, so parallel runs are
@@ -25,13 +25,9 @@
 #include <vector>
 
 #include "core/runner.hpp"
-#include "exp/sweep_grid.hpp"
+#include "exp/scenario.hpp"
 
 namespace topkmon::exp {
-
-/// Executes one TrialSpec synchronously: builds its Scenario and runs it
-/// through run_scenario. Thread-safe (no shared state).
-RunResult run_trial(const TrialSpec& spec);
 
 class SweepRunner {
  public:
@@ -68,8 +64,9 @@ class SweepRunner {
     return out;
   }
 
-  /// Executes every trial and returns results in the order of `trials`.
-  std::vector<RunResult> run(const std::vector<TrialSpec>& trials);
+  /// Runs every scenario through run_scenario and returns the results in
+  /// the order of `trials`.
+  std::vector<RunResult> run(const std::vector<Scenario>& trials);
 
  private:
   /// Stops and joins every started worker thread.

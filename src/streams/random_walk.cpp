@@ -189,7 +189,6 @@ RandomWalkBank::RandomWalkBank(const RandomWalkParams& params, std::size_t n,
       s3_(n),
       cur_(n, params.lo),
       rejected_(n),
-      mask_scratch_((n + 63) / 64),
       max_step_(params.max_step),
       lo_(params.lo),
       hi_(params.hi),
@@ -233,10 +232,6 @@ void RandomWalkBank::scalar_step(std::size_t i) noexcept {
 Value RandomWalkBank::advance(NodeId id) {
   scalar_step(id);
   return observe(id);
-}
-
-void RandomWalkBank::advance_all(std::span<Value> out) {
-  advance_all_masked(out, mask_scratch_);
 }
 
 void RandomWalkBank::advance_all_masked(std::span<Value> values,

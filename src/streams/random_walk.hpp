@@ -70,8 +70,8 @@ class RandomWalkStream final : public Stream {
   Value current_;
 };
 
-/// Kernel variants of RandomWalkBank::advance_all: the same loop body
-/// compiled for each ISA level (util/isa.hpp).
+/// Kernel variants of RandomWalkBank::advance_all_masked: the same loop
+/// body compiled for each ISA level (util/isa.hpp).
 using WalkKernel = IsaLevel;
 
 /// "baseline", "avx2", "x86-64-v4".
@@ -84,9 +84,9 @@ inline std::string_view kernel_name(WalkKernel kernel) noexcept {
 /// value, and a rejection flag per node. advance_all_masked advances
 /// every walk with one branch-free loop, vectorized across nodes, that
 /// also packs the change mask (new != previous observation) 64 lanes to
-/// a word; advance_all is the same pass into a scratch mask. advance(id)
-/// takes the scalar step on one column lane. Outputs, and every node's
-/// RNG draws, are identical to a RandomWalkStream per node.
+/// a word (StreamBank::advance_all runs it into a scratch mask).
+/// advance(id) takes the scalar step on one column lane. Outputs, and
+/// every node's RNG draws, are identical to a RandomWalkStream per node.
 class RandomWalkBank final : public StreamBank {
  public:
   /// n walks over `params` (its start is ignored: set_walk sets each
@@ -106,7 +106,7 @@ class RandomWalkBank final : public StreamBank {
   /// Kernels the host CPU can run, baseline first, best last.
   static std::vector<WalkKernel> host_kernels();
 
-  /// The kernel advance_all runs.
+  /// The kernel advance_all_masked runs.
   WalkKernel kernel() const noexcept { return kernel_; }
 
   /// Selects `kernel` (tests and micro benchmarks compare variants).
@@ -115,7 +115,6 @@ class RandomWalkBank final : public StreamBank {
 
   std::size_t size() const noexcept override { return cur_.size(); }
   Value advance(NodeId id) override;
-  void advance_all(std::span<Value> out) override;
   void advance_all_masked(std::span<Value> values,
                           std::span<std::uint64_t> changed) override;
 
@@ -140,7 +139,6 @@ class RandomWalkBank final : public StreamBank {
   /// sizes the vector loop by its narrowest column, and byte flags made
   /// it 32 or 64 lanes wide, spilling the state words.
   std::vector<std::uint32_t> rejected_;
-  std::vector<std::uint64_t> mask_scratch_;  ///< advance_all's change mask
   Value max_step_, lo_, hi_;
   std::uint64_t span_;       ///< draws are below 2 * max_step + 1
   std::uint64_t threshold_;  ///< Lemire rejection bound (2^64 - span) % span

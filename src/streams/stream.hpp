@@ -110,8 +110,13 @@ class StreamBank {
   virtual Value advance(NodeId id) = 0;
 
   /// Advances every node once: out[id] receives node id's observation.
-  /// Requires out.size() == size().
-  virtual void advance_all(std::span<Value> out) = 0;
+  /// The bank's one whole-set pass is advance_all_masked; this runs it
+  /// into a scratch mask (observations never depend on `out`'s previous
+  /// contents). Requires out.size() == size().
+  void advance_all(std::span<Value> out) {
+    mask_scratch_.resize((out.size() + 63) / 64);
+    advance_all_masked(out, mask_scratch_);
+  }
 
   /// advance_all in place, plus the change mask of the dense-step frame:
   /// `values` holds every node's previous observation on entry, and bit
@@ -121,6 +126,9 @@ class StreamBank {
   /// zero.
   virtual void advance_all_masked(std::span<Value> values,
                                   std::span<std::uint64_t> changed) = 0;
+
+ private:
+  std::vector<std::uint64_t> mask_scratch_;  ///< advance_all's change mask
 };
 
 /// Bank over a contiguous vector of `Elem`: either a concrete `final`
@@ -131,7 +139,8 @@ class StreamBank {
 ///
 /// A concrete stream type declares `extern template class TypedBank<S>;`
 /// in its header and instantiates the bank in its .cpp, next to the
-/// definition of next(), so advance_all's qualified call inlines there.
+/// definition of next(), so advance_all_masked's qualified call inlines
+/// there.
 template <typename Elem>
 class TypedBank final : public StreamBank {
  public:
@@ -151,7 +160,6 @@ class TypedBank final : public StreamBank {
     return deref(streams_[id]).advance_quiet(max_steps);
   }
   Value advance(NodeId id) override;
-  void advance_all(std::span<Value> out) override;
   void advance_all_masked(std::span<Value> values,
                           std::span<std::uint64_t> changed) override;
 
@@ -187,22 +195,12 @@ Value TypedBank<Elem>::advance(NodeId id) {
 }
 
 template <typename Elem>
-void TypedBank<Elem>::advance_all(std::span<Value> out) {
-  // One loop (one call site, so the compiler inlines next() once); the
-  // distinct branch is loop-invariant and always predicted.
-  const std::size_t n = streams_.size();
-  const auto vn = static_cast<Value>(n);
-  for (NodeId id = 0; id < n; ++id) {
-    const Value v = next_of(streams_[id]);
-    out[id] = distinct_ ? distinct_value(v, id, vn) : v;
-  }
-}
-
-template <typename Elem>
 void TypedBank<Elem>::advance_all_masked(std::span<Value> values,
                                          std::span<std::uint64_t> changed) {
   // The branch-free compare fallback: each lane's "moved" bit is packed
-  // into its word as the value is written.
+  // into its word as the value is written. One loop (one call site, so
+  // the compiler inlines next() once); the distinct branch is
+  // loop-invariant and always predicted.
   const std::size_t n = streams_.size();
   const auto vn = static_cast<Value>(n);
   for (std::size_t w = 0; w < changed.size(); ++w) {

@@ -62,8 +62,8 @@ inline std::optional<double> to_double(std::string_view text) {
 
 /// Classic dynamic-programming edit distance (insert/delete/substitute),
 /// case-insensitive — small strings, so the O(|a|·|b|) table is fine.
-/// Shared by every did-you-mean hint (CLI --suite names, SweepGrid axis
-/// names) so they suggest with identical tolerance.
+/// Shared by every did-you-mean hint (CLI --suite names, fault-plan
+/// names and keys) so they suggest with identical tolerance.
 inline std::size_t edit_distance(std::string_view a, std::string_view b) {
   const auto lower = [](char c) {
     return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;

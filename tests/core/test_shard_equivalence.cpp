@@ -11,10 +11,9 @@
 //      (strict validation), including the quota edge cases (k < c forces
 //      quota-0 shards; k = n forces full shards).
 //
-// Plus the sweep/CLI surface: the shards axis never enters the trial
-// seed (paired comparisons across c), set_axis rejects unknown names
-// with a did-you-mean hint, and `?shards=c` monitor params split
-// correctly.
+// Plus the sweep surface: the shards axis never enters the trial seed
+// (paired comparisons across c), and both entry points reject a shard
+// count outside [1, n].
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -23,7 +22,6 @@
 
 #include "core/root_merge.hpp"
 #include "core/runner.hpp"
-#include "exp/monitor_registry.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_grid.hpp"
 #include "sim/network_model.hpp"
@@ -169,30 +167,20 @@ TEST(ShardEquivalence, ShardedExactUnderInstantNetwork) {
   }
 }
 
-TEST(ShardScenario, MonitorParamOverridesScenarioField) {
-  // `?shards=c` beats Scenario::shards; `?shards=1` forces the monolithic
-  // path even if the field says otherwise.
-  exp::Scenario sc = base_scenario("topk_filter?shards=4", 40, 5, 3, 100);
-  sc.shards = 1;
-  const RunResult sharded = exp::run_scenario(sc);
-  EXPECT_GT(sharded.root_comm.total(), 0u);
-
-  exp::Scenario mono = base_scenario("topk_filter?shards=1", 40, 5, 3, 100);
-  mono.shards = 4;
-  const RunResult single = exp::run_scenario(mono);
-  EXPECT_EQ(single.root_comm.total(), 0u);
-}
-
 TEST(ShardScenario, RejectsUnsupportedConfigurations) {
   // Monitors without a sharded deployment are rejected.
   exp::Scenario sc = base_scenario("recompute", 16, 4, 1, 10);
   sc.shards = 2;
   EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
 
-  // More shards than nodes.
-  exp::Scenario wide = base_scenario("topk_filter", 4, 2, 1, 10);
-  wide.shards = 8;
-  EXPECT_THROW(exp::run_scenario(wide), std::invalid_argument);
+  // More shards than nodes, and no shards at all (which must not fall
+  // through to the monolithic path), on both entry points.
+  for (const std::size_t shards : {std::size_t{8}, std::size_t{0}}) {
+    exp::Scenario wide = base_scenario("topk_filter", 4, 2, 1, 10);
+    wide.shards = shards;
+    EXPECT_THROW(exp::run_scenario(wide), std::invalid_argument);
+    EXPECT_THROW(exp::run_sharded_scenario(wide), std::invalid_argument);
+  }
 }
 
 TEST(ShardScenario, SeriesMergesAcrossShards) {
@@ -221,48 +209,12 @@ TEST(ShardGrid, ShardsAxisDoesNotEnterTrialSeed) {
   // Expansion order: shards-major over trials; same trial index at
   // different c must replay the same seed (paired comparisons).
   for (std::size_t t = 0; t < grid.trials; ++t) {
-    const auto seed = specs[t].cfg.seed;
+    const auto seed = specs[t].seed;
     for (std::size_t si = 1; si < grid.shards.size(); ++si) {
-      EXPECT_EQ(specs[si * grid.trials + t].cfg.seed, seed);
+      EXPECT_EQ(specs[si * grid.trials + t].seed, seed);
       EXPECT_EQ(specs[si * grid.trials + t].shards, grid.shards[si]);
     }
   }
-}
-
-TEST(ShardGrid, SetAxisParsesAndHintsUnknownNames) {
-  exp::SweepGrid grid;
-  grid.set_axis("shards", {"1", "8"});
-  EXPECT_EQ(grid.shards, (std::vector<std::size_t>{1, 8}));
-
-  try {
-    grid.set_axis("shard", {"2"});
-    FAIL() << "unknown axis accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("did you mean"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'shards'"), std::string::npos) << msg;
-  }
-  EXPECT_THROW(grid.set_axis("shards", {"x"}), std::invalid_argument);
-  EXPECT_THROW(grid.set_axis("shards", {}), std::invalid_argument);
-}
-
-TEST(ShardRegistry, SplitShardsParam) {
-  using exp::split_shards_param;
-  EXPECT_EQ(split_shards_param("topk_filter"),
-            std::make_pair(std::string("topk_filter"), std::size_t{0}));
-  EXPECT_EQ(split_shards_param("topk_filter?shards=4"),
-            std::make_pair(std::string("topk_filter"), std::size_t{4}));
-  // Other params survive, in order, with the shards key stripped.
-  EXPECT_EQ(split_shards_param("topk_filter?nobeacon,shards=2"),
-            std::make_pair(std::string("topk_filter?nobeacon"),
-                           std::size_t{2}));
-  EXPECT_EQ(split_shards_param("topk_filter?shards=2,nobeacon"),
-            std::make_pair(std::string("topk_filter?nobeacon"),
-                           std::size_t{2}));
-  EXPECT_THROW(split_shards_param("topk_filter?shards=0"),
-               std::invalid_argument);
-  EXPECT_THROW(split_shards_param("topk_filter?shards=x"),
-               std::invalid_argument);
 }
 
 TEST(ShardPartition, WordAlignedBalancedRanges) {

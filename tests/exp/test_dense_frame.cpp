@@ -32,10 +32,9 @@ using exp::Scenario;
 /// The monolithic deployment run_scenario builds, driven per id.
 class MonolithicRef {
  public:
-  MonolithicRef(const Scenario& sc, const std::string& spec,
-                const FaultPlan& plan, std::size_t n)
+  MonolithicRef(const Scenario& sc, const FaultPlan& plan, std::size_t n)
       : cluster_(n, sc.seed, sc.network),
-        pair_(exp::make_role_pair(cluster_, spec, sc.k)),
+        pair_(exp::make_role_pair(cluster_, sc.monitor, sc.k)),
         driver_(cluster_, *pair_.coordinator, pair_.nodes) {
     if (!plan.empty()) {
       driver_.set_fault_plan(&plan);
@@ -68,13 +67,12 @@ class MonolithicRef {
 /// The two-tier deployment, through its per-id entry points.
 class ShardedRef {
  public:
-  ShardedRef(const Scenario& sc, const std::string& spec, std::size_t shards,
-             const FaultPlan& plan, std::size_t n)
+  ShardedRef(const Scenario& sc, const FaultPlan& plan, std::size_t n)
       : dep_([&] {
-          ShardedSpec d = exp::parse_sharded_spec(spec);
+          ShardedSpec d = exp::parse_sharded_spec(sc.monitor);
           d.n = n;
           d.k = sc.k;
-          d.shards = shards;
+          d.shards = sc.shards;
           d.seed = sc.seed;
           d.network = sc.network;
           if (!plan.empty()) d.faults = &plan;
@@ -231,11 +229,14 @@ Outcome via_run_scenario(Scenario sc) {
 
 /// Runs both loops and compares them; returns the reference outcome.
 Outcome expect_matches_reference(const std::string& monitor,
+                                 std::size_t shards,
                                  const std::string& family,
                                  const std::string& faults) {
-  SCOPED_TRACE(monitor + " / " + family + " / " + faults);
+  SCOPED_TRACE(monitor + " / shards " + std::to_string(shards) + " / " +
+               family + " / " + faults);
   Scenario sc;
   sc.monitor = monitor;
+  sc.shards = shards;
   sc.with_stream_family(family);
   sc.stream.walk.max_step = 5'000;
   sc.n = 40;
@@ -248,13 +249,12 @@ Outcome expect_matches_reference(const std::string& monitor,
 
   const FaultPlan plan(sc.faults, sc.n, sc.k, sc.seed);
   const std::size_t n = plan.empty() ? sc.n : plan.total_nodes();
-  const auto [spec, shards] = exp::split_shards_param(sc.monitor);
   Outcome want;
   if (shards > 1) {
-    ShardedRef dep(sc, spec, shards, plan, n);
+    ShardedRef dep(sc, plan, n);
     want = reference(sc, dep, plan, n);
   } else {
-    MonolithicRef dep(sc, spec, plan, n);
+    MonolithicRef dep(sc, plan, n);
     want = reference(sc, dep, plan, n);
   }
   const Outcome got = via_run_scenario(sc);
@@ -276,11 +276,11 @@ Outcome expect_matches_reference(const std::string& monitor,
 constexpr const char* kFamilies[] = {"random_walk", "iid_uniform"};
 
 TEST(DenseFrame, MatchesPerIdLoopUnderChurn) {
-  for (const char* monitor : {"topk_filter", "topk_filter?shards=3"}) {
+  for (const std::size_t shards : {1, 3}) {
     for (const char* family : kFamilies) {
-      expect_matches_reference(monitor, family, "none");
+      expect_matches_reference("topk_filter", shards, family, "none");
       expect_matches_reference(
-          monitor, family,
+          "topk_filter", shards, family,
           "churn?crash=3@20,recover=3@50,join=+4@60,crash=17@90,"
           "recover=17@110");
     }
@@ -293,7 +293,7 @@ TEST(DenseFrame, MatchesPerIdLoopUnderDegradationsWithSuspect) {
   // with something in them.
   std::uint64_t errors = 0;
   for (const char* family : kFamilies) {
-    errors += expect_matches_reference("topk_filter?suspect", family,
+    errors += expect_matches_reference("topk_filter?suspect", 1, family,
                                        "churn?lag=2@20:30,stale=5@30,"
                                        "mute=7@40,heal=2@70,heal=5@80,"
                                        "heal=7@90")
@@ -303,9 +303,9 @@ TEST(DenseFrame, MatchesPerIdLoopUnderDegradationsWithSuspect) {
 }
 
 TEST(DenseFrame, MatchesPerIdLoopAcrossDynamicK) {
-  for (const char* monitor : {"topk_filter", "topk_filter?shards=3"}) {
+  for (const std::size_t shards : {1, 3}) {
     for (const char* family : kFamilies) {
-      expect_matches_reference(monitor, family,
+      expect_matches_reference("topk_filter", shards, family,
                                "churn?crash=5@40,recover=5@70,k=10@80");
     }
   }
@@ -314,8 +314,8 @@ TEST(DenseFrame, MatchesPerIdLoopAcrossDynamicK) {
 TEST(DenseFrame, NaiveMatchesPerIdLoopUnderChurn) {
   // Naive nodes declare the empty quiet range: the frame's range pass
   // has nothing to learn, every live node is observed.
-  for (const char* monitor : {"naive", "naive?shards=3"}) {
-    expect_matches_reference(monitor, "random_walk",
+  for (const std::size_t shards : {1, 3}) {
+    expect_matches_reference("naive", shards, "random_walk",
                              "churn?crash=3@20,recover=3@50,join=+4@60");
   }
 }

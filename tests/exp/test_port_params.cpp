@@ -2,10 +2,11 @@
 // documented `?key=value` must reach the role pair with its meaning —
 // the golden records of the differential harness only prove something
 // if the port was built from the recorded configuration. Plus the composition
-// rules: `?shards=` is a deployment parameter that must split off
-// cleanly (and be rejected where no sharded deployment exists), and
-// `?suspect` is a native-roles-only knob accepted exactly where the
-// suspicion machinery lives.
+// rules: the shard count is Scenario::shards alone (a `?shards=` monitor
+// parameter is rejected like any unknown one, and shards > 1 is rejected
+// where no sharded deployment exists), and `?suspect` is a
+// native-roles-only knob accepted exactly where the suspicion machinery
+// lives.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -79,20 +80,21 @@ TEST(PortParams, SuspectKnobIsNativeOnlyAndScoped) {
   }
 }
 
-TEST(PortParams, ShardsParamSplitsAndComposes) {
-  // `?shards=` never reaches the monitor factories: it splits off as a
-  // deployment property, leaving the remaining spec intact in order.
-  const auto [slack_rest, slack_shards] =
-      exp::split_shards_param("slack?shards=2,alpha=0.1");
-  EXPECT_EQ(slack_rest, "slack?alpha=0.1");
-  EXPECT_EQ(slack_shards, 2u);
-  const auto [multik_rest, multik_shards] =
-      exp::split_shards_param("multi_k?ks=2+8,shards=4");
-  EXPECT_EQ(multik_rest, "multi_k?ks=2+8");
-  EXPECT_EQ(multik_shards, 4u);
-  const auto [plain_rest, plain_shards] = exp::split_shards_param("ordered");
-  EXPECT_EQ(plain_rest, "ordered");
-  EXPECT_EQ(plain_shards, 0u);  // 0 = "not given", distinct from =1
+TEST(PortParams, ShardsIsNotAMonitorParameter) {
+  // The shard count lives in Scenario::shards only: a `?shards=` spec
+  // parameter is unknown to every monitor, on both deployments.
+  for (const char* monitor :
+       {"topk_filter?shards=2", "topk_filter?shards=1", "naive?shards=4"}) {
+    SCOPED_TRACE(monitor);
+    exp::Scenario sc;
+    sc.monitor = monitor;
+    sc.n = 16;
+    sc.k = 4;
+    sc.steps = 5;
+    EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
+    sc.shards = 2;
+    EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
+  }
 }
 
 TEST(PortParams, ShardedDeploymentRejectsPortsWithoutOne) {
@@ -102,17 +104,16 @@ TEST(PortParams, ShardedDeploymentRejectsPortsWithoutOne) {
   // Parameters of shardable monitors that the shard adapters would drop
   // (only topk_filter's nobeacon reaches the shards) are rejected too.
   for (const char* monitor :
-       {"slack?shards=2", "dominance?shards=2", "ordered?shards=2",
-        "approx?eps=64,shards=2", "multi_k?ks=2+8,shards=2",
-        "topk_filter?backoff,shards=2", "topk_filter?suspect,shards=2",
-        "topk_filter?replay,shards=2", "topk_filter?eps=64,shards=2",
-        "naive?suspect,shards=2", "naive_chg?nobeacon,shards=2"}) {
+       {"slack", "dominance", "ordered", "approx?eps=64", "multi_k?ks=2+8",
+        "topk_filter?backoff", "topk_filter?suspect", "topk_filter?replay",
+        "topk_filter?eps=64", "naive?suspect", "naive_chg?nobeacon"}) {
     SCOPED_TRACE(monitor);
     exp::Scenario sc;
     sc.monitor = monitor;
     sc.n = 16;
     sc.k = 4;
     sc.steps = 5;
+    sc.shards = 2;
     EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
   }
   // The rejection lists the shardable monitors, read off the registry.

@@ -234,16 +234,16 @@ TEST(SweepGridTest, NetworkAxisMultipliesCellsButNotSeeds) {
   grid.families = {StreamFamily::kRandomWalk};
   grid.networks = {NetworkSpec{}, parse_network_spec("delay=1")};
   grid.trials = 2;
-  grid.steps = 10;
+  grid.base.steps = 10;
 
   const auto specs = grid.expand();
   ASSERT_EQ(specs.size(), grid.size());
   ASSERT_EQ(specs.size(), 4u);
   // Same trial under different networks replays the same seed (paired
   // comparison); different trials differ.
-  EXPECT_EQ(specs[0].cfg.seed, specs[2].cfg.seed);
-  EXPECT_EQ(specs[1].cfg.seed, specs[3].cfg.seed);
-  EXPECT_NE(specs[0].cfg.seed, specs[1].cfg.seed);
+  EXPECT_EQ(specs[0].seed, specs[2].seed);
+  EXPECT_EQ(specs[1].seed, specs[3].seed);
+  EXPECT_NE(specs[0].seed, specs[1].seed);
   EXPECT_TRUE(specs[0].network.is_instant());
   EXPECT_EQ(specs[2].network.delay, 1u);
 

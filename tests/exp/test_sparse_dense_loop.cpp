@@ -27,9 +27,10 @@ struct LoopTrace {
 
 LoopTrace run_loop(const std::string& monitor, const std::string& family,
                    const std::string& network, const std::string& faults,
-                   Value max_step, bool dense) {
+                   Value max_step, std::size_t shards, bool dense) {
   Scenario sc;
   sc.monitor = monitor;
+  sc.shards = shards;
   sc.with_stream_family(family);
   sc.stream.walk.max_step = max_step;
   sc.with_network(network);
@@ -55,12 +56,13 @@ LoopTrace run_loop(const std::string& monitor, const std::string& family,
 void expect_equivalent(const std::string& monitor, const std::string& family,
                        const std::string& network,
                        const std::string& faults = "none",
-                       Value max_step = 5'000) {
-  SCOPED_TRACE(monitor + " / " + family + " / " + network + " / " + faults);
+                       Value max_step = 5'000, std::size_t shards = 1) {
+  SCOPED_TRACE(monitor + " / " + family + " / " + network + " / " + faults +
+               " / shards " + std::to_string(shards));
   const LoopTrace sparse =
-      run_loop(monitor, family, network, faults, max_step, false);
+      run_loop(monitor, family, network, faults, max_step, shards, false);
   const LoopTrace dense =
-      run_loop(monitor, family, network, faults, max_step, true);
+      run_loop(monitor, family, network, faults, max_step, shards, true);
 
   // Messages: totals, directions, and every kind (beacons, announces,
   // filter updates, probes ... — a missed coin flip or skipped signal
@@ -169,15 +171,16 @@ TEST(SparseDenseLoop, FilterUnderDegradationsWithSuspect) {
 }
 
 TEST(SparseDenseLoop, ShardedDeployments) {
-  for (const char* monitor :
-       {"topk_filter?shards=4", "naive?shards=4", "naive_chg?shards=4"}) {
+  constexpr std::size_t kShards = 4;
+  for (const char* monitor : {"topk_filter", "naive", "naive_chg"}) {
     for (const char* plan :
          {"none", "churn?crash=3@20,recover=3@50,crash=14@60,recover=14@90"}) {
       for (const std::string& family : workloads()) {
-        expect_equivalent(monitor, family, "instant", plan);
+        expect_equivalent(monitor, family, "instant", plan, 5'000, kShards);
       }
     }
-    expect_equivalent(monitor, workloads()[0], "delay=1,drop=0.05");
+    expect_equivalent(monitor, workloads()[0], "delay=1,drop=0.05", "none",
+                      5'000, kShards);
   }
 }
 

@@ -1,6 +1,6 @@
-// Tests for the parallel experiment engine: grid expansion, parallel ==
-// serial determinism, thread-pool semantics, aggregation fixtures, and
-// CSV/JSON round-trips.
+// Tests for the parallel experiment engine: grid expansion into
+// Scenarios, parallel == serial determinism, thread-pool semantics,
+// aggregation fixtures, and CSV/JSON round-trips.
 #include "exp/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -28,19 +28,79 @@ SweepGrid small_grid() {
   grid.monitors = {"topk_filter", "recompute"};
   grid.families = {StreamFamily::kRandomWalk, StreamFamily::kIidUniform};
   grid.trials = 2;
-  grid.steps = 60;
-  grid.base_seed = 99;
+  grid.base.steps = 60;
+  grid.base.seed = 99;
   return grid;
 }
 
 TEST(SweepGrid, ExpansionShapeAndOrdinals) {
+  // A trial's ordinal is its index in the expansion: n-major, then k,
+  // monitor, family, ..., trial-minor.
   const auto grid = small_grid();
   const auto specs = grid.expand();
   EXPECT_EQ(specs.size(), grid.size());
   EXPECT_EQ(specs.size(), 2u * 2u * 2u * 2u * 2u);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(specs[i].ordinal, i);
+    EXPECT_EQ(specs[i].n, grid.ns[i / 16]);
+    EXPECT_EQ(specs[i].k, grid.ks[i / 8 % 2]);
+    EXPECT_EQ(specs[i].monitor, grid.monitors[i / 4 % 2]);
+    EXPECT_EQ(specs[i].stream.family, grid.families[i / 2 % 2]);
   }
+}
+
+TEST(SweepGrid, BaseCarriesEveryNonAxisField) {
+  // Everything but the axes comes from `base`, so a grid can set any
+  // Scenario field — the loop mode, order validation and series
+  // recording included.
+  SweepGrid grid = small_grid();
+  grid.base.dense_loop = true;
+  grid.base.validate_order = true;
+  grid.base.record_series = true;
+  grid.base.record_trace = true;
+  grid.base.throw_on_error = false;
+  grid.base.validation = RunConfig::Validation::kWeak;
+  grid.base.stream.walk.max_step = 77;
+  grid.base.with_network("delay=2");
+  grid.faults = {"churn?crash=1@10,recover=1@20"};
+  const auto specs = grid.expand();
+  ASSERT_EQ(specs.size(), grid.size());
+  for (const Scenario& sc : specs) {
+    EXPECT_EQ(sc.steps, 60u);
+    EXPECT_TRUE(sc.dense_loop);
+    EXPECT_TRUE(sc.validate_order);
+    EXPECT_TRUE(sc.record_series);
+    EXPECT_TRUE(sc.record_trace);
+    EXPECT_FALSE(sc.throw_on_error);
+    EXPECT_EQ(sc.validation, RunConfig::Validation::kWeak);
+    EXPECT_EQ(sc.stream.walk.max_step, 77);
+    EXPECT_EQ(sc.faults, "churn?crash=1@10,recover=1@20");
+    // The network axis (default: instant) overwrites base.network.
+    EXPECT_TRUE(sc.network.is_instant());
+  }
+
+  // And the fields take effect: a trial run from the grid equals the
+  // same Scenario run directly.
+  Scenario direct;
+  direct.monitor = specs[0].monitor;
+  direct.stream = specs[0].stream;
+  direct.n = specs[0].n;
+  direct.k = specs[0].k;
+  direct.steps = 60;
+  direct.seed = specs[0].seed;
+  direct.faults = grid.faults[0];
+  direct.dense_loop = true;
+  direct.validate_order = true;
+  direct.record_series = true;
+  direct.record_trace = true;
+  direct.throw_on_error = false;
+  direct.validation = RunConfig::Validation::kWeak;
+  const RunResult via_grid = SweepRunner(1).run({specs[0]})[0];
+  const RunResult want = run_scenario(direct);
+  EXPECT_TRUE(via_grid.comm.series_enabled());
+  EXPECT_EQ(via_grid.comm.series(), want.comm.series());
+  EXPECT_EQ(via_grid.comm.total(), want.comm.total());
+  EXPECT_EQ(via_grid.error_steps, want.error_steps);
+  EXPECT_TRUE(via_grid.trace.has_value());
 }
 
 TEST(SweepGrid, SkipsInvalidKCells) {
@@ -51,7 +111,7 @@ TEST(SweepGrid, SkipsInvalidKCells) {
   const auto specs = grid.expand();
   EXPECT_EQ(specs.size(), 3u);
   for (const auto& s : specs) {
-    EXPECT_LE(s.cfg.k, s.cfg.n);
+    EXPECT_LE(s.k, s.n);
   }
 }
 
@@ -59,19 +119,22 @@ TEST(SweepGrid, SeedsDependOnCoordinatesNotExpansionOrder) {
   const auto grid = small_grid();
   const auto specs = grid.expand();
   std::set<std::uint64_t> seeds;
-  for (const auto& s : specs) seeds.insert(s.cfg.seed);
+  for (const auto& s : specs) seeds.insert(s.seed);
   EXPECT_EQ(seeds.size(), specs.size());  // all distinct
 
   // A narrowed grid (one monitor) must reproduce the same seeds for the
   // cells it shares with the full grid.
   SweepGrid narrowed = grid;
   narrowed.monitors = {"topk_filter"};
-  for (const auto& s : narrowed.expand()) {
+  const auto narrow = narrowed.expand();
+  for (std::size_t i = 0; i < narrow.size(); ++i) {
+    const Scenario& s = narrow[i];
+    const std::size_t t = i % narrowed.trials;
     const auto expected = derive_trial_seed(
-        grid.base_seed, s.cfg.n, s.cfg.k, /*monitor_index=*/0,
+        grid.base.seed, s.n, s.k, /*monitor_index=*/0,
         /*family_index=*/s.stream.family == StreamFamily::kRandomWalk ? 0 : 1,
-        s.trial);
-    EXPECT_EQ(s.cfg.seed, expected);
+        t);
+    EXPECT_EQ(s.seed, expected);
   }
 }
 
@@ -103,7 +166,7 @@ TEST(SweepRunner, ParallelMatchesSerialBitIdentical) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       sink.add({specs[i].monitor,
                 std::string(family_name(specs[i].stream.family))},
-               specs[i].ordinal, {results[i].messages_per_step()});
+               i, {results[i].messages_per_step()});
     }
     std::ostringstream csv;
     sink.to_table(4).write_csv(csv);
@@ -156,30 +219,6 @@ TEST(SweepRunner, RejectsJobsAboveMaximumBeforeStartingThreads) {
   // The bound is checked before the first thread starts, so this starts
   // none.
   EXPECT_THROW(SweepRunner(SweepRunner::kMaxJobs + 1), std::invalid_argument);
-}
-
-TEST(SweepRunner, RunTrialMatchesDirectExecution) {
-  TrialSpec spec;
-  spec.cfg.n = 12;
-  spec.cfg.k = 3;
-  spec.cfg.steps = 40;
-  spec.cfg.seed = 5;
-  spec.stream.family = StreamFamily::kRandomWalk;
-  spec.monitor = "topk_filter";
-
-  const auto via_engine = run_trial(spec);
-
-  Scenario sc;
-  sc.monitor = "topk_filter";
-  sc.stream = spec.stream;
-  sc.n = spec.cfg.n;
-  sc.k = spec.cfg.k;
-  sc.steps = spec.cfg.steps;
-  sc.seed = spec.cfg.seed;
-  const auto direct = run_scenario(sc);
-
-  EXPECT_EQ(via_engine.comm.total(), direct.comm.total());
-  EXPECT_EQ(via_engine.monitor.filter_resets, direct.monitor.filter_resets);
 }
 
 // ---------------------------------------------------------------------------
