@@ -38,7 +38,7 @@ std::string case_name(std::size_t n, double activity, const char* network,
                       bool dense, bool burst) {
   std::string net = parse_network_spec(network).is_instant() ? "instant"
                                                              : "sched";
-  return "n" + std::to_string(n) + "_act" + fmt(activity, 2) + "_" + net +
+  return 'n' + std::to_string(n) + "_act" + fmt(activity, 2) + "_" + net +
          (burst ? "_burst" : "") + (dense ? "_dense" : "_sparse");
 }
 

@@ -71,7 +71,7 @@ int main() {
   std::sort(ranking.rbegin(), ranking.rend());
   Table t({"machine", "placements", "share"});
   for (std::size_t i = 0; i < std::min<std::size_t>(8, ranking.size()); ++i) {
-    t.add_row({"M" + std::to_string(ranking[i].second),
+    t.add_row({'M' + std::to_string(ranking[i].second),
                fmt_count(ranking[i].first),
                fmt(100.0 * static_cast<double>(ranking[i].first) /
                        static_cast<double>(placements),

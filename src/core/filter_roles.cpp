@@ -183,7 +183,7 @@ void FilterNode::on_recover(NodeCtx& ctx) {
 // ---------------------------------------------------------------------------
 
 FilterCoordinator::FilterCoordinator(std::size_t k, Options opts)
-    : k_(k), opts_(opts) {
+    : k_(k), opts_(opts), rank_quota_(opts.rank_quota) {
   // A zero quota is meaningful only for a shard of a hierarchical
   // deployment: every node is an outsider whose filter watches the root
   // boundary from below.
@@ -224,6 +224,7 @@ void FilterCoordinator::on_init(CoordCtx& ctx) {
 }
 
 void FilterCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
+  end_ranking();
   if (degenerate_) return;
   cur_step_ = t;
   const auto& signals = ctx.signals();
@@ -473,7 +474,7 @@ void FilterCoordinator::reanchor(CoordCtx& ctx) {
     return;
   }
   const Value r = **opts_.pinned_boundary;
-  if (mid_ == r) return;
+  if (mid_ == r && !split_anchor_) return;
   if (topk_ids_.size() == k_ && tminus_ <= r && r <= tplus_) {
     // The new root boundary lies inside the accumulated gap: re-anchor the
     // node filters on it without touching membership.
@@ -488,8 +489,36 @@ void FilterCoordinator::reanchor(CoordCtx& ctx) {
   }
 }
 
+bool FilterCoordinator::requota(CoordCtx& ctx, std::size_t k) {
+  if (!ranks(k)) return false;
+  k_ = k;
+  const auto& winners = cycle_.winners;
+  tplus_ = k > 0 ? winners[k - 1].value : kPlusInf;
+  tminus_ = k < winners.size() ? winners[k].value : kMinusInf;
+  mid_ = choose_boundary();
+  split_anchor_ = true;
+  // Only ranked nodes can flip: every unranked node was and stays an
+  // outsider.
+  Message assign;
+  assign.kind = MsgKind::kFilterAssign;
+  assign.b = mid_;
+  topk_ids_.clear();
+  for (std::size_t r = 0; r < winners.size(); ++r) {
+    const NodeId id = winners[r].id;
+    const char member = r < k ? 1 : 0;
+    if (member != 0) topk_ids_.push_back(id);
+    if (in_topk_[id] == member) continue;
+    in_topk_[id] = member;
+    assign.a = member;
+    ctx.unicast(id, assign);
+  }
+  std::sort(topk_ids_.begin(), topk_ids_.end());
+  return true;
+}
+
 void FilterCoordinator::apply_boundary(CoordCtx& ctx, Value m) {
   mid_ = m;
+  split_anchor_ = false;
   Message update;
   update.kind = MsgKind::kFilterUpdate;
   update.a = m;
@@ -511,6 +540,7 @@ void FilterCoordinator::cycle_done(CoordCtx& ctx) {
 // ---------------------------------------------------------------------------
 
 void FilterCoordinator::on_node_down(CoordCtx& ctx, NodeId id) {
+  end_ranking();
   if (degenerate_) return;  // a crash under k == n is rejected by the plan
   n_live_ = ctx.live_count();
   guard_.drop(id);
@@ -539,6 +569,7 @@ void FilterCoordinator::remove_node(CoordCtx& ctx, NodeId id) {
 }
 
 void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
+  end_ranking();
   if (degenerate_) return;
   n_live_ = ctx.live_count();
   // Already pending (defensive; cleared on down).
@@ -563,6 +594,7 @@ void FilterCoordinator::on_node_up(CoordCtx& ctx, NodeId id) {
 }
 
 void FilterCoordinator::on_set_k(CoordCtx& ctx, std::size_t k) {
+  end_ranking();
   if (k == k_) return;
   k_ = k;
   backoff_wait_ = 0;

@@ -188,6 +188,12 @@ class FilterCoordinator final : public CoordinatorAlgo {
     /// special case and produces byte-identical traces to topk_filter.
     bool approx = false;
     Value epsilon = 0;
+    /// Sharded set-up ranking depth (with pinned_boundary). Until the
+    /// next observation step or fault event, a FILTERRESET selection
+    /// ranks max(k, rank_quota) + 1 winners instead of k + 1, so that
+    /// requota() answers quota moves up to rank_quota from the ranking.
+    /// 0 ranks k + 1, the paper's FILTERRESET.
+    std::size_t rank_quota = 0;
   };
 
   explicit FilterCoordinator(std::size_t k) : FilterCoordinator(k, {}) {}
@@ -229,6 +235,24 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// the boundary already equals the pin. The caller must pump the driver
   /// afterwards to flush the injected traffic.
   void reanchor(CoordCtx& ctx);
+
+  /// Sharded-deployment hook: true when the latest selection's ranking
+  /// still holds (no observation step, fault event or session since it
+  /// concluded) and answers a quota of k (requota).
+  bool ranks(std::size_t k) const noexcept {
+    return cycle_.ranks(k, rankable());
+  }
+
+  /// Sharded quota move answered from the ranking, with no selection:
+  /// installs the top k ranks as the answer, restarts T+/T- at the k-th
+  /// and (k+1)-st ranked values, and unicasts one kFilterAssign
+  /// (membership, new boundary) to each node whose membership flipped.
+  /// The other nodes keep the old boundary until the next reanchor,
+  /// which then broadcasts even when the pin equals boundary(). Returns
+  /// false, changing nothing, unless ranks(k). Call it between the
+  /// shard's step and the next value write (the root tier's
+  /// renegotiation), then pump the driver.
+  bool requota(CoordCtx& ctx, std::size_t k);
 
   // -- introspection for tests ---------------------------------------------
   Value boundary() const noexcept { return mid_; }
@@ -287,8 +311,21 @@ class FilterCoordinator final : public CoordinatorAlgo {
   /// non-quarantined node count so a full-quota shard (k == n) selects
   /// everyone exactly once and a selection under churn or quarantine
   /// never waits on a participant that cannot answer.
+  /// Within the set-up ranking window the target deepens to
+  /// max(k, rank_quota) + 1 (Options::rank_quota).
   std::size_t selection_target() const noexcept {
-    return std::min(k_ + 1, n_live_ - std::min(guard_.n_quarantined, n_live_));
+    return std::min(std::max(k_, rank_quota_) + 1, rankable());
+  }
+  /// Live nodes a selection can rank (quarantined ones never answer).
+  std::size_t rankable() const noexcept {
+    return n_live_ - std::min(guard_.n_quarantined, n_live_);
+  }
+  /// Closes the ranking window (observation step, fault event): values
+  /// or the live set may move, so requota() stops answering and later
+  /// selections rank k + 1 again.
+  void end_ranking() noexcept {
+    cycle_.ranked = false;
+    rank_quota_ = 0;
   }
 
   std::size_t k_;
@@ -303,6 +340,10 @@ class FilterCoordinator final : public CoordinatorAlgo {
   Value tplus_ = 0;
   Value tminus_ = 0;
   Value mid_ = 0;
+  /// A requota anchored only the flipped nodes on mid_: the next
+  /// reanchor must broadcast even when the pin equals mid_.
+  bool split_anchor_ = false;
+  std::size_t rank_quota_;  ///< Options::rank_quota until end_ranking()
 
   // Violations signalled but not yet consumed by a cycle.
   bool pending_top_ = false;

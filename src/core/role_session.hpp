@@ -365,7 +365,9 @@ enum class CycleEvent : std::uint8_t {
 /// decision to the owner: a new boundary, the next boundary's repair, or
 /// a selection. A selection (FILTERRESET, lines 37-39, or any repeated
 /// MAXIMUMPROTOCOL) collects winners one announced iteration at a time,
-/// waiting out the announce lag between iterations.
+/// waiting out the announce lag between iterations. Its winners stay a
+/// ranking of the live values (`ranked`) until the owner or the next
+/// session ends it; a filter shard answers quota moves from it.
 ///
 /// The owner keeps what differs by monitor and passes itself as the
 /// `port` of the template calls (the struct must be its friend):
@@ -397,12 +399,25 @@ struct ViolationCycle {
   std::optional<Value> min;     ///< the cycle's member-side extremum (key)
   std::optional<Value> max;     ///< the cycle's outsider-side extremum
   std::vector<Winner> winners;  ///< the selection's winners, rank order
+  /// True from a selection's conclusion (kSelected) until the next
+  /// session, abort, or the owner's reset of it: `winners` then ranks
+  /// the live nodes' current values. The owner clears it whenever the
+  /// values or the live set may move (an observation step, a fault).
+  bool ranked = false;
   std::uint32_t iteration = 0;  ///< selection sessions convened so far
   bool gap_pending = false;     ///< next iteration waits for announce lag
   std::uint64_t gap = 0;        ///< remaining inter-iteration gap ticks
   bool reset_due = false;       ///< a recovery asked for a reset mid-cycle
 
   bool busy() const noexcept { return phase != Phase::kIdle || session.active; }
+
+  /// True when the ranking answers a quota of k: it holds rank k + 1, or
+  /// it ranks all `rankable` nodes and k does not exceed them.
+  bool ranks(std::size_t k, std::size_t rankable) const noexcept {
+    return ranked && !busy() &&
+           (winners.size() > k ||
+            (winners.size() == rankable && k <= rankable));
+  }
 
   /// True when `id` won an iteration of the running selection: its crash
   /// (or quarantine) would install a dead or distrusted rank.
@@ -419,6 +434,7 @@ struct ViolationCycle {
             bool hi) {
     low = lo;
     high = hi;
+    ranked = false;
     min.reset();
     max.reset();
     phase = low ? Phase::kViolMin : Phase::kViolMax;
@@ -447,6 +463,7 @@ struct ViolationCycle {
   void select(CoordCtx& ctx, MonitorStats& st, const Port& port) {
     phase = Phase::kSelect;
     winners.clear();
+    ranked = false;
     iteration = 0;
     start(ctx, st, port, CycleSession::kSelect);
   }
@@ -520,7 +537,10 @@ struct ViolationCycle {
       }
     }
     winners.push_back(Winner{session.best_holder, session.best_value});
-    if (winners.size() >= port.selection_target()) return CycleEvent::kSelected;
+    if (winners.size() >= port.selection_target()) {
+      ranked = true;
+      return CycleEvent::kSelected;
+    }
     const std::uint64_t lag = ctx.flush_ticks();
     if (lag == 0) {
       start(ctx, st, port, CycleSession::kSelect);
@@ -555,6 +575,7 @@ struct ViolationCycle {
   void abort() noexcept {
     phase = Phase::kIdle;
     session.active = false;
+    ranked = false;
     gap_pending = false;
     gap = 0;
     clear_sides();

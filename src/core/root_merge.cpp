@@ -293,6 +293,7 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
     ShardConfig cfg;
     cfg.n = ranges_[s].size;
     cfg.quota = quotas[s];
+    cfg.k = spec.k;
     cfg.seed = shard_seed(spec.seed, s);
     cfg.network = spec.network;
     if (!shard_plans_.empty() && !shard_plans_[s].empty()) {

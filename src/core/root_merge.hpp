@@ -243,6 +243,7 @@ class ShardedDeployment final : public Deployment {
   }
   std::string_view name() const override { return root_coord_->name(); }
   Cluster& shard_cluster(std::size_t s) { return adapters_.at(s)->cluster(); }
+  const ShardAdapter& shard(std::size_t s) const { return *adapters_.at(s); }
 
   /// Max inner-driver delivery ticks across the shards. Monotonic across
   /// filter-shard rebuilds (each shard's clock lives on its warm

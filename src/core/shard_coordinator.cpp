@@ -1,5 +1,6 @@
 #include "core/shard_coordinator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -148,7 +149,8 @@ FilterShardAdapter::FilterShardAdapter(const ShardConfig& cfg,
   mark_join_reserve_down(cfg_, cluster_);
 }
 
-void FilterShardAdapter::rebuild() {
+void FilterShardAdapter::rebuild(std::size_t rank_quota) {
+  ++rebuilds_;
   if (coord_) add_monitor_stats(mstats_retired_, coord_->monitor_stats());
   // The fresh driver must resume the fault schedule where the retired one
   // left it — re-firing an applied crash/recover would corrupt the alive
@@ -160,7 +162,10 @@ void FilterShardAdapter::rebuild() {
 
   FilterCoordinator::Options o;
   o.suppress_idle_broadcasts = nobeacon_;
-  if (cfg_.sharded) o.pinned_boundary = &pin_;
+  if (cfg_.sharded) {
+    o.pinned_boundary = &pin_;
+    o.rank_quota = rank_quota;
+  }
   coord_ = std::make_unique<FilterCoordinator>(quota_, o);
   nodes_.reserve(cfg_.n);
   for (std::size_t i = 0; i < cfg_.n; ++i) {
@@ -176,7 +181,7 @@ void FilterShardAdapter::rebuild() {
   driver_->initialize();
 }
 
-void FilterShardAdapter::initialize() { rebuild(); }
+void FilterShardAdapter::initialize() { rebuild(0); }
 
 void FilterShardAdapter::step(TimeStep t, std::span<const NodeId> changed) {
   driver_->step(t, changed);
@@ -212,8 +217,9 @@ ShardExtrema FilterShardAdapter::extrema() {
 
 ShardExtrema FilterShardAdapter::requery() {
   // The accumulators are stale between resets; quota decisions need exact
-  // extrema, so requery = rebuild (charged to the node<->shard tier).
-  rebuild();
+  // extrema. A ranking that still holds has them (T+/T- were set from it);
+  // otherwise requery = rebuild (charged to the node<->shard tier).
+  if (!coord_->ranks(quota_)) rebuild(0);
   return extrema();
 }
 
@@ -222,7 +228,21 @@ ShardExtrema FilterShardAdapter::set_quota(std::size_t q) {
     throw std::invalid_argument("FilterShardAdapter::set_quota: q > size");
   }
   quota_ = q;
-  rebuild();
+  if (!cfg_.sharded) {
+    // c == 1: ShardedDeployment::set_k lands after the step's value write,
+    // where a ranking may be stale; the monolithic on_set_k resets fully.
+    rebuild(0);
+  } else if (coord_->ranks(q)) {
+    // Coordinator-local: only the nodes whose membership flips hear.
+    CoordCtx ctx(*driver_, cluster_);
+    coord_->requota(ctx, q);
+    driver_->pump();
+  } else {
+    // Growth past the ranked depth: re-rank once, twice as deep (capped
+    // by the shard size and the global k), so that the next slots come
+    // from the ranking instead of a rebuild each.
+    rebuild(std::min({2 * q, cfg_.n, cfg_.k}));
+  }
   return extrema();
 }
 

@@ -23,10 +23,17 @@
 //                         coordinator-local (no node traffic);
 //  * FilterShardAdapter   Algorithm 1 shard. Extrema are exact only right
 //                         after a FILTERRESET (the T+/T- accumulators go
-//                         stale between resets), so refreshes and quota
-//                         changes rebuild the shard deployment on its warm
-//                         cluster — the reset's k+1 selections produce
-//                         exact extrema and charge the node<->shard tier.
+//                         stale between resets). The reset's selection is
+//                         a ranking of the live values, valid until the
+//                         shard's next observation step or fault event;
+//                         within that window refreshes and quota moves
+//                         are answered from it (one kFilterAssign per
+//                         node whose membership flips). Outside it, or
+//                         past its depth, the shard rebuilds on its warm
+//                         cluster — a FILTERRESET whose selections
+//                         produce exact extrema and charge the
+//                         node<->shard tier; growth re-ranks twice as
+//                         deep, capped by the size and the global k.
 //
 // Exactness invariant (instant delivery): every shard keeps its filters
 // anchored on one shared root boundary R with L_s <= R <= U_s. Then every
@@ -92,6 +99,8 @@ struct ShardExtrema {
 struct ShardConfig {
   std::size_t n = 0;        ///< shard size (incl. not-yet-joined ids)
   std::size_t quota = 0;    ///< initial per-shard k
+  /// Global top-k: caps how deep a growing filter shard re-ranks.
+  std::size_t k = 0;
   std::uint64_t seed = 0;   ///< shard cluster seed (see shard_seed)
   NetworkSpec network{};    ///< node<->shard delivery policy
   bool dense_loop = false;  ///< diagnostic dense driver loop
@@ -134,12 +143,15 @@ class ShardAdapter {
   /// never used for quota decisions).
   virtual ShardExtrema extrema() = 0;
 
-  /// Exact extrema refresh. The filter shard rebuilds (full FILTERRESET
-  /// on the warm cluster, charged to the node<->shard tier); the naive
-  /// shard's replica is already current.
+  /// Exact extrema refresh. The filter shard answers from its ranking
+  /// while it holds, else rebuilds (full FILTERRESET on the warm cluster,
+  /// charged to the node<->shard tier); the naive shard's replica is
+  /// already current.
   virtual ShardExtrema requery() = 0;
 
-  /// Renegotiated quota (0 <= q <= size); returns fresh extrema.
+  /// Renegotiated quota (0 <= q <= size); returns fresh extrema. Called
+  /// by the root tier after the shard's step, before the next value
+  /// write.
   virtual ShardExtrema set_quota(std::size_t q) = 0;
 
   /// Anchors the shard on the root boundary R (filters re-anchor and the
@@ -215,13 +227,17 @@ class FilterShardAdapter final : public ShardAdapter {
   }
   SimTime ticks() const override { return driver_ ? driver_->now() : 0; }
 
+  /// Shard deployments built so far, the first included (diagnostic).
+  std::size_t rebuilds() const noexcept { return rebuilds_; }
+
  private:
   /// (Re)creates coordinator + nodes + driver on the warm cluster and
   /// runs the driver's initialization (a full FILTERRESET over current
-  /// values). Folds the outgoing coordinator's counters into
-  /// mstats_retired_ first — CommStats live on the persistent cluster and
-  /// accumulate on their own.
-  void rebuild();
+  /// values, ranking max(quota, rank_quota) + 1 nodes when sharded).
+  /// Folds the outgoing coordinator's counters into mstats_retired_
+  /// first — CommStats live on the persistent cluster and accumulate on
+  /// their own.
+  void rebuild(std::size_t rank_quota);
 
   ShardConfig cfg_;
   bool nobeacon_;
@@ -235,6 +251,7 @@ class FilterShardAdapter final : public ShardAdapter {
   std::unique_ptr<SimDriver> driver_;
   MonitorStats mstats_retired_;  ///< counters of retired coordinators
   mutable MonitorStats mstats_combined_;  ///< retired + current (scratch)
+  std::size_t rebuilds_ = 0;
 };
 
 }  // namespace topkmon

@@ -315,7 +315,7 @@ TEST_P(TrackerIndexShapes, BulkBatchesMatchBatchHelpersAtEveryStep) {
 INSTANTIATE_TEST_SUITE_P(
     GroundTruthTracker, TrackerIndexShapes,
     ::testing::Values<std::size_t>(1, 63, 64, 65, 4095, 4097, 70'000, 300'000),
-    [](const auto& info) { return "n" + std::to_string(info.param); });
+    [](const auto& info) { return 'n' + std::to_string(info.param); });
 
 TEST(GroundTruthTracker, IndexCountsEveryBoundaryDecayRepair) {
   // A boundary-decay chain across a two-level index: each round sinks the

@@ -21,7 +21,8 @@ struct Multi : testing::Deployed {
   static std::string spec(const std::vector<std::size_t>& ks) {
     std::string out = "multi_k?ks=";
     for (std::size_t i = 0; i < ks.size(); ++i) {
-      out += (i ? "+" : "") + std::to_string(ks[i]);
+      if (i > 0) out += '+';
+      out += std::to_string(ks[i]);
     }
     return out;
   }

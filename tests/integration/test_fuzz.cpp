@@ -99,7 +99,8 @@ TEST_P(FuzzSeeds, MultiKAllBoundariesOnDistinctTraces) {
 
   std::string spec = "multi_k?ks=";
   for (std::size_t i = 0; i < ks.size(); ++i) {
-    spec += (i ? "+" : "") + std::to_string(ks[i]);
+    if (i > 0) spec += '+';
+    spec += std::to_string(ks[i]);
   }
   auto streams = trace.to_stream_set();
   std::vector<Value> values(n);

@@ -160,7 +160,7 @@ Timeline random_timeline(std::mt19937_64& rng) {
   };
   for (std::size_t e = 0; e < want; ++e) {
     step += static_cast<TimeStep>(rng() % 40);
-    const std::string at = "@" + std::to_string(step);
+    const std::string at = '@' + std::to_string(step);
     switch (rng() % 8) {
       case 0: {  // crash a live node (also clears its degradation)
         if (live <= cur_k) break;

@@ -53,8 +53,9 @@ TEST(TraceMatrix, CellAccess) {
   EXPECT_EQ(m.at(0, 0), 10);
   EXPECT_EQ(m.at(0, 1), 0);
   EXPECT_EQ(m.at(1, 1), -4);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
-  EXPECT_THROW(m.at(0, 2), std::out_of_range);
+  // One past each dimension, read off the matrix's own extents.
+  EXPECT_THROW(m.at(m.steps(), 0), std::out_of_range);
+  EXPECT_THROW(m.at(0, static_cast<NodeId>(m.nodes())), std::out_of_range);
 }
 
 TEST(TraceMatrix, ToStreamSetReplaysColumns) {
