@@ -414,9 +414,8 @@ struct ViolationCycle {
   /// True when the ranking answers a quota of k: it holds rank k + 1, or
   /// it ranks all `rankable` nodes and k does not exceed them.
   bool ranks(std::size_t k, std::size_t rankable) const noexcept {
-    return ranked && !busy() &&
-           (winners.size() > k ||
-            (winners.size() == rankable && k <= rankable));
+    return ranked && (winners.size() > k ||
+                      (winners.size() == rankable && k <= rankable));
   }
 
   /// True when `id` won an iteration of the running selection: its crash
