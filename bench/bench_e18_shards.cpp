@@ -10,16 +10,20 @@
 // both tiers side by side; on the default workload (seed 1, 120 steps)
 // the node<->shard tier carries >= 10x the shard<->root tier at every
 // c >= 2 — 14-32x for topk_filter, whose shards answer set-up quota
-// moves from their ranking, and >= 65x for naive_chg. The ratio column
-// makes the hierarchy's locality visible.
+// moves from their ranking, and >= 65x for naive_chg.
 //
-// The c = 1 rows double as the equivalence pin: each is executed through
-// run_sharded_scenario (inert root tier) AND the monolithic run_scenario
-// path, and the suite hard-asserts identical message counts (total and
-// per kind), identical divergence and an all-zero root tier — the
-// "shards=1 is message-for-message the single-coordinator path" contract,
-// asserted on every run (tests/core/test_shard_equivalence.cpp pins the
-// same contract per answer step).
+// On that workload the ratio compares set-up traffic with the root
+// bootstrap. The drift is too gentle to cross a filter after time 0, so
+// every root-tier count (67/101/121/137 at c = 2/4/8/16, both monitors)
+// and every topk_filter node<->shard count is the same at --steps 60 as
+// at --steps 120 (n65536 c4: 2037 at both; --steps 1 gives the same
+// counts). Only naive_chg's node<->shard column grows with the run
+// (n65536: 104491 -> 143515), so only its ratio reflects steady-state
+// traffic.
+//
+// The c = 1 rows are the monolithic single-coordinator run (a two-tier
+// deployment needs c >= 2): the timing table's reference column, with an
+// empty root tier.
 //
 // Outputs:
 //   * ctx.emit("e18_shards"): deterministic fingerprint (per-tier message
@@ -35,8 +39,6 @@
 namespace topkmon::bench {
 namespace {
 
-using exp::run_sharded_scenario;
-
 struct ShardCase {
   std::string name;
   std::size_t n;
@@ -45,23 +47,9 @@ struct ShardCase {
   std::size_t shards;
 };
 
-/// Messages by direction and kind must match exactly (the per-kind array
-/// is the finest accounting the CommStats surface exposes).
-bool same_comm(const CommStats& a, const CommStats& b) {
-  if (a.upstream() != b.upstream() || a.unicast() != b.unicast() ||
-      a.broadcast() != b.broadcast()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < kNumMsgKinds; ++i) {
-    const auto kind = static_cast<MsgKind>(i);
-    if (a.by_kind(kind) != b.by_kind(kind)) return false;
-  }
-  return true;
-}
-
 TOPKMON_SUITE(e18_shards,
               "sharded two-tier deployment: per-tier messages vs shard "
-              "count (c=1 pinned to the monolithic path)") {
+              "count (c=1 is the monolithic path)") {
   const std::uint64_t steps = ctx.opts().steps_or(120);
   const std::uint64_t seed = ctx.opts().seed;
   constexpr std::size_t kK = 32;
@@ -104,20 +92,7 @@ TOPKMON_SUITE(e18_shards,
         // regression shows up as a diff AND a nonzero column).
         sc.validation = RunConfig::Validation::kWeak;
         sc.throw_on_error = false;
-        RunResult sharded = run_sharded_scenario(sc);
-        if (c.shards == 1) {
-          // Equivalence pin: the inert-root sharded path must be
-          // message-for-message the monolithic path.
-          const RunResult mono = run_scenario(sc);
-          if (!same_comm(sharded.comm, mono.comm) ||
-              sharded.error_steps != mono.error_steps ||
-              sharded.root_comm.total() != 0) {
-            throw std::logic_error("e18: shards=1 diverged from the "
-                                   "monolithic path at " +
-                                   c.name);
-          }
-        }
-        return sharded;
+        return run_scenario(sc);
       });
 
   Table fingerprint({"case", "n", "k", "monitor", "shards", "steps",

@@ -33,8 +33,6 @@ void RootMergeCoordinator::on_init(CoordCtx& ctx) {
     throw std::invalid_argument("RootMergeCoordinator: root n != shards");
   }
   info_.assign(adapters_.size(), Info{});
-  inert_ = ctx.n() <= 1;
-  if (inert_) return;
   // Bootstrap: every agent's on_init already reported exact post-reset
   // extrema (they fold in during the initialize settle, reaching
   // advance_fixpoint below), so no probe round is needed.
@@ -51,12 +49,12 @@ void RootMergeCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
     // enough — its fixpoint below aims at k_.
     k_ = *pending_k_;
     pending_k_.reset();
-    if (!inert_ && rphase_ == RPhase::kIdle) begin_renegotiation(ctx);
+    if (rphase_ == RPhase::kIdle) begin_renegotiation(ctx);
   }
 }
 
 void RootMergeCoordinator::on_message(CoordCtx& ctx, const Message& m) {
-  if (inert_ || m.kind != MsgKind::kViolation) return;
+  if (m.kind != MsgKind::kViolation) return;
   const std::size_t s = static_cast<std::size_t>(m.from);
   if (!info_[s].fresh) ++fresh_;
   info_[s] = Info{m.a, m.b, true};
@@ -216,6 +214,13 @@ std::string_view monitor_name(ShardedSpec::Monitor m) {
 }  // namespace
 
 ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
+  // One coordinator over all n nodes is the monolithic deployment.
+  if (spec.shards < 2 || spec.shards > spec.n) {
+    throw std::invalid_argument("ShardedDeployment: need 2 <= shards <= n, "
+                                "got " + std::to_string(spec.shards) +
+                                " shards for " + std::to_string(spec.n) +
+                                " nodes");
+  }
   if (spec.workers != 1) {
     throw std::invalid_argument("ShardedDeployment: workers must be 1, got " +
                                 std::to_string(spec.workers));
@@ -301,7 +306,6 @@ ShardedDeployment::ShardedDeployment(const ShardedSpec& spec) : spec_(spec) {
     }
     cfg.join_reserve = ranges_[s].size - live_ranges[s].size;
     cfg.dense_loop = spec.dense_loop;
-    cfg.sharded = c > 1;
     switch (spec.monitor) {
       case ShardedSpec::Monitor::kFilter:
         adapters_.push_back(std::make_unique<FilterShardAdapter>(
@@ -462,16 +466,6 @@ void ShardedDeployment::set_k(std::size_t k) {
     throw std::invalid_argument("ShardedDeployment::set_k: k out of range");
   }
   spec_.k = k;
-  if (adapters_.size() == 1) {
-    // Inert root tier: re-key the single shard directly. The naive shard
-    // rekeys its replica in place, exactly like the monolithic on_set_k.
-    // The filter shard rebuilds on its warm cluster: fresh roles run the
-    // same full FILTERRESET the monolithic on_set_k starts, but the
-    // rebuild also drops coordinator state the warm reset keeps (e.g.
-    // pending re-sync handshakes).
-    adapters_[0]->set_quota(k);
-    return;
-  }
   root_coord_->request_k(k);
 }
 
@@ -482,11 +476,6 @@ SimTime ShardedDeployment::ticks() const {
 }
 
 CommStats ShardedDeployment::node_shard_comm() {
-  if (adapters_.size() == 1) {
-    // Straight copy: series (when enabled) included, exactly the
-    // monolithic RunResult surface.
-    return adapters_[0]->cluster().stats();
-  }
   CommStats out;
   for (const auto& a : adapters_) out.accumulate(a->cluster().stats());
   return out;

@@ -32,12 +32,8 @@
 // state no boundary crosses R and the root tier is silent: all traffic
 // stays inside the shards.
 //
-// At c == 1 the tier is inert by construction: the agent and coordinator
-// detect the single-shard deployment in on_init and never send, the shard
-// runs unsharded (no pin, monolithic edge cases), and shard 0 keeps the
-// scenario seed — so a 1-shard ShardedDeployment is message-for-message
-// and answer-for-answer identical to the monolithic path (pinned by
-// tests/core/test_shard_equivalence.cpp and the e18 suite).
+// The deployment needs c >= 2 shards: the one-coordinator case is the
+// monolithic deployment (exp::run_scenario at shards = 1).
 #pragma once
 
 #include <cstdint>
@@ -59,17 +55,16 @@ namespace topkmon {
 
 /// Root-tier node algorithm: one per shard, wrapping its ShardAdapter.
 /// Stays in the needs-observe set forever (the crossing poll is the
-/// per-step work). Inert in a 1-shard deployment.
+/// per-step work).
 class ShardAgent final : public NodeAlgo {
  public:
   explicit ShardAgent(ShardAdapter& adapter) : adapter_(adapter) {}
 
   void on_init(NodeCtx& ctx, Value) override {
-    if (ctx.n() <= 1) return;
     send_extrema(ctx, adapter_.extrema());
   }
   void on_observe(NodeCtx& ctx, Value, TimeStep) override {
-    if (ctx.n() > 1 && adapter_.crossing()) send_extrema(ctx, adapter_.extrema());
+    if (adapter_.crossing()) send_extrema(ctx, adapter_.extrema());
   }
   void on_message(NodeCtx& ctx, const Message& m) override {
     switch (m.kind) {
@@ -109,7 +104,7 @@ class ShardAgent final : public NodeAlgo {
 class RootMergeCoordinator final : public CoordinatorAlgo {
  public:
   /// `name` is reported as the deployment's monitor name (the inner
-  /// monitor's, so result tables match the monolithic path at c == 1).
+  /// monitor's, so result tables name the same monitor at every c).
   RootMergeCoordinator(std::string name, std::size_t k,
                        std::span<const std::unique_ptr<ShardAdapter>> adapters,
                        std::vector<ShardRange> ranges);
@@ -151,7 +146,6 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
   std::span<const std::unique_ptr<ShardAdapter>> adapters_;
   std::vector<ShardRange> ranges_;
 
-  bool inert_ = false;  ///< c == 1: never sends, only merges the answer
   enum class RPhase : std::uint8_t {
     kIdle,     ///< steady state; a kViolation opens a renegotiation
     kCollect,  ///< waiting for fresh extrema from every shard
@@ -171,7 +165,7 @@ class RootMergeCoordinator final : public CoordinatorAlgo {
 struct ShardedSpec {
   std::size_t n = 0;          ///< total nodes (incl. not-yet-joined ids)
   std::size_t k = 0;          ///< global top-k size
-  std::size_t shards = 1;     ///< shard count c (1 <= c <= n)
+  std::size_t shards = 2;     ///< shard count c (2 <= c <= n)
   std::uint64_t seed = 0;     ///< scenario seed (shard 0 keeps it verbatim)
   NetworkSpec network{};      ///< node<->shard policy (root net is instant)
   /// Must be 1: ShardedDeployment throws std::invalid_argument for any
@@ -199,8 +193,9 @@ struct ShardedSpec {
 /// order, then the root tier.
 class ShardedDeployment final : public Deployment {
  public:
-  /// Throws std::invalid_argument when spec.workers != 1 or the fault
-  /// plan contains adversarial degradations.
+  /// Throws std::invalid_argument, before any shard is built, when
+  /// spec.shards is outside [2, n], spec.workers != 1 or the fault plan
+  /// contains adversarial degradations.
   explicit ShardedDeployment(const ShardedSpec& spec);
 
   std::size_t shards() const noexcept { return ranges_.size(); }
@@ -232,10 +227,9 @@ class ShardedDeployment final : public Deployment {
   void step(TimeStep t, const StepFrame& frame) override;
 
   /// Dynamic reconfiguration to a new global top-k size (1 <= k <= n),
-  /// applied warm: at c == 1 the single shard's quota is re-keyed
-  /// directly; at c > 1 the root renegotiates shard quotas to the new
-  /// total at the next step (RootMergeCoordinator::request_k). Call
-  /// between steps, before the step the new k takes effect at.
+  /// applied warm: the root renegotiates shard quotas to the new total
+  /// at the next step (RootMergeCoordinator::request_k). Call between
+  /// steps, before the step the new k takes effect at.
   void set_k(std::size_t k);
 
   const std::vector<NodeId>& topk() const override {
@@ -256,10 +250,9 @@ class ShardedDeployment final : public Deployment {
   void fill_result(RunResult& result) override;
 
   /// node<->shard tier message totals: the per-shard cluster counters
-  /// summed (at c == 1, a plain copy of the single shard's stats, series
-  /// included).
+  /// summed, per-step series merged element-wise.
   CommStats node_shard_comm();
-  /// shard<->root tier message totals (zero at c == 1 by construction).
+  /// shard<->root tier message totals.
   const CommStats& shard_root_comm() const { return root_cluster_->stats(); }
   /// Algorithm counters: shard coordinators' (retired + live) plus the
   /// root's, summed field-wise.

@@ -73,8 +73,7 @@ struct RunResult {
   MonitorStats monitor;
 
   /// Shard<->root tier message totals of a sharded run (`comm` then holds
-  /// the node<->shard tier). All-zero for monolithic runs and for sharded
-  /// runs with a single shard, whose root tier is inert by construction.
+  /// the node<->shard tier). All-zero for monolithic runs.
   CommStats root_comm;
 
   // Validation outcome.

@@ -95,7 +95,7 @@ NaiveShardAdapter::NaiveShardAdapter(const ShardConfig& cfg,
       quota_(cfg.quota),
       cluster_(cfg.n, cfg.seed, cfg.network),
       coord_(std::make_unique<NaiveCoordinator>(cfg.quota, send_on_change_only,
-                                                cfg.sharded)) {
+                                                /*sharded=*/true)) {
   mark_join_reserve_down(cfg_, cluster_);
   nodes_.reserve(cfg_.n);
   for (std::size_t i = 0; i < cfg_.n; ++i) {
@@ -118,7 +118,7 @@ ShardExtrema NaiveShardAdapter::extrema() {
 }
 
 bool NaiveShardAdapter::crossing() {
-  if (!cfg_.sharded || !pin_.has_value()) return false;
+  if (!pin_.has_value()) return false;
   // The naive replica is always current, so the extrema themselves are
   // the crossing predicate: consistent means L_s <= R <= U_s.
   const ShardExtrema e = extrema();
@@ -162,10 +162,8 @@ void FilterShardAdapter::rebuild(std::size_t rank_quota) {
 
   FilterCoordinator::Options o;
   o.suppress_idle_broadcasts = nobeacon_;
-  if (cfg_.sharded) {
-    o.pinned_boundary = &pin_;
-    o.rank_quota = rank_quota;
-  }
+  o.pinned_boundary = &pin_;
+  o.rank_quota = rank_quota;
   coord_ = std::make_unique<FilterCoordinator>(quota_, o);
   nodes_.reserve(cfg_.n);
   for (std::size_t i = 0; i < cfg_.n; ++i) {
@@ -193,7 +191,7 @@ bool FilterShardAdapter::crossing() {
   // crossed the root filter" — conservative under staleness (the cheap
   // accumulator extrema never miss a real crossing; the root requeries
   // exact values before acting).
-  if (!cfg_.sharded || !pin_.has_value()) return false;
+  if (!pin_.has_value()) return false;
   // An under-filled answer (churn removed members faster than the local
   // reset could re-fill — up to a whole-shard outage) is a crossing by
   // definition: only a root renegotiation can drain the unfillable quota
@@ -228,11 +226,7 @@ ShardExtrema FilterShardAdapter::set_quota(std::size_t q) {
     throw std::invalid_argument("FilterShardAdapter::set_quota: q > size");
   }
   quota_ = q;
-  if (!cfg_.sharded) {
-    // c == 1: ShardedDeployment::set_k lands after the step's value write,
-    // where a ranking may be stale; the monolithic on_set_k resets fully.
-    rebuild(0);
-  } else if (coord_->ranks(q)) {
+  if (coord_->ranks(q)) {
     // Coordinator-local: only the nodes whose membership flips hear.
     CoordCtx ctx(*driver_, cluster_);
     coord_->requota(ctx, q);

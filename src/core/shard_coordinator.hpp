@@ -77,8 +77,10 @@ std::vector<std::size_t> initial_shard_quotas(
     std::span<const ShardRange> ranges, std::size_t n, std::size_t k);
 
 /// Deterministic per-shard cluster seed: shard 0 keeps the scenario seed
-/// verbatim (a 1-shard deployment is then seed-identical to the
-/// monolithic path), later shards derive via SplitMix64.
+/// verbatim, later shards derive via SplitMix64. Shard 0's verbatim seed
+/// is what every recorded sharded fingerprint was produced with, so it
+/// stays even though no one-shard deployment exists to share the
+/// monolithic path's seed any more.
 std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) noexcept;
 
 /// Field-wise sum of MonitorStats (per-shard totals -> deployment total).
@@ -104,10 +106,6 @@ struct ShardConfig {
   std::uint64_t seed = 0;   ///< shard cluster seed (see shard_seed)
   NetworkSpec network{};    ///< node<->shard delivery policy
   bool dense_loop = false;  ///< diagnostic dense driver loop
-  /// True in a c > 1 deployment: engages the pinned-boundary protocol and
-  /// the quota-0 / quota-n edge cases. False at c == 1, where the shard
-  /// must be message-for-message identical to the monolithic path.
-  bool sharded = true;
   /// Shard-local fault schedule (nullptr = fault-free). Must outlive the
   /// adapter. The filter shard re-attaches it across rebuilds with the
   /// retired driver's cursor preserved, so events the old driver already
@@ -163,7 +161,7 @@ class ShardAdapter {
 
   virtual std::size_t quota() const = 0;
   virtual Cluster& cluster() = 0;
-  virtual const MonitorStats& monitor_stats() const = 0;
+  virtual MonitorStats monitor_stats() const = 0;
 
   /// Inner-driver delivery ticks consumed so far. Monotonic across filter
   /// shard rebuilds (the clock lives on the warm cluster's network);
@@ -188,7 +186,7 @@ class NaiveShardAdapter final : public ShardAdapter {
   }
   std::size_t quota() const override { return quota_; }
   Cluster& cluster() override { return cluster_; }
-  const MonitorStats& monitor_stats() const override {
+  MonitorStats monitor_stats() const override {
     return coord_->monitor_stats();
   }
   SimTime ticks() const override { return driver_->now(); }
@@ -220,10 +218,10 @@ class FilterShardAdapter final : public ShardAdapter {
   }
   std::size_t quota() const override { return quota_; }
   Cluster& cluster() override { return cluster_; }
-  const MonitorStats& monitor_stats() const override {
-    mstats_combined_ = mstats_retired_;
-    add_monitor_stats(mstats_combined_, coord_->monitor_stats());
-    return mstats_combined_;
+  MonitorStats monitor_stats() const override {
+    MonitorStats out = mstats_retired_;
+    add_monitor_stats(out, coord_->monitor_stats());
+    return out;
   }
   SimTime ticks() const override { return driver_ ? driver_->now() : 0; }
 
@@ -233,7 +231,7 @@ class FilterShardAdapter final : public ShardAdapter {
  private:
   /// (Re)creates coordinator + nodes + driver on the warm cluster and
   /// runs the driver's initialization (a full FILTERRESET over current
-  /// values, ranking max(quota, rank_quota) + 1 nodes when sharded).
+  /// values, ranking max(quota, rank_quota) + 1 nodes).
   /// Folds the outgoing coordinator's counters into mstats_retired_
   /// first — CommStats live on the persistent cluster and accumulate on
   /// their own.
@@ -250,7 +248,6 @@ class FilterShardAdapter final : public ShardAdapter {
   std::vector<std::unique_ptr<NodeAlgo>> nodes_;
   std::unique_ptr<SimDriver> driver_;
   MonitorStats mstats_retired_;  ///< counters of retired coordinators
-  mutable MonitorStats mstats_combined_;  ///< retired + current (scratch)
   std::size_t rebuilds_ = 0;
 };
 

@@ -56,7 +56,7 @@ RolePair make_role_pair(Cluster& cluster, std::string_view spec,
 
 /// Parses a monitor spec into the kind and knobs of the two-tier
 /// ShardedDeployment; the size, shard count, seed and network fields
-/// stay default (run_sharded_scenario fills them from the Scenario).
+/// stay default (run_scenario fills them from the Scenario).
 /// Throws std::invalid_argument for a monitor without a sharded
 /// deployment (the message lists the ones with one) and for any
 /// parameter the shard adapters would drop (backoff, suspect, replay,

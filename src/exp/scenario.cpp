@@ -94,10 +94,9 @@ class MonolithicDeployment final : public Deployment {
 /// scenario's StreamSpec.
 template <typename Make>
 RunResult run_deployment(const Scenario& sc, StreamSet* given,
-                         const char* caller, const std::string& detail,
-                         const Make& make) {
+                         const std::string& detail, const Make& make) {
   if (sc.k == 0 || sc.k > sc.n) {
-    throw std::invalid_argument(std::string(caller) + ": k out of range");
+    throw std::invalid_argument("run_scenario: k out of range");
   }
 
   // Fault plan: validated up front so provisioning (deployment, streams,
@@ -113,7 +112,7 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
                                        : make_stream_set(sc.stream, N, sc.seed);
   if (streams.size() != N) {
     throw std::invalid_argument(
-        std::string(caller) + ": the stream set has " +
+        "run_scenario: the stream set has " +
         std::to_string(streams.size()) + " streams, the scenario provisions " +
         std::to_string(N) + " nodes");
   }
@@ -301,11 +300,9 @@ RunResult run_deployment(const Scenario& sc, StreamSet* given,
   return result;
 }
 
-/// The shard-count check both entry points share.
-void check_shards(const Scenario& sc, const char* caller) {
+void check_shards(const Scenario& sc) {
   if (sc.shards == 0 || sc.shards > sc.n) {
-    throw std::invalid_argument(std::string(caller) +
-                                ": need 1 <= shards <= n");
+    throw std::invalid_argument("run_scenario: need 1 <= shards <= n");
   }
 }
 
@@ -318,7 +315,7 @@ RunResult run_sharded(const Scenario& sc, StreamSet* given) {
   dspec.workers = sc.workers;
   dspec.dense_loop = sc.dense_loop;
   return run_deployment(
-      sc, given, "run_sharded_scenario",
+      sc, given,
       " (network " + sc.network.name() + ", shards " +
           std::to_string(sc.shards) + ")",
       [&](const FaultPlan& plan, std::size_t n) {
@@ -340,10 +337,10 @@ RunResult run_sharded(const Scenario& sc, StreamSet* given) {
 }
 
 RunResult run_any(const Scenario& sc, StreamSet* given) {
-  check_shards(sc, "run_scenario");
+  check_shards(sc);
   if (sc.shards > 1) return run_sharded(sc, given);
   return run_deployment(
-      sc, given, "run_scenario", " (network " + sc.network.name() + ")",
+      sc, given, " (network " + sc.network.name() + ")",
       [&](const FaultPlan& plan, std::size_t n) {
         return std::make_unique<MonolithicDeployment>(sc, plan, n);
       });
@@ -355,11 +352,6 @@ RunResult run_scenario(const Scenario& sc) { return run_any(sc, nullptr); }
 
 RunResult run_scenario(const Scenario& sc, StreamSet streams) {
   return run_any(sc, &streams);
-}
-
-RunResult run_sharded_scenario(const Scenario& sc) {
-  check_shards(sc, "run_sharded_scenario");
-  return run_sharded(sc, nullptr);
 }
 
 }  // namespace topkmon::exp

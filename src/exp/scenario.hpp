@@ -68,7 +68,7 @@ struct Scenario {
   /// before side of its speedup measurements.
   bool dense_loop = false;
 
-  /// Must be 1: run_scenario and run_sharded_scenario throw
+  /// Must be 1: run_scenario throws
   /// std::invalid_argument for any other value, 0 included, before any
   /// node callback runs (SimDriver / ShardedDeployment reject it). Kept
   /// only because perfbench, the repository's fixed benchmark
@@ -76,15 +76,15 @@ struct Scenario {
   /// runs independent scenarios concurrently.
   std::size_t workers = 1;
 
-  /// Shard count of the two-tier hierarchical deployment
-  /// (core/root_merge.hpp): 1 (default) runs the single-coordinator path,
-  /// c > 1 partitions the nodes across c shard coordinators under a root
-  /// coordinator and routes the run through run_sharded_scenario —
-  /// RunResult::comm then counts the node<->shard tier and
-  /// RunResult::root_comm the shard<->root tier. This field is the only
-  /// shard count: a `?shards=` monitor parameter is rejected like any
-  /// other unknown one. Must satisfy 1 <= shards <= n (run_scenario and
-  /// run_sharded_scenario throw std::invalid_argument otherwise). Only
+  /// Shard count: 1 (default) runs the monolithic single-coordinator
+  /// deployment, c > 1 the two-tier ShardedDeployment
+  /// (core/root_merge.hpp), which partitions the nodes across c shard
+  /// coordinators under a root coordinator — RunResult::comm then counts
+  /// the node<->shard tier and RunResult::root_comm the shard<->root
+  /// tier. This field is the only shard count: a `?shards=` monitor
+  /// parameter is rejected like any other unknown one. Must satisfy
+  /// 1 <= shards <= n (run_scenario throws std::invalid_argument
+  /// otherwise). Only
   /// the monitors with a sharded deployment (exp::parse_sharded_spec:
   /// "topk_filter", "naive", "naive_chg" — a narrower set than the
   /// registered monitors) support c > 1.
@@ -163,15 +163,25 @@ struct Scenario {
 };
 
 /// Runs the scenario end to end and returns its result: the monolithic
-/// deployment when Scenario::shards is 1, else run_sharded_scenario.
+/// deployment when Scenario::shards is 1, else the two-tier
+/// ShardedDeployment with `scenario.shards` shard coordinators. Sharded
+/// exactness is guaranteed under instant delivery with pairwise-distinct
+/// values; non-instant networks run supported-but-degraded, like the
+/// monolithic monitors (error steps are recorded, use kWeak +
+/// throw_on_error=false). Sharded runs accept membership churn and
+/// dynamic-k fault plans (whole-shard outages drain the dead shard's
+/// quota at the root and regrant it on recovery), not adversarial
+/// degradations.
 /// Throws std::invalid_argument, before any node callback runs, for
 /// malformed scenarios (unknown monitor/family or monitor parameter, k
 /// out of range, shards outside [1, n], workers != 1, a dynamic-k plan
-/// for a monitor without on_set_k — multi_k)
-/// and std::logic_error on validation divergence when throw_on_error is
-/// set. Thread-safe: concurrent calls share no state (each scenario
-/// builds its own deployment), which is what the SweepRunner's trial
-/// parallelism relies on.
+/// for a monitor without on_set_k — multi_k; at shards > 1 also a
+/// monitor without a sharded deployment or with a parameter the shards
+/// would drop, see exp::parse_sharded_spec, and a plan with
+/// degradations) and std::logic_error on validation divergence when
+/// throw_on_error is set. Thread-safe: concurrent calls share no state
+/// (each scenario builds its own deployment), which is what the
+/// SweepRunner's trial parallelism relies on.
 RunResult run_scenario(const Scenario& scenario);
 
 /// Runs the scenario over a caller-built stream set instead of
@@ -181,24 +191,5 @@ RunResult run_scenario(const Scenario& scenario);
 /// plus the ids a fault plan provisions for joins); throws
 /// std::invalid_argument otherwise, before any node callback runs.
 RunResult run_scenario(const Scenario& scenario, StreamSet streams);
-
-/// Runs the scenario's step loop over a two-tier ShardedDeployment
-/// (core/root_merge.hpp) with `scenario.shards` shard coordinators.
-/// Callable directly
-/// with shards == 1 too — the root tier is then inert and the output is
-/// message-for-message and answer-for-answer identical to run_scenario's
-/// monolithic path, churn and dynamic-k plans included (pinned by
-/// tests/core/test_shard_equivalence.cpp). Exactness at c > 1 is
-/// guaranteed under instant delivery with pairwise-distinct values;
-/// non-instant networks run supported-but-degraded, like the monolithic
-/// monitors (error steps are recorded, use kWeak +
-/// throw_on_error=false). Membership churn and dynamic-k fault plans are
-/// supported at any c (whole-shard outages drain the dead shard's quota
-/// at the root and regrant it on recovery); adversarial degradations are
-/// not. Throws std::invalid_argument for monitors without a sharded
-/// deployment or with a parameter the shards would drop
-/// (exp::parse_sharded_spec), plans with degradations, shards outside
-/// [1, n], or workers != 1.
-RunResult run_sharded_scenario(const Scenario& scenario);
 
 }  // namespace topkmon::exp

@@ -1,19 +1,19 @@
 // The sharding subsystem's load-bearing guarantees (core/root_merge.hpp):
 //
-//   1. shards = 1 is THE single-coordinator path, message-for-message:
-//      run_sharded_scenario with an inert root tier reproduces the
-//      monolithic run_scenario byte-identically — every message of every
-//      kind in every step, every protocol coin, every algorithm counter —
-//      across all three native monitors and across instant AND scheduled
-//      (delay / jitter / drop) networks.
-//   2. Sharded exactness: at any c under the instant network the
+//   1. Sharded exactness: at any c under the instant network the
 //      deployment's answer equals the true global top-k every step
 //      (strict validation), including the quota edge cases (k < c forces
-//      quota-0 shards; k = n forces full shards).
+//      quota-0 shards; k = n forces full shards), and stays exact
+//      through a crash, a k growth that forces filter shards to re-rank
+//      while the crash holds, and the recovery — with a rebuilt shard
+//      resuming its fault schedule rather than replaying it.
+//   2. The two-tier deployment starts at two shards: the one-coordinator
+//      case is the monolithic path, and ShardedDeployment rejects
+//      shards < 2 and shards > n.
 //
 // Plus the sweep surface: the shards axis never enters the trial seed
-// (paired comparisons across c), and both entry points reject a shard
-// count outside [1, n].
+// (paired comparisons across c), and run_scenario rejects a shard count
+// outside [1, n].
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -43,90 +43,6 @@ exp::Scenario base_scenario(const std::string& monitor, std::size_t n,
   sc.stream.walk.hi = 100'000'000;
   sc.stream.iid_hi = 100'000'000;
   return sc;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.monitor_name, b.monitor_name);
-  EXPECT_EQ(a.steps_executed, b.steps_executed);
-  EXPECT_EQ(a.error_steps, b.error_steps);
-  EXPECT_EQ(a.correct, b.correct);
-
-  // Communication: every direction, every kind, every step.
-  EXPECT_EQ(a.comm.upstream(), b.comm.upstream());
-  EXPECT_EQ(a.comm.unicast(), b.comm.unicast());
-  EXPECT_EQ(a.comm.broadcast(), b.comm.broadcast());
-  for (std::size_t kind = 0; kind < kNumMsgKinds; ++kind) {
-    EXPECT_EQ(a.comm.by_kind(static_cast<MsgKind>(kind)),
-              b.comm.by_kind(static_cast<MsgKind>(kind)))
-        << "kind " << msg_kind_name(static_cast<MsgKind>(kind));
-  }
-  EXPECT_EQ(a.comm.series(), b.comm.series());
-
-  // Algorithm event counters, every one of them.
-  for (const MonitorCounter& c : kMonitorCounters) {
-    EXPECT_EQ(a.monitor.*c.field, b.monitor.*c.field) << c.name;
-  }
-
-  // Fault accounting.
-  EXPECT_EQ(a.error_step_list, b.error_step_list);
-  EXPECT_EQ(a.recovery_ticks, b.recovery_ticks);
-}
-
-TEST(ShardEquivalence, ShardsOneMatchesMonolithicPath) {
-  // Fault-free on four networks, then membership churn on two: an
-  // explicit crash/recover/join/leave plan and generated churn. Under
-  // churn the deployments fire their own carved schedules while the
-  // scenario loop keeps one fault cursor for the ground truth and the
-  // recovery windows, so equal error_step_list and recovery_ticks pin
-  // that cursor to the same steps and ticks on both paths.
-  struct Case {
-    const char* network;
-    const char* faults;
-  };
-  const std::vector<Case> cases{
-      {"instant", "none"},
-      {"delay=1", "none"},
-      {"delay=1,jitter=2", "none"},
-      {"drop=0.2", "none"},
-      {"instant",
-       "churn?crash=5@40,recover=5@80,join=+16@120,leave=2@160,crash=20@150,"
-       "recover=20@170"},
-      {"delay=1,jitter=2",
-       "churn?crash=5@40,recover=5@80,join=+16@120,leave=2@160,crash=20@150,"
-       "recover=20@170"},
-      {"instant", "churn?every=40,down=2,count=3,outage=15"},
-      {"delay=1,jitter=2", "churn?every=40,down=2,count=3,outage=15"},
-      {"instant", "churn?k=10@80"},
-      {"delay=1,jitter=2", "churn?k=10@80"},
-      {"instant", "churn?k=20@80,k=4@180"},
-      {"delay=1,jitter=2", "churn?k=20@80,k=4@180"},
-      {"instant", "churn?crash=5@40,recover=5@80,k=10@100,join=+8@120"},
-  };
-  for (const char* monitor : {"topk_filter", "naive", "naive_chg"}) {
-    for (const Case& c : cases) {
-      exp::Scenario sc = base_scenario(monitor, 48, 6, 17, 200);
-      sc.network = parse_network_spec(c.network);
-      sc.faults = c.faults;
-      sc.shards = 1;
-      sc.record_series = true;  // per-step message counts must match too
-      if (!sc.network.is_instant() || sc.faults != "none") {
-        // Scheduled networks and churn degrade the answer exactly like
-        // monolithic native runs; equal error_step_list below pins the
-        // answers per step.
-        sc.validation = RunConfig::Validation::kWeak;
-        sc.throw_on_error = false;
-      }
-      const std::string label =
-          std::string(monitor) + " / " + c.network + " / " + c.faults;
-      const RunResult mono = exp::run_scenario(sc);
-      const RunResult sharded = exp::run_sharded_scenario(sc);
-      expect_identical(mono, sharded, label);
-      EXPECT_EQ(sharded.root_comm.total(), 0u)
-          << label << ": inert root tier must never speak";
-    }
-  }
 }
 
 TEST(ShardEquivalence, ShardedExactUnderInstantNetwork) {
@@ -167,6 +83,30 @@ TEST(ShardEquivalence, ShardedExactUnderInstantNetwork) {
   }
 }
 
+TEST(ShardEquivalence, ExactThroughCrashRerankRecover) {
+  // c = 2 filter shards on instant delivery: node 3 crashes at step 40,
+  // k grows 6 -> 20 at step 60 (each shard's quota outgrows its ranking,
+  // so the gaining shards re-rank on fresh drivers while the crash
+  // holds), and node 3 recovers at step 100. iid values make the root
+  // renegotiate, and the shards rebuild, almost every step after that.
+  // A rebuilt shard's driver must resume the fault schedule where the
+  // retired one left it: replaying the fired crash/recover pair would
+  // bounce node 3 through another re-sync handshake on every rebuild.
+  for (const char* monitor : {"topk_filter", "topk_filter?nobeacon"}) {
+    SCOPED_TRACE(monitor);
+    exp::Scenario sc = base_scenario(monitor, 48, 6, 1, 200);
+    sc.stream.family = StreamFamily::kIidUniform;
+    sc.shards = 2;
+    sc.faults = "churn?crash=3@40,k=20@60,recover=3@100";
+    sc.validation = RunConfig::Validation::kStrict;
+    sc.throw_on_error = false;
+    const RunResult r = exp::run_scenario(sc);
+    EXPECT_EQ(r.error_steps, 0u);
+    EXPECT_EQ(r.monitor.resyncs, 1u);  // the one recover event's
+    EXPECT_GT(r.root_comm.total(), 0u);
+  }
+}
+
 TEST(ShardScenario, RejectsUnsupportedConfigurations) {
   // Monitors without a sharded deployment are rejected.
   exp::Scenario sc = base_scenario("recompute", 16, 4, 1, 10);
@@ -174,12 +114,23 @@ TEST(ShardScenario, RejectsUnsupportedConfigurations) {
   EXPECT_THROW(exp::run_scenario(sc), std::invalid_argument);
 
   // More shards than nodes, and no shards at all (which must not fall
-  // through to the monolithic path), on both entry points.
+  // through to the monolithic path).
   for (const std::size_t shards : {std::size_t{8}, std::size_t{0}}) {
     exp::Scenario wide = base_scenario("topk_filter", 4, 2, 1, 10);
     wide.shards = shards;
     EXPECT_THROW(exp::run_scenario(wide), std::invalid_argument);
-    EXPECT_THROW(exp::run_sharded_scenario(wide), std::invalid_argument);
+  }
+
+  // The deployment itself needs 2 <= shards <= n: one shard is the
+  // monolithic path's job.
+  for (const std::size_t shards :
+       {std::size_t{0}, std::size_t{1}, std::size_t{17}}) {
+    SCOPED_TRACE(shards);
+    ShardedSpec spec;
+    spec.n = 16;
+    spec.k = 4;
+    spec.shards = shards;
+    EXPECT_THROW(ShardedDeployment{spec}, std::invalid_argument);
   }
 }
 
