@@ -77,10 +77,9 @@ std::vector<std::size_t> initial_shard_quotas(
     std::span<const ShardRange> ranges, std::size_t n, std::size_t k);
 
 /// Deterministic per-shard cluster seed: shard 0 keeps the scenario seed
-/// verbatim, later shards derive via SplitMix64. Shard 0's verbatim seed
-/// is what every recorded sharded fingerprint was produced with, so it
-/// stays even though no one-shard deployment exists to share the
-/// monolithic path's seed any more.
+/// verbatim, later shards derive via SplitMix64. Every recorded sharded
+/// fingerprint was produced with this seeding; deriving shard 0's seed
+/// like the others would move them all.
 std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) noexcept;
 
 /// Field-wise sum of MonitorStats (per-shard totals -> deployment total).

@@ -24,7 +24,6 @@
 #include "core/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep_grid.hpp"
-#include "sim/network_model.hpp"
 
 namespace topkmon {
 namespace {
