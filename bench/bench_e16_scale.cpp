@@ -149,16 +149,10 @@ TOPKMON_SUITE(e16, "scale sweep: steps/sec vs n x activity (sparse vs dense "
   // Steady-state rate: initialization (the one-time full selection over
   // all n nodes) is identical for both loops and would otherwise swamp
   // the per-step comparison at small step counts.
-  const auto steady_sps = [](const RunResult& r) {
-    const double seconds = r.wall_seconds - r.init_seconds;
-    return seconds > 0.0 && r.steps_executed > 1
-               ? static_cast<double>(r.steps_executed - 1) / seconds
-               : 0.0;
-  };
   Table timing({"config", "sparse steps/s", "dense steps/s", "speedup"});
   for (std::size_t i = 0; i + 1 < cases.size(); i += 2) {
-    const double sps_sparse = steady_sps(outcomes[i]);
-    const double sps_dense = steady_sps(outcomes[i + 1]);
+    const double sps_sparse = outcomes[i].steady_steps_per_second();
+    const double sps_dense = outcomes[i + 1].steady_steps_per_second();
     timing.add_row({cases[i].name.substr(0, cases[i].name.rfind('_')),
                     fmt(sps_sparse, 0), fmt(sps_dense, 0),
                     sps_dense > 0.0 ? fmt(sps_sparse / sps_dense, 2) : "-"});
@@ -170,7 +164,7 @@ TOPKMON_SUITE(e16, "scale sweep: steps/sec vs n x activity (sparse vs dense "
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ScaleCase& c = cases[i];
     const RunResult& r = outcomes[i];
-    const double sps = steady_sps(r);
+    const double sps = r.steady_steps_per_second();
     rows.emplace_back()
         .text("name", c.name)
         .count("n", c.n)

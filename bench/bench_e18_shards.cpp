@@ -118,12 +118,6 @@ TOPKMON_SUITE(e18_shards,
   // Timing summary: steady-state steps/s per shard count (console + BENCH
   // file; machine-dependent, not diffed). Initialization excluded as in
   // e16.
-  const auto steady_sps = [](const RunResult& r) {
-    const double seconds = r.wall_seconds - r.init_seconds;
-    return seconds > 0.0 && r.steps_executed > 1
-               ? static_cast<double>(r.steps_executed - 1) / seconds
-               : 0.0;
-  };
   std::vector<std::string> header = {"config"};
   for (const std::size_t c : cs) {
     header.push_back("c" + std::to_string(c) + " steps/s");
@@ -133,7 +127,7 @@ TOPKMON_SUITE(e18_shards,
     std::vector<std::string> row = {
         cases[g].name.substr(0, cases[g].name.rfind('_'))};
     for (std::size_t ci = 0; ci < cs.size(); ++ci) {
-      row.push_back(fmt(steady_sps(outcomes[g + ci]), 0));
+      row.push_back(fmt(outcomes[g + ci].steady_steps_per_second(), 0));
     }
     timing.add_row(row);
   }
@@ -144,7 +138,7 @@ TOPKMON_SUITE(e18_shards,
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const ShardCase& c = cases[i];
     const RunResult& r = outcomes[i];
-    const double sps = steady_sps(r);
+    const double sps = r.steady_steps_per_second();
     rows.emplace_back()
         .text("name", c.name)
         .count("n", c.n)

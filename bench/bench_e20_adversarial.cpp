@@ -238,10 +238,7 @@ TOPKMON_SUITE(e20_adversarial,
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const AdvCase& c = cases[i];
     const RunResult& r = outcomes[i];
-    const double sec = r.wall_seconds - r.init_seconds;
-    const double sps = sec > 0.0 && r.steps_executed > 1
-                           ? static_cast<double>(r.steps_executed - 1) / sec
-                           : 0.0;
+    const double sps = r.steady_steps_per_second();
     rows.emplace_back()
         .text("name", c.name)
         .count("n", c.n)

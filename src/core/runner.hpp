@@ -68,6 +68,15 @@ struct RunResult {
   /// benchmarks subtract it to report steady-state steps/sec.
   double init_seconds = 0.0;
 
+  /// Steady-state rate: steps after step 0 over the wall time after
+  /// initialization (0 when there is no such step or time).
+  double steady_steps_per_second() const noexcept {
+    const double seconds = wall_seconds - init_seconds;
+    return seconds > 0.0 && steps_executed > 1
+               ? static_cast<double>(steps_executed - 1) / seconds
+               : 0.0;
+  }
+
   // Communication totals (copied from the cluster at the end of the run).
   CommStats comm;
   MonitorStats monitor;

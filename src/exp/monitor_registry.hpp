@@ -3,7 +3,9 @@
 // declaratively instead of hard-coding factories in each experiment.
 //
 // A monitor spec is `name` optionally followed by `?key=value,...`
-// parameters, e.g.
+// parameters, read by SpecReader (util/strings.hpp) like every spec: a
+// flag is a bare key or key=1/0/true/false, a repeated key's last value
+// wins, and an unknown name or key throws with a did-you-mean hint. E.g.
 //
 //   "topk_filter"                 the paper's Algorithm 1
 //   "topk_filter?nobeacon"        idle-beacon-suppression ablation

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,18 +12,6 @@
 
 namespace topkmon {
 namespace {
-
-[[noreturn]] void bad(std::string_view spec, const std::string& what) {
-  throw std::invalid_argument("fault plan '" + std::string(spec) +
-                              "': " + what);
-}
-
-const std::vector<std::string>& known_keys() {
-  static const std::vector<std::string> keys = {
-      "crash", "recover", "join",  "leave",  "k",    "every", "down",
-      "count", "outage",  "lag",   "stale",  "mute", "heal"};
-  return keys;
-}
 
 std::string state_phrase(int state) {
   switch (state) {
@@ -53,162 +42,98 @@ std::string_view fault_kind_name(FaultEvent::Kind kind) noexcept {
 FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
                      std::uint64_t seed)
     : n_(n), total_nodes_(n) {
-  if (n == 0) bad(spec, "a fault plan needs at least one node");
+  SpecReader r("fault plan", spec);
+  if (n == 0) r.fail("a fault plan needs at least one node");
 
-  const std::size_t q = spec.find('?');
-  const std::string_view name = spec.substr(0, q);
-  const std::string_view params =
-      q == std::string_view::npos ? std::string_view{} : spec.substr(q + 1);
-
-  if (name.empty() || name == "none") {
-    if (!params.empty()) bad(spec, "plan 'none' takes no parameters");
+  if (r.name().empty() || r.name() == "none") {
+    if (!r.query().empty()) r.fail("plan 'none' takes no parameters");
     return;
   }
-  if (name != "churn") {
-    std::string msg = "unknown plan '" + std::string(name) + "'";
-    const auto hints =
-        closest_matches(name, std::vector<std::string>{"churn", "none"});
-    if (!hints.empty()) msg += "; did you mean '" + hints[0] + "'?";
-    bad(spec, msg);
-  }
+  if (r.name() != "churn") r.fail_unknown("plan", r.name(), {"churn", "none"});
 
-  // -- grammar pass: explicit events + generated-churn parameters ----------
+  // -- grammar pass: generated-churn parameters + explicit events ----------
   std::uint64_t gen_every = 0, gen_down = 1, gen_count = 4, gen_outage = 0;
-  bool gen_used = false, gen_outage_set = false, explicit_membership = false;
-
-  const auto parse_step = [&](std::string_view text,
-                              std::string_view item) -> TimeStep {
-    const auto s = to_u64(text);
-    if (!s) bad(spec, "malformed step in '" + std::string(item) + "'");
-    if (*s == 0) {
-      bad(spec, "event '" + std::string(item) +
-                    "' is scheduled at step 0 (step 0 is initialization; "
-                    "events fire from step 1 on)");
-    }
-    return *s;
+  const std::string positive_text = "a positive integer";
+  const auto positive = [](std::string_view v) -> std::optional<std::uint64_t> {
+    const auto x = to_u64(v);
+    if (!x || *x == 0) return std::nullopt;
+    return x;
   };
+  bool gen_used = r.read("every", gen_every, positive_text, positive);
+  gen_used |= r.read("down", gen_down, positive_text, positive);
+  gen_used |= r.read("count", gen_count, positive_text, positive);
+  const bool gen_outage_set =
+      r.read("outage", gen_outage, positive_text, positive);
+  gen_used |= gen_outage_set;
 
-  for (const std::string_view item : split(params, ',')) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      bad(spec, "malformed parameter '" + std::string(item) +
-                    "' (expected key=value)");
+  // An event item is KIND=VALUE@STEP, with VALUE a node id (a `+N` node
+  // count for join, the new k for k) and lag's STEP:TICKS hold delay.
+  // The keys are the kinds' names, indexed by kind (kHeal is the last).
+  std::vector<std::string_view> event_keys;
+  for (int kind = 0; kind <= static_cast<int>(FaultEvent::Kind::kHeal);
+       ++kind) {
+    event_keys.push_back(fault_kind_name(static_cast<FaultEvent::Kind>(kind)));
+  }
+  bool explicit_membership = false;
+  r.each(event_keys, [&](const SpecItem& spec_item, std::size_t which) {
+    const std::string item(spec_item.text);
+    FaultEvent ev;
+    ev.kind = static_cast<FaultEvent::Kind>(which);
+    const std::size_t at = spec_item.value.find('@');
+    if (at == std::string_view::npos) {
+      r.fail("event '" + item + "' is missing its @step schedule");
     }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view rest = item.substr(eq + 1);
-    const std::size_t at = rest.find('@');
-
-    if (key == "every" || key == "down" || key == "count" ||
-        key == "outage") {
-      if (at != std::string_view::npos) {
-        bad(spec, "'" + std::string(key) +
-                      "' is a generated-churn parameter and takes no @step");
+    const std::string_view value = spec_item.value.substr(0, at);
+    std::string_view step_text = spec_item.value.substr(at + 1);
+    if (ev.kind == FaultEvent::Kind::kLag) {
+      const std::size_t colon = step_text.find(':');
+      if (colon == std::string_view::npos) {
+        r.fail("lag takes a hold delay: lag=ID@STEP:TICKS, got '" + item +
+               "'");
       }
-      const auto v = to_u64(rest);
-      if (!v || *v == 0) {
-        bad(spec, "malformed value in '" + std::string(item) + "'");
-      }
-      gen_used = true;
-      if (key == "every") gen_every = *v;
-      if (key == "down") gen_down = *v;
-      if (key == "count") gen_count = *v;
-      if (key == "outage") gen_outage = *v, gen_outage_set = true;
-      continue;
+      const auto ticks = positive(step_text.substr(colon + 1));
+      if (!ticks) r.fail("malformed lag ticks in '" + item + "' (must be > 0)");
+      ev.count = *ticks;
+      step_text = step_text.substr(0, colon);
     }
-
-    if (key == "lag" || key == "stale" || key == "mute" || key == "heal") {
-      if (at == std::string_view::npos) {
-        bad(spec, "event '" + std::string(item) +
-                      "' is missing its @step schedule");
+    const auto step = to_u64(step_text);
+    if (!step) r.fail("malformed step in '" + item + "'");
+    if (*step == 0) {
+      r.fail("event '" + item +
+             "' is scheduled at step 0 (step 0 is initialization; events "
+             "fire from step 1 on)");
+    }
+    ev.step = *step;
+    if (ev.kind == FaultEvent::Kind::kSetK) {
+      const auto kk = positive(value);
+      if (!kk) r.fail("malformed k in '" + item + "' (k must be >= 1)");
+      ev.count = *kk;
+    } else if (ev.kind == FaultEvent::Kind::kJoin) {
+      if (value.empty() || value[0] != '+') {
+        r.fail("join takes a node count: join=+N@step, got '" + item + "'");
       }
-      std::string_view step_text = rest.substr(at + 1);
-      FaultEvent ev;
-      if (key == "lag") {
-        const std::size_t colon = step_text.find(':');
-        if (colon == std::string_view::npos) {
-          bad(spec, "lag takes a hold delay: lag=ID@STEP:TICKS, got '" +
-                        std::string(item) + "'");
-        }
-        const auto ticks = to_u64(step_text.substr(colon + 1));
-        if (!ticks || *ticks == 0) {
-          bad(spec, "malformed lag ticks in '" + std::string(item) +
-                        "' (must be >= 1)");
-        }
-        ev.count = *ticks;
-        step_text = step_text.substr(0, colon);
-        ev.kind = FaultEvent::Kind::kLag;
-      } else {
-        ev.kind = key == "stale"  ? FaultEvent::Kind::kStale
-                  : key == "mute" ? FaultEvent::Kind::kMute
-                                  : FaultEvent::Kind::kHeal;
-      }
-      ev.step = parse_step(step_text, item);
-      const auto id = to_u64(rest.substr(0, at));
-      if (!id) bad(spec, "malformed node id in '" + std::string(item) + "'");
+      const auto c = positive(value.substr(1));
+      if (!c) r.fail("malformed join count in '" + item + "'");
+      ev.count = *c;
+      explicit_membership = true;
+    } else {
+      const auto id = to_u64(value);
+      if (!id) r.fail("malformed node id in '" + item + "'");
       ev.node = static_cast<NodeId>(*id);
       if (*id != ev.node) {
-        bad(spec, "node id in '" + std::string(item) +
-                      "' exceeds the 32-bit id space");
+        r.fail("node id in '" + item + "' exceeds the 32-bit id space");
       }
-      events_.push_back(ev);
-      continue;
+      // Degradations (lag/stale/mute/heal) leave membership alone.
+      explicit_membership |= ev.kind == FaultEvent::Kind::kCrash ||
+                             ev.kind == FaultEvent::Kind::kRecover ||
+                             ev.kind == FaultEvent::Kind::kLeave;
     }
-
-    if (key == "crash" || key == "recover" || key == "leave" ||
-        key == "join" || key == "k") {
-      if (at == std::string_view::npos) {
-        bad(spec, "event '" + std::string(item) +
-                      "' is missing its @step schedule");
-      }
-      const TimeStep step = parse_step(rest.substr(at + 1), item);
-      const std::string_view value = rest.substr(0, at);
-      FaultEvent ev;
-      ev.step = step;
-      if (key == "k") {
-        const auto kk = to_u64(value);
-        if (!kk || *kk == 0) {
-          bad(spec, "malformed k in '" + std::string(item) +
-                        "' (k must be >= 1)");
-        }
-        ev.kind = FaultEvent::Kind::kSetK;
-        ev.count = *kk;
-      } else if (key == "join") {
-        if (value.empty() || value[0] != '+') {
-          bad(spec, "join takes a node count: join=+N@step, got '" +
-                        std::string(item) + "'");
-        }
-        const auto c = to_u64(value.substr(1));
-        if (!c || *c == 0) {
-          bad(spec, "malformed join count in '" + std::string(item) + "'");
-        }
-        ev.kind = FaultEvent::Kind::kJoin;
-        ev.count = *c;
-        explicit_membership = true;
-      } else {
-        const auto id = to_u64(value);
-        if (!id) bad(spec, "malformed node id in '" + std::string(item) + "'");
-        ev.kind = key == "crash"   ? FaultEvent::Kind::kCrash
-                  : key == "leave" ? FaultEvent::Kind::kLeave
-                                   : FaultEvent::Kind::kRecover;
-        ev.node = static_cast<NodeId>(*id);
-        if (*id != ev.node) {
-          bad(spec, "node id in '" + std::string(item) +
-                        "' exceeds the 32-bit id space");
-        }
-        explicit_membership = true;
-      }
-      events_.push_back(ev);
-      continue;
-    }
-
-    std::string msg = "unknown key '" + std::string(key) + "'";
-    const auto hints = closest_matches(key, known_keys());
-    if (!hints.empty()) msg += "; did you mean '" + hints[0] + "'?";
-    bad(spec, msg);
-  }
+    events_.push_back(ev);
+  });
+  r.done();
 
   if (gen_used && explicit_membership) {
-    bad(spec,
+    r.fail(
         "generated churn (every/down/count/outage) cannot be mixed with "
         "explicit membership events; only k=K@step composes with it");
   }
@@ -220,7 +145,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
   // configured — a fault-free run never touches it.
   if (gen_used) {
     if (gen_every == 0) {
-      bad(spec, "generated churn requires a period: every=T");
+      r.fail("generated churn requires a period: every=T");
     }
     if (!gen_outage_set) gen_outage = std::max<std::uint64_t>(1, gen_every / 2);
     Rng rng(seed ^ 0x6661756C745F706Cull);  // "fault_pl"
@@ -243,7 +168,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
       drain_pending(s);
       for (std::uint64_t d = 0; d < gen_down; ++d) {
         if (live.empty()) {
-          bad(spec, "churn burst at step " + std::to_string(s) +
+          r.fail("churn burst at step " + std::to_string(s) +
                         " has no live node left to crash (down=" +
                         std::to_string(gen_down) + " is too aggressive)");
         }
@@ -286,7 +211,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
 
   const auto check_range = [&](const FaultEvent& ev) {
     if (ev.node >= total_nodes_) {
-      bad(spec, std::string(fault_kind_name(ev.kind)) + " target " +
+      r.fail(std::string(fault_kind_name(ev.kind)) + " target " +
                     std::to_string(ev.node) +
                     " is out of range; valid node ids are 0.." +
                     std::to_string(total_nodes_ - 1) + " (closest valid id: " +
@@ -296,7 +221,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
   const auto require_state = [&](const FaultEvent& ev, int want) {
     check_range(ev);
     if (state[ev.node] != want) {
-      bad(spec, "cannot " + std::string(fault_kind_name(ev.kind)) + " node " +
+      r.fail("cannot " + std::string(fault_kind_name(ev.kind)) + " node " +
                     std::to_string(ev.node) + " at step " +
                     std::to_string(ev.step) + ": node " +
                     state_phrase(state[ev.node]));
@@ -318,7 +243,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
         break;
       case FaultEvent::Kind::kLeave:
         if (ev.node < total_nodes_ && state[ev.node] == 1) {
-          bad(spec, "cannot leave node " + std::to_string(ev.node) +
+          r.fail("cannot leave node " + std::to_string(ev.node) +
                         " at step " + std::to_string(ev.step) +
                         " while it is down (recover it first)");
         }
@@ -337,7 +262,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
         break;
       case FaultEvent::Kind::kSetK:
         if (ev.count > live) {
-          bad(spec, "k=" + std::to_string(ev.count) + " at step " +
+          r.fail("k=" + std::to_string(ev.count) + " at step " +
                         std::to_string(ev.step) +
                         " exceeds the live node count (" +
                         std::to_string(live) + ")");
@@ -349,7 +274,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
       case FaultEvent::Kind::kMute:
         require_state(ev, 0);
         if (degraded[ev.node]) {
-          bad(spec, "cannot " + std::string(fault_kind_name(ev.kind)) +
+          r.fail("cannot " + std::string(fault_kind_name(ev.kind)) +
                         " node " + std::to_string(ev.node) + " at step " +
                         std::to_string(ev.step) +
                         ": node is already degraded (heal it first)");
@@ -359,7 +284,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
       case FaultEvent::Kind::kHeal:
         require_state(ev, 0);
         if (!degraded[ev.node]) {
-          bad(spec, "cannot heal node " + std::to_string(ev.node) +
+          r.fail("cannot heal node " + std::to_string(ev.node) +
                         " at step " + std::to_string(ev.step) +
                         ": node is not degraded");
         }
@@ -367,7 +292,7 @@ FaultPlan::FaultPlan(std::string_view spec, std::size_t n, std::size_t k,
         break;
     }
     if (live < cur_k) {
-      bad(spec, "event '" + std::string(fault_kind_name(ev.kind)) +
+      r.fail("event '" + std::string(fault_kind_name(ev.kind)) +
                     "' at step " + std::to_string(ev.step) +
                     " leaves fewer live nodes (" + std::to_string(live) +
                     ") than k (" + std::to_string(cur_k) + ")");

@@ -33,7 +33,9 @@
 //             goes silent without a transport-level crash.
 //   heal    — heal=ID@STEP: ends the node's active degradation.
 //
-// Spec grammar (parsed like monitor/network specs: name '?' params):
+// Spec grammar: name '?' items, read by SpecReader (util/strings.hpp) like
+// every monitor, stream and network spec. An event key may repeat; its
+// events keep their spec order within a step:
 //
 //   none                                   empty plan
 //   churn?crash=17@500,recover=17@900,join=+64@1200,leave=12@1500,k=32@2000
@@ -51,8 +53,8 @@
 // Construction validates the full timeline (ids in range, no crash of a
 // down node, no recovery of a live node, no leave while down, k never
 // exceeding the live node count) and throws std::invalid_argument with a
-// did-you-mean hint for unknown keys, so a plan that constructed is a
-// plan the driver can apply without further checks.
+// did-you-mean hint for unknown keys and plan names, so a plan that
+// constructed is a plan the driver can apply without further checks.
 #pragma once
 
 #include <cstddef>

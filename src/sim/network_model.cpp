@@ -1,38 +1,12 @@
 #include "sim/network_model.hpp"
 
 #include <charconv>
-#include <limits>
-#include <stdexcept>
-#include <vector>
 
 #include "util/strings.hpp"
 
 namespace topkmon {
 
 namespace {
-
-std::uint64_t parse_uint(std::string_view key, std::string_view value,
-                         std::uint64_t max_value) {
-  const auto out = to_u64(value);
-  if (!out || *out > max_value) {
-    throw std::invalid_argument("network spec: '" + std::string(value) +
-                                "' is not a valid integer for '" +
-                                std::string(key) + "'");
-  }
-  return *out;
-}
-
-double parse_fraction(std::string_view key, std::string_view value) {
-  const auto out = to_double(value);
-  // The negated range form also rejects NaN (every NaN comparison is
-  // false, so "nan" would sneak past `< 0.0 || > 1.0`).
-  if (!out || !(*out >= 0.0 && *out <= 1.0)) {
-    throw std::invalid_argument("network spec: '" + std::string(value) +
-                                "' is not a probability for '" +
-                                std::string(key) + "'");
-  }
-  return *out;
-}
 
 /// Shortest decimal that round-trips the double (std::to_string would
 /// clamp to 6 decimals and misreport e.g. drop=1e-7 as "0.000000").
@@ -61,33 +35,13 @@ std::string NetworkSpec::name() const {
 NetworkSpec parse_network_spec(std::string_view text) {
   NetworkSpec spec;
   if (text.empty() || text == "instant") return spec;
-
-  constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
-  for (const std::string_view item : split(text, ',')) {
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("network spec: expected key=value, got '" +
-                                  std::string(item) + "'");
-    }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (key == "delay") {
-      spec.delay = static_cast<std::uint32_t>(parse_uint(key, value, kMax32));
-    } else if (key == "jitter") {
-      spec.jitter = static_cast<std::uint32_t>(parse_uint(key, value, kMax32));
-    } else if (key == "drop") {
-      spec.drop_rate = parse_fraction(key, value);
-    } else if (key == "batch") {
-      spec.batch_window =
-          static_cast<std::uint32_t>(parse_uint(key, value, kMax32));
-    } else if (key == "ticks") {
-      spec.ticks_per_step =
-          parse_uint(key, value, std::numeric_limits<std::uint64_t>::max());
-    } else {
-      throw std::invalid_argument("network spec: unknown key '" +
-                                  std::string(key) + "'");
-    }
-  }
+  SpecReader r("network", text, /*named=*/false);
+  r.read_unsigned("delay", spec.delay);
+  r.read_unsigned("jitter", spec.jitter);
+  r.read_fraction("drop", spec.drop_rate);
+  r.read_unsigned("batch", spec.batch_window);
+  r.read_unsigned("ticks", spec.ticks_per_step);
+  r.done();
   return spec;
 }
 

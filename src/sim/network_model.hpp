@@ -70,8 +70,10 @@ struct NetworkSpec {
 
 /// Parses a spec string: "instant" or a comma-separated list of
 /// key=value pairs with keys delay, jitter, drop, batch, ticks
-/// (e.g. "delay=2,jitter=1,drop=0.01", "drop=0.05,ticks=4").
-/// Throws std::invalid_argument on unknown keys or malformed values.
+/// (e.g. "delay=2,jitter=1,drop=0.01", "drop=0.05,ticks=4"), read by
+/// SpecReader (util/strings.hpp) as a spec without a name: a repeated
+/// key's last value wins. Throws std::invalid_argument on unknown keys
+/// (with a did-you-mean hint) or malformed values.
 NetworkSpec parse_network_spec(std::string_view text);
 
 }  // namespace topkmon

@@ -1,6 +1,7 @@
 #include "streams/factory.hpp"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -130,35 +131,40 @@ auto with_stream(const StreamSpec& spec, NodeId id, std::size_t n,
 }  // namespace
 
 StreamSpec parse_stream_spec(std::string_view text, StreamSpec base) {
-  const std::size_t q = text.find('?');
-  base.family = family_from_name(text.substr(0, q));
-  if (q == std::string_view::npos) return base;
-  if (base.family != StreamFamily::kSparse) {
-    throw std::invalid_argument("stream spec '" + std::string(text) +
-                                "': family has no parameter grammar");
-  }
-  for (const std::string_view item : split(text.substr(q + 1), ',')) {
-    const std::size_t eq = item.find('=');
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value =
-        eq == std::string_view::npos ? std::string_view{} : item.substr(eq + 1);
-    if (key == "rate") {
-      const auto rate = to_double(value);
-      if (!rate || !(*rate > 0.0) || *rate > 1.0) {
-        throw std::invalid_argument("stream spec: '" + std::string(value) +
-                                    "' is not a rate in (0, 1]");
-      }
-      base.sparse.rate = *rate;
-    } else if (key == "inner") {
-      base.sparse_inner = family_from_name(value);
-      if (base.sparse_inner == StreamFamily::kSparse) {
-        throw std::invalid_argument("stream spec: sparse cannot wrap itself");
-      }
-    } else {
-      throw std::invalid_argument("stream spec: unknown parameter '" +
-                                  std::string(key) + "'");
+  SpecReader r("stream", text);
+  const auto family = [&r](std::string_view name) {
+    std::vector<std::string> names;
+    for (const StreamFamily f : all_families()) {
+      if (family_name(f) == name) return f;
+      names.emplace_back(family_name(f));
     }
+    r.fail_unknown("family", name, names);
+  };
+  base.family = family(r.name());
+  if (!r.has_query()) return base;
+  if (base.family != StreamFamily::kSparse) {
+    r.fail("family '" + std::string(r.name()) + "' has no parameter grammar");
   }
+  // period_for owns the rate's range: (0, 1], with 1/rate rounding to a
+  // std::int64_t.
+  r.read("rate", base.sparse.rate, "a rate in (0, 1] with 1/rate < 2^63",
+         [](std::string_view v) -> std::optional<double> {
+           const auto rate = to_double(v);
+           if (!rate) return std::nullopt;
+           try {
+             SparseStream::period_for(*rate);
+           } catch (const std::invalid_argument&) {
+             return std::nullopt;
+           }
+           return rate;
+         });
+  r.read("inner", base.sparse_inner, "a family other than sparse",
+         [&family](std::string_view v) -> std::optional<StreamFamily> {
+           const StreamFamily inner = family(v);
+           if (inner == StreamFamily::kSparse) return std::nullopt;
+           return inner;
+         });
+  r.done();
   return base;
 }
 

@@ -118,10 +118,12 @@ std::unique_ptr<Stream> make_stream(const StreamSpec& spec, NodeId id,
                                     std::size_t n, std::uint64_t seed);
 
 /// Parses a workload spec string into `base`: a bare family name
-/// ("random_walk"), or a parameterized one in the monitor-registry style
-/// — currently "sparse?rate=0.01,inner=random_walk". Unknown families,
-/// malformed parameters, or parameters on families without a grammar
-/// throw std::invalid_argument.
+/// ("random_walk"), or a parameterized one read by SpecReader
+/// (util/strings.hpp) like every spec — currently
+/// "sparse?rate=0.01,inner=random_walk", whose rate must give a period
+/// SparseStream::period_for accepts. Unknown families (with a
+/// did-you-mean hint), malformed parameters, or parameters on families
+/// without a grammar throw std::invalid_argument.
 StreamSpec parse_stream_spec(std::string_view text, StreamSpec base = {});
 
 }  // namespace topkmon

@@ -7,8 +7,11 @@
 namespace topkmon {
 
 std::uint64_t SparseStream::period_for(double rate) {
-  if (!(rate > 0.0) || rate > 1.0) {
-    throw std::invalid_argument("SparseStream: rate must be in (0, 1]");
+  // std::llround is unspecified past LLONG_MAX, so 1/rate must stay below
+  // 2^63 (0x1p63) for the period to fit in a std::int64_t.
+  if (!(rate > 0.0) || rate > 1.0 || !(1.0 / rate < 0x1p63)) {
+    throw std::invalid_argument(
+        "SparseStream: rate must be in (0, 1] with 1/rate < 2^63");
   }
   const auto period = static_cast<std::uint64_t>(std::llround(1.0 / rate));
   return period == 0 ? 1 : period;

@@ -25,7 +25,8 @@ struct SparseParams {
 class SparseStream final : public Stream {
  public:
   /// Activity period implied by `rate`: round(1/rate) steps. Throws
-  /// std::invalid_argument unless rate lies in (0, 1].
+  /// std::invalid_argument unless rate lies in (0, 1] and 1/rate < 2^63,
+  /// so the period fits in a std::int64_t.
   static std::uint64_t period_for(double rate);
 
   /// Wraps `inner`; this node draws a fresh value on steps where

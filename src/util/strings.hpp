@@ -1,11 +1,15 @@
-// Small string utilities shared by the spec parsers and the CLI.
+// Small string utilities shared by the spec parsers and the CLI, and
+// SpecReader, the one reader of every spec string.
 #pragma once
 
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -62,7 +66,7 @@ inline std::optional<double> to_double(std::string_view text) {
 
 /// Classic dynamic-programming edit distance (insert/delete/substitute),
 /// case-insensitive — small strings, so the O(|a|·|b|) table is fine.
-/// Shared by every did-you-mean hint (CLI --suite names, fault-plan
+/// Shared by every did-you-mean hint (CLI --suite names, SpecReader's
 /// names and keys) so they suggest with identical tolerance.
 inline std::size_t edit_distance(std::string_view a, std::string_view b) {
   const auto lower = [](char c) {
@@ -113,5 +117,185 @@ inline std::vector<std::string> closest_matches(
   for (auto& [d, c] : scored) out.push_back(std::move(c));
   return out;
 }
+
+/// One item of a spec string: `key` or `key=value`. A bare `key` has no
+/// value, which is distinct from `key=` (an empty value).
+struct SpecItem {
+  std::string_view text;  ///< the whole item, quoted in errors
+  std::string_view key;
+  std::string_view value;
+  bool has_value = false;
+};
+
+/// The one reader of the spec strings that configure a run: monitors
+/// ("topk_filter?nobeacon"), streams ("sparse?rate=0.01"), fault plans
+/// ("churn?crash=3@10") and the name-less network specs ("delay=2").
+///
+/// The spec is split once: the name runs to the first '?', the items
+/// after it split on ',' (empty items are dropped), and an item's key
+/// runs to its first '='. A parser names each key once, in a read call:
+///   - a single-valued read (read_unsigned, read_signed, read_double,
+///     read_fraction, read_flag, or read with a custom parse) parses
+///     every occurrence of its key, so a malformed one throws even if a
+///     later one follows, and the last occurrence wins;
+///   - each() visits the items of repeatable keys in spec order.
+/// Every read returns whether its key occurred. done() then rejects any
+/// item whose key no read named, hinting the closest named key. Every
+/// error is a std::invalid_argument reading `<kind> '<spec>': <detail>`.
+/// The reader keeps views of `kind`, `spec` and the keys it reads, so
+/// they must outlive it (parsers pass string literals as keys).
+class SpecReader {
+ public:
+  /// `kind` names the spec in errors ("monitor", "network", ...). A
+  /// named spec is `name?items`; a name-less one is all items.
+  SpecReader(std::string_view kind, std::string_view spec, bool named = true)
+      : kind_(kind), spec_(spec), query_(spec) {
+    if (named) {
+      name_ = name_of(spec);
+      query_ = spec.substr(std::min(name_.size() + 1, spec.size()));
+    }
+    for (const std::string_view text : split(query_, ',')) {
+      const std::size_t eq = text.find('=');
+      const bool has_value = eq != std::string_view::npos;
+      items_.push_back({text, text.substr(0, eq),
+                        has_value ? text.substr(eq + 1) : std::string_view{},
+                        has_value});
+    }
+  }
+
+  /// The name of a named spec: everything before its first '?'.
+  static std::string_view name_of(std::string_view spec) noexcept {
+    return spec.substr(0, spec.find('?'));
+  }
+
+  std::string_view name() const noexcept { return name_; }
+  /// True when a named spec has a '?', even with nothing after it.
+  bool has_query() const noexcept { return name_.size() < spec_.size(); }
+  /// The raw text after the '?' (all of a name-less spec).
+  std::string_view query() const noexcept { return query_; }
+
+  /// Single-valued read with a custom parse: `parse(value)` returns a
+  /// std::optional, and nullopt rejects the item as not `expected`. A
+  /// bare key is rejected unless `bare_ok`, which parses it as `key=`.
+  template <typename T, typename Parse>
+  bool read(std::string_view key, T& out, const std::string& expected,
+            Parse parse, bool bare_ok = false) {
+    read_keys_.push_back(key);
+    bool found = false;
+    for (const SpecItem& item : items_) {
+      if (item.key != key) continue;
+      if (!item.has_value && !bare_ok) fail_bare(item);
+      const auto v = parse(item.value);
+      if (!v) {
+        fail("bad value in '" + std::string(item.text) + "': expected " +
+             expected);
+      }
+      out = *v;
+      found = true;
+    }
+    return found;
+  }
+
+  /// An unsigned integer no larger than T's maximum.
+  template <typename T>
+  bool read_unsigned(std::string_view key, T& out) {
+    constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+    return read(key, out, "an integer in [0, " + std::to_string(kMax) + "]",
+                [](std::string_view v) -> std::optional<T> {
+                  const auto x = to_u64(v);
+                  if (!x || *x > kMax) return std::nullopt;
+                  return static_cast<T>(*x);
+                });
+  }
+
+  bool read_signed(std::string_view key, std::int64_t& out) {
+    return read(key, out, "an integer", to_i64);
+  }
+
+  bool read_double(std::string_view key, double& out) {
+    return read(key, out, "a number", to_double);
+  }
+
+  /// A fraction in [0, 1]. The negated range test also rejects NaN, which
+  /// fails every comparison.
+  bool read_fraction(std::string_view key, double& out) {
+    return read(key, out, "a fraction in [0, 1]",
+                [](std::string_view v) -> std::optional<double> {
+                  const auto x = to_double(v);
+                  if (!x || !(*x >= 0.0 && *x <= 1.0)) return std::nullopt;
+                  return x;
+                });
+  }
+
+  /// A flag: bare `key`, `key=`, `key=1` and `key=true` set it;
+  /// `key=0` and `key=false` clear it.
+  bool read_flag(std::string_view key, bool& out) {
+    return read(key, out, "a flag (1, 0, true or false)",
+                [](std::string_view v) -> std::optional<bool> {
+                  if (v.empty() || v == "1" || v == "true") return true;
+                  if (v == "0" || v == "false") return false;
+                  return std::nullopt;
+                },
+                /*bare_ok=*/true);
+  }
+
+  /// Visits, in spec order, every item whose key is one of `keys` (keys
+  /// that may repeat, such as fault events) as fn(item, index into keys).
+  /// Each such item needs a value.
+  template <typename F>
+  void each(std::span<const std::string_view> keys, F&& fn) {
+    read_keys_.insert(read_keys_.end(), keys.begin(), keys.end());
+    for (const SpecItem& item : items_) {
+      const auto it = std::find(keys.begin(), keys.end(), item.key);
+      if (it == keys.end()) continue;
+      if (!item.has_value) fail_bare(item);
+      fn(item, static_cast<std::size_t>(it - keys.begin()));
+    }
+  }
+
+  /// Rejects every item whose key no read named.
+  void done() const {
+    for (const SpecItem& item : items_) {
+      if (std::find(read_keys_.begin(), read_keys_.end(), item.key) ==
+          read_keys_.end()) {
+        fail_unknown("key", item.key,
+                     std::vector<std::string>(read_keys_.begin(),
+                                              read_keys_.end()),
+                     item.has_value ? " in '" + std::string(item.text) + "'"
+                                    : std::string());
+      }
+    }
+  }
+
+  [[noreturn]] void fail(const std::string& detail) const {
+    throw std::invalid_argument(std::string(kind_) + " '" +
+                                std::string(spec_) + "': " + detail);
+  }
+
+  /// Rejects `got` as an unknown `what` (key, monitor, family, ...),
+  /// hinting the closest of `known`.
+  [[noreturn]] void fail_unknown(std::string_view what, std::string_view got,
+                                 const std::vector<std::string>& known,
+                                 const std::string& where = {}) const {
+    std::string detail =
+        "unknown " + std::string(what) + " '" + std::string(got) + "'" + where;
+    const auto hints = closest_matches(got, known);
+    if (!hints.empty()) detail += "; did you mean '" + hints[0] + "'?";
+    fail(detail);
+  }
+
+ private:
+  [[noreturn]] void fail_bare(const SpecItem& item) const {
+    fail("'" + std::string(item.key) + "' needs a value (" +
+         std::string(item.key) + "=...)");
+  }
+
+  std::string_view kind_;
+  std::string_view spec_;
+  std::string_view name_;
+  std::string_view query_;
+  std::vector<SpecItem> items_;
+  std::vector<std::string_view> read_keys_;  ///< every key a read named
+};
 
 }  // namespace topkmon

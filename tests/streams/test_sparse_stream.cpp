@@ -49,6 +49,12 @@ TEST(SparseStream, PeriodForRate) {
   EXPECT_THROW(SparseStream::period_for(0.0), std::invalid_argument);
   EXPECT_THROW(SparseStream::period_for(-1.0), std::invalid_argument);
   EXPECT_THROW(SparseStream::period_for(2.0), std::invalid_argument);
+  // 1/rate must round to a std::int64_t: std::llround is unspecified past
+  // INT64_MAX, where both rates below once yielded 2^63.
+  EXPECT_THROW(SparseStream::period_for(1e-19), std::invalid_argument);
+  EXPECT_THROW(SparseStream::period_for(1e-300), std::invalid_argument);
+  EXPECT_EQ(SparseStream::period_for(0x1p-62), std::uint64_t{1} << 62);
+  EXPECT_THROW(parse_stream_spec("sparse?rate=1e-300"), std::invalid_argument);
 }
 
 TEST(SparseStream, ExactFractionOfNodesChangesPerStep) {
