@@ -1,7 +1,6 @@
 #include "exp/monitor_registry.hpp"
 
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "util/strings.hpp"

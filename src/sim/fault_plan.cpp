@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
