@@ -292,10 +292,11 @@ void SimDriver::service_node(NodeId id) {
 }
 
 void SimDriver::service_coordinator() {
-  // Phase 2: the coordinator's due mail, in arrival order.
-  cluster_.net().drain_coordinator(mail_scratch_);
-  for (const Message& m : mail_scratch_) {
-    coord_.on_message(coord_ctx_, m);
+  // Phase 2: the coordinator's due mail, in arrival order, as one batch.
+  Network& net = cluster_.net();
+  if (net.coordinator_has_mail()) {
+    net.drain_coordinator(mail_scratch_);
+    coord_.on_mail(coord_ctx_, mail_scratch_);
   }
   // Phase 3: the coordinator's armed timer.
   if (coord_armed_) {

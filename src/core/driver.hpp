@@ -10,7 +10,8 @@
 //      queued in the same coordinator phase as a broadcast logically
 //      follows it (a winner announcement must exclude its winner before
 //      the next selection iteration convenes);
-//   2. the coordinator: due charged messages in arrival order;
+//   2. the coordinator: due charged messages in arrival order, in one
+//      on_mail call (none on a tick without mail);
 //   3. the coordinator's armed timer.
 //
 // Ticks repeat until quiescence (no armed timer, no pending delivery, no

@@ -83,20 +83,22 @@ void NaiveCoordinator::on_step_begin(CoordCtx& ctx, TimeStep t) {
   guard_.tick_release_probes(ctx, kNaiveReleaseCap);
 }
 
-void NaiveCoordinator::on_message(CoordCtx&, const Message& m) {
-  if (m.kind != MsgKind::kValueReport) return;
-  if (suspect_) {
-    // Any report clears a suspicion and releases a quarantine: the node
-    // demonstrably answers.
-    last_heard_[m.from] = cur_step_;
-    guard_.release(m.from);
+void NaiveCoordinator::on_mail(CoordCtx&, std::span<const Message> mail) {
+  for (const Message& m : mail) {
+    if (m.kind != MsgKind::kValueReport) continue;
+    if (suspect_) {
+      // Any report clears a suspicion and releases a quarantine: the node
+      // demonstrably answers.
+      last_heard_[m.from] = cur_step_;
+      guard_.release(m.from);
+    }
+    known_values_[m.from] = m.a;
+    if (reported_.size() == known_values_.size()) flush_reports();
+    reported_.push_back(m.from);
+    // Any report from a node with a pending re-sync completes it: the
+    // replica entry is current again.
+    guard_.complete(m.from);
   }
-  known_values_[m.from] = m.a;
-  if (reported_.size() == known_values_.size()) flush_reports();
-  reported_.push_back(m.from);
-  // Any report from a node with a pending re-sync completes it: the
-  // replica entry is current again.
-  guard_.complete(m.from);
 }
 
 void NaiveCoordinator::on_timer(CoordCtx& ctx) {

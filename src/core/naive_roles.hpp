@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/ground_truth_tracker.hpp"
@@ -113,7 +114,12 @@ class NaiveCoordinator final : public CoordinatorAlgo {
   }
   void on_init(CoordCtx& ctx) override;
   void on_step_begin(CoordCtx& ctx, TimeStep t) override;
-  void on_message(CoordCtx& ctx, const Message& m) override;
+  /// One message is a batch of one (see on_mail).
+  void on_message(CoordCtx& ctx, const Message& m) override {
+    on_mail(ctx, std::span<const Message>(&m, 1));
+  }
+  /// The one body for upstream mail: a whole tick's reports per call.
+  void on_mail(CoordCtx& ctx, std::span<const Message> mail) override;
   void on_timer(CoordCtx& ctx) override;
   void on_step_end(CoordCtx& ctx, TimeStep t) override;
   const std::vector<NodeId>& topk() const override { return topk_ids_; }

@@ -13,7 +13,8 @@
 //
 // The SimDriver (core/driver.hpp) owns the event loop: per observation
 // step it delivers observations (on_observe), then runs delivery ticks —
-// due messages (on_message), then armed timers (on_timer) — until
+// due messages (on_message; the coordinator's as one on_mail batch per
+// tick), then armed timers (on_timer) — until
 // quiescence or until the network's tick budget expires. Under the
 // instant NetworkSpec this reproduces the paper's synchronous round
 // structure byte for byte: every monitor matches the frozen records of
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -258,6 +260,17 @@ class CoordinatorAlgo {
   /// A charged upstream message was delivered.
   virtual void on_message(CoordCtx& ctx, const Message& m) {
     (void)ctx, (void)m;
+  }
+
+  /// A tick's charged upstream mail was delivered. The driver calls this
+  /// once per tick that has coordinator mail, with all of it in arrival
+  /// order (the order on_message would see it). The default hands each
+  /// message to on_message. An override that takes the batch in one body
+  /// must keep on_message handling a single message with the same
+  /// outcome: a pass-through wrapper that forwards only on_message (such
+  /// as a timing shim) reaches the algorithm one message at a time.
+  virtual void on_mail(CoordCtx& ctx, std::span<const Message> mail) {
+    for (const Message& m : mail) on_message(ctx, m);
   }
 
   /// A previously armed timer fired (one protocol round per tick).

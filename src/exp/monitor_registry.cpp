@@ -17,12 +17,15 @@ namespace topkmon::exp {
 
 namespace {
 
-/// "2+8+16" -> {2, 8, 16}.
+/// "2+8+16" -> {2, 8, 16}; nullopt unless every k is positive and
+/// larger than the one before it (MultiKCoordinator's precondition).
 std::optional<std::vector<std::size_t>> parse_ks(std::string_view text) {
   std::vector<std::size_t> out;
   for (const std::string_view item : split(text, '+')) {
     const auto v = to_u64(item);
-    if (!v) return std::nullopt;
+    if (!v || *v == 0 || (!out.empty() && *v <= out.back())) {
+      return std::nullopt;
+    }
     out.push_back(static_cast<std::size_t>(*v));
   }
   if (out.empty()) return std::nullopt;
@@ -51,7 +54,14 @@ RolePair filter_roles(const Cluster& cluster, SpecReader& r, std::size_t k) {
   // the same knobs as topk_filter.
   FilterCoordinator::Options o;
   o.approx = (r.name() == "approx");
-  if (o.approx) r.read_signed("eps", o.epsilon);
+  if (o.approx) {
+    r.read("eps", o.epsilon, "an integer >= 0",
+           [](std::string_view v) -> std::optional<std::int64_t> {
+             const auto x = to_i64(v);
+             if (!x || *x < 0) return std::nullopt;
+             return x;
+           });
+  }
   r.read_flag("nobeacon", o.suppress_idle_broadcasts);
   // Seeded exponential backoff on defensive resets, for the lossy-network
   // and churn suites.
@@ -81,7 +91,13 @@ RolePair naive_roles(const Cluster& cluster, SpecReader& r, std::size_t k) {
 
 RolePair slack_roles(const Cluster& cluster, SpecReader& r, std::size_t k) {
   SlackCoordinator::Options o;
-  r.read_double("alpha", o.alpha);
+  // The negated range test also rejects NaN.
+  r.read("alpha", o.alpha, "a number in (0, 1)",
+         [](std::string_view v) -> std::optional<double> {
+           const auto x = to_double(v);
+           if (!x || !(*x > 0.0 && *x < 1.0)) return std::nullopt;
+           return x;
+         });
   r.read_flag("adaptive", o.adaptive);
   // TEST-ONLY: off-by-`nudge` boundary mutation for the differential
   // harness's self-test (tests/core/test_port_mutant.cpp). Never a
@@ -119,7 +135,8 @@ RolePair recompute_roles(const Cluster& cluster, SpecReader& r,
 RolePair multik_roles(const Cluster& cluster, SpecReader& r, std::size_t k) {
   std::vector<std::size_t> ks{k};
   MultiKCoordinator::Options o;
-  r.read("ks", ks, "k values joined by '+' (2+8+16)", parse_ks);
+  r.read("ks", ks, "increasing positive k values joined by '+' (2+8+16)",
+         parse_ks);
   r.read_flag("nobeacon", o.suppress_idle_broadcasts);
   r.done();
   return native_pair<MultiKNode>(std::make_unique<MultiKCoordinator>(ks, o),
@@ -201,11 +218,11 @@ ShardedSpec parse_sharded_spec(std::string_view spec) {
   out.monitor = *row.sharded;
   // The shard adapters forward topk_filter's beacon suppression and
   // nothing else: any other parameter (backoff, suspect, replay, ...)
-  // would be silently dropped, so done() rejects it.
+  // would be silently dropped, so done() rejects it and says so.
   if (out.monitor == ShardedSpec::Monitor::kFilter) {
     r.read_flag("nobeacon", out.suppress_idle_broadcasts);
   }
-  r.done();
+  r.done("sharded deployments forward only topk_filter's 'nobeacon'");
   return out;
 }
 

@@ -39,6 +39,20 @@ void for_each_id(std::size_t w, std::uint64_t bits, F&& f) {
   }
 }
 
+/// Appends `m` to `out` with its sender set to `from`, field by field:
+/// copying `m` whole and then stamping the copy stores the sender twice,
+/// and stamping a local before copying it reloads a fresh 4-byte store
+/// with a 16-byte load, which stalls store forwarding on every message.
+template <class Vec>
+[[gnu::always_inline]] inline void push_stamped(Vec& out, const Message& m,
+                                                NodeId from) {
+  Message& dst = out.emplace_back();
+  dst.kind = m.kind;
+  dst.from = from;
+  dst.a = m.a;
+  dst.b = m.b;
+}
+
 /// Upper bound on the timing-wheel span in ticks. Specs whose worst-case
 /// delay fits under this bound (all realistic ones) never touch the
 /// overflow heap; larger delays merely fall back to O(log pending) pushes
@@ -94,7 +108,11 @@ Network::Network(std::size_t n, CommStats* stats, const NetworkSpec& spec,
     if (spec_.batch_window > 1) span += spec_.batch_window - 1;
     const std::uint64_t size = next_pow2(std::min(span, kMaxWheelSpan));
     wheel_.reserve(size);
-    for (std::uint64_t i = 0; i < size; ++i) wheel_.emplace_back(&arena_);
+    coord_wheel_.reserve(size);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      wheel_.emplace_back(&arena_);
+      coord_wheel_.emplace_back(&arena_);
+    }
     wheel_bits_.assign((size + 63) / 64, 0);
     wheel_mask_ = size - 1;
   }
@@ -146,8 +164,7 @@ void Network::deliver(std::uint32_t recipient, const Stamped& s) {
 [[gnu::always_inline]] inline void Network::schedule_delivery(
     std::uint32_t recipient, SimTime due, std::uint64_t seq, const Message& m,
     NodeId from) {
-  // Each branch copies `m` first and stamps `from` into the copy (see
-  // node_send).
+  // Each branch copies `m` and stamps `from` into the copy.
   ++pending_;
   if (due <= now_) {
     Stamped s{seq, m};
@@ -157,11 +174,17 @@ void Network::deliver(std::uint32_t recipient, const Stamped& s) {
   }
   ++in_flight_;
   if (due - now_ <= wheel_mask_) {
-    // Sends happen in global seq order, so each slot is automatically
-    // (due, seq)-sorted by appending.
+    // Sends happen in global seq order, so each slot column is
+    // automatically (due, seq)-sorted by appending. The coordinator
+    // column keeps only the message: its inbox needs neither a recipient
+    // nor a seq stamp.
     const auto slot = static_cast<std::size_t>(due & wheel_mask_);
-    wheel_[slot].push_back(Slotted{recipient, Stamped{seq, m}});
-    wheel_[slot].back().stamped.msg.from = from;
+    if (recipient == num_nodes()) {
+      push_stamped(coord_wheel_[slot], m, from);
+    } else {
+      wheel_[slot].push_back(Slotted{recipient, Stamped{seq, m}});
+      wheel_[slot].back().stamped.msg.from = from;
+    }
     wheel_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     return;
   }
@@ -215,8 +238,20 @@ void Network::flush_tick(SimTime t) {
   const auto slot = static_cast<std::size_t>(t & wheel_mask_);
   auto& due = wheel_[slot];
   for (const Slotted& d : due) deliver(d.recipient, d.stamped);
-  in_flight_ -= due.size();
+  // The coordinator column lands in one bulk copy. It is not swapped in:
+  // rotating slot buffers through the inbox lets every slot grow to the
+  // inbox's peak, which costs allocations during warm-up. The inbox grows
+  // geometrically, as push_back would: a range insert past capacity
+  // sizes it exactly, so each slightly larger burst would reallocate.
+  auto& up = coord_wheel_[slot];
+  const std::size_t need = coord_inbox_.size() + up.size();
+  if (need > coord_inbox_.capacity()) {
+    coord_inbox_.reserve(std::max(need, 2 * coord_inbox_.capacity()));
+  }
+  coord_inbox_.insert(coord_inbox_.end(), up.begin(), up.end());
+  in_flight_ -= due.size() + up.size();
   due.clear();
+  up.clear();
   wheel_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
 }
 
@@ -245,18 +280,10 @@ void Network::node_send(NodeId from, const Message& m) {
   }
   assert(alive_->test(from) && "a down node cannot send");
   stats_->record_upstream(m.kind);
-  if (tap_) {
-    Message tapped = m;
-    tapped.from = from;
-    tap_(MsgDirection::kUpstream, tapped);
-  }
+  if (tap_) tap_upstream(from, m);
   const std::uint64_t seq = seq_++;
   if (instant_) {
-    // Copy, then stamp the sender into the copy: stamping a local and
-    // copying that would reload a fresh 4-byte store with a 16-byte
-    // load, which stalls store forwarding on every message.
-    coord_inbox_.push_back(m);
-    coord_inbox_.back().from = from;
+    push_stamped(coord_inbox_, m, from);
     ++pending_;
     return;
   }
@@ -267,6 +294,12 @@ void Network::node_send(NodeId from, const Message& m) {
   } else {
     ++dropped_;
   }
+}
+
+void Network::tap_upstream(NodeId from, const Message& m) {
+  Message tapped = m;
+  tapped.from = from;
+  tap_(MsgDirection::kUpstream, tapped);
 }
 
 void Network::coord_unicast(NodeId to, const Message& m) {
@@ -324,10 +357,6 @@ void Network::coord_broadcast(const Message& m) {
       ++dropped_;
     }
   }
-}
-
-bool Network::coordinator_has_mail() const noexcept {
-  return !coord_inbox_.empty();
 }
 
 void Network::drain_coordinator(std::vector<Message>& out) {

@@ -23,12 +23,15 @@
 //     drains only surface messages whose delivery tick has been reached.
 //     Broadcasts fan out into per-link scheduled deliveries. In-flight
 //     messages wait in a timing wheel keyed by delivery tick (Varghese &
-//     Lauck): one flat slot per tick, appended in send order, with
-//     far-future ticks overflowing into a small heap. Advancing the clock
-//     moves each due slot into the same inboxes instant mode fills, so
-//     both modes share one drain path. Pushes and pops are O(1) and
-//     allocation-free at steady state (slots and inboxes keep their
-//     capacity), and earliest_pending() costs O(1) in n.
+//     Lauck): one slot per tick, appended in send order, with far-future
+//     ticks overflowing into a small heap. Each slot has two columns:
+//     node-bound deliveries (recipient + send stamp) and coordinator-bound
+//     messages (sender already stamped, nothing else). Advancing the
+//     clock moves each due slot into the same inboxes instant mode fills,
+//     so both modes share one drain path: node mail one delivery at a
+//     time, the coordinator column in one bulk append. Pushes and pops
+//     are O(1) and allocation-free at steady state (slots and inboxes
+//     keep their capacity), and earliest_pending() costs O(1) in n.
 //
 // Message *sends* are always charged to CommStats — the paper's objective
 // counts transmissions; a dropped message still cost its sender one unit.
@@ -179,7 +182,7 @@ class Network {
   void drain_coordinator(std::vector<Message>& out);
 
   /// True if the coordinator has deliverable messages.
-  bool coordinator_has_mail() const noexcept;
+  bool coordinator_has_mail() const noexcept { return !coord_inbox_.empty(); }
 
   /// Drains node `id`'s deliverable messages into `out` (cleared first;
   /// capacity retained): unicasts addressed to it plus all broadcasts
@@ -326,7 +329,8 @@ class Network {
 
   /// Lands one due delivery in the recipient's inbox (coordinator mail in
   /// coord_inbox_, node mail in unicasts_ with the due bit set), or drops
-  /// it when the recipient node is down.
+  /// it when the recipient node is down. Used for due-now and overflow
+  /// deliveries; flush_tick appends a slot's coordinator column in bulk.
   void deliver(std::uint32_t recipient, const Stamped& s);
 
   /// Due tick of the next occupied wheel slot strictly after now()
@@ -340,6 +344,11 @@ class Network {
   /// Drops the broadcast-log prefix every due node has already read once
   /// the retained log grows past the compaction threshold.
   void maybe_compact_broadcast_log();
+
+  /// Hands `m`, stamped with its sender `from`, to the tap. Out of line:
+  /// the tap is a diagnostic, and its copy would otherwise sit on every
+  /// upstream send's hot path.
+  [[gnu::noinline]] void tap_upstream(NodeId from, const Message& m);
 
   /// Instant-mode fan-out of the broadcast just appended at absolute log
   /// index `end`: raises the due bit of every live node (for a `beacon`,
@@ -408,13 +417,18 @@ class Network {
   std::size_t log_offset_ = 0;
 
   // Scheduled mode: a timing wheel in front of the inboxes above.
-  // wheel_[due & wheel_mask_] holds the deliveries of exactly one due tick
+  // Slot `due & wheel_mask_` holds the deliveries of exactly one due tick
   // (every in-wheel due lies within `wheel span` of the clock, so slots
-  // never mix ticks), appended in send order; wheel_bits_ mirrors slot
-  // occupancy for O(span/64) next-event scans. Each inbox stays
-  // (due, seq)-ordered: slots are flushed in tick order, each in send
-  // order, and a send that is already due lands after every earlier tick.
+  // never mix ticks), appended in send order: node-bound ones in wheel_,
+  // coordinator-bound ones in coord_wheel_. wheel_bits_ mirrors slot
+  // occupancy (either column) for O(span/64) next-event scans. Each inbox
+  // stays (due, seq)-ordered: slots are flushed in tick order, a tick's
+  // overflow entries before its slot (they were sent earlier), each in
+  // send order, and a send that is already due lands after every earlier
+  // tick. Splitting a slot by recipient keeps that order, because the
+  // coordinator's inbox only ever receives the coordinator column.
   std::vector<std::pmr::vector<Slotted>> wheel_;
+  std::vector<std::pmr::vector<Message>> coord_wheel_;
   std::vector<std::uint64_t> wheel_bits_;
   std::uint64_t wheel_mask_ = 0;
   std::vector<Overflow> overflow_;  // min-heap by (due, seq)

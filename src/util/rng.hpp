@@ -16,8 +16,15 @@
 
 namespace topkmon {
 
-/// SplitMix64 step; used for seeding and for cheap stream derivation.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// SplitMix64 step; used for seeding, for cheap stream derivation and
+/// for the scheduled transport's per-(message, link) hash, once per
+/// send, which is why it is inline.
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 namespace detail {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

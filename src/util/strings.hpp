@@ -134,8 +134,8 @@ struct SpecItem {
 /// The spec is split once: the name runs to the first '?', the items
 /// after it split on ',' (empty items are dropped), and an item's key
 /// runs to its first '='. A parser names each key once, in a read call:
-///   - a single-valued read (read_unsigned, read_signed, read_double,
-///     read_fraction, read_flag, or read with a custom parse) parses
+///   - a single-valued read (read_unsigned, read_signed, read_fraction,
+///     read_flag, or read with a custom parse) parses
 ///     every occurrence of its key, so a malformed one throws even if a
 ///     later one follows, and the last occurrence wins;
 ///   - each() visits the items of repeatable keys in spec order.
@@ -212,10 +212,6 @@ class SpecReader {
     return read(key, out, "an integer", to_i64);
   }
 
-  bool read_double(std::string_view key, double& out) {
-    return read(key, out, "a number", to_double);
-  }
-
   /// A fraction in [0, 1]. The negated range test also rejects NaN, which
   /// fails every comparison.
   bool read_fraction(std::string_view key, double& out) {
@@ -253,8 +249,9 @@ class SpecReader {
     }
   }
 
-  /// Rejects every item whose key no read named.
-  void done() const {
+  /// Rejects every item whose key no read named. A non-empty `note`
+  /// closes the error, e.g. to say why a key valid elsewhere is not here.
+  void done(std::string_view note = {}) const {
     for (const SpecItem& item : items_) {
       if (std::find(read_keys_.begin(), read_keys_.end(), item.key) ==
           read_keys_.end()) {
@@ -262,7 +259,8 @@ class SpecReader {
                      std::vector<std::string>(read_keys_.begin(),
                                               read_keys_.end()),
                      item.has_value ? " in '" + std::string(item.text) + "'"
-                                    : std::string());
+                                    : std::string(),
+                     note);
       }
     }
   }
@@ -273,14 +271,16 @@ class SpecReader {
   }
 
   /// Rejects `got` as an unknown `what` (key, monitor, family, ...),
-  /// hinting the closest of `known`.
+  /// hinting the closest of `known`, then appending `note` if any.
   [[noreturn]] void fail_unknown(std::string_view what, std::string_view got,
                                  const std::vector<std::string>& known,
-                                 const std::string& where = {}) const {
+                                 const std::string& where = {},
+                                 std::string_view note = {}) const {
     std::string detail =
         "unknown " + std::string(what) + " '" + std::string(got) + "'" + where;
     const auto hints = closest_matches(got, known);
     if (!hints.empty()) detail += "; did you mean '" + hints[0] + "'?";
+    if (!note.empty()) detail += "; " + std::string(note);
     fail(detail);
   }
 

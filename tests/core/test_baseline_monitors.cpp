@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -9,6 +10,7 @@
 #include "core/recompute_roles.hpp"
 #include "core/slack_roles.hpp"
 #include "role_drive.hpp"
+#include "sim/fault_plan.hpp"
 
 namespace topkmon {
 namespace {
@@ -57,6 +59,116 @@ TEST(NaiveCoordinator, ReadsSeeReportsDeliveredEarlierInTheStep) {
   EXPECT_EQ(coord.weakest_member_value(), 998);
   coord.on_step_end(ctx, 1);
   EXPECT_EQ(coord.topk(), (std::vector<NodeId>{0, 1, 2, 9}));
+}
+
+/// Pass-through coordinator that forwards every callback but on_mail,
+/// like a timing shim: the driver's per-tick batch then reaches the
+/// wrapped coordinator one on_message call at a time.
+class PerMessageCoordinator final : public CoordinatorAlgo {
+ public:
+  explicit PerMessageCoordinator(CoordinatorAlgo& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  void on_init(CoordCtx& ctx) override { inner_.on_init(ctx); }
+  void on_step_begin(CoordCtx& ctx, TimeStep t) override {
+    inner_.on_step_begin(ctx, t);
+  }
+  void on_message(CoordCtx& ctx, const Message& m) override {
+    ++messages;
+    inner_.on_message(ctx, m);
+  }
+  void on_timer(CoordCtx& ctx) override { inner_.on_timer(ctx); }
+  void on_step_end(CoordCtx& ctx, TimeStep t) override {
+    inner_.on_step_end(ctx, t);
+  }
+  void on_node_down(CoordCtx& ctx, NodeId id) override {
+    inner_.on_node_down(ctx, id);
+  }
+  void on_node_up(CoordCtx& ctx, NodeId id) override {
+    inner_.on_node_up(ctx, id);
+  }
+  void on_set_k(CoordCtx& ctx, std::size_t k) override {
+    inner_.on_set_k(ctx, k);
+  }
+  const std::vector<NodeId>& topk() const override { return inner_.topk(); }
+  const MonitorStats& monitor_stats() const noexcept override {
+    return inner_.monitor_stats();
+  }
+
+  std::uint64_t messages = 0;
+
+ private:
+  CoordinatorAlgo& inner_;
+};
+
+struct HandOffOutcome {
+  std::vector<std::vector<NodeId>> answers;  ///< per step, from step 0
+  std::vector<std::uint64_t> by_kind;
+  MonitorStats stats;
+  std::uint64_t wrapped_messages = 0;
+};
+
+/// Runs `spec` on 64 random walks under `network` and a churn plan with
+/// a crash, a recovery, a mute and its heal, with the coordinator bare
+/// (per-tick on_mail batches) or behind PerMessageCoordinator.
+HandOffOutcome run_hand_off(const std::string& spec, const char* network,
+                            bool per_message) {
+  constexpr std::size_t kN = 64;
+  constexpr std::size_t kK = 4;
+  constexpr TimeStep kSteps = 160;
+  constexpr std::uint64_t kSeed = 9;
+  const FaultPlan plan("churn?crash=3@40,recover=3@100,mute=5@20,heal=5@60",
+                       kN, kK, kSeed);
+  Cluster cluster(kN, kSeed, parse_network_spec(network));
+  exp::RolePair pair = exp::make_role_pair(cluster, spec, kK);
+  PerMessageCoordinator wrapper(*pair.coordinator);
+  CoordinatorAlgo& coord =
+      per_message ? static_cast<CoordinatorAlgo&>(wrapper) : *pair.coordinator;
+  SimDriver driver(cluster, coord, pair.nodes);
+  driver.set_fault_plan(&plan);
+  StreamSet streams = make_stream_set(walk(6), kN, kSeed);
+  std::vector<Value> values(kN);
+
+  HandOffOutcome out;
+  for (TimeStep t = 0; t <= kSteps; ++t) {
+    cluster.stats().begin_step(t);
+    streams.advance_all(values);
+    for (NodeId id = 0; id < kN; ++id) cluster.set_value(id, values[id]);
+    if (t == 0) {
+      driver.initialize();
+    } else {
+      driver.step(t);
+    }
+    out.answers.push_back(coord.topk());
+  }
+  for (std::size_t k = 0; k < kNumMsgKinds; ++k) {
+    out.by_kind.push_back(cluster.stats().by_kind(static_cast<MsgKind>(k)));
+  }
+  out.stats = coord.monitor_stats();
+  out.wrapped_messages = wrapper.messages;
+  return out;
+}
+
+TEST(NaiveCoordinator, BatchedHandOffEqualsPerMessageDelivery) {
+  // The driver hands the coordinator one on_mail batch per tick; naive
+  // takes it in one body. A wrapper that forwards only on_message (as a
+  // timing shim does) must see the same run: answers, traffic and
+  // counters, under delay and loss, crash and recovery, mute and heal.
+  for (const char* spec : {"naive", "naive_chg", "naive?suspect"}) {
+    for (const char* net : {"delay=2,jitter=4,ticks=8", "delay=1,drop=0.05"}) {
+      SCOPED_TRACE(std::string(spec) + " / " + net);
+      const HandOffOutcome bare = run_hand_off(spec, net, false);
+      const HandOffOutcome wrapped = run_hand_off(spec, net, true);
+      EXPECT_EQ(bare.answers, wrapped.answers);
+      EXPECT_EQ(bare.by_kind, wrapped.by_kind);
+      for (const MonitorCounter& c : kMonitorCounters) {
+        EXPECT_EQ(bare.stats.*c.field, wrapped.stats.*c.field) << c.name;
+      }
+      EXPECT_GT(wrapped.wrapped_messages, 0u);
+      // The plan's crash and recovery ran a re-sync.
+      EXPECT_GT(bare.stats.resyncs, 0u);
+    }
+  }
 }
 
 TEST(NaiveMonitor, AlwaysCorrectOnWalks) {

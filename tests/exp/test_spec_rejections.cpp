@@ -45,7 +45,9 @@ TEST(SpecRejections, QuoteTheSpecNameTheItemAndHint) {
   const struct {
     Entry entry;
     const char* spec;
-    const char* item;  ///< the offending item (or name), as quoted
+    /// The offending item (or name), as quoted, plus any text the
+    /// error must continue with.
+    const char* item;
     const char* hint;  ///< did-you-mean target, or nullptr
   } cases[] = {
       // An item with no '=' where a value is required.
@@ -59,7 +61,11 @@ TEST(SpecRejections, QuoteTheSpecNameTheItemAndHint) {
       {Entry::kStream, "sparse?rat=0.1", "'rat=0.1'", "rate"},
       {Entry::kNetwork, "delai=2", "'delai=2'", "delay"},
       {Entry::kFault, "churn?crsh=1@10", "'crsh=1@10'", "crash"},
-      {Entry::kSharded, "topk_filter?backoff", "'backoff'", nullptr},
+      // A monolithic knob the shard adapters do not forward.
+      {Entry::kSharded, "topk_filter?backoff",
+       "'backoff'; sharded deployments forward only", nullptr},
+      {Entry::kSharded, "naive?suspect",
+       "'suspect'; sharded deployments forward only", nullptr},
       // A value that is not a number (or flag).
       {Entry::kMonitor, "slack?alpha=abc", "'alpha=abc'", nullptr},
       {Entry::kMonitor, "approx?eps=1.5", "'eps=1.5'", nullptr},
@@ -68,6 +74,16 @@ TEST(SpecRejections, QuoteTheSpecNameTheItemAndHint) {
       {Entry::kStream, "sparse?rate=abc", "'rate=abc'", nullptr},
       {Entry::kNetwork, "jitter=abc", "'jitter=abc'", nullptr},
       {Entry::kFault, "churn?every=abc", "'every=abc'", nullptr},
+      // A number outside the monitor's range: the reader rejects it
+      // before any coordinator is built.
+      {Entry::kMonitor, "slack?alpha=2",
+       "bad value in 'alpha=2': expected a number in (0, 1)", nullptr},
+      {Entry::kMonitor, "slack?alpha=nan", "'alpha=nan'", nullptr},
+      {Entry::kMonitor, "approx?eps=-5",
+       "bad value in 'eps=-5': expected an integer >= 0", nullptr},
+      {Entry::kMonitor, "multi_k?ks=4+2",
+       "bad value in 'ks=4+2': expected increasing positive", nullptr},
+      {Entry::kMonitor, "multi_k?ks=0+2", "'ks=0+2'", nullptr},
       // Integer overflow.
       {Entry::kMonitor, "approx?eps=9223372036854775808",
        "'eps=9223372036854775808'", nullptr},

@@ -3,7 +3,9 @@
 // clock advances and drains interleave; far-future deliveries (beyond
 // the wheel span) take the overflow path and interleave with in-wheel
 // deliveries correctly; repeated bursts through the same slots keep the
-// accounting exact; a seeded mix pins the whole delivery sequence.
+// accounting exact; a seeded mix pins the whole delivery sequence; the
+// coordinator's column of each slot drains in (due, send) order when
+// wheel, overflow and due-now deliveries meet in one drain.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -352,6 +354,202 @@ TEST(TimingWheel, SeededMixMatchesPinnedDeliverySequence) {
   };
   for (const Case& c : cases) {
     EXPECT_EQ(drive_seeded_mix(c.spec, 17), c.digest) << c.spec;
+  }
+}
+
+/// Nodes of the scripted runs below (node 0 always up).
+constexpr std::size_t kVisitNodes = 5;
+
+/// One visit of a scripted run: advance the clock to `t`, make the
+/// sends, drain every recipient, then apply the liveness toggles (with
+/// every inbox empty, so a crash drops only in-flight mail, at its due
+/// tick, however the clock got there).
+struct Visit {
+  SimTime t = 0;
+  std::vector<NodeId> toggles;  ///< node ids taken down / brought up
+  /// (sender or recipient, upstream?) per send.
+  std::vector<std::pair<NodeId, bool>> sends;
+};
+
+/// What one visit drained and left behind.
+struct VisitRecord {
+  /// Per recipient (the nodes, then the coordinator): (due tick, payload)
+  /// per delivery, in drain order. The due tick is only known to the
+  /// one-tick reference (it drains every tick), so the scripted side
+  /// records 0.
+  std::vector<std::vector<std::pair<SimTime, std::int64_t>>> mail;
+  std::uint64_t pending = 0;
+  std::optional<SimTime> earliest;
+  std::uint64_t dropped = 0;
+};
+
+using VisitPlan = std::vector<Visit>;
+
+/// Runs `plan` on a fresh network. With `one_tick` the clock visits every
+/// tick and each recipient drains every tick, so each delivery's drain
+/// tick is its due tick; otherwise the clock jumps straight to each
+/// visit with one advance_clock_to call, and each drain takes everything
+/// that fell due since the previous visit.
+std::vector<VisitRecord> run_visits(const NetworkSpec& spec,
+                                    const VisitPlan& plan, bool one_tick) {
+  CommStats stats;
+  Network net(kVisitNodes, &stats, spec, 23);
+  std::vector<VisitRecord> out;
+  std::vector<Message> mail;
+  std::int64_t payload_tag = 0;
+  VisitRecord rec;
+  rec.mail.resize(kVisitNodes + 1);
+  const auto drain_all = [&] {
+    for (NodeId id = 0; id < kVisitNodes; ++id) {
+      net.drain_node(id, mail);
+      for (const Message& m : mail) {
+        rec.mail[id].emplace_back(one_tick ? net.now() : 0, m.a);
+      }
+    }
+    net.drain_coordinator(mail);
+    for (const Message& m : mail) {
+      rec.mail[kVisitNodes].emplace_back(one_tick ? net.now() : 0, m.a);
+    }
+  };
+  for (const Visit& v : plan) {
+    if (one_tick) {
+      while (net.now() < v.t) {
+        net.advance_clock();
+        if (net.now() < v.t) drain_all();
+      }
+    } else {
+      net.advance_clock_to(v.t);
+    }
+    for (const auto& [id, upstream] : v.sends) {
+      Message m;
+      m.kind = upstream ? MsgKind::kValueReport : MsgKind::kProbe;
+      m.a = payload_tag++;
+      m.b = static_cast<std::int64_t>(v.t);
+      if (upstream) {
+        net.node_send(id, m);
+      } else {
+        net.coord_unicast(id, m);
+      }
+    }
+    drain_all();
+    for (const NodeId id : v.toggles) {
+      if (net.node_alive(id)) {
+        net.set_node_down(id);
+      } else {
+        net.set_node_up(id);
+      }
+    }
+    rec.pending = net.pending_deliveries();
+    rec.earliest = net.earliest_pending();
+    rec.dropped = net.dropped_deliveries();
+    out.push_back(std::move(rec));
+    rec = VisitRecord{};
+    rec.mail.resize(kVisitNodes + 1);
+  }
+  return out;
+}
+
+TEST(TimingWheel, CoordinatorColumnDrainsInDueThenSendOrder) {
+  // A slot keeps coordinator mail in its own column, appended to the
+  // inbox in bulk, while overflow and due-now coordinator deliveries go
+  // one by one. A scripted run that jumps the clock by one or several
+  // ticks before each drain must drain exactly what a run visiting every
+  // tick drains over the same ticks, in the same order, which is (due,
+  // send) order, and leave the same pending, earliest and dropped counts.
+  constexpr std::size_t kN = kVisitNodes;
+  constexpr SimTime kSendTicks = 200;
+  struct Case {
+    const char* spec;
+    bool due_now;   ///< some drain mixes a due-now send with older mail
+    bool overflow;  ///< some drain mixes overflow with wheel mail
+  };
+  const Case cases[] = {
+      {"delay=0,jitter=2", true, false},
+      {"delay=2,jitter=4", false, false},
+      {"delay=4093,jitter=6", false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const NetworkSpec spec = parse_network_spec(c.spec);
+    Rng rng(31);
+    VisitPlan plan;
+    std::vector<char> up(kN, 1);
+    const SimTime end = kSendTicks + spec.max_delay() + 2;
+    for (SimTime t = 0; t < end;) {
+      // One-tick and multi-tick jumps, about evenly.
+      t += rng.uniform_below(2) == 0 ? 1 : 2 + rng.uniform_below(8);
+      Visit v;
+      v.t = t;
+      if (t < kSendTicks) {
+        const std::uint64_t sends = 1 + rng.uniform_below(6);
+        for (std::uint64_t i = 0; i < sends; ++i) {
+          const auto id = static_cast<NodeId>(rng.uniform_below(kN));
+          const bool upstream = rng.uniform_below(3) != 0;
+          if (upstream && up[id] == 0) continue;  // a down node cannot send
+          v.sends.emplace_back(id, upstream);
+        }
+        if (rng.uniform_below(8) == 0) {
+          // Node 0 stays up: it keeps the coordinator's inbox busy.
+          const auto id = static_cast<NodeId>(1 + rng.uniform_below(kN - 1));
+          v.toggles.push_back(id);
+          up[id] ^= 1;
+        }
+      }
+      plan.push_back(std::move(v));
+    }
+
+    const auto ref = run_visits(spec, plan, /*one_tick=*/true);
+    const auto got = run_visits(spec, plan, /*one_tick=*/false);
+    ASSERT_EQ(ref.size(), got.size());
+    bool mixed_due_now = false;
+    bool mixed_overflow = false;
+    std::size_t multi_due_drains = 0;
+    std::vector<SimTime> sent_at;  // by payload tag
+    for (const Visit& v : plan) {
+      sent_at.insert(sent_at.end(), v.sends.size(), v.t);
+    }
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const SimTime t = plan[i].t;
+      for (std::size_t r = 0; r <= kN; ++r) {
+        const auto& want = ref[i].mail[r];
+        const auto& have = got[i].mail[r];
+        ASSERT_EQ(want.size(), have.size()) << "t=" << t << " r=" << r;
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          EXPECT_EQ(want[j].second, have[j].second)
+              << "t=" << t << " r=" << r << " #" << j;
+          if (j > 0) {
+            // (due, send) order: payload tags follow send order.
+            EXPECT_LT(want[j - 1], want[j]) << "t=" << t << " r=" << r;
+          }
+        }
+        if (r != kN || want.empty()) continue;
+        // Route of each coordinator delivery, from its schedule offset:
+        // 0 is due at the send, beyond the 4096-tick wheel cap overflows.
+        bool due_now = false, wheel = false, overflow = false;
+        for (const auto& [due, tag] : want) {
+          const SimTime offset = due - sent_at[static_cast<std::size_t>(tag)];
+          if (offset == 0) {
+            due_now = true;
+          } else if (offset >= 4096) {
+            overflow = true;
+          } else {
+            wheel = true;
+          }
+        }
+        mixed_due_now = mixed_due_now || (due_now && wheel);
+        mixed_overflow = mixed_overflow || (overflow && wheel);
+        if (want.front().first != want.back().first) ++multi_due_drains;
+      }
+      EXPECT_EQ(ref[i].pending, got[i].pending) << "t=" << t;
+      EXPECT_EQ(ref[i].earliest, got[i].earliest) << "t=" << t;
+      EXPECT_EQ(ref[i].dropped, got[i].dropped) << "t=" << t;
+    }
+    EXPECT_EQ(got.back().pending, 0u);
+    EXPECT_EQ(got.back().earliest, std::nullopt);
+    EXPECT_GT(got.back().dropped, 0u);  // node-bound mail to down nodes
+    EXPECT_GT(multi_due_drains, 0u);
+    EXPECT_EQ(mixed_due_now, c.due_now);
+    EXPECT_EQ(mixed_overflow, c.overflow);
   }
 }
 

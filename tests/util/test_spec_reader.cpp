@@ -67,7 +67,7 @@ TEST(SpecReader, AbsentKeysLeaveTheirDefaults) {
   SpecReader r("monitor", "slack");
   double alpha = 0.5;
   bool adaptive = false;
-  EXPECT_FALSE(r.read_double("alpha", alpha));
+  EXPECT_FALSE(r.read_fraction("alpha", alpha));
   EXPECT_FALSE(r.read_flag("adaptive", adaptive));
   EXPECT_EQ(alpha, 0.5);
   EXPECT_FALSE(adaptive);
@@ -87,7 +87,7 @@ TEST(SpecReader, TypedReadsCheckTheirRanges) {
   EXPECT_TRUE(r.read_signed("c", c));
   EXPECT_EQ(c, -5);
   double d = 0.0, e = 0.5, f = 0.5;
-  EXPECT_TRUE(r.read_double("d", d));
+  EXPECT_TRUE(r.read_fraction("d", d));
   EXPECT_DOUBLE_EQ(d, 1e-3);
   EXPECT_TRUE(r.read_fraction("e", e));
   EXPECT_TRUE(r.read_fraction("f", f));
@@ -181,6 +181,10 @@ TEST(SpecReader, DoneHintsTheClosestReadKey) {
   SpecReader far("monitor", "dominance?zzz");
   EXPECT_EQ(error_of([&] { far.done(); }),
             "monitor 'dominance?zzz': unknown key 'zzz'");
+  // A note closes the error, after the hint.
+  EXPECT_EQ(error_of([&] { r.done("delays only"); }),
+            "network 'delai=2': unknown key 'delai' in 'delai=2'; did you "
+            "mean 'delay'?; delays only");
 }
 
 TEST(SpecReader, FailUnknownQuotesTheSpecAndHints) {
