@@ -197,7 +197,7 @@ MultiKCoordinator::MultiKCoordinator(std::vector<std::size_t> ks, Options opts)
   if (ks_.empty()) {
     throw std::invalid_argument("MultiKCoordinator: need at least one k");
   }
-  if (ks_.size() > 200) {
+  if (ks_.size() > kMaxBoundaries) {
     throw std::invalid_argument("MultiKCoordinator: too many boundaries");
   }
   for (std::size_t i = 0; i < ks_.size(); ++i) {

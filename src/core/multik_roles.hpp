@@ -93,6 +93,9 @@ class MultiKCoordinator final : public CoordinatorAlgo {
     bool suppress_idle_broadcasts = false;
   };
 
+  /// Most k values one coordinator monitors.
+  static constexpr std::size_t kMaxBoundaries = 200;
+
   explicit MultiKCoordinator(std::vector<std::size_t> ks)
       : MultiKCoordinator(std::move(ks), {}) {}
   MultiKCoordinator(std::vector<std::size_t> ks, Options opts);

@@ -18,12 +18,14 @@ namespace topkmon::exp {
 namespace {
 
 /// "2+8+16" -> {2, 8, 16}; nullopt unless every k is positive and
-/// larger than the one before it (MultiKCoordinator's precondition).
+/// larger than the one before it, and there are at most
+/// MultiKCoordinator::kMaxBoundaries of them (its preconditions).
 std::optional<std::vector<std::size_t>> parse_ks(std::string_view text) {
   std::vector<std::size_t> out;
   for (const std::string_view item : split(text, '+')) {
     const auto v = to_u64(item);
-    if (!v || *v == 0 || (!out.empty() && *v <= out.back())) {
+    if (!v || *v == 0 || (!out.empty() && *v <= out.back()) ||
+        out.size() == MultiKCoordinator::kMaxBoundaries) {
       return std::nullopt;
     }
     out.push_back(static_cast<std::size_t>(*v));
@@ -135,8 +137,10 @@ RolePair recompute_roles(const Cluster& cluster, SpecReader& r,
 RolePair multik_roles(const Cluster& cluster, SpecReader& r, std::size_t k) {
   std::vector<std::size_t> ks{k};
   MultiKCoordinator::Options o;
-  r.read("ks", ks, "increasing positive k values joined by '+' (2+8+16)",
-         parse_ks);
+  const std::string ks_form =
+      "at most " + std::to_string(MultiKCoordinator::kMaxBoundaries) +
+      " increasing positive k values joined by '+' (2+8+16)";
+  r.read("ks", ks, ks_form, parse_ks);
   r.read_flag("nobeacon", o.suppress_idle_broadcasts);
   r.done();
   return native_pair<MultiKNode>(std::make_unique<MultiKCoordinator>(ks, o),

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/multik_roles.hpp"
 #include "exp/monitor_registry.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault_plan.hpp"
@@ -82,7 +83,7 @@ TEST(SpecRejections, QuoteTheSpecNameTheItemAndHint) {
       {Entry::kMonitor, "approx?eps=-5",
        "bad value in 'eps=-5': expected an integer >= 0", nullptr},
       {Entry::kMonitor, "multi_k?ks=4+2",
-       "bad value in 'ks=4+2': expected increasing positive", nullptr},
+       "bad value in 'ks=4+2': expected at most 200 increasing", nullptr},
       {Entry::kMonitor, "multi_k?ks=0+2", "'ks=0+2'", nullptr},
       // Integer overflow.
       {Entry::kMonitor, "approx?eps=9223372036854775808",
@@ -124,6 +125,28 @@ TEST(SpecRejections, QuoteTheSpecNameTheItemAndHint) {
             << what;
       }
     }
+  }
+}
+
+TEST(SpecRejections, MultiKBoundaryCapIsTheReaders) {
+  // One k past MultiKCoordinator's cap is a bad value in the reader's
+  // form, not the coordinator's; the cap itself is accepted.
+  std::string ks = "multi_k?ks=1";
+  for (std::size_t k = 2; k <= MultiKCoordinator::kMaxBoundaries; ++k) {
+    ks += '+';
+    ks += std::to_string(k);
+  }
+  Cluster cluster(512, 1);
+  EXPECT_NE(exp::make_role_pair(cluster, ks, 2).coordinator, nullptr);
+  ks += '+';
+  ks += std::to_string(MultiKCoordinator::kMaxBoundaries + 1);
+  try {
+    exp::make_role_pair(cluster, ks, 2);
+    ADD_FAILURE() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("': bad value in 'ks="),
+              std::string::npos)
+        << e.what();
   }
 }
 
