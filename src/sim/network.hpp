@@ -329,8 +329,8 @@ class Network {
 
   /// Lands one due delivery in the recipient's inbox (coordinator mail in
   /// coord_inbox_, node mail in unicasts_ with the due bit set), or drops
-  /// it when the recipient node is down. Used for due-now and overflow
-  /// deliveries; flush_tick appends a slot's coordinator column in bulk.
+  /// it when the recipient node is down. A slot's coordinator column
+  /// bypasses it: flush_tick appends the column in bulk.
   void deliver(std::uint32_t recipient, const Stamped& s);
 
   /// Due tick of the next occupied wheel slot strictly after now()
