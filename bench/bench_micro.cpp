@@ -255,6 +255,37 @@ BENCHMARK(BM_StreamSetAdvanceAll)
     ->Arg(4096)
     ->Arg(16384);
 
+/// One activity-driven step of n sparse random walks at rate 0.01 (the
+/// sharded_sparse workload's stream): advance_all_active visits the due
+/// stride of n / 100 ids in the SparseBank (state.range: n). `movers`
+/// counts the changed ids per step.
+void BM_StreamSetAdvanceActive(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  StreamSpec spec;
+  spec.family = StreamFamily::kSparse;
+  spec.sparse.rate = 0.01;
+  spec.sparse_inner = StreamFamily::kRandomWalk;
+  spec.walk.hi = 100'000'000;
+  spec.walk.max_step = 64;
+  auto streams = make_stream_set(spec, n, 13);
+  std::vector<Value> values(n, 0);
+  std::vector<NodeId> changed;
+  changed.reserve(n);
+  streams.advance_all_active(values, changed);  // the initial full draw
+  std::int64_t movers = 0;
+  for (auto _ : state) {
+    streams.advance_all_active(values, changed);
+    movers += static_cast<std::int64_t>(changed.size());
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["movers"] = benchmark::Counter(
+      static_cast<double>(movers), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_StreamSetAdvanceActive)->Arg(16384)->Arg(65536);
+
 /// The dense step's stream call on 4096 walks: advance_all_masked, the
 /// values plus the change mask, through `bank`.
 void run_masked_advance(benchmark::State& state, StreamBank& bank) {

@@ -63,7 +63,8 @@ Value spread_start(Value lo, Value hi, NodeId id, std::size_t n) {
 Rng node_rng(const Rng& root, NodeId id) { return root.derive(0x57AEull + id); }
 
 /// Builds node `id`'s concrete stream and hands it to `f` by value, so
-/// callers can either box it or store it in a typed bank.
+/// callers can either box it or store it in a typed bank. The sparse
+/// wrapper is not one: make_stream and make_bank wrap its inner family.
 template <typename F>
 auto with_stream(const StreamSpec& spec, NodeId id, std::size_t n,
                  const Rng& root, F&& f) {
@@ -110,22 +111,50 @@ auto with_stream(const StreamSpec& spec, NodeId id, std::size_t n,
                 static_cast<double>(n);
       return f(SensorStream(p, rng));
     }
-    case StreamFamily::kSparse: {
-      if (spec.sparse_inner == StreamFamily::kSparse) {
-        throw std::invalid_argument(
-            "make_stream_set: sparse cannot wrap itself");
-      }
-      StreamSpec inner_spec = spec;
-      inner_spec.family = spec.sparse_inner;
-      auto inner = with_stream(inner_spec, id, n, root, box);
-      // Activity phases are striped id % period: every window of `period`
-      // consecutive ids covers all phases once, so exactly
-      // floor/ceil(rate * n) nodes draw fresh values on any given step.
-      const std::uint64_t period = SparseStream::period_for(spec.sparse.rate);
-      return f(SparseStream(std::move(inner), spec.sparse.rate, id % period));
-    }
+    case StreamFamily::kSparse:
+      break;
   }
   throw std::invalid_argument("make_stream_set: unknown family");
+}
+
+/// The family a sparse spec wraps, as a spec of its own.
+StreamSpec sparse_inner_spec(const StreamSpec& spec) {
+  if (spec.sparse_inner == StreamFamily::kSparse) {
+    throw std::invalid_argument("make_stream_set: sparse cannot wrap itself");
+  }
+  StreamSpec inner = spec;
+  inner.family = spec.sparse_inner;
+  return inner;
+}
+
+/// The bank of make_stream_set(spec, n, seed).
+std::unique_ptr<StreamBank> make_bank(const StreamSpec& spec, std::size_t n,
+                                      std::uint64_t seed) {
+  if (spec.family == StreamFamily::kRandomWalk) {
+    return make_walk_bank(spec, n, seed);
+  }
+  if (spec.family == StreamFamily::kSparse) {
+    return std::make_unique<SparseBank>(
+        make_bank(sparse_inner_spec(spec), n, seed),
+        SparseStream::period_for(spec.sparse.rate));
+  }
+  const Rng root(seed);
+  // Every id yields the same concrete type, so the first one picks the
+  // bank and the rest append to it.
+  std::unique_ptr<StreamBank> bank;
+  for (NodeId id = 0; id < n; ++id) {
+    with_stream(spec, id, n, root, [&](auto s) {
+      using S = decltype(s);
+      if (!bank) {
+        std::vector<S> streams;
+        streams.reserve(n);
+        bank = std::make_unique<TypedBank<S>>(std::move(streams),
+                                              spec.enforce_distinct);
+      }
+      static_cast<TypedBank<S>&>(*bank).push_back(std::move(s));
+    });
+  }
+  return bank;
 }
 
 }  // namespace
@@ -171,7 +200,16 @@ StreamSpec parse_stream_spec(std::string_view text, StreamSpec base) {
 std::unique_ptr<Stream> make_stream(const StreamSpec& spec, NodeId id,
                                     std::size_t n, std::uint64_t seed) {
   if (id >= n) throw std::invalid_argument("make_stream: id >= n");
-  return with_stream(spec, id, n, Rng(seed), box);
+  if (spec.family != StreamFamily::kSparse) {
+    return with_stream(spec, id, n, Rng(seed), box);
+  }
+  // Activity phases are striped id % period, as in SparseBank: every
+  // window of `period` consecutive ids covers all phases once, so exactly
+  // floor/ceil(rate * n) nodes draw fresh values on any given step.
+  const std::uint64_t period = SparseStream::period_for(spec.sparse.rate);
+  return std::make_unique<SparseStream>(
+      make_stream(sparse_inner_spec(spec), id, n, seed), spec.sparse.rate,
+      id % period);
 }
 
 std::unique_ptr<RandomWalkBank> make_walk_bank(const StreamSpec& spec,
@@ -190,30 +228,7 @@ std::unique_ptr<RandomWalkBank> make_walk_bank(const StreamSpec& spec,
 StreamSet make_stream_set(const StreamSpec& spec, std::size_t n,
                           std::uint64_t seed) {
   if (n == 0) throw std::invalid_argument("make_stream_set: n == 0");
-  if (spec.family == StreamFamily::kRandomWalk) {
-    return StreamSet(make_walk_bank(spec, n, seed));
-  }
-  if (spec.family == StreamFamily::kSparse &&
-      spec.sparse_inner == StreamFamily::kRandomWalk) {
-    validate_walk_params(spec.walk, spec.enforce_distinct ? n : 0);
-  }
-  const Rng root(seed);
-  // Every id yields the same concrete type, so the first one picks the
-  // bank and the rest append to it.
-  std::unique_ptr<StreamBank> bank;
-  for (NodeId id = 0; id < n; ++id) {
-    with_stream(spec, id, n, root, [&](auto s) {
-      using S = decltype(s);
-      if (!bank) {
-        std::vector<S> streams;
-        streams.reserve(n);
-        bank = std::make_unique<TypedBank<S>>(std::move(streams),
-                                              spec.enforce_distinct);
-      }
-      static_cast<TypedBank<S>&>(*bank).push_back(std::move(s));
-    });
-  }
-  return StreamSet(std::move(bank));
+  return StreamSet(make_bank(spec, n, seed));
 }
 
 }  // namespace topkmon

@@ -2,6 +2,15 @@
 // The factory spreads per-node parameters (walk starting points, wave
 // phases) so that the n streams interleave realistically, and derives all
 // per-stream RNGs from a single seed for reproducibility.
+//
+// Each family gets one bank: random walks a RandomWalkBank of columns,
+// the sparse family a SparseBank around the bank its inner family gets
+// (built by the same path, so every node keeps its RNG stream), every
+// other family a TypedBank of its concrete stream. The SparseBank stripes
+// activity phases as id % period, so at whole-set advance c >= 1 only the
+// ids with id % period == (period - c % period) % period draw.
+// make_stream builds one node's stream of the same set, the per-node
+// reference the banks are tested against.
 #pragma once
 
 #include <memory>
@@ -95,11 +104,13 @@ struct StreamSpec {
 };
 
 /// Builds the n per-node streams described by `spec`, deterministically
-/// from `seed`: random walks in a RandomWalkBank (make_walk_bank), every
-/// other family in a typed bank of its concrete stream type. Throws
-/// std::invalid_argument for n == 0 or invalid parameters; with
-/// enforce_distinct, walk bounds (also a sparse wrapper's inner walks)
-/// whose distinct values overflow are invalid.
+/// from `seed`: random walks in a RandomWalkBank (make_walk_bank), the
+/// sparse family in a SparseBank over its inner family's bank (the one
+/// make_stream_set would build for that family), every other family in a
+/// typed bank of its concrete stream type. Throws std::invalid_argument
+/// for n == 0 or invalid parameters; with enforce_distinct, walk bounds
+/// (also a sparse wrapper's inner walks) whose distinct values overflow
+/// are invalid.
 StreamSet make_stream_set(const StreamSpec& spec, std::size_t n,
                           std::uint64_t seed);
 
@@ -112,8 +123,9 @@ std::unique_ptr<RandomWalkBank> make_walk_bank(const StreamSpec& spec,
 
 /// Node `id`'s bare stream of that set (no distinctness transform): it
 /// yields the raw values that make_stream_set(spec, n, seed) maps through
-/// distinct_value when spec.enforce_distinct. Throws
-/// std::invalid_argument unless id < n.
+/// distinct_value when spec.enforce_distinct. For the sparse family it is
+/// a SparseStream at phase id % period around node id's inner stream.
+/// Throws std::invalid_argument unless id < n.
 std::unique_ptr<Stream> make_stream(const StreamSpec& spec, NodeId id,
                                     std::size_t n, std::uint64_t seed);
 

@@ -25,22 +25,86 @@ SparseStream::SparseStream(std::unique_ptr<Stream> inner, double rate,
   }
 }
 
-void SparseStream::draw() {
-  current_ = inner_->next();
-  // Step 0 always draws (every node needs a real initial value); the
-  // next activity step is then the first t > 0 with
-  // (t + phase) % period == 0, i.e. period - phase (or a full period for
-  // phase 0). Afterwards draws recur every `period` advances.
-  until_ = first_ && phase_ != 0 ? period_ - phase_ : period_;
-  first_ = false;
-}
-
 Value SparseStream::next() {
-  if (until_ == 0) draw();
-  --until_;
+  if (sparse_draws(advances_++, phase_, period_)) current_ = inner_->next();
   return current_;
 }
 
-template class TypedBank<SparseStream>;
+SparseBank::SparseBank(std::unique_ptr<StreamBank> inner,
+                       std::uint64_t period)
+    : inner_(std::move(inner)), period_(period) {
+  if (!inner_ || inner_->size() == 0 || period_ == 0) {
+    throw std::invalid_argument("SparseBank: empty inner bank or period 0");
+  }
+  current_.resize(inner_->size());
+}
+
+Value SparseBank::advance(NodeId id) {
+  if (counts_.empty()) counts_.assign(size(), step_);
+  if (sparse_draws(counts_[id]++, id % period_, period_)) {
+    current_[id] = inner_->advance(id);
+  }
+  return current_[id];
+}
+
+void SparseBank::advance_all_masked(std::span<Value> values,
+                                    std::span<std::uint64_t> changed) {
+  const std::size_t n = size();
+  if (!counts_.empty()) {
+    for (NodeId id = 0; id < n; ++id) {
+      if (sparse_draws(counts_[id]++, id % period_, period_)) {
+        current_[id] = inner_->advance(id);
+      }
+    }
+  } else if (const std::uint64_t c = step_++; draws_all(c)) {
+    inner_->advance_all(current_);
+  } else {
+    for (std::uint64_t id = sparse_due_phase(c, period_); id < n;
+         id += period_) {
+      current_[id] = inner_->advance(static_cast<NodeId>(id));
+    }
+  }
+  // The branch-free compare of TypedBank's fallback, against the bank's
+  // own column.
+  for (std::size_t w = 0; w < changed.size(); ++w) {
+    std::uint64_t bits = 0;
+    const std::size_t end = std::min(n, w * 64 + 64);
+    for (std::size_t id = w * 64; id < end; ++id) {
+      bits |= std::uint64_t{current_[id] != values[id]} << (id & 63);
+      values[id] = current_[id];
+    }
+    changed[w] = bits;
+  }
+}
+
+void SparseBank::advance_all_active(std::span<Value> values,
+                                    std::vector<NodeId>& changed) {
+  if (!counts_.empty()) {
+    throw std::logic_error(
+        "SparseBank: advance_all_active cannot follow a per-id advance() "
+        "(the nodes no longer share one advance count)");
+  }
+  const std::size_t n = size();
+  const std::uint64_t c = step_++;
+  if (draws_all(c)) {
+    inner_->advance_all(current_);
+    for (NodeId id = 0; id < n; ++id) {
+      if (current_[id] != values[id]) {
+        values[id] = current_[id];
+        changed.push_back(id);
+      }
+    }
+    return;
+  }
+  for (std::uint64_t id = sparse_due_phase(c, period_); id < n;
+       id += period_) {
+    const Value v = inner_->advance(static_cast<NodeId>(id));
+    current_[id] = v;
+    if (v != values[id]) {
+      values[id] = v;
+      changed.push_back(static_cast<NodeId>(id));
+    }
+  }
+}
 
 }  // namespace topkmon

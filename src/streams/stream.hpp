@@ -12,6 +12,10 @@
 // contiguous vector and calls the qualified s.S::next() — bound statically
 // and inlined where each family's .cpp instantiates the bank. Random
 // walks use a column bank instead (RandomWalkBank, streams/random_walk.hpp).
+// The activity-gated sparse family wraps its inner family's bank in a
+// SparseBank (streams/sparse.hpp) whose activity pass, advance_all_active,
+// visits only the nodes due at a step: at whole-set advance c >= 1, the
+// ids with id % period == (period - c % period) % period.
 // Nothing is generated ahead of demand: every value is drawn at the
 // advance that returns it, so a finite strict trace throws at exactly
 // that advance.
@@ -38,22 +42,6 @@ class Stream {
 
   /// Advances the stream by one observation and returns the new value.
   virtual Value next() = 0;
-
-  /// True when the stream can certify quiet runs (advance_quiet below):
-  /// the activity-gated wrapper family. Lets StreamSet::advance_all_active
-  /// skip untouched nodes in O(1) per step instead of materializing their
-  /// repeated values.
-  virtual bool supports_quiet_runs() const { return false; }
-
-  /// Consumes up to `max_steps` upcoming advances whose values are
-  /// guaranteed equal to the last produced value, returning how many were
-  /// consumed (0: the next advance may change the value). The default —
-  /// and any generator without change tracking — never certifies a quiet
-  /// step.
-  virtual std::uint64_t advance_quiet(std::uint64_t max_steps) {
-    (void)max_steps;
-    return 0;
-  }
 };
 
 /// Order-preserving distinctness transform (the paper assumes pairwise
@@ -71,15 +59,6 @@ class DistinctStream final : public Stream {
 
   Value next() override { return distinct_value(inner_->next(), id_, n_); }
 
-  /// The affine map is stateless and injective, so inner quiet runs are
-  /// outer quiet runs.
-  bool supports_quiet_runs() const override {
-    return inner_->supports_quiet_runs();
-  }
-  std::uint64_t advance_quiet(std::uint64_t max_steps) override {
-    return inner_->advance_quiet(max_steps);
-  }
-
  private:
   std::unique_ptr<Stream> inner_;
   NodeId id_;
@@ -94,16 +73,17 @@ class StreamBank {
 
   virtual std::size_t size() const noexcept = 0;
 
-  /// True when every node's stream certifies quiet runs (see
-  /// Stream::supports_quiet_runs). Banks without change tracking keep
-  /// the default.
+  /// True for banks with an activity schedule (SparseBank), which
+  /// implement advance_all_active. Every other bank keeps the default.
   virtual bool quiet_capable() const { return false; }
 
-  /// Stream::advance_quiet of node `id`'s stream.
-  virtual std::uint64_t advance_quiet(NodeId id, std::uint64_t max_steps) {
-    (void)id;
-    (void)max_steps;
-    return 0;
+  /// StreamSet::advance_all_active's pass (`changed` arrives cleared).
+  /// Banks that are not quiet_capable() throw std::logic_error.
+  virtual void advance_all_active(std::span<Value> values,
+                                  std::vector<NodeId>& changed) {
+    (void)values;
+    (void)changed;
+    throw std::logic_error("StreamBank: no activity schedule");
   }
 
   /// Advances node `id` once and returns its observation.
@@ -151,29 +131,12 @@ class TypedBank final : public StreamBank {
   void push_back(Elem stream) { streams_.push_back(std::move(stream)); }
 
   std::size_t size() const noexcept override { return streams_.size(); }
-  bool quiet_capable() const override {
-    return std::all_of(streams_.begin(), streams_.end(), [](const Elem& e) {
-      return deref(e).supports_quiet_runs();
-    });
-  }
-  std::uint64_t advance_quiet(NodeId id, std::uint64_t max_steps) override {
-    return deref(streams_[id]).advance_quiet(max_steps);
-  }
   Value advance(NodeId id) override;
   void advance_all_masked(std::span<Value> values,
                           std::span<std::uint64_t> changed) override;
 
  private:
   static constexpr bool kByValue = std::is_base_of_v<Stream, Elem>;
-
-  template <typename E>
-  static auto& deref(E& e) noexcept {
-    if constexpr (kByValue) {
-      return e;
-    } else {
-      return *e;
-    }
-  }
 
   /// Statically bound for by-value streams, virtual through a pointer.
   static Value next_of(Elem& e) {
@@ -247,49 +210,35 @@ class StreamSet {
     return bank_->advance(id);
   }
 
-  /// True when every stream certifies quiet runs (see Stream::
-  /// supports_quiet_runs) — the precondition of advance_all_active.
+  /// True when the bank has an activity schedule (the sparse family's
+  /// SparseBank) — the precondition of advance_all_active.
   bool quiet_capable() const { return size() != 0 && bank_->quiet_capable(); }
 
   /// Activity-driven advance: `values` must hold every node's previous
   /// observation on entry (all zeros before the first call, matching a
   /// fresh cluster) and is updated in place; `changed` (cleared first)
   /// receives exactly the nodes whose value differs from the previous
-  /// step, in no particular order. Nodes inside a certified quiet run are
-  /// not visited at all — a calendar ring keyed by next-activity step
-  /// makes a step cost O(active), independent of n. Requires
-  /// quiet_capable() and values.size() == size() (else
-  /// std::invalid_argument). advance()/advance_all() throw afterwards:
-  /// the calendar has already consumed the quiet runs it scheduled.
+  /// step, in ascending id order. Only the step's due nodes are visited:
+  /// every node at the set's first whole-set advance, then at advance c
+  /// the ids with id % period == (period - c % period) % period, one
+  /// per-id inner-bank call each, so a step costs O(n / period).
+  /// Throws std::logic_error unless quiet_capable() (before any stream
+  /// advances) and after a per-id advance() (see SparseBank);
+  /// std::invalid_argument unless values.size() == size(). It continues
+  /// earlier whole-set advance_all calls exactly. advance(), advance_all()
+  /// and advance_all_masked() throw afterwards: the pass trusts `values`
+  /// to hold the previous observations, so the set is driven one way.
   void advance_all_active(std::span<Value> values,
                           std::vector<NodeId>& changed) {
+    if (!quiet_capable()) {
+      throw std::logic_error(
+          "StreamSet::advance_all_active: the set has no activity schedule "
+          "(quiet_capable() is false)");
+    }
     check_span(values.size());
     changed.clear();
-    if (!active_mode_) {
-      active_mode_ = true;
-      calendar_.assign(kCalendarSlots, {});
-      due_step_.assign(size(), 0);
-      // Every node is due at step 0 (the initial draw).
-      calendar_[0].reserve(size());
-      for (NodeId id = 0; id < size(); ++id) calendar_[0].push_back(id);
-    }
-    calendar_scratch_.clear();
-    calendar_scratch_.swap(calendar_[active_step_ % kCalendarSlots]);
-    for (const NodeId id : calendar_scratch_) {
-      if (due_step_[id] > active_step_) {
-        // Quiet run longer than the ring: parked at the horizon, hop on.
-        reschedule(id, due_step_[id]);
-        continue;
-      }
-      const Value v = bank_->advance(id);
-      if (v != values[id]) {
-        values[id] = v;
-        changed.push_back(id);
-      }
-      reschedule(id, active_step_ + 1 +
-                         bank_->advance_quiet(id, ~std::uint64_t{0}));
-    }
-    ++active_step_;
+    bank_->advance_all_active(values, changed);
+    active_mode_ = true;
   }
 
   /// Advances every stream once: out[id] receives node id's observation.
@@ -327,28 +276,11 @@ class StreamSet {
   [[noreturn]] static void throw_mixed_mode() {
     throw std::logic_error(
         "StreamSet: advance()/advance_all() cannot follow "
-        "advance_all_active() (the calendar has consumed quiet runs)");
-  }
-
-  /// Calendar ring size: quiet runs shorter than this take one hop;
-  /// longer ones park at the horizon and hop every kCalendarSlots steps.
-  static constexpr std::uint64_t kCalendarSlots = 512;
-
-  void reschedule(NodeId id, std::uint64_t due) {
-    due_step_[id] = due;
-    const std::uint64_t hop =
-        std::min<std::uint64_t>(due - active_step_, kCalendarSlots - 1);
-    calendar_[(active_step_ + hop) % kCalendarSlots].push_back(id);
+        "advance_all_active() (the set is driven one way)");
   }
 
   std::unique_ptr<StreamBank> bank_;
-
-  // Activity-driven mode (advance_all_active) state.
-  std::vector<std::vector<NodeId>> calendar_;  ///< ring of due-node lists
-  std::vector<NodeId> calendar_scratch_;       ///< current slot, detached
-  std::vector<std::uint64_t> due_step_;        ///< absolute next-draw step
-  std::uint64_t active_step_ = 0;
-  bool active_mode_ = false;               ///< advance_all_active took over
+  bool active_mode_ = false;  ///< advance_all_active took over
 };
 
 }  // namespace topkmon

@@ -248,9 +248,32 @@ TEST(BatchEquivalence, SizeMismatchAndBadIdThrow) {
                std::invalid_argument);
 }
 
-TEST(BatchEquivalence, CalendarExclusivityStillFires) {
-  // The calendar consumes quiet runs ahead of the clock, so once it has
-  // taken over a set, per-id and whole-set advances are refused.
+TEST(BatchEquivalence, ActiveAdvanceNeedsAnActivitySchedule) {
+  // Sets without an activity schedule refuse advance_all_active before
+  // any stream advances: the values stay untouched and the set still
+  // matches a fresh one.
+  for (const StreamFamily family :
+       {StreamFamily::kRandomWalk, StreamFamily::kIidUniform}) {
+    auto set = make_stream_set(spec_for(family, true), kN, kSeed);
+    ASSERT_FALSE(set.quiet_capable());
+    std::vector<Value> values(kN, 7);
+    std::vector<NodeId> changed;
+    EXPECT_THROW(set.advance_all_active(values, changed), std::logic_error);
+    EXPECT_EQ(values, std::vector<Value>(kN, 7)) << family_name(family);
+    auto fresh = make_stream_set(spec_for(family, true), kN, kSeed);
+    std::vector<Value> got(kN), want(kN);
+    for (std::size_t t = 0; t < 3; ++t) {
+      set.advance_all(got);
+      fresh.advance_all(want);
+      ASSERT_EQ(got, want) << family_name(family) << " t=" << t;
+    }
+  }
+}
+
+TEST(BatchEquivalence, ActiveExclusivityStillFires) {
+  // Once advance_all_active has taken over a set, per-id and whole-set
+  // advances are refused: the activity pass trusts its `values` to hold
+  // the previous observations, so the set is driven one way.
   StreamSpec spec;
   spec.family = StreamFamily::kSparse;
   spec.sparse.rate = 0.25;
@@ -261,7 +284,7 @@ TEST(BatchEquivalence, CalendarExclusivityStillFires) {
   EXPECT_EQ(changed.size(), kN);  // the initial draw changes every node
   EXPECT_THROW(set.advance(0), std::logic_error);
   EXPECT_THROW(set.advance_all(values), std::logic_error);
-  set.advance_all_active(values, changed);  // the calendar keeps working
+  set.advance_all_active(values, changed);  // the activity pass keeps working
 }
 
 }  // namespace

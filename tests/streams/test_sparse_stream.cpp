@@ -1,10 +1,17 @@
 // The sparse activity-gated wrapper family: spec-string parsing, the
 // exact-fraction activity schedule, golden determinism of the wrapped
-// values, quiet-run certification (advance_all_active ≡ advance_all),
-// and the mixed-mode guard.
+// values, and the factory's SparseBank against the per-node SparseStream
+// reference (make_stream + distinct_value). Node id draws at advance 0
+// and then whenever id % period == (period - c % period) % period, so
+// the bank's activity pass (advance_all_active) visits only that stride;
+// the grid checks its values, its changed list and advance_all_masked's
+// bits for every inner family, and the mixed-mode tests pin which call
+// orders continue exactly and which throw.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "streams/factory.hpp"
@@ -109,36 +116,85 @@ TEST(SparseStream, QuietNodesRepeatExactly) {
   }
 }
 
-TEST(SparseStream, ActiveAdvanceMatchesBatchedAdvance) {
-  // advance_all_active must produce exactly the values of the batched
-  // path, and its changed list exactly the value-diff set.
-  constexpr std::size_t kN = 17;
-  constexpr std::size_t kSteps = 200;
+/// A sparse spec over `inner`, with or without distinctness.
+StreamSpec sparse_spec(StreamFamily inner, double rate, bool distinct) {
   StreamSpec spec;
   spec.family = StreamFamily::kSparse;
-  spec.sparse.rate = 0.3;
-  spec.sparse_inner = StreamFamily::kRandomWalk;
+  spec.sparse.rate = rate;
+  spec.sparse_inner = inner;
+  spec.enforce_distinct = distinct;
+  return spec;
+}
 
-  auto batched = make_stream_set(spec, kN, 31);
-  auto active = make_stream_set(spec, kN, 31);
-  ASSERT_TRUE(active.quiet_capable());
+/// The per-node reference: node id's bare make_stream wrapper plus the
+/// distinctness transform.
+std::vector<Value> reference_step(std::vector<std::unique_ptr<Stream>>& nodes,
+                                  bool distinct) {
+  std::vector<Value> out;
+  const auto n = static_cast<Value>(nodes.size());
+  for (NodeId id = 0; id < nodes.size(); ++id) {
+    const Value v = nodes[id]->next();
+    out.push_back(distinct ? distinct_value(v, id, n) : v);
+  }
+  return out;
+}
 
-  std::vector<Value> want(kN);
-  std::vector<Value> got(kN, 0);
-  std::vector<Value> prev(kN, 0);
-  std::vector<NodeId> changed;
-  for (std::size_t t = 0; t < kSteps; ++t) {
-    batched.advance_all(want);
-    active.advance_all_active(got, changed);
-    EXPECT_EQ(got, want) << "step " << t;
-    std::set<NodeId> expect_changed;
-    for (NodeId id = 0; id < kN; ++id) {
-      if (want[id] != prev[id]) expect_changed.insert(id);
+TEST(SparseStream, ActiveAdvanceMatchesBatchedAdvance) {
+  // The SparseBank's strided activity pass against the per-node
+  // reference, for every inner family with and without distinctness, at
+  // rates 1, 0.3 and 0.01 (periods 1, 3 and 100) and n = 1, 17 and 250
+  // (below the period, and not a multiple of it), over at least two
+  // periods: advance_all_active's values and its exact changed list
+  // (ascending ids), and advance_all_masked's values and bits.
+  for (const StreamFamily inner : all_families()) {
+    if (inner == StreamFamily::kSparse) continue;
+    for (const bool distinct : {false, true}) {
+      for (const double rate : {1.0, 0.3, 0.01}) {
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{17}, std::size_t{250}}) {
+          const StreamSpec spec = sparse_spec(inner, rate, distinct);
+          const std::uint64_t period = SparseStream::period_for(rate);
+          const std::size_t steps = 2 * period + 7;
+          std::vector<std::unique_ptr<Stream>> ref;
+          for (NodeId id = 0; id < n; ++id) {
+            ref.push_back(make_stream(spec, id, n, 31));
+          }
+          auto active = make_stream_set(spec, n, 31);
+          auto masked = make_stream_set(spec, n, 31);
+          ASSERT_TRUE(active.quiet_capable());
+          std::vector<Value> got(n, 0), masked_values(n, 0), prev(n, 0);
+          IdBitset mask(n);
+          std::vector<NodeId> changed;
+          for (std::size_t t = 0; t < steps; ++t) {
+            const std::vector<Value> want = reference_step(ref, distinct);
+            std::vector<NodeId> expect_changed;
+            for (NodeId id = 0; id < n; ++id) {
+              if (want[id] != prev[id]) expect_changed.push_back(id);
+            }
+            active.advance_all_active(got, changed);
+            masked.advance_all_masked(masked_values, mask);
+            const auto where = [&] {
+              return std::string(family_name(inner)) +
+                     " distinct=" + std::to_string(distinct) +
+                     " rate=" + std::to_string(rate) +
+                     " n=" + std::to_string(n) + " t=" + std::to_string(t);
+            };
+            ASSERT_EQ(got, want) << where();
+            ASSERT_EQ(changed, expect_changed) << where();
+            ASSERT_EQ(masked_values, want) << where();
+            std::vector<NodeId> mask_ids;
+            for (NodeId id = 0; id < n; ++id) {
+              if (mask.test(id)) mask_ids.push_back(id);
+            }
+            ASSERT_EQ(mask_ids, expect_changed) << where();
+            if (n % 64 != 0) {
+              ASSERT_EQ(mask.words().back() >> (n % 64), 0u) << where();
+            }
+            prev = want;
+          }
+        }
+      }
     }
-    EXPECT_EQ(std::set<NodeId>(changed.begin(), changed.end()),
-              expect_changed)
-        << "step " << t;
-    prev = want;
   }
 }
 
@@ -160,6 +216,57 @@ TEST(SparseStream, MixedModeAfterActiveThrows) {
   set.advance_all_active(values, changed);
   EXPECT_THROW(set.advance(0), std::logic_error);
   EXPECT_THROW(set.advance_all(values), std::logic_error);
+}
+
+TEST(SparseStream, MixedModeBeforeActive) {
+  // Whole-set advances share the activity pass's advance counter, so the
+  // pass continues them exactly. A per-id advance gives the nodes counts
+  // of their own; the pass then throws before any stream advances, and
+  // per-id and whole-set advances stay exact.
+  constexpr std::size_t kN = 10;
+  const StreamSpec spec = sparse_spec(StreamFamily::kRandomWalk, 0.25, true);
+  std::vector<std::unique_ptr<Stream>> ref;
+  for (NodeId id = 0; id < kN; ++id) ref.push_back(make_stream(spec, id, kN, 5));
+
+  auto whole_set = make_stream_set(spec, kN, 5);
+  std::vector<Value> values(kN);
+  for (std::size_t t = 0; t < 6; ++t) {
+    whole_set.advance_all(values);
+    ASSERT_EQ(values, reference_step(ref, true)) << "t=" << t;
+  }
+  std::vector<NodeId> changed;
+  for (std::size_t t = 6; t < 30; ++t) {
+    const std::vector<Value> prev = values;
+    whole_set.advance_all_active(values, changed);
+    const std::vector<Value> want = reference_step(ref, true);
+    ASSERT_EQ(values, want) << "t=" << t;
+    std::vector<NodeId> expect_changed;
+    for (NodeId id = 0; id < kN; ++id) {
+      if (want[id] != prev[id]) expect_changed.push_back(id);
+    }
+    ASSERT_EQ(changed, expect_changed) << "t=" << t;
+  }
+
+  ref.clear();
+  for (NodeId id = 0; id < kN; ++id) ref.push_back(make_stream(spec, id, kN, 5));
+  auto per_id = make_stream_set(spec, kN, 5);
+  per_id.advance_all(values);
+  ASSERT_EQ(values, reference_step(ref, true));
+  const auto ref_next = [&](NodeId id) {
+    return distinct_value(ref[id]->next(), id, static_cast<Value>(kN));
+  };
+  for (const NodeId id : {NodeId{3}, NodeId{3}, NodeId{7}}) {
+    ASSERT_EQ(per_id.advance(id), ref_next(id)) << "node " << id;
+  }
+  const std::vector<Value> before = values;
+  EXPECT_THROW(per_id.advance_all_active(values, changed), std::logic_error);
+  EXPECT_EQ(values, before);
+  for (std::size_t t = 0; t < 12; ++t) {
+    per_id.advance_all(values);
+    for (NodeId id = 0; id < kN; ++id) {
+      ASSERT_EQ(values[id], ref_next(id)) << "t=" << t << " node=" << id;
+    }
+  }
 }
 
 TEST(SparseStream, GoldenDeterminismAcrossConstructions) {
