@@ -14,8 +14,9 @@
 // n-node bank. SparseBank wraps the inner family's own bank (the
 // RandomWalkBank columns for random walks, a TypedBank<S> otherwise) and
 // counts whole-set advances: at advance c >= 1 the due nodes are exactly
-// the ids with id % period == sparse_due_phase(c, period), a stride of
-// period ids, so StreamSet::advance_all_active visits only that stride.
+// the ids with id % period == sparse_due_phase(c, period), i.e. that
+// phase, phase + period, phase + 2 * period, ..., so
+// StreamSet::advance_all_active visits only that stride.
 #pragma once
 
 #include <cstdint>

@@ -219,9 +219,9 @@ class StreamSet {
   /// fresh cluster) and is updated in place; `changed` (cleared first)
   /// receives exactly the nodes whose value differs from the previous
   /// step, in ascending id order. Only the step's due nodes are visited:
-  /// every node at the set's first whole-set advance, then at advance c
-  /// the ids with id % period == (period - c % period) % period, one
-  /// per-id inner-bank call each, so a step costs O(n / period).
+  /// every node at whole-set advance 0, then at advance c the ids with
+  /// id % period == (period - c % period) % period, one per-id
+  /// inner-bank call each, so a step costs O(n / period).
   /// Throws std::logic_error unless quiet_capable() (before any stream
   /// advances) and after a per-id advance() (see SparseBank);
   /// std::invalid_argument unless values.size() == size(). It continues
